@@ -20,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from .breakdown import MEMORY_COPY, compute_breakdown
+from ..hw.events import KERNEL
+from .breakdown import MEMORY_COPY, Breakdown, compute_breakdown
 from .profiler import Profile
 from .utilization import cpu_busy_gpu_idle_fraction
 
@@ -110,15 +111,20 @@ def detect_workload_imbalance(
     preprocessing_labels: Sequence[str] = ("Sampling (CPU)", "Sampling", "top-k",
                                            "Create T-batch", "Load Embedding",
                                            "Data Loading"),
+    breakdown: Optional[Breakdown] = None,
 ) -> BottleneckFinding:
-    """CPU-side preprocessing occupying the host while the GPU waits."""
-    breakdown = compute_breakdown(profile)
+    """CPU-side preprocessing occupying the host while the GPU waits.
+
+    ``breakdown`` is the profile's default :func:`compute_breakdown`, for
+    callers that already hold it; it is computed when omitted.
+    """
+    if breakdown is None:
+        breakdown = compute_breakdown(profile)
     preprocessing_ms = sum(breakdown.time_ms(label) for label in preprocessing_labels)
     share = preprocessing_ms / breakdown.total_ms if breakdown.total_ms > 0 else 0.0
     starvation = cpu_busy_gpu_idle_fraction(profile)
     severity = max(0.0, min(1.0, 0.6 * share / max(thresholds.host_preprocessing_share, 1e-9)
                             + 0.4 * starvation / max(thresholds.cpu_busy_gpu_idle, 1e-9)))
-    severity = min(1.0, severity)
     detected = share >= thresholds.host_preprocessing_share or (
         starvation >= thresholds.cpu_busy_gpu_idle and profile.device("gpu") is not None
     )
@@ -135,10 +141,16 @@ def detect_workload_imbalance(
 
 
 def detect_data_movement(
-    profile: Profile, thresholds: BottleneckThresholds = BottleneckThresholds()
+    profile: Profile,
+    thresholds: BottleneckThresholds = BottleneckThresholds(),
+    breakdown: Optional[Breakdown] = None,
 ) -> BottleneckFinding:
-    """CPU<->GPU transfer time dominating the iteration."""
-    breakdown = compute_breakdown(profile)
+    """CPU<->GPU transfer time dominating the iteration.
+
+    ``breakdown`` is as for :func:`detect_workload_imbalance`.
+    """
+    if breakdown is None:
+        breakdown = compute_breakdown(profile)
     transfer_ms = breakdown.time_ms(MEMORY_COPY)
     share = transfer_ms / breakdown.total_ms if breakdown.total_ms > 0 else 0.0
     transfer_bytes = profile.transfer_bytes()
@@ -165,11 +177,10 @@ def detect_gpu_warmup(
     gpu = profile.device("gpu")
     gpu_work_ms = 0.0
     if gpu is not None:
-        gpu_work_ms = sum(
-            e.duration_ms
-            for e in profile.events
-            if e.resource == gpu.name and e.kind == "kernel"
-        ) + profile.transfer_time_ms()
+        gpu_work_ms = (
+            sum(e.duration_ms for e in profile.events_on(gpu.name, KERNEL))
+            + profile.transfer_time_ms()
+        )
     total = warmup_ms + gpu_work_ms
     share = warmup_ms / total if total > 0 else 0.0
     evidence = {"warmup_ms": warmup_ms, "warmup_share": share}
@@ -223,10 +234,11 @@ def analyze_profile(
     iteration_ms: Optional[float] = None,
 ) -> BottleneckReport:
     """Run all four detectors on one profile and rank the findings."""
+    breakdown = compute_breakdown(profile)
     findings = [
         detect_temporal_dependency(profile, thresholds),
-        detect_workload_imbalance(profile, thresholds),
-        detect_data_movement(profile, thresholds),
+        detect_workload_imbalance(profile, thresholds, breakdown=breakdown),
+        detect_data_movement(profile, thresholds, breakdown=breakdown),
         detect_gpu_warmup(profile, thresholds, iteration_ms=iteration_ms),
     ]
     findings.sort(key=lambda f: -f.severity)

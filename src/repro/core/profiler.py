@@ -17,17 +17,28 @@ materializing the event stream entirely -- detailed profiling is an opt-in
 cost, not a tax on every simulated action.  A capture on such a machine
 still reports busy/utilization statistics from the timelines but sees an
 empty event list.
+
+Cost model of reading a :class:`Profile`: the per-kind views
+(``events_of_kind`` and the ``kernel_`` / ``transfer_`` / ``sync_`` /
+``warmup_events`` properties), the per-device views (``events_on``) and the
+merged busy runs (``busy_timeline``) come from one lazily built index -- the
+first per-kind read partitions the window in a single pass, the per-device
+split and the busy runs are derived from those partitions on first use, and
+every later read is a dictionary lookup.  ``events_on_stream``,
+``memory_timeline`` and ``regions`` still scan the window.
 """
 
 from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .._compat import DATACLASS_SLOTS
 from ..hw.events import ALLOC, FREE, KERNEL, SYNC, TRANSFER, WARMUP, Event
 from ..hw.machine import Machine
+from ..hw.timeline import Timeline
 
 
 @dataclass(frozen=True, **DATACLASS_SLOTS)
@@ -81,6 +92,64 @@ class DeviceSnapshot:
         return None
 
 
+class _EventIndex:
+    """Lazily built partitions of one window's events, issue order preserved.
+
+    Each level is built on first use so a reader pays only for what it asks:
+    the by-kind partition is one pass over the window, the per-resource split
+    of a kind is one pass over that kind's events, and a device's merged busy
+    runs are one sort of its kernel (and warm-up) events.
+    """
+
+    __slots__ = ("_events", "_by_kind", "_by_resource", "_busy")
+
+    def __init__(self, events: Tuple[Event, ...]) -> None:
+        self._events = events
+        self._by_kind: Optional[Dict[str, Tuple[Event, ...]]] = None
+        self._by_resource: Dict[str, Dict[str, Tuple[Event, ...]]] = {}
+        self._busy: Dict[Tuple[str, bool], Timeline] = {}
+
+    def of_kind(self, kind: str) -> Tuple[Event, ...]:
+        if self._by_kind is None:
+            # Attribute reads are spelled out (here and in ``on``) rather than
+            # passed in as a key function: on a 100 k-event serving window the
+            # call per event costs more than the partition itself.
+            parts: Dict[str, List[Event]] = {}
+            for event in self._events:
+                parts.setdefault(event.kind, []).append(event)
+            self._by_kind = {name: tuple(part) for name, part in parts.items()}
+        return self._by_kind.get(kind, ())
+
+    def on(self, resource: str, kind: str) -> Tuple[Event, ...]:
+        split = self._by_resource.get(kind)
+        if split is None:
+            parts: Dict[str, List[Event]] = {}
+            for event in self.of_kind(kind):
+                parts.setdefault(event.resource, []).append(event)
+            split = self._by_resource[kind] = {name: tuple(part) for name, part in parts.items()}
+        return split.get(resource, ())
+
+    def busy_timeline(self, device_name: str, include_warmup: bool) -> Timeline:
+        key = (device_name, include_warmup)
+        timeline = self._busy.get(key)
+        if timeline is None:
+            events = self.on(device_name, KERNEL)
+            if include_warmup:
+                events += self.on(device_name, WARMUP)
+            intervals = sorted((e.start_ms, e.end_ms) for e in events if e.end_ms > e.start_ms)
+            # Merge overlaps so kernels running concurrently on different
+            # streams count once; utilization must stay <= 1 for overlapped
+            # schedules.
+            merged: List[Tuple[float, float]] = []
+            for start, end in intervals:
+                if merged and start <= merged[-1][1]:
+                    merged[-1] = (merged[-1][0], max(merged[-1][1], end))
+                else:
+                    merged.append((start, end))
+            timeline = self._busy[key] = Timeline.from_intervals(device_name, merged)
+        return timeline
+
+
 @dataclass(frozen=True)
 class Profile:
     """Everything recorded between the start and end of a capture window.
@@ -112,8 +181,17 @@ class Profile:
         """Wall-clock (host) time of the window."""
         return self.end_ms - self.start_ms
 
+    @cached_property
+    def _index(self) -> _EventIndex:
+        # Not a dataclass field: equality, hashing and ``replace`` ignore it.
+        return _EventIndex(self.events)
+
     def events_of_kind(self, kind: str) -> Tuple[Event, ...]:
-        return tuple(e for e in self.events if e.kind == kind)
+        return self._index.of_kind(kind)
+
+    def events_on(self, resource: str, kind: str) -> Tuple[Event, ...]:
+        """Events of one kind issued on one device or link, in issue order."""
+        return self._index.on(resource, kind)
 
     @property
     def kernel_events(self) -> Tuple[Event, ...]:
@@ -163,6 +241,17 @@ class Profile:
         """Events the window issued onto one stream of one resource."""
         return tuple(e for e in self.events if e.resource == resource and e.stream == stream)
 
+    def busy_timeline(self, device_name: str, include_warmup: bool = False) -> Timeline:
+        """Merged busy runs of one named device as a queryable timeline.
+
+        Kernels (and, on request, warm-up steps) of all the device's streams,
+        overlaps merged, zero-length events dropped; ``busy_ms(lo, hi)`` on
+        the result is the device's busy time inside any sub-window.  The
+        timeline is cached and shared between callers: query it, never
+        ``reserve`` on it.
+        """
+        return self._index.busy_timeline(device_name, include_warmup)
+
     # -- headline statistics ----------------------------------------------------
 
     def device_busy_ms(self, kind: str) -> float:
@@ -189,7 +278,7 @@ class Profile:
             return 0.0
         busy = snapshot.busy_ms
         if not include_warmup:
-            busy -= sum(e.duration_ms for e in self.warmup_events if e.resource == snapshot.name)
+            busy -= sum(e.duration_ms for e in self.events_on(snapshot.name, WARMUP))
         return max(0.0, min(1.0, busy / self.elapsed_ms))
 
     def per_gpu_utilization(self, include_warmup: bool = False) -> Dict[str, float]:
@@ -230,13 +319,13 @@ class Profile:
         snapshot = self.device(kind)
         if snapshot is None:
             return 0
-        return sum(1 for e in self.kernel_events if e.resource == snapshot.name)
+        return len(self.events_on(snapshot.name, KERNEL))
 
     def mean_kernel_ms(self, kind: str) -> float:
         snapshot = self.device(kind)
         if snapshot is None:
             return 0.0
-        durations = [e.duration_ms for e in self.kernel_events if e.resource == snapshot.name]
+        durations = [e.duration_ms for e in self.events_on(snapshot.name, KERNEL)]
         return sum(durations) / len(durations) if durations else 0.0
 
     # -- memory over time ----------------------------------------------------------

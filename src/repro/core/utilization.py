@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from ..hw.events import KERNEL, WARMUP
 from .profiler import Profile
 
 
@@ -42,37 +41,6 @@ class UtilizationReport:
         ]
 
 
-def _busy_intervals(
-    profile: Profile, device_name: str, include_warmup: bool
-) -> List[Tuple[float, float]]:
-    intervals = []
-    for event in profile.events:
-        if event.resource != device_name:
-            continue
-        if event.kind == KERNEL or (event.kind == WARMUP and include_warmup):
-            if event.duration_ms > 0:
-                intervals.append((event.start_ms, event.end_ms))
-    intervals.sort()
-    # Merge overlaps so kernels running concurrently on different streams
-    # count once; utilization must stay <= 1 for overlapped schedules.
-    merged: List[Tuple[float, float]] = []
-    for start, end in intervals:
-        if merged and start <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], end))
-        else:
-            merged.append((start, end))
-    return merged
-
-
-def _clip_overlap(intervals, lo: float, hi: float) -> float:
-    total = 0.0
-    for start, end in intervals:
-        overlap = min(end, hi) - max(start, lo)
-        if overlap > 0:
-            total += overlap
-    return total
-
-
 def utilization_report(
     profile: Profile,
     device_kind: str = "gpu",
@@ -94,30 +62,25 @@ def utilization_report(
             device=device_kind, average=0.0, peak=0.0, series=(), busy_ms=0.0,
             idle_ms=profile.elapsed_ms, longest_idle_gap_ms=profile.elapsed_ms,
         )
-    intervals = _busy_intervals(profile, snapshot.name, include_warmup)
+    busy = profile.busy_timeline(snapshot.name, include_warmup)
     window = max(profile.elapsed_ms, 1e-9)
     if bin_ms is None:
         bin_ms = window / 40.0
     bin_ms = max(bin_ms, 1e-6)
 
-    series: List[UtilizationPoint] = []
-    t = profile.start_ms
-    while t < profile.end_ms:
-        hi = min(t + bin_ms, profile.end_ms)
-        busy = _clip_overlap(intervals, t, hi)
-        series.append(
-            UtilizationPoint(time_ms=t - profile.start_ms, utilization=busy / max(hi - t, 1e-9))
-        )
-        t += bin_ms
+    series = [
+        UtilizationPoint(time_ms=t - profile.start_ms, utilization=utilization)
+        for t, utilization in busy.utilization_series(profile.start_ms, profile.end_ms, bin_ms)
+    ]
 
-    busy_total = _clip_overlap(intervals, profile.start_ms, profile.end_ms)
+    busy_total = busy.busy_ms(profile.start_ms, profile.end_ms)
     longest_gap = 0.0
     cursor = profile.start_ms
-    for start, end in intervals:
-        start = max(start, profile.start_ms)
+    for run in busy:
+        start = max(run.start_ms, profile.start_ms)
         if start > cursor:
             longest_gap = max(longest_gap, start - cursor)
-        cursor = max(cursor, min(end, profile.end_ms))
+        cursor = max(cursor, min(run.end_ms, profile.end_ms))
     longest_gap = max(longest_gap, profile.end_ms - cursor)
 
     return UtilizationReport(
@@ -142,17 +105,18 @@ def cpu_busy_gpu_idle_fraction(profile: Profile) -> float:
     cpu = profile.device("cpu")
     if gpu is None or cpu is None or profile.elapsed_ms <= 0:
         return 0.0
-    cpu_intervals = _busy_intervals(profile, cpu.name, include_warmup=False)
-    gpu_intervals = _busy_intervals(profile, gpu.name, include_warmup=True)
-    # Sample on a fine grid: robust and simple given modest event counts.
+    cpu_runs = profile.busy_timeline(cpu.name, include_warmup=False)
+    gpu_runs = profile.busy_timeline(gpu.name, include_warmup=True)
+    # Sample on a fine grid.  Each cell is a bisected window query, so the
+    # cost is O(cells * log runs + runs), not cells * runs.
     samples = 512
     step = profile.elapsed_ms / samples
     count = 0
     for i in range(samples):
         lo = profile.start_ms + i * step
         hi = lo + step
-        cpu_busy = _clip_overlap(cpu_intervals, lo, hi) > step * 0.5
-        gpu_busy = _clip_overlap(gpu_intervals, lo, hi) > step * 0.5
+        cpu_busy = cpu_runs.busy_ms(lo, hi) > step * 0.5
+        gpu_busy = gpu_runs.busy_ms(lo, hi) > step * 0.5
         if cpu_busy and not gpu_busy:
             count += 1
     return count / samples

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from .._compat import DATACLASS_SLOTS
 
@@ -220,7 +220,9 @@ class Timeline:
         t = start_ms
         while t < end_ms:
             hi = min(t + bin_ms, end_ms)
-            series.append((t, self.utilization(t, hi)))
+            # ``t += bin_ms`` can leave a residue bin narrower than any real
+            # interval; the floor keeps it from reporting a spurious 100 %.
+            series.append((t, self.busy_ms(t, hi) / max(hi - t, 1e-9)))
             t += bin_ms
         return series
 
@@ -251,23 +253,54 @@ class Timeline:
         """
         merged = Timeline(name or f"{self.name}+{other.name}")
         merged._disjoint = False
-        run_lo = run_hi = None
-        for interval in sorted(
-            list(self._intervals) + list(other._intervals),
-            key=lambda i: (i.start_ms, i.end_ms),
-        ):
-            merged._intervals.append(interval)
-            merged._starts.append(interval.start_ms)
-            merged._ends.append(interval.end_ms)
-            merged._busy_total += interval.duration_ms
-            if run_lo is None:
-                run_lo, run_hi = (interval.start_ms, interval.end_ms)
-            elif interval.start_ms > run_hi:
-                merged._merged_total += run_hi - run_lo
-                run_lo, run_hi = (interval.start_ms, interval.end_ms)
-            else:
-                run_hi = max(run_hi, interval.end_ms)
-        if run_lo is not None:
-            merged._run_start = run_lo
-            merged._run_end = run_hi
+        merged._fill(
+            sorted(
+                list(self._intervals) + list(other._intervals),
+                key=lambda i: (i.start_ms, i.end_ms),
+            )
+        )
         return merged
+
+    @classmethod
+    def from_intervals(cls, name: str, intervals: Iterable[Tuple[float, float]]) -> "Timeline":
+        """A reporting timeline over already scheduled ``(start, end)`` pairs.
+
+        Unlike :meth:`reserve`, which recomputes ``start + duration``, the
+        endpoints are stored exactly as given, so window queries reproduce a
+        scan over the pairs bit for bit.  The pairs must be sorted and
+        disjoint (each start at or after the previous end).
+        """
+        timeline = cls(name)
+        built: List[Interval] = []
+        last_end = float("-inf")
+        for start, end in intervals:
+            if start < last_end:
+                raise ValueError("intervals must be sorted and disjoint")
+            built.append(Interval(start, end))
+            last_end = end
+        timeline._fill(built)
+        return timeline
+
+    def _fill(self, intervals: List[Interval]) -> None:
+        """Load an empty timeline with start-sorted (maybe overlapping) intervals."""
+        self._intervals = intervals
+        self._starts = [interval.start_ms for interval in intervals]
+        self._ends = [interval.end_ms for interval in intervals]
+        if not intervals:
+            return
+        # Same accumulation order as ``reserve`` (durations in list order,
+        # one ``run_end - run_start`` per closed run), so the O(1) totals
+        # match a timeline that reserved these intervals one by one.
+        busy = merged = 0.0
+        run_lo, run_hi = (self._starts[0], self._ends[0])
+        for start, end in zip(self._starts, self._ends):
+            busy += end - start
+            if start > run_hi:
+                merged += run_hi - run_lo
+                run_lo, run_hi = (start, end)
+            elif end > run_hi:
+                run_hi = end
+        self._busy_total = busy
+        self._merged_total = merged
+        self._run_start = run_lo
+        self._run_end = run_hi

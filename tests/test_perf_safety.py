@@ -9,11 +9,31 @@ verbatim copies of the pre-optimization code -- on randomized programs:
 same intervals, same event logs, same samples, byte for byte.
 """
 
+import time
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro.core import (
+    WORKLOAD_IMBALANCE,
+    BottleneckThresholds,
+    DeviceSnapshot,
+    Profile,
+    Profiler,
+    UtilizationPoint,
+    UtilizationReport,
+    analyze_profile,
+    cpu_busy_gpu_idle_fraction,
+    detect_data_movement,
+    detect_gpu_warmup,
+    detect_temporal_dependency,
+    detect_workload_imbalance,
+    utilization_report,
+)
 from repro.graph.events import EventStream
 from repro.graph.sampling import TemporalNeighborSampler
+from repro.hw.events import ALLOC, FREE, KERNEL, MARKER, SYNC, TRANSFER, WARMUP, Event
 from repro.hw.machine import Machine
 from repro.hw.spec import MACHINE_SPECS
 from repro.hw.stream import union_busy_ms
@@ -301,3 +321,324 @@ def test_most_recent_sampling_matches_reference():
     assert np.array_equal(sample.neighbor_times, ntimes)
     assert np.array_equal(sample.event_indices, events)
     assert np.array_equal(sample.mask, mask)
+
+
+# -- profile analysis: bisected window queries and the event index ----------
+#
+# Reference slow paths: verbatim copies of ``repro.core.utilization`` as it
+# stood before the analysis was made linear (full scan of every merged busy
+# run per grid cell, one event-log rescan per view).
+
+
+def reference_busy_intervals(profile, device_name, include_warmup):
+    intervals = []
+    for event in profile.events:
+        if event.resource != device_name:
+            continue
+        if event.kind == KERNEL or (event.kind == WARMUP and include_warmup):
+            if event.duration_ms > 0:
+                intervals.append((event.start_ms, event.end_ms))
+    intervals.sort()
+    merged = []
+    for start, end in intervals:
+        if merged and start <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], end))
+        else:
+            merged.append((start, end))
+    return merged
+
+
+def reference_clip_overlap(intervals, lo, hi):
+    total = 0.0
+    for start, end in intervals:
+        overlap = min(end, hi) - max(start, lo)
+        if overlap > 0:
+            total += overlap
+    return total
+
+
+def reference_utilization_report(profile, device_kind="gpu", bin_ms=None, include_warmup=False):
+    snapshot = profile.device(device_kind)
+    if snapshot is None:
+        return UtilizationReport(
+            device=device_kind, average=0.0, peak=0.0, series=(), busy_ms=0.0,
+            idle_ms=profile.elapsed_ms, longest_idle_gap_ms=profile.elapsed_ms,
+        )
+    intervals = reference_busy_intervals(profile, snapshot.name, include_warmup)
+    window = max(profile.elapsed_ms, 1e-9)
+    if bin_ms is None:
+        bin_ms = window / 40.0
+    bin_ms = max(bin_ms, 1e-6)
+
+    series = []
+    t = profile.start_ms
+    while t < profile.end_ms:
+        hi = min(t + bin_ms, profile.end_ms)
+        busy = reference_clip_overlap(intervals, t, hi)
+        series.append(
+            UtilizationPoint(time_ms=t - profile.start_ms, utilization=busy / max(hi - t, 1e-9))
+        )
+        t += bin_ms
+
+    busy_total = reference_clip_overlap(intervals, profile.start_ms, profile.end_ms)
+    longest_gap = 0.0
+    cursor = profile.start_ms
+    for start, end in intervals:
+        start = max(start, profile.start_ms)
+        if start > cursor:
+            longest_gap = max(longest_gap, start - cursor)
+        cursor = max(cursor, min(end, profile.end_ms))
+    longest_gap = max(longest_gap, profile.end_ms - cursor)
+
+    return UtilizationReport(
+        device=snapshot.name,
+        average=busy_total / window,
+        peak=max((p.utilization for p in series), default=0.0),
+        series=tuple(series),
+        busy_ms=busy_total,
+        idle_ms=window - busy_total,
+        longest_idle_gap_ms=longest_gap,
+    )
+
+
+def reference_cpu_busy_gpu_idle_fraction(profile):
+    gpu = profile.device("gpu")
+    cpu = profile.device("cpu")
+    if gpu is None or cpu is None or profile.elapsed_ms <= 0:
+        return 0.0
+    cpu_intervals = reference_busy_intervals(profile, cpu.name, include_warmup=False)
+    gpu_intervals = reference_busy_intervals(profile, gpu.name, include_warmup=True)
+    samples = 512
+    step = profile.elapsed_ms / samples
+    count = 0
+    for i in range(samples):
+        lo = profile.start_ms + i * step
+        hi = lo + step
+        cpu_busy = reference_clip_overlap(cpu_intervals, lo, hi) > step * 0.5
+        gpu_busy = reference_clip_overlap(gpu_intervals, lo, hi) > step * 0.5
+        if cpu_busy and not gpu_busy:
+            count += 1
+    return count / samples
+
+
+def synthetic_profile(events, start_ms, end_ms, with_gpu=True):
+    """A hand-built window: the analysis reads only events and device names."""
+    devices = tuple(
+        DeviceSnapshot(
+            name=f"{kind}0",
+            kind=kind,
+            peak_gflops=1000.0,
+            busy_ms=sum(e.duration_ms for e in events if e.resource == f"{kind}0"),
+            kernel_count=0,
+            flops=0.0,
+            peak_memory_bytes=0,
+            start_memory_bytes=0,
+            end_memory_bytes=0,
+        )
+        for kind in (("cpu", "gpu") if with_gpu else ("cpu",))
+    )
+    return Profile(
+        start_ms=start_ms,
+        end_ms=end_ms,
+        events=tuple(events),
+        devices=devices,
+        link_name="pcie",
+        label="synthetic",
+    )
+
+
+def random_profile(seed, with_gpu=True, grid_aligned=False):
+    """Seeded window with everything the busy-run merge has to survive:
+    kernels overlapped across streams, warm-up inside the window,
+    zero-duration events, work straddling both window edges and (with
+    ``grid_aligned``) integer endpoints on a 512 ms window, so busy runs
+    start and stop exactly on the starvation grid's cell edges.
+    """
+    rng = np.random.default_rng(seed)
+    start_ms = 0.0 if grid_aligned else 100.0
+    span = 512.0 if grid_aligned else float(rng.uniform(5.0, 50.0))
+
+    def draw(scale):
+        if grid_aligned:
+            return float(rng.integers(0, max(2, int(span * scale))))
+        return float(rng.uniform(0.0, span * scale))
+
+    def pick(options):
+        return options[int(rng.integers(0, len(options)))]
+
+    events = []
+    regions = (("iteration", "Sampling"), ("iteration", "Attention Layer"), ())
+    resources = [("cpu0", ("default",))]
+    if with_gpu:
+        resources.append(("gpu0", ("default", "copy", "worker")))
+    for resource, streams in resources:
+        for _ in range(int(rng.integers(50, 200))):
+            begin = start_ms - 0.05 * span + draw(1.1)
+            duration = 0.0 if rng.integers(0, 8) == 0 else draw(0.01)
+            warmup = resource == "gpu0" and rng.integers(0, 12) == 0
+            events.append(
+                Event(
+                    kind=WARMUP if warmup else KERNEL,
+                    name="op",
+                    resource=resource,
+                    start_ms=begin,
+                    end_ms=begin + duration,
+                    flops=1e6,
+                    region=pick(regions),
+                    stream=pick(streams),
+                )
+            )
+    for _ in range(int(rng.integers(5, 30))):
+        begin = start_ms + draw(1.0)
+        kind = pick((TRANSFER, SYNC, ALLOC, MARKER))
+        events.append(
+            Event(
+                kind=kind,
+                name="aux",
+                resource="pcie" if kind == TRANSFER else "cpu0",
+                start_ms=begin,
+                end_ms=begin + (draw(0.02) if kind in (TRANSFER, SYNC) else 0.0),
+                bytes=int(rng.integers(1, 1 << 20)),
+                region=pick(regions),
+            )
+        )
+    shuffled = [events[i] for i in rng.permutation(len(events))]
+    return synthetic_profile(shuffled, start_ms, start_ms + span, with_gpu=with_gpu)
+
+
+def captured_profile(seed, spec="2xA100-pcie"):
+    """A real capture: the random scheduler program, warm-up inside the window."""
+    machine = Machine.from_spec(spec)
+    profiler = Profiler(machine)
+    with profiler.capture(f"program-{seed}"):
+        drive_random_program(machine, seed, steps=200)
+    return profiler.last_profile
+
+
+ANALYSIS_PROFILES = {
+    "overlapped-streams": lambda: random_profile(41),
+    "overlapped-streams-2": lambda: random_profile(42),
+    "cell-edges": lambda: random_profile(43, grid_aligned=True),
+    "no-gpu": lambda: random_profile(44, with_gpu=False),
+    "empty-window": lambda: synthetic_profile(random_profile(45).events, 120.0, 120.0),
+    "no-events": lambda: synthetic_profile((), 0.0, 10.0),
+    "captured-2gpu": lambda: captured_profile(46),
+    "captured-1gpu": lambda: captured_profile(47, spec="1xA6000"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ANALYSIS_PROFILES))
+def test_window_queries_match_reference_scan(case):
+    profile = ANALYSIS_PROFILES[case]()
+    assert cpu_busy_gpu_idle_fraction(profile) == reference_cpu_busy_gpu_idle_fraction(profile)
+    # 40 default bins, a width that divides the window, two that do not, and
+    # one wider than the window.
+    elapsed = profile.elapsed_ms
+    for bin_ms in (None, elapsed / 16 or 1.0, elapsed / 7.3 or 1.0, 0.37, elapsed * 3 + 1.0):
+        for device_kind in ("gpu", "cpu"):
+            for include_warmup in (False, True):
+                assert utilization_report(
+                    profile, device_kind, bin_ms=bin_ms, include_warmup=include_warmup
+                ) == reference_utilization_report(
+                    profile, device_kind, bin_ms=bin_ms, include_warmup=include_warmup
+                )
+    for device in profile.devices:
+        for include_warmup in (False, True):
+            runs = profile.busy_timeline(device.name, include_warmup)
+            assert [(run.start_ms, run.end_ms) for run in runs] == reference_busy_intervals(
+                profile, device.name, include_warmup
+            )
+
+
+@pytest.mark.parametrize("case", sorted(ANALYSIS_PROFILES))
+def test_indexed_profile_views_match_plain_scans(case):
+    profile = ANALYSIS_PROFILES[case]()
+    events = profile.events
+    for kind in (KERNEL, TRANSFER, WARMUP, SYNC, ALLOC, FREE, MARKER, "absent"):
+        assert profile.events_of_kind(kind) == tuple(e for e in events if e.kind == kind)
+        for resource in [d.name for d in profile.devices] + [profile.link_name, "absent"]:
+            assert profile.events_on(resource, kind) == tuple(
+                e for e in events if e.resource == resource and e.kind == kind
+            )
+    kernels = tuple(e for e in events if e.kind == KERNEL)
+    transfers = tuple(e for e in events if e.kind == TRANSFER)
+    warmups = tuple(e for e in events if e.kind == WARMUP)
+    syncs = tuple(e for e in events if e.kind == SYNC)
+    assert profile.kernel_events == kernels
+    assert profile.transfer_events == transfers
+    assert profile.warmup_events == warmups
+    assert profile.sync_events == syncs
+    assert profile.kernel_count() == len(kernels)
+    assert profile.transfer_time_ms() == sum(e.duration_ms for e in transfers)
+    assert profile.transfer_bytes() == sum(e.bytes for e in transfers)
+    assert profile.warmup_ms() == sum(e.duration_ms for e in warmups)
+    assert profile.sync_wait_ms() == sum(e.duration_ms for e in syncs)
+    for device in profile.devices:
+        durations = [e.duration_ms for e in kernels if e.resource == device.name]
+        assert profile.kernel_count(device.name) == len(durations)
+        assert profile.mean_kernel_ms(device.name) == (
+            sum(durations) / len(durations) if durations else 0.0
+        )
+        if profile.elapsed_ms > 0:
+            busy = device.busy_ms - sum(e.duration_ms for e in warmups if e.resource == device.name)
+            assert profile.device_utilization(device.name) == max(
+                0.0, min(1.0, busy / profile.elapsed_ms)
+            )
+    # A second read returns the same objects (cached), a fresh Profile over
+    # the same events an equal one.
+    assert profile.kernel_events is profile.kernel_events
+    assert replace(profile, label="copy").kernel_events == kernels
+
+
+@pytest.mark.parametrize("case", sorted(ANALYSIS_PROFILES))
+def test_shared_breakdown_equals_standalone_detectors(case):
+    profile = ANALYSIS_PROFILES[case]()
+    thresholds = BottleneckThresholds()
+    standalone = [
+        detect_temporal_dependency(profile, thresholds),
+        detect_workload_imbalance(profile, thresholds),
+        detect_data_movement(profile, thresholds),
+        detect_gpu_warmup(profile, thresholds, iteration_ms=3.0),
+    ]
+    standalone.sort(key=lambda f: -f.severity)
+    report = analyze_profile(profile, thresholds, iteration_ms=3.0)
+    assert report.findings == tuple(standalone)
+    # The starvation evidence is the reference scan's number.
+    assert report.finding(WORKLOAD_IMBALANCE).evidence["cpu_busy_gpu_idle"] == (
+        reference_cpu_busy_gpu_idle_fraction(profile)
+    )
+
+
+def test_timeline_from_intervals_keeps_endpoints_and_rejects_overlap():
+    pairs = [(0.1, 0.30000000000000004), (0.30000000000000004, 0.7), (0.9, 0.9)]
+    timeline = Timeline.from_intervals("runs", pairs)
+    assert [(i.start_ms, i.end_ms) for i in timeline] == pairs
+    assert timeline.busy_ms() == reference_busy_ms(list(timeline))
+    assert timeline.merged_busy_ms() == reference_union_busy_ms([timeline])
+    assert timeline.busy_ms(0.2, 0.8) == reference_clip_overlap(pairs, 0.2, 0.8)
+    with pytest.raises(ValueError):
+        Timeline.from_intervals("bad", [(0.0, 2.0), (1.0, 3.0)])
+
+
+def test_profile_analysis_stays_linear_in_busy_runs():
+    """Coarse budget: with 50 000 busy runs per device the old analysis took
+    ~20 s on the reference box (each of 512 grid cells scanned every run);
+    bisected cells take ~0.3 s.  The bound sits several times away from
+    both, so the shared box cannot flake it and a quadratic relapse cannot
+    pass it.
+    """
+    runs = 50_000
+    sampling = ("iteration", "Sampling")
+    attention = ("iteration", "Attention Layer")
+    events = []
+    for index in range(runs):
+        begin = index * 0.01
+        events.append(Event(KERNEL, "host", "cpu0", begin, begin + 0.004, region=sampling))
+        events.append(Event(KERNEL, "gemm", "gpu0", begin + 0.005, begin + 0.008, region=attention))
+    profile = synthetic_profile(events, 0.0, runs * 0.01)
+    assert len(profile.busy_timeline("gpu0")) == runs
+    started = time.perf_counter()
+    report = analyze_profile(replace(profile, label="cold index"))
+    elapsed = time.perf_counter() - started
+    assert len(report.findings) == 4
+    assert elapsed < 2.0
