@@ -615,6 +615,31 @@ def _make_cli_policy(args: argparse.Namespace):
     )
 
 
+def _make_cli_workload(args: argparse.Namespace, stream):
+    """The request list and scheduler policy the serve-command flags describe."""
+    arrivals = make_arrival_process(
+        args.arrival, args.rate, seed=args.seed,
+        trace_timestamps=stream.timestamps if args.arrival == "trace" else None,
+        **_parse_param(args.arrival_param),
+    )
+    requests = generate_requests(
+        stream, arrivals, duration_ms=args.duration,
+        events_per_request=args.events_per_request, slo_ms=args.slo_ms,
+    )
+    return requests, _make_cli_policy(args)
+
+
+def _print_serving_report(args: argparse.Namespace, report, tracer) -> int:
+    """Print a finished run's report and export its trace when asked to."""
+    print(report.format_table())
+    if tracer is not None:
+        export_trace(args.trace, tracer, report=report)
+        print(f"wrote trace to {args.trace}")
+    if not report.offered:
+        print("(the workload offered no requests; raise --rate or --duration)")
+    return 0
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     overrides = _parse_param(args.param)
     if args.fidelity and args.policy != "slo":
@@ -662,9 +687,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if args.fidelity:
             print(
                 "error: --fidelity applies to single-model serving on "
-                "machine topologies (and to every cluster topology); "
-                "replicated/sharded single-machine serving has no "
-                "degradation hooks",
+                "machine topologies (and to every cluster topology); it is "
+                "not offered on replicated/sharded single-machine serving",
                 file=sys.stderr,
             )
             return 2
@@ -712,16 +736,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"error: {args.model} exposes no event stream to serve", file=sys.stderr)
         return 2
     try:
-        arrivals = make_arrival_process(
-            args.arrival, args.rate, seed=args.seed,
-            trace_timestamps=stream.timestamps if args.arrival == "trace" else None,
-            **_parse_param(args.arrival_param),
-        )
-        requests = generate_requests(
-            stream, arrivals, duration_ms=args.duration,
-            events_per_request=args.events_per_request, slo_ms=args.slo_ms,
-        )
-        policy = _make_cli_policy(args)
+        requests, policy = _make_cli_workload(args, stream)
         if args.backfill:
             for model in models:
                 backfill_embeddings(model, top_k=args.backfill)
@@ -748,13 +763,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     except (TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(report.format_table())
-    if tracer is not None:
-        export_trace(args.trace, tracer, report=report)
-        print(f"wrote trace to {args.trace}")
-    if not requests:
-        print("(the workload offered no requests; raise --rate or --duration)")
-    return 0
+    return _print_serving_report(args, report, tracer)
 
 
 def _cmd_serve_cluster(args: argparse.Namespace, overrides: Dict[str, Any]) -> int:
@@ -809,16 +818,7 @@ def _cmd_serve_cluster(args: argparse.Namespace, overrides: Dict[str, Any]) -> i
         print(f"error: {args.model} exposes no event stream to serve", file=sys.stderr)
         return 2
     try:
-        arrivals = make_arrival_process(
-            args.arrival, args.rate, seed=args.seed,
-            trace_timestamps=stream.timestamps if args.arrival == "trace" else None,
-            **_parse_param(args.arrival_param),
-        )
-        requests = generate_requests(
-            stream, arrivals, duration_ms=args.duration,
-            events_per_request=args.events_per_request, slo_ms=args.slo_ms,
-        )
-        policy = _make_cli_policy(args)
+        requests, policy = _make_cli_workload(args, stream)
         autoscaler = None
         if args.autoscale:
             config = AutoscaleConfig(
@@ -842,13 +842,7 @@ def _cmd_serve_cluster(args: argparse.Namespace, overrides: Dict[str, Any]) -> i
     except (TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(report.format_table())
-    if tracer is not None:
-        export_trace(args.trace, tracer, report=report)
-        print(f"wrote trace to {args.trace}")
-    if not requests:
-        print("(the workload offered no requests; raise --rate or --duration)")
-    return 0
+    return _print_serving_report(args, report, tracer)
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:

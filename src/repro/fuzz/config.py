@@ -140,8 +140,8 @@ def draw_config(rng: random.Random) -> FuzzConfig:
                 if rng.random() < 0.4
                 else None
             ),
-            # Adaptive fidelity rides only on the slo policy's deadline
-            # signal and the single-model server's degradation hooks.
+            # Adaptive fidelity rides on the slo policy's deadline signal and,
+            # on machine topologies, is offered for single placement only.
             "fidelity": (
                 placement == "single" and policy == "slo" and rng.random() < 0.5
             ),

@@ -14,8 +14,7 @@ paper builds by hand:
   (regression-tested and covered by the ``trace-conservation`` fuzz
   invariant).
 * :mod:`repro.obs.metrics` -- a counters/gauges/histograms registry
-  snapshotted on the simulated clock and merged across replicas/nodes like
-  :func:`repro.cache.merge_cache_stats`, feeding ``ServingReport.metrics``.
+  snapshotted on the simulated clock, feeding ``ServingReport.metrics``.
 * :mod:`repro.obs.export` -- Chrome trace-event / Perfetto JSON export of
   the :class:`~repro.hw.machine.Machine`/:class:`~repro.hw.Cluster`
   timeline (streams as tracks, kernels/transfers/NIC hops as duration
@@ -40,7 +39,6 @@ from .critical_path import (
 from .export import build_trace, export_trace, validate_trace, validate_trace_file
 from .metrics import (
     MetricsRegistry,
-    merge_metrics,
     record_completion,
     record_dispatch,
 )
@@ -60,7 +58,6 @@ __all__ = [
     "format_diff",
     "format_top_spans",
     "load_trace",
-    "merge_metrics",
     "pick_request",
     "record_completion",
     "record_dispatch",

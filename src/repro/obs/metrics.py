@@ -3,11 +3,8 @@
 A :class:`MetricsRegistry` is the aggregate companion of the span tracer:
 where spans answer "where did *this* request's time go", the registry
 answers "how many, how deep, how skewed" -- dispatch counts, queue-depth
-peaks, latency histograms -- snapshotted at simulated-time instants and
-merged across replica/node registries with the same discipline as
-:func:`repro.cache.merge_cache_stats` (counters sum, gauge peaks max,
-histograms with equal bounds add bucket-wise).  The snapshot lands in
-``ServingReport.metrics``.
+peaks, latency histograms -- snapshotted at simulated-time instants.  Every server owns
+one registry; its snapshot lands in ``ServingReport.metrics``.
 
 Like the tracer, the registry never touches the simulation: updates are
 plain Python bookkeeping, and a server without one (``metrics is None``)
@@ -144,67 +141,10 @@ class MetricsRegistry:
         return {"at_ms": round(at_ms, 6), "metrics": metrics}
 
 
-def merge_metrics(
-    snapshots: Sequence[Optional[Dict[str, Any]]],
-) -> Optional[Dict[str, Any]]:
-    """Merge per-replica/per-node registry snapshots into one view.
-
-    Counters sum; gauges keep the max peak and sum the last values (the
-    fleet-wide instantaneous reading); histograms with identical bounds add
-    bucket-wise (mismatched bounds raise -- merging those is meaningless).
-    ``at_ms`` takes the latest snapshot instant.  Mirrors
-    :func:`repro.cache.merge_cache_stats`: falsy entries are dropped, and
-    ``None`` comes back when nothing was measured.
-    """
-    live = [snap for snap in snapshots if snap]
-    if not live:
-        return None
-    merged: Dict[str, Any] = {}
-    for snap in live:
-        for name, metric in snap.get("metrics", {}).items():
-            kind = metric.get("type")
-            current = merged.get(name)
-            if current is None:
-                merged[name] = dict(metric)
-                if kind == "histogram":
-                    merged[name]["bounds"] = list(metric["bounds"])
-                    merged[name]["buckets"] = list(metric["buckets"])
-                continue
-            if current.get("type") != kind:
-                raise ValueError(f"metric {name!r} changes type across snapshots")
-            if kind == "counter":
-                current["value"] += metric["value"]
-            elif kind == "gauge":
-                current["value"] += metric["value"]
-                current["peak"] = max(current["peak"], metric["peak"])
-            elif kind == "histogram":
-                if list(current["bounds"]) != list(metric["bounds"]):
-                    raise ValueError(f"histogram {name!r} bounds differ across snapshots")
-                current["buckets"] = [
-                    a + b for a, b in zip(current["buckets"], metric["buckets"])
-                ]
-                current["count"] += metric["count"]
-                current["sum"] = round(current["sum"] + metric["sum"], 6)
-                mins = [v for v in (current["min"], metric["min"]) if v is not None]
-                maxes = [v for v in (current["max"], metric["max"]) if v is not None]
-                current["min"] = min(mins) if mins else None
-                current["max"] = max(maxes) if maxes else None
-                current["mean"] = (
-                    round(current["sum"] / current["count"], 6) if current["count"] else 0.0
-                )
-            else:
-                raise ValueError(f"metric {name!r} has unknown type {kind!r}")
-    return {
-        "at_ms": max(snap.get("at_ms", 0.0) for snap in live),
-        "registries": len(live),
-        "metrics": merged,
-    }
-
-
 # -- server hook helpers ----------------------------------------------------
 #
-# The servers call these behind a single ``if self.metrics is not None``
-# test, so the metric names stay consistent across the three serving loops.
+# The serving core calls these behind a single ``if self.metrics is not None``
+# test each, so the metric names live in one place.
 
 
 def record_dispatch(
@@ -233,7 +173,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "merge_metrics",
     "record_completion",
     "record_dispatch",
 ]

@@ -10,22 +10,26 @@ throughput numbers under load.  It simulates an online serving stack on the
 * :mod:`repro.serve.batcher` / :mod:`repro.serve.policy` -- a request queue
   with dynamic batching under pluggable scheduler policies (FIFO, timeout
   batching, SLO-aware batch shrinking);
-* :mod:`repro.serve.server` -- the serving loop, with blocking execution or
-  the stream-based sampling/compute overlap of :mod:`repro.optim`;
+* :mod:`repro.serve.core` -- the one serving loop: blocking execution, the
+  stream-based sampling/compute overlap of :mod:`repro.optim`, or routed
+  async dispatch to replicas on a machine or across a cluster's NICs;
+* :mod:`repro.serve.server` -- :class:`InferenceServer`, the core over one
+  model with no router;
 * :mod:`repro.serve.fidelity` -- adaptive fidelity: a degradation controller
   the SLO policy consults under deadline pressure, trading modeled quality
   (fan-out, staleness, forced cache hits) for latency and accounting the
   debt;
 * :mod:`repro.serve.router` / :mod:`repro.serve.placement` /
   :mod:`repro.serve.scaleout` -- multi-GPU scale-out: replicated serving
-  (per-GPU model replicas behind a batch router) and sharded serving (a
-  seeded graph partition splitting each batch across GPUs, with cross-shard
-  gathers charged to the interconnect);
+  (:class:`ScaleOutServer`, the core over per-GPU model replicas behind a
+  batch router) and sharded serving (a seeded graph partition splitting
+  each batch across GPUs, with cross-shard gathers charged to the
+  interconnect);
 * :mod:`repro.serve.cluster` / :mod:`repro.serve.autoscale` -- cluster-scale
-  serving: replicas spread over the nodes of a :class:`~repro.hw.Cluster`
-  with batch payloads routed over NICs, plus an elastic autoscaler that
-  grows/shrinks the active fleet against watermark and SLO signals, with
-  modeled cold-start charges;
+  serving: :class:`ClusterServer`, the core over replicas spread across the
+  nodes of a :class:`~repro.hw.Cluster` with batch payloads routed over
+  NICs, plus an elastic autoscaler that grows/shrinks the active fleet
+  against watermark and SLO signals, with modeled cold-start charges;
 * :mod:`repro.serve.telemetry` -- per-request queue/service/total latency,
   p50/p95/p99 percentiles, throughput, SLO-violation rate and per-device
   utilization.
@@ -36,14 +40,14 @@ CLI subcommand for the end-to-end sweeps.
 
 from .autoscale import AutoscaleConfig, Autoscaler, ScaleEvent
 from .batcher import DynamicBatcher
-from .cluster import ClusterServer, build_cluster_replicas, payload_nbytes
+from .cluster import ClusterServer, build_cluster_replicas
+from .core import payload_nbytes
 from .fidelity import (
     FULL_FIDELITY,
     FidelityConfig,
     FidelityController,
     FidelityDecision,
     make_fidelity_controller,
-    merge_fidelity,
 )
 from .placement import ShardedModel, build_replicas
 from .policy import (
@@ -127,7 +131,6 @@ __all__ = [
     "generate_requests",
     "make_arrival_process",
     "make_fidelity_controller",
-    "merge_fidelity",
     "make_policy",
     "make_router",
     "payload_nbytes",

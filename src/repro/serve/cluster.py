@@ -1,58 +1,28 @@
 """Cluster-scale serving: replicas spanning nodes, routed over NICs.
 
-:class:`ClusterServer` lifts the single-machine
-:class:`~repro.serve.scaleout.ScaleOutServer` loop onto a multi-node
-:class:`~repro.hw.Cluster`.  Node 0 is the *front-end*: it owns the arrival
-queue, the dynamic batcher and the router, and its host clock drives the
-serving loop -- exactly the single-machine loop when the cluster has one
-node, which keeps single-node runs event-for-event identical to the
-scale-out server on a plain machine.
-
-What changes with several nodes is where a routed batch lands:
-
-* a batch routed to a **node-0 replica** dispatches exactly as on the
-  scale-out server (per-replica CPU sampling stream, async GPU kernels);
-* a batch routed to a **remote replica** first ships its event payload over
-  the node-pair NIC (:meth:`~repro.hw.Cluster.transfer`), then the remote
-  node's *own* host -- synced forward to the payload's arrival -- runs the
-  sampling and kernel dispatch.  The front-end pays only the NIC issue
-  overhead, so remote dispatches overlap with everything the front-end does
-  next.  This is how the single-host dispatch wall falls: per-batch host
-  work is spread over N host threads instead of serializing on one.
-
-Completion events carry times in the shared cluster frame, so the front-end
-retires batches from any node with the same cursor-passing rule.  Replica
-caches stay coherent cluster-wide: a dispatched batch's touched nodes are
-invalidated in every other replica's cache, remote or not.
-
-With an :class:`~repro.serve.autoscale.Autoscaler` attached the active
-replica set becomes elastic: the server provides the spin-up charge (weight
-transfer to the new replica's GPU, over the NIC for remote nodes) and the
-spin-down (cache flush), and consults the autoscaler every loop step.
+:class:`ClusterServer` is :class:`~repro.serve.core.ServingCore` over a
+multi-node :class:`~repro.hw.Cluster`: node 0 is the front-end, batches
+routed to remote replicas cross the NIC, and an optional
+:class:`~repro.serve.autoscale.Autoscaler` makes the active fleet elastic.
+On a one-node cluster it is event-for-event the scale-out server.  See
+:mod:`repro.serve.core` for the loop and the remote dispatch path.
 """
 
 from __future__ import annotations
 
 from typing import Any, List, Optional, Sequence, Tuple
 
-from ..cache import backfill_embeddings, merge_cache_stats
-from ..core.profiler import Profiler
 from ..hw.cluster import Cluster
-from ..hw.stream import StreamEvent
-from ..obs.metrics import MetricsRegistry, record_completion, record_dispatch
+from ..obs.metrics import MetricsRegistry
 from ..obs.trace import Tracer
 from .autoscale import Autoscaler
-from .batcher import DynamicBatcher
+from .core import ServingCore
 from .fidelity import FidelityController
 from .placement import build_replicas
 from .policy import SchedulerPolicy
 from .request import Request
 from .router import Router
 from .telemetry import ServingReport
-
-#: (requests, replica index, completion event, fidelity cost scale,
-#: open service-span id -- ``None`` when no tracer is attached)
-_Inflight = Tuple[List[Request], int, StreamEvent, float, Optional[int]]
 
 
 def build_cluster_replicas(
@@ -78,21 +48,7 @@ def build_cluster_replicas(
     return replicas, nodes
 
 
-def payload_nbytes(payload: Any) -> int:
-    """Wire size of a request batch's event payload (NIC routing charge)."""
-    total = 0
-    for name in ("src", "dst", "timestamps", "edge_features"):
-        array = getattr(payload, name, None)
-        if array is None:
-            continue
-        data = getattr(array, "data", array)
-        nbytes = getattr(data, "nbytes", None)
-        if nbytes:
-            total += int(nbytes)
-    return max(total, 1)
-
-
-class ClusterServer:
+class ClusterServer(ServingCore):
     """Serves a request list against replicas spread over a cluster."""
 
     def __init__(
@@ -108,52 +64,27 @@ class ClusterServer:
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        if not replicas:
-            raise ValueError("cluster serving needs at least one replica")
-        if fidelity is not None and not callable(getattr(policy, "attach_fidelity", None)):
-            raise TypeError("adaptive fidelity requires the 'slo' policy")
         if len(replica_nodes) != len(replicas):
             raise ValueError("replica_nodes must map every replica to a node")
-        if router.num_replicas != len(replicas):
-            raise ValueError(f"router expects {router.num_replicas} replicas, got {len(replicas)}")
         for replica, node_index in zip(replicas, replica_nodes):
-            if not getattr(replica, "supports_async_dispatch", False):
-                raise TypeError(
-                    f"{type(replica).__name__} does not implement "
-                    "dispatch_iteration; cluster serving requires the "
-                    "async dispatch protocol"
-                )
             if not 0 <= node_index < cluster.num_nodes:
                 raise ValueError(f"replica node {node_index} out of range")
             if replica.machine is not cluster.nodes[node_index]:
                 raise ValueError("replica is not placed on its declared node's machine")
-        self.cluster = cluster
-        self.replicas = list(replicas)
-        self.replica_nodes = list(replica_nodes)
-        self.policy = policy
-        self.router = router
-        self.autoscaler = autoscaler
-        self.fidelity = fidelity
-        self.backfill_nodes = int(backfill_nodes)
-        #: Optional observability taps (see :mod:`repro.obs`); read-only for
-        #: the simulation, zero objects on the hot path when ``None``.
-        self.tracer = tracer
-        self.metrics = metrics
-        if fidelity is not None:
-            policy.attach_fidelity(fidelity)
-        self.batcher = DynamicBatcher(policy)
-        self._inflight: List[_Inflight] = []
-        self._last_ready: List[float] = [0.0] * len(self.replicas)
-        self._t0 = 0.0
-        self._fidelity_level = 0
+        super().__init__(
+            replicas,
+            policy,
+            router=router,
+            cluster=cluster,
+            replica_nodes=replica_nodes,
+            autoscaler=autoscaler,
+            fidelity=fidelity,
+            backfill_nodes=backfill_nodes,
+            tracer=tracer,
+            metrics=metrics,
+        )
 
-    @property
-    def machine(self):
-        """The front-end node's machine (node 0)."""
-        return self.cluster.nodes[0]
-
-    # -- public API -----------------------------------------------------------
-
+    # In the class body: benchmarks/spans.py times ``serve`` only where ``"serve" in cls.__dict__``.
     def serve(
         self,
         requests: Sequence[Request],
@@ -162,451 +93,4 @@ class ClusterServer:
         warm_up: bool = True,
     ) -> ServingReport:
         """Serve ``requests`` to completion and return the telemetry report."""
-        front = self.machine
-        report = ServingReport(
-            label=label,
-            policy=self.policy.describe(),
-            arrival=arrival_name,
-            offered=len(requests),
-            overlap=False,
-            placement="replicate",
-            router=self.router.describe(),
-            num_replicas=len(self.replicas),
-        )
-        if not requests:
-            return report
-        ordered = sorted(requests, key=lambda r: (r.arrival_ms, r.request_id))
-        if self.fidelity is not None:
-            self.fidelity.set_cache_available(
-                any(getattr(replica, "cache", None) is not None for replica in self.replicas)
-            )
-        if self.tracer is not None and not self.tracer.attached(front):
-            self.tracer.attach_cluster(self.cluster)
-        with front.activate():
-            if warm_up:
-                head = [r.payload for r in ordered[: self.policy.max_batch_size]]
-                batch = self.replicas[0].make_request_batch(head)
-                for replica, node_index in zip(self.replicas, self.replica_nodes):
-                    if node_index == 0:
-                        replica.warm_up(batch)
-                    else:
-                        with self.cluster.nodes[node_index].activate():
-                            replica.warm_up(batch)
-                    # Proactive warming: precompute hot-node embeddings into
-                    # each replica's cache before the first request, charged
-                    # to the owning node (backfill_embeddings activates the
-                    # replica's own machine) and drained by the barrier below.
-                    if self.backfill_nodes > 0 and getattr(replica, "cache", None) is not None:
-                        backfill_embeddings(replica, top_k=self.backfill_nodes)
-                # A real barrier, not just clock alignment: remote warm-up
-                # ships weights over the NICs, and serving must not start
-                # while those payloads are still in flight.  With one node
-                # there are no NICs and nothing cluster-wide to drain, and
-                # the hard sync would break byte-identity with the plain
-                # ScaleOutServer (which never joins the streams here).
-                if self.cluster.num_nodes > 1:
-                    self.cluster.synchronize()
-                else:
-                    self.cluster.sync_all()
-            profiler = Profiler(front)
-            with profiler.capture(label):
-                completed, duration_ms = self._loop(ordered)
-        if self.cluster.num_nodes > 1:
-            self.cluster.synchronize()
-        else:
-            self.cluster.sync_all()
-        profile = profiler.last_profile
-        report.requests = completed
-        report.duration_ms = duration_ms
-        report.gpu_utilization = profile.gpu_utilization()
-        multi_node = self.cluster.num_nodes > 1
-        # On multi-node runs every per-device key is node-qualified
-        # (``node<i>:<gpu>``): node machines share GPU names, and bare names
-        # from node 0 would collide with (or be mistaken for) remote ones.
-        # Single-node clusters keep bare names, identical to ScaleOutServer.
-        report.per_device_utilization = {
-            (f"node0:{name}" if multi_node else name): value
-            for name, value in profile.per_gpu_utilization().items()
-        }
-        report.cluster = {
-            "spec": self.cluster.spec.name,
-            "num_nodes": self.cluster.num_nodes,
-            "nic": self.cluster.spec.nic.name,
-            "nic_bytes": self.cluster.nic_bytes(),
-        }
-        if profile.elapsed_ms > 0:
-            report.cpu_utilization = min(1.0, profile.device_busy_ms("cpu") / profile.elapsed_ms)
-            # Remote nodes are outside the front-end profiler's machine;
-            # read their device busy fractions over the same window.
-            start = profile.start_ms
-            end = profile.start_ms + profile.elapsed_ms
-            for node_index, node in enumerate(self.cluster.nodes):
-                if node_index == 0:
-                    continue
-                for gpu in node.gpus:
-                    key = f"node{node_index}:{gpu.name}"
-                    report.per_device_utilization[key] = gpu.utilization(start, end)
-            if multi_node:
-                report.cluster["nic_busy"] = {
-                    link.name: round(link.busy_ms(start, end) / profile.elapsed_ms, 4)
-                    for link in self.cluster.nic_links
-                }
-        report.cache = merge_cache_stats(
-            [
-                replica.cache_stats()
-                for replica in self.replicas
-                if callable(getattr(replica, "cache_stats", None))
-            ]
-        )
-        if self.autoscaler is not None:
-            report.autoscale = self.autoscaler.stats(duration_ms)
-        if self.fidelity is not None:
-            report.fidelity = self.fidelity.snapshot()
-        if self.metrics is not None:
-            report.metrics = self.metrics.snapshot(duration_ms)
-        return report
-
-    # -- serving loop -----------------------------------------------------------
-
-    def _loop(self, requests: Sequence[Request]) -> Tuple[List[Request], float]:
-        front = self.machine
-        t0 = front.host_time_ms
-        self._t0 = t0
-        if self.tracer is not None:
-            self.tracer.t0 = t0
-        autoscaler = self.autoscaler
-        if autoscaler is not None:
-            autoscaler.bind(
-                self.router,
-                len(self.replicas),
-                spin_up=self._spin_up,
-                spin_down=self._spin_down,
-                now_ms=0.0,
-            )
-        completed: List[Request] = []
-        index = 0
-        while True:
-            self._retire(t0, completed)
-            now = front.host_time_ms - t0
-            while index < len(requests) and requests[index].arrival_ms <= now + 1e-9:
-                if autoscaler is not None:
-                    autoscaler.observe_arrival(requests[index].arrival_ms)
-                self.batcher.enqueue(requests[index])
-                index += 1
-            if autoscaler is not None:
-                autoscaler.step(now)
-            batch = self.batcher.poll(now)
-            if batch:
-                self._dispatch(batch, t0)
-                continue
-            # Idle: advance the front-end clock to the next actionable
-            # instant -- an arrival, a batching deadline, an in-flight
-            # completion, or a warming replica coming online.
-            targets = []
-            if index < len(requests):
-                targets.append(requests[index].arrival_ms)
-            deadline = self.batcher.next_deadline_ms(now)
-            if deadline is not None:
-                targets.append(deadline)
-            if self._inflight:
-                targets.append(min(e.ready_ms for _, _, e, _, _ in self._inflight) - t0)
-            if autoscaler is not None:
-                pending_ready = autoscaler.next_ready_ms()
-                if pending_ready is not None:
-                    targets.append(pending_ready)
-            if not targets:
-                if len(self.batcher) == 0:
-                    break
-                # Arrivals exhausted and the policy would wait forever: drain.
-                self._dispatch(self.batcher.force(now), t0)
-                continue
-            front.advance_host(max(min(targets) - now, 1e-6))
-        return (completed, front.host_time_ms - t0)
-
-    # -- execution ---------------------------------------------------------------
-
-    def _dispatch(self, batch: List[Request], t0: float) -> None:
-        """Route one formed batch to a replica, locally or across the NIC.
-
-        Node-0 replicas follow the scale-out server's dispatch to the
-        letter.  Remote replicas first receive the batch's event payload
-        over the NIC; the front-end pays only the transfer issue overhead
-        while the remote node's host -- aligned to the payload's arrival --
-        runs the sampling-worker prepare and the kernel dispatch on its own
-        clock, concurrently with the front-end's next work.
-        """
-        front = self.machine
-        now = front.host_time_ms - t0
-        target = self.router.route(len(batch), now)
-        node_index = self.replica_nodes[target]
-        replica = self.replicas[target]
-        cost_scale = self._degrade(batch, now, replica)
-        tracer = self.tracer
-        span_id = None
-        cursor = 0
-        if tracer is not None:
-            span_id, cursor = self._trace_dispatch(tracer, batch, target, node_index, t0, now)
-        if self.metrics is not None:
-            record_dispatch(self.metrics, len(batch), len(self.batcher))
-        payload = replica.make_request_batch([r.payload for r in batch])
-        for request in batch:
-            request.dispatched_ms = now
-            request.batch_size = len(batch)
-            request.replica = target
-        if node_index == 0:
-            ready = self._dispatch_on(front, replica, target, payload, span_id)
-            if span_id is not None:
-                tracer.record_slice(span_id, front, cursor)
-        else:
-            remote = self.cluster.nodes[node_index]
-            if span_id is not None:
-                # Bind the request context so the NIC hop recorded down in
-                # Cluster.transfer lands in this batch's span tree.
-                tracer.bind(tuple(r.request_id for r in batch), span_id)
-            arrival = self.cluster.transfer(
-                0,
-                front.cpu,
-                node_index,
-                remote.cpu,
-                payload_nbytes(payload),
-                name="route_payload",
-            )
-            if span_id is not None:
-                tracer.unbind()
-                tracer.record_slice(span_id, front, cursor)
-            self.cluster.sync_node(node_index, arrival)
-            with remote.activate():
-                remote_cursor = remote.event_cursor() if span_id is not None else 0
-                ready = self._dispatch_on(remote, replica, target, payload, span_id)
-                if span_id is not None:
-                    tracer.record_slice(span_id, remote, remote_cursor)
-        self.router.notify_dispatch(target, len(batch))
-        self._inflight.append((batch, target, ready, cost_scale, span_id))
-        self._broadcast_invalidation(target, payload)
-
-    def _trace_dispatch(
-        self, tracer: Tracer, batch: List[Request], target: int, node_index: int, t0: float, now: float
-    ) -> Tuple[int, int]:
-        """Open the batch's service span (on its serving node) and the queue
-        spans of its riders (on the front-end node that held them)."""
-        front = self.machine
-        ids = tuple(r.request_id for r in batch)
-        span_id = tracer.open_span(
-            f"batch-r{target}",
-            "service",
-            t0 + now,
-            node=tracer.node_of(self.replicas[target].machine),
-            trace_ids=ids,
-            replica=target,
-            node_index=node_index,
-        )
-        front_node = tracer.node_of(front)
-        for request in batch:
-            tracer.span(
-                "queue",
-                "queue",
-                t0 + request.arrival_ms,
-                t0 + now,
-                node=front_node,
-                trace_ids=(request.request_id,),
-            )
-        return span_id, front.event_cursor()
-
-    def _degrade(self, batch: List[Request], now_ms: float, replica: Any) -> float:
-        """Advance the fidelity controller and apply its levers to ``replica``.
-
-        Each replica owns its model and cache, so the decision is applied to
-        the batch's *target* only; other replicas keep whatever level their
-        last dispatch set.  Returns the batch's modeled cost scale (1.0 when
-        fidelity is off -- no model or cache state is touched)."""
-        if self.fidelity is None:
-            return 1.0
-        pressured = False
-        probe = getattr(self.policy, "deadline_pressured", None)
-        if probe is not None:
-            pressured = probe(batch, now_ms)
-        lost = sum(
-            1
-            for request in batch
-            if request.deadline_ms is not None and request.deadline_ms <= now_ms
-        )
-        decision = self.fidelity.on_dispatch(pressured, len(batch), lost_deadlines=lost)
-        setter = getattr(replica, "set_fanout_scale", None)
-        if setter is not None:
-            setter(decision.fanout_scale)
-        cache = getattr(replica, "cache", None)
-        if cache is not None:
-            cache.set_fidelity(decision.staleness_scale, decision.force_hits)
-        if self.tracer is not None and decision.level != self._fidelity_level:
-            self.tracer.instant(
-                f"fidelity:level={decision.level}",
-                "fidelity",
-                self.machine.host_time_ms,
-                node=self.tracer.node_of(self.machine),
-                previous=self._fidelity_level,
-            )
-        self._fidelity_level = decision.level
-        return decision.cost_scale
-
-    def _dispatch_on(
-        self, machine, replica, target: int, payload: Any, span_id: Optional[int] = None
-    ) -> StreamEvent:
-        """The scale-out dispatch body, on whichever node hosts the replica."""
-        plan = None
-        if getattr(replica, "supports_overlap", False):
-            issue_ms = machine.host_time_ms
-            worker = machine.stream(machine.cpu, self.sampling_stream(target))
-            with machine.use_stream(worker):
-                plan = replica.prepare_iteration(payload)
-                prepared = machine.record_event(worker, name=f"prepared-r{target}")
-            device = replica.compute_device
-            if device.is_gpu:
-                machine.wait_event(machine.default_stream(device), prepared)
-            if span_id is not None:
-                self.tracer.span(
-                    "sample",
-                    "sample",
-                    issue_ms,
-                    prepared.ready_ms,
-                    node=self.tracer.node_of(machine),
-                    trace_ids=self.tracer.get_span(span_id).trace_ids,
-                    parent_id=span_id,
-                    replica=target,
-                )
-        return replica.dispatch_iteration(payload, plan=plan)
-
-    def _broadcast_invalidation(self, origin: int, payload: Any) -> None:
-        """Invalidate the batch's touched nodes in every *other* replica cache.
-
-        Cluster-wide coherence: remote replicas' caches also predate the
-        batch's events.  Each invalidation is charged to the owning
-        replica's node (its host processes the coherence message)."""
-        touched = None
-        for index, replica in enumerate(self.replicas):
-            if index == origin:
-                continue
-            cache = getattr(replica, "cache", None)
-            if cache is None:
-                continue
-            if touched is None:
-                touched = payload.touched_nodes().tolist()
-            cache.invalidate_nodes(touched)
-        if touched is not None and self.tracer is not None:
-            self.tracer.instant(
-                "invalidate_broadcast",
-                "cache",
-                self.machine.host_time_ms,
-                node=self.tracer.node_of(self.machine),
-                origin=origin,
-                nodes=len(touched),
-            )
-
-    @staticmethod
-    def sampling_stream(replica_index: int) -> str:
-        """Name of one replica's CPU sampling-worker stream."""
-        return f"serve-sampling-{replica_index}"
-
-    def _retire(self, t0: float, completed: List[Request]) -> None:
-        """Complete every in-flight batch the front-end cursor has passed.
-
-        Identical feedback split to the scale-out server: the policy sees
-        the dispatch->completion span, the router the execution-only span.
-        Completion events from remote nodes carry shared-frame times, so
-        the same cursor rule applies regardless of the serving node.
-        """
-        front = self.machine
-        still_inflight: List[_Inflight] = []
-        for batch, target, ready, cost_scale, span_id in self._inflight:
-            if ready.ready_ms > front.host_time_ms + 1e-9:
-                still_inflight.append((batch, target, ready, cost_scale, span_id))
-                continue
-            done = ready.ready_ms - t0
-            for request in batch:
-                request.completed_ms = done
-            completed.extend(batch)
-            if span_id is not None:
-                self.tracer.close_span(span_id, ready.ready_ms)
-            if self.metrics is not None:
-                for request in batch:
-                    record_completion(self.metrics, request)
-            dispatched = batch[0].dispatched_ms
-            service_ms = done - dispatched if dispatched is not None else 0.0
-            started = max(
-                self._last_ready[target],
-                dispatched + t0 if dispatched is not None else t0,
-            )
-            execution_ms = max(0.0, ready.ready_ms - started)
-            self._last_ready[target] = ready.ready_ms
-            # Normalize the policy's feedback to full-quality cost: the EWMA
-            # must keep estimating what an *undegraded* batch costs, or a
-            # degraded period would talk the policy out of degrading.  The
-            # router keeps the raw span -- load balancing cares about what
-            # the replica actually spent.
-            self.policy.observe(len(batch), service_ms / cost_scale)
-            self.router.notify_complete(target, len(batch), execution_ms)
-            if self.autoscaler is not None:
-                for request in batch:
-                    self.autoscaler.observe_completion(done, request.total_ms)
-        self._inflight = still_inflight
-
-    # -- autoscaler charge callbacks ---------------------------------------------
-
-    def _spin_up(self, index: int, now_ms: float) -> float:
-        """Charge one replica's cold start; returns its ready time.
-
-        The replica's weights are shipped from the front-end host to its
-        compute device -- over the NIC plus the remote PCIe link for remote
-        replicas, over the local host link otherwise.  The replica joins
-        the fleet when the weights land.  (Its serving cache was flushed at
-        spin-down, so warm-up misses follow naturally.)
-        """
-        replica = self.replicas[index]
-        node_index = self.replica_nodes[index]
-        if self.tracer is not None:
-            self.tracer.instant(
-                f"scale:up:r{index}",
-                "scale",
-                self._t0 + now_ms,
-                node=self.tracer.node_of(self.machine),
-                node_index=node_index,
-            )
-        device = replica.compute_device
-        if node_index == 0 and not device.is_gpu:
-            return now_ms  # host-resident replica: nothing to ship
-        front = self.machine
-        destination = device if device.is_gpu else self.cluster.nodes[node_index].cpu
-        nbytes = 0
-        if callable(getattr(replica, "param_bytes", None)):
-            nbytes = int(replica.param_bytes())
-        arrival = self.cluster.transfer(
-            0,
-            front.cpu,
-            node_index,
-            destination,
-            max(nbytes, 1),
-            name="weight_transfer",
-        )
-        ready_ms = arrival
-        # Re-warm the flushed cache as part of the cold start: the replica
-        # only joins the fleet once its hot rows are back, so the backfill
-        # charge lands inside the modeled spin-up latency.
-        if self.backfill_nodes > 0 and getattr(replica, "cache", None) is not None:
-            node = self.cluster.nodes[node_index]
-            if node_index != 0:
-                self.cluster.sync_node(node_index, arrival)
-            backfill_embeddings(replica, top_k=self.backfill_nodes)
-            ready_ms = max(arrival, node.host_time_ms)
-        return ready_ms - self._t0
-
-    def _spin_down(self, index: int, now_ms: float) -> None:
-        """Release one replica: flush its cache so re-activation is cold."""
-        if self.tracer is not None:
-            self.tracer.instant(
-                f"scale:down:r{index}",
-                "scale",
-                self._t0 + now_ms,
-                node=self.tracer.node_of(self.machine),
-            )
-        cache = getattr(self.replicas[index], "cache", None)
-        if cache is not None:
-            cache.flush()
+        return super().serve(requests, label, arrival_name, warm_up)

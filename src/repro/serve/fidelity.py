@@ -42,7 +42,7 @@ byte-identical serving*) and a regression test pin that down.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict, Optional
 
 #: Debt weights: one degraded request at lever ``n`` costs this many points.
 #: Forced stale answers are the most visible quality loss, hence the spread.
@@ -250,39 +250,6 @@ class FidelityController:
             "fanout_scale": self.config.fanout_scale,
             "staleness_scale": self.config.staleness_scale,
         }
-
-
-def merge_fidelity(snapshots: Sequence[Optional[Dict[str, Any]]]) -> Optional[Dict[str, Any]]:
-    """Merge per-replica/per-node fidelity snapshots into one report view.
-
-    Counter keys and the weighted ``debt_score`` are summed, the level
-    fields take the max (the fleet degraded as far as its worst member),
-    and the configured lever scales come from the first non-empty snapshot.
-    Mirrors :func:`repro.cache.merge_cache_stats` semantics, including
-    returning ``None`` when no controller reported anything.
-    """
-    live = [snapshot for snapshot in snapshots if snapshot]
-    if not live:
-        return None
-    counters = (
-        "fanout_requests",
-        "stale_requests",
-        "forced_requests",
-        "degraded_batches",
-        "pressured_dispatches",
-        "total_dispatches",
-    )
-    merged: Dict[str, Any] = {
-        "debt_score": round(sum(float(s.get("debt_score", 0.0)) for s in live), 3),
-        "max_level_seen": max(int(s.get("max_level_seen", 0)) for s in live),
-        "final_level": max(int(s.get("final_level", 0)) for s in live),
-        "fanout_scale": live[0].get("fanout_scale", 1.0),
-        "staleness_scale": live[0].get("staleness_scale", 1.0),
-        "controllers": len(live),
-    }
-    for key in counters:
-        merged[key] = sum(int(s.get(key, 0)) for s in live)
-    return merged
 
 
 def make_fidelity_controller(

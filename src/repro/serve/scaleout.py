@@ -1,58 +1,26 @@
 """Replicated multi-GPU serving: one batcher, N model replicas, a router.
 
-:class:`ScaleOutServer` generalizes the single-model
-:class:`~repro.serve.server.InferenceServer` loop to data-parallel replicas.
-The arrival/batching half is identical -- one host clock, one request queue,
-one scheduler policy -- but execution changes shape:
-
-* a formed batch is handed to a :class:`~repro.serve.router.Router`, which
-  picks a replica (round-robin, join-shortest-queue, or least estimated
-  latency);
-* the replica *dispatches* the batch (``dispatch_iteration``): host-side
-  sampling and launches advance the host cursor, while the device kernels
-  queue asynchronously on that replica's own GPU stream.  The host never
-  joins the stream, so batches dispatched to different replicas execute
-  concurrently in simulated time -- this is where N GPUs buy throughput;
-* the returned :class:`~repro.hw.stream.StreamEvent` carries the batch's
-  completion time.  The serving loop retires in-flight batches as the
-  cursor passes their ready times, feeding service-time observations back
-  to the policy and the router.
-
-Because the single host thread still serializes sampling and kernel
-dispatch, replicated serving saturates once host work per batch exceeds
-``device work / N`` -- the same host-bound ceiling a real single-process
-multi-GPU server hits, and exactly the regime the ``scaling`` experiment
-maps out.
-
-Per-replica caches: each replica may carry its own attached
-:class:`~repro.cache.ModelCache` (its entries live on that replica's GPU).
-A batch probes only the cache of the replica it is routed to, but its
-events are incoming graph mutations for *every* replica, so after a
-dispatch the server broadcasts the touched-node invalidation to all other
-replicas' caches -- the cache-coherence traffic a real replicated serving
-tier pays.  The report carries the counters merged across replicas.
+:class:`ScaleOutServer` is :class:`~repro.serve.core.ServingCore` over
+data-parallel replicas on one machine: every formed batch is routed to a
+replica and dispatched asynchronously, so replicas execute concurrently in
+simulated time.  See :mod:`repro.serve.core` for the loop, the async
+dispatch protocol and the host-bound ceiling it runs into.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Optional, Sequence
 
-from ..cache import merge_cache_stats
-from ..core.profiler import Profiler
-from ..hw.stream import StreamEvent
-from ..obs.metrics import MetricsRegistry, record_completion, record_dispatch
+from ..obs.metrics import MetricsRegistry
 from ..obs.trace import Tracer
-from .batcher import DynamicBatcher
+from .core import ServingCore
 from .policy import SchedulerPolicy
 from .request import Request
 from .router import Router
 from .telemetry import ServingReport
 
-#: (requests, replica index, completion event, open service-span id)
-_Inflight = Tuple[List[Request], int, StreamEvent, Optional[int]]
 
-
-class ScaleOutServer:
+class ScaleOutServer(ServingCore):
     """Serves a request list against N model replicas on one machine."""
 
     def __init__(
@@ -63,40 +31,11 @@ class ScaleOutServer:
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        if not replicas:
-            raise ValueError("replicated serving needs at least one replica")
-        if router.num_replicas != len(replicas):
-            raise ValueError(f"router expects {router.num_replicas} replicas, got {len(replicas)}")
-        for replica in replicas:
-            if not getattr(replica, "supports_async_dispatch", False):
-                raise TypeError(
-                    f"{type(replica).__name__} does not implement "
-                    "dispatch_iteration; replicated serving requires the "
-                    "async dispatch protocol"
-                )
-        machines = {id(replica.machine) for replica in replicas}
-        if len(machines) != 1:
+        if len({id(replica.machine) for replica in replicas}) > 1:
             raise ValueError("all replicas must live on one machine")
-        self.replicas = list(replicas)
-        self.policy = policy
-        self.router = router
-        #: Optional observability taps (see :mod:`repro.obs`); read-only for
-        #: the simulation, zero objects on the hot path when ``None``.
-        self.tracer = tracer
-        self.metrics = metrics
-        self.batcher = DynamicBatcher(policy)
-        self._inflight: List[_Inflight] = []
-        #: Per-replica ready time of the last retired batch, used to split a
-        #: batch's dispatch->completion span into queue-behind-own-replica
-        #: versus actual execution.
-        self._last_ready: List[float] = [0.0] * len(self.replicas)
+        super().__init__(replicas, policy, router=router, tracer=tracer, metrics=metrics)
 
-    @property
-    def machine(self):
-        return self.replicas[0].machine
-
-    # -- public API -----------------------------------------------------------
-
+    # In the class body: benchmarks/spans.py times ``serve`` only where ``"serve" in cls.__dict__``.
     def serve(
         self,
         requests: Sequence[Request],
@@ -105,242 +44,4 @@ class ScaleOutServer:
         warm_up: bool = True,
     ) -> ServingReport:
         """Serve ``requests`` to completion and return the telemetry report."""
-        machine = self.machine
-        report = ServingReport(
-            label=label,
-            policy=self.policy.describe(),
-            arrival=arrival_name,
-            offered=len(requests),
-            overlap=False,
-            placement="replicate",
-            router=self.router.describe(),
-            num_replicas=len(self.replicas),
-        )
-        if not requests:
-            return report
-        if self.tracer is not None and not self.tracer.attached(machine):
-            self.tracer.attach(machine)
-        ordered = sorted(requests, key=lambda r: (r.arrival_ms, r.request_id))
-        with machine.activate():
-            if warm_up:
-                head = [r.payload for r in ordered[: self.policy.max_batch_size]]
-                batch = self.replicas[0].make_request_batch(head)
-                for replica in self.replicas:
-                    replica.warm_up(batch)
-            profiler = Profiler(machine)
-            with profiler.capture(label):
-                completed, duration_ms = self._loop(ordered)
-        profile = profiler.last_profile
-        report.requests = completed
-        report.duration_ms = duration_ms
-        report.gpu_utilization = profile.gpu_utilization()
-        report.per_device_utilization = profile.per_gpu_utilization()
-        if profile.elapsed_ms > 0:
-            report.cpu_utilization = min(1.0, profile.device_busy_ms("cpu") / profile.elapsed_ms)
-        report.cache = merge_cache_stats(
-            [
-                replica.cache_stats()
-                for replica in self.replicas
-                if callable(getattr(replica, "cache_stats", None))
-            ]
-        )
-        if self.metrics is not None:
-            report.metrics = self.metrics.snapshot(duration_ms)
-        return report
-
-    # -- serving loop -----------------------------------------------------------
-
-    def _loop(self, requests: Sequence[Request]) -> Tuple[List[Request], float]:
-        machine = self.machine
-        t0 = machine.host_time_ms
-        if self.tracer is not None:
-            self.tracer.t0 = t0
-        completed: List[Request] = []
-        index = 0
-        while True:
-            self._retire(t0, completed)
-            now = machine.host_time_ms - t0
-            while index < len(requests) and requests[index].arrival_ms <= now + 1e-9:
-                self.batcher.enqueue(requests[index])
-                index += 1
-            batch = self.batcher.poll(now)
-            if batch:
-                self._dispatch(batch, t0)
-                continue
-            # Idle: advance the clock to the next actionable instant -- an
-            # arrival, a batching deadline, or an in-flight completion.
-            targets = []
-            if index < len(requests):
-                targets.append(requests[index].arrival_ms)
-            deadline = self.batcher.next_deadline_ms(now)
-            if deadline is not None:
-                targets.append(deadline)
-            if self._inflight:
-                targets.append(min(e.ready_ms for _, _, e, _ in self._inflight) - t0)
-            if not targets:
-                if len(self.batcher) == 0:
-                    break
-                # Arrivals exhausted and the policy would wait forever: drain.
-                self._dispatch(self.batcher.force(now), t0)
-                continue
-            machine.advance_host(max(min(targets) - now, 1e-6))
-        return (completed, machine.host_time_ms - t0)
-
-    # -- execution ---------------------------------------------------------------
-
-    def _dispatch(self, batch: List[Request], t0: float) -> None:
-        """Route one freshly formed batch to a replica and dispatch it.
-
-        Each replica owns a named CPU *sampling worker* stream (the
-        simulator's model of per-replica data-loader threads on the
-        multi-core host): the batch's sampling is issued there
-        asynchronously, the replica's GPU stream is floored on the
-        sampling-done event, and the kernels are launched without any
-        trailing sync.  The host pays only dispatch overheads, so sampling
-        and compute for batches routed to different replicas overlap in
-        simulated time -- the mechanism by which N replicas multiply
-        capacity.  (The batch's input copies are issued at dispatch time, a
-        staging approximation; they are orders of magnitude shorter than
-        the sampling they follow.)
-        """
-        machine = self.machine
-        now = machine.host_time_ms - t0
-        target = self.router.route(len(batch), now)
-        replica = self.replicas[target]
-        tracer = self.tracer
-        span_id = None
-        cursor = 0
-        if tracer is not None:
-            span_id, cursor = self._trace_dispatch(tracer, batch, machine, target, t0, now)
-        if self.metrics is not None:
-            record_dispatch(self.metrics, len(batch), len(self.batcher))
-        payload = replica.make_request_batch([r.payload for r in batch])
-        for request in batch:
-            request.dispatched_ms = now
-            request.batch_size = len(batch)
-            request.replica = target
-        plan = None
-        prepared = None
-        if getattr(replica, "supports_overlap", False):
-            worker = machine.stream(machine.cpu, self.sampling_stream(target))
-            with machine.use_stream(worker):
-                plan = replica.prepare_iteration(payload)
-                prepared = machine.record_event(worker, name=f"prepared-r{target}")
-            device = replica.compute_device
-            if device.is_gpu:
-                machine.wait_event(machine.default_stream(device), prepared)
-        ready = replica.dispatch_iteration(payload, plan=plan)
-        if span_id is not None:
-            tracer.record_slice(span_id, machine, cursor)
-            if prepared is not None:
-                tracer.span(
-                    "sample",
-                    "sample",
-                    t0 + now,
-                    prepared.ready_ms,
-                    node=tracer.node_of(machine),
-                    trace_ids=tuple(r.request_id for r in batch),
-                    parent_id=span_id,
-                    replica=target,
-                )
-        self.router.notify_dispatch(target, len(batch))
-        self._inflight.append((batch, target, ready, span_id))
-        self._broadcast_invalidation(target, payload)
-
-    def _trace_dispatch(
-        self, tracer: Tracer, batch: List[Request], machine: Any, target: int, t0: float, now: float
-    ) -> Tuple[int, int]:
-        """Open the batch's service span and close its riders' queue spans."""
-        node = tracer.node_of(machine)
-        ids = tuple(r.request_id for r in batch)
-        span_id = tracer.open_span(
-            f"batch-r{target}",
-            "service",
-            t0 + now,
-            node=node,
-            trace_ids=ids,
-            replica=target,
-        )
-        for request in batch:
-            tracer.span(
-                "queue",
-                "queue",
-                t0 + request.arrival_ms,
-                t0 + now,
-                node=node,
-                trace_ids=(request.request_id,),
-            )
-        return span_id, machine.event_cursor()
-
-    def _broadcast_invalidation(self, origin: int, payload: Any) -> None:
-        """Invalidate the batch's touched nodes in every *other* replica cache.
-
-        The origin replica's own cache already handled the batch (its
-        request path invalidates and re-inserts); the other replicas only
-        learn that the touched nodes' cached samples/embeddings now predate
-        new graph events.  Charged as host work by each cache, modelling
-        the coherence fan-out of a replicated serving tier.
-        """
-        touched = None
-        for index, replica in enumerate(self.replicas):
-            if index == origin:
-                continue
-            cache = getattr(replica, "cache", None)
-            if cache is None:
-                continue
-            if touched is None:
-                touched = payload.touched_nodes().tolist()
-            cache.invalidate_nodes(touched)
-        if touched is not None and self.tracer is not None:
-            machine = self.machine
-            self.tracer.instant(
-                "invalidate_broadcast",
-                "cache",
-                machine.host_time_ms,
-                self.tracer.node_of(machine),
-                origin=origin,
-                nodes=len(touched),
-            )
-
-    @staticmethod
-    def sampling_stream(replica_index: int) -> str:
-        """Name of one replica's CPU sampling-worker stream."""
-        return f"serve-sampling-{replica_index}"
-
-    def _retire(self, t0: float, completed: List[Request]) -> None:
-        """Complete every in-flight batch the cursor has passed.
-
-        The policy observes the full dispatch->completion span (what a
-        request experiences once batched, matching the blocking server's
-        feedback).  The router instead observes the batch's *execution*
-        time -- the span excluding time queued behind earlier batches on
-        the same replica -- because its least-latency estimate multiplies
-        the per-request cost by the in-flight count, and feeding it
-        queue-inclusive samples would count the backlog twice.
-        """
-        machine = self.machine
-        still_inflight: List[_Inflight] = []
-        for batch, target, ready, span_id in self._inflight:
-            if ready.ready_ms > machine.host_time_ms + 1e-9:
-                still_inflight.append((batch, target, ready, span_id))
-                continue
-            done = ready.ready_ms - t0
-            for request in batch:
-                request.completed_ms = done
-            completed.extend(batch)
-            if span_id is not None:
-                self.tracer.close_span(span_id, ready.ready_ms)
-            if self.metrics is not None:
-                for request in batch:
-                    record_completion(self.metrics, request)
-            dispatched = batch[0].dispatched_ms
-            service_ms = done - dispatched if dispatched is not None else 0.0
-            started = max(
-                self._last_ready[target],
-                dispatched + t0 if dispatched is not None else t0,
-            )
-            execution_ms = max(0.0, ready.ready_ms - started)
-            self._last_ready[target] = ready.ready_ms
-            self.policy.observe(len(batch), service_ms)
-            self.router.notify_complete(target, len(batch), execution_ms)
-        self._inflight = still_inflight
+        return super().serve(requests, label, arrival_name, warm_up)

@@ -1,62 +1,27 @@
-"""The simulated online inference server.
+"""Single-model serving: the host joins the device after every batch.
 
-:class:`InferenceServer` closes the loop between the workload generators,
-the dynamic batcher and the hardware simulator: it walks the request list in
-simulated time, advancing the :class:`~repro.hw.machine.Machine` host-time
-cursor to the next *actionable* instant (a request arrival, a batching
-timeout, an SLO deadline) whenever the pipeline is idle, and charging all
-model work to the machine in between.  Because arrivals, batching decisions
-and model execution all share the one host clock, per-request latencies fall
-straight out of the event timeline.
-
-Two execution modes:
-
-* **blocking** (default) -- each dispatched batch runs through
-  ``inference_iteration``: sampling on the host, compute on the device, a
-  full synchronisation at the end.  This is the seed's serialized semantics
-  and the baseline the paper profiles.
-* **overlap** -- for models implementing the ``prepare_iteration`` /
-  ``compute_iteration`` protocol, the server keeps one batch in flight: when
-  batch ``i+1`` is formed (from requests that queued up while ``i`` was
-  running) its sampling is issued onto a named CPU stream *before* the
-  server blocks on batch ``i``'s device work, so the two overlap in
-  simulated time exactly as in :class:`repro.optim.OverlappedRunner`.  Under
-  load this shortens the effective service time towards
-  ``max(host, device)``, which is what pulls in the p99.
-
-Cache-aware serving: when the model carries an attached
-:class:`~repro.cache.ModelCache` (``repro-dgnn serve --cache``), every
-dispatched batch consults the staleness-bounded embedding/sample stores
-before sampling and compute -- in overlap mode the cache admission happens
-inside the prepare phase on the sampling stream, mirroring a pipelined
-serving cache.  The server itself only reads the telemetry: the merged
-hit/miss/staleness/eviction counters land in :attr:`ServingReport.cache`.
+:class:`InferenceServer` is :class:`~repro.serve.core.ServingCore` over one
+model with no router -- blocking by default, or pipelined one batch deep
+with ``overlap=True``.  A :class:`~repro.serve.placement.ShardedModel` is
+served the same way (it is one model to the loop).  See
+:mod:`repro.serve.core` for the loop and the execution modes.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Optional, Sequence
 
-from ..core.profiler import Profiler
-from ..hw.stream import StreamEvent
-from ..obs.metrics import MetricsRegistry, record_completion, record_dispatch
+from ..obs.metrics import MetricsRegistry
 from ..obs.trace import Tracer
-from .batcher import DynamicBatcher
-from .fidelity import FULL_FIDELITY, FidelityController
+from .core import ServingCore
+from .fidelity import FidelityController
 from .policy import SchedulerPolicy
 from .request import Request
 from .telemetry import ServingReport
 
-#: (requests, merged payload, sampling plan, prepared event, cost scale,
-#: open service-span id -- ``None`` when no tracer is attached)
-_Inflight = Tuple[List[Request], Any, Any, StreamEvent, float, Optional[int]]
 
-
-class InferenceServer:
+class InferenceServer(ServingCore):
     """Serves a request list against one model on its simulated machine."""
-
-    #: Name of the CPU stream overlap-mode sampling is issued onto.
-    SAMPLING_STREAM = "serve-sampling"
 
     def __init__(
         self,
@@ -72,29 +37,11 @@ class InferenceServer:
                 f"{type(model).__name__} does not implement the overlap protocol "
                 "(prepare_iteration/compute_iteration); serve it with overlap=False"
             )
-        if fidelity is not None and not hasattr(policy, "attach_fidelity"):
-            raise TypeError(
-                f"policy {policy.describe()} has no deadline estimator to drive "
-                "degradation; adaptive fidelity requires the 'slo' policy"
-            )
-        self.model = model
-        self.policy = policy
-        self.overlap = overlap
-        self.fidelity = fidelity
-        #: Optional observability taps (see :mod:`repro.obs`).  Both are
-        #: strictly read-only with respect to the simulation; when ``None``
-        #: the hot path pays one attribute test per hook and allocates
-        #: nothing -- runs are event-for-event identical either way.
-        self.tracer = tracer
-        self.metrics = metrics
-        if fidelity is not None:
-            policy.attach_fidelity(fidelity)
-        self.batcher = DynamicBatcher(policy)
-        self._inflight: Optional[_Inflight] = None
-        self._fidelity_level = 0
+        super().__init__(
+            [model], policy, overlap=overlap, fidelity=fidelity, tracer=tracer, metrics=metrics
+        )
 
-    # -- public API -----------------------------------------------------------
-
+    # In the class body: benchmarks/spans.py times ``serve`` only where ``"serve" in cls.__dict__``.
     def serve(
         self,
         requests: Sequence[Request],
@@ -102,254 +49,5 @@ class InferenceServer:
         arrival_name: str = "trace",
         warm_up: bool = True,
     ) -> ServingReport:
-        """Serve ``requests`` to completion and return the telemetry report.
-
-        Warm-up (GPU context, weight upload, allocation warm-up for a
-        representative batch) happens outside the measured window, as in the
-        offline experiments; the profiling capture wraps the serving loop so
-        utilization numbers reflect steady-state serving only.
-        """
-        machine = self.model.machine
-        report = ServingReport(
-            label=label,
-            policy=self.policy.describe(),
-            arrival=arrival_name,
-            offered=len(requests),
-            overlap=self.overlap,
-        )
-        if not requests:
-            return report
-        if self.fidelity is not None:
-            self.fidelity.set_cache_available(getattr(self.model, "cache", None) is not None)
-        if self.tracer is not None and not self.tracer.attached(machine):
-            self.tracer.attach(machine)
-        ordered = sorted(requests, key=lambda r: (r.arrival_ms, r.request_id))
-        with machine.activate():
-            if warm_up:
-                head = [r.payload for r in ordered[: self.policy.max_batch_size]]
-                self.model.warm_up(self.model.make_request_batch(head))
-            profiler = Profiler(machine)
-            with profiler.capture(label):
-                completed, duration_ms = self._loop(ordered)
-        profile = profiler.last_profile
-        report.requests = completed
-        report.duration_ms = duration_ms
-        report.gpu_utilization = profile.gpu_utilization()
-        report.per_device_utilization = profile.per_gpu_utilization()
-        report.placement = getattr(self.model, "serving_placement", "single")
-        report.num_replicas = getattr(self.model, "num_replicas", 1)
-        stats = getattr(self.model, "cache_stats", None)
-        if callable(stats):
-            report.cache = stats()
-        if self.fidelity is not None:
-            report.fidelity = self.fidelity.snapshot()
-        if self.metrics is not None:
-            report.metrics = self.metrics.snapshot(duration_ms)
-        if profile.elapsed_ms > 0:
-            report.cpu_utilization = min(1.0, profile.device_busy_ms("cpu") / profile.elapsed_ms)
-        return report
-
-    # -- serving loop -----------------------------------------------------------
-
-    def _loop(self, requests: Sequence[Request]) -> Tuple[List[Request], float]:
-        """Run the arrival/batch/execute loop; returns (completed, duration)."""
-        machine = self.model.machine
-        t0 = machine.host_time_ms
-        if self.tracer is not None:
-            self.tracer.t0 = t0
-        completed: List[Request] = []
-        index = 0
-        while True:
-            now = machine.host_time_ms - t0
-            while index < len(requests) and requests[index].arrival_ms <= now + 1e-9:
-                self.batcher.enqueue(requests[index])
-                index += 1
-            batch = self.batcher.poll(now)
-            if batch:
-                self._dispatch(batch, t0, completed)
-                continue
-            if self._inflight is not None:
-                # Nothing new to form: retire the in-flight batch.  Requests
-                # arriving during its device work are admitted next tick.
-                entry, self._inflight = (self._inflight, None)
-                self._compute(entry, t0, completed)
-                continue
-            # Idle: advance the clock to the next actionable instant.
-            targets = []
-            if index < len(requests):
-                targets.append(requests[index].arrival_ms)
-            deadline = self.batcher.next_deadline_ms(now)
-            if deadline is not None:
-                targets.append(deadline)
-            if not targets:
-                if len(self.batcher) == 0:
-                    break
-                # Arrivals exhausted and the policy would wait forever: drain.
-                self._dispatch(self.batcher.force(now), t0, completed)
-                continue
-            machine.advance_host(max(min(targets) - now, 1e-6))
-        return (completed, machine.host_time_ms - t0)
-
-    # -- execution ---------------------------------------------------------------
-
-    def _dispatch(self, batch: List[Request], t0: float, completed: List[Request]) -> None:
-        """Execute (or pipeline) one freshly formed batch."""
-        machine = self.model.machine
-        now = machine.host_time_ms - t0
-        cost_scale = self._degrade(batch, now)
-        tracer = self.tracer
-        span_id = None
-        cursor = 0
-        if tracer is not None:
-            span_id, cursor = self._trace_dispatch(tracer, batch, machine, t0, now)
-        if self.metrics is not None:
-            record_dispatch(self.metrics, len(batch), len(self.batcher))
-        payload = self.model.make_request_batch([r.payload for r in batch])
-        for request in batch:
-            request.dispatched_ms = now
-            request.batch_size = len(batch)
-        if not self.overlap:
-            self.model.inference_iteration(payload)
-            if span_id is not None:
-                tracer.record_slice(span_id, machine, cursor)
-            self._finish(batch, t0, completed, cost_scale, span_id)
-            return
-        # Overlap mode: issue this batch's sampling onto the prefetch stream
-        # *before* blocking on the previous batch's device work, so the two
-        # run concurrently in simulated time.
-        stream = machine.stream(machine.cpu, self.SAMPLING_STREAM)
-        with machine.use_stream(stream):
-            plan = self.model.prepare_iteration(payload)
-            ready = machine.record_event(stream, name="serve_prepared")
-        if span_id is not None:
-            tracer.record_slice(span_id, machine, cursor)
-            tracer.span(
-                "sample",
-                "sample",
-                t0 + now,
-                ready.ready_ms,
-                node=tracer.node_of(machine),
-                trace_ids=tuple(r.request_id for r in batch),
-                parent_id=span_id,
-            )
-        previous, self._inflight = (
-            self._inflight,
-            (batch, payload, plan, ready, cost_scale, span_id),
-        )
-        if previous is not None:
-            self._compute(previous, t0, completed)
-
-    def _trace_dispatch(
-        self, tracer: Tracer, batch: List[Request], machine: Any, t0: float, now: float
-    ) -> Tuple[int, int]:
-        """Open the batch's service span, close its riders' queue spans.
-
-        Returns ``(service span id, event-log cursor)``; the cursor anchors
-        the slice of timeline events this dispatch is about to issue.
-        """
-        node = tracer.node_of(machine)
-        ids = tuple(r.request_id for r in batch)
-        span_id = tracer.open_span(
-            f"batch-{batch[0].request_id}", "service", t0 + now, node=node, trace_ids=ids
-        )
-        for request in batch:
-            tracer.span(
-                "queue",
-                "queue",
-                t0 + request.arrival_ms,
-                t0 + now,
-                node=node,
-                trace_ids=(request.request_id,),
-            )
-        return span_id, machine.event_cursor()
-
-    def _degrade(self, batch: List[Request], now_ms: float) -> float:
-        """Advance the fidelity controller for this dispatch; apply its levers.
-
-        Returns the decision's modeled cost scale so :meth:`_finish` can
-        normalize the observed service time back to full-quality cost before
-        feeding the estimator.  Without a controller this is a strict no-op
-        on every model/cache code path (scale 1.0, base staleness).
-        """
-        if self.fidelity is None:
-            return FULL_FIDELITY.cost_scale
-        pressured = False
-        probe = getattr(self.policy, "deadline_pressured", None)
-        if probe is not None:
-            pressured = probe(batch, now_ms)
-        lost = sum(
-            1
-            for request in batch
-            if request.deadline_ms is not None and request.deadline_ms <= now_ms
-        )
-        decision = self.fidelity.on_dispatch(pressured, len(batch), lost_deadlines=lost)
-        if self.tracer is not None and decision.level != self._fidelity_level:
-            machine = self.model.machine
-            self.tracer.instant(
-                f"fidelity:level={decision.level}",
-                "fidelity",
-                machine.host_time_ms,
-                self.tracer.node_of(machine),
-                previous=self._fidelity_level,
-            )
-        self._fidelity_level = decision.level
-        setter = getattr(self.model, "set_fanout_scale", None)
-        if setter is not None:
-            setter(decision.fanout_scale)
-        cache = getattr(self.model, "cache", None)
-        if cache is not None:
-            cache.set_fidelity(decision.staleness_scale, decision.force_hits)
-        return decision.cost_scale
-
-    def _compute(self, entry: _Inflight, t0: float, completed: List[Request]) -> None:
-        """Retire one prepared batch: wait for its plan, run device compute."""
-        batch, payload, plan, ready, cost_scale, span_id = entry
-        machine = self.model.machine
-        tracer = self.tracer
-        cursor = 0
-        started = 0.0
-        if span_id is not None:
-            cursor = machine.event_cursor()
-            started = machine.host_time_ms
-        machine.event_synchronize(ready, name="serve_wait_prepared")
-        self.model.compute_iteration(payload, plan)
-        if span_id is not None:
-            tracer.record_slice(span_id, machine, cursor)
-            tracer.span(
-                "compute",
-                "compute",
-                started,
-                machine.host_time_ms,
-                node=tracer.node_of(machine),
-                trace_ids=tuple(r.request_id for r in batch),
-                parent_id=span_id,
-            )
-        self._finish(batch, t0, completed, cost_scale, span_id)
-
-    def _finish(
-        self,
-        batch: List[Request],
-        t0: float,
-        completed: List[Request],
-        cost_scale: float = 1.0,
-        span_id: Optional[int] = None,
-    ) -> None:
-        """Stamp completions and feed the service time back to the policy.
-
-        ``cost_scale`` is the fidelity decision the batch ran under; dividing
-        it back out keeps the EWMA tracking *full-quality* service cost, so
-        recovery to full fidelity never starts from an optimistic estimate.
-        """
-        machine = self.model.machine
-        done = machine.host_time_ms - t0
-        for request in batch:
-            request.completed_ms = done
-        completed.extend(batch)
-        if span_id is not None:
-            self.tracer.close_span(span_id, machine.host_time_ms)
-        if self.metrics is not None:
-            for request in batch:
-                record_completion(self.metrics, request)
-        dispatched = batch[0].dispatched_ms
-        if dispatched is not None:
-            self.policy.observe(len(batch), (done - dispatched) / cost_scale)
+        """Serve ``requests`` to completion and return the telemetry report."""
+        return super().serve(requests, label, arrival_name, warm_up)

@@ -53,8 +53,7 @@ class ServingReport:
             :meth:`repro.serve.fidelity.FidelityController.snapshot`.
         metrics: Metrics-registry snapshot (``None`` when no registry is
             attached): simulated-clock counters, gauges and histograms, as
-            produced by :meth:`repro.obs.MetricsRegistry.snapshot` (merge
-            across replicas/nodes with :func:`repro.obs.merge_metrics`).
+            produced by :meth:`repro.obs.MetricsRegistry.snapshot`.
     """
 
     label: str

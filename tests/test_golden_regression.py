@@ -8,6 +8,10 @@ that moved by one ulp -- fails loudly instead of silently rewriting the
 paper's numbers.  ``bottlenecks.json`` pins the analysis layer the same way:
 the four detectors, the CPU-busy/GPU-idle fraction and the utilization
 reports for every model on both machines, floats unrounded.
+``serving.json`` pins the online tiers: eight TGAT serving configurations
+across the three server classes, each run bare and with a tracer + metrics
+registry attached -- reports, per-request stamps, sha256 digests of every
+node's event log and of the exported trace payload.
 
 Regenerate (only when a change is *supposed* to move the numbers, and say so
 in the commit message)::
@@ -15,15 +19,37 @@ in the commit message)::
     PYTHONPATH=src python tests/test_golden_regression.py --regenerate
 """
 
+import hashlib
 import json
 import os
 
 import pytest
 
+from repro.cache import make_model_cache
 from repro.core import analyze_profile, cpu_busy_gpu_idle_fraction, utilization_report
+from repro.datasets import load
 from repro.experiments import run_experiment
 from repro.experiments.runner import new_machine, profile_single_iteration
+from repro.graph.partition import make_partition
+from repro.hw import Cluster, Machine
 from repro.models import MODEL_NAMES, build_model
+from repro.models.tgat import TGAT, TGATConfig
+from repro.obs import MetricsRegistry, Tracer, build_trace
+from repro.serve import (
+    AutoscaleConfig,
+    Autoscaler,
+    ClusterServer,
+    InferenceServer,
+    ScaleOutServer,
+    ShardedModel,
+    build_cluster_replicas,
+    build_replicas,
+    generate_requests,
+    make_arrival_process,
+    make_fidelity_controller,
+    make_policy,
+    make_router,
+)
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -92,6 +118,213 @@ def bottlenecks_json():
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+# -- serving tiers --------------------------------------------------------------
+
+SERVING_SEED = 7
+_TIMEOUT = {"batch_timeout_ms": 4.0}
+_SLO = {"batch_timeout_ms": 2.0, "slo_ms": 20.0}
+
+
+def _serving_requests(dataset, rate, duration_ms, arrival="poisson", slo_ms=50.0, **kwargs):
+    arrivals = make_arrival_process(arrival, rate, seed=SERVING_SEED, **kwargs)
+    return generate_requests(
+        dataset.stream, arrivals, duration_ms=duration_ms, events_per_request=2, slo_ms=slo_ms
+    )
+
+
+def _attach_caches(models):
+    for model in models:
+        with model.machine.activate():
+            make_model_cache(model, policy="lru", capacity_mb=8.0, staleness_ms=1e6)
+
+
+def _single_case(overlap=False, cached=False, fidelity=False, shard=False):
+    """``InferenceServer`` over one TGAT (or a 2-GPU ``ShardedModel``)."""
+
+    def build(dataset, tracer, metrics):
+        config = TGATConfig(num_neighbors=5, batch_size=16, seed=SERVING_SEED)
+        machine = Machine.from_spec("2xA100-nvlink") if shard else Machine.cpu_gpu()
+        with machine.activate():
+            if shard:
+                replicas = build_replicas(machine, lambda: TGAT(machine, dataset, config))
+                partition = make_partition("degree", dataset.stream, 2, seed=SERVING_SEED)
+                model = ShardedModel(replicas, partition)
+            else:
+                model = TGAT(machine, dataset, config)
+        if cached:
+            _attach_caches([model])
+        if fidelity:
+            # Overload, so the controller's level moves.
+            policy = make_policy("slo", max_batch_size=8, **_SLO)
+            requests = _serving_requests(dataset, 6000.0, 60.0, slo_ms=20.0)
+        else:
+            policy = make_policy("timeout", max_batch_size=8, **_TIMEOUT)
+            requests = _serving_requests(dataset, 500.0, 150.0)
+        server = InferenceServer(
+            model,
+            policy,
+            overlap=overlap,
+            fidelity=make_fidelity_controller() if fidelity else None,
+            tracer=tracer,
+            metrics=metrics,
+        )
+        return [machine], server.serve(requests, arrival_name="poisson")
+
+    return build
+
+
+def _scaleout_case(dataset, tracer, metrics):
+    machine = Machine.from_spec("2xA100-pcie")
+    config = TGATConfig(num_neighbors=5, batch_size=16, seed=SERVING_SEED)
+    with machine.activate():
+        replicas = build_replicas(machine, lambda: TGAT(machine, dataset, config))
+    _attach_caches(replicas)
+    server = ScaleOutServer(
+        replicas,
+        make_policy("timeout", max_batch_size=8, **_TIMEOUT),
+        make_router("jsq", len(replicas)),
+        tracer=tracer,
+        metrics=metrics,
+    )
+    requests = _serving_requests(dataset, 900.0, 150.0)
+    return [machine], server.serve(requests, arrival_name="poisson")
+
+
+def _cluster_case(name, cached=False, fidelity=False, backfill=0, autoscale=False):
+    def build(dataset, tracer, metrics):
+        cluster = Cluster(name)
+        config = TGATConfig(num_neighbors=5, batch_size=16, seed=SERVING_SEED)
+        replicas, nodes = build_cluster_replicas(
+            cluster, lambda machine: TGAT(machine, dataset, config)
+        )
+        if cached:
+            _attach_caches(replicas)
+        arrival = "poisson"
+        if fidelity:
+            policy = make_policy("slo", max_batch_size=8, **_SLO)
+            requests = _serving_requests(dataset, 9000.0, 60.0, slo_ms=20.0)
+        elif autoscale:
+            arrival = "flash-crowd"
+            policy = make_policy("timeout", max_batch_size=8, **_TIMEOUT)
+            requests = _serving_requests(
+                dataset,
+                350.0,
+                500.0,
+                arrival=arrival,
+                flash_at_ms=100.0,
+                flash_duration_ms=120.0,
+                flash_multiplier=6.0,
+            )
+        else:
+            policy = make_policy("timeout", max_batch_size=8, **_TIMEOUT)
+            requests = _serving_requests(dataset, 900.0, 150.0)
+        autoscaler = None
+        if autoscale:
+            autoscaler = Autoscaler(
+                AutoscaleConfig(
+                    min_replicas=1,
+                    max_replicas=len(replicas),
+                    slo_ms=50.0,
+                    up_cooldown_ms=20.0,
+                    down_cooldown_ms=80.0,
+                )
+            )
+        server = ClusterServer(
+            cluster,
+            replicas,
+            nodes,
+            policy,
+            make_router("least-latency", len(replicas)),
+            autoscaler=autoscaler,
+            fidelity=make_fidelity_controller() if fidelity else None,
+            backfill_nodes=backfill,
+            tracer=tracer,
+            metrics=metrics,
+        )
+        return list(cluster.nodes), server.serve(requests, arrival_name=arrival)
+
+    return build
+
+
+#: The eight pinned serving configurations (all TGAT on wikipedia/tiny).
+SERVING_CASES = {
+    "1-single-blocking": _single_case(),
+    "2-single-overlap-cache": _single_case(overlap=True, cached=True),
+    "3-single-slo-fidelity": _single_case(cached=True, fidelity=True),
+    "4-sharded-through-single": _single_case(shard=True),
+    "5-scaleout-jsq-caches": _scaleout_case,
+    "6-cluster-1n-2xA100": _cluster_case("1n-2xA100"),
+    "7-cluster-2n-cache-fidelity-backfill": _cluster_case(
+        "2n-1xA100-eth", cached=True, fidelity=True, backfill=32
+    ),
+    "8-cluster-2n-autoscale-flash": _cluster_case(
+        "2n-1xA100-eth", cached=True, backfill=32, autoscale=True
+    ),
+}
+
+
+def _digest(value):
+    return hashlib.sha256(json.dumps(value, sort_keys=True).encode("utf-8")).hexdigest()
+
+
+def _serving_record(machines, report):
+    return {
+        "summary": report.summary(),
+        "exact": {
+            "duration_ms": report.duration_ms,
+            "gpu_utilization": report.gpu_utilization,
+            "cpu_utilization": report.cpu_utilization,
+            "per_device_utilization": report.per_device_utilization,
+        },
+        "requests": [
+            [r.request_id, r.dispatched_ms, r.completed_ms, r.batch_size, r.replica]
+            for r in report.requests
+        ],
+        "event_digests": [
+            _digest(
+                [
+                    [e.kind, e.name, e.resource, e.start_ms, e.end_ms, e.bytes, e.stream]
+                    for e in machine.events
+                ]
+            )
+            for machine in machines
+        ],
+        "host_time_ms": [machine.host_time_ms for machine in machines],
+    }
+
+
+def serving_json():
+    """Every serving configuration, bare and observed, floats unrounded.
+
+    The trace digest covers span names, attributes, parents and order, the
+    instants and every event-log slice; bare and traced runs must agree on
+    everything the simulation produced (the tracer is read-only).
+    """
+    dataset = load("wikipedia", scale="tiny")
+    cases = {}
+    for name, build in SERVING_CASES.items():
+        bare = _serving_record(*build(dataset, None, None))
+        tracer = Tracer()
+        machines, report = build(dataset, tracer, MetricsRegistry())
+        traced = _serving_record(machines, report)
+        for key in ("exact", "requests", "event_digests", "host_time_ms"):
+            assert traced[key] == bare[key], f"{name}: attaching the tracer moved {key}"
+        payload = build_trace(tracer, report=report)
+        cases[name] = {
+            "bare": bare,
+            "traced_summary": traced["summary"],
+            "trace": {
+                "spans": len(tracer.spans),
+                "instants": len(tracer.instants),
+                "slices": len(tracer.slices),
+                "digest": _digest(payload),
+            },
+        }
+    config = {"scale": "tiny", "seed": SERVING_SEED}
+    payload = {"golden": "serving", "config": config, "cases": cases}
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def golden_path(name):
     return os.path.join(GOLDEN_DIR, f"{name}.json")
 
@@ -121,10 +354,20 @@ def test_bottlenecks_match_golden():
     )
 
 
+def test_serving_matches_golden():
+    with open(golden_path("serving"), "r", encoding="utf-8") as handle:
+        expected = handle.read()
+    assert serving_json() == expected, (
+        "a serving report, request stamp, event log or exported trace drifted "
+        "from the golden file"
+    )
+
+
 def regenerate():
     os.makedirs(GOLDEN_DIR, exist_ok=True)
     contents = {name: canonical_json(name, kwargs) for name, kwargs in GOLDEN_EXPERIMENTS.items()}
     contents["bottlenecks"] = bottlenecks_json()
+    contents["serving"] = serving_json()
     for name, text in sorted(contents.items()):
         path = golden_path(name)
         with open(path, "w", encoding="utf-8") as handle:

@@ -118,6 +118,7 @@ class TestReplicatedServing:
         """The router must see per-batch *execution* time: a batch that sat
         behind its replica's previous batch reports only its own span."""
         from repro.hw.stream import StreamEvent
+        from repro.serve.core import Flight
         from repro.serve.request import Request
 
         dataset = make_dataset()
@@ -135,14 +136,14 @@ class TestReplicatedServing:
                               payload=None, dispatched_ms=dispatched)
             event = StreamEvent(stream="default", resource="a100-sxm",
                                 ready_ms=ready, name="t")
-            return ([request], 0, event, None)
+            return Flight([request], 0, event)
 
         # Batch A: dispatched at 0, done at 10.  Batch B: dispatched at 1,
         # done at 18 -- it executed for 8 ms after A finished, though its
         # dispatch->completion span is 17 ms.
         server._inflight = [fake(0, 0.0, 10.0), fake(1, 1.0, 18.0)]
         machine.advance_host(20.0 - machine.host_time_ms)
-        server._retire(0.0, [])
+        server._retire([])  # the loop origin (server._t0) is 0.0 before serve()
         assert observed == [pytest.approx(10.0), pytest.approx(8.0)]
 
     def test_empty_workload_returns_empty_report(self):
