@@ -27,17 +27,6 @@ import sys
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from . import __version__
-from .bench import (
-    available_scenarios,
-    comparable_scenarios,
-    compare_to_baseline,
-    format_table as format_bench_table,
-    load_report,
-    next_bench_path,
-    run_bench,
-    to_payload,
-    write_report,
-)
 from .cache import available_eviction_policies, backfill_embeddings, make_model_cache
 from .core import Profiler, analyze_profile, compute_breakdown
 from .datasets import available_datasets, load
@@ -352,37 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="print the available invariants and exit")
     fz.add_argument("--progress", action=argparse.BooleanOptionalAction, default=False,
                     help="print one line per case as the campaign runs")
-
-    bench = sub.add_parser(
-        "bench",
-        help="run the performance benchmark suite",
-        description="Run the scenario suite (offline iteration, blocking/"
-                    "overlapped serving, 1/2/4-GPU scaling), report median "
-                    "wall-clock, simulated time and events/sec per scenario, "
-                    "and write a machine-readable BENCH_<n>.json.  With "
-                    "--baseline, exit non-zero if any scenario's median wall "
-                    "time regressed beyond --max-regression.",
-    )
-    bench.add_argument("--quick", action="store_true",
-                       help="small workloads and fewer reps (the CI perf gate)")
-    bench.add_argument("--reps", type=int, default=None,
-                       help="repetitions per scenario (default: 5, or 3 with --quick)")
-    bench.add_argument("--seed", type=int, default=0,
-                       help="workload seed (simulated results are reproducible)")
-    bench.add_argument("--scenario", action="append", default=[],
-                       choices=available_scenarios(), metavar="NAME",
-                       help="run only the named scenario (repeatable; "
-                            f"available: {', '.join(available_scenarios())})")
-    bench.add_argument("--output", default=None,
-                       help="report path (default: next free BENCH_<n>.json "
-                            "in the current directory)")
-    bench.add_argument("--no-write", action="store_true",
-                       help="print the table without writing a report file")
-    bench.add_argument("--baseline", default=None,
-                       help="compare against this BENCH_*.json and gate on it")
-    bench.add_argument("--max-regression", type=float, default=0.25,
-                       help="allowed fractional wall-clock regression per "
-                            "scenario vs --baseline (default 0.25 = 25%%)")
 
     # Hidden maintenance subcommand (no help= -> omitted from the listing):
     # regenerates docs/CLI.md from this parser so the reference cannot drift.
@@ -921,65 +879,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.reps is not None and args.reps < 1:
-        print("error: --reps must be positive", file=sys.stderr)
-        return 2
-    if args.max_regression < 0:
-        print("error: --max-regression must be non-negative", file=sys.stderr)
-        return 2
-    baseline = None
-    if args.baseline is not None:
-        try:
-            baseline = load_report(args.baseline)
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
-            print(f"error: cannot load baseline {args.baseline!r}: {exc}",
-                  file=sys.stderr)
-            return 2
-    result = run_bench(
-        scenarios=args.scenario or None,
-        seed=args.seed,
-        reps=args.reps,
-        quick=args.quick,
-    )
-    payload = to_payload(result)
-    print(format_bench_table(payload, baseline=baseline))
-    if not args.no_write:
-        path = args.output if args.output else next_bench_path(".")
-        write_report(payload, path)
-        print(f"\nwrote {path}")
-    if baseline is not None:
-        compared = comparable_scenarios(payload, baseline)
-        if not compared:
-            print(
-                "error: no scenario is comparable against the baseline "
-                "(names or quick/full modes do not match); the perf gate "
-                "cannot pass vacuously -- refresh the baseline with the "
-                "same mode this run used",
-                file=sys.stderr,
-            )
-            return 1
-        regressions = compare_to_baseline(payload, baseline, max_regression=args.max_regression)
-        if regressions:
-            print(
-                f"\nPERF REGRESSION (> {args.max_regression:.0%} over baseline):",
-                file=sys.stderr,
-            )
-            for regression in regressions:
-                print(
-                    f"  {regression.scenario}: {regression.baseline_wall_ms:.1f} ms "
-                    f"-> {regression.current_wall_ms:.1f} ms "
-                    f"({(regression.ratio - 1.0) * 100.0:+.1f}%)",
-                    file=sys.stderr,
-                )
-            return 1
-        print(
-            f"\nperf gate passed (threshold {args.max_regression:.0%}, "
-            f"{len(compared)} scenario(s) compared)"
-        )
-    return 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -999,8 +898,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_trace(args)
     if args.command == "fuzz":
         return _cmd_fuzz(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
     if args.command == "docs":
         return _cmd_docs(args)
     parser.error(f"unknown command {args.command!r}")

@@ -19,7 +19,7 @@ finishes quickly; pass ``paper_scale=True`` for the published parameter values.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from ..datasets import load as load_dataset
 from ..models import MolDGNNConfig, TGATConfig, TGNConfig
@@ -141,15 +141,3 @@ def run(
         )
 
     return result
-
-
-def panel_series(result: ExperimentResult, panel: str) -> List[Dict[str, float]]:
-    """The (value, utilization, memory) series of one panel, in sweep order."""
-    return [
-        {
-            "value": row["value"],
-            "gpu_utilization": row["gpu_utilization"],
-            "memory_mb": row["memory_mb"],
-        }
-        for row in result.filter(panel=panel)
-    ]

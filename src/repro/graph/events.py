@@ -222,19 +222,3 @@ class EventStream:
         return int(
             self.src.nbytes + self.dst.nbytes + self.timestamps.nbytes + self.edge_features.nbytes
         )
-
-    def to_snapshots(self, num_snapshots: int) -> Sequence[Tuple[float, np.ndarray, np.ndarray]]:
-        """Partition the stream into equal time windows.
-
-        Returns a list of ``(window_end_time, src_slice, dst_slice)`` tuples;
-        used by discrete-time views and the delta-transfer optimization.
-        """
-        if num_snapshots <= 0:
-            raise ValueError("num_snapshots must be positive")
-        start, end = self.time_span
-        edges = np.linspace(start, end, num_snapshots + 1)
-        windows = []
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            sub = self.between(lo, hi if hi != end else end + 1)
-            windows.append((float(hi), sub.src.copy(), sub.dst.copy()))
-        return windows

@@ -115,8 +115,8 @@ class Cluster:
     @property
     def host_time_ms(self) -> float:
         """Alias for :attr:`time_ms`, duck-compatible with :class:`Machine`
-        consumers (e.g. the bench harness) that read ``host_time_ms`` and
-        ``event_count`` off whatever a workload returns."""
+        consumers that read ``host_time_ms`` and ``event_count`` off
+        whatever a workload returns."""
         return self.time_ms
 
     def sync_node(self, index: int, to_ms: float) -> Machine:

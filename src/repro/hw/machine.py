@@ -235,8 +235,7 @@ class Machine:
         #: records in :attr:`events`.  Scheduling, timelines, memory pools
         #: and the host clock are identical either way; disabling recording
         #: only skips building the profiler's event stream, making detailed
-        #: profiling an opt-in cost (the benchmark harness uses this for
-        #: pure-simulation-speed runs).
+        #: profiling an opt-in cost.
         self.record_events = record_events
         #: Attached :class:`~repro.obs.trace.Tracer`, or ``None``.  Set by
         #: ``Tracer.attach``; the machine itself never consults it -- only

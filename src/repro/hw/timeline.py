@@ -232,19 +232,6 @@ class Timeline:
             return (0.0, 0.0)
         return (self._starts[0], self._ends[-1])
 
-    def idle_gaps(self, min_gap_ms: float = 0.0) -> List[Interval]:
-        """Idle gaps between consecutive busy intervals longer than ``min_gap_ms``.
-
-        Long idle gaps on the GPU while the CPU is busy are the signature of
-        the paper's workload-imbalance bottleneck.
-        """
-        gaps: List[Interval] = []
-        for prev, nxt in zip(self._intervals, self._intervals[1:]):
-            gap = nxt.start_ms - prev.end_ms
-            if gap > min_gap_ms:
-                gaps.append(Interval(prev.end_ms, nxt.start_ms, "idle"))
-        return gaps
-
     def merged(self, other: "Timeline", name: str = "") -> "Timeline":
         """Return a new timeline containing both resources' intervals, sorted.
 

@@ -248,22 +248,6 @@ class DGNNModel(Module):
             "make_request_batch to serve this model"
         )
 
-    # -- convenience ---------------------------------------------------------------
-
-    def run_inference(self, dataset: Any, max_iterations: Optional[int] = None, **kwargs) -> int:
-        """Run inference over a dataset without profiling; returns iteration count.
-
-        Useful for functional tests and examples that only care about the
-        numerics, not the profile.
-        """
-        count = 0
-        for batch in self.iteration_batches(dataset, **kwargs):
-            self.inference_iteration(batch)
-            count += 1
-            if max_iterations is not None and count >= max_iterations:
-                break
-        return count
-
 
 def nbytes_of(*arrays: np.ndarray) -> int:
     """Total byte size of several numpy arrays (for footprint estimates)."""

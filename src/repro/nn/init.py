@@ -34,16 +34,6 @@ def xavier_uniform(
     return Parameter(data, device, name=name)
 
 
-def kaiming_uniform(
-    shape: Sequence[int], device: Device, rng: np.random.Generator, name: str = ""
-) -> Parameter:
-    """He/Kaiming uniform initialisation (for ReLU MLPs)."""
-    fan_in = int(shape[-1]) if len(shape) >= 1 else 1
-    bound = math.sqrt(3.0 / max(1, fan_in))
-    data = rng.uniform(-bound, bound, size=shape).astype(np.float32)
-    return Parameter(data, device, name=name)
-
-
 def zeros(shape: Sequence[int], device: Device, name: str = "") -> Parameter:
     return Parameter(np.zeros(shape, dtype=np.float32), device, name=name)
 

@@ -109,20 +109,6 @@ class Tensor:
     def full(cls, shape: Sequence[int], value: float, device: Device, name: str = "") -> "Tensor":
         return cls(_fill(shape, value), device, name=name, track_memory=True)
 
-    @classmethod
-    def randn(
-        cls,
-        shape: Sequence[int],
-        device: Device,
-        rng: Optional[np.random.Generator] = None,
-        scale: float = 1.0,
-        name: str = "",
-    ) -> "Tensor":
-        """Normally distributed tensor; deterministic when ``rng`` is seeded."""
-        rng = rng if rng is not None else np.random.default_rng(0)
-        data = rng.standard_normal(shape).astype(np.float32) * scale
-        return cls(data, device, name=name, track_memory=True)
-
     # -- basic properties ---------------------------------------------------
 
     @property

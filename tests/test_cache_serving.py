@@ -1,4 +1,4 @@
-"""Cache-aware serving tests: single-model, replicated, sharded, CLI, bench.
+"""Cache-aware serving tests: single-model, replicated, sharded, CLI.
 
 Pins down the acceptance behaviour: at a nonzero staleness bound with a warm
 cache, overlap serving strictly beats its uncached counterpart on p99 total
@@ -247,24 +247,6 @@ def test_cache_ablation_experiment_rows(dataset):
     assert cold["hit_rate"] == 0
     assert warm["hit_rate"] > 0
     assert warm["p99_ms"] < result.rows[0]["p99_ms"]
-
-
-def test_bench_registry_and_cached_scenarios_report_extras():
-    from repro.bench import available_scenarios, run_bench, to_payload
-
-    names = available_scenarios()
-    assert {"serving_blocking_cached", "serving_overlap_cached"} <= set(names)
-    result = run_bench(
-        scenarios=["serving_overlap", "serving_overlap_cached"],
-        seed=0,
-        reps=1,
-        quick=True,
-    )
-    payload = to_payload(result, sha="deadbeef")
-    cached = payload["serving_overlap_cached"]["extras"]
-    uncached = payload["serving_overlap"]["extras"]
-    assert cached["cache_hit_rate"] > 0.3
-    assert cached["p99_ms"] < uncached["p99_ms"]
 
 
 def test_property_serving_cache_counters_are_consistent(dataset):

@@ -244,13 +244,35 @@ class TestMultiNodeServing:
         _, b = serve_cluster(dataset, "2n-1xA100-eth", seed=3)
         assert a.summary() == b.summary()
 
-    def test_shape_backend_matches_numeric_event_for_event(self):
+    def assert_shape_matches_numeric(self, cluster_name, **kwargs):
         dataset = make_dataset()
-        numeric_cluster, numeric = serve_cluster(dataset, "2n-1xA100-eth")
-        shape_cluster, shape = serve_cluster(dataset, "2n-1xA100-eth", backend="shape")
+        numeric_cluster, numeric = serve_cluster(dataset, cluster_name, **kwargs)
+        shape_cluster, shape = serve_cluster(
+            dataset, cluster_name, backend="shape", **kwargs
+        )
         assert shape_cluster.event_count == numeric_cluster.event_count
         assert shape_cluster.time_ms == numeric_cluster.time_ms
         assert shape.total_latency().p99_ms == numeric.total_latency().p99_ms
+        return numeric, shape
+
+    def test_shape_backend_matches_numeric_event_for_event(self):
+        self.assert_shape_matches_numeric("2n-1xA100-eth")
+
+    def test_shape_backend_matches_numeric_under_autoscaling(self):
+        """The autoscaler reads simulated latencies, so a backend that moved
+        one would change its decisions: both must scale identically."""
+        numeric, shape = self.assert_shape_matches_numeric(
+            "2n-2xA100-eth", rate=400.0, duration_ms=250.0, router="least-latency",
+            arrival="flash-crowd", flash_at_ms=75.0, flash_duration_ms=100.0,
+            flash_multiplier=6.0,
+            autoscale=AutoscaleConfig(
+                min_replicas=1, max_replicas=4, slo_ms=50.0,
+                up_cooldown_ms=10.0, down_cooldown_ms=40.0,
+            ),
+        )
+        assert numeric.autoscale["scale_ups"] >= 1
+        assert shape.autoscale["scale_ups"] == numeric.autoscale["scale_ups"]
+        assert shape.autoscale["scale_downs"] == numeric.autoscale["scale_downs"]
 
     def test_payload_nbytes_counts_the_event_arrays(self):
         dataset = make_dataset()

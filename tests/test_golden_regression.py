@@ -28,7 +28,7 @@ import pytest
 from repro.cache import make_model_cache
 from repro.core import analyze_profile, cpu_busy_gpu_idle_fraction, utilization_report
 from repro.datasets import load
-from repro.experiments import run_experiment
+from repro.experiments import run_experiment, table1
 from repro.experiments.runner import new_machine, profile_single_iteration
 from repro.graph.partition import make_partition
 from repro.hw import Cluster, Machine
@@ -344,6 +344,9 @@ def test_experiment_matches_golden(name):
         "intentional, regenerate the goldens and justify the drift in the "
         "commit message."
     )
+    if name == "table1":
+        # The one place output is compared to the paper's published content.
+        assert table1.matches_paper(table1.run()) == []
 
 
 def test_bottlenecks_match_golden():
