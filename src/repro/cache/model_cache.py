@@ -43,7 +43,13 @@ from ..graph.sampling import NeighborhoodSample, TemporalNeighborSampler
 from ..hw.device import Device
 from ..hw.machine import Machine
 from .policy import make_eviction_policy
-from .store import CacheCostModel, CacheStats, DeviceResidentCache
+from .store import (
+    COUNTER_FIELDS,
+    SUMMED_COUNTERS,
+    CacheCostModel,
+    CacheStats,
+    DeviceResidentCache,
+)
 
 #: Kinds that live on the model's compute device; everything else lives on
 #: the host CPU (sampling structures are CPU-side).
@@ -448,27 +454,14 @@ def merge_cache_stats(reports: Sequence[Optional[Dict[str, Any]]]) -> Optional[D
         "kinds": kinds,
         "caches": len(live),
     }
-    counters = (
-        "lookups",
-        "hits",
-        "misses",
-        "stale_rejects",
-        "inserts",
-        "evictions",
-        "stale_evictions",
-        "invalidations",
-        "bytes_current",
-        "entries",
-    )
-    for key in counters:
-        merged[key] = sum(int(report.get(key, 0)) for report in live)
-    merged["bytes_peak"] = max(int(report.get("bytes_peak", 0)) for report in live)
-    merged["bytes_peak_sum"] = sum(
-        int(report.get("bytes_peak_sum") or report.get("bytes_peak", 0)) for report in live
-    )
-    merged["hit_rate"] = (
-        round(merged["hits"] / merged["lookups"], 4) if merged["lookups"] else 0.0
-    )
+    stats = CacheStats()
+    for report in live:
+        stats.merge(CacheStats(**{name: int(report.get(name) or 0) for name in COUNTER_FIELDS}))
+    for key in SUMMED_COUNTERS:
+        merged[key] = getattr(stats, key)
+    merged["bytes_peak"] = stats.bytes_peak
+    merged["bytes_peak_sum"] = stats.peak_sum
+    merged["hit_rate"] = round(stats.hit_rate, 4)
     return merged
 
 

@@ -23,7 +23,7 @@ accumulate dead rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from .._compat import DATACLASS_SLOTS
@@ -85,21 +85,13 @@ class CacheStats:
         return self.hits / self.lookups if self.lookups else 0.0
 
     def as_dict(self) -> Dict[str, Any]:
-        return {
-            "lookups": self.lookups,
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_rate": round(self.hit_rate, 4),
-            "stale_rejects": self.stale_rejects,
-            "inserts": self.inserts,
-            "evictions": self.evictions,
-            "stale_evictions": self.stale_evictions,
-            "invalidations": self.invalidations,
-            "bytes_current": self.bytes_current,
-            "bytes_peak": self.bytes_peak,
-            "bytes_peak_sum": self.peak_sum,
-            "entries": self.entries,
-        }
+        report: Dict[str, Any] = {}
+        for name in COUNTER_FIELDS:
+            report[name] = getattr(self, name)
+            if name == "misses":
+                report["hit_rate"] = round(self.hit_rate, 4)
+        report["bytes_peak_sum"] = self.peak_sum
+        return report
 
     @property
     def peak_sum(self) -> int:
@@ -115,19 +107,17 @@ class CacheStats:
         footprint bound across stores).
         """
         merged_peak_sum = self.peak_sum + other.peak_sum
-        self.lookups += other.lookups
-        self.hits += other.hits
-        self.misses += other.misses
-        self.stale_rejects += other.stale_rejects
-        self.inserts += other.inserts
-        self.evictions += other.evictions
-        self.stale_evictions += other.stale_evictions
-        self.invalidations += other.invalidations
-        self.bytes_current += other.bytes_current
+        for name in SUMMED_COUNTERS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
         self.bytes_peak = max(self.bytes_peak, other.bytes_peak)
         self.bytes_peak_sum = merged_peak_sum
-        self.entries += other.entries
         return self
+
+
+#: The counter names, spelled once (as the fields above) and in report order;
+#: every one sums when views merge except the two peaks (see ``merge``).
+COUNTER_FIELDS = tuple(f.name for f in fields(CacheStats))
+SUMMED_COUNTERS = tuple(name for name in COUNTER_FIELDS if not name.startswith("bytes_peak"))
 
 
 @dataclass(**DATACLASS_SLOTS)
@@ -365,51 +355,13 @@ class DeviceResidentCache:
     ) -> int:
         """Insert many same-sized entries sharing one value payload.
 
-        Semantically identical to calling :meth:`put` once per
-        ``(key, event_ms)`` pair in order -- same eviction decisions, same
-        allocations, same stats and deferred charges -- with the
-        loop-invariant checks (write bypass, oversize rejection) and
-        attribute lookups hoisted out.  Built for presence-style rows (TGN
-        memory registration inserts ``True`` for every touched node);
-        returns the number of admitted entries.
+        :meth:`put` once per ``(key, event_ms)`` pair, in order.  Built for
+        presence-style rows (TGN memory registration inserts ``True`` for
+        every touched node); returns the number of admitted entries.
         """
-        if self.staleness_ms <= 0.0:
-            return 0
-        nbytes = int(nbytes)
-        if nbytes > self.capacity_bytes:
-            return 0
-        stats = self.stats
-        entries = self._entries
-        policy = self.policy
-        machine = self.machine
-        device = self.device
-        weight_of = self.weight_of
-        capacity = self.capacity_bytes
-        tag = self.tag
         admitted = 0
         for key, event_ms in zip(keys, times_ms):
-            previous = entries.get(key)
-            if previous is not None:
-                self._remove(key, previous)
-            while stats.bytes_current + nbytes > capacity:
-                victim = policy.victim()
-                self._remove(victim, entries[victim])
-                stats.evictions += 1
-            alloc_id = machine.alloc(device, nbytes, tag=tag)
-            entries[key] = _Entry(value, float(event_ms), nbytes, alloc_id)
-            weight = weight_of(key) if weight_of is not None else None
-            policy.on_insert(key, float(weight) if weight is not None else 0.0)
-            stats.bytes_current += nbytes
-            if stats.bytes_current > stats.bytes_peak:
-                stats.bytes_peak = stats.bytes_current
-            admitted += 1
-        if admitted:
-            stats.inserts += admitted
-            stats.entries = len(entries)
-            ledger = self._ledger
-            ledger.inserted_keys += admitted
-            ledger.inserted_bytes += admitted * nbytes
-            ledger.pending = True
+            admitted += self.put(key, value, event_ms, nbytes)
         return admitted
 
     def invalidate(self, keys: Iterable[Any]) -> int:

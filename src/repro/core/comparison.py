@@ -113,10 +113,6 @@ class SpeedupTable:
                 return row.speedup
         return None
 
-    def gpu_slower_cases(self) -> List[SpeedupRow]:
-        """Configurations where the GPU does not beat the CPU (speedup < 1)."""
-        return [row for row in self.rows() if row.speedup < 1.0]
-
     def as_rows(self) -> List[dict]:
         return [row.as_row() for row in self.rows()]
 

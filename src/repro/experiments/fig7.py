@@ -23,7 +23,7 @@ plus the per-module times and shares from :func:`repro.core.compute_breakdown`.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 from ..core import compute_breakdown
 from ..datasets import load as load_dataset
@@ -253,12 +253,3 @@ def run(
     if wanted & {"i", "j"}:
         run_evolvegcn(result, scale, DEFAULT_EVOLVEGCN_DATASETS)
     return result
-
-
-def module_share(
-    result: ExperimentResult, panel: str, module: str, **criteria: Any
-) -> List[Dict[str, Any]]:
-    """The (value, share) series of one module within one panel."""
-    rows = [r for r in result.filter(panel=panel, module=module)
-            if all(r.get(k) == v for k, v in criteria.items())]
-    return [{"value": r["value"], "share": r["share"], "time_ms": r["time_ms"]} for r in rows]

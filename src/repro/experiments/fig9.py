@@ -75,8 +75,3 @@ def run(
                 )
             offset += profiles[iteration].elapsed_ms
     return result
-
-
-def summary_rows(result: ExperimentResult) -> Dict[int, Dict[str, float]]:
-    """Per-batch-size summary statistics keyed by batch size."""
-    return {row["batch_size"]: row for row in result.filter(kind="summary")}

@@ -119,8 +119,3 @@ def run(
                 per_iteration_gpu_ms=round(per_iteration_gpu_ms, 3),
             )
     return result
-
-
-def warmup_share_series(result: ExperimentResult, model: str) -> Dict[int, float]:
-    """Map of batch size -> warm-up share for one model."""
-    return {row["batch_size"]: row["warmup_share"] for row in result.rows if row["model"] == model}

@@ -17,9 +17,10 @@ Three families:
   reference proxy, and a debt-free adaptive-fidelity serving run vs the
   controller detached.
 
-``check_case`` is the single entry point: it runs a program under its
-config and applies every applicable invariant from ``checks``, raising
-:class:`~repro.fuzz.program.InvariantViolation` on the first breach.
+``REGISTRY`` is the catalogue -- one ``(name, description, check)`` entry
+per invariant -- and ``check_case`` the single entry point: it runs a
+program under its config and applies every selected entry in order,
+raising :class:`~repro.fuzz.program.InvariantViolation` on the first breach.
 """
 
 from __future__ import annotations
@@ -28,24 +29,14 @@ from typing import Iterable, List, Optional, Set
 
 from ..hw.machine import Machine
 from .config import FuzzConfig
-from .program import Execution, InvariantViolation, Op, signature
-
-#: Every named invariant ``--check`` accepts, with one-line meanings.
-INVARIANTS = {
-    "monotone-clock": "host and node clocks never move backwards",
-    "memory-pools": "device memory pools never go negative and balance to zero",
-    "stream-intervals": "every stream timeline is disjoint, sorted, non-negative",
-    "drain-after-sync": "after a barrier nothing is still in flight",
-    "cache-conservation": "cache counters and occupancy bookkeeping conserve",
-    "telemetry-conservation": "serving reports conserve requests and latency splits",
-    "backend-equivalence": "shape and numeric backends emit identical event logs",
-    "single-node-cluster": "a 1-node cluster is event-identical to the bare machine",
-    "staleness-zero": "a staleness-0 cache is byte-identical to not storing at all",
-    "batched-scalar-cache": "batched cache ops are byte-identical to their scalar forms",
-    "fidelity-identity": "zero pressure => zero fidelity debt => byte-identical serving",
-    "trace-conservation": "span arithmetic conserves and detaching the tracer "
-                          "is byte-identical",
-}
+from .program import (
+    Execution,
+    InvariantViolation,
+    Op,
+    on_bare_machine,
+    signature,
+    without_faults,
+)
 
 
 def resolve_checks(names: Optional[Iterable[str]]) -> Set[str]:
@@ -68,7 +59,10 @@ def resolve_checks(names: Optional[Iterable[str]]) -> Set[str]:
 # -- structural finals ------------------------------------------------------
 
 
-def _check_stream_intervals(machines: List[Machine]) -> None:
+def _check_stream_intervals(config: FuzzConfig, ops: List[Op], base: Execution) -> None:
+    machines: List[Machine] = list(base.nodes)
+    if base.serve_machine is not None:
+        machines.append(base.serve_machine)
     for machine in machines:
         resources = list(machine.devices) + list(machine.links)
         for resource in resources:
@@ -96,31 +90,24 @@ def _check_stream_intervals(machines: List[Machine]) -> None:
                 )
 
 
-def _check_final_drain(execution: Execution) -> None:
-    for index, node in enumerate(execution.nodes):
+def _check_final_drain(config: FuzzConfig, ops: List[Op], base: Execution) -> None:
+    for index, node in enumerate(base.nodes):
         node.synchronize()
-        execution._check_drained(node, f"final synchronize (node {index})")
-    if execution.cluster is not None:
-        execution.cluster.synchronize()
-        now = execution.cluster.time_ms
-        for link in execution.cluster.nic_links:
-            if link.free_at > now + 1e-9:
-                raise InvariantViolation(
-                    "drain-after-sync",
-                    f"final barrier: NIC {link.name} busy until {link.free_at} "
-                    f"past the frontier at {now}",
-                )
+        base._check_drained(node, f"final synchronize (node {index})")
+    if base.cluster is not None:
+        base.cluster.synchronize()
+        base._check_nics_drained("final barrier")
 
 
-def _check_memory_balance(execution: Execution) -> None:
+def _check_memory_balance(config: FuzzConfig, ops: List[Op], base: Execution) -> None:
     # Release everything the program still holds; pools must return to zero.
-    for machine, device, alloc_id in execution.live_allocs.values():
+    for machine, device, alloc_id in base.live_allocs.values():
         machine.free(device, alloc_id)
-    execution.live_allocs.clear()
-    if execution.cache is not None:
-        execution.cache.flush()
-        execution.cache.flush_charges()
-    for index, node in enumerate(execution.nodes):
+    base.live_allocs.clear()
+    if base.cache is not None:
+        base.cache.flush()
+        base.cache.flush_charges()
+    for index, node in enumerate(base.nodes):
         for device in node.devices:
             if device.memory.current_bytes != 0:
                 raise InvariantViolation(
@@ -130,8 +117,8 @@ def _check_memory_balance(execution: Execution) -> None:
                 )
 
 
-def _check_cache_conservation(execution: Execution) -> None:
-    cache = execution.cache
+def _check_cache_conservation(config: FuzzConfig, ops: List[Op], base: Execution) -> None:
+    cache = base.cache
     if cache is None or not hasattr(cache, "stats"):
         return
     stats = cache.stats
@@ -171,8 +158,8 @@ def _check_cache_conservation(execution: Execution) -> None:
         )
 
 
-def _check_telemetry(execution: Execution) -> None:
-    report = execution.serve_report
+def _check_telemetry(config: FuzzConfig, ops: List[Op], base: Execution) -> None:
+    report = base.serve_report
     if report is None:
         return
     if report.offered != report.completed:
@@ -259,35 +246,28 @@ def _compare(invariant: str, base: List[List], paired: List[List], what: str) ->
                 )
 
 
-def _structural_ops(ops: List[Op]) -> List[Op]:
-    """Drop the fault-injection ops before a differential re-run.
-
-    A planted ``rewind`` breaks the clock on purpose; the differential
-    invariants compare *correct* executions, so replaying the fault twice
-    would only mask the monotone-clock finding it exists to trigger.
-    Replaced with ``noop`` (not filtered) to keep op indices stable.
-    """
-    return [op if op["op"] != "rewind" else {"op": "noop"} for op in ops]
+def _compare_completions(invariant: str, base: Execution, paired: Execution, what: str) -> None:
+    if base.serve_report is None or paired.serve_report is None:
+        return
+    base_times = [r.completed_ms for r in base.serve_report.requests]
+    paired_times = [r.completed_ms for r in paired.serve_report.requests]
+    if base_times != paired_times:
+        raise InvariantViolation(invariant, what)
 
 
 def _check_backend_equivalence(config: FuzzConfig, ops: List[Op], base: Execution) -> None:
     flipped = FuzzConfig.from_dict(base.config.as_dict())
     flipped.backend = "shape" if config.backend == "numeric" else "numeric"
-    paired = Execution(flipped, checks=set()).run(_structural_ops(ops))
+    paired = Execution(flipped, checks=set()).run(without_faults(ops))
     _compare(
         "backend-equivalence",
         _signatures(base),
         _signatures(paired),
         f"{config.backend} vs {flipped.backend}",
     )
-    if base.serve_report is not None and paired.serve_report is not None:
-        base_times = [r.completed_ms for r in base.serve_report.requests]
-        paired_times = [r.completed_ms for r in paired.serve_report.requests]
-        if base_times != paired_times:
-            raise InvariantViolation(
-                "backend-equivalence",
-                "serving completion times differ between backends",
-            )
+    _compare_completions(
+        "backend-equivalence", base, paired, "serving completion times differ between backends"
+    )
 
 
 def _check_single_node_cluster(config: FuzzConfig, ops: List[Op], base: Execution) -> None:
@@ -296,28 +276,7 @@ def _check_single_node_cluster(config: FuzzConfig, ops: List[Op], base: Executio
     bare = FuzzConfig.from_dict(config.as_dict())
     bare.cluster = None
     bare.topology = base.cluster.spec.node.name
-    paired = Execution(bare, checks=set())
-    # Same-node NIC "transfers" must delegate to the plain machine's
-    # non-blocking transfer; map them explicitly for the bare run.
-    mapped: List[Op] = []
-    for op in _structural_ops(ops):
-        if op["op"] == "nic_transfer":
-            # Same-node delegation keeps the cluster API's default label.
-            mapped.append({
-                "op": "transfer", "node": 0, "src": op["src"], "dst": op["dst"],
-                "nbytes": op["nbytes"], "non_blocking": True, "name": "nic_memcpy",
-            })
-        elif op["op"] == "node_sync":
-            # Aligning the only node to its own frontier is a no-op; keep
-            # the slot so op indices (kernel names) stay aligned.
-            mapped.append({"op": "noop"})
-        elif op["op"] == "cluster_sync":
-            # On one node the barrier is the machine's own synchronize
-            # (same event name as Cluster.synchronize emits on the node).
-            mapped.append({"op": "sync", "node": 0, "name": "cluster_sync"})
-        else:
-            mapped.append(op)
-    paired.run(mapped)
+    paired = Execution(bare, checks=set()).run(on_bare_machine(ops))
     _compare(
         "single-node-cluster",
         [signature(base.nodes[0])],
@@ -329,7 +288,7 @@ def _check_single_node_cluster(config: FuzzConfig, ops: List[Op], base: Executio
 def _check_batched_scalar(config: FuzzConfig, ops: List[Op], base: Execution) -> None:
     if not config.cache:
         return
-    paired = Execution(config, checks=set(), scalar_cache=True).run(_structural_ops(ops))
+    paired = Execution(config, checks=set(), scalar_cache=True).run(without_faults(ops))
     _compare(
         "batched-scalar-cache",
         [signature(node) for node in base.nodes],
@@ -347,7 +306,7 @@ def _check_batched_scalar(config: FuzzConfig, ops: List[Op], base: Execution) ->
 def _check_staleness_zero(config: FuzzConfig, ops: List[Op], base: Execution) -> None:
     if not config.cache or config.cache["staleness_ms"] != 0.0:
         return
-    paired = Execution(config, checks=set(), null_cache=True).run(_structural_ops(ops))
+    paired = Execution(config, checks=set(), null_cache=True).run(without_faults(ops))
     _compare(
         "staleness-zero",
         [signature(node) for node in base.nodes],
@@ -395,21 +354,17 @@ def _check_fidelity_identity(config: FuzzConfig, ops: List[Op], base: Execution)
     detached = FuzzConfig.from_dict(config.as_dict())
     detached.serving = dict(detached.serving)
     detached.serving["fidelity"] = False
-    paired = Execution(detached, checks=set()).run(_structural_ops(ops))
+    paired = Execution(detached, checks=set()).run(without_faults(ops))
     _compare(
         "fidelity-identity",
         _signatures(base),
         _signatures(paired),
         "debt-free fidelity serving vs fidelity disabled",
     )
-    if paired.serve_report is not None:
-        base_times = [r.completed_ms for r in report.requests]
-        paired_times = [r.completed_ms for r in paired.serve_report.requests]
-        if base_times != paired_times:
-            raise InvariantViolation(
-                "fidelity-identity",
-                "debt-free fidelity serving changed request completion times",
-            )
+    _compare_completions(
+        "fidelity-identity", base, paired,
+        "debt-free fidelity serving changed request completion times",
+    )
 
 
 def _check_trace_conservation(config: FuzzConfig, ops: List[Op], base: Execution) -> None:
@@ -437,21 +392,17 @@ def _check_trace_conservation(config: FuzzConfig, ops: List[Op], base: Execution
             "serving ran with trace enabled but produced no tracer/report",
         )
     # -- identity differential ------------------------------------------
-    paired = Execution(config, checks=set(), no_trace=True).run(_structural_ops(ops))
+    paired = Execution(config, checks=set(), no_trace=True).run(without_faults(ops))
     _compare(
         "trace-conservation",
         _signatures(base),
         _signatures(paired),
         "traced serving vs tracer detached",
     )
-    if paired.serve_report is not None:
-        base_times = [r.completed_ms for r in report.requests]
-        paired_times = [r.completed_ms for r in paired.serve_report.requests]
-        if base_times != paired_times:
-            raise InvariantViolation(
-                "trace-conservation",
-                "attaching the tracer changed request completion times",
-            )
+    _compare_completions(
+        "trace-conservation", base, paired,
+        "attaching the tracer changed request completion times",
+    )
     # -- span structure --------------------------------------------------
     spans = tracer.spans
     for span in spans:
@@ -555,7 +506,44 @@ def _check_trace_conservation(config: FuzzConfig, ops: List[Op], base: Execution
                 )
 
 
-# -- entry point ------------------------------------------------------------
+# -- the registry -----------------------------------------------------------
+
+
+def _online_only(config: FuzzConfig, ops: List[Op], base: Execution) -> None:
+    """Enforced op by op inside ``Execution.run``; nothing is left to check."""
+
+
+#: ``(name, description, check(config, ops, base))`` for every invariant, in
+#: the order ``check_case`` applies them: the differentials re-run the
+#: program *before* the structural finals mutate the base execution (final
+#: frees, cache flush).
+REGISTRY = (
+    ("monotone-clock", "host and node clocks never move backwards", _online_only),
+    ("backend-equivalence", "shape and numeric backends emit identical event logs",
+     _check_backend_equivalence),
+    ("single-node-cluster", "a 1-node cluster is event-identical to the bare machine",
+     _check_single_node_cluster),
+    ("batched-scalar-cache", "batched cache ops are byte-identical to their scalar forms",
+     _check_batched_scalar),
+    ("staleness-zero", "a staleness-0 cache is byte-identical to not storing at all",
+     _check_staleness_zero),
+    ("fidelity-identity", "zero pressure => zero fidelity debt => byte-identical serving",
+     _check_fidelity_identity),
+    ("trace-conservation", "span arithmetic conserves and detaching the tracer is byte-identical",
+     _check_trace_conservation),
+    ("stream-intervals", "every stream timeline is disjoint, sorted, non-negative",
+     _check_stream_intervals),
+    ("telemetry-conservation", "serving reports conserve requests and latency splits",
+     _check_telemetry),
+    ("cache-conservation", "cache counters and occupancy bookkeeping conserve",
+     _check_cache_conservation),
+    ("drain-after-sync", "after a barrier nothing is still in flight", _check_final_drain),
+    ("memory-pools", "device memory pools never go negative and balance to zero",
+     _check_memory_balance),
+)
+
+#: Every named invariant ``--check`` accepts, with one-line meanings.
+INVARIANTS = {name: description for name, description, _ in REGISTRY}
 
 
 def check_case(
@@ -567,34 +555,10 @@ def check_case(
 
     Returns the finished base execution; raises
     :class:`~repro.fuzz.program.InvariantViolation` on the first breach.
-    Ordering matters: the differentials re-run the program *before* the
-    structural finals mutate the base execution (final frees, cache flush).
     """
     selected = resolve_checks(checks)
     base = Execution(config, checks=selected).run(ops)
-    if "backend-equivalence" in selected:
-        _check_backend_equivalence(config, ops, base)
-    if "single-node-cluster" in selected:
-        _check_single_node_cluster(config, ops, base)
-    if "batched-scalar-cache" in selected:
-        _check_batched_scalar(config, ops, base)
-    if "staleness-zero" in selected:
-        _check_staleness_zero(config, ops, base)
-    if "fidelity-identity" in selected:
-        _check_fidelity_identity(config, ops, base)
-    if "trace-conservation" in selected:
-        _check_trace_conservation(config, ops, base)
-    machines = list(base.nodes)
-    if base.serve_machine is not None:
-        machines.append(base.serve_machine)
-    if "stream-intervals" in selected:
-        _check_stream_intervals(machines)
-    if "telemetry-conservation" in selected:
-        _check_telemetry(base)
-    if "cache-conservation" in selected:
-        _check_cache_conservation(base)
-    if "drain-after-sync" in selected:
-        _check_final_drain(base)
-    if "memory-pools" in selected:
-        _check_memory_balance(base)
+    for name, _, check in REGISTRY:
+        if name in selected:
+            check(config, ops, base)
     return base

@@ -16,6 +16,12 @@ properties make the greedy shrinker sound:
   without a serving config -- so the shrinker may simplify the config and
   the op list independently.
 
+Every op kind is one row of :data:`OPS` -- its palette weight, the config
+field it needs, how it is drawn, the simulator call it makes, and what the
+differential mappers do with it.  :func:`draw_program`, :meth:`Execution.run`,
+the mappers and reproducer loading all read that table; adding an op is
+adding a row.
+
 The executor (:class:`Execution`) runs a program against a config and
 checks the *online* invariants -- host/node clocks never move backwards,
 memory pools never go negative, ``synchronize`` really drains -- after
@@ -31,7 +37,9 @@ emits it when asked (``fault_rate > 0``).
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from types import SimpleNamespace
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..cache.policy import make_eviction_policy
 from ..cache.store import DeviceResidentCache
@@ -43,24 +51,6 @@ Op = Dict[str, Any]
 
 STREAM_NAMES = ("default", "s1", "s2")
 
-#: Ops the generator draws from (weights tuned so allocation, stream and
-#: transfer machinery all get exercised in a ~40-op program).
-_MACHINE_OPS = (
-    "kernel", "kernel", "kernel",
-    "host", "host",
-    "transfer", "transfer",
-    "record", "wait",
-    "sync", "stream_sync", "device_sync", "event_sync",
-    "alloc", "alloc", "free",
-    "advance",
-)
-_CLUSTER_OPS = ("nic_transfer", "nic_transfer", "node_sync", "cluster_sync")
-_CACHE_OPS = (
-    "cache_probe", "cache_probe",
-    "cache_put", "cache_put", "cache_put_many",
-    "cache_invalidate", "cache_flush", "cache_charges",
-)
-
 
 class InvariantViolation(AssertionError):
     """One global contract broken by a fuzz case."""
@@ -71,7 +61,322 @@ class InvariantViolation(AssertionError):
         self.message = message
 
 
-# -- generation -------------------------------------------------------------
+@dataclass(frozen=True)
+class OpSpec:
+    """One row of the op vocabulary (``OPS``)."""
+
+    #: Copies of the kind in the generator's palette (0 = never drawn).
+    weight: int
+    #: The config field (``"cluster"``, ``"cache"``, ``"serving"``) the op
+    #: requires, if any; without it the op is not drawn and executes as a no-op.
+    needs: Optional[str]
+    #: ``draw(rng, state)`` -> concrete JSON parameters; ``state`` has the slot
+    #: ``index``, its pre-drawn ``node`` and the cache ops' shared ``event_clock``.
+    draw: Callable[[random.Random, Any], Op]
+    #: ``apply(execution, index, op)`` -> the simulator call.
+    apply: Callable[["Execution", int, Op], None]
+    #: The op as the bare node machine replays it in the 1-node-cluster
+    #: differential (``None`` = unchanged).
+    bare: Optional[Callable[[Op], Op]] = None
+    #: A planted contract break (harness self-test).
+    fault: bool = False
+
+
+# -- the op table -----------------------------------------------------------
+
+#: kind -> spec, in palette order (weights tuned so allocation, stream and
+#: transfer machinery all get exercised in a ~40-op program).  Insertion
+#: order and every draw's RNG consumption fix what each campaign seed draws.
+OPS: Dict[str, OpSpec] = {}
+
+#: Stands in for an op a differential mapping erases, keeping op indices
+#: (and so generated kernel names) stable.
+NOOP: Op = {"op": "noop"}
+
+#: Appended once after the drawn slots when the config has a serving episode.
+EPISODE = "serve"
+
+
+def _op(kind, weight, draw=lambda rng, s: {}, needs=None, bare=None, fault=False):
+    def register(apply):
+        assert kind not in OPS, kind
+        OPS[kind] = OpSpec(weight, needs, draw, apply, bare, fault)
+        return apply
+
+    return register
+
+
+def _draw_stream(rng, s):
+    return {"node": s.node, "device": rng.randrange(5), "stream": rng.choice(STREAM_NAMES)}
+
+
+@_op("kernel", 3, lambda rng, s: {
+    **_draw_stream(rng, s),
+    "flops": round(rng.uniform(0, 5e7), 3),
+    "bytes": round(rng.uniform(0, 1e6), 3),
+})
+def _kernel(ex, index, op):
+    machine = ex._node(op["node"])
+    device = ex._device(machine, op["device"])
+    machine.launch_kernel(
+        device, f"fz_k{index}", op["flops"], op["bytes"],
+        stream=device.stream(op["stream"]),
+    )
+
+
+@_op("host", 2, lambda rng, s: {
+    "node": s.node, "stream": rng.choice(STREAM_NAMES),
+    "ms": round(rng.uniform(0, 2.0), 6),
+})
+def _host(ex, index, op):
+    machine = ex._node(op["node"])
+    machine.host_work(f"fz_h{index}", op["ms"], stream=machine.cpu.stream(op["stream"]))
+
+
+@_op("transfer", 2, lambda rng, s: {
+    "node": s.node, "src": rng.randrange(5), "dst": rng.randrange(5),
+    "nbytes": rng.randrange(0, 1_000_000),
+    "non_blocking": rng.random() < 0.5,
+})
+def _transfer(ex, index, op):
+    machine = ex._node(op["node"])
+    src = ex._device(machine, op["src"])
+    dst = ex._device(machine, op["dst"])
+    if src is dst:
+        dst = ex._device(machine, op["dst"] + 1)
+    if src is dst:
+        return
+    machine.transfer(
+        src, dst, op["nbytes"],
+        name=op.get("name", "memcpy"),
+        non_blocking=op["non_blocking"],
+    )
+
+
+@_op("record", 1, _draw_stream)
+def _record(ex, index, op):
+    machine = ex._node(op["node"])
+    device = ex._device(machine, op["device"])
+    ex.recorded[index] = (machine, machine.record_event(device.stream(op["stream"])))
+
+
+@_op("wait", 1, lambda rng, s: {**_draw_stream(rng, s), "ref": rng.randrange(max(s.index, 1))})
+def _wait(ex, index, op):
+    machine = ex._node(op["node"])
+    ref = ex.recorded.get(op["ref"])
+    # Cross-machine waits are undefined (streams belong to a node);
+    # only honour events recorded on the same node machine.
+    if ref is None or ref[0] is not machine:
+        return
+    device = ex._device(machine, op["device"])
+    machine.wait_event(device.stream(op["stream"]), ref[1])
+
+
+@_op("sync", 1, lambda rng, s: {"node": s.node})
+def _sync(ex, index, op):
+    machine = ex._node(op["node"])
+    machine.synchronize(name=op.get("name", "cuda_sync"))
+    ex._check_drained(machine, f"op {index} synchronize")
+
+
+@_op("stream_sync", 1, _draw_stream)
+def _stream_sync(ex, index, op):
+    machine = ex._node(op["node"])
+    device = ex._device(machine, op["device"])
+    machine.stream_synchronize(device.stream(op["stream"]))
+
+
+@_op("device_sync", 1, lambda rng, s: {"node": s.node, "device": rng.randrange(5)})
+def _device_sync(ex, index, op):
+    machine = ex._node(op["node"])
+    machine.device_synchronize(ex._device(machine, op["device"]))
+
+
+@_op("event_sync", 1, lambda rng, s: {"node": s.node, "ref": rng.randrange(max(s.index, 1))})
+def _event_sync(ex, index, op):
+    ref = ex.recorded.get(op["ref"])
+    if ref is not None:
+        ref[0].event_synchronize(ref[1])
+
+
+@_op("alloc", 2, lambda rng, s: {
+    "node": s.node, "device": rng.randrange(5), "nbytes": rng.randrange(0, 10_000_000),
+})
+def _alloc(ex, index, op):
+    machine = ex._node(op["node"])
+    device = ex._device(machine, op["device"])
+    ex.live_allocs[index] = (machine, device, machine.alloc(device, op["nbytes"]))
+
+
+@_op("free", 1, lambda rng, s: {"ref": rng.randrange(max(s.index, 1))})
+def _free(ex, index, op):
+    ref = ex.live_allocs.pop(op["ref"], None)
+    if ref is not None:
+        machine, device, alloc_id = ref
+        machine.free(device, alloc_id)
+
+
+@_op("advance", 1, lambda rng, s: {"node": s.node, "ms": round(rng.uniform(0, 1.0), 6)})
+def _advance(ex, index, op):
+    ex._node(op["node"]).advance_host(op["ms"])
+
+
+def _draw_nic_transfer(rng, s):
+    op = {
+        "src_node": rng.randrange(4), "src": rng.randrange(5),
+        "dst_node": rng.randrange(4), "dst": rng.randrange(5),
+        "nbytes": rng.randrange(0, 2_000_000),
+    }
+    # Occasionally floor the start time in the past (the cluster
+    # must clamp, never schedule before link availability).
+    if rng.random() < 0.25:
+        op["ready_ms"] = round(rng.uniform(0.0, 3.0), 6)
+    return op
+
+
+# Bare: same-node NIC "transfers" delegate to the plain machine's
+# non-blocking transfer, under the cluster API's default label.
+@_op("nic_transfer", 2, _draw_nic_transfer, needs="cluster", bare=lambda op: {
+    "op": "transfer", "node": 0, "src": op["src"], "dst": op["dst"],
+    "nbytes": op["nbytes"], "non_blocking": True, "name": "nic_memcpy",
+})
+def _nic_transfer(ex, index, op):
+    src_node = op["src_node"] % ex.cluster.num_nodes
+    dst_node = op["dst_node"] % ex.cluster.num_nodes
+    src = ex._device(ex.cluster.nodes[src_node], op["src"])
+    dst = ex._device(ex.cluster.nodes[dst_node], op["dst"])
+    if src_node == dst_node:
+        if src is dst:
+            dst = ex._device(ex.cluster.nodes[dst_node], op["dst"] + 1)
+        if src is dst:
+            return
+    ex.cluster.transfer(
+        src_node, src, dst_node, dst, op["nbytes"],
+        ready_ms=op.get("ready_ms"),
+    )
+
+
+# Bare: aligning the only node to its own frontier is a no-op.
+@_op("node_sync", 1, lambda rng, s: {"node": s.node}, needs="cluster", bare=lambda op: NOOP)
+def _node_sync(ex, index, op):
+    ex.cluster.sync_node(op["node"] % ex.cluster.num_nodes, ex.cluster.time_ms)
+
+
+# Bare: on one node the barrier is the machine's own synchronize (same
+# event name as Cluster.synchronize emits on the node).
+@_op("cluster_sync", 1, needs="cluster",
+     bare=lambda op: {"op": "sync", "node": 0, "name": "cluster_sync"})
+def _cluster_sync(ex, index, op):
+    # The cluster-wide barrier: afterwards nothing -- node streams,
+    # node links, NIC links -- may still be in flight.
+    ex.cluster.synchronize()
+    ex._check_nics_drained(f"op {index} cluster synchronize")
+    for node in ex.cluster.nodes:
+        ex._check_drained(node, f"op {index} cluster synchronize")
+
+
+def _draw_cache_probe(rng, s):
+    count = rng.randrange(1, 12)
+    times = []
+    for _ in range(count):
+        s.event_clock += rng.uniform(0.0, 1.5)
+        # ~1 in 8 queries look backwards in event time.
+        skew = -rng.uniform(0.0, 4.0) if rng.random() < 0.125 else 0.0
+        times.append(round(s.event_clock + skew, 6))
+    return {"keys": [rng.randrange(24) for _ in range(count)], "times": times}
+
+
+@_op("cache_probe", 2, _draw_cache_probe, needs="cache")
+def _cache_probe(ex, index, op):
+    if ex.scalar_cache:
+        for key, now in zip(op["keys"], op["times"]):
+            ex.cache.probe(key, now)
+    else:
+        ex.cache.probe_many(op["keys"], op["times"])
+
+
+def _draw_cache_put(rng, s):
+    s.event_clock += rng.uniform(0.0, 1.5)
+    return {
+        "key": rng.randrange(24),
+        "event_ms": round(s.event_clock, 6),
+        # Zero-byte entries are legal (presence rows) and exercise
+        # the eviction loop's termination condition.
+        "nbytes": rng.randrange(0, 300_000),
+    }
+
+
+@_op("cache_put", 2, _draw_cache_put, needs="cache")
+def _cache_put(ex, index, op):
+    ex.cache.put(op["key"], f"v{index}", op["event_ms"], op["nbytes"])
+
+
+def _draw_cache_put_many(rng, s):
+    count = rng.randrange(1, 10)
+    s.event_clock += rng.uniform(0.0, 1.5)
+    return {
+        "keys": [rng.randrange(24) for _ in range(count)],
+        "times": [round(s.event_clock + i * 0.01, 6) for i in range(count)],
+        "nbytes": rng.randrange(1, 4_000),
+    }
+
+
+@_op("cache_put_many", 1, _draw_cache_put_many, needs="cache")
+def _cache_put_many(ex, index, op):
+    if ex.scalar_cache:
+        for key, now in zip(op["keys"], op["times"]):
+            ex.cache.put(key, True, now, op["nbytes"])
+    else:
+        ex.cache.put_many(op["keys"], True, op["times"], op["nbytes"])
+
+
+@_op("cache_invalidate", 1, needs="cache", draw=lambda rng, s: {
+    "keys": [rng.randrange(24) for _ in range(rng.randrange(1, 8))],
+})
+def _cache_invalidate(ex, index, op):
+    ex.cache.invalidate(op["keys"])
+
+
+@_op("cache_flush", 1, needs="cache")
+def _cache_flush(ex, index, op):
+    ex.cache.flush()
+
+
+@_op("cache_charges", 1, needs="cache")
+def _cache_charges(ex, index, op):
+    ex.cache.flush_charges()
+
+
+@_op("noop", 0)
+def _noop(ex, index, op):
+    pass
+
+
+@_op("rewind", 0, lambda rng, s: {"node": s.node, "ms": rng.uniform(0.5, 5.0)}, fault=True)
+def _rewind(ex, index, op):
+    # No public API rewinds the cursor, so reach into the machine to
+    # break the contract.
+    ex._node(op["node"])._host_time -= op["ms"]
+
+
+@_op(EPISODE, 0, needs="serving")
+def _serve(ex, index, op):
+    ex._serve()
+
+
+# -- reading the table ------------------------------------------------------
+
+
+def op_spec(op: Op) -> OpSpec:
+    """The table row for one op; ``ValueError`` on a kind the table lacks."""
+    kind = op.get("op")
+    if kind not in OPS:
+        raise ValueError(f"unknown fuzz op {kind!r}")
+    return OPS[kind]
+
+
+def _applies(spec: OpSpec, config: FuzzConfig) -> bool:
+    return spec.needs is None or bool(getattr(config, spec.needs))
 
 
 def draw_program(
@@ -81,131 +386,43 @@ def draw_program(
     fault_rate: float = 0.0,
 ) -> List[Op]:
     """Draw a random program with concrete, JSON-serializable parameters."""
-    palette = list(_MACHINE_OPS)
-    if config.cluster:
-        palette += list(_CLUSTER_OPS)
-    if config.cache:
-        palette += list(_CACHE_OPS)
-    ops: List[Op] = []
-    # Cache event-time advances with jitter; occasional backwards queries
+    palette = [
+        kind for kind, spec in OPS.items() if _applies(spec, config)
+        for _ in range(spec.weight)
+    ]
+    fault = next(kind for kind, spec in OPS.items() if spec.fault)
+    # Cache event time advances with jitter; occasional backwards queries
     # exercise the age < 0 (entry "from the future") path.
-    event_clock = 0.0
+    state = SimpleNamespace(index=0, node=0, event_clock=0.0)
+    ops: List[Op] = []
     for index in range(num_ops):
-        if fault_rate > 0.0 and rng.random() < fault_rate:
-            ops.append({"op": "rewind", "node": rng.randrange(4), "ms": rng.uniform(0.5, 5.0)})
-            continue
-        kind = rng.choice(palette)
-        node = rng.randrange(4)
-        if kind == "kernel":
-            ops.append({
-                "op": "kernel", "node": node, "device": rng.randrange(5),
-                "stream": rng.choice(STREAM_NAMES),
-                "flops": round(rng.uniform(0, 5e7), 3),
-                "bytes": round(rng.uniform(0, 1e6), 3),
-            })
-        elif kind == "host":
-            ops.append({
-                "op": "host", "node": node,
-                "stream": rng.choice(STREAM_NAMES),
-                "ms": round(rng.uniform(0, 2.0), 6),
-            })
-        elif kind == "transfer":
-            ops.append({
-                "op": "transfer", "node": node,
-                "src": rng.randrange(5), "dst": rng.randrange(5),
-                "nbytes": rng.randrange(0, 1_000_000),
-                "non_blocking": rng.random() < 0.5,
-            })
-        elif kind == "record":
-            ops.append({
-                "op": "record", "node": node, "device": rng.randrange(5),
-                "stream": rng.choice(STREAM_NAMES),
-            })
-        elif kind == "wait":
-            ops.append({
-                "op": "wait", "node": node, "device": rng.randrange(5),
-                "stream": rng.choice(STREAM_NAMES), "ref": rng.randrange(max(index, 1)),
-            })
-        elif kind == "event_sync":
-            ops.append({"op": "event_sync", "node": node, "ref": rng.randrange(max(index, 1))})
-        elif kind == "sync":
-            ops.append({"op": "sync", "node": node})
-        elif kind == "stream_sync":
-            ops.append({
-                "op": "stream_sync", "node": node, "device": rng.randrange(5),
-                "stream": rng.choice(STREAM_NAMES),
-            })
-        elif kind == "device_sync":
-            ops.append({"op": "device_sync", "node": node, "device": rng.randrange(5)})
-        elif kind == "alloc":
-            ops.append({
-                "op": "alloc", "node": node, "device": rng.randrange(5),
-                "nbytes": rng.randrange(0, 10_000_000),
-            })
-        elif kind == "free":
-            ops.append({"op": "free", "ref": rng.randrange(max(index, 1))})
-        elif kind == "advance":
-            ops.append({"op": "advance", "node": node, "ms": round(rng.uniform(0, 1.0), 6)})
-        elif kind == "nic_transfer":
-            op: Op = {
-                "op": "nic_transfer",
-                "src_node": rng.randrange(4), "src": rng.randrange(5),
-                "dst_node": rng.randrange(4), "dst": rng.randrange(5),
-                "nbytes": rng.randrange(0, 2_000_000),
-            }
-            # Occasionally floor the start time in the past (the cluster
-            # must clamp, never schedule before link availability).
-            if rng.random() < 0.25:
-                op["ready_ms"] = round(rng.uniform(0.0, 3.0), 6)
-            ops.append(op)
-        elif kind == "node_sync":
-            ops.append({"op": "node_sync", "node": node})
-        elif kind == "cluster_sync":
-            ops.append({"op": "cluster_sync"})
-        elif kind == "cache_probe":
-            count = rng.randrange(1, 12)
-            times = []
-            for _ in range(count):
-                event_clock += rng.uniform(0.0, 1.5)
-                # ~1 in 8 queries look backwards in event time.
-                skew = -rng.uniform(0.0, 4.0) if rng.random() < 0.125 else 0.0
-                times.append(round(event_clock + skew, 6))
-            ops.append({
-                "op": "cache_probe",
-                "keys": [rng.randrange(24) for _ in range(count)],
-                "times": times,
-            })
-        elif kind == "cache_put":
-            event_clock += rng.uniform(0.0, 1.5)
-            ops.append({
-                "op": "cache_put", "key": rng.randrange(24),
-                "event_ms": round(event_clock, 6),
-                # Zero-byte entries are legal (presence rows) and exercise
-                # the eviction loop's termination condition.
-                "nbytes": rng.randrange(0, 300_000),
-            })
-        elif kind == "cache_put_many":
-            count = rng.randrange(1, 10)
-            event_clock += rng.uniform(0.0, 1.5)
-            ops.append({
-                "op": "cache_put_many",
-                "keys": [rng.randrange(24) for _ in range(count)],
-                "times": [round(event_clock + i * 0.01, 6) for i in range(count)],
-                "nbytes": rng.randrange(1, 4_000),
-            })
-        elif kind == "cache_invalidate":
-            count = rng.randrange(1, 8)
-            ops.append({
-                "op": "cache_invalidate",
-                "keys": [rng.randrange(24) for _ in range(count)],
-            })
-        elif kind == "cache_flush":
-            ops.append({"op": "cache_flush"})
-        elif kind == "cache_charges":
-            ops.append({"op": "cache_charges"})
-    if config.serving:
-        ops.append({"op": "serve"})
+        state.index = index
+        planted = fault_rate > 0.0 and rng.random() < fault_rate
+        kind = fault if planted else rng.choice(palette)
+        state.node = rng.randrange(4)
+        ops.append({"op": kind, **OPS[kind].draw(rng, state)})
+    if _applies(OPS[EPISODE], config):
+        ops.append({"op": EPISODE})
     return ops
+
+
+def without_faults(ops: List[Op]) -> List[Op]:
+    """Erase the planted faults before a differential re-run.
+
+    A planted fault breaks a contract on purpose; the differential
+    invariants compare *correct* executions, so replaying the fault twice
+    would only mask the finding it exists to trigger.
+    """
+    return [NOOP if op_spec(op).fault else op for op in ops]
+
+
+def on_bare_machine(ops: List[Op]) -> List[Op]:
+    """A 1-node-cluster program as the bare node machine must replay it."""
+    mapped = []
+    for op in without_faults(ops):
+        bare = op_spec(op).bare
+        mapped.append(bare(op) if bare else op)
+    return mapped
 
 
 # -- execution --------------------------------------------------------------
@@ -376,170 +593,29 @@ class Execution:
                     f"past the cursor at {now}",
                 )
 
-    # -- the dispatch loop ----------------------------------------------
+    def _check_nics_drained(self, where: str) -> None:
+        if not self._enabled("drain-after-sync"):
+            return
+        now = self.cluster.time_ms
+        for link in self.cluster.nic_links:
+            if link.free_at > now + 1e-9:
+                raise InvariantViolation(
+                    "drain-after-sync",
+                    f"{where}: NIC {link.name} busy until {link.free_at} "
+                    f"past the frontier at {now}",
+                )
 
     def run(self, ops: List[Op]) -> "Execution":
         for index, op in enumerate(ops):
-            self._dispatch(index, op)
+            spec = op_spec(op)
+            if _applies(spec, self.config):
+                spec.apply(self, index, op)
             self._check_online()
         return self
-
-    def _dispatch(self, index: int, op: Op) -> None:
-        kind = op["op"]
-        if kind == "noop":
-            # Placeholder keeping op indices (and so generated kernel names)
-            # stable when a differential mapping erases an op.
-            return
-        if kind == "kernel":
-            machine = self._node(op["node"])
-            device = self._device(machine, op["device"])
-            machine.launch_kernel(
-                device, f"fz_k{index}", op["flops"], op["bytes"],
-                stream=device.stream(op["stream"]),
-            )
-        elif kind == "host":
-            machine = self._node(op["node"])
-            machine.host_work(f"fz_h{index}", op["ms"], stream=machine.cpu.stream(op["stream"]))
-        elif kind == "transfer":
-            machine = self._node(op["node"])
-            src = self._device(machine, op["src"])
-            dst = self._device(machine, op["dst"])
-            if src is dst:
-                dst = self._device(machine, op["dst"] + 1)
-            if src is dst:
-                return
-            machine.transfer(
-                src, dst, op["nbytes"],
-                name=op.get("name", "memcpy"),
-                non_blocking=op["non_blocking"],
-            )
-        elif kind == "record":
-            machine = self._node(op["node"])
-            device = self._device(machine, op["device"])
-            self.recorded[index] = (machine, machine.record_event(device.stream(op["stream"])))
-        elif kind == "wait":
-            machine = self._node(op["node"])
-            ref = self.recorded.get(op["ref"])
-            # Cross-machine waits are undefined (streams belong to a node);
-            # only honour events recorded on the same node machine.
-            if ref is None or ref[0] is not machine:
-                return
-            device = self._device(machine, op["device"])
-            machine.wait_event(device.stream(op["stream"]), ref[1])
-        elif kind == "event_sync":
-            ref = self.recorded.get(op["ref"])
-            if ref is None:
-                return
-            ref[0].event_synchronize(ref[1])
-        elif kind == "sync":
-            machine = self._node(op["node"])
-            machine.synchronize(name=op.get("name", "cuda_sync"))
-            self._check_drained(machine, f"op {index} synchronize")
-        elif kind == "stream_sync":
-            machine = self._node(op["node"])
-            device = self._device(machine, op["device"])
-            machine.stream_synchronize(device.stream(op["stream"]))
-        elif kind == "device_sync":
-            machine = self._node(op["node"])
-            machine.device_synchronize(self._device(machine, op["device"]))
-        elif kind == "alloc":
-            machine = self._node(op["node"])
-            device = self._device(machine, op["device"])
-            self.live_allocs[index] = (machine, device, machine.alloc(device, op["nbytes"]))
-        elif kind == "free":
-            ref = self.live_allocs.pop(op["ref"], None)
-            if ref is None:
-                return
-            machine, device, alloc_id = ref
-            machine.free(device, alloc_id)
-        elif kind == "advance":
-            self._node(op["node"]).advance_host(op["ms"])
-        elif kind == "rewind":
-            # Fault injection (harness self-test): no public API rewinds the
-            # cursor, so reach into the machine to break the contract.
-            machine = self._node(op["node"])
-            machine._host_time -= op["ms"]
-        elif kind == "nic_transfer":
-            if self.cluster is None:
-                return
-            src_node = op["src_node"] % self.cluster.num_nodes
-            dst_node = op["dst_node"] % self.cluster.num_nodes
-            src_machine = self.cluster.nodes[src_node]
-            dst_machine = self.cluster.nodes[dst_node]
-            src = self._device(src_machine, op["src"])
-            dst = self._device(dst_machine, op["dst"])
-            if src_node == dst_node:
-                if src is dst:
-                    dst = self._device(dst_machine, op["dst"] + 1)
-                if src is dst:
-                    return
-            self.cluster.transfer(
-                src_node, src, dst_node, dst, op["nbytes"],
-                ready_ms=op.get("ready_ms"),
-            )
-        elif kind == "node_sync":
-            if self.cluster is None:
-                return
-            self.cluster.sync_node(op["node"] % self.cluster.num_nodes, self.cluster.time_ms)
-        elif kind == "cluster_sync":
-            if self.cluster is None:
-                return
-            # The cluster-wide barrier: afterwards nothing -- node streams,
-            # node links, NIC links -- may still be in flight.
-            self.cluster.synchronize()
-            if self._enabled("drain-after-sync"):
-                now = self.cluster.time_ms
-                for link in self.cluster.nic_links:
-                    if link.free_at > now + 1e-9:
-                        raise InvariantViolation(
-                            "drain-after-sync",
-                            f"op {index} cluster synchronize: NIC {link.name} "
-                            f"busy until {link.free_at} past the frontier at {now}",
-                        )
-                for node in self.cluster.nodes:
-                    self._check_drained(node, f"op {index} cluster synchronize")
-        elif kind == "cache_probe":
-            if self.cache is None:
-                return
-            if self.scalar_cache:
-                for key, now in zip(op["keys"], op["times"]):
-                    self.cache.probe(key, now)
-            else:
-                self.cache.probe_many(op["keys"], op["times"])
-        elif kind == "cache_put":
-            if self.cache is None:
-                return
-            self.cache.put(op["key"], f"v{index}", op["event_ms"], op["nbytes"])
-        elif kind == "cache_put_many":
-            if self.cache is None:
-                return
-            if self.scalar_cache:
-                for key, now in zip(op["keys"], op["times"]):
-                    self.cache.put(key, True, now, op["nbytes"])
-            else:
-                self.cache.put_many(op["keys"], True, op["times"], op["nbytes"])
-        elif kind == "cache_invalidate":
-            if self.cache is None:
-                return
-            self.cache.invalidate(op["keys"])
-        elif kind == "cache_flush":
-            if self.cache is None:
-                return
-            self.cache.flush()
-        elif kind == "cache_charges":
-            if self.cache is None:
-                return
-            self.cache.flush_charges()
-        elif kind == "serve":
-            self._serve()
-        else:
-            raise ValueError(f"unknown fuzz op {kind!r}")
 
     # -- the serving episode ---------------------------------------------
 
     def _serve(self) -> None:
-        if self.config.serving is None:
-            return
         from ..cache import make_model_cache
         from ..graph.partition import make_partition
         from ..models.tgat import TGAT, TGATConfig

@@ -17,8 +17,8 @@ from typing import Any, Dict, Iterable, List, Optional
 
 from .config import FuzzConfig, draw_config
 from .invariants import check_case, resolve_checks
-from .program import InvariantViolation, Op, draw_program
-from .shrink import reproducer_dict, shrink
+from .program import Op, draw_program
+from .shrink import as_violation, reproducer_dict, shrink
 
 
 @dataclass
@@ -108,10 +108,14 @@ def fuzz(
         if on_case is not None:
             on_case(case, config)
         _tally(report, config)
+        report.cases_run = case + 1
+        report.ops_executed += len(ops)
         try:
             check_case(config, ops, selected)
-        except InvariantViolation as violation:
-            shrunk_config, shrunk_ops, final = shrink(config, ops, violation, selected)
+        except Exception as error:  # noqa: BLE001 - crashes are findings too
+            shrunk_config, shrunk_ops, final = shrink(
+                config, ops, as_violation(error), selected
+            )
             report.failure = FuzzFailure(
                 case=case,
                 invariant=final.invariant,
@@ -120,25 +124,7 @@ def fuzz(
                     shrunk_config, shrunk_ops, final, seed=f"{seed}:{case}"
                 ),
             )
-            report.cases_run = case + 1
-            report.ops_executed += len(ops)
             return report
-        except Exception as error:  # noqa: BLE001 - crashes are findings too
-            crash = InvariantViolation("crash", f"{type(error).__name__}: {error}")
-            shrunk_config, shrunk_ops, final = _shrink_crash(config, ops, selected, crash)
-            report.failure = FuzzFailure(
-                case=case,
-                invariant="crash",
-                error=final.message,
-                reproducer=reproducer_dict(
-                    shrunk_config, shrunk_ops, final, seed=f"{seed}:{case}"
-                ),
-            )
-            report.cases_run = case + 1
-            report.ops_executed += len(ops)
-            return report
-        report.cases_run = case + 1
-        report.ops_executed += len(ops)
     return report
 
 
@@ -152,47 +138,6 @@ def _tally(report: FuzzReport, config: FuzzConfig) -> None:
         report.configs_seen["cached"] = report.configs_seen.get("cached", 0) + 1
     if config.serving:
         report.configs_seen["serving"] = report.configs_seen.get("serving", 0) + 1
-
-
-def _shrink_crash(config, ops, checks, crash):
-    """Shrink a crashing case: same ddmin, 'still fails' = same exception type."""
-    prefix = crash.message.split(":", 1)[0]
-
-    def crashes(candidate_config, candidate_ops) -> Optional[InvariantViolation]:
-        try:
-            check_case(candidate_config, candidate_ops, checks)
-        except InvariantViolation:
-            return None
-        except Exception as error:  # noqa: BLE001
-            if type(error).__name__ == prefix:
-                return InvariantViolation("crash", f"{type(error).__name__}: {error}")
-            return None
-        return None
-
-    ops = list(ops)
-    chunk = max(len(ops) // 2, 1)
-    while chunk >= 1:
-        index = 0
-        while index < len(ops):
-            candidate = ops[:index] + ops[index + chunk:]
-            if candidate and crashes(config, candidate):
-                ops = candidate
-            else:
-                index += chunk
-        if chunk == 1:
-            break
-        chunk = max(chunk // 2, 1)
-    for overrides in (
-        {"serving": None}, {"cluster": None}, {"cache": None},
-        {"backend": "numeric"}, {"topology": "1xA6000"},
-    ):
-        data = config.as_dict()
-        data.update(overrides)
-        candidate = FuzzConfig.from_dict(data)
-        if crashes(candidate, ops):
-            config = candidate
-    final = crashes(config, ops)
-    return config, ops, final if final is not None else crash
 
 
 # -- reproducer replay ------------------------------------------------------

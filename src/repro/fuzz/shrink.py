@@ -1,7 +1,8 @@
 """Greedy minimization of failing fuzz cases.
 
 Given a (config, ops) pair that trips an invariant, the shrinker removes as
-much as it can while the *same* invariant keeps tripping:
+much as it can while the *same* invariant keeps tripping (for a harness
+crash, pseudo-invariant ``"crash"``: the same exception type):
 
 1. op-list passes with exponentially shrinking chunk sizes (classic ddmin
    schedule: drop halves, then quarters, ... then single ops);
@@ -21,43 +22,38 @@ syntactic fragment.  The result is emitted as a plain-JSON dict --
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from .config import FuzzConfig
 from .invariants import check_case
-from .program import InvariantViolation, Op
+from .program import InvariantViolation, Op, op_spec
 
 REPRODUCER_VERSION = 1
 
 
-def _fails_same(
-    config: FuzzConfig, ops: List[Op], checks: Optional[Iterable[str]], invariant: str
-) -> Optional[InvariantViolation]:
-    """The violation if this candidate still trips the same invariant."""
-    try:
-        check_case(config, ops, checks)
-    except InvariantViolation as violation:
-        if violation.invariant == invariant:
-            return violation
-        return None
-    except Exception:
-        # A different blow-up is a different bug; keep the case we have.
-        return None
-    return None
+def as_violation(error: Exception) -> InvariantViolation:
+    """Any failure of a case as a violation; crashes are findings too."""
+    if isinstance(error, InvariantViolation):
+        return error
+    return InvariantViolation("crash", f"{type(error).__name__}: {error}")
 
 
-def _shrink_ops(
-    config: FuzzConfig,
-    ops: List[Op],
-    checks: Optional[Iterable[str]],
-    invariant: str,
-) -> List[Op]:
+def _failure(violation: InvariantViolation) -> Tuple[str, str]:
+    """What must recur for a candidate to count as the same failure."""
+    crashed = violation.invariant == "crash"
+    return violation.invariant, (violation.message.split(":", 1)[0] if crashed else "")
+
+
+Fails = Callable[[FuzzConfig, List[Op]], Optional[InvariantViolation]]
+
+
+def _shrink_ops(config: FuzzConfig, ops: List[Op], fails: Fails) -> List[Op]:
     chunk = max(len(ops) // 2, 1)
     while chunk >= 1:
         index = 0
         while index < len(ops):
             candidate = ops[:index] + ops[index + chunk:]
-            if candidate and _fails_same(config, candidate, checks, invariant):
+            if candidate and fails(config, candidate):
                 ops = candidate
             else:
                 index += chunk
@@ -67,20 +63,7 @@ def _shrink_ops(
     return ops
 
 
-def _shrink_config(
-    config: FuzzConfig,
-    ops: List[Op],
-    checks: Optional[Iterable[str]],
-    invariant: str,
-) -> FuzzConfig:
-    def try_variant(**overrides) -> Optional[FuzzConfig]:
-        data = config.as_dict()
-        data.update(overrides)
-        candidate = FuzzConfig.from_dict(data)
-        if _fails_same(candidate, ops, checks, invariant):
-            return candidate
-        return None
-
+def _shrink_config(config: FuzzConfig, ops: List[Op], fails: Fails) -> FuzzConfig:
     for overrides in (
         {"serving": None},
         {"cluster": None},
@@ -88,9 +71,9 @@ def _shrink_config(
         {"backend": "numeric"},
         {"topology": "1xA6000"},
     ):
-        simpler = try_variant(**overrides)
-        if simpler is not None:
-            config = simpler
+        candidate = FuzzConfig.from_dict({**config.as_dict(), **overrides})
+        if fails(candidate, ops):
+            config = candidate
     return config
 
 
@@ -101,11 +84,22 @@ def shrink(
     checks: Optional[Iterable[str]] = None,
 ) -> Tuple[FuzzConfig, List[Op], InvariantViolation]:
     """Minimize a failing case; returns (config, ops, final violation)."""
-    invariant = violation.invariant
-    ops = _shrink_ops(config, list(ops), checks, invariant)
-    config = _shrink_config(config, ops, checks, invariant)
-    ops = _shrink_ops(config, ops, checks, invariant)
-    final = _fails_same(config, ops, checks, invariant)
+    wanted = _failure(violation)
+
+    def fails(config: FuzzConfig, ops: List[Op]) -> Optional[InvariantViolation]:
+        """The violation if this candidate still fails the same way."""
+        try:
+            check_case(config, ops, checks)
+        except Exception as error:  # noqa: BLE001
+            found = as_violation(error)
+            # A different blow-up is a different bug; keep the case we have.
+            return found if _failure(found) == wanted else None
+        return None
+
+    ops = _shrink_ops(config, list(ops), fails)
+    config = _shrink_config(config, ops, fails)
+    ops = _shrink_ops(config, ops, fails)
+    final = fails(config, ops)
     return config, ops, final if final is not None else violation
 
 
@@ -136,5 +130,15 @@ def save_reproducer(path: str, reproducer: Dict[str, Any]) -> None:
 
 
 def load_reproducer(path: str) -> Dict[str, Any]:
+    """Read a reproducer file; ``ValueError`` if it cannot be replayed."""
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        reproducer = json.load(handle)
+    if not isinstance(reproducer, dict) or not isinstance(reproducer.get("config"), dict):
+        raise ValueError("a reproducer is an object with a 'config' object")
+    FuzzConfig.from_dict(reproducer["config"])
+    ops = reproducer.get("ops")
+    if not isinstance(ops, list) or not all(isinstance(op, dict) for op in ops):
+        raise ValueError("'ops' must be a list of op objects")
+    for op in ops:
+        op_spec(op)
+    return reproducer

@@ -192,13 +192,6 @@ class EventStream:
 
     # -- per-node views --------------------------------------------------------
 
-    def node_history(self, node: int, before_time: Optional[float] = None) -> np.ndarray:
-        """Positions of events involving ``node`` (optionally before a time)."""
-        mask = (self.src == node) | (self.dst == node)
-        if before_time is not None:
-            mask &= self.timestamps < before_time
-        return np.nonzero(mask)[0]
-
     def active_nodes(self) -> np.ndarray:
         """Sorted unique node ids that appear in the stream."""
         return np.unique(np.concatenate([self.src, self.dst]))

@@ -77,10 +77,6 @@ class NeighborhoodSample:
     def k(self) -> int:
         return int(self.neighbor_ids.shape[1])
 
-    @property
-    def valid_fraction(self) -> float:
-        return float(self.mask.mean()) if self.mask.size else 0.0
-
 
 class TemporalNeighborSampler:
     """Samples temporal neighbourhoods from an :class:`EventStream`.
@@ -155,11 +151,6 @@ class TemporalNeighborSampler:
         ]
 
     # -- queries ----------------------------------------------------------------
-
-    def degree_before(self, node: int, timestamp: float) -> int:
-        """Number of interactions of ``node`` strictly before ``timestamp``."""
-        times, _, _ = self._adjacency[node]
-        return int(np.searchsorted(times, timestamp, side="left"))
 
     def total_degree(self, node: int) -> int:
         """Total interaction count of ``node`` over the whole stream.

@@ -14,8 +14,6 @@ from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
 
-from .static import CSRGraph
-
 
 @dataclass
 class GraphSnapshot:
@@ -53,9 +51,6 @@ class GraphSnapshot:
     def feature_dim(self) -> int:
         return int(self.node_features.shape[1])
 
-    def to_csr(self) -> CSRGraph:
-        return CSRGraph.from_dense(self.adjacency)
-
     def nbytes(self) -> int:
         """Host memory footprint of this snapshot."""
         return int(self.adjacency.nbytes + self.node_features.nbytes)
@@ -78,13 +73,6 @@ class SnapshotDelta:
     changed_nodes: np.ndarray
     delta_bytes: int
     full_bytes: int
-
-    @property
-    def savings_ratio(self) -> float:
-        """Fraction of transfer volume avoided by shipping only the delta."""
-        if self.full_bytes == 0:
-            return 0.0
-        return max(0.0, 1.0 - self.delta_bytes / self.full_bytes)
 
 
 class SnapshotSequence:
@@ -142,13 +130,6 @@ class SnapshotSequence:
         if start < 0 or start + length > len(self._snapshots):
             raise IndexError("window out of range")
         return SnapshotSequence(self._snapshots[start : start + length])
-
-    def iter_windows(self, length: int, stride: int = 1) -> Iterator["SnapshotSequence"]:
-        """Sliding windows over the sequence (EvolveGCN-style preprocessing)."""
-        if stride <= 0:
-            raise ValueError("stride must be positive")
-        for start in range(0, len(self._snapshots) - length + 1, stride):
-            yield self.window(start, length)
 
     # -- deltas -------------------------------------------------------------------
 

@@ -112,14 +112,6 @@ class CSRGraph:
     def neighbor_weights(self, node: int) -> np.ndarray:
         return self.weights[self.indptr[node] : self.indptr[node + 1]]
 
-    def to_dense(self) -> np.ndarray:
-        """Dense (N, N) adjacency matrix with weights."""
-        dense = np.zeros((self.num_nodes, self.num_nodes), dtype=np.float32)
-        for node in range(self.num_nodes):
-            cols = self.neighbors(node)
-            dense[node, cols] = self.neighbor_weights(node)
-        return dense
-
     def subgraph(self, nodes: Sequence[int]) -> Tuple["CSRGraph", np.ndarray]:
         """Induced subgraph on ``nodes``; returns (subgraph, node mapping).
 

@@ -78,23 +78,9 @@ class Event:
         """The most specific region label, or ``""`` when unannotated."""
         return self.region[-1] if self.region else ""
 
-    @property
-    def outermost_region(self) -> str:
-        return self.region[0] if self.region else ""
-
-    def in_region(self, label: str) -> bool:
-        """Whether ``label`` appears anywhere in the region stack."""
-        return label in self.region
-
     def overlaps(self, start_ms: float, end_ms: float) -> bool:
         """Whether this event overlaps the half-open window [start, end)."""
         return self.start_ms < end_ms and self.end_ms > start_ms
-
-    def overlap_ms(self, start_ms: float, end_ms: float) -> float:
-        """Length of the overlap between the event and a window."""
-        lo = max(self.start_ms, start_ms)
-        hi = min(self.end_ms, end_ms)
-        return max(0.0, hi - lo)
 
 
 class EventLog:
@@ -138,13 +124,6 @@ class EventLog:
     def of_kind(self, kind: str) -> Sequence[Event]:
         return tuple(e for e in self._events if e.kind == kind)
 
-    def on_resource(self, resource: str) -> Sequence[Event]:
-        return tuple(e for e in self._events if e.resource == resource)
-
     def on_stream(self, resource: str, stream: str) -> Sequence[Event]:
         """Events issued on one stream of one resource."""
         return tuple(e for e in self._events if e.resource == resource and e.stream == stream)
-
-    def total_time_ms(self, kind: str | None = None) -> float:
-        """Sum of event durations, optionally restricted to one kind."""
-        return sum(e.duration_ms for e in self._events if kind is None or e.kind == kind)

@@ -81,14 +81,6 @@ class MemoryPool:
         self._history.append((at_ms, self._current))
         return allocation.nbytes
 
-    def free_all(self, at_ms: float = 0.0) -> int:
-        """Release every live allocation; returns bytes freed."""
-        freed = self._current
-        self._live.clear()
-        self._current = 0
-        self._history.append((at_ms, 0))
-        return freed
-
     # -- statistics -----------------------------------------------------
 
     @property
@@ -100,21 +92,8 @@ class MemoryPool:
         return self._peak
 
     @property
-    def total_allocated_bytes(self) -> int:
-        """Cumulative bytes ever allocated (ignoring frees)."""
-        return self._total_allocated
-
-    @property
-    def current_mb(self) -> float:
-        return self._current / 1e6
-
-    @property
     def peak_mb(self) -> float:
         return self._peak / 1e6
-
-    @property
-    def live_allocations(self) -> Tuple[Allocation, ...]:
-        return tuple(self._live.values())
 
     @property
     def history(self) -> Tuple[Tuple[float, int], ...]:
@@ -127,10 +106,3 @@ class MemoryPool:
         for allocation in self._live.values():
             usage[allocation.tag] = usage.get(allocation.tag, 0) + allocation.nbytes
         return usage
-
-    def oversubscribed(self) -> bool:
-        return self._current > self.capacity_bytes
-
-    def reset_peak(self) -> None:
-        """Reset the peak statistic to the current footprint."""
-        self._peak = self._current

@@ -269,10 +269,6 @@ class MachineSpec:
         if self.peer_link is not None and self.num_gpus < 2:
             raise ValueError("peer links need at least two GPUs")
 
-    @property
-    def has_peer_links(self) -> bool:
-        return self.peer_link is not None
-
 
 #: The paper's experimental platform: one Xeon 6226R host + one RTX A6000.
 #: Machines built from this spec are byte-identical to ``Machine.cpu_gpu()``.

@@ -23,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterator, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..hw.device import Device
 from ..hw.machine import Machine
 from ..nn.module import Module
@@ -247,8 +245,3 @@ class DGNNModel(Module):
             f"{[type(p).__name__ for p in payloads]}; override "
             "make_request_batch to serve this model"
         )
-
-
-def nbytes_of(*arrays: np.ndarray) -> int:
-    """Total byte size of several numpy arrays (for footprint estimates)."""
-    return int(sum(np.asarray(a).nbytes for a in arrays))

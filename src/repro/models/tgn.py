@@ -136,11 +136,6 @@ class TGN(DGNNModel):
         self._memory[:] = 0.0
         self._last_update[:] = 0.0
 
-    @property
-    def memory_snapshot(self) -> np.ndarray:
-        """A copy of the current node-memory matrix (for tests/analysis)."""
-        return self._memory.copy()
-
     # -- cache plumbing ----------------------------------------------------------------
 
     @property

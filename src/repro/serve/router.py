@@ -119,10 +119,6 @@ class Router:
         """Current in-flight request count per replica."""
         return [state.inflight_requests for state in self.replicas]
 
-    def dispatched_totals(self) -> List[int]:
-        """Cumulative requests dispatched per replica."""
-        return [state.dispatched_requests for state in self.replicas]
-
     def describe(self) -> str:
         return f"{self.name}(replicas={self.num_replicas})"
 

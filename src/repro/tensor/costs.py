@@ -17,7 +17,7 @@ audit against standard roofline accounting:
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Tuple
+from typing import Sequence, Tuple
 
 #: Bytes per element; the library computes in float32 throughout.
 ITEMSIZE = 4
@@ -96,8 +96,3 @@ def scatter_cost(updates_shape: Sequence[int]) -> Tuple[float, float]:
 def nbytes(shape: Sequence[int]) -> int:
     """Size in bytes of a float32 tensor with ``shape``."""
     return ITEMSIZE * _numel(shape)
-
-
-def total_nbytes(shapes: Iterable[Sequence[int]]) -> int:
-    """Total size in bytes of several float32 tensors."""
-    return sum(nbytes(s) for s in shapes)

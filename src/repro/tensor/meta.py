@@ -67,11 +67,6 @@ def placeholder(shape: ShapeLike, dtype=np.float32) -> np.ndarray:
     return array
 
 
-def placeholder_like(array: np.ndarray) -> np.ndarray:
-    """A placeholder with the shape and dtype of ``array``."""
-    return placeholder(array.shape, array.dtype)
-
-
 def is_placeholder(array: np.ndarray) -> bool:
     """True when ``array`` is a zero-strided broadcast view (shape-only data).
 

@@ -93,11 +93,6 @@ class Tensor:
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def from_numpy(cls, array: np.ndarray, device: Device, name: str = "") -> "Tensor":
-        """Wrap an existing array as a tracked tensor on ``device``."""
-        return cls(array, device, name=name, track_memory=True)
-
-    @classmethod
     def zeros(cls, shape: Sequence[int], device: Device, name: str = "") -> "Tensor":
         return cls(_fill(shape, 0.0), device, name=name, track_memory=True)
 

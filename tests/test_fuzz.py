@@ -219,3 +219,30 @@ def test_cli_fuzz_replay_of_fixed_corpus_exits_zero():
 def test_cli_fuzz_rejects_unknown_invariant():
     proc = _run_cli("fuzz", "--check", "bogus")
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize(
+    "document, complaint",
+    [
+        ({"config": {}, "ops": [{"op": "kernle", "node": 0}]}, "unknown fuzz op 'kernle'"),
+        ({"config": {}, "ops": [{"node": 0}]}, "unknown fuzz op None"),
+        ({"config": {}, "ops": {"op": "sync"}}, "'ops' must be a list"),
+        ({"config": {}, "ops": ["sync"]}, "'ops' must be a list"),
+        ({"config": "1xA6000", "ops": []}, "'config' object"),
+        (["not", "a", "reproducer"], "'config' object"),
+    ],
+)
+def test_cli_fuzz_replay_of_malformed_reproducer_exits_two(tmp_path, document, complaint):
+    """Bad input is a usage error (2), never "reproducer still fails" (1)."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    proc = _run_cli("fuzz", "--replay", str(path))
+    assert proc.returncode == 2, proc.stderr
+    assert "error: cannot load reproducer" in proc.stderr
+    assert complaint in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_execution_rejects_an_unknown_op_for_programmatic_callers():
+    with pytest.raises(ValueError, match="unknown fuzz op 'kernle'"):
+        check_case(_plain_config(), [{"op": "kernle", "node": 0}])

@@ -12,6 +12,10 @@ reports for every model on both machines, floats unrounded.
 across the three server classes, each run bare and with a tracer + metrics
 registry attached -- reports, per-request stamps, sha256 digests of every
 node's event log and of the exported trace payload.
+``fuzz_programs.json`` pins the fuzz generator: the drawn config and a
+sha256 of the drawn op list for 100 cases of three campaign seeds plus one
+fault-planting campaign, so a change to the op table that moves any drawn
+program (and so silently retargets every checked-in seed) fails here.
 
 Regenerate (only when a change is *supposed* to move the numbers, and say so
 in the commit message)::
@@ -30,6 +34,7 @@ from repro.core import analyze_profile, cpu_busy_gpu_idle_fraction, utilization_
 from repro.datasets import load
 from repro.experiments import run_experiment, table1
 from repro.experiments.runner import new_machine, profile_single_iteration
+from repro.fuzz import draw_case
 from repro.graph.partition import make_partition
 from repro.hw import Cluster, Machine
 from repro.models import MODEL_NAMES, build_model
@@ -325,6 +330,25 @@ def serving_json():
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+# -- fuzz programs --------------------------------------------------------------
+
+#: (campaign seed, fault_rate) pairs whose cases 0-99 are pinned.
+FUZZ_CAMPAIGNS = ((0, 0.0), (1, 0.0), (2, 0.0), (3, 0.2))
+
+
+def fuzz_programs_json():
+    """What ``draw_case`` draws: every config, and a digest of every op list."""
+    campaigns = []
+    for seed, fault_rate in FUZZ_CAMPAIGNS:
+        cases = []
+        for case in range(100):
+            config, ops = draw_case(seed, case, fault_rate=fault_rate)
+            cases.append({"config": config.as_dict(), "num_ops": len(ops), "ops": _digest(ops)})
+        campaigns.append({"seed": seed, "fault_rate": fault_rate, "cases": cases})
+    payload = {"golden": "fuzz_programs", "campaigns": campaigns}
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def golden_path(name):
     return os.path.join(GOLDEN_DIR, f"{name}.json")
 
@@ -366,11 +390,21 @@ def test_serving_matches_golden():
     )
 
 
+def test_fuzz_programs_match_golden():
+    with open(golden_path("fuzz_programs"), "r", encoding="utf-8") as handle:
+        expected = handle.read()
+    assert fuzz_programs_json() == expected, (
+        "draw_case drew a different config or program: the op table's order, "
+        "weights or RNG consumption moved, which retargets every fuzz seed"
+    )
+
+
 def regenerate():
     os.makedirs(GOLDEN_DIR, exist_ok=True)
     contents = {name: canonical_json(name, kwargs) for name, kwargs in GOLDEN_EXPERIMENTS.items()}
     contents["bottlenecks"] = bottlenecks_json()
     contents["serving"] = serving_json()
+    contents["fuzz_programs"] = fuzz_programs_json()
     for name, text in sorted(contents.items()):
         path = golden_path(name)
         with open(path, "w", encoding="utf-8") as handle:
