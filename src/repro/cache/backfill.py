@@ -63,11 +63,9 @@ def hot_nodes(model: Any, top_k: int) -> List[int]:
     sampler = getattr(model, "sampler", None)
     if sampler is None or top_k <= 0:
         return []
-    num_nodes = sampler.stream.num_nodes
-    degrees = np.array([sampler.total_degree(node) for node in range(num_nodes)])
-    order = np.lexsort((np.arange(num_nodes), -degrees))
-    ranked = [int(node) for node in order if degrees[node] > 0]
-    return ranked[:top_k]
+    degrees = sampler.total_degrees
+    order = np.lexsort((np.arange(len(degrees)), -degrees))
+    return order[degrees[order] > 0][:top_k].tolist()
 
 
 def backfill_embeddings(

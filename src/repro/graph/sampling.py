@@ -78,6 +78,49 @@ class NeighborhoodSample:
         return int(self.neighbor_ids.shape[1])
 
 
+#: Largest ``k`` served by :func:`_floyd_choices`.  Its replay costs ``k`` numpy
+#: steps, so a batch repays it from about ``k`` rows up (measured: k=10 at 9
+#: rows, k=20 at 16, k=32 at 40); past 64, ``choice``'s per-call overhead is
+#: spread over enough draws that the per-row loop wins at every batch size.
+#: Must stay <= 200: ``Generator.choice(pop, k, replace=False)`` leaves
+#: Floyd's algorithm for a tail shuffle of ``arange(pop)`` only when
+#: ``pop > 10_000 and k > pop // 50`` (numpy/random/_generator.pyx).
+_MAX_BATCHED_K = 64
+
+
+def _floyd_choices(rng: np.random.Generator, pops: np.ndarray, k: int) -> np.ndarray:
+    """Row ``i`` is ``sorted(rng.choice(pops[i], k, replace=False))``, drawn
+    for all rows, in row order, with a single ``rng.integers`` call.
+
+    Valid while ``choice`` runs Floyd's algorithm (always, for
+    ``k <= _MAX_BATCHED_K``).  There it consumes
+    ``random_bounded_uint64(0, j)`` for ``j = pop-k .. pop-1`` (keeping the
+    draw, or ``j`` itself when the draw is already selected) and then for
+    ``j = k-1 .. 1`` (a final shuffle of the picks) -- exactly what
+    ``integers(0, bounds, endpoint=True)`` consumes for those bounds, element
+    by element.  The shuffle draws are discarded: the picks get sorted.
+    """
+    last = pops[:, None] - k + np.arange(k)
+    bounds = np.empty((len(pops), 2 * k - 1), dtype=np.int64)
+    bounds[:, :k] = last
+    bounds[:, k:] = np.arange(k - 1, 0, -1)
+    picks = rng.integers(0, bounds.ravel(), endpoint=True).reshape(bounds.shape)[:, :k]
+    ordered = np.sort(picks, axis=1)
+    # Distinct draws are never substituted, so they already are the answer.
+    # A row with a repeated draw replays Floyd's rule step by step: ``j``
+    # exceeds everything selected before it, but may equal a later draw.
+    repeated = np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
+    if len(repeated):
+        replay = picks[repeated]
+        substitute = last[repeated]
+        for step in range(1, k):
+            seen = (replay[:, :step] == replay[:, step, None]).any(axis=1)
+            replay[seen, step] = substitute[seen, step]
+        replay.sort(axis=1)
+        ordered[repeated] = replay
+    return ordered
+
+
 class TemporalNeighborSampler:
     """Samples temporal neighbourhoods from an :class:`EventStream`.
 
@@ -101,28 +144,39 @@ class TemporalNeighborSampler:
         self.uniform = uniform
         self.cost_model = cost_model if cost_model is not None else SamplingCostModel()
         self._rng = np.random.default_rng(seed)
-        self._adjacency = self._build_index(stream)
+        (
+            self._times,
+            self._neighbors,
+            self._events,
+            self._offsets,
+            self._unique_times,
+            self._keys,
+        ) = self._build_index(stream)
+        #: Per-node interaction count over the whole stream (CSR row lengths).
+        self.total_degrees = np.diff(self._offsets)
+        self.total_degrees.setflags(write=False)
 
     @staticmethod
     def _build_index(stream: EventStream):
-        """Per-node arrays of (timestamps, neighbours, event indices), time-sorted.
+        """CSR index over the doubled event list, rows time-sorted.
 
-        Built with one vectorized stable sort over the doubled event list
-        instead of a Python loop over events.  The ordering is identical to
-        appending each event's (src -> dst) then (dst -> src) entry in event
-        order and stably sorting each node's list by timestamp: the sort key
-        is (node, time, append position), so time ties keep event order and
-        a self-loop's src entry stays ahead of its dst entry.
+        Returns ``(times, neighbors, events, offsets, unique_times, keys)``:
+        node ``n`` owns entries ``offsets[n]:offsets[n + 1]`` of the three
+        flat payload arrays.  Built with one vectorized stable sort; the
+        ordering is identical to appending each event's (src -> dst) then
+        (dst -> src) entry in event order and stably sorting each node's list
+        by timestamp: the sort key is (node, time, append position), so time
+        ties keep event order and a self-loop's src entry stays ahead of its
+        dst entry.
+
+        The payload arrays carry one trailing zero past ``offsets[-1]``, the
+        gather target of padded sample slots.  ``keys`` is the ascending
+        integer composite ``node * (U + 1) + rank(time)`` over the ``U``
+        sorted ``unique_times``, so "entries of ``n`` strictly before ``t``"
+        is one bisect of ``keys`` for ``n * (U + 1) + rank(t)`` -- exact,
+        ties included, because ranks are integers.
         """
         num_events = stream.num_events
-        num_nodes = stream.num_nodes
-        if num_events == 0:
-            empty = (
-                np.empty(0, dtype=np.float64),
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.int64),
-            )
-            return [empty for _ in range(num_nodes)]
         # Entry 2i is event i seen from its source, entry 2i+1 from its
         # destination -- the same append order as the reference loop.
         node_ids = np.empty(2 * num_events, dtype=np.int64)
@@ -134,21 +188,19 @@ class TemporalNeighborSampler:
         entry_times = np.repeat(stream.timestamps.astype(np.float64), 2)
         position = np.arange(2 * num_events, dtype=np.int64)
         order = np.lexsort((position, entry_times, node_ids))
-        sorted_nodes = node_ids[order]
         sorted_times = entry_times[order]
-        sorted_neighbors = neighbor_ids[order]
-        sorted_events = order // 2
-        offsets = np.zeros(num_nodes + 1, dtype=np.int64)
-        counts = np.bincount(node_ids, minlength=num_nodes)
-        np.cumsum(counts, out=offsets[1:])
-        return [
-            (
-                sorted_times[offsets[node]:offsets[node + 1]],
-                sorted_neighbors[offsets[node]:offsets[node + 1]],
-                sorted_events[offsets[node]:offsets[node + 1]],
-            )
-            for node in range(num_nodes)
-        ]
+        offsets = np.zeros(stream.num_nodes + 1, dtype=np.int64)
+        np.cumsum(np.bincount(node_ids, minlength=stream.num_nodes), out=offsets[1:])
+        unique_times = np.unique(sorted_times)
+        keys = node_ids[order] * (len(unique_times) + 1) + unique_times.searchsorted(sorted_times)
+        return (
+            np.append(sorted_times, 0.0),
+            np.append(neighbor_ids[order], 0),
+            np.append(order // 2, 0),
+            offsets,
+            unique_times,
+            keys,
+        )
 
     # -- queries ----------------------------------------------------------------
 
@@ -159,8 +211,7 @@ class TemporalNeighborSampler:
         expensive a node's neighbourhood sample is to recompute (the
         per-query cost grows with the candidate-list length).
         """
-        times, _, _ = self._adjacency[node]
-        return int(len(times))
+        return int(self.total_degrees[node])
 
     def sample(self, nodes: np.ndarray, timestamps: np.ndarray, k: int) -> NeighborhoodSample:
         """Sample ``k`` temporal neighbours for each (node, time) pair.
@@ -168,12 +219,22 @@ class TemporalNeighborSampler:
         The call charges its host-side cost to the active machine under the
         op name ``temporal_neighbor_sampling`` so profilers can attribute it.
 
-        Under the machine's ``shape`` backend the sampler still walks every
-        row, consumes the *same* RNG draws, and materialises ``neighbor_ids``
-        and ``mask`` (both feed timeline-relevant logic downstream: deeper
-        sampling layers, cache keys, cross-shard gather accounting) -- only
-        the pure payload arrays ``neighbor_times`` and ``event_indices``
-        become placeholders, skipping their per-row gather writes.
+        The whole batch is served by a fixed number of numpy calls: two
+        bisects over the CSR index (see :meth:`_build_index`) give every
+        row's cutoff, one fancy index per output gathers it.  The results
+        and the RNG stream are those of the reference per-row loop --
+        ``sorted(rng.choice(cutoff, k, replace=False))`` for each uniform row
+        with ``cutoff > k``, in row order -- which :meth:`_draw` reproduces
+        from batched draws; that equivalence leans on numpy's ``choice``
+        internals and is pinned against ``Generator.choice`` itself in
+        ``tests/test_sampler_rng_contract.py``.
+
+        Under the machine's ``shape`` backend the sampler consumes the *same*
+        RNG draws and materialises ``neighbor_ids`` and ``mask`` (both feed
+        timeline-relevant logic downstream: deeper sampling layers, cache
+        keys, cross-shard gather accounting) -- only the pure payload arrays
+        ``neighbor_times`` and ``event_indices`` become placeholders,
+        skipping their gathers.
         """
         nodes = np.asarray(nodes, dtype=np.int64)
         timestamps = np.asarray(timestamps, dtype=np.float64)
@@ -181,49 +242,55 @@ class TemporalNeighborSampler:
             raise ValueError("nodes and timestamps must have the same shape")
         if k <= 0:
             raise ValueError("k must be positive")
+        batch = len(nodes)
+        num_nodes = self.stream.num_nodes
+        if batch and not 0 <= nodes.min() <= nodes.max() < num_nodes:
+            bad = int(nodes[(nodes < 0) | (nodes >= num_nodes)][0])
+            raise ValueError(f"node id {bad} is outside [0, {num_nodes})")
         machine = active_machine_or_none()
         shape_only = machine is not None and machine.shape_mode
-        batch = len(nodes)
-        neighbor_ids = np.zeros((batch, k), dtype=np.int64)
+        starts = self._offsets[nodes]
+        ranks = self._unique_times.searchsorted(timestamps, side="left")
+        targets = nodes * (len(self._unique_times) + 1) + ranks
+        degrees = self._keys.searchsorted(targets, side="left") - starts
+        # Most-recent-k positions within each row's candidates; uniform rows
+        # with more than k candidates overwrite theirs with the drawn ones.
+        columns = np.arange(k)
+        chosen = np.maximum(degrees - k, 0)[:, None] + columns
+        if self.uniform:
+            drawn = np.flatnonzero(degrees > k)
+            if len(drawn):
+                chosen[drawn] = self._draw(degrees[drawn], k)
+        valid = columns < degrees[:, None]
+        flat = np.where(valid, starts[:, None] + chosen, len(self._keys))
+        neighbor_ids = self._neighbors[flat]
         if shape_only:
             neighbor_times = placeholder((batch, k), np.float64)
             event_indices = placeholder((batch, k), np.int64)
         else:
-            neighbor_times = np.zeros((batch, k), dtype=np.float64)
-            event_indices = np.zeros((batch, k), dtype=np.int64)
-        mask = np.zeros((batch, k), dtype=np.float32)
-        degrees = np.zeros(batch, dtype=np.int64)
-        # Tight loop: the RNG must be consulted in row order with the same
-        # draws as ever (seeded reproducibility), so the rows cannot be
-        # batched -- but the per-row numpy wrapper overhead can go: ndarray
-        # method calls instead of module-level functions, an in-place sort
-        # of the drawn indices, and a slice (not an index array) for the
-        # most-recent-k path.
-        adjacency = self._adjacency
-        uniform = self.uniform
-        choice = self._rng.choice
-        node_list = nodes.tolist()
-        time_list = timestamps.tolist()
-        for row in range(batch):
-            times, neighbors, event_ids = adjacency[node_list[row]]
-            cutoff = int(times.searchsorted(time_list[row], side="left"))
-            degrees[row] = cutoff
-            if cutoff == 0:
-                continue
-            if uniform and cutoff > k:
-                chosen = choice(cutoff, size=k, replace=False)
-                chosen.sort()
-                count = k
-            else:
-                chosen = slice(cutoff - k if cutoff > k else 0, cutoff)
-                count = cutoff if cutoff < k else k
-            neighbor_ids[row, :count] = neighbors[chosen]
-            if not shape_only:
-                neighbor_times[row, :count] = times[chosen]
-                event_indices[row, :count] = event_ids[chosen]
-            mask[row, :count] = 1.0
+            neighbor_times = self._times[flat]
+            event_indices = self._events[flat]
         self._charge(degrees, k)
-        return NeighborhoodSample(neighbor_ids, neighbor_times, event_indices, mask)
+        return NeighborhoodSample(
+            neighbor_ids, neighbor_times, event_indices, valid.astype(np.float32)
+        )
+
+    def _draw(self, pops: np.ndarray, k: int) -> np.ndarray:
+        """``sorted(choice(pop, k, replace=False))`` per row, same RNG stream.
+
+        One batched draw when there are at least ``k`` rows to repay it;
+        fewer rows, or ``k > _MAX_BATCHED_K`` (the only place numpy's
+        tail-shuffle regime can occur), call ``choice`` row by row.
+        """
+        if k <= min(len(pops), _MAX_BATCHED_K):
+            return _floyd_choices(self._rng, pops, k)
+        choice = self._rng.choice
+        out = np.empty((len(pops), k), dtype=np.int64)
+        for row, pop in enumerate(pops.tolist()):
+            picks = choice(pop, size=k, replace=False)
+            picks.sort()
+            out[row] = picks
+        return out
 
     def _charge(self, degrees: np.ndarray, k: int) -> None:
         if not has_active_machine():

@@ -11,6 +11,7 @@ same intervals, same event logs, same samples, byte for byte.
 
 import time
 from dataclasses import replace
+from unittest.mock import Mock
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from repro.hw.machine import Machine
 from repro.hw.spec import MACHINE_SPECS
 from repro.hw.stream import union_busy_ms
 from repro.hw.timeline import Timeline
+from repro.tensor.meta import is_placeholder
 
 
 # -- reference slow paths (pre-optimization implementations) ---------------
@@ -276,33 +278,141 @@ def test_disabling_event_recording_changes_nothing_but_the_log(seed):
         assert noisy.default_stream.timeline.intervals == (quiet.default_stream.timeline.intervals)
 
 
+def assert_index_matches_reference(sampler, reference_adjacency):
+    """The CSR slices of ``sampler`` equal the per-node reference arrays."""
+    offsets = sampler._offsets
+    assert len(offsets) == len(reference_adjacency) + 1
+    for node, ref_entry in enumerate(reference_adjacency):
+        row = slice(offsets[node], offsets[node + 1])
+        fast_entry = (sampler._times[row], sampler._neighbors[row], sampler._events[row])
+        for fast_array, ref_array in zip(fast_entry, ref_entry):
+            assert fast_array.dtype == ref_array.dtype
+            assert np.array_equal(fast_array, ref_array)
+    assert np.array_equal(sampler.total_degrees, [len(entry[0]) for entry in reference_adjacency])
+    assert not sampler.total_degrees.flags.writeable
+
+
+def assert_samples_match_reference(fast, reference_adjacency, reference_rng, nodes, times, k):
+    sample = fast.sample(nodes, times, k)
+    ids, ntimes, events, mask, _ = reference_sample(
+        reference_adjacency, reference_rng, fast.uniform, nodes, times, k
+    )
+    for fast_array, ref_array in zip(
+        (sample.neighbor_ids, sample.neighbor_times, sample.event_indices, sample.mask),
+        (ids, ntimes, events, mask),
+    ):
+        assert fast_array.dtype == ref_array.dtype
+        assert np.array_equal(fast_array, ref_array)
+    # Both generators must have consumed identical draws.
+    assert fast._rng.bit_generator.state == reference_rng.bit_generator.state
+
+
 @pytest.mark.parametrize("seed", [31, 32, 33])
 def test_sampler_matches_reference_slow_path(seed):
     rng = np.random.default_rng(seed)
     stream = random_stream(rng)
-    fast = TemporalNeighborSampler(stream, uniform=True, seed=seed)
     reference_adjacency = reference_build_index(stream)
-    # Identical index: per-node arrays byte for byte.
-    assert len(fast._adjacency) == len(reference_adjacency)
-    for fast_entry, ref_entry in zip(fast._adjacency, reference_adjacency):
-        for fast_array, ref_array in zip(fast_entry, ref_entry):
-            assert fast_array.dtype == ref_array.dtype
-            assert np.array_equal(fast_array, ref_array)
-    # Identical samples and RNG stream over a random query workload.
-    reference_rng = np.random.default_rng(seed)
-    for k in (3, 7):
-        nodes = rng.integers(0, stream.num_nodes, size=40)
-        times = rng.uniform(0.0, 1200.0, size=40)
-        sample = fast.sample(nodes, times, k)
-        ids, ntimes, events, mask, _ = reference_sample(
-            reference_adjacency, reference_rng, True, nodes, times, k
-        )
-        assert np.array_equal(sample.neighbor_ids, ids)
-        assert np.array_equal(sample.neighbor_times, ntimes)
-        assert np.array_equal(sample.event_indices, events)
-        assert np.array_equal(sample.mask, mask)
-    # Both generators must have consumed identical draws.
-    assert fast._rng.integers(0, 2**31) == reference_rng.integers(0, 2**31)
+    max_degree = max(len(entry[0]) for entry in reference_adjacency)
+    for uniform in (True, False):
+        fast = TemporalNeighborSampler(stream, uniform=uniform, seed=seed)
+        assert_index_matches_reference(fast, reference_adjacency)
+        reference_rng = np.random.default_rng(seed)
+        # Batch sizes on both sides of the batched-draw threshold, and a k
+        # larger than every degree (all rows padded, no draw at all).
+        for batch, k in ((40, 3), (40, 7), (0, 3), (1, 3), (2000, 3), (2000, 7),
+                         (40, max_degree + 1)):
+            nodes = rng.integers(0, stream.num_nodes, size=batch)
+            times = rng.uniform(0.0, 1200.0, size=batch)
+            # Query exactly at event times: the cutoff is strict.
+            times[::4] = rng.choice(stream.timestamps, size=len(times[::4]))
+            assert_samples_match_reference(
+                fast, reference_adjacency, reference_rng, nodes, times, k
+            )
+
+
+@pytest.mark.parametrize("uniform", [True, False])
+def test_sampler_matches_reference_on_tied_timestamps_and_empty_stream(uniform):
+    rng = np.random.default_rng(41)
+    # 200 events on 12 distinct timestamps: ties inside every node's row.
+    tied = EventStream(
+        src=rng.integers(0, 6, size=200),
+        dst=rng.integers(0, 6, size=200),
+        timestamps=np.sort(rng.integers(0, 12, size=200)).astype(np.float64),
+        num_nodes=6,
+    )
+    empty = EventStream(
+        src=np.empty(0, dtype=np.int64),
+        dst=np.empty(0, dtype=np.int64),
+        timestamps=np.empty(0, dtype=np.float64),
+        num_nodes=4,
+    )
+    for stream in (tied, empty):
+        fast = TemporalNeighborSampler(stream, uniform=uniform, seed=5)
+        reference_adjacency = reference_build_index(stream)
+        assert_index_matches_reference(fast, reference_adjacency)
+        reference_rng = np.random.default_rng(5)
+        for batch in (1, 30, 300):
+            nodes = rng.integers(0, stream.num_nodes, size=batch)
+            times = rng.integers(-1, 14, size=batch).astype(np.float64)
+            assert_samples_match_reference(
+                fast, reference_adjacency, reference_rng, nodes, times, 4
+            )
+
+
+def test_sampler_shape_backend_draws_and_ids_match_numeric():
+    rng = np.random.default_rng(43)
+    stream = random_stream(rng, num_events=600)
+    nodes = rng.integers(0, stream.num_nodes, size=300)
+    times = rng.uniform(0.0, 1200.0, size=300)
+    samplers, samples, clocks = {}, {}, {}
+    for backend in ("numeric", "shape"):
+        machine = Machine.cpu_gpu(backend=backend)
+        samplers[backend] = TemporalNeighborSampler(stream, uniform=True, seed=43)
+        with machine.activate():
+            samples[backend] = samplers[backend].sample(nodes, times, 5)
+        clocks[backend] = machine.host_time_ms
+    numeric, shape = samples["numeric"], samples["shape"]
+    assert np.array_equal(shape.neighbor_ids, numeric.neighbor_ids)
+    assert np.array_equal(shape.mask, numeric.mask)
+    assert clocks["shape"] == clocks["numeric"] > 0.0
+    assert (
+        samplers["shape"]._rng.bit_generator.state
+        == samplers["numeric"]._rng.bit_generator.state
+    )
+    for payload in (shape.neighbor_times, shape.event_indices):
+        assert is_placeholder(payload)
+        assert payload.shape == (300, 5)
+    assert shape.neighbor_times.dtype == numeric.neighbor_times.dtype
+    assert shape.event_indices.dtype == numeric.event_indices.dtype
+    assert numeric.neighbor_times.any() and numeric.event_indices.any()
+
+
+def test_large_uniform_batch_makes_one_rng_call():
+    """The perf guard, as a count: a 1 600-row ``k = 20`` batch in the Floyd
+    regime costs one ``integers`` call and no per-row ``choice``."""
+    rng = np.random.default_rng(47)
+    stream = random_stream(rng, num_events=4000, num_nodes=40)
+    sampler = TemporalNeighborSampler(stream, uniform=True, seed=47)
+    spy = sampler._rng = Mock(wraps=sampler._rng)
+    nodes = rng.integers(0, stream.num_nodes, size=1600)
+    times = rng.uniform(500.0, 1200.0, size=1600)
+    sample = sampler.sample(nodes, times, 20)
+    assert sample.mask.all()
+    assert (spy.choice.call_count, spy.integers.call_count) == (0, 1)
+    # A handful of rows is cheaper row by row: no batched draw.
+    spy.reset_mock()
+    sampler.sample(nodes[:3], times[:3], 20)
+    assert (spy.choice.call_count, spy.integers.call_count) == (3, 0)
+
+
+@pytest.mark.parametrize("bad", [-1, 25])
+def test_sampler_rejects_node_ids_outside_the_stream(bad):
+    """A negative id used to wrap around to the last node's neighbourhood."""
+    stream = random_stream(np.random.default_rng(53))
+    sampler = TemporalNeighborSampler(stream, uniform=False)
+    with pytest.raises(ValueError, match=f"node id {bad} "):
+        sampler.sample(np.array([3, bad, 7]), np.full(3, 2000.0), 4)
+    assert sampler.sample(np.array([0, 24]), np.full(2, 2000.0), 4).num_targets == 2
 
 
 def test_most_recent_sampling_matches_reference():
@@ -313,14 +423,7 @@ def test_most_recent_sampling_matches_reference():
     reference_rng = np.random.default_rng(7)
     nodes = rng.integers(0, stream.num_nodes, size=60)
     times = rng.uniform(0.0, 1200.0, size=60)
-    sample = fast.sample(nodes, times, 5)
-    ids, ntimes, events, mask, _ = reference_sample(
-        reference_adjacency, reference_rng, False, nodes, times, 5
-    )
-    assert np.array_equal(sample.neighbor_ids, ids)
-    assert np.array_equal(sample.neighbor_times, ntimes)
-    assert np.array_equal(sample.event_indices, events)
-    assert np.array_equal(sample.mask, mask)
+    assert_samples_match_reference(fast, reference_adjacency, reference_rng, nodes, times, 5)
 
 
 # -- profile analysis: bisected window queries and the event index ----------
