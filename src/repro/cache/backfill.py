@@ -11,10 +11,11 @@ All sampling/compute/insert work is charged to the owning machine, so a
 backfill pass has an honest simulated cost -- it is cheap only relative to
 paying the same misses inside the measured serving window.
 
-Wired into serving at two points (see :mod:`repro.serve.cluster`): the
-cluster warm-up barrier (every replica backfills before the first request)
-and autoscaling cold starts (a spun-up replica's cache was flushed at
-spin-down, so the cold-start charge includes re-warming it).
+Wired into serving at two points, both in :mod:`repro.serve.core`: after
+warm-up on every placement (every replica -- every shard of a sharded
+model -- backfills before the first request, once its GPU context and
+weights are up) and autoscaling cold starts (a spun-up replica's cache was
+flushed at spin-down, so the cold-start charge includes re-warming it).
 """
 
 from __future__ import annotations

@@ -27,14 +27,14 @@ import sys
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from . import __version__
-from .cache import available_eviction_policies, backfill_embeddings, make_model_cache
+from .cache import available_eviction_policies
 from .core import Profiler, analyze_profile, compute_breakdown
 from .datasets import available_datasets, load
 from .experiments import available_experiments, run_experiment
 from .fuzz import INVARIANTS, fuzz as run_fuzz, load_reproducer, replay, save_reproducer
-from .graph.partition import available_partitioners, make_partition
-from .hw import Cluster, Machine, available_cluster_specs, available_machine_specs
-from .models import available_models, build_model
+from .graph.partition import available_partitioners
+from .hw import Machine, available_cluster_specs, available_machine_specs
+from .models import DEFAULT_DATASETS, available_models, build_model
 from .obs import (
     MetricsRegistry,
     Tracer,
@@ -49,22 +49,13 @@ from .obs import (
     top_spans,
 )
 from .serve import (
-    AutoscaleConfig,
-    Autoscaler,
-    ClusterServer,
-    InferenceServer,
-    ScaleOutServer,
-    ShardedModel,
+    PLACEMENTS,
     available_arrivals,
     available_policies,
     available_routers,
-    build_cluster_replicas,
-    build_replicas,
-    generate_requests,
-    make_arrival_process,
-    make_fidelity_controller,
+    build_server,
     make_policy,
-    make_router,
+    make_requests,
 )
 
 
@@ -212,10 +203,12 @@ def build_parser() -> argparse.ArgumentParser:
                           "'shape' propagates only shapes/dtypes while charging "
                           "the identical simulated timeline (much faster)")
     srv.add_argument("--gpus", type=int, default=None,
-                     help="number of the topology's GPUs to use "
-                          "(default: all of them)")
-    srv.add_argument("--placement", default="single",
-                     choices=("single", "replicate", "shard"),
+                     help="number of the topology's GPUs to serve on, one "
+                          "replica or shard each (default: all of them); on "
+                          "cluster topologies the size of the static fleet; "
+                          "not with --placement single on a machine "
+                          "topology, which always runs on GPU 0")
+    srv.add_argument("--placement", default="single", choices=PLACEMENTS,
                      help="scale-out placement: one model on GPU 0, one "
                           "replica per GPU behind a router, or a graph-"
                           "sharded model spanning the GPUs")
@@ -259,7 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "cached execution stays byte-identical to uncached")
     srv.add_argument(
         "--fidelity", action=argparse.BooleanOptionalAction, default=False,
-        help="adaptive fidelity (requires --policy slo): under deadline "
+        help="adaptive fidelity (requires --policy slo; every placement "
+             "but shard): under deadline "
              "pressure, degrade batches instead of missing SLOs outright -- "
              "reduced sampling fan-out, then a widened cache staleness "
              "bound, then forced cache hits for already-lost deadlines -- "
@@ -553,42 +547,71 @@ def _profile_overlapped(args, machine, model, profiler) -> int:
     return 0
 
 
-def _make_cli_policy(args: argparse.Namespace):
-    """Build the scheduler policy from serve-command flags.
-
-    Explicit flags are forwarded verbatim so :func:`make_policy` rejects
-    inapplicable overrides (``--policy fifo --batch-timeout-ms 20`` is a
-    contradiction, not a silent no-op).  ``--slo-ms`` doubles as the
-    request-deadline stamp for every policy, so it only reaches the policy
-    constructor when the slo policy consumes it.
-    """
-    batch_timeout_ms = args.batch_timeout_ms
-    if batch_timeout_ms is None and args.policy in ("timeout", "slo"):
-        batch_timeout_ms = 4.0
-    return make_policy(
-        args.policy,
-        max_batch_size=args.max_batch_size,
-        batch_timeout_ms=batch_timeout_ms,
-        slo_ms=args.slo_ms if args.policy == "slo" else None,
-    )
-
-
-def _make_cli_workload(args: argparse.Namespace, stream):
-    """The request list and scheduler policy the serve-command flags describe."""
-    arrivals = make_arrival_process(
-        args.arrival, args.rate, seed=args.seed,
-        trace_timestamps=stream.timestamps if args.arrival == "trace" else None,
-        **_parse_param(args.arrival_param),
-    )
-    requests = generate_requests(
-        stream, arrivals, duration_ms=args.duration,
-        events_per_request=args.events_per_request, slo_ms=args.slo_ms,
-    )
-    return requests, _make_cli_policy(args)
-
-
-def _print_serving_report(args: argparse.Namespace, report, tracer) -> int:
-    """Print a finished run's report and export its trace when asked to."""
+def _cmd_serve(args: argparse.Namespace) -> int:
+    tracer = Tracer() if args.trace else None
+    try:
+        if args.batch_timeout_ms is not None:
+            # An explicit flag is checked verbatim, so make_policy rejects a
+            # contradiction (--policy fifo never waits) instead of the
+            # assembly's per-policy filter dropping it silently.
+            make_policy(args.policy, batch_timeout_ms=args.batch_timeout_ms)
+        overrides = _parse_param(args.param)
+        dataset = load(args.dataset or DEFAULT_DATASETS[args.model], scale=args.scale)
+        stream = getattr(dataset, "stream", None)
+        if stream is None:
+            raise TypeError(f"{args.model} exposes no event stream to serve")
+        server = build_server(
+            args.topology,
+            lambda machine: build_model(
+                args.model, machine, dataset=dataset, scale=args.scale, **overrides
+            ),
+            placement=args.placement,
+            num_replicas=args.gpus,
+            backend=args.backend,
+            policy=args.policy,
+            max_batch_size=args.max_batch_size,
+            batch_timeout_ms=4.0 if args.batch_timeout_ms is None else args.batch_timeout_ms,
+            slo_ms=args.slo_ms,
+            router=args.router,
+            partitioner=args.partitioner,
+            seed=args.seed,
+            overlap=args.overlap,
+            fidelity=args.fidelity,
+            cache=(
+                {
+                    "policy": args.cache_policy,
+                    "capacity_mb": args.cache_mb,
+                    "staleness_ms": args.staleness_ms,
+                }
+                if args.cache
+                else None
+            ),
+            backfill=args.backfill,
+            autoscale=(
+                {"min_replicas": args.min_replicas, "max_replicas": args.max_replicas}
+                if args.autoscale
+                else None
+            ),
+            tracer=tracer,
+            metrics=MetricsRegistry() if args.trace else None,
+        )
+        requests = make_requests(
+            stream,
+            args.arrival,
+            args.rate,
+            args.duration,
+            seed=args.seed,
+            events_per_request=args.events_per_request,
+            slo_ms=args.slo_ms,
+            **_parse_param(args.arrival_param),
+        )
+        tier = "cluster" if server.cluster is not None else args.placement
+        report = server.serve(
+            requests, label=f"{args.model}-serve-{tier}", arrival_name=args.arrival
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(report.format_table())
     if tracer is not None:
         export_trace(args.trace, tracer, report=report)
@@ -596,211 +619,6 @@ def _print_serving_report(args: argparse.Namespace, report, tracer) -> int:
     if not report.offered:
         print("(the workload offered no requests; raise --rate or --duration)")
     return 0
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    overrides = _parse_param(args.param)
-    if args.fidelity and args.policy != "slo":
-        print(
-            "error: --fidelity degrades batches on the slo policy's deadline "
-            "signal; pass --policy slo",
-            file=sys.stderr,
-        )
-        return 2
-    if args.backfill < 0:
-        print("error: --backfill must be non-negative", file=sys.stderr)
-        return 2
-    if args.backfill and not args.cache:
-        print("error: --backfill warms the serving cache; pass --cache",
-              file=sys.stderr)
-        return 2
-    if args.topology in available_cluster_specs():
-        return _cmd_serve_cluster(args, overrides)
-    if args.autoscale:
-        print(
-            "error: --autoscale needs a cluster topology "
-            f"(one of: {', '.join(available_cluster_specs())})",
-            file=sys.stderr,
-        )
-        return 2
-    machine = Machine.from_spec(args.topology, backend=args.backend)
-    gpus = list(machine.gpus)
-    if args.gpus is not None:
-        if args.gpus < 1 or args.gpus > len(gpus):
-            print(
-                f"error: --gpus must be in [1, {len(gpus)}] for topology "
-                f"{args.topology!r}",
-                file=sys.stderr,
-            )
-            return 2
-        gpus = gpus[: args.gpus]
-    if args.placement == "single" and args.gpus is not None:
-        print(
-            "error: --gpus only applies to --placement replicate/shard; "
-            "single-model serving always runs on GPU 0",
-            file=sys.stderr,
-        )
-        return 2
-    if args.placement != "single":
-        if args.fidelity:
-            print(
-                "error: --fidelity applies to single-model serving on "
-                "machine topologies (and to every cluster topology); it is "
-                "not offered on replicated/sharded single-machine serving",
-                file=sys.stderr,
-            )
-            return 2
-        if args.overlap:
-            print(
-                "error: --overlap applies to single-model serving; "
-                "replicated dispatch already overlaps sampling and compute",
-                file=sys.stderr,
-            )
-            return 2
-        if not gpus:
-            print(
-                f"error: --placement {args.placement} needs a GPU topology",
-                file=sys.stderr,
-            )
-            return 2
-    try:
-        with machine.activate():
-            dataset = load(args.dataset, scale=args.scale) if args.dataset else None
-
-            def factory():
-                return build_model(
-                    args.model, machine, dataset=dataset, scale=args.scale, **overrides
-                )
-
-            if args.placement == "single":
-                models = [factory()]
-            else:
-                models = build_replicas(machine, factory, gpus)
-            if args.cache:
-                for model in models:
-                    make_model_cache(
-                        model,
-                        policy=args.cache_policy,
-                        capacity_mb=args.cache_mb,
-                        staleness_ms=args.staleness_ms,
-                    )
-    except (KeyError, TypeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if dataset is None:
-        dataset = getattr(models[0], "dataset", None)
-    stream = getattr(dataset, "stream", None)
-    if stream is None:
-        print(f"error: {args.model} exposes no event stream to serve", file=sys.stderr)
-        return 2
-    try:
-        requests, policy = _make_cli_workload(args, stream)
-        if args.backfill:
-            for model in models:
-                backfill_embeddings(model, top_k=args.backfill)
-        tracer = Tracer() if args.trace else None
-        metrics = MetricsRegistry() if args.trace else None
-        label = f"{args.model}-serve-{args.placement}"
-        if args.placement == "replicate":
-            router = make_router(args.router, len(models))
-            scale_server = ScaleOutServer(models, policy, router,
-                                          tracer=tracer, metrics=metrics)
-            report = scale_server.serve(requests, label=label, arrival_name=args.arrival)
-        elif args.placement == "shard":
-            partition = make_partition(args.partitioner, stream, len(models), seed=args.seed)
-            sharded = ShardedModel(models, partition)
-            server = InferenceServer(sharded, policy, overlap=False,
-                                     tracer=tracer, metrics=metrics)
-            report = server.serve(requests, label=label, arrival_name=args.arrival)
-        else:
-            fidelity = make_fidelity_controller() if args.fidelity else None
-            server = InferenceServer(models[0], policy, overlap=args.overlap,
-                                     fidelity=fidelity, tracer=tracer,
-                                     metrics=metrics)
-            report = server.serve(requests, label=label, arrival_name=args.arrival)
-    except (TypeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return _print_serving_report(args, report, tracer)
-
-
-def _cmd_serve_cluster(args: argparse.Namespace, overrides: Dict[str, Any]) -> int:
-    """Serve on a multi-node cluster topology (one replica per GPU)."""
-    if args.placement == "shard":
-        print(
-            "error: --placement shard is single-machine only; cluster "
-            "topologies serve one replica per GPU behind a router",
-            file=sys.stderr,
-        )
-        return 2
-    if args.overlap:
-        print(
-            "error: --overlap applies to single-model serving; cluster "
-            "dispatch already overlaps sampling and compute",
-            file=sys.stderr,
-        )
-        return 2
-    if args.gpus is not None:
-        print(
-            "error: --gpus applies to single-machine topologies; cluster "
-            "presets use every GPU of every node",
-            file=sys.stderr,
-        )
-        return 2
-    cluster = Cluster(args.topology, backend=args.backend)
-    try:
-        with cluster.nodes[0].activate():
-            dataset = load(args.dataset, scale=args.scale) if args.dataset else None
-        models, nodes = build_cluster_replicas(
-            cluster,
-            lambda machine: build_model(
-                args.model, machine, dataset=dataset, scale=args.scale, **overrides
-            ),
-        )
-        if args.cache:
-            for model in models:
-                with model.machine.activate():
-                    make_model_cache(
-                        model,
-                        policy=args.cache_policy,
-                        capacity_mb=args.cache_mb,
-                        staleness_ms=args.staleness_ms,
-                    )
-    except (KeyError, TypeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if dataset is None:
-        dataset = getattr(models[0], "dataset", None)
-    stream = getattr(dataset, "stream", None)
-    if stream is None:
-        print(f"error: {args.model} exposes no event stream to serve", file=sys.stderr)
-        return 2
-    try:
-        requests, policy = _make_cli_workload(args, stream)
-        autoscaler = None
-        if args.autoscale:
-            config = AutoscaleConfig(
-                min_replicas=args.min_replicas,
-                max_replicas=args.max_replicas or len(models),
-                slo_ms=args.slo_ms,
-            )
-            autoscaler = Autoscaler(config)
-        tracer = Tracer() if args.trace else None
-        metrics = MetricsRegistry() if args.trace else None
-        server = ClusterServer(
-            cluster, models, nodes, policy,
-            make_router(args.router, len(models)), autoscaler=autoscaler,
-            fidelity=make_fidelity_controller() if args.fidelity else None,
-            backfill_nodes=args.backfill,
-            tracer=tracer, metrics=metrics,
-        )
-        report = server.serve(
-            requests, label=f"{args.model}-serve-cluster", arrival_name=args.arrival
-        )
-    except (TypeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return _print_serving_report(args, report, tracer)
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:

@@ -25,18 +25,8 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from ..cache import make_model_cache
-from ..datasets import load as load_dataset
-from ..serve import (
-    InferenceServer,
-    applicable_policy_overrides,
-    generate_requests,
-    make_arrival_process,
-    make_fidelity_controller,
-    make_policy,
-)
-from .runner import ExperimentResult
-from .serving import _build_model, _calibrate_per_request_ms
+from .runner import ExperimentResult, ServingSweep
+from .serving import TOPOLOGY
 
 
 def run(
@@ -59,11 +49,18 @@ def run(
     ``cache_mb=None`` drops the serving cache, capping degradation at the
     fan-out lever (levels 2-3 need cache stores to widen or force).
     """
-    dataset = load_dataset("wikipedia", scale=scale)
-    per_request_ms = _calibrate_per_request_ms(
-        dataset, seed, num_neighbors, max_batch_size, events_per_request, backend=backend
+    sweep = ServingSweep(
+        TOPOLOGY,
+        scale=scale,
+        seed=seed,
+        max_batch_size=max_batch_size,
+        batch_timeout_ms=batch_timeout_ms,
+        slo_ms=slo_ms,
+        events_per_request=events_per_request,
+        num_neighbors=num_neighbors,
+        backend=backend,
     )
-    capacity_rps = 1000.0 / per_request_ms if per_request_ms > 0 else 1000.0
+    per_request_ms, capacity_rps = sweep.per_request_ms, sweep.capacity_rps
     result = ExperimentResult(
         experiment="adaptive_fidelity",
         notes=(
@@ -75,56 +72,28 @@ def run(
             "lower p99 and fewer SLO violations at the same offered rate."
         ),
     )
+    cache = None
+    if cache_mb is not None:
+        cache = {"policy": "lru", "capacity_mb": cache_mb, "staleness_ms": cache_staleness_ms}
     for utilization in utilizations:
         rate_rps = capacity_rps * utilization
         for enabled in (False, True):
-            arrivals = make_arrival_process(
-                arrival,
-                rate_rps,
-                seed=seed,
-                trace_timestamps=(dataset.stream.timestamps if arrival == "trace" else None),
-            )
-            requests = generate_requests(
-                dataset.stream,
-                arrivals,
-                duration_ms=duration_ms,
-                events_per_request=events_per_request,
-                slo_ms=slo_ms,
-            )
-            model = _build_model(
-                dataset, seed, num_neighbors, max_batch_size, backend=backend
-            )
-            if cache_mb is not None:
-                with model.machine.activate():
-                    make_model_cache(
-                        model,
-                        policy="lru",
-                        capacity_mb=cache_mb,
-                        staleness_ms=cache_staleness_ms,
-                    )
-            policy = make_policy(
-                "slo",
-                max_batch_size=max_batch_size,
-                **applicable_policy_overrides(
-                    "slo", batch_timeout_ms=batch_timeout_ms, slo_ms=slo_ms
-                ),
-            )
-            fidelity = make_fidelity_controller() if enabled else None
-            server = InferenceServer(model, policy, fidelity=fidelity)
+            requests = sweep.requests(arrival, rate_rps, duration_ms)
+            server = sweep.server(TOPOLOGY, policy="slo", fidelity=enabled, cache=cache)
             report = server.serve(
                 requests,
                 label=f"tgat-fidelity-{'on' if enabled else 'off'}-u{utilization:g}",
                 arrival_name=arrival,
             )
-            total = report.total_latency() if report.completed else None
+            summary = report.summary()
             snapshot = report.fidelity or {}
             result.add_row(
                 utilization=utilization,
                 rate_rps=round(rate_rps, 1),
                 fidelity="on" if enabled else "off",
                 requests=report.completed,
-                p50_ms=round(total.p50_ms, 3) if total else None,
-                p99_ms=round(total.p99_ms, 3) if total else None,
+                p50_ms=summary.get("p50_ms"),
+                p99_ms=summary.get("p99_ms"),
                 slo_violation_rate=round(report.slo_violation_rate, 4),
                 throughput_rps=round(report.throughput_rps, 1),
                 fidelity_debt=snapshot.get("debt_score"),

@@ -23,64 +23,10 @@ marker naming the winning axis.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
-from ..datasets import load as load_dataset
-from ..hw.cluster import Cluster
-from ..models.tgat import TGAT, TGATConfig
-from ..serve import (
-    AutoscaleConfig,
-    Autoscaler,
-    ClusterServer,
-    applicable_policy_overrides,
-    build_cluster_replicas,
-    generate_requests,
-    make_arrival_process,
-    make_policy,
-    make_router,
-)
-from .runner import ExperimentResult
-from .scaling import _calibrate_per_request_ms
-
-
-def _serve_fleet(
-    cluster_name: str,
-    dataset,
-    seed: int,
-    num_neighbors: int,
-    events_per_request: int,
-    requests_factory,
-    scheduler_factory,
-    router: str,
-    fleet_size: Optional[int],
-    autoscale: Optional[AutoscaleConfig],
-    backend: str,
-    label: str,
-    arrival_name: str,
-):
-    """One serving run on a fresh cluster; static when ``autoscale`` is None."""
-    cluster = Cluster(cluster_name, backend=backend)
-    config = TGATConfig(
-        num_neighbors=num_neighbors,
-        batch_size=8 * events_per_request,
-        seed=seed,
-    )
-    replicas, nodes = build_cluster_replicas(
-        cluster, lambda machine: TGAT(machine, dataset, config)
-    )
-    if fleet_size is not None:
-        replicas, nodes = replicas[:fleet_size], nodes[:fleet_size]
-    autoscaler = Autoscaler(autoscale) if autoscale is not None else None
-    server = ClusterServer(
-        cluster,
-        replicas,
-        nodes,
-        scheduler_factory(),
-        make_router(router, len(replicas)),
-        autoscaler=autoscaler,
-    )
-    report = server.serve(requests_factory(), label=label, arrival_name=arrival_name)
-    return cluster, report
+from .runner import ExperimentResult, ServingSweep
+from .scaling import CALIBRATION_TOPOLOGY
 
 
 def run(
@@ -111,38 +57,19 @@ def run(
     ``flash_multiplier``.  ``backend`` selects the execution backend for
     every run (calibration included).
     """
-    dataset = load_dataset("wikipedia", scale=scale)
-    per_request_ms = _calibrate_per_request_ms(
-        dataset, seed, num_neighbors, max_batch_size, events_per_request, backend=backend
+    sweep = ServingSweep(
+        CALIBRATION_TOPOLOGY,
+        scale=scale,
+        seed=seed,
+        max_batch_size=max_batch_size,
+        batch_timeout_ms=batch_timeout_ms,
+        slo_ms=slo_ms,
+        events_per_request=events_per_request,
+        num_neighbors=num_neighbors,
+        backend=backend,
     )
-    capacity_rps = 1000.0 / per_request_ms if per_request_ms > 0 else 1000.0
+    capacity_rps = sweep.capacity_rps
     rate_rps = capacity_rps * baseline_utilization
-
-    def requests_factory():
-        arrivals = make_arrival_process(
-            "flash-crowd",
-            rate_rps,
-            seed=seed,
-            flash_at_ms=flash_at_ms,
-            flash_duration_ms=flash_duration_ms,
-            flash_multiplier=flash_multiplier,
-        )
-        return generate_requests(
-            dataset.stream,
-            arrivals,
-            duration_ms=duration_ms,
-            events_per_request=events_per_request,
-            slo_ms=slo_ms,
-        )
-
-    def scheduler_factory():
-        return make_policy(
-            policy,
-            max_batch_size=max_batch_size,
-            **applicable_policy_overrides(
-                policy, batch_timeout_ms=batch_timeout_ms, slo_ms=slo_ms
-            ),
-        )
 
     result = ExperimentResult(
         experiment="autoscaling",
@@ -160,77 +87,78 @@ def run(
         ),
     )
 
-    def serve(fleet_size, autoscale, label):
-        return _serve_fleet(
-            cluster,
-            dataset,
-            seed,
-            num_neighbors,
-            events_per_request,
-            requests_factory,
-            scheduler_factory,
-            router,
-            fleet_size,
-            autoscale,
-            backend,
-            label,
-            "flash-crowd",
-        )
+    def serve(
+        fleet: str,
+        replicas: Any,
+        fleet_size: Optional[int] = None,
+        autoscale: Optional[Dict[str, Any]] = None,
+    ):
+        """One run on a fresh cluster, static unless ``autoscale`` is given.
 
-    statics = {}
-    for size in static_fleets:
-        run_cluster, report = serve(size, None, f"static-{size}")
-        total = report.total_latency() if report.completed else None
-        p99 = total.p99_ms if total else None
-        gpu_time = size * report.duration_ms
-        statics[size] = {"p99_ms": p99, "gpu_time_ms": gpu_time}
-        result.add_row(
-            fleet=f"static-{size}",
-            replicas=size,
+        Returns ``(row, unrounded p99, GPU-time)``.
+        """
+        server = sweep.server(
+            cluster, num_replicas=fleet_size, policy=policy, router=router, autoscale=autoscale
+        )
+        requests = sweep.requests(
+            "flash-crowd",
+            rate_rps,
+            duration_ms,
+            flash_at_ms=flash_at_ms,
+            flash_duration_ms=flash_duration_ms,
+            flash_multiplier=flash_multiplier,
+        )
+        report = server.serve(requests, label=fleet, arrival_name="flash-crowd")
+        summary = report.summary()
+        p99 = report.total_latency().p99_ms if report.completed else None
+        elastic = report.autoscale or {}
+        if autoscale is None:
+            gpu_time = fleet_size * report.duration_ms
+        else:
+            gpu_time = elastic.get("gpu_time_ms", 0.0)
+        row = dict(
+            fleet=fleet,
+            replicas=replicas,
             rate_rps=round(rate_rps, 1),
             requests=report.completed,
             throughput_rps=round(report.throughput_rps, 1),
-            p50_ms=round(total.p50_ms, 3) if total else None,
-            p99_ms=round(p99, 3) if p99 is not None else None,
+            p50_ms=summary.get("p50_ms"),
+            p99_ms=summary.get("p99_ms"),
             slo_violation_rate=round(report.slo_violation_rate, 4),
             gpu_time_ms=round(gpu_time, 3),
-            nic_mb=round(run_cluster.nic_bytes() / 1e6, 3),
+            nic_mb=round(server.cluster.nic_bytes() / 1e6, 3),
         )
+        if autoscale is not None:
+            row.update(
+                scale_ups=elastic.get("scale_ups", 0),
+                scale_downs=elastic.get("scale_downs", 0),
+                cold_start_ms=elastic.get("cold_start_ms", 0.0),
+            )
+        return row, p99, gpu_time
 
-    elastic_config = AutoscaleConfig(
-        min_replicas=min_replicas,
-        max_replicas=max_replicas,
-        slo_ms=slo_ms,
-        up_cooldown_ms=20.0,
-        down_cooldown_ms=80.0,
-    )
-    run_cluster, report = serve(None, elastic_config, "elastic")
-    total = report.total_latency() if report.completed else None
-    p99 = total.p99_ms if total else None
-    autoscale = report.autoscale or {}
-    gpu_time = autoscale.get("gpu_time_ms", 0.0)
-    row = dict(
-        fleet="elastic",
-        replicas=f"{min_replicas}-{max_replicas}",
-        rate_rps=round(rate_rps, 1),
-        requests=report.completed,
-        throughput_rps=round(report.throughput_rps, 1),
-        p50_ms=round(total.p50_ms, 3) if total else None,
-        p99_ms=round(p99, 3) if p99 is not None else None,
-        slo_violation_rate=round(report.slo_violation_rate, 4),
-        gpu_time_ms=round(gpu_time, 3),
-        nic_mb=round(run_cluster.nic_bytes() / 1e6, 3),
-        scale_ups=autoscale.get("scale_ups", 0),
-        scale_downs=autoscale.get("scale_downs", 0),
-        cold_start_ms=autoscale.get("cold_start_ms", 0.0),
+    statics = {}
+    for size in static_fleets:
+        row, static_p99, static_gpu_time = serve(f"static-{size}", size, fleet_size=size)
+        statics[size] = (static_p99, static_gpu_time)
+        result.add_row(**row)
+
+    row, p99, gpu_time = serve(
+        "elastic",
+        f"{min_replicas}-{max_replicas}",
+        autoscale={
+            "min_replicas": min_replicas,
+            "max_replicas": max_replicas,
+            "up_cooldown_ms": 20.0,
+            "down_cooldown_ms": 80.0,
+        },
     )
     # The dominance check: against every static size the elastic fleet must
     # win at least one axis (tail latency or fleet cost).
-    for size, static in statics.items():
+    for size, (static_p99, static_gpu_time) in statics.items():
         axes = []
-        if p99 is not None and static["p99_ms"] is not None and p99 < static["p99_ms"]:
+        if p99 is not None and static_p99 is not None and p99 < static_p99:
             axes.append("p99")
-        if gpu_time < static["gpu_time_ms"]:
+        if gpu_time < static_gpu_time:
             axes.append("gpu_time")
         row[f"beats_static_{size}"] = "+".join(axes) if axes else None
     result.add_row(**row)

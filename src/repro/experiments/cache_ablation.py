@@ -28,17 +28,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional, Sequence
 
-from ..cache import make_model_cache
-from ..datasets import load as load_dataset
-from ..serve import (
-    InferenceServer,
-    applicable_policy_overrides,
-    generate_requests,
-    make_arrival_process,
-    make_policy,
-)
-from .runner import ExperimentResult
-from .serving import _build_model, _calibrate_per_request_ms
+from .runner import ExperimentResult, ServingSweep
+from .serving import TOPOLOGY
 
 #: Default sweep axes.  The small capacity point is deliberately tight --
 #: a few hundred rows -- so eviction policies actually differ under
@@ -46,43 +37,6 @@ from .serving import _build_model, _calibrate_per_request_ms
 POLICIES = ("lru", "lfu", "degree")
 CAPACITIES_MB = (0.02, 8.0)
 STALENESS_FRACTIONS = (0.0, 0.5)
-
-
-def _serve_once(
-    dataset,
-    seed: int,
-    num_neighbors: int,
-    max_batch_size: int,
-    requests,
-    policy_name: str,
-    batch_timeout_ms: float,
-    slo_ms: float,
-    arrival: str,
-    label: str,
-    cache_config: Optional[Dict[str, Any]],
-    backend: str = "numeric",
-):
-    """One warmed serving run: fresh machine/model, optional cache, 2 passes."""
-    model = _build_model(dataset, seed, num_neighbors, max_batch_size, backend=backend)
-    if cache_config is not None:
-        make_model_cache(model, **cache_config)
-    policy = make_policy(
-        policy_name,
-        max_batch_size=max_batch_size,
-        **applicable_policy_overrides(
-            policy_name, batch_timeout_ms=batch_timeout_ms, slo_ms=slo_ms
-        ),
-    )
-    server = InferenceServer(model, policy, overlap=True)
-    # Warm pass: same request sequence, outside the measured window.  It
-    # populates the cache exactly as a preceding traffic window would; the
-    # uncached baseline runs it too so both configurations are measured in
-    # the same steady state (allocator warm, sampler index hot).
-    server.serve(requests, label=f"{label}-warm", arrival_name=arrival, warm_up=True)
-    report = server.serve(
-        requests, label=label, arrival_name=arrival, warm_up=False
-    )
-    return report
 
 
 def run(
@@ -107,14 +61,20 @@ def run(
     included); the ``shape`` backend reproduces the identical rows -- hit
     rates, evictions and latency percentiles -- faster.
     """
-    dataset = load_dataset("wikipedia", scale=scale)
-    span_start, span_end = dataset.stream.time_span
-    span_ms = max(span_end - span_start, 1.0)
-    per_request_ms = _calibrate_per_request_ms(
-        dataset, seed, num_neighbors, max_batch_size, events_per_request, backend=backend
+    sweep = ServingSweep(
+        TOPOLOGY,
+        scale=scale,
+        seed=seed,
+        max_batch_size=max_batch_size,
+        batch_timeout_ms=batch_timeout_ms,
+        slo_ms=slo_ms,
+        events_per_request=events_per_request,
+        num_neighbors=num_neighbors,
+        backend=backend,
     )
-    capacity_rps = 1000.0 / per_request_ms if per_request_ms > 0 else 1000.0
-    rate_rps = capacity_rps * utilization
+    span_start, span_end = sweep.dataset.stream.time_span
+    span_ms = max(span_end - span_start, 1.0)
+    rate_rps = sweep.capacity_rps * utilization
     result = ExperimentResult(
         experiment="cache_ablation",
         notes=(
@@ -128,64 +88,45 @@ def run(
         ),
     )
 
-    def make_requests():
-        arrivals = make_arrival_process(
-            arrival,
-            rate_rps,
-            seed=seed,
-            trace_timestamps=(
-                dataset.stream.timestamps if arrival == "trace" else None
-            ),
-        )
-        return generate_requests(
-            dataset.stream,
-            arrivals,
-            duration_ms=duration_ms,
-            events_per_request=events_per_request,
-            slo_ms=slo_ms,
-        )
-
-    def add_row(report, policy_name, capacity_mb, staleness_ms):
-        total = report.total_latency() if report.completed else None
-        cache = report.cache or {}
+    def serve_cell(label: str, cache: Optional[Dict[str, Any]]) -> None:
+        """One warmed run (fresh machine, two passes) -> one row."""
+        requests = sweep.requests(arrival, rate_rps, duration_ms)
+        server = sweep.server(TOPOLOGY, policy="timeout", overlap=True, cache=cache)
+        # Warm pass: same request sequence, outside the measured window.  It
+        # populates the cache exactly as a preceding traffic window would; the
+        # uncached baseline runs it too so both configurations are measured in
+        # the same steady state (allocator warm, sampler index hot).
+        server.serve(requests, label=f"{label}-warm", arrival_name=arrival, warm_up=True)
+        report = server.serve(requests, label=label, arrival_name=arrival, warm_up=False)
+        summary = report.summary()
+        stats = report.cache or {}
+        config = cache or {}
+        staleness_ms = config.get("staleness_ms")
         result.add_row(
-            policy=policy_name if policy_name else "uncached",
-            cache_mb=capacity_mb,
+            policy=config.get("policy", "uncached"),
+            cache_mb=config.get("capacity_mb"),
             staleness_ms=round(staleness_ms, 3) if staleness_ms is not None else None,
             requests=report.completed,
-            hit_rate=cache.get("hit_rate"),
-            p50_ms=round(total.p50_ms, 3) if total else None,
-            p99_ms=round(total.p99_ms, 3) if total else None,
+            hit_rate=stats.get("hit_rate"),
+            p50_ms=summary.get("p50_ms"),
+            p99_ms=summary.get("p99_ms"),
             throughput_rps=round(report.throughput_rps, 1),
-            evictions=cache.get("evictions"),
-            stale_rejects=cache.get("stale_rejects"),
-            invalidations=cache.get("invalidations"),
-            cache_peak_mb=(
-                round(cache.get("bytes_peak", 0) / 1e6, 3) if cache else None
-            ),
+            evictions=stats.get("evictions"),
+            stale_rejects=stats.get("stale_rejects"),
+            invalidations=stats.get("invalidations"),
+            cache_peak_mb=round(stats.get("bytes_peak", 0) / 1e6, 3) if stats else None,
         )
 
-    baseline = _serve_once(
-        dataset, seed, num_neighbors, max_batch_size, make_requests(),
-        "timeout", batch_timeout_ms, slo_ms, arrival, "cache-ablation-uncached",
-        None, backend=backend,
-    )
-    add_row(baseline, "", None, None)
+    serve_cell("cache-ablation-uncached", None)
     for policy_name in policies:
         for capacity_mb in capacities_mb:
             for fraction in staleness_fractions:
-                staleness_ms = span_ms * fraction
-                report = _serve_once(
-                    dataset, seed, num_neighbors, max_batch_size,
-                    make_requests(), "timeout", batch_timeout_ms, slo_ms,
-                    arrival,
+                serve_cell(
                     f"cache-{policy_name}-{capacity_mb:g}mb-f{fraction:g}",
                     {
                         "policy": policy_name,
                         "capacity_mb": capacity_mb,
-                        "staleness_ms": staleness_ms,
+                        "staleness_ms": span_ms * fraction,
                     },
-                    backend=backend,
                 )
-                add_row(report, policy_name, capacity_mb, staleness_ms)
     return result

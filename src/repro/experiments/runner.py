@@ -9,12 +9,16 @@ inference iterations, and extract the quantity the figure/table reports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..core import Profile, Profiler
+from ..datasets import load as load_dataset
 from ..hw.machine import Machine
 from ..models import build_model
 from ..models.base import DGNNModel
+from ..models.tgat import TGAT, TGATConfig
+from ..serve import build_server, make_requests
 
 
 @dataclass
@@ -153,3 +157,65 @@ def measure_iteration_latency(
         batch_kwargs=batch_kwargs,
     )
     return profile.elapsed_ms
+
+
+class ServingSweep:
+    """What the serving sweeps share: dataset, model factory, capacity, knobs.
+
+    Loads wikipedia at ``scale``, fixes the TGAT configuration every cell
+    serves, and measures the blocking cost of one request on a throwaway
+    ``calibration_topology`` machine: two full batches through
+    ``inference_iteration`` (the second excludes first-iteration effects),
+    divided by the batch size.  Arrival rates are fractions of the implied
+    ``capacity_rps``, which keeps queueing behaviour stable across dataset
+    scales.  ``requests`` and ``server`` are :func:`~repro.serve.make_requests`
+    and :func:`~repro.serve.build_server` with the knobs a sweep holds
+    constant filled in; every cell builds a fresh server on a fresh machine
+    (runs must not share timelines).
+    """
+
+    def __init__(
+        self,
+        calibration_topology: str,
+        *,
+        scale: str,
+        seed: int,
+        max_batch_size: int,
+        batch_timeout_ms: float,
+        slo_ms: float,
+        events_per_request: int,
+        num_neighbors: int,
+        backend: str,
+    ) -> None:
+        self.dataset = dataset = load_dataset("wikipedia", scale=scale)
+        events = max_batch_size * events_per_request
+        config = TGATConfig(num_neighbors=num_neighbors, batch_size=events, seed=seed)
+
+        def factory(machine: Machine) -> TGAT:
+            return TGAT(machine, dataset, config)
+
+        self.requests = partial(
+            make_requests,
+            dataset.stream,
+            seed=seed,
+            events_per_request=events_per_request,
+            slo_ms=slo_ms,
+        )
+        self.server = partial(
+            build_server,
+            model_factory=factory,
+            backend=backend,
+            max_batch_size=max_batch_size,
+            batch_timeout_ms=batch_timeout_ms,
+            slo_ms=slo_ms,
+        )
+        machine = Machine.from_spec(calibration_topology, backend=backend)
+        batches = [dataset.stream.slice_indices(i * events, (i + 1) * events) for i in range(2)]
+        with machine.activate():
+            model = factory(machine)
+            model.warm_up(batches[0])
+            model.inference_iteration(batches[0])
+            start = machine.host_time_ms
+            model.inference_iteration(batches[1])
+            self.per_request_ms = (machine.host_time_ms - start) / max_batch_size
+        self.capacity_rps = 1000.0 / self.per_request_ms if self.per_request_ms > 0 else 1000.0

@@ -21,24 +21,9 @@ so the sweep queues by construction where intended.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
-from ..datasets import load as load_dataset
-from ..graph.partition import make_partition
-from ..hw.machine import Machine
-from ..models.tgat import TGAT, TGATConfig
-from ..serve import (
-    InferenceServer,
-    ScaleOutServer,
-    ShardedModel,
-    applicable_policy_overrides,
-    build_replicas,
-    generate_requests,
-    make_arrival_process,
-    make_policy,
-    make_router,
-)
-from .runner import ExperimentResult
+from .runner import ExperimentResult, ServingSweep
 
 #: (spec name, gpus used, placement) configurations the sweep compares.
 DEFAULT_CONFIGS = (
@@ -50,55 +35,8 @@ DEFAULT_CONFIGS = (
     ("4xA100-nvlink", 4, "shard"),
 )
 
-
-def _build_model_set(
-    spec: str,
-    num_gpus: int,
-    dataset,
-    seed: int,
-    num_neighbors: int,
-    batch_size: int,
-    backend: str = "numeric",
-) -> List[TGAT]:
-    """Fresh machine + one TGAT replica per GPU (runs must not share clocks)."""
-    machine = Machine.from_spec(spec, backend=backend)
-    config = TGATConfig(num_neighbors=num_neighbors, batch_size=batch_size, seed=seed)
-    with machine.activate():
-        return build_replicas(
-            machine,
-            lambda: TGAT(machine, dataset, config),
-            machine.gpus[:num_gpus],
-        )
-
-
-def _calibrate_per_request_ms(
-    dataset,
-    seed: int,
-    num_neighbors: int,
-    max_batch_size: int,
-    events_per_request: int,
-    backend: str = "numeric",
-) -> float:
-    """Measured blocking service cost of one request on one A100 replica.
-
-    Two full batches through ``inference_iteration`` on a throwaway machine
-    (the second excludes first-iteration effects), divided by the batch
-    size.  Arrival rates are chosen as fractions of the implied capacity so
-    the sweep lands in the same queueing regime at every dataset scale.
-    """
-    events = max_batch_size * events_per_request
-    (model,) = _build_model_set(
-        "1xA100", 1, dataset, seed, num_neighbors, events, backend=backend
-    )
-    machine = model.machine
-    batches = [dataset.stream.slice_indices(i * events, (i + 1) * events) for i in range(2)]
-    with machine.activate():
-        model.warm_up(batches[0])
-        model.inference_iteration(batches[0])
-        start = machine.host_time_ms
-        model.inference_iteration(batches[1])
-        elapsed = machine.host_time_ms - start
-    return elapsed / max_batch_size
+#: The one-replica platform arrival rates are calibrated on.
+CALIBRATION_TOPOLOGY = "1xA100"
 
 
 def run(
@@ -123,11 +61,18 @@ def run(
     ``backend`` selects the execution backend for every run (calibration
     included); the ``shape`` backend reproduces the identical rows, faster.
     """
-    dataset = load_dataset("wikipedia", scale=scale)
-    per_request_ms = _calibrate_per_request_ms(
-        dataset, seed, num_neighbors, max_batch_size, events_per_request, backend=backend
+    sweep = ServingSweep(
+        CALIBRATION_TOPOLOGY,
+        scale=scale,
+        seed=seed,
+        max_batch_size=max_batch_size,
+        batch_timeout_ms=batch_timeout_ms,
+        slo_ms=slo_ms,
+        events_per_request=events_per_request,
+        num_neighbors=num_neighbors,
+        backend=backend,
     )
-    capacity_rps = 1000.0 / per_request_ms if per_request_ms > 0 else 1000.0
+    per_request_ms, capacity_rps = sweep.per_request_ms, sweep.capacity_rps
     result = ExperimentResult(
         experiment="scaling",
         notes=(
@@ -146,47 +91,23 @@ def run(
     for utilization in utilizations:
         rate_rps = capacity_rps * utilization
         for spec, num_gpus, placement in configs:
-            arrivals = make_arrival_process(
-                arrival,
-                rate_rps,
-                seed=seed,
-                trace_timestamps=(dataset.stream.timestamps if arrival == "trace" else None),
-            )
-            requests = generate_requests(
-                dataset.stream,
-                arrivals,
-                duration_ms=duration_ms,
-                events_per_request=events_per_request,
-                slo_ms=slo_ms,
-            )
-            replicas = _build_model_set(
+            requests = sweep.requests(arrival, rate_rps, duration_ms)
+            server = sweep.server(
                 spec,
-                num_gpus,
-                dataset,
-                seed,
-                num_neighbors,
-                max_batch_size * events_per_request,
-                backend=backend,
+                placement=placement,
+                num_replicas=num_gpus,
+                policy=policy,
+                router=router,
+                partitioner=partitioner,
+                seed=seed,
             )
-            scheduler = make_policy(
-                policy,
-                max_batch_size=max_batch_size,
-                **applicable_policy_overrides(
-                    policy, batch_timeout_ms=batch_timeout_ms, slo_ms=slo_ms
-                ),
+            report = server.serve(
+                requests,
+                label=f"tgat-{spec}-{placement}-u{utilization:g}",
+                arrival_name=arrival,
             )
-            label = f"tgat-{spec}-{placement}-u{utilization:g}"
-            if placement == "replicate":
-                server = ScaleOutServer(replicas, scheduler, make_router(router, len(replicas)))
-                report = server.serve(requests, label=label, arrival_name=arrival)
-            elif placement == "shard":
-                partition = make_partition(partitioner, dataset.stream, len(replicas), seed=seed)
-                sharded = ShardedModel(replicas, partition)
-                server = InferenceServer(sharded, scheduler, overlap=False)
-                report = server.serve(requests, label=label, arrival_name=arrival)
-            else:
-                raise ValueError(f"unknown placement {placement!r}")
-            total = report.total_latency() if report.completed else None
+            summary = report.summary()
+            p99_ms = report.total_latency().p99_ms if report.completed else None
             row = dict(
                 spec=spec,
                 gpus=num_gpus,
@@ -195,9 +116,9 @@ def run(
                 rate_rps=round(rate_rps, 1),
                 requests=report.completed,
                 throughput_rps=round(report.throughput_rps, 1),
-                p50_ms=round(total.p50_ms, 3) if total else None,
-                p95_ms=round(total.p95_ms, 3) if total else None,
-                p99_ms=round(total.p99_ms, 3) if total else None,
+                p50_ms=summary.get("p50_ms"),
+                p95_ms=summary.get("p95_ms"),
+                p99_ms=summary.get("p99_ms"),
                 slo_violation_rate=round(report.slo_violation_rate, 4),
                 mean_batch=round(report.mean_batch_size, 2),
             )
@@ -207,7 +128,7 @@ def run(
             if num_gpus == 1 and placement == "replicate" and baseline is None:
                 baselines[utilization] = {
                     "throughput_rps": report.throughput_rps,
-                    "p99_ms": total.p99_ms if total else None,
+                    "p99_ms": p99_ms,
                 }
                 row["throughput_vs_1gpu"] = 1.0
                 row["p99_vs_1gpu"] = 1.0
@@ -216,7 +137,7 @@ def run(
                     row["throughput_vs_1gpu"] = round(
                         report.throughput_rps / baseline["throughput_rps"], 3
                     )
-                if total and baseline.get("p99_ms"):
-                    row["p99_vs_1gpu"] = round(total.p99_ms / baseline["p99_ms"], 3)
+                if p99_ms is not None and baseline.get("p99_ms"):
+                    row["p99_vs_1gpu"] = round(p99_ms / baseline["p99_ms"], 3)
             result.add_row(**row)
     return result

@@ -24,61 +24,13 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..datasets import load as load_dataset
-from ..models.tgat import TGAT, TGATConfig
-from ..serve import (
-    InferenceServer,
-    applicable_policy_overrides,
-    generate_requests,
-    make_arrival_process,
-    make_policy,
-)
-from .runner import ExperimentResult, new_machine
+from .runner import ExperimentResult, ServingSweep
 
 #: Execution modes the sweep compares.
 MODES = ("blocking", "overlap")
 
-
-def _build_model(
-    dataset, seed: int, num_neighbors: int, batch_size: int, backend: str = "numeric"
-) -> TGAT:
-    """A fresh TGAT on a fresh machine (runs must not share timelines)."""
-    machine = new_machine(use_gpu=True, backend=backend)
-    with machine.activate():
-        return TGAT(
-            machine,
-            dataset,
-            TGATConfig(num_neighbors=num_neighbors, batch_size=batch_size, seed=seed),
-        )
-
-
-def _calibrate_per_request_ms(
-    dataset,
-    seed: int,
-    num_neighbors: int,
-    max_batch_size: int,
-    events_per_request: int,
-    backend: str = "numeric",
-) -> float:
-    """Measured blocking service cost of one request (full-batch amortised).
-
-    Runs two full batches through ``inference_iteration`` on a throwaway
-    machine (the second one excludes any first-iteration effects) and
-    divides by the batch size.  Arrival rates are then chosen as fractions
-    of the implied capacity, keeping the sweep's queueing behaviour stable
-    across dataset scales.
-    """
-    model = _build_model(dataset, seed, num_neighbors, max_batch_size, backend=backend)
-    machine = model.machine
-    events = max_batch_size * events_per_request
-    batches = [dataset.stream.slice_indices(i * events, (i + 1) * events) for i in range(2)]
-    with machine.activate():
-        model.warm_up(batches[0])
-        model.inference_iteration(batches[0])
-        start = machine.host_time_ms
-        model.inference_iteration(batches[1])
-        elapsed = machine.host_time_ms - start
-    return elapsed / max_batch_size
+#: The paper's platform (``Machine.cpu_gpu()``), as a topology preset.
+TOPOLOGY = "1xA6000"
 
 
 def run(
@@ -101,11 +53,18 @@ def run(
     ``backend`` selects the execution backend for every run (calibration
     included); the ``shape`` backend reproduces the identical rows, faster.
     """
-    dataset = load_dataset("wikipedia", scale=scale)
-    per_request_ms = _calibrate_per_request_ms(
-        dataset, seed, num_neighbors, max_batch_size, events_per_request, backend=backend
+    sweep = ServingSweep(
+        TOPOLOGY,
+        scale=scale,
+        seed=seed,
+        max_batch_size=max_batch_size,
+        batch_timeout_ms=batch_timeout_ms,
+        slo_ms=slo_ms,
+        events_per_request=events_per_request,
+        num_neighbors=num_neighbors,
+        backend=backend,
     )
-    capacity_rps = 1000.0 / per_request_ms if per_request_ms > 0 else 1000.0
+    per_request_ms, capacity_rps = sweep.per_request_ms, sweep.capacity_rps
     result = ExperimentResult(
         experiment="serving",
         notes=(
@@ -123,50 +82,27 @@ def run(
             for mode in modes:
                 if mode not in MODES:
                     raise ValueError(f"unknown mode {mode!r}; pick from {MODES}")
-                arrivals = make_arrival_process(
-                    arrival,
-                    rate_rps,
-                    seed=seed,
-                    trace_timestamps=(dataset.stream.timestamps if arrival == "trace" else None),
-                )
-                requests = generate_requests(
-                    dataset.stream,
-                    arrivals,
-                    duration_ms=duration_ms,
-                    events_per_request=events_per_request,
-                    slo_ms=slo_ms,
-                )
-                model = _build_model(
-                    dataset, seed, num_neighbors, max_batch_size, backend=backend
-                )
-                policy = make_policy(
-                    policy_name,
-                    max_batch_size=max_batch_size,
-                    **applicable_policy_overrides(
-                        policy_name, batch_timeout_ms=batch_timeout_ms, slo_ms=slo_ms
-                    ),
-                )
-                server = InferenceServer(model, policy, overlap=mode == "overlap")
+                requests = sweep.requests(arrival, rate_rps, duration_ms)
+                server = sweep.server(TOPOLOGY, policy=policy_name, overlap=mode == "overlap")
                 report = server.serve(
                     requests,
                     label=f"tgat-{policy_name}-{mode}-u{utilization:g}",
                     arrival_name=arrival,
                 )
                 # A sweep cell can legitimately complete nothing (e.g. a
-                # duration shorter than one inter-arrival gap): report the
-                # empty cell instead of crashing on empty percentiles.
-                total = report.total_latency() if report.completed else None
-                queue = report.queue_latency() if report.completed else None
+                # duration shorter than one inter-arrival gap): the summary
+                # then has no latency keys and the cell reports them empty.
+                summary = report.summary()
                 result.add_row(
                     policy=policy_name,
                     mode=mode,
                     utilization=utilization,
                     rate_rps=round(rate_rps, 1),
                     requests=report.completed,
-                    p50_ms=round(total.p50_ms, 3) if total else None,
-                    p95_ms=round(total.p95_ms, 3) if total else None,
-                    p99_ms=round(total.p99_ms, 3) if total else None,
-                    queue_p99_ms=round(queue.p99_ms, 3) if queue else None,
+                    p50_ms=summary.get("p50_ms"),
+                    p95_ms=summary.get("p95_ms"),
+                    p99_ms=summary.get("p99_ms"),
+                    queue_p99_ms=summary.get("queue_p99_ms"),
                     throughput_rps=round(report.throughput_rps, 1),
                     slo_violation_rate=round(report.slo_violation_rate, 4),
                     mean_batch=round(report.mean_batch_size, 2),

@@ -125,8 +125,9 @@ def draw_config(rng: random.Random) -> FuzzConfig:
             "placement": placement,
             "policy": policy,
             "router": rng.choice(SERVING_ROUTERS),
-            # Overlap requires the overlap protocol; TGAT has it, and only
-            # single-model serving takes the flag.
+            # Overlap requires the overlap protocol (TGAT has it) and, by the
+            # rule table in repro.serve.assemble, single placement: routed
+            # dispatch already overlaps sampling and compute.
             "overlap": placement == "single" and rng.random() < 0.5,
             "rate_rps": rng.choice((200.0, 600.0, 1500.0)),
             "duration_ms": rng.choice((20.0, 40.0)),
@@ -140,8 +141,9 @@ def draw_config(rng: random.Random) -> FuzzConfig:
                 if rng.random() < 0.4
                 else None
             ),
-            # Adaptive fidelity rides on the slo policy's deadline signal and,
-            # on machine topologies, is offered for single placement only.
+            # Adaptive fidelity rides on the slo policy's deadline signal.  The
+            # rule table refuses it for shard only; replicate is legal but not
+            # drawn yet (widening the episode is ROADMAP direction 1).
             "fidelity": (
                 placement == "single" and policy == "slo" and rng.random() < 0.5
             ),

@@ -616,50 +616,13 @@ class Execution:
     # -- the serving episode ---------------------------------------------
 
     def _serve(self) -> None:
-        from ..cache import make_model_cache
-        from ..graph.partition import make_partition
+        from ..hw.spec import machine_spec
         from ..models.tgat import TGAT, TGATConfig
-        from ..serve import (
-            InferenceServer,
-            PoissonProcess,
-            ScaleOutServer,
-            ShardedModel,
-            applicable_policy_overrides,
-            build_replicas,
-            generate_requests,
-            make_fidelity_controller,
-            make_policy,
-            make_router,
-        )
+        from ..serve import build_server, make_requests
 
         serving = self.config.serving
         dataset = _tiny_dataset()
-        machine = Machine.from_spec(self.config.topology, backend=self.config.backend)
         model_config = TGATConfig(num_neighbors=4, batch_size=8, seed=0)
-        with machine.activate():
-            if serving["placement"] == "single":
-                replicas = [TGAT(machine, dataset, model_config)]
-            else:
-                replicas = build_replicas(
-                    machine, lambda: TGAT(machine, dataset, model_config), machine.gpus
-                )
-        if serving.get("cache"):
-            for replica in replicas:
-                make_model_cache(replica, **serving["cache"])
-        policy = make_policy(
-            serving["policy"],
-            max_batch_size=8,
-            **applicable_policy_overrides(
-                serving["policy"], batch_timeout_ms=2.0, slo_ms=20.0
-            ),
-        )
-        requests = generate_requests(
-            dataset.stream,
-            PoissonProcess(serving["rate_rps"], seed=7),
-            duration_ms=serving["duration_ms"],
-            events_per_request=1,
-            slo_ms=20.0,
-        )
         # .get(): reproducer dicts written before the trace field existed
         # must keep replaying unchanged (same for fidelity below).
         tracer = metrics = None
@@ -668,30 +631,37 @@ class Execution:
 
             tracer = Tracer()
             metrics = MetricsRegistry()
-        if serving["placement"] == "replicate" and len(replicas) > 1:
-            server = ScaleOutServer(
-                replicas, policy, make_router(serving["router"], len(replicas)),
-                tracer=tracer, metrics=metrics,
-            )
-            report = server.serve(requests, label="fuzz", arrival_name="poisson")
-        elif serving["placement"] == "shard" and len(replicas) > 1:
-            partition = make_partition("degree", dataset.stream, len(replicas), seed=0)
-            server = InferenceServer(
-                ShardedModel(replicas, partition), policy, overlap=False,
-                tracer=tracer, metrics=metrics,
-            )
-            report = server.serve(requests, label="fuzz", arrival_name="poisson")
-        else:
-            fidelity = (
-                make_fidelity_controller() if serving.get("fidelity") else None
-            )
-            server = InferenceServer(
-                replicas[0], policy, overlap=serving["overlap"], fidelity=fidelity,
-                tracer=tracer, metrics=metrics,
-            )
-            report = server.serve(requests, label="fuzz", arrival_name="poisson")
-        self.serve_machine = machine
-        self.serve_report = report
+        # Topology and placement are drawn independently: on a one-GPU
+        # topology replicate/shard have nothing to spread over and the
+        # episode serves the single model.
+        one_gpu = machine_spec(self.config.topology).num_gpus < 2
+        server = build_server(
+            self.config.topology,
+            lambda machine: TGAT(machine, dataset, model_config),
+            placement="single" if one_gpu else serving["placement"],
+            backend=self.config.backend,
+            policy=serving["policy"],
+            max_batch_size=8,
+            batch_timeout_ms=2.0,
+            slo_ms=20.0,
+            router=serving["router"],
+            overlap=serving["overlap"],
+            fidelity=bool(serving.get("fidelity")),
+            cache=serving.get("cache"),
+            tracer=tracer,
+            metrics=metrics,
+        )
+        requests = make_requests(
+            dataset.stream,
+            "poisson",
+            serving["rate_rps"],
+            serving["duration_ms"],
+            seed=7,
+            events_per_request=1,
+            slo_ms=20.0,
+        )
+        self.serve_machine = server.machine
+        self.serve_report = server.serve(requests, label="fuzz", arrival_name="poisson")
         self.serve_tracer = tracer
 
 

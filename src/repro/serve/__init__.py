@@ -34,10 +34,17 @@ throughput numbers under load.  It simulates an online serving stack on the
   p50/p95/p99 percentiles, throughput, SLO-violation rate and per-device
   utilization.
 
+* :mod:`repro.serve.assemble` -- :func:`build_server`, the one assembly in
+  front of all of the above: topology preset name -> machine or cluster ->
+  replicas -> caches -> policy -> router -> the matching server class, and
+  the one statement of which combinations are legal.  The CLI, the fuzzer's
+  serving episode and the serving experiments build every server through it.
+
 See the ``serving``/``scaling`` experiments and the ``repro-dgnn serve``
 CLI subcommand for the end-to-end sweeps.
 """
 
+from .assemble import PLACEMENTS, build_server
 from .autoscale import AutoscaleConfig, Autoscaler, ScaleEvent
 from .batcher import DynamicBatcher
 from .cluster import ClusterServer, build_cluster_replicas
@@ -86,6 +93,7 @@ from .workload import (
     available_arrivals,
     generate_requests,
     make_arrival_process,
+    make_requests,
 )
 
 __all__ = [
@@ -106,6 +114,7 @@ __all__ = [
     "InferenceServer",
     "JoinShortestQueueRouter",
     "LeastLatencyRouter",
+    "PLACEMENTS",
     "POLICIES",
     "PoissonProcess",
     "ROUTERS",
@@ -128,10 +137,12 @@ __all__ = [
     "available_routers",
     "build_cluster_replicas",
     "build_replicas",
+    "build_server",
     "generate_requests",
     "make_arrival_process",
     "make_fidelity_controller",
     "make_policy",
+    "make_requests",
     "make_router",
     "payload_nbytes",
 ]

@@ -267,8 +267,7 @@ class ServingCore:
                     # Proactive warming: precompute hot-node embeddings into
                     # the replica's cache before the first request, charged
                     # to the owning node and drained by the barrier below.
-                    if self.backfill_nodes > 0 and getattr(replica, "cache", None) is not None:
-                        backfill_embeddings(replica, top_k=self.backfill_nodes)
+                    self._backfill(replica)
                 # A real barrier, not just clock alignment: remote warm-up
                 # ships weights over the NICs, and serving must not start
                 # while those payloads are still in flight.  With one node
@@ -663,6 +662,14 @@ class ServingCore:
         if touched is not None and self.tracer is not None:
             now = self.machine.host_time_ms
             self._instant("invalidate_broadcast", "cache", now, origin=origin, nodes=len(touched))
+
+    def _backfill(self, replica: Any) -> None:
+        """Backfill ``replica``'s cache -- every shard's, for a sharded model."""
+        if self.backfill_nodes <= 0:
+            return
+        for model in getattr(replica, "replicas", (replica,)):
+            if getattr(model, "cache", None) is not None:
+                backfill_embeddings(model, top_k=self.backfill_nodes)
 
     def _instant(self, name: str, category: str, ts_ms: float, **attrs: Any) -> None:
         """Record a point event on the front-end node's track."""

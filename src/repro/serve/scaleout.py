@@ -14,6 +14,7 @@ from typing import Any, Optional, Sequence
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import Tracer
 from .core import ServingCore
+from .fidelity import FidelityController
 from .policy import SchedulerPolicy
 from .request import Request
 from .router import Router
@@ -28,12 +29,22 @@ class ScaleOutServer(ServingCore):
         replicas: Sequence[Any],
         policy: SchedulerPolicy,
         router: Router,
+        fidelity: Optional[FidelityController] = None,
+        backfill_nodes: int = 0,
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         if len({id(replica.machine) for replica in replicas}) > 1:
             raise ValueError("all replicas must live on one machine")
-        super().__init__(replicas, policy, router=router, tracer=tracer, metrics=metrics)
+        super().__init__(
+            replicas,
+            policy,
+            router=router,
+            fidelity=fidelity,
+            backfill_nodes=backfill_nodes,
+            tracer=tracer,
+            metrics=metrics,
+        )
 
     # In the class body: benchmarks/spans.py times ``serve`` only where ``"serve" in cls.__dict__``.
     def serve(

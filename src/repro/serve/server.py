@@ -29,6 +29,7 @@ class InferenceServer(ServingCore):
         policy: SchedulerPolicy,
         overlap: bool = False,
         fidelity: Optional[FidelityController] = None,
+        backfill_nodes: int = 0,
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
@@ -38,7 +39,13 @@ class InferenceServer(ServingCore):
                 "(prepare_iteration/compute_iteration); serve it with overlap=False"
             )
         super().__init__(
-            [model], policy, overlap=overlap, fidelity=fidelity, tracer=tracer, metrics=metrics
+            [model],
+            policy,
+            overlap=overlap,
+            fidelity=fidelity,
+            backfill_nodes=backfill_nodes,
+            tracer=tracer,
+            metrics=metrics,
         )
 
     # In the class body: benchmarks/spans.py times ``serve`` only where ``"serve" in cls.__dict__``.

@@ -352,3 +352,34 @@ def generate_requests(
             )
         )
     return requests
+
+
+def make_requests(
+    stream: EventStream,
+    arrival: str,
+    rate_per_s: float,
+    duration_ms: float,
+    seed: int = 0,
+    events_per_request: int = 1,
+    slo_ms: Optional[float] = None,
+    **arrival_params,
+) -> List[Request]:
+    """The request list of one named arrival process over ``stream``.
+
+    :func:`make_arrival_process` then :func:`generate_requests`; trace
+    replay reads the stream's own timestamps.
+    """
+    arrivals = make_arrival_process(
+        arrival,
+        rate_per_s,
+        seed=seed,
+        trace_timestamps=stream.timestamps if arrival.lower() == TraceReplay.name else None,
+        **arrival_params,
+    )
+    return generate_requests(
+        stream,
+        arrivals,
+        duration_ms=duration_ms,
+        events_per_request=events_per_request,
+        slo_ms=slo_ms,
+    )

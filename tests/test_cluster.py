@@ -20,9 +20,11 @@ from repro.serve import (
     ScaleOutServer,
     build_cluster_replicas,
     build_replicas,
+    build_server,
     generate_requests,
     make_arrival_process,
     make_policy,
+    make_requests,
     make_router,
     payload_nbytes,
 )
@@ -205,6 +207,46 @@ class TestSingleNodeIdentity:
         assert cluster_report.total_latency().p99_ms == pytest.approx(
             scaleout_report.total_latency().p99_ms
         )
+
+    def test_identity_holds_with_cache_backfill_and_fidelity(self):
+        """The same bar with every optional part attached: per-replica caches,
+        the post-warm-up backfill and the slo policy's fidelity controller all
+        reach the machine-topology server through the same pass-throughs."""
+        dataset = make_dataset()
+        config = TGATConfig(num_neighbors=10, batch_size=32, seed=0)
+
+        def serve(topology, placement):
+            server = build_server(
+                topology, lambda machine: TGAT(machine, dataset, config),
+                placement=placement, policy="slo", batch_timeout_ms=2.0, slo_ms=20.0,
+                router="least-latency", fidelity=True, backfill=16,
+                cache={"policy": "lru", "capacity_mb": 8.0, "staleness_ms": 1e6},
+            )
+            requests = make_requests(
+                dataset.stream, "poisson", 9000.0, 60.0, events_per_request=4, slo_ms=20.0
+            )
+            return server, server.serve(requests, label="identity", arrival_name="poisson")
+
+        cluster_server, cluster_report = serve("1n-2xA100", "single")
+        machine_server, machine_report = serve("2xA100-pcie", "replicate")
+        assert isinstance(cluster_server, ClusterServer)
+        assert isinstance(machine_server, ScaleOutServer)
+
+        def trace(m):
+            return [
+                (e.kind, e.name, e.resource, e.start_ms, e.end_ms, e.bytes, e.region)
+                for e in m.events
+            ]
+
+        assert trace(cluster_server.machine) == trace(machine_server.machine)
+        assert any("Cache Backfill" in e.region for e in machine_server.machine.events)
+        assert machine_report.fidelity["degraded_batches"] > 0
+        assert cluster_report.fidelity == machine_report.fidelity
+        assert cluster_report.cache == machine_report.cache
+        assert cluster_report.cache["hits"] > 0
+        assert [r.completed_ms for r in cluster_report.requests] == [
+            r.completed_ms for r in machine_report.requests
+        ]
 
 
 class TestMultiNodeServing:

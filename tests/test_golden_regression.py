@@ -66,6 +66,12 @@ GOLDEN_EXPERIMENTS = {
     "fig7": {"scale": "tiny"},
     "fig8": {"scale": "tiny"},
     "fig9": {"scale": "tiny"},
+    # The serving sweeps (PR 17): shape backend, same rows as numeric.
+    "serving": {"scale": "tiny", "backend": "shape"},
+    "scaling": {"scale": "tiny", "backend": "shape"},
+    "autoscaling": {"scale": "tiny", "backend": "shape"},
+    "cache_ablation": {"scale": "tiny", "backend": "shape"},
+    "adaptive_fidelity": {"scale": "tiny", "backend": "shape"},
 }
 
 
@@ -353,9 +359,14 @@ def golden_path(name):
     return os.path.join(GOLDEN_DIR, f"{name}.json")
 
 
+def experiment_golden_path(name):
+    # ``serving.json`` is the serving-tier golden above, not the experiment's.
+    return golden_path("serving_experiment" if name == "serving" else name)
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_EXPERIMENTS))
 def test_experiment_matches_golden(name):
-    path = golden_path(name)
+    path = experiment_golden_path(name)
     assert os.path.exists(path), (
         f"golden file {path} is missing; regenerate with "
         "`PYTHONPATH=src python tests/test_golden_regression.py --regenerate`"
@@ -401,12 +412,14 @@ def test_fuzz_programs_match_golden():
 
 def regenerate():
     os.makedirs(GOLDEN_DIR, exist_ok=True)
-    contents = {name: canonical_json(name, kwargs) for name, kwargs in GOLDEN_EXPERIMENTS.items()}
-    contents["bottlenecks"] = bottlenecks_json()
-    contents["serving"] = serving_json()
-    contents["fuzz_programs"] = fuzz_programs_json()
-    for name, text in sorted(contents.items()):
-        path = golden_path(name)
+    contents = {
+        experiment_golden_path(name): canonical_json(name, kwargs)
+        for name, kwargs in GOLDEN_EXPERIMENTS.items()
+    }
+    contents[golden_path("bottlenecks")] = bottlenecks_json()
+    contents[golden_path("serving")] = serving_json()
+    contents[golden_path("fuzz_programs")] = fuzz_programs_json()
+    for path, text in sorted(contents.items()):
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
         print(f"wrote {path}")

@@ -11,6 +11,7 @@ from repro.serve import (
     TraceReplay,
     generate_requests,
     make_arrival_process,
+    make_requests,
 )
 
 
@@ -190,3 +191,24 @@ def test_generate_requests_never_outruns_the_stream():
         events_per_request=3,
     )
     assert len(requests) == stream.num_events // 3
+
+
+@pytest.mark.parametrize(
+    "arrival, params",
+    [("poisson", {}), ("trace", {}), ("flash-crowd", {"flash_multiplier": 4.0})],
+)
+def test_make_requests_is_the_named_process_over_the_stream(arrival, params):
+    stream = load("wikipedia", scale="tiny").stream
+    arrivals = make_arrival_process(
+        arrival, 300.0, seed=3, trace_timestamps=stream.timestamps, **params
+    )
+    expected = generate_requests(
+        stream, arrivals, duration_ms=80.0, events_per_request=2, slo_ms=25.0
+    )
+    built = make_requests(
+        stream, arrival, 300.0, 80.0, seed=3, events_per_request=2, slo_ms=25.0, **params
+    )
+    assert expected
+    assert [(r.request_id, r.arrival_ms, r.num_events, r.slo_ms) for r in built] == [
+        (r.request_id, r.arrival_ms, r.num_events, r.slo_ms) for r in expected
+    ]
