@@ -37,13 +37,15 @@ emits it when asked (``fault_rate > 0``).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from types import SimpleNamespace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..cache.policy import make_eviction_policy
 from ..cache.store import DeviceResidentCache
 from ..hw.cluster import Cluster
+from ..hw.events import Event
 from ..hw.machine import Machine
 from .config import FuzzConfig
 
@@ -677,9 +679,11 @@ def _tiny_dataset():
     return _DATASET_CACHE["tiny"]
 
 
+#: Every field of an event, in declaration order (a field added to ``Event``
+#: later is compared without anyone remembering to list it here).
+_EVENT_FIELDS = attrgetter(*(field.name for field in fields(Event)))
+
+
 def signature(machine: Machine) -> List[Tuple]:
-    """The event-identity fingerprint differential invariants compare."""
-    return [
-        (e.kind, e.name, e.resource, e.stream, e.start_ms, e.end_ms, e.flops, e.bytes)
-        for e in machine.events
-    ]
+    """The event-identity fingerprint differentials compare: every field (11)."""
+    return [_EVENT_FIELDS(event) for event in machine.events]

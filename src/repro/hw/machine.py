@@ -121,6 +121,10 @@ Execution backends decouple the cost model from the numerics that feed it:
 * The machine itself never branches on the backend -- charges arrive
   identically from either; :attr:`shape_mode` simply lets the tensor/model
   layers pick their data representation once per operator.
+* Shape-backend charges depend only on shapes, so a model may
+  :meth:`~Machine.record` a compute block's charges once and
+  :meth:`~Machine.replay` them for later batches of the same shape
+  (:mod:`repro.hw.tape`); the machine still does not branch on the backend.
 
 The serving caches (:mod:`repro.cache`) are charged through the same
 machinery rather than modelled as free lookups:
@@ -147,8 +151,9 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import replace as _spec_replace
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
+from . import tape as _tape
 from .device import Device
 from .events import ALLOC, FREE, KERNEL, MARKER, SYNC, TRANSFER, WARMUP, Event, EventLog
 from .link import Link
@@ -269,6 +274,8 @@ class Machine:
         #: Running per-device FLOP totals, updated on every kernel launch so
         #: the profiler can read O(1) deltas instead of rescanning the log.
         self._device_flops: Dict[str, float] = {d.name: 0.0 for d in self.devices}
+        #: The open recording (see :meth:`record`), or ``None``.
+        self._tape: Optional[_tape.Tape] = None
 
     # -- construction helpers -------------------------------------------
 
@@ -444,6 +451,8 @@ class Machine:
         The simulator's analogue of ``with torch.cuda.stream(s):``.  Nesting
         is allowed; the innermost context wins for its resource.
         """
+        if self._tape is not None:
+            self._tape.usable = False
         resource = stream.resource
         previous = self._current_streams.get(resource)
         self._current_streams[resource] = stream
@@ -515,6 +524,8 @@ class Machine:
         """Advance the host cursor by a pure-host cost (Python overhead etc.)."""
         if duration_ms < 0:
             raise ValueError("duration must be non-negative")
+        if self._tape is not None:
+            self._tape.usable = False
         self._host_time += duration_ms
 
     # -- regions ----------------------------------------------------------
@@ -539,6 +550,25 @@ class Machine:
     def current_region(self) -> tuple:
         return self._region_tuple
 
+    # -- record and replay (see repro.hw.tape) ------------------------------
+
+    @property
+    def recording(self) -> bool:
+        """Whether a :meth:`record` block is open."""
+        return self._tape is not None
+
+    def record(self, block: Callable[[], Any]) -> Tuple[Any, Optional[_tape.Tape]]:
+        """Run ``block()`` while taping its kernel/transfer/alloc charges.
+
+        Returns ``(result, tape)``; ``tape`` is ``None`` when the block did
+        anything a tape cannot reproduce, and then it must keep running direct.
+        """
+        return _tape.record(self, block)
+
+    def replay(self, tape: _tape.Tape) -> None:
+        """Re-issue a recorded tape, byte-identical to re-running its block."""
+        _tape.replay(self, tape)
+
     # -- kernels -----------------------------------------------------------
 
     def _resolve_kernel_stream(self, device: Device, stream: Optional[Stream]) -> Stream:
@@ -557,6 +587,22 @@ class Machine:
             return stream
         target = self._current_streams.get(device.name)
         return target if target is not None else device.default_stream
+
+    def _kernel_prologue(
+        self, device: Device, stream: Optional[Stream] = None
+    ) -> Tuple[Stream, bool, float]:
+        """What back-to-back launches on one device share, hoisted out of the
+        loops of :meth:`launch_kernels` and tape replay (:mod:`repro.hw.tape`).
+
+        Resolves the stream, fires the lazy GPU warm-up and returns ``(stream,
+        asynchronous, host_overhead_ms)``; a launch that is not asynchronous
+        (CPU default stream) runs the host to the kernel's end instead.
+        """
+        target = self._resolve_kernel_stream(device, stream)
+        is_gpu = device.is_gpu
+        if is_gpu and device.name not in self._ready_gpus:
+            self.initialize_gpu(model_bytes=0, device=device)
+        return target, is_gpu or not target.is_default, device.spec.host_overhead_us * 1e-3
 
     def launch_kernel(
         self,
@@ -579,6 +625,10 @@ class Machine:
         """
         target = self._resolve_kernel_stream(device, stream)
         cost = device.kernel_cost(flops, bytes_moved)
+        if self._tape is not None:
+            self._tape.kernel(
+                self._region_tuple, device, name, flops, bytes_moved, cost.duration_ms, stream
+            )
         if device.is_gpu:
             if device.name not in self._ready_gpus:
                 self.initialize_gpu(model_bytes=0, device=device)
@@ -633,14 +683,8 @@ class Machine:
             raise ValueError("count must be non-negative")
         if count == 0:
             return []
-        target = self._resolve_kernel_stream(device, stream)
-        is_gpu = device.is_gpu
-        if is_gpu and device.name not in self._ready_gpus:
-            self.initialize_gpu(model_bytes=0, device=device)
-        cost = device.kernel_cost(flops, bytes_moved)
-        duration = cost.duration_ms
-        overhead = device.spec.host_overhead_us * 1e-3
-        asynchronous = is_gpu or not target.is_default
+        target, asynchronous, overhead = self._kernel_prologue(device, stream)
+        duration = device.kernel_cost(flops, bytes_moved).duration_ms
         resource = device.name
         region = self._region_tuple
         stream_name = target.name
@@ -760,6 +804,11 @@ class Machine:
             raise ValueError(
                 f"transfer {src.name!r}->{dst.name!r} stages through "
                 f"{len(hops)} links; an explicit stream is ambiguous"
+            )
+        if self._tape is not None:
+            self._tape.transfer(
+                self._region_tuple, src, dst, nbytes, name, non_blocking, len(hops),
+                plain=stream is None and after is None and wait_for_source,
             )
         # The payload must exist before it can be copied: wait for the
         # producing stream to finish its queued work.
@@ -957,6 +1006,8 @@ class Machine:
 
     def alloc(self, device: Device, nbytes: int, tag: str = "") -> int:
         """Register a device allocation and emit an ``alloc`` event."""
+        if self._tape is not None:
+            self._tape.alloc(self._region_tuple, device, nbytes, tag)
         alloc_id = device.memory.alloc(nbytes, tag=tag, at_ms=self._host_time)
         self._emit(
             kind=ALLOC,

@@ -1,0 +1,172 @@
+"""Record-and-replay charging: the CUDA-graph idea applied to the simulator.
+
+Under the ``shape`` backend a block of model code charges the machine with a
+kernel/transfer/alloc sequence that is a pure function of the operand
+*shapes*.  :func:`record` runs such a block once while the machine appends
+every charge to a :class:`Tape`; :func:`replay` re-issues the tape without
+running the ``models -> nn -> tensor`` layers that derived it.  Callers reach
+both through :meth:`Machine.record <repro.hw.machine.Machine.record>` and
+:meth:`Machine.replay <repro.hw.machine.Machine.replay>`.
+
+**The contract is byte identity.**  Replaying a tape leaves every observable
+exactly as re-running the recorded block would: all 11
+:class:`~repro.hw.events.Event` fields in order, the host clock, the event
+count, the per-device FLOP totals, every stream and link timeline, the
+memory pools' ``current/peak/history``, the lazy GPU warm-up, and the
+exception a strict pool raises -- at the same entry, after the same events.
+A tape stores no times and no stream: both are resolved when it replays, so
+a ``use_stream`` override in force at replay time is honoured and a tape
+replays on any machine with the same device names.
+
+**Completeness is checked, not assumed.**  Only three calls are taped --
+``launch_kernel`` (current stream), ``transfer`` (default source/ordering
+arguments) and ``alloc`` -- and each knows how many events it emits (a
+transfer: one per hop of its route).  When a recording closes, the machine's
+event-count delta must equal that total; ``advance_host`` and ``use_stream``,
+which move state without an event, mark the open tape unusable outright.  So
+anything else issued inside a recorded block -- a synchronisation, a stream
+event, a ``free``, ``host_work``, ``launch_kernels``, a warm-up, a cluster
+NIC hop, or a call added later -- makes :func:`record` return no tape, and
+the caller keeps running that block directly.
+"""
+
+from __future__ import annotations
+
+from typing import TYPE_CHECKING, Any, Callable, List, Optional, Tuple
+
+from .events import KERNEL, Event
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .machine import Machine
+
+# Entry tags.  Every entry is one fixed-width tuple
+# ``(tag, region, resource, name, arg, nbytes, tail)`` so the replay loop
+# unpacks each charge in a single step:
+#   kernel    resource = device    arg = flops         tail = duration_ms
+#   transfer  resource = source    arg = destination   tail = non_blocking
+#   alloc     resource = device    name = tag          (arg, tail unused)
+# Devices are stored by name and ``region`` is the full stack in force.
+_KERNEL, _TRANSFER, _ALLOC = range(3)
+
+
+class Tape:
+    """The charges one recorded block issued, in issue order."""
+
+    __slots__ = ("entries", "events", "usable", "region")
+
+    def __init__(self, region: Tuple[str, ...]) -> None:
+        self.entries: List[tuple] = []
+        #: Events the entries emit when replayed (the conservation total).
+        self.events = 0
+        #: Cleared by a charge or state change a tape cannot reproduce.
+        self.usable = True
+        #: Region stack in force when the recording opened; entries carry
+        #: absolute region tuples, so the tape only replays under the same one.
+        self.region = region
+
+    # -- the three taped calls (``Machine`` appends through these) ---------
+
+    def kernel(self, region, device, name, flops, bytes_moved, duration_ms, stream) -> None:
+        if stream is not None:
+            self.usable = False
+        self.entries.append(
+            (_KERNEL, region, device.name, name, flops, int(bytes_moved), duration_ms)
+        )
+        self.events += 1
+
+    def transfer(self, region, src, dst, nbytes, name, non_blocking, hops, plain) -> None:
+        if not plain:
+            self.usable = False
+        self.entries.append((_TRANSFER, region, src.name, name, dst.name, nbytes, non_blocking))
+        self.events += hops
+
+    def alloc(self, region, device, nbytes, tag) -> None:
+        self.entries.append((_ALLOC, region, device.name, tag, None, nbytes, None))
+        self.events += 1
+
+
+def record(machine: "Machine", block: Callable[[], Any]) -> Tuple[Any, Optional[Tape]]:
+    """Run ``block()`` with a recording open; returns ``(result, tape)``.
+
+    ``tape`` is ``None`` unless the recording passed both completeness tests
+    (module docstring).  The block's own charges land exactly as without a
+    recording; an exception propagates with the recording closed.
+    """
+    if machine._tape is not None:
+        raise RuntimeError("a recording is already open on this machine")
+    tape = machine._tape = Tape(machine._region_tuple)
+    started = machine._event_count
+    try:
+        result = block()
+    finally:
+        machine._tape = None
+    complete = tape.usable and machine._event_count - started == tape.events
+    return result, (tape if complete else None)
+
+
+def replay(machine: "Machine", tape: Tape) -> None:
+    """Re-issue ``tape`` on ``machine`` (byte-identical to re-running its block).
+
+    Kernel entries charge in one fused loop: per device, the stream, the
+    warm-up check and the host overhead come from
+    :meth:`Machine._kernel_prologue` once per replay -- on the device's first
+    kernel entry, which is where direct execution would fire the lazy warm-up
+    -- and the duration was stored at record time.  Transfers and allocations
+    go through the public methods.  An exception (a strict pool's
+    ``OutOfMemoryError``) leaves the entries before it charged and the region
+    restored, like the recorded block would.
+    """
+    ambient = machine._region_tuple
+    if tape.region != ambient:
+        raise ValueError(
+            f"tape recorded under region {tape.region!r} cannot replay under {ambient!r}"
+        )
+    devices = {device.name: device for device in machine.devices}
+    prologues: dict = {}
+    record_events = machine.record_events
+    log = machine.events.append
+    flop_totals = machine._device_flops
+    try:
+        for op, region, resource, name, arg, nbytes, tail in tape.entries:
+            if op == _KERNEL:
+                prologue = prologues.get(resource)
+                if prologue is None:
+                    # A lazy warm-up fired here is annotated like the launch.
+                    machine._region_tuple = region
+                    prologue = prologues[resource] = machine._kernel_prologue(devices[resource])
+                target, asynchronous, overhead_ms = prologue
+                if asynchronous:
+                    machine._host_time += overhead_ms
+                    interval = target.reserve(machine._host_time, tail, name)
+                else:
+                    interval = target.reserve(machine._host_time, tail, name)
+                    machine._host_time = interval.end_ms
+                flop_totals[resource] = flop_totals.get(resource, 0.0) + arg
+                machine._event_count += 1
+                if record_events:
+                    # Positional, as in ``launch_kernel``: the hottest site.
+                    log(
+                        Event(
+                            KERNEL,
+                            name,
+                            resource,
+                            interval.start_ms,
+                            interval.end_ms,
+                            arg,
+                            nbytes,
+                            region,
+                            "",
+                            "",
+                            target.name,
+                        )
+                    )
+            elif op == _TRANSFER:
+                machine._region_tuple = region
+                machine.transfer(
+                    devices[resource], devices[arg], nbytes, name=name, non_blocking=tail
+                )
+            else:
+                machine._region_tuple = region
+                machine.alloc(devices[resource], nbytes, tag=name)
+    finally:
+        machine._region_tuple = ambient

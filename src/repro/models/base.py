@@ -21,15 +21,22 @@ Every model in :mod:`repro.models` follows the same contract:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Hashable, Iterator, Optional, Sequence, Tuple
 
 from ..hw.device import Device
 from ..hw.machine import Machine
 from ..nn.module import Module
+from ..tensor import Tensor, meta
 
 #: Table 1 column values.
 CONTINUOUS = "continuous"
 DISCRETE = "discrete"
+
+# Tapes a model keeps (see ``DGNNModel._replayed``).  Bounded like the
+# placeholder memo in ``tensor/meta.py``: reset wholesale if a pathological
+# workload floods it with shape signatures.
+_TAPE_LIMIT = 256
+_UNSEEN = object()
 
 
 @dataclass(frozen=True)
@@ -106,6 +113,11 @@ class DGNNModel(Module):
         #: serving layer sets this per dispatched batch; sampling models
         #: read it through :meth:`effective_fanout`.
         self._fanout_scale: float = 1.0
+        #: Shape signature -> ``(tape, output shape, output device)``, or
+        #: ``None`` for a signature whose recording failed the tape's checks
+        #: and therefore keeps running direct (see :meth:`_replayed`).
+        self._tapes: Dict[Hashable, Optional[tuple]] = {}
+        self._replay_stats = {"recorded": 0, "replayed": 0, "direct": 0}
 
     # -- devices -------------------------------------------------------------
 
@@ -138,6 +150,56 @@ class DGNNModel(Module):
         self.machine.initialize_gpu(model_bytes=self.param_bytes(), device=self._compute_device)
         footprint = self.batch_footprint_bytes(batch) if batch is not None else self.param_bytes()
         self.machine.allocation_warmup(footprint, device=self._compute_device)
+
+    # -- record-and-replay charging ---------------------------------------------
+
+    @property
+    def replay_stats(self) -> Dict[str, int]:
+        """How the shape backend ran this model's taped call sites so far:
+        ``recorded`` once, ``replayed`` from a tape, or ``direct``."""
+        return dict(self._replay_stats)
+
+    def _replayed(self, key: Optional[Hashable], compute: Callable[[], Tensor]) -> Tensor:
+        """``compute()``, replayed from a tape when ``key`` was seen before.
+
+        For compute blocks whose kernel/transfer/alloc charges are a pure
+        function of ``key`` -- a shape signature -- and that touch no
+        Python-side state, so opting in is per call site.  Under the shape
+        backend the first call with a key runs ``compute`` under
+        :meth:`Machine.record <repro.hw.machine.Machine.record>` and keeps
+        the tape; later calls replay it and return a placeholder of the
+        recorded output shape.  ``key=None`` (the caller saw a reason to run
+        direct), an open recording, and a key whose tape failed the
+        completeness checks all run ``compute`` as if this helper did not
+        exist; the numeric backend never records.
+        """
+        machine = self.machine
+        if not machine.shape_mode:
+            return compute()
+        stats = self._replay_stats
+        tapes = self._tapes
+        if key is None or machine.recording:
+            known = None
+        else:
+            known = tapes.get(key, _UNSEEN)
+        if known is None:
+            stats["direct"] += 1
+            return compute()
+        if known is not _UNSEEN:
+            tape, shape, device = known
+            machine.replay(tape)
+            stats["replayed"] += 1
+            return Tensor(meta.placeholder(shape), device)
+        result, tape = machine.record(compute)
+        if len(tapes) >= _TAPE_LIMIT:
+            tapes.clear()
+        if tape is None or result.is_tracked:
+            tapes[key] = None
+            stats["direct"] += 1
+        else:
+            tapes[key] = (tape, result.shape, result.device)
+            stats["recorded"] += 1
+        return result
 
     # -- interface for subclasses ------------------------------------------------
 

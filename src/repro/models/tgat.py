@@ -17,7 +17,7 @@ and the trailing device sync as ``Cuda Synchronization``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -225,7 +225,7 @@ class TGAT(DGNNModel):
         if self._is_cached_plan(plan):
             scores = self._cached_forward(batch, plan)
         else:
-            scores = self._forward(batch, plan=iter(plan))
+            scores = self._forward(batch, plan=plan)
         if self.machine.has_gpu:
             self.machine.stream_synchronize(self.machine.default_stream(self.compute_device))
         return scores
@@ -255,7 +255,7 @@ class TGAT(DGNNModel):
         elif plan is None and self.cache is not None:
             self._cached_forward(batch, self.prepare_iteration(batch))
         else:
-            self._forward(batch, plan=iter(plan) if plan is not None else None)
+            self._forward(batch, plan=plan)
         stream = self.machine.default_stream(self.compute_device)
         return self.machine.record_event(stream, name=f"{self.name}_dispatched")
 
@@ -292,13 +292,44 @@ class TGAT(DGNNModel):
         return self.sampler.sample(nodes, times, k)
 
     def _forward(
-        self, batch: EventStream, plan: Optional[Iterator[NeighborhoodSample]] = None
+        self, batch: EventStream, plan: Optional[Sequence[NeighborhoodSample]] = None
     ) -> Tensor:
         """One mini-batch forward pass (sampling inline or from a plan)."""
         nodes = np.concatenate([batch.src, batch.dst])
         times = np.concatenate([batch.timestamps, batch.timestamps])
-        embeddings = self._embed(nodes, times, layer=self.config.num_layers, plan=plan)
-        return self._score_pairs(embeddings, batch.num_events)
+
+        def compute() -> Tensor:
+            embeddings = self._embed(
+                nodes,
+                times,
+                layer=self.config.num_layers,
+                plan=iter(plan) if plan is not None else None,
+            )
+            return self._score_pairs(embeddings, batch.num_events)
+
+        return self._replayed(self._tape_key("forward", len(nodes), batch.num_events, plan), compute)
+
+    def _tape_key(
+        self,
+        site: str,
+        num_nodes: int,
+        num_events: int,
+        plan: Optional[Sequence[NeighborhoodSample]],
+    ) -> Optional[tuple]:
+        """Shape signature of one planned compute block (see ``_replayed``).
+
+        With the sampling precomputed, every charge ``_embed`` and
+        ``_score_pairs`` issue follows from the row counts and the plan's own
+        sample widths (adaptive fidelity may have changed the fan-out since).
+        ``None`` -- run direct -- without a plan, where sampling interleaves
+        with compute, and until the feature table is resident, because its
+        one-time upload must not be taped.
+        """
+        table = self._device_features
+        if plan is None or table is None or table.device != self.compute_device:
+            return None
+        widths = tuple(sample.neighbor_ids.shape for sample in plan)
+        return (site, num_nodes, num_events, widths, self.machine.current_region)
 
     def _score_pairs(self, embeddings: Tensor, num_events: int) -> Tensor:
         """Link-prediction head over the batch's (src, dst) embedding pairs."""
@@ -328,11 +359,14 @@ class TGAT(DGNNModel):
         config = self.config
         miss_emb: Optional[Tensor] = None
         if plan.miss_nodes.size:
-            miss_emb = self._embed(
-                plan.miss_nodes,
-                plan.miss_times,
-                layer=config.num_layers,
-                plan=iter(plan.samples),
+            miss_emb = self._replayed(
+                self._tape_key("embed", len(plan.miss_nodes), 0, plan.samples),
+                lambda: self._embed(
+                    plan.miss_nodes,
+                    plan.miss_times,
+                    layer=config.num_layers,
+                    plan=iter(plan.samples),
+                ),
             )
         if plan.num_hits == 0:
             assert miss_emb is not None

@@ -16,6 +16,7 @@ the exact same operator sequence.
 import numpy as np
 import pytest
 
+from repro.fuzz.program import signature
 from repro.hw.machine import Machine
 from repro.tensor import Tensor, ops
 
@@ -98,13 +99,6 @@ def _execute(spec, bases, program, backend, record_events):
     return machine
 
 
-def _signature(machine):
-    return [
-        (e.kind, e.name, e.resource, e.stream, e.start_ms, e.end_ms, e.flops, e.bytes)
-        for e in machine.events
-    ]
-
-
 def _busy_by_device(machine):
     return {device.name: device.busy_ms() for device in machine.devices}
 
@@ -120,7 +114,7 @@ def test_random_programs_are_backend_and_recording_invariant(seed):
         for record in (True, False)
         if (backend, record) != ("numeric", True)
     }
-    reference_signature = _signature(reference)
+    reference_signature = signature(reference)
     reference_busy = _busy_by_device(reference)
     for (backend, record), machine in runs.items():
         label = f"{backend}/record={record}"
@@ -128,6 +122,6 @@ def test_random_programs_are_backend_and_recording_invariant(seed):
         assert machine.event_count == reference.event_count, label
         assert _busy_by_device(machine) == reference_busy, label
         if record:
-            assert _signature(machine) == reference_signature, label
+            assert signature(machine) == reference_signature, label
         else:
             assert len(machine.events) == 0, label

@@ -28,7 +28,8 @@ from repro.fuzz import (
     save_reproducer,
     shrink,
 )
-from repro.fuzz.program import InvariantViolation
+from repro.fuzz.program import Execution, InvariantViolation
+from repro.hw.machine import Machine
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "fuzz_corpus")
 
@@ -53,6 +54,36 @@ def test_campaign_cases_are_deterministic():
     # Cases are independently seeded: a different case index, different draw.
     _, ops_c = draw_case(7, 4)
     assert ops_c != ops_a
+
+
+def test_seed_zero_serving_episodes_replay_tapes(monkeypatch):
+    """``backend-equivalence`` polices replay == direct only if episodes replay.
+
+    The invariant runs every case on both backends, so the shape side of each
+    serving episode of the ``--seed 0 --budget 100`` campaign is run here
+    with a spy on ``Machine.replay``.
+    """
+    replayed = []
+    original = Machine.replay
+
+    def spy(machine, tape):
+        replayed.append(len(tape.entries))
+        original(machine, tape)
+
+    monkeypatch.setattr(Machine, "replay", spy)
+    episodes = replaying = 0
+    for case in range(100):
+        config, ops = draw_case(0, case)
+        if config.serving is None:
+            continue
+        config.backend = "shape"
+        before = len(replayed)
+        Execution(config, checks=set()).run(ops)
+        episodes += 1
+        replaying += len(replayed) > before
+    assert episodes >= 20
+    assert replaying >= episodes // 2, (replaying, episodes)
+    assert all(entries > 0 for entries in replayed)
 
 
 # -- planted violations ------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from repro.cache import merge_cache_stats
 from repro.cli import main
 from repro.datasets import load
+from repro.fuzz.program import signature
 from repro.hw import Cluster, Machine
 from repro.models.tgat import TGAT, TGATConfig
 from repro.obs import (
@@ -34,13 +35,6 @@ from repro.serve import (
 @pytest.fixture(scope="module")
 def tiny_wikipedia():
     return load("wikipedia", scale="tiny")
-
-
-def _events_signature(machine):
-    return [
-        (e.kind, e.name, e.resource, e.start_ms, e.end_ms, e.bytes, e.stream)
-        for e in machine.events
-    ]
 
 
 def _serve_single(dataset, tracer=None, metrics=None, overlap=True):
@@ -90,7 +84,7 @@ class TestTracerIdentity:
         traced_machine, traced = _serve_single(
             tiny_wikipedia, tracer=Tracer(), metrics=MetricsRegistry()
         )
-        assert _events_signature(bare_machine) == _events_signature(traced_machine)
+        assert signature(bare_machine) == signature(traced_machine)
         assert bare_machine.host_time_ms == traced_machine.host_time_ms
         assert [r.completed_ms for r in bare.requests] == [
             r.completed_ms for r in traced.requests
@@ -103,7 +97,7 @@ class TestTracerIdentity:
             tiny_wikipedia, tracer=Tracer(), metrics=MetricsRegistry()
         )
         for bare_node, traced_node in zip(bare_cluster.nodes, traced_cluster.nodes):
-            assert _events_signature(bare_node) == _events_signature(traced_node)
+            assert signature(bare_node) == signature(traced_node)
         assert bare_cluster.time_ms == traced_cluster.time_ms
         assert [r.completed_ms for r in bare.requests] == [
             r.completed_ms for r in traced.requests
