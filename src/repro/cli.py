@@ -44,9 +44,9 @@ from .obs import (
     format_breakdown,
     format_diff,
     format_top_spans,
-    load_trace,
     pick_request,
     top_spans,
+    validate_trace_file,
 )
 from .serve import (
     PLACEMENTS,
@@ -622,19 +622,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    try:
-        payload = load_trace(args.trace)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: cannot load trace {args.trace!r}: {exc}", file=sys.stderr)
-        return 2
+    payloads = []
+    for path in (args.trace, args.diff):
+        if path is not None:
+            try:
+                payloads.append(validate_trace_file(path))
+            except (OSError, ValueError) as exc:
+                print(f"error: cannot load trace {path!r}: {exc}", file=sys.stderr)
+                return 2
     if args.diff is not None:
-        try:
-            other = load_trace(args.diff)
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
-            print(f"error: cannot load trace {args.diff!r}: {exc}", file=sys.stderr)
-            return 2
-        print(format_diff(diff_traces(payload, other)))
+        print(format_diff(diff_traces(*payloads)))
         return 0
+    payload = payloads[0]
     try:
         request = pick_request(payload, args.request)
     except ValueError as exc:

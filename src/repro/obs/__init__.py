@@ -32,7 +32,6 @@ from .critical_path import (
     format_breakdown,
     format_diff,
     format_top_spans,
-    load_trace,
     pick_request,
     top_spans,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "format_breakdown",
     "format_diff",
     "format_top_spans",
-    "load_trace",
     "pick_request",
     "record_completion",
     "record_dispatch",

@@ -23,7 +23,6 @@ latency percentiles side by side).
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict, List, Sequence, Tuple
 
 from ..core.stats import percentile
@@ -33,15 +32,6 @@ ATTRIBUTION_PRIORITY = ("kernel", "nic", "copy", "cache", "sample", "sync", "war
 
 #: Categories reported in a breakdown, in print order.
 BREAKDOWN_SEGMENTS = ("queue",) + ATTRIBUTION_PRIORITY + ("wait",)
-
-
-def load_trace(path: str) -> Dict[str, Any]:
-    """Load an exported trace file (no validation beyond JSON + repro block)."""
-    with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
-    if "repro" not in payload or "traceEvents" not in payload:
-        raise ValueError(f"{path} is not a repro trace export (missing repro block)")
-    return payload
 
 
 def completed_requests(payload: Dict[str, Any]) -> List[Dict[str, Any]]:
@@ -247,7 +237,6 @@ __all__ = [
     "format_breakdown",
     "format_diff",
     "format_top_spans",
-    "load_trace",
     "pick_request",
     "top_spans",
 ]

@@ -25,16 +25,19 @@ Timestamps in ``traceEvents`` are microseconds (trace-event convention);
 everything in ``repro`` stays in simulated milliseconds.
 
 :func:`validate_trace` checks a payload against the checked-in JSON schema
-(``docs/trace.schema.json``) with a small built-in validator (subset:
-``type``/``properties``/``required``/``items``/``enum``), so CI needs no
-third-party jsonschema package.
+(``docs/trace.schema.json``) with a small built-in validator, so CI needs no
+third-party jsonschema package.  It implements the subset ``type``/``enum``/
+``required``/``properties``/``items`` and compiles the schema into closures
+before it reads the payload (one call per trace event, not one per node);
+a schema using any other constraint keyword, or an unknown type name, is
+refused while compiling rather than left silently unchecked.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..hw.events import ALLOC, FREE, KERNEL, MARKER, SYNC, TRANSFER, WARMUP
 from .trace import Tracer
@@ -283,65 +286,142 @@ def _default_schema_path() -> str:
     return os.path.join(root, SCHEMA_RELPATH)
 
 
-_TYPE_CHECKS = {
-    "object": lambda v: isinstance(v, dict),
-    "array": lambda v: isinstance(v, list),
-    "string": lambda v: isinstance(v, str),
-    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
-    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
-    "boolean": lambda v: isinstance(v, bool),
-    "null": lambda v: v is None,
+#: Accepted classes per schema type name.  ``bool`` subclasses ``int``, so
+#: ``number``/``integer`` additionally reject booleans (see :func:`_head`).
+_TYPE_CLASSES = {
+    "object": (dict,),
+    "array": (list,),
+    "string": (str,),
+    "number": (int, float),
+    "integer": (int,),
+    "boolean": (bool,),
+    "null": (type(None),),
 }
 
+#: Keywords that make a schema node more than a leaf (``type``/``enum`` only).
+_STRUCTURE = ("required", "properties", "items")
+#: All a schema node may say: the constraints that are checked, and annotations.
+_KEYWORDS = frozenset(("type", "enum", *_STRUCTURE, "$schema", "title", "description"))
 
-def _validate(instance: Any, schema: Dict[str, Any], path: str) -> None:
-    """Check ``instance`` against the JSON-schema subset the trace uses.
+
+class _Violation(Exception):
+    """The first violation, unwinding: each level prefixes its path step."""
+
+    path = ""
+
+
+def _head(schema: Any, where: str) -> Tuple[Tuple[type, ...], bool, str, Optional[List[Any]]]:
+    """Resolve one schema node's ``type``/``enum`` and refuse what is not checked.
+
+    Returns ``(classes, no_bool, expected, enum)``: the accepted class tuple,
+    whether a ``bool`` must be turned away although ``isinstance`` lets it
+    through as an ``int``, the type names as the message prints them, and
+    the enum list (or ``None``).  A keyword or type name the subset does
+    not implement raises ``ValueError`` naming the schema path ``where`` --
+    a constraint that is not enforced must not look enforced.
+    """
+    if not isinstance(schema, dict):
+        raise ValueError(f"schema {where}: expected an object, got {type(schema).__name__}")
+    for keyword in schema:
+        if keyword not in _KEYWORDS:
+            raise ValueError(f"schema {where}: unsupported keyword {keyword!r}")
+    types = schema.get("type")
+    if types is None:
+        return (object,), False, "", schema.get("enum")
+    names = types if isinstance(types, list) else [types]
+    for name in names:
+        if name not in _TYPE_CLASSES:
+            raise ValueError(f"schema {where}: unknown type {name!r}")
+    classes = tuple(cls for name in names for cls in _TYPE_CLASSES[name])
+    return classes, int in classes and bool not in classes, "/".join(names), schema.get("enum")
+
+
+def _compile(schema: Any, where: str = "$") -> Callable[[Any], None]:
+    """Compile a schema node into ``check(instance)``.
 
     Supported keywords: ``type`` (string or list), ``enum``, ``required``,
-    ``properties``, ``items``.  Raises ``ValueError`` naming the offending
-    path; anything the subset does not know is ignored, never guessed.
+    ``properties``, ``items``.  Everything a node asks is resolved here,
+    once: its class tuple, enum, required keys, the ``items`` checker and
+    the property list in schema order, where a *leaf* property (``type``/
+    ``enum`` only) is checked inline by its parent and only a nested one
+    costs a call.  ``check`` raises :class:`_Violation` on the first
+    violation in the order type, enum, required, properties (schema order),
+    items (index order); the path is assembled while it unwinds, so a valid
+    payload formats nothing.
     """
-    types = schema.get("type")
-    if types is not None:
-        allowed = types if isinstance(types, list) else [types]
-        if not any(_TYPE_CHECKS[t](instance) for t in allowed):
-            raise ValueError(
-                f"{path}: expected type {'/'.join(allowed)}, "
-                f"got {type(instance).__name__}"
-            )
-    enum = schema.get("enum")
-    if enum is not None and instance not in enum:
-        raise ValueError(f"{path}: value {instance!r} not in {enum}")
-    if isinstance(instance, dict):
-        for key in schema.get("required", ()):
-            if key not in instance:
-                raise ValueError(f"{path}: missing required key {key!r}")
-        for key, subschema in schema.get("properties", {}).items():
-            if key in instance:
-                _validate(instance[key], subschema, f"{path}.{key}")
-    if isinstance(instance, list):
-        items = schema.get("items")
-        if items is not None:
-            for index, entry in enumerate(instance):
-                _validate(entry, items, f"{path}[{index}]")
+    classes, no_bool, expected, enum = _head(schema, where)
+    required = tuple(schema.get("required", ()))
+    properties = []
+    for key, subschema in schema.get("properties", {}).items():
+        sub_where = f"{where}.properties.{key}"
+        head = _head(subschema, sub_where)
+        leaf = not any(keyword in subschema for keyword in _STRUCTURE)
+        properties.append((key, None if leaf else _compile(subschema, sub_where)) + head)
+    items = schema.get("items")
+    check_item = None if items is None else _compile(items, f"{where}.items")
+
+    def check(instance: Any) -> None:
+        if not isinstance(instance, classes) or (no_bool and isinstance(instance, bool)):
+            raise _Violation(f"expected type {expected}, got {type(instance).__name__}")
+        if enum is not None and instance not in enum:
+            raise _Violation(f"value {instance!r} not in {enum}")
+        if isinstance(instance, dict):
+            for key in required:
+                if key not in instance:
+                    raise _Violation(f"missing required key {key!r}")
+            try:
+                for key, nested, sub_classes, sub_no_bool, sub_expected, sub_enum in properties:
+                    if key not in instance:
+                        continue
+                    value = instance[key]
+                    if nested is not None:
+                        nested(value)
+                    elif not isinstance(value, sub_classes) or (
+                        sub_no_bool and isinstance(value, bool)
+                    ):
+                        raise _Violation(
+                            f"expected type {sub_expected}, got {type(value).__name__}"
+                        )
+                    elif sub_enum is not None and value not in sub_enum:
+                        raise _Violation(f"value {value!r} not in {sub_enum}")
+            except _Violation as violation:
+                violation.path = f".{key}{violation.path}"
+                raise
+        elif check_item is not None and isinstance(instance, list):
+            try:
+                for index, entry in enumerate(instance):
+                    check_item(entry)
+            except _Violation as violation:
+                violation.path = f"[{index}]{violation.path}"
+                raise
+
+    return check
 
 
 def validate_trace(payload: Dict[str, Any], schema_path: Optional[str] = None) -> None:
     """Validate a trace payload against ``docs/trace.schema.json``.
 
-    Raises ``ValueError`` on the first violation.  Beyond the schema it
-    checks two structural promises the schema language cannot express:
-    async ``b``/``e`` events pair up, and every flow step has both ends.
+    Raises ``ValueError`` on the first violation, naming its path.  Beyond
+    the schema it checks three structural promises the schema subset cannot
+    express: async ``b``/``e`` events pair up, every flow step has both
+    ends, and every ``X`` event has the ``ts`` the attribution sweep reads
+    -- so a payload accepted here is one ``repro-dgnn trace`` can analyse.
     """
     resolved = schema_path or _default_schema_path()
     with open(resolved, "r", encoding="utf-8") as handle:
-        schema = json.load(handle)
-    _validate(payload, schema, "$")
+        check = _compile(json.load(handle))
+    try:
+        check(payload)
+    except _Violation as violation:
+        raise ValueError(f"${violation.path}: {violation}") from None
     opens: Dict[Tuple[str, str, str], int] = {}
     flows: Dict[str, int] = {}
-    for event in payload["traceEvents"]:
+    for index, event in enumerate(payload["traceEvents"]):
         ph = event.get("ph")
-        if ph in ("b", "e"):
+        if ph == "X":
+            if "ts" not in event:
+                raise ValueError(f"$.traceEvents[{index}]: 'X' event without 'ts'")
+        elif ph in ("b", "e"):
             key = (event.get("cat", ""), event.get("id", ""), event.get("name", ""))
             opens[key] = opens.get(key, 0) + (1 if ph == "b" else -1)
         elif ph in ("s", "f"):

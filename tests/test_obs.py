@@ -26,8 +26,10 @@ from repro.serve import (
     InferenceServer,
     PoissonProcess,
     build_cluster_replicas,
+    build_server,
     generate_requests,
     make_policy,
+    make_requests,
     make_router,
 )
 
@@ -162,6 +164,37 @@ class TestExport:
         # The payload must survive a JSON round trip unchanged.
         assert json.loads(json.dumps(payload)) == payload
 
+    def test_profile_style_trace_without_a_report_validates(self, tiny_wikipedia):
+        """``profile --trace`` exports a tracer with no serving report."""
+        tracer = Tracer()
+        _serve_single(tiny_wikipedia, tracer=tracer)
+        payload = build_trace(tracer, label="tgat-profile")
+        validate_trace(payload)
+        assert payload["repro"]["requests"] == []
+        assert payload["repro"]["metrics"] is None
+        assert any(e["ph"] == "X" for e in payload["traceEvents"])
+
+    def test_autoscaled_trace_with_instant_attrs_validates(self, tiny_wikipedia):
+        config = TGATConfig(num_neighbors=5, batch_size=8)
+        tracer = Tracer()
+        server = build_server(
+            "2n-2xA100-eth", lambda machine: TGAT(machine, tiny_wikipedia, config),
+            backend="shape", batch_timeout_ms=4.0, slo_ms=50.0, router="least-latency",
+            autoscale={"min_replicas": 1, "max_replicas": 4,
+                       "up_cooldown_ms": 10.0, "down_cooldown_ms": 40.0},
+            tracer=tracer, metrics=MetricsRegistry(),
+        )
+        requests = make_requests(
+            tiny_wikipedia.stream, "flash-crowd", 400.0, 250.0, seed=0, slo_ms=50.0,
+            flash_at_ms=75.0, flash_duration_ms=100.0, flash_multiplier=6.0,
+        )
+        report = server.serve(requests, arrival_name="flash-crowd")
+        payload = build_trace(tracer, report=report)
+        validate_trace(payload)
+        scale_ups = [i for i in payload["repro"]["instants"] if i["name"].startswith("scale:up")]
+        assert scale_ups and all("node_index" in i["attrs"] for i in scale_ups)
+        assert any(e["ph"] == "i" and e["args"] for e in payload["traceEvents"])
+
     def test_validate_trace_rejects_unbalanced_spans(self, tiny_wikipedia):
         tracer = Tracer()
         _, report = _serve_single(tiny_wikipedia, tracer=tracer)
@@ -274,3 +307,43 @@ class TestCli:
         printed = capsys.readouterr().out
         assert "trace diff:" in printed
         assert "(+0.000)" in printed
+
+    @pytest.fixture(scope="class")
+    def good_and_bad(self, tmp_path_factory):
+        """A real export, and a copy whose first request lost ``arrival_ms``."""
+        tmp_path = tmp_path_factory.mktemp("traces")
+        good = tmp_path / "good.json"
+        assert main([
+            "serve", "tgat", "--scale", "tiny", "--rate", "300",
+            "--duration", "120", "--trace", str(good),
+        ]) == 0
+        payload = json.loads(good.read_text(encoding="utf-8"))
+        del payload["repro"]["requests"][0]["arrival_ms"]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload), encoding="utf-8")
+        return str(good), str(bad)
+
+    def test_malformed_trace_file_is_a_reported_outcome(self, good_and_bad, tmp_path, capsys):
+        """A schema-invalid file exits 2 naming the first offending path --
+        it used to reach the analysis and die with a ``KeyError`` traceback."""
+        _, bad = good_and_bad
+        hand_made = tmp_path / "hand-made.json"
+        hand_made.write_text(
+            '{"repro": {"requests": [{"id": 1, "total_ms": 3.0}]}, "traceEvents": 3}',
+            encoding="utf-8",
+        )
+        for path, where in (
+            (bad, "$.repro.requests[0]: missing required key 'arrival_ms'"),
+            (str(hand_made), "$: missing required key 'displayTimeUnit'"),
+        ):
+            assert main(["trace", path, "--request", "p99"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: cannot load trace {path!r}: {where}\n"
+
+    def test_trace_diff_names_the_malformed_file(self, good_and_bad, capsys):
+        good, bad = good_and_bad
+        assert main(["trace", good, "--diff", bad]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot load trace {bad!r}: $.repro.requests[0]")
