@@ -24,7 +24,7 @@ are preserved.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .._compat import DATACLASS_SLOTS
 from .timeline import Interval, Timeline
@@ -87,6 +87,24 @@ class Stream:
     def reserve(self, ready_ms: float, duration_ms: float, label: str) -> Interval:
         """Queue ``duration_ms`` of work behind everything already issued."""
         return self.timeline.reserve(max(ready_ms, self._not_before), duration_ms, label)
+
+    def reserve_run(
+        self,
+        host_ms: float,
+        step_ms: float,
+        durations: Sequence[float],
+        labels: Sequence[str],
+        blocking: bool,
+    ) -> Tuple[List[float], List[float], float]:
+        """Queue a run of work items issued back to back by one host.
+
+        Bit-identical to one :meth:`reserve` per duration (see
+        :meth:`Timeline.reserve_run <repro.hw.timeline.Timeline.reserve_run>`,
+        which this passes the stream's ``wait_event`` floor).
+        """
+        return self.timeline.reserve_run(
+            host_ms, step_ms, self._not_before, durations, labels, blocking
+        )
 
     def record_event(self, at_ms: float, name: str = "event") -> StreamEvent:
         """Capture the completion time of all work issued so far.
@@ -204,11 +222,11 @@ def union_busy_ms(
     spans: List[Tuple[float, float]] = []
     for timeline in timelines:
         first, last = timeline._overlap_range(lo, hi)
-        intervals = timeline._intervals
+        starts = timeline._starts
+        ends = timeline._ends
         for index in range(first, last):
-            interval = intervals[index]
-            clipped_lo = max(interval.start_ms, lo)
-            clipped_hi = min(interval.end_ms, hi)
+            clipped_lo = max(starts[index], lo)
+            clipped_hi = min(ends[index], hi)
             if clipped_hi > clipped_lo:
                 spans.append((clipped_lo, clipped_hi))
     if not spans:

@@ -6,10 +6,10 @@ paper asks of Nsight traces: how busy was the GPU over a window (utilization),
 when does the resource next become free (for scheduling), and how does
 utilization evolve over time (Fig. 9's utilization-vs-time plots).
 
-Hot-path accounting: the simulator used to rescan the full interval list on
-every ``busy_ms`` query, which made repeated profiler captures and binned
-utilization series O(n^2) over a run.  The timeline now maintains running
-totals and parallel start/end arrays as intervals are reserved, so
+Storage is columnar: three parallel lists (starts, ends, labels) and no
+per-interval object.  An :class:`Interval` is a value ``reserve`` returns and
+iteration materialises on read; nothing holds one.  Running totals are
+maintained as intervals are reserved, so
 
 * unclipped ``busy_ms()`` is O(1) (a stored running sum, accumulated in
   insertion order so the float result is bit-identical to the old scan);
@@ -22,23 +22,21 @@ totals and parallel start/end arrays as intervals are reserved, so
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
-
-from .._compat import DATACLASS_SLOTS
+from itertools import chain
+from typing import Iterable, Iterator, List, NamedTuple, Sequence, Tuple
 
 
-@dataclass(frozen=True, **DATACLASS_SLOTS)
-class Interval:
-    """A closed-open busy interval ``[start_ms, end_ms)`` with a label."""
+class Interval(NamedTuple):
+    """A closed-open busy interval ``[start_ms, end_ms)`` with a label.
+
+    A plain immutable value: ``end_ms >= start_ms`` is enforced where
+    intervals enter a :class:`Timeline` (:meth:`Timeline.reserve`,
+    :meth:`Timeline.reserve_run`, :meth:`Timeline.from_intervals`), not here.
+    """
 
     start_ms: float
     end_ms: float
     label: str = ""
-
-    def __post_init__(self) -> None:
-        if self.end_ms < self.start_ms:
-            raise ValueError("interval ends before it starts")
 
     @property
     def duration_ms(self) -> float:
@@ -55,9 +53,9 @@ class Timeline:
 
     __slots__ = (
         "name",
-        "_intervals",
         "_starts",
         "_ends",
+        "_labels",
         "_busy_total",
         "_merged_total",
         "_run_start",
@@ -67,14 +65,15 @@ class Timeline:
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self._intervals: List[Interval] = []
         # Scheduling keeps intervals sorted and disjoint; reporting-only
         # timelines built by :meth:`merged` may overlap and fall back to a
         # full scan for window queries.
         self._disjoint = True
-        # Parallel arrays for O(log n) window queries.
+        # The interval store: one row per interval across three columns
+        # (the first two are bisected by the window queries).
         self._starts: List[float] = []
         self._ends: List[float] = []
+        self._labels: List[str] = []
         # Running sum of durations, accumulated in insertion order so the
         # float value matches the old full rescan bit for bit.
         self._busy_total = 0.0
@@ -99,20 +98,17 @@ class Timeline:
         """
         if duration_ms < 0:
             raise ValueError("duration must be non-negative")
-        last_end = self._ends[-1] if self._ends else 0.0
+        ends = self._ends
+        last_end = ends[-1] if ends else 0.0
         start = ready_ms if ready_ms > last_end else last_end
         end = start + duration_ms
-        interval = Interval(start, end, label)
-        self._intervals.append(interval)
-        self._starts.append(start)
-        self._ends.append(end)
         # Accumulate end - start (not duration_ms): the old full rescan
         # summed interval.duration_ms, and start + d - start can differ from
         # d in the last ulp.
         self._busy_total += end - start
         # Merged-run bookkeeping: a gap closes the open run, a touching or
         # first interval extends it (start >= last_end always holds here).
-        if len(self._intervals) == 1:
+        if not ends:
             self._run_start = start
             self._run_end = end
         elif start > self._run_end:
@@ -121,19 +117,85 @@ class Timeline:
             self._run_end = end
         else:
             self._run_end = end
-        return interval
+        self._starts.append(start)
+        ends.append(end)
+        self._labels.append(label)
+        return Interval(start, end, label)
+
+    def reserve_run(
+        self,
+        host_ms: float,
+        step_ms: float,
+        floor_ms: float,
+        durations: Sequence[float],
+        labels: Sequence[str],
+        blocking: bool,
+    ) -> Tuple[List[float], List[float], float]:
+        """Reserve ``durations`` back to back from one host cursor.
+
+        Bit-identical to one :meth:`reserve` per duration issued by a host
+        at ``host_ms``: asynchronous issue (``blocking=False``) advances the
+        host by ``step_ms`` before each reservation, blocking issue moves it
+        to the interval's end after it, and every interval starts at
+        ``max(host, floor_ms, end of the previous interval)`` -- the same
+        float operations in the same order, but in one loop over locals with
+        the columns extended once.  Returns ``(starts, ends, host_ms)``.
+
+        A negative duration anywhere in the run raises ``ValueError`` and
+        leaves the timeline exactly as it was, which is stronger than the
+        scalar loop (it would have reserved the run's prefix first).
+        """
+        if len(labels) != len(durations):
+            raise ValueError("reserve_run needs one label per duration")
+        empty = not self._ends
+        last_end = 0.0 if empty else self._ends[-1]
+        busy = self._busy_total
+        merged = self._merged_total
+        run_start = self._run_start
+        run_end = self._run_end
+        host = host_ms
+        starts: List[float] = []
+        ends: List[float] = []
+        for duration_ms in durations:
+            if duration_ms < 0:
+                raise ValueError("duration must be non-negative")
+            if not blocking:
+                host += step_ms
+            ready = floor_ms if floor_ms > host else host
+            start = ready if ready > last_end else last_end
+            last_end = end = start + duration_ms
+            busy += end - start
+            if empty:
+                empty = False
+                run_start = start
+            elif start > run_end:
+                merged += run_end - run_start
+                run_start = start
+            run_end = end
+            starts.append(start)
+            ends.append(end)
+            if blocking:
+                host = end
+        self._starts.extend(starts)
+        self._ends.extend(ends)
+        self._labels.extend(labels)
+        self._busy_total = busy
+        self._merged_total = merged
+        self._run_start = run_start
+        self._run_end = run_end
+        return starts, ends, host
 
     # -- queries --------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._intervals)
+        return len(self._starts)
 
-    def __iter__(self):
-        return iter(self._intervals)
+    def __iter__(self) -> Iterator[Interval]:
+        return map(Interval, self._starts, self._ends, self._labels)
 
     @property
     def intervals(self) -> Sequence[Interval]:
-        return tuple(self._intervals)
+        return tuple(self)
 
     def busy_ms(self, start_ms: float | None = None, end_ms: float | None = None) -> float:
         """Total busy time, optionally clipped to a window."""
@@ -154,7 +216,7 @@ class Timeline:
     def _overlap_range(self, lo: float, hi: float) -> Tuple[int, int]:
         """Index range [first, last) of intervals that may overlap [lo, hi)."""
         if not self._disjoint:
-            return (0, len(self._intervals))
+            return (0, len(self._starts))
         # Intervals are sorted and disjoint: everything ending at or before
         # ``lo`` and everything starting at or after ``hi`` is irrelevant.
         first = bisect_right(self._ends, lo)
@@ -171,7 +233,7 @@ class Timeline:
         maintained incrementally and returned in O(1).
         """
         if start_ms is None and end_ms is None:
-            if not self._intervals:
+            if not self._starts:
                 return 0.0
             return self._merged_total + (self._run_end - self._run_start)
         lo = start_ms if start_ms is not None else float("-inf")
@@ -228,7 +290,7 @@ class Timeline:
 
     def span(self) -> Tuple[float, float]:
         """(first start, last end) of the recorded intervals; (0, 0) if empty."""
-        if not self._intervals:
+        if not self._starts:
             return (0.0, 0.0)
         return (self._starts[0], self._ends[-1])
 
@@ -240,12 +302,7 @@ class Timeline:
         """
         merged = Timeline(name or f"{self.name}+{other.name}")
         merged._disjoint = False
-        merged._fill(
-            sorted(
-                list(self._intervals) + list(other._intervals),
-                key=lambda i: (i.start_ms, i.end_ms),
-            )
-        )
+        merged._fill(sorted(chain(self, other), key=lambda i: (i.start_ms, i.end_ms)))
         return merged
 
     @classmethod
@@ -263,6 +320,8 @@ class Timeline:
         for start, end in intervals:
             if start < last_end:
                 raise ValueError("intervals must be sorted and disjoint")
+            if end < start:
+                raise ValueError("interval ends before it starts")
             built.append(Interval(start, end))
             last_end = end
         timeline._fill(built)
@@ -270,11 +329,9 @@ class Timeline:
 
     def _fill(self, intervals: List[Interval]) -> None:
         """Load an empty timeline with start-sorted (maybe overlapping) intervals."""
-        self._intervals = intervals
-        self._starts = [interval.start_ms for interval in intervals]
-        self._ends = [interval.end_ms for interval in intervals]
         if not intervals:
             return
+        self._starts, self._ends, self._labels = map(list, zip(*intervals))
         # Same accumulation order as ``reserve`` (durations in list order,
         # one ``run_end - run_start`` per closed run), so the O(1) totals
         # match a timeline that reserved these intervals one by one.

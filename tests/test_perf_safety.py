@@ -9,6 +9,7 @@ verbatim copies of the pre-optimization code -- on randomized programs:
 same intervals, same event logs, same samples, byte for byte.
 """
 
+import contextlib
 import time
 from dataclasses import replace
 from unittest.mock import Mock
@@ -163,15 +164,23 @@ def drive_random_program(machine, seed, steps=120, batch_api=False):
             action = rng.integers(0, 10)
             device = devices[int(rng.integers(0, len(devices)))]
             if action <= 3:
-                count = int(rng.integers(1, 5))
+                count = int(rng.integers(0, 5))
                 flops = float(rng.integers(1, 50)) * 1e6
                 nbytes = float(rng.integers(1, 100)) * 1e3
-                stream = machine.stream(device, "worker") if rng.integers(0, 3) == 0 else None
-                if batch_api:
-                    machine.launch_kernels(device, "k", count, flops, nbytes, stream=stream)
-                else:
-                    for _ in range(count):
-                        machine.launch_kernel(device, "k", flops, nbytes, stream=stream)
+                # An explicit stream, a use_stream override, or the current one.
+                placement = int(rng.integers(0, 4))
+                stream = machine.stream(device, "worker") if placement == 0 else None
+                override = (
+                    machine.use_stream(machine.stream(device, "side"))
+                    if placement == 1
+                    else contextlib.nullcontext()
+                )
+                with override:
+                    if batch_api:
+                        machine.launch_kernels(device, "k", count, flops, nbytes, stream=stream)
+                    else:
+                        for _ in range(count):
+                            machine.launch_kernel(device, "k", flops, nbytes, stream=stream)
             elif action == 4:
                 machine.host_work("host", float(rng.uniform(0.01, 0.5)))
             elif action <= 6:
@@ -238,6 +247,15 @@ def test_union_busy_matches_reference_merge(seed):
         assert single.merged_busy_ms(lo, hi) == reference_union_busy_ms([single], lo, hi)
 
 
+def stream_timelines(machine):
+    """Every stream of every device and link (default, worker, side, copy)."""
+    return {
+        (resource.name, stream.name): stream.timeline.intervals
+        for resource in (*machine.devices, *machine.links)
+        for stream in resource.streams
+    }
+
+
 @pytest.mark.parametrize("spec", ["1xA6000", "2xA100-pcie", "2xA100-nvlink"])
 @pytest.mark.parametrize("seed", [11, 12])
 def test_batched_kernel_charging_is_byte_identical(spec, seed):
@@ -249,12 +267,18 @@ def test_batched_kernel_charging_is_byte_identical(spec, seed):
     assert loop_machine.host_time_ms == batch_machine.host_time_ms
     assert loop_machine.event_count == batch_machine.event_count
     assert loop_events == batch_events
-    for loop_device, batch_device in zip(loop_machine.devices, batch_machine.devices):
-        assert (
-            loop_device.default_stream.timeline.intervals
-            == batch_device.default_stream.timeline.intervals
-        )
+    timelines = stream_timelines(loop_machine)
+    assert timelines == stream_timelines(batch_machine)
+    streams = {stream for _, stream in timelines}
+    assert {"default", "worker", "side", "copy"} <= streams
     assert loop_machine.device_flops_totals() == batch_machine.device_flops_totals()
+    # ... and with the event log off, where only the charges remain to compare.
+    silent = Machine.from_spec(spec, record_events=False)
+    assert drive_random_program(silent, seed, batch_api=True) == []
+    assert silent.host_time_ms == loop_machine.host_time_ms
+    assert silent.event_count == loop_machine.event_count
+    assert stream_timelines(silent) == timelines
+    assert silent.device_flops_totals() == loop_machine.device_flops_totals()
 
 
 @pytest.mark.parametrize("seed", [21, 22])
