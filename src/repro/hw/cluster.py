@@ -249,15 +249,8 @@ class Cluster:
         """Advance one node's host by a hop's issue overhead and emit its event."""
         machine.advance_host(link.spec.host_overhead_us * 1e-3)
         machine._emit(
-            kind=TRANSFER,
-            name=name,
-            resource=link.name,
-            start_ms=interval.start_ms,
-            end_ms=interval.end_ms,
-            bytes=nbytes,
-            src=src_name,
-            dst=dst_name,
-            stream=link.default_stream.name,
+            TRANSFER, name, link.name, interval.start_ms, interval.end_ms, nbytes,
+            link.default_stream.name, src_name, dst_name,
         )
 
     # -- reporting -------------------------------------------------------

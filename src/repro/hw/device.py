@@ -17,6 +17,11 @@ from .spec import DeviceSpec
 from .stream import Stream, StreamSet
 from .timeline import Interval, Timeline
 
+#: Entries :attr:`Device._cost_cache` may hold before it is cleared wholesale
+#: (the cost model is a pure function of the key, so a cleared memo only
+#: recomputes): data-dependent shapes must not grow a long-running server.
+_COST_CACHE_LIMIT = 4096
+
 
 @dataclass(frozen=True, **DATACLASS_SLOTS)
 class KernelCost:
@@ -101,6 +106,8 @@ class Device:
             launch_ms=launch_ms,
             duration_ms=launch_ms + body_ms,
         )
+        if len(self._cost_cache) >= _COST_CACHE_LIMIT:
+            self._cost_cache.clear()
         self._cost_cache[(flops, bytes_moved)] = cost
         return cost
 

@@ -9,10 +9,7 @@ Profiler and NVIDIA Nsight Systems traces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence, Tuple
-
-from .._compat import DATACLASS_SLOTS
+from typing import Iterable, NamedTuple, Sequence, Tuple
 
 #: Event kinds.
 KERNEL = "kernel"
@@ -28,10 +25,33 @@ MARKER = "marker"
 
 _VALID_KINDS = frozenset({KERNEL, TRANSFER, WARMUP, ALLOC, FREE, SYNC, MARKER})
 
+_new_tuple = tuple.__new__
 
-@dataclass(frozen=True, **DATACLASS_SLOTS)
-class Event:
+
+class _EventFields(NamedTuple):
+    """Field order, defaults, ``==``, ``hash`` and ``repr`` of :class:`Event`."""
+
+    kind: str
+    name: str
+    resource: str
+    start_ms: float
+    end_ms: float
+    flops: float = 0.0
+    bytes: int = 0
+    region: Tuple[str, ...] = ()
+    src: str = ""
+    dst: str = ""
+    stream: str = ""
+
+
+class Event(_EventFields):
     """A single timestamped action on a simulated device or link.
+
+    An immutable value; every construction checks the kind and that the
+    event does not end before it starts.  (A named tuple under a validating
+    ``__new__``: one event per simulated action makes the constructor the
+    hottest allocation in the simulator, and a frozen dataclass pays one
+    ``object.__setattr__`` per field.)
 
     Attributes:
         kind: One of ``kernel``, ``transfer``, ``warmup``, ``alloc``, ``free``
@@ -48,26 +68,34 @@ class Event:
             for events that do not occupy a stream, e.g. alloc/free).
     """
 
-    kind: str
-    name: str
-    resource: str
-    start_ms: float
-    end_ms: float
-    flops: float = 0.0
-    bytes: int = 0
-    region: Tuple[str, ...] = ()
-    src: str = ""
-    dst: str = ""
-    stream: str = ""
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in _VALID_KINDS:
-            raise ValueError(f"unknown event kind: {self.kind!r}")
-        if self.end_ms < self.start_ms:
-            raise ValueError(
-                f"event {self.name!r} ends ({self.end_ms}) before it starts "
-                f"({self.start_ms})"
-            )
+    def __new__(
+        cls,
+        kind: str,
+        name: str,
+        resource: str,
+        start_ms: float,
+        end_ms: float,
+        flops: float = 0.0,
+        bytes: int = 0,
+        region: Tuple[str, ...] = (),
+        src: str = "",
+        dst: str = "",
+        stream: str = "",
+    ) -> "Event":
+        if kind not in _VALID_KINDS:
+            raise ValueError(f"unknown event kind: {kind!r}")
+        if end_ms < start_ms:
+            raise ValueError(f"event {name!r} ends ({end_ms}) before it starts ({start_ms})")
+        return _new_tuple(
+            cls, (kind, name, resource, start_ms, end_ms, flops, bytes, region, src, dst, stream)
+        )
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "Event":
+        # ``_replace`` builds through here; keep it behind the same checks.
+        return cls(*iterable)
 
     @property
     def duration_ms(self) -> float:
@@ -98,8 +126,7 @@ class EventLog:
         self._events.append(event)
 
     def extend(self, events: Iterable[Event]) -> None:
-        for event in events:
-            self.append(event)
+        self._events.extend(events)
 
     def __len__(self) -> int:
         return len(self._events)

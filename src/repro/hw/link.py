@@ -17,6 +17,10 @@ from .spec import LinkSpec
 from .stream import Stream, StreamSet
 from .timeline import Interval, Timeline
 
+#: Entries :attr:`Link._transfer_ms_cache` may hold before it is cleared
+#: wholesale (a pure function of the payload size, so nothing is lost).
+_TRANSFER_CACHE_LIMIT = 4096
+
 
 class Link:
     """A bidirectional host<->device link.
@@ -60,6 +64,8 @@ class Link:
         cached = self._transfer_ms_cache.get(nbytes)
         if cached is None:
             cached = self.spec.transfer_ms(nbytes)
+            if len(self._transfer_ms_cache) >= _TRANSFER_CACHE_LIMIT:
+                self._transfer_ms_cache.clear()
             self._transfer_ms_cache[nbytes] = cached
         return cached
 

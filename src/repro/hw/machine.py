@@ -151,7 +151,19 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import replace as _spec_replace
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from itertools import repeat
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from . import tape as _tape
 from .device import Device
@@ -466,12 +478,26 @@ class Machine:
 
     # -- event emission ---------------------------------------------------
 
-    def _emit(self, **fields) -> Optional[Event]:
+    def _emit(
+        self,
+        kind: str,
+        name: str,
+        resource: str,
+        start_ms: float,
+        end_ms: float,
+        nbytes: int = 0,
+        stream: str = "",
+        src: str = "",
+        dst: str = "",
+    ) -> Optional[Event]:
         """Count one simulated action and record it when recording is on."""
         self._event_count += 1
         if not self.record_events:
             return None
-        event = Event(region=self._region_tuple, **fields)
+        event = Event(
+            kind, name, resource, start_ms, end_ms, 0.0, nbytes, self._region_tuple, src, dst,
+            stream,
+        )
         self.events.append(event)
         return event
 
@@ -480,27 +506,15 @@ class Machine:
     def record_event(self, stream: Stream, name: str = "event") -> StreamEvent:
         """Record a completion marker on ``stream`` (``cudaEventRecord``)."""
         event = stream.record_event(self._host_time, name=name)
-        self._emit(
-            kind=MARKER,
-            name=f"record:{name}",
-            resource=stream.resource,
-            start_ms=self._host_time,
-            end_ms=self._host_time,
-            stream=stream.name,
-        )
+        now = self._host_time
+        self._emit(MARKER, f"record:{name}", stream.resource, now, now, 0, stream.name)
         return event
 
     def wait_event(self, stream: Stream, event: StreamEvent) -> None:
         """Make work issued to ``stream`` after this call wait for ``event``."""
         stream.wait_event(event)
-        self._emit(
-            kind=MARKER,
-            name=f"wait:{event.name}",
-            resource=stream.resource,
-            start_ms=self._host_time,
-            end_ms=self._host_time,
-            stream=stream.name,
-        )
+        now = self._host_time
+        self._emit(MARKER, f"wait:{event.name}", stream.resource, now, now, 0, stream.name)
 
     # -- activation ------------------------------------------------------
 
@@ -588,21 +602,54 @@ class Machine:
         target = self._current_streams.get(device.name)
         return target if target is not None else device.default_stream
 
-    def _kernel_prologue(
-        self, device: Device, stream: Optional[Stream] = None
-    ) -> Tuple[Stream, bool, float]:
-        """What back-to-back launches on one device share, hoisted out of the
-        loops of :meth:`launch_kernels` and tape replay (:mod:`repro.hw.tape`).
+    def _charge_kernel_run(
+        self,
+        device: Device,
+        stream: Optional[Stream],
+        names: Sequence[str],
+        flops: Sequence[float],
+        sizes: Sequence[int],
+        durations: Sequence[float],
+        regions: Iterable[Tuple[str, ...]],
+    ) -> List[Event]:
+        """Charge kernels launched back to back on one device, as columns.
 
-        Resolves the stream, fires the lazy GPU warm-up and returns ``(stream,
-        asynchronous, host_overhead_ms)``; a launch that is not asynchronous
-        (CPU default stream) runs the host to the kernel's end instead.
+        The one run charger behind :meth:`launch_kernels` and tape replay
+        (:mod:`repro.hw.tape`), byte-identical to one :meth:`launch_kernel`
+        per row: what the launches share -- the stream, the lazy GPU warm-up,
+        the host overhead -- is resolved once, the stream reserves the whole
+        run in one call, and the events are built in one pass.  A launch that
+        is not asynchronous (CPU default stream) runs the host to each
+        kernel's end instead of paying the overhead.
         """
         target = self._resolve_kernel_stream(device, stream)
         is_gpu = device.is_gpu
         if is_gpu and device.name not in self._ready_gpus:
             self.initialize_gpu(model_bytes=0, device=device)
-        return target, is_gpu or not target.is_default, device.spec.host_overhead_us * 1e-3
+        starts, ends, self._host_time = target.reserve_run(
+            self._host_time,
+            device.spec.host_overhead_us * 1e-3,
+            durations,
+            names,
+            blocking=not is_gpu and target.is_default,
+        )
+        resource = device.name
+        # Repeated ``+=``: ``flops * count`` rounds differently.
+        total = self._device_flops.get(resource, 0.0)
+        for value in flops:
+            total += value
+        self._device_flops[resource] = total
+        self._event_count += len(starts)
+        if not self.record_events:
+            return []
+        events = list(
+            map(
+                Event, repeat(KERNEL), names, repeat(resource), starts, ends, flops, sizes,
+                regions, repeat(""), repeat(""), repeat(target.name),
+            )
+        )
+        self.events.extend(events)
+        return events
 
     def launch_kernel(
         self,
@@ -674,50 +721,24 @@ class Machine:
 
         Byte-identical to calling :meth:`launch_kernel` ``count`` times with
         the same arguments -- same intervals, same events, same host-cursor
-        movement -- but the stream resolution, cost-model lookup and warm-up
-        check are hoisted out of the loop, so homogeneous op sequences (RNN
-        steps, per-window encoder stacks, repeated identical layers) charge
-        in a tight loop instead of re-resolving per launch.
+        movement -- but charged as one run (:meth:`_charge_kernel_run`), so
+        homogeneous op sequences (RNN steps, per-window encoder stacks,
+        repeated identical layers) do not re-resolve per launch.
         """
         if count < 0:
             raise ValueError("count must be non-negative")
         if count == 0:
             return []
-        target, asynchronous, overhead = self._kernel_prologue(device, stream)
         duration = device.kernel_cost(flops, bytes_moved).duration_ms
-        resource = device.name
-        region = self._region_tuple
-        stream_name = target.name
-        record = self.record_events
-        ibytes = int(bytes_moved)
-        flop_totals = self._device_flops
-        events: List[Event] = []
-        for _ in range(count):
-            if asynchronous:
-                self._host_time += overhead
-                interval = target.reserve(self._host_time, duration, name)
-            else:
-                interval = target.reserve(self._host_time, duration, name)
-                self._host_time = interval.end_ms
-            flop_totals[resource] = flop_totals.get(resource, 0.0) + flops
-            if record:
-                events.append(
-                    Event(
-                        kind=KERNEL,
-                        name=name,
-                        resource=resource,
-                        start_ms=interval.start_ms,
-                        end_ms=interval.end_ms,
-                        flops=flops,
-                        bytes=ibytes,
-                        region=region,
-                        stream=stream_name,
-                    )
-                )
-        self._event_count += count
-        if record:
-            self.events.extend(events)
-        return events
+        return self._charge_kernel_run(
+            device,
+            stream,
+            [name] * count,
+            [flops] * count,
+            [int(bytes_moved)] * count,
+            [duration] * count,
+            repeat(self._region_tuple),
+        )
 
     def host_work(
         self, name: str, duration_ms: float, stream: Optional[Stream] = None
@@ -734,20 +755,9 @@ class Machine:
             self._host_time = interval.end_ms
         else:
             interval = self.cpu.schedule(self._host_time, duration_ms, name, stream=target)
-        self._event_count += 1
-        if not self.record_events:
-            return None
-        event = Event(
-            kind=KERNEL,
-            name=name,
-            resource=self.cpu.name,
-            start_ms=interval.start_ms,
-            end_ms=interval.end_ms,
-            region=self._region_tuple,
-            stream=target.name,
+        return self._emit(
+            KERNEL, name, self.cpu.name, interval.start_ms, interval.end_ms, 0, target.name
         )
-        self.events.append(event)
-        return event
 
     # -- transfers ----------------------------------------------------------
 
@@ -839,21 +849,10 @@ class Machine:
                 self._host_time += hop.link.spec.host_overhead_us * 1e-3
             else:
                 self._host_time = interval.end_ms
-            self._event_count += 1
-            if self.record_events:
-                event = Event(
-                    kind=TRANSFER,
-                    name=name,
-                    resource=hop.link.name,
-                    start_ms=interval.start_ms,
-                    end_ms=interval.end_ms,
-                    bytes=nbytes,
-                    region=self._region_tuple,
-                    src=src.name,
-                    dst=dst.name,
-                    stream=target.name,
-                )
-                self.events.append(event)
+            event = self._emit(
+                TRANSFER, name, hop.link.name, interval.start_ms, interval.end_ms, nbytes,
+                target.name, src.name, dst.name,
+            )
             # A staged route's second hop cannot start before the first
             # hop's copy has landed in host memory.
             ready = interval.end_ms
@@ -868,13 +867,7 @@ class Machine:
         pending = max(pending, self.topology.free_at)
         end = max(start, pending)
         self._host_time = end
-        return self._emit(
-            kind=SYNC,
-            name=name,
-            resource=self.cpu.name,
-            start_ms=start,
-            end_ms=end,
-        )
+        return self._emit(SYNC, name, self.cpu.name, start, end)
 
     def device_synchronize(
         self, device: Union[Device, str], name: str = "device_sync"
@@ -890,27 +883,14 @@ class Machine:
         start = self._host_time
         end = max(start, device.free_at)
         self._host_time = end
-        return self._emit(
-            kind=SYNC,
-            name=name,
-            resource=device.name,
-            start_ms=start,
-            end_ms=end,
-        )
+        return self._emit(SYNC, name, device.name, start, end)
 
     def stream_synchronize(self, stream: Stream, name: str = "stream_sync") -> Optional[Event]:
         """Block the host until one stream's queued work has completed."""
         start = self._host_time
         end = max(start, stream.free_at)
         self._host_time = end
-        return self._emit(
-            kind=SYNC,
-            name=name,
-            resource=stream.resource,
-            start_ms=start,
-            end_ms=end,
-            stream=stream.name,
-        )
+        return self._emit(SYNC, name, stream.resource, start, end, 0, stream.name)
 
     def event_synchronize(
         self, stream_event: StreamEvent, name: str = "event_sync"
@@ -919,14 +899,7 @@ class Machine:
         start = self._host_time
         end = max(start, stream_event.ready_ms)
         self._host_time = end
-        return self._emit(
-            kind=SYNC,
-            name=name,
-            resource=stream_event.resource,
-            start_ms=start,
-            end_ms=end,
-            stream=stream_event.stream,
-        )
+        return self._emit(SYNC, name, stream_event.resource, start, end, 0, stream_event.stream)
 
     # -- warm-up ------------------------------------------------------------
 
@@ -959,12 +932,8 @@ class Machine:
         interval = gpu.schedule(self._host_time, context_ms, "context_init")
         self._host_time = interval.end_ms
         context_event = self._emit(
-            kind=WARMUP,
-            name="context_init",
-            resource=gpu.name,
-            start_ms=interval.start_ms,
-            end_ms=interval.end_ms,
-            stream=gpu.default_stream.name,
+            WARMUP, "context_init", gpu.name, interval.start_ms, interval.end_ms, 0,
+            gpu.default_stream.name,
         )
         if context_event is not None:
             emitted.append(context_event)
@@ -993,13 +962,8 @@ class Machine:
         interval = gpu.schedule(self._host_time, duration, "allocation_warmup")
         self._host_time = interval.end_ms
         return self._emit(
-            kind=WARMUP,
-            name="allocation_warmup",
-            resource=gpu.name,
-            start_ms=interval.start_ms,
-            end_ms=interval.end_ms,
-            bytes=footprint_bytes,
-            stream=gpu.default_stream.name,
+            WARMUP, "allocation_warmup", gpu.name, interval.start_ms, interval.end_ms,
+            footprint_bytes, gpu.default_stream.name,
         )
 
     # -- memory ------------------------------------------------------------
@@ -1008,28 +972,16 @@ class Machine:
         """Register a device allocation and emit an ``alloc`` event."""
         if self._tape is not None:
             self._tape.alloc(self._region_tuple, device, nbytes, tag)
-        alloc_id = device.memory.alloc(nbytes, tag=tag, at_ms=self._host_time)
-        self._emit(
-            kind=ALLOC,
-            name=tag or "alloc",
-            resource=device.name,
-            start_ms=self._host_time,
-            end_ms=self._host_time,
-            bytes=nbytes,
-        )
+        now = self._host_time
+        alloc_id = device.memory.alloc(nbytes, tag, now)
+        self._emit(ALLOC, tag or "alloc", device.name, now, now, nbytes)
         return alloc_id
 
     def free(self, device: Device, alloc_id: int) -> int:
         """Release a device allocation and emit a ``free`` event."""
-        nbytes = device.memory.free(alloc_id, at_ms=self._host_time)
-        self._emit(
-            kind=FREE,
-            name="free",
-            resource=device.name,
-            start_ms=self._host_time,
-            end_ms=self._host_time,
-            bytes=nbytes,
-        )
+        now = self._host_time
+        nbytes = device.memory.free(alloc_id, now)
+        self._emit(FREE, "free", device.name, now, now, nbytes)
         return nbytes
 
     # -- reporting helpers ----------------------------------------------------

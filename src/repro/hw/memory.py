@@ -10,16 +10,14 @@ which the memory profiler in :mod:`repro.core` turns into the Fig. 6 bars.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 
 class OutOfMemoryError(RuntimeError):
     """Raised when an allocation exceeds the device capacity and the pool is strict."""
 
 
-@dataclass(frozen=True)
-class Allocation:
+class Allocation(NamedTuple):
     """One live allocation on a device."""
 
     alloc_id: int
@@ -65,11 +63,13 @@ class MemoryPool:
             )
         alloc_id = self._next_id
         self._next_id += 1
-        self._live[alloc_id] = Allocation(alloc_id, int(nbytes), tag)
-        self._current += int(nbytes)
-        self._total_allocated += int(nbytes)
-        self._peak = max(self._peak, self._current)
-        self._history.append((at_ms, self._current))
+        size = int(nbytes)
+        self._live[alloc_id] = Allocation(alloc_id, size, tag)
+        self._current = current = self._current + size
+        self._total_allocated += size
+        if current > self._peak:
+            self._peak = current
+        self._history.append((at_ms, current))
         return alloc_id
 
     def free(self, alloc_id: int, at_ms: float = 0.0) -> int:

@@ -32,9 +32,8 @@ the caller keeps running that block directly.
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import TYPE_CHECKING, Any, Callable, List, Optional, Tuple
-
-from .events import KERNEL, Event
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .machine import Machine
@@ -45,17 +44,22 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #   kernel    resource = device    arg = flops         tail = duration_ms
 #   transfer  resource = source    arg = destination   tail = non_blocking
 #   alloc     resource = device    name = tag          (arg, tail unused)
-# Devices are stored by name and ``region`` is the full stack in force.
+# Devices are stored by name and ``region`` is the full stack in force.  A
+# sealed tape's *segments* keep this layout; a run of consecutive kernel
+# entries on one device is one segment whose ``region``, ``name``, ``arg``,
+# ``nbytes`` and ``tail`` are columns, one row per kernel.
 _KERNEL, _TRANSFER, _ALLOC = range(3)
 
 
 class Tape:
     """The charges one recorded block issued, in issue order."""
 
-    __slots__ = ("entries", "events", "usable", "region")
+    __slots__ = ("entries", "segments", "events", "usable", "region")
 
     def __init__(self, region: Tuple[str, ...]) -> None:
         self.entries: List[tuple] = []
+        #: What :func:`replay` walks; set by :meth:`seal`, ``None`` until then.
+        self.segments: Optional[List[tuple]] = None
         #: Events the entries emit when replayed (the conservation total).
         self.events = 0
         #: Cleared by a charge or state change a tape cannot reproduce.
@@ -84,6 +88,19 @@ class Tape:
         self.entries.append((_ALLOC, region, device.name, tag, None, nbytes, None))
         self.events += 1
 
+    def seal(self) -> None:
+        """Fold the entries into segments (layout comment above)."""
+        segments: List[tuple] = []
+        for device, group in groupby(
+            self.entries, key=lambda entry: entry[2] if entry[0] == _KERNEL else None
+        ):
+            if device is None:
+                segments.extend(group)
+            else:
+                _, regions, _, names, flops, sizes, durations = zip(*group)
+                segments.append((_KERNEL, regions, device, names, flops, sizes, durations))
+        self.segments = segments
+
 
 def record(machine: "Machine", block: Callable[[], Any]) -> Tuple[Any, Optional[Tape]]:
     """Run ``block()`` with a recording open; returns ``(result, tape)``.
@@ -100,21 +117,24 @@ def record(machine: "Machine", block: Callable[[], Any]) -> Tuple[Any, Optional[
         result = block()
     finally:
         machine._tape = None
-    complete = tape.usable and machine._event_count - started == tape.events
-    return result, (tape if complete else None)
+    if not (tape.usable and machine._event_count - started == tape.events):
+        return result, None
+    tape.seal()
+    return result, tape
 
 
 def replay(machine: "Machine", tape: Tape) -> None:
     """Re-issue ``tape`` on ``machine`` (byte-identical to re-running its block).
 
-    Kernel entries charge in one fused loop: per device, the stream, the
-    warm-up check and the host overhead come from
-    :meth:`Machine._kernel_prologue` once per replay -- on the device's first
-    kernel entry, which is where direct execution would fire the lazy warm-up
-    -- and the duration was stored at record time.  Transfers and allocations
-    go through the public methods.  An exception (a strict pool's
-    ``OutOfMemoryError``) leaves the entries before it charged and the region
-    restored, like the recorded block would.
+    A kernel segment is charged as one run by the charger ``launch_kernels``
+    uses (:meth:`Machine._charge_kernel_run`): the stream, the host overhead
+    and the lazy warm-up are resolved at the run's first kernel and under its
+    region -- for a cold GPU that is its first kernel of the replay, which is
+    where direct execution would fire the warm-up -- and the durations were
+    stored at record time.  Transfers and allocations go through the public
+    methods.  An exception (a strict pool's ``OutOfMemoryError``) leaves the
+    segments before it charged and the region restored, like the recorded
+    block would.
     """
     ambient = machine._region_tuple
     if tape.region != ambient:
@@ -122,44 +142,13 @@ def replay(machine: "Machine", tape: Tape) -> None:
             f"tape recorded under region {tape.region!r} cannot replay under {ambient!r}"
         )
     devices = {device.name: device for device in machine.devices}
-    prologues: dict = {}
-    record_events = machine.record_events
-    log = machine.events.append
-    flop_totals = machine._device_flops
     try:
-        for op, region, resource, name, arg, nbytes, tail in tape.entries:
+        for op, region, resource, name, arg, nbytes, tail in tape.segments:
             if op == _KERNEL:
-                prologue = prologues.get(resource)
-                if prologue is None:
-                    # A lazy warm-up fired here is annotated like the launch.
-                    machine._region_tuple = region
-                    prologue = prologues[resource] = machine._kernel_prologue(devices[resource])
-                target, asynchronous, overhead_ms = prologue
-                if asynchronous:
-                    machine._host_time += overhead_ms
-                    interval = target.reserve(machine._host_time, tail, name)
-                else:
-                    interval = target.reserve(machine._host_time, tail, name)
-                    machine._host_time = interval.end_ms
-                flop_totals[resource] = flop_totals.get(resource, 0.0) + arg
-                machine._event_count += 1
-                if record_events:
-                    # Positional, as in ``launch_kernel``: the hottest site.
-                    log(
-                        Event(
-                            KERNEL,
-                            name,
-                            resource,
-                            interval.start_ms,
-                            interval.end_ms,
-                            arg,
-                            nbytes,
-                            region,
-                            "",
-                            "",
-                            target.name,
-                        )
-                    )
+                machine._region_tuple = region[0]
+                machine._charge_kernel_run(
+                    devices[resource], None, name, arg, nbytes, tail, region
+                )
             elif op == _TRANSFER:
                 machine._region_tuple = region
                 machine.transfer(

@@ -8,7 +8,32 @@ them when only default streams are used.
 
 import pytest
 
-from repro.hw import KERNEL, SYNC, TRANSFER, WARMUP, Machine
+import repro.hw.events as events_module
+from repro.core import Profiler, analyze_profile, compute_breakdown
+from repro.datasets import load
+from repro.hw import (
+    ALLOC,
+    FREE,
+    KERNEL,
+    MARKER,
+    SYNC,
+    TRANSFER,
+    WARMUP,
+    Event,
+    Interval,
+    Machine,
+    Timeline,
+)
+from repro.models.tgat import TGAT, TGATConfig
+from repro.obs import (
+    MetricsRegistry,
+    Tracer,
+    attribute_request,
+    build_trace,
+    pick_request,
+    validate_trace,
+)
+from repro.serve import InferenceServer, PoissonProcess, generate_requests, make_policy
 
 
 @pytest.fixture
@@ -147,3 +172,188 @@ class TestRegionsAndMemory:
             if event.kind == KERNEL:
                 scanned[event.resource] = scanned.get(event.resource, 0.0) + event.flops
         assert machine.device_flops_totals() == pytest.approx(scanned)
+
+
+EVENT_FIELDS = (
+    "kind", "name", "resource", "start_ms", "end_ms", "flops", "bytes", "region", "src", "dst",
+    "stream",
+)
+
+
+#: ``site -> (kind it emits, call)``: every place the machine builds an event.
+EMISSION_SITES = {
+    "launch_kernel": (KERNEL, lambda m, tape: m.launch_kernel(m.gpu, "k", 1e6, 1e3)),
+    "launch_kernels": (KERNEL, lambda m, tape: m.launch_kernels(m.gpu, "k", 3, 1e6, 1e3)),
+    "replay": (KERNEL, lambda m, tape: m.replay(tape)),
+    "host_work": (KERNEL, lambda m, tape: m.host_work("bookkeeping", 0.5)),
+    "transfer": (TRANSFER, lambda m, tape: m.transfer(m.cpu, m.gpu, 4096)),
+    "alloc": (ALLOC, lambda m, tape: m.alloc(m.gpu, 4096, tag="buf")),
+    "free": (FREE, lambda m, tape: m.free(m.gpu, m.gpu.memory.alloc(64))),
+    "synchronize": (SYNC, lambda m, tape: m.synchronize()),
+    "device_synchronize": (SYNC, lambda m, tape: m.device_synchronize(m.gpu)),
+    "stream_synchronize": (SYNC, lambda m, tape: m.stream_synchronize(m.default_stream("gpu"))),
+    "event_synchronize": (
+        SYNC, lambda m, tape: m.event_synchronize(m.default_stream("gpu").record_event(0.0))),
+    "record_event": (MARKER, lambda m, tape: m.record_event(m.default_stream("gpu"))),
+    "wait_event": (
+        MARKER,
+        lambda m, tape: m.wait_event(
+            m.default_stream("gpu"), m.default_stream("cpu").record_event(0.0))),
+    "allocation_warmup": (WARMUP, lambda m, tape: m.allocation_warmup(1 << 20)),
+}
+
+
+class TestEventContract:
+    """An ``Event`` is a validated, immutable 11-field value."""
+
+    FULL = (TRANSFER, "ids", "pcie", 1.0, 2.5, 0.0, 4096, ("iteration", "Sampling"), "cpu0",
+            "gpu0", "copy")
+
+    def test_fields_and_defaults(self):
+        event = Event(KERNEL, "gemm", "gpu0", 1.0, 2.0)
+        assert tuple(getattr(event, name) for name in EVENT_FIELDS) == (
+            KERNEL, "gemm", "gpu0", 1.0, 2.0, 0.0, 0, (), "", "", "")
+        full = Event(*self.FULL)
+        assert tuple(getattr(full, name) for name in EVENT_FIELDS) == self.FULL
+        assert Event(**dict(zip(EVENT_FIELDS, self.FULL))) == full
+
+    @pytest.mark.parametrize("kind", [KERNEL, TRANSFER, WARMUP, ALLOC, FREE, SYNC, MARKER])
+    def test_the_seven_kinds_are_accepted(self, kind):
+        assert Event(kind, "x", "cpu0", 0.0, 0.0).kind == kind
+
+    def test_an_unknown_kind_is_rejected(self):
+        with pytest.raises(ValueError, match=r"^unknown event kind: 'launch'$"):
+            Event("launch", "gemm", "gpu0", 1.0, 2.0)
+        with pytest.raises(ValueError, match=r"^unknown event kind: None$"):
+            Event(kind=None, name="gemm", resource="gpu0", start_ms=1.0, end_ms=2.0)
+
+    def test_an_event_cannot_end_before_it_starts(self):
+        message = r"^event 'gemm' ends \(1\.0\) before it starts \(2\.0\)$"
+        with pytest.raises(ValueError, match=message):
+            Event(KERNEL, "gemm", "gpu0", 2.0, 1.0)
+        with pytest.raises(ValueError, match=message):
+            Event(kind=KERNEL, name="gemm", resource="gpu0", start_ms=2.0, end_ms=1.0)
+        # The kind is checked first, and a zero-length event is fine.
+        with pytest.raises(ValueError, match="unknown event kind"):
+            Event("launch", "gemm", "gpu0", 2.0, 1.0)
+        assert Event(MARKER, "record:e", "gpu0", 2.0, 2.0).duration_ms == 0.0
+
+    def test_events_are_immutable(self):
+        event = Event(*self.FULL)
+        for name in EVENT_FIELDS:
+            with pytest.raises(AttributeError):
+                setattr(event, name, getattr(event, name))
+        with pytest.raises((AttributeError, TypeError)):
+            event.note = "extra"
+        assert event == Event(*self.FULL)
+
+    def test_a_replaced_copy_is_checked_too(self):
+        event = Event(*self.FULL)
+        assert event._replace(end_ms=9.0) == Event(*self.FULL[:4], 9.0, *self.FULL[5:])
+        with pytest.raises(ValueError, match="before it starts"):
+            event._replace(end_ms=0.5)
+        with pytest.raises(ValueError, match="unknown event kind"):
+            event._replace(kind="launch")
+        assert event == Event(*self.FULL)
+
+    def test_equal_fields_mean_equal_events_and_hashes(self):
+        one, two = Event(*self.FULL), Event(**dict(zip(EVENT_FIELDS, self.FULL)))
+        assert one == two and hash(one) == hash(two) and len({one, two}) == 1
+        for index, name in enumerate(EVENT_FIELDS):
+            changed = list(self.FULL)
+            changed[index] = {
+                "kind": KERNEL, "start_ms": 0.5, "end_ms": 3.0, "flops": 7.0, "bytes": 1,
+                "region": ("iteration",),
+            }.get(name, "other")
+            assert Event(*changed) != one, name
+
+    def test_repr_names_every_field(self):
+        assert repr(Event(KERNEL, "gemm", "gpu0", 1.0, 2.0, stream="default")) == (
+            "Event(kind='kernel', name='gemm', resource='gpu0', start_ms=1.0, end_ms=2.0, "
+            "flops=0.0, bytes=0, region=(), src='', dst='', stream='default')"
+        )
+
+    def test_derived_views(self):
+        event = Event(KERNEL, "gemm", "gpu0", 1.0, 2.5, region=("iteration", "Attention"))
+        assert event.duration_ms == 1.5
+        assert event.innermost_region == "Attention"
+        assert Event(KERNEL, "gemm", "gpu0", 1.0, 2.5).innermost_region == ""
+        assert event.overlaps(2.0, 3.0) and event.overlaps(0.0, 1.5) and event.overlaps(1.2, 1.3)
+        # Half-open on both sides: touching windows do not overlap.
+        assert not event.overlaps(2.5, 3.0) and not event.overlaps(0.0, 1.0)
+
+    @pytest.mark.parametrize("site", sorted(EMISSION_SITES))
+    def test_every_emission_site_runs_the_constructor_checks(self, machine, site, monkeypatch):
+        """No site builds an event around ``Event``'s validation."""
+        kind, call = EMISSION_SITES[site]
+        warmed(machine)
+        tape = machine.record(lambda: machine.launch_kernel(machine.gpu, "taped", 1e6, 1e3))[1]
+        cursor = machine.event_cursor()
+        call(machine, tape)
+        emitted = machine.events.since(cursor)
+        assert emitted and {event.kind for event in emitted} == {kind}
+        assert all(type(event) is Event for event in emitted)
+        # With its kind struck from the valid set, the same call is refused.
+        monkeypatch.setattr(
+            events_module, "_VALID_KINDS", events_module._VALID_KINDS - {kind})
+        with pytest.raises(ValueError, match=f"unknown event kind: {kind!r}"):
+            call(machine, tape)
+
+
+class TestIntervalContract:
+    def test_an_interval_is_an_immutable_three_field_value(self):
+        interval = Interval(1.0, 2.5, "gemm")
+        assert (interval.start_ms, interval.end_ms, interval.label) == (1.0, 2.5, "gemm")
+        assert interval.duration_ms == 1.5 and Interval(1.0, 2.5).label == ""
+        assert interval == Interval(1.0, 2.5, "gemm") != Interval(1.0, 2.5, "other")
+        assert hash(interval) == hash(Interval(1.0, 2.5, "gemm"))
+        for name in ("start_ms", "end_ms", "label", "note"):
+            with pytest.raises(AttributeError):
+                setattr(interval, name, 0.0)
+
+    def test_a_timeline_admits_no_interval_that_ends_before_it_starts(self):
+        timeline = Timeline("t")
+        with pytest.raises(ValueError, match="duration must be non-negative"):
+            timeline.reserve(0.0, -1e-9, "k")
+        with pytest.raises(ValueError, match="duration must be non-negative"):
+            timeline.reserve_run(0.0, 0.0, 0.0, [1.0, -1e-9], ["a", "b"], False)
+        assert len(timeline) == 0
+        with pytest.raises(ValueError, match="interval ends before it starts"):
+            Timeline.from_intervals("bad", [(0.0, 1.0), (3.0, 2.0)])
+        assert Timeline.from_intervals("ok", [(0.0, 1.0), (2.0, 2.0)]).intervals == (
+            Interval(0.0, 1.0), Interval(2.0, 2.0))
+
+
+def test_observation_leaves_every_event_field_as_it_was():
+    """Export, validation, attribution and analysis only read the event log."""
+    dataset = load("wikipedia", scale="tiny")
+    machine = Machine.cpu_gpu(backend="shape")
+    with machine.activate():
+        model = TGAT(machine, dataset, TGATConfig(num_neighbors=5, batch_size=8))
+    tracer = Tracer().attach(machine)
+    requests = generate_requests(
+        dataset.stream, PoissonProcess(600.0, seed=3),
+        duration_ms=150.0, events_per_request=1, slo_ms=50.0,
+    )
+    policy = make_policy("timeout", max_batch_size=8, batch_timeout_ms=4.0)
+    server = InferenceServer(
+        model, policy, overlap=True, tracer=tracer, metrics=MetricsRegistry())
+    profiler = Profiler(machine)
+    with profiler.capture("serve_single"):
+        report = server.serve(requests, arrival_name="poisson")
+
+    def fields():
+        return [tuple(getattr(event, name) for name in EVENT_FIELDS) for event in machine.events]
+
+    held = list(machine.events)
+    before = fields()
+    assert len(before) == machine.event_count > 500
+    assert model.replay_stats["replayed"] > 0
+    payload = build_trace(tracer, report=report, label="serve_single")
+    validate_trace(payload)
+    path = attribute_request(payload, pick_request(payload, "p99"))
+    assert path["total"] > 0
+    assert compute_breakdown(profiler.last_profile).total_ms > 0
+    assert analyze_profile(profiler.last_profile).findings
+    assert fields() == before
+    assert all(now is then for now, then in zip(machine.events, held))
