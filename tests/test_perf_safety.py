@@ -35,6 +35,9 @@ from repro.core import (
 )
 from repro.graph.events import EventStream
 from repro.graph.sampling import TemporalNeighborSampler
+from repro.hw import device as device_module
+from repro.hw import link as link_module
+from repro.hw.device import Device
 from repro.hw.events import ALLOC, FREE, KERNEL, MARKER, SYNC, TRANSFER, WARMUP, Event
 from repro.hw.machine import Machine
 from repro.hw.spec import MACHINE_SPECS
@@ -300,6 +303,27 @@ def test_disabling_event_recording_changes_nothing_but_the_log(seed):
     for noisy, quiet in zip(recorded.devices, silent.devices):
         assert noisy.busy_ms() == quiet.busy_ms()
         assert noisy.default_stream.timeline.intervals == (quiet.default_stream.timeline.intervals)
+
+
+def test_cost_memos_are_bounded_and_transparent():
+    """10 000 distinct shapes: at most ``limit`` entries kept, every cost exact."""
+    machine = Machine.cpu_gpu()
+    gpu, link = machine.gpu, machine.link
+    rng = np.random.default_rng(7)
+    flops = rng.uniform(1.0e5, 5.0e8, 10_000).tolist()
+    sizes = rng.permutation(np.arange(1, 200_000))[:10_000].tolist()
+    for flop, size in zip(flops, sizes):
+        cost = gpu.kernel_cost(flop, float(size))
+        assert link.transfer_ms(size) == link.spec.transfer_ms(size)
+        # A device that has never seen the shape computes it from scratch.
+        assert cost == Device(gpu.spec).kernel_cost(flop, float(size))
+        # A repeated shape is served from the memo.
+        assert gpu.kernel_cost(flop, float(size)) is cost
+    assert 0 < len(gpu._cost_cache) <= device_module._COST_CACHE_LIMIT < 10_000
+    assert 0 < len(link._transfer_ms_cache) <= link_module._TRANSFER_CACHE_LIMIT < 10_000
+    # The shapes a serving run repeats stay memoised across the overflow resets.
+    repeated = gpu.kernel_cost(2.0e6, 4096.0)
+    assert gpu.kernel_cost(2.0e6, 4096.0) is repeated
 
 
 def assert_index_matches_reference(sampler, reference_adjacency):

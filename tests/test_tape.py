@@ -13,6 +13,7 @@ import pytest
 from repro.fuzz.program import signature
 from repro.hw.machine import Machine
 from repro.hw.memory import OutOfMemoryError
+from repro.hw.tape import _KERNEL
 from repro.models.base import DGNNModel
 from repro.tensor import Tensor, meta
 
@@ -193,6 +194,121 @@ def test_a_recording_that_warmed_a_gpu_is_dropped():
     assert _observables(recorder) == _observables(direct)
 
 
+# -- sealed segments == entries -------------------------------------------------
+
+
+def _unsealed(tape):
+    """The entries a sealed tape's segments stand for, one per kernel row."""
+    entries = []
+    for segment in tape.segments:
+        if segment[0] == _KERNEL:
+            tag, regions, device, names, flops, sizes, durations = segment
+            entries.extend(
+                (tag, region, device, name, flop, size, duration)
+                for region, name, flop, size, duration in zip(
+                    regions, names, flops, sizes, durations
+                )
+            )
+        else:
+            entries.append(segment)
+    return entries
+
+
+def _run_lengths(tape):
+    return [len(segment[3]) for segment in tape.segments if segment[0] == _KERNEL]
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_sealing_conserves_the_entries(spec):
+    recorder, tape = _recorded(spec)
+    assert _unsealed(tape) == tape.entries
+    singles = sum(1 for segment in tape.segments if segment[0] != _KERNEL)
+    assert sum(_run_lengths(tape)) + singles == len(tape.entries)
+    # softmax + gemm are back to back on the GPU, across a region boundary.
+    assert max(_run_lengths(tape)) == 2
+    entries, events, segments = list(tape.entries), tape.events, list(tape.segments)
+    tape.seal()
+    assert (tape.entries, tape.events, tape.segments) == (entries, events, segments)
+    assert tape.events == recorder.event_count - recorder.num_gpus * 2
+
+
+def _alternating(machine):
+    cpu, gpu = machine.cpu, machine.gpus[0]
+    with machine.region("outer"):
+        for step in range(4):
+            machine.launch_kernel(cpu, f"host_{step}", 1.0e5 + step, 2048.0)
+            machine.launch_kernel(gpu, f"device_{step}", 2.0e6 + step, 4096.0)
+
+
+def test_alternating_devices_make_every_kernel_its_own_run():
+    direct = _machine()
+    _alternating(direct)
+    recorder, tape = _recorded(script=_alternating)
+    assert _run_lengths(tape) == [1] * 8 and len(tape.entries) == 8
+    replayed = _machine()
+    replayed.replay(tape)
+    assert _observables(recorder) == _observables(direct)
+    assert _observables(replayed) == _observables(direct)
+
+
+def _late_gpu(machine):
+    """The GPU is first touched by a kernel, late and two regions deep."""
+    cpu, gpu = machine.cpu, machine.gpus[0]
+    machine.launch_kernel(cpu, "a", 1.0e5, 2048.0)
+    with machine.region("outer"):
+        machine.launch_kernel(cpu, "b", 2.0e5, 2048.0)
+        machine.alloc(cpu, 128, tag="host_buf")
+        with machine.region("inner"):
+            machine.launch_kernel(gpu, "first_gpu", 2.0e6, 4096.0)
+        # Same run as ``first_gpu``, other region.
+        machine.launch_kernel(gpu, "second_gpu", 1.0e6, 4096.0)
+
+
+def test_a_warm_up_fired_mid_replay_carries_its_launch_region():
+    direct = _machine(warm=False)
+    _late_gpu(direct)
+    _, tape = _recorded(script=_late_gpu)
+    assert _run_lengths(tape) == [2, 2]
+    replayed = _machine(warm=False)
+    replayed.replay(tape)
+    names = [event.name for event in replayed.events]
+    assert names == ["a", "b", "host_buf", "context_init", "first_gpu", "second_gpu"]
+    regions = {event.name: event.region for event in replayed.events}
+    assert regions["context_init"] == regions["first_gpu"] == ("outer", "inner")
+    assert regions["second_gpu"] == ("outer",)
+    assert _observables(replayed) == _observables(direct)
+
+
+def _gpu_burst(machine):
+    gpu = machine.gpus[0]
+    with machine.region("outer"):
+        for step in range(5):
+            machine.launch_kernel(gpu, f"step_{step}", 1.0e6 * (step + 1), 4096.0)
+        machine.launch_kernel(machine.cpu, "host_tail", 1.0e5, 1024.0)
+
+
+@pytest.mark.parametrize("resource", ("cpu", "gpu"))
+def test_a_whole_run_honours_the_stream_override_at_replay_time(resource):
+    def run(machine, body):
+        machine.wait_event(
+            machine.stream(resource, "side"),
+            machine.default_stream("cpu").record_event(machine.host_time_ms + 0.75),
+        )
+        with machine.use_stream(machine.stream(resource, "side")):
+            body(machine)
+
+    direct = _machine()
+    run(direct, _gpu_burst)
+    _, tape = _recorded(script=_gpu_burst)
+    assert _run_lengths(tape) == [5, 1]
+    replayed = _machine()
+    run(replayed, lambda machine: machine.replay(tape))
+    assert _observables(replayed) == _observables(direct)
+    on_side = [e.name for e in replayed.events if e.stream == "side" and e.kind == "kernel"]
+    expected = [f"step_{step}" for step in range(5)] if resource == "gpu" else ["host_tail"]
+    assert on_side == expected
+
+
 # -- negative cases: one un-tapeable call inside the block ---------------------
 
 
@@ -230,7 +346,10 @@ UNTAPEABLE = {
 
 @pytest.mark.parametrize("call", sorted(UNTAPEABLE))
 def test_an_untapeable_call_leaves_no_tape_and_the_direct_timeline(call):
+    open_tapes = []
+
     def script(machine):
+        open_tapes.append(machine._tape)
         _script(machine)
         UNTAPEABLE[call](machine)
         machine.launch_kernel(machine.gpus[0], "after", 1.0e5, 1024.0)
@@ -240,6 +359,9 @@ def test_an_untapeable_call_leaves_no_tape_and_the_direct_timeline(call):
     recorder, tape = _recorded(script=script)
     assert tape is None
     assert _observables(recorder) == _observables(direct)
+    # The tape that failed completeness was dropped unsealed.
+    assert open_tapes[0] is None and open_tapes[1].entries
+    assert open_tapes[1].segments is None
 
 
 def test_a_replay_inside_a_recording_drops_the_outer_tape():
@@ -295,6 +417,43 @@ def test_a_strict_pool_raises_at_the_same_entry_direct_and_replayed():
     assert str(replay_error.value) == str(direct_error.value)
     assert _observables(replayed) == _observables(direct)
     assert [e.name for e in replayed.events][-3:] == ["before", "fits", "still_before"]
+    assert replayed.current_region == () and not replayed.recording
+
+
+def _three_allocs(machine):
+    gpu = machine.gpus[0]
+    with machine.region("outer"):
+        for step in range(3):
+            for kernel in range(3):
+                machine.launch_kernel(gpu, f"k{step}_{kernel}", 1.0e5 * (kernel + 1), 1024.0)
+            with machine.region(f"alloc_{step}"):
+                machine.alloc(gpu, 1000, tag=f"buf_{step}")
+        machine.launch_kernel(gpu, "tail", 1.0e5, 1024.0)
+
+
+@pytest.mark.parametrize("failing", (1, 2, 3))
+def test_a_strict_pool_raises_at_the_kth_alloc_of_a_replay(failing):
+    def squeezed():
+        """A strict machine whose GPU pool has room for ``failing - 1`` buffers."""
+        machine = _machine(strict_memory=True)
+        pool = machine.gpus[0].memory
+        pool.alloc(pool.capacity_bytes - pool.current_bytes - 1000 * (failing - 1) - 500)
+        return machine
+
+    direct = squeezed()
+    with pytest.raises(OutOfMemoryError) as direct_error:
+        _three_allocs(direct)
+    _, tape = _recorded(script=_three_allocs)
+    assert _run_lengths(tape) == [3, 3, 3, 1]
+    replayed = squeezed()
+    with pytest.raises(OutOfMemoryError) as replay_error:
+        replayed.replay(tape)
+    assert str(replay_error.value) == str(direct_error.value)
+    # Event log, host clock, FLOP totals, timelines and pools up to the
+    # failing alloc, and the ambient region restored.
+    assert _observables(replayed) == _observables(direct)
+    kernels = [e.name for e in replayed.events if e.kind == "kernel" and e.name.startswith("k")]
+    assert len(kernels) == 3 * failing and "tail" not in {e.name for e in replayed.events}
     assert replayed.current_region == () and not replayed.recording
 
 
