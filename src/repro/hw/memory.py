@@ -47,8 +47,10 @@ class MemoryPool:
         self._current = 0
         self._peak = 0
         self._total_allocated = 0
-        #: (timestamp_ms, current_bytes) samples, appended on every change.
-        self._history: List[Tuple[float, int]] = []
+        #: Footprint samples, appended on every change, as two parallel
+        #: columns (timestamp_ms, current_bytes); see :attr:`history`.
+        self._history_ms: List[float] = []
+        self._history_bytes: List[int] = []
 
     # -- allocation -----------------------------------------------------
 
@@ -69,7 +71,8 @@ class MemoryPool:
         self._total_allocated += size
         if current > self._peak:
             self._peak = current
-        self._history.append((at_ms, current))
+        self._history_ms.append(at_ms)
+        self._history_bytes.append(current)
         return alloc_id
 
     def free(self, alloc_id: int, at_ms: float = 0.0) -> int:
@@ -77,8 +80,9 @@ class MemoryPool:
         allocation = self._live.pop(alloc_id, None)
         if allocation is None:
             raise KeyError(f"{self.name}: unknown allocation id {alloc_id}")
-        self._current -= allocation.nbytes
-        self._history.append((at_ms, self._current))
+        self._current = current = self._current - allocation.nbytes
+        self._history_ms.append(at_ms)
+        self._history_bytes.append(current)
         return allocation.nbytes
 
     # -- statistics -----------------------------------------------------
@@ -98,7 +102,7 @@ class MemoryPool:
     @property
     def history(self) -> Tuple[Tuple[float, int], ...]:
         """Footprint samples as ``(timestamp_ms, bytes)`` pairs."""
-        return tuple(self._history)
+        return tuple(zip(self._history_ms, self._history_bytes))
 
     def usage_by_tag(self) -> Dict[str, int]:
         """Live bytes grouped by allocation tag."""

@@ -155,9 +155,13 @@ class TestRegionsAndMemory:
     def test_alloc_free_roundtrip(self, machine):
         alloc_id = machine.alloc(machine.cpu, 4096, tag="buf")
         assert machine.cpu.memory.current_bytes == 4096
+        machine.host_work("use", 1.5)
         freed = machine.free(machine.cpu, alloc_id)
         assert freed == 4096
         assert machine.cpu.memory.current_bytes == 0
+        assert machine.cpu.memory.peak_bytes == 4096
+        # One (timestamp_ms, bytes) sample per change, read back as pairs.
+        assert machine.cpu.memory.history == ((0.0, 4096), (1.5, 0))
 
     def test_running_flop_counters(self, machine):
         warmed(machine)
