@@ -66,6 +66,10 @@ GOLDEN_EXPERIMENTS = {
     "fig7": {"scale": "tiny"},
     "fig8": {"scale": "tiny"},
     "fig9": {"scale": "tiny"},
+    # Pinned before PR 21 folded the offline experiments onto one cell.
+    "ablations": {"scale": "tiny"},
+    "warmup_onetime": {"scale": "tiny"},
+    "overlap_exec": {"scale": "tiny"},
     # The serving sweeps (PR 17): shape backend, same rows as numeric.
     "serving": {"scale": "tiny", "backend": "shape"},
     "scaling": {"scale": "tiny", "backend": "shape"},
