@@ -31,10 +31,12 @@ from .cache import available_eviction_policies
 from .core import Profiler, analyze_profile, compute_breakdown
 from .datasets import available_datasets, load
 from .experiments import available_experiments, run_experiment
+from .experiments.runner import profile_iterations
 from .fuzz import INVARIANTS, fuzz as run_fuzz, load_reproducer, replay, save_reproducer
 from .graph.partition import available_partitioners
-from .hw import Machine, available_cluster_specs, available_machine_specs
+from .hw import available_cluster_specs, available_machine_specs
 from .models import DEFAULT_DATASETS, available_models, build_model
+from .models.registry import build_on_fresh_machine, capability_table
 from .obs import (
     MetricsRegistry,
     Tracer,
@@ -442,8 +444,7 @@ def _cmd_docs(args: argparse.Namespace) -> int:
 
 
 def _cmd_list_models() -> int:
-    for name in available_models():
-        print(name)
+    print(capability_table(), end="")
     return 0
 
 
@@ -484,39 +485,28 @@ def _print_profile_summary(profile, title: str) -> None:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    overrides = _parse_param(args.param)
-    machine = (
-        Machine.cpu_gpu(backend=args.backend)
-        if args.device == "gpu"
-        else Machine.cpu_only(backend=args.backend)
+    machine, model = build_on_fresh_machine(
+        args.model, use_gpu=args.device == "gpu", backend=args.backend,
+        dataset_name=args.dataset, scale=args.scale, **_parse_param(args.param),
     )
     tracer = Tracer().attach(machine) if args.trace else None
-    with machine.activate():
-        dataset = load(args.dataset, scale=args.scale) if args.dataset else None
-        model = build_model(args.model, machine, dataset=dataset, scale=args.scale, **overrides)
-        profiler = Profiler(machine)
-        if args.overlap:
-            status = _profile_overlapped(args, machine, model, profiler)
-            if status == 0 and tracer is not None:
-                export_trace(args.trace, tracer, label=f"{args.model}-profile")
-                print(f"wrote trace to {args.trace}")
+    if args.overlap:
+        with machine.activate():
+            status = _profile_overlapped(args, model, Profiler(machine))
+        if status != 0:
             return status
-        for index, batch in enumerate(_take_batches(model, args.iterations)):
-            if index == 0:
-                model.warm_up(batch)
-            with profiler.capture(f"{args.model}-iter{index}"):
-                model.inference_iteration(batch)
-    for profile in profiler.profiles:
-        _print_profile_summary(profile, f"{profile.label} ({args.device})")
-    report = analyze_profile(profiler.profiles[-1])
-    print(report.format_table())
+    else:
+        profiles = profile_iterations(model, machine, args.iterations, label=args.model)
+        for profile in profiles:
+            _print_profile_summary(profile, f"{profile.label} ({args.device})")
+        print(analyze_profile(profiles[-1]).format_table())
     if tracer is not None:
         export_trace(args.trace, tracer, label=f"{args.model}-profile")
         print(f"wrote trace to {args.trace}")
     return 0
 
 
-def _profile_overlapped(args, machine, model, profiler) -> int:
+def _profile_overlapped(args, model, profiler) -> int:
     """Profile ``--iterations`` batches through the overlap scheduler."""
     from .optim import OverlappedRunner
 

@@ -7,9 +7,7 @@
   Fig. 7.
 * :func:`utilization_report` reproduces the GPU-utilization analyses of
   Figs. 6 and 9.
-* :func:`warmup_report` reproduces the warm-up accounting of Table 2.
 * :func:`analyze_profile` detects and ranks the paper's four bottlenecks.
-* :class:`SpeedupTable` reproduces the CPU-vs-GPU comparison of Fig. 8.
 """
 
 from .bottlenecks import (
@@ -35,9 +33,7 @@ from .breakdown import (
     Breakdown,
     BreakdownEntry,
     compute_breakdown,
-    merge_breakdowns,
 )
-from .comparison import LatencyMeasurement, SpeedupRow, SpeedupTable
 from .profiler import DeviceSnapshot, Profile, Profiler, StreamSnapshot
 from .stats import LatencySummary, percentile
 from .utilization import (
@@ -46,7 +42,6 @@ from .utilization import (
     cpu_busy_gpu_idle_fraction,
     utilization_report,
 )
-from .warmup import WarmupReport, warmup_report
 
 __all__ = [
     "ALL_BOTTLENECKS",
@@ -59,21 +54,17 @@ __all__ = [
     "DATA_MOVEMENT",
     "DeviceSnapshot",
     "GPU_WARMUP",
-    "LatencyMeasurement",
     "LatencySummary",
     "MEMORY_COPY",
     "OTHER",
     "Profile",
     "Profiler",
     "StreamSnapshot",
-    "SpeedupRow",
-    "SpeedupTable",
     "TEMPORAL_DEPENDENCY",
     "UtilizationPoint",
     "UtilizationReport",
     "WARMUP_LABEL",
     "WORKLOAD_IMBALANCE",
-    "WarmupReport",
     "analyze_profile",
     "compute_breakdown",
     "cpu_busy_gpu_idle_fraction",
@@ -81,8 +72,6 @@ __all__ = [
     "detect_gpu_warmup",
     "detect_temporal_dependency",
     "detect_workload_imbalance",
-    "merge_breakdowns",
     "percentile",
     "utilization_report",
-    "warmup_report",
 ]

@@ -11,7 +11,7 @@ transfers become "Memory Copy" and synchronisation waits become
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..hw.events import KERNEL, SYNC, TRANSFER, WARMUP, Event
 from .profiler import Profile
@@ -189,37 +189,4 @@ def compute_breakdown(
         total_ms=total,
         elapsed_ms=profile.elapsed_ms,
         label=profile.label,
-    )
-
-
-def merge_breakdowns(breakdowns: Sequence[Breakdown], label: str = "") -> Breakdown:
-    """Sum several breakdowns (e.g. across iterations) into one."""
-    if not breakdowns:
-        raise ValueError("merge_breakdowns needs at least one breakdown")
-    times: Dict[str, float] = {}
-    counts: Dict[str, int] = {}
-    order: List[str] = []
-    for breakdown in breakdowns:
-        for entry in breakdown.entries:
-            if entry.label not in times:
-                times[entry.label] = 0.0
-                counts[entry.label] = 0
-                order.append(entry.label)
-            times[entry.label] += entry.time_ms
-            counts[entry.label] += entry.kernel_count
-    total = sum(times.values())
-    entries = tuple(
-        BreakdownEntry(
-            label=lbl,
-            time_ms=times[lbl],
-            fraction=(times[lbl] / total) if total > 0 else 0.0,
-            kernel_count=counts[lbl],
-        )
-        for lbl in sorted(order, key=lambda l: -times[l])
-    )
-    return Breakdown(
-        entries=entries,
-        total_ms=total,
-        elapsed_ms=sum(b.elapsed_ms for b in breakdowns),
-        label=label or breakdowns[0].label,
     )

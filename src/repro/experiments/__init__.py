@@ -20,13 +20,7 @@ from . import (
     table2,
     warmup_onetime,
 )
-from .runner import (
-    ExperimentResult,
-    measure_iteration_latency,
-    new_machine,
-    profile_iterations,
-    profile_single_iteration,
-)
+from .runner import ExperimentResult
 
 #: All experiments keyed by their id.  ``run(**kwargs)`` on each module
 #: returns an :class:`ExperimentResult`.
@@ -89,11 +83,7 @@ __all__ = [
     "fig7",
     "fig8",
     "fig9",
-    "measure_iteration_latency",
-    "new_machine",
     "overlap_exec",
-    "profile_iterations",
-    "profile_single_iteration",
     "run_experiment",
     "scaling",
     "serving",

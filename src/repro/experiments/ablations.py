@@ -15,38 +15,15 @@ These ablations quantify each one on the simulated platform:
 
 from __future__ import annotations
 
-from typing import Dict
-
-from ..core import Profiler, compute_breakdown
 from ..datasets import load as load_dataset
-from ..models import EvolveGCNConfig, TGATConfig
-from ..models.evolvegcn import EvolveGCN
-from ..models.tgat import TGAT
-from ..optim import (
-    PipelinedEvolveGCN,
-    compare_delta_transfer,
-    estimate_overlap_speedup,
-    estimate_pipeline_speedup,
-)
-from .runner import ExperimentResult, new_machine, profile_single_iteration
+from ..optim import compare_delta_transfer, estimate_overlap_speedup
+from .runner import ExperimentResult, profile_cell, profile_pipelining_window
 
-#: Qualitative expectations for the ablations.
-PAPER_TRENDS: Dict[str, str] = {
-    "pipeline": "hoisting the weight RNN reduces per-window latency (Fig. 10)",
-    "overlap": (
-        "overlap helps but is bounded by the sampling half "
-        "(sampling-bound models gain < 2x)"
-    ),
-    "delta": "delta transfer removes most of the per-snapshot memory-copy time",
-}
+WINDOW = 4
+TGAT_CONFIG = {"num_neighbors": 50, "batch_size": 16}
 
 
-def run(
-    scale: str = "small",
-    window: int = 4,
-    tgat_neighbors: int = 50,
-    tgat_batch: int = 16,
-) -> ExperimentResult:
+def run(scale: str = "small") -> ExperimentResult:
     """Run all three ablations and report baseline vs optimized numbers."""
     result = ExperimentResult(
         experiment="ablations",
@@ -58,57 +35,32 @@ def run(
     )
 
     # -- Pipelining: EvolveGCN-O over a window of snapshots ----------------------
+    # Hoisting only (no device-stream overlap); the stream-pipelined schedule is
+    # measured by the `overlap_exec` experiment.
     dataset = load_dataset("bitcoin-alpha", scale=scale)
-    snapshots = [dataset.snapshots[i] for i in range(min(window, len(dataset.snapshots)))]
-
-    machine = new_machine(use_gpu=True)
-    with machine.activate():
-        baseline_model = EvolveGCN(machine, dataset, EvolveGCNConfig(variant="O"))
-        baseline_model.warm_up(snapshots[0])
-        profiler = Profiler(machine)
-        with profiler.capture("evolvegcn-sequential"):
-            for snapshot in snapshots:
-                baseline_model.inference_iteration(snapshot)
-    sequential_profile = profiler.last_profile
-
-    machine = new_machine(use_gpu=True)
-    with machine.activate():
-        pipelined_model = EvolveGCN(machine, dataset, EvolveGCNConfig(variant="O"))
-        pipelined_model.warm_up(snapshots[0])
-        # Hoisting only (no device-stream overlap), preserving this ablation's
-        # historical numbers; the stream-pipelined schedule is measured by the
-        # `overlap_exec` experiment.
-        runner = PipelinedEvolveGCN(pipelined_model, use_streams=False)
-        profiler = Profiler(machine)
-        with profiler.capture("evolvegcn-pipelined"):
-            runner.run_window(snapshots)
-    pipelined_profile = profiler.last_profile
-
-    analytic = estimate_pipeline_speedup(compute_breakdown(sequential_profile), "RNN", "GNN")
+    sequential_profile, pipelined_profile, analytic, window = profile_pipelining_window(
+        dataset, WINDOW, use_streams=False
+    )
     result.add_row(
         ablation="pipeline", configuration="sequential",
         latency_ms=round(sequential_profile.elapsed_ms, 3),
-        speedup=1.0, window=len(snapshots),
+        speedup=1.0, window=window,
     )
     result.add_row(
         ablation="pipeline", configuration="pipelined",
         latency_ms=round(pipelined_profile.elapsed_ms, 3),
         speedup=round(sequential_profile.elapsed_ms / max(pipelined_profile.elapsed_ms, 1e-9), 3),
-        window=len(snapshots),
+        window=window,
     )
     result.add_row(
         ablation="pipeline", configuration="analytic-overlap-estimate",
         latency_ms=round(analytic.pipelined_ms, 3),
-        speedup=round(analytic.speedup, 3), window=len(snapshots),
+        speedup=round(analytic.speedup, 3), window=window,
     )
 
     # -- Overlap: TGAT sampling vs device compute ---------------------------------
     wikipedia = load_dataset("wikipedia", scale=scale)
-    machine = new_machine(use_gpu=True)
-    with machine.activate():
-        tgat = TGAT(machine, wikipedia,
-                    TGATConfig(num_neighbors=tgat_neighbors, batch_size=tgat_batch))
-    profile, _ = profile_single_iteration(tgat, machine, label="tgat-overlap")
+    _, (profile,) = profile_cell("tgat", wikipedia, use_gpu=True, **TGAT_CONFIG)
     overlap = estimate_overlap_speedup(profile)
     result.add_row(
         ablation="overlap", configuration="baseline",

@@ -23,196 +23,41 @@ plus the per-module times and shares from :func:`repro.core.compute_breakdown`.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Sequence
-
 from ..core import compute_breakdown
-from ..datasets import load as load_dataset
-from ..models import (
-    ASTGNNConfig,
-    EvolveGCNConfig,
-    JODIEConfig,
-    MolDGNNConfig,
-    TGATConfig,
-    TGNConfig,
+from .runner import ExperimentResult, Panel, profile_panels
+
+_TGN_BATCHES = (4, 16, 128, 1024, 8192)
+_MOLDGNN_BATCHES = (16, 64, 256, 1024, 4096)
+_ASTGNN_BATCHES = (4, 8, 16, 32, 64)
+_TGAT = dict(field="num_neighbors", values=(10, 30, 50, 100, 200, 300),
+             fixed={"batch_size": 8}, parameter="neighborhood")
+
+PANELS = (
+    Panel("a", "tgn", "wikipedia", field="batch_size", values=_TGN_BATCHES,
+          paper_values=_TGN_BATCHES + (65536,)),
+    Panel("b", "moldgnn", "iso17", field="batch_size", values=_MOLDGNN_BATCHES,
+          paper_values=_MOLDGNN_BATCHES + (16384,)),
+    Panel("c", "astgnn", "pems", field="batch_size", values=_ASTGNN_BATCHES,
+          paper_values=_ASTGNN_BATCHES + (128,)),
+    Panel("d", "jodie", "reddit", ("cpu", "gpu")),
+    Panel("d", "jodie", "wikipedia", ("cpu", "gpu")),
+    Panel("d", "jodie", "lastfm", ("cpu", "gpu")),
+    Panel("e", "tgat", "wikipedia", ("gpu",), labels={"dataset": "wikipedia"}, **_TGAT),
+    Panel("f", "tgat", "wikipedia", ("cpu",), labels={"dataset": "wikipedia"}, **_TGAT),
+    Panel("g", "tgat", "reddit", ("gpu",), labels={"dataset": "reddit"}, **_TGAT),
+    Panel("h", "tgat", "reddit", ("cpu",), labels={"dataset": "reddit"}, **_TGAT),
+    Panel("i", "evolvegcn-h", "reddit-hyperlinks", ("gpu", "cpu"), labels={"variant": "H"}),
+    Panel("i", "evolvegcn-o", "reddit-hyperlinks", ("gpu", "cpu"), labels={"variant": "O"}),
+    Panel("j", "evolvegcn-h", "bitcoin-alpha", ("gpu", "cpu"), labels={"variant": "H"}),
+    Panel("j", "evolvegcn-o", "bitcoin-alpha", ("gpu", "cpu"), labels={"variant": "O"}),
 )
-from ..models.astgnn import ASTGNN
-from ..models.evolvegcn import EvolveGCN
-from ..models.jodie import JODIE
-from ..models.moldgnn import MolDGNN
-from ..models.tgat import TGAT
-from ..models.tgn import TGN
-from .runner import ExperimentResult, new_machine, profile_single_iteration
 
-#: Qualitative expectations from the paper, used by EXPERIMENTS.md and tests.
-PAPER_TRENDS: Dict[str, str] = {
-    "tgn": "message passing share grows with batch size and dominates at the largest batches",
-    "moldgnn": "memory copy dominates (~80-90%) at every batch size",
-    "astgnn": "temporal attention time is more than 3x the spatial GCN time",
-    "jodie": "embedding load/update dominate; GPU adds memory-copy overhead",
-    "tgat": "CPU-side sampling dominates and its absolute time grows with the neighbourhood size",
-    "evolvegcn": (
-        "GNN dominates; memory-copy share is larger on reddit-hyperlinks "
-        "than on bitcoin-alpha"
-    ),
-}
-
-DEFAULT_TGN_BATCHES = (4, 16, 128, 1024, 8192)
-DEFAULT_MOLDGNN_BATCHES = (16, 64, 256, 1024, 4096)
-DEFAULT_ASTGNN_BATCHES = (4, 8, 16, 32, 64)
-DEFAULT_TGAT_NEIGHBORS = (10, 30, 50, 100, 200, 300)
-DEFAULT_JODIE_DATASETS = ("reddit", "wikipedia", "lastfm")
-DEFAULT_EVOLVEGCN_DATASETS = ("reddit-hyperlinks", "bitcoin-alpha")
-
-PAPER_TGN_BATCHES = (4, 16, 128, 1024, 8192, 65536)
-PAPER_MOLDGNN_BATCHES = (16, 64, 256, 1024, 4096, 16384)
-PAPER_ASTGNN_BATCHES = (4, 8, 16, 32, 64, 128)
+#: Panels whose legend folds the transfers into the module that issues them.
+FOLD_TRANSFERS = frozenset("ad")
 
 
-def _record_breakdown(
-    result: ExperimentResult,
-    panel: str,
-    model_name: str,
-    profile,
-    fold_transfers: bool = False,
-    **context: Any,
-) -> None:
-    breakdown = compute_breakdown(profile, fold_transfers=fold_transfers)
-    for entry in breakdown.entries:
-        result.add_row(
-            panel=panel,
-            model=model_name,
-            module=entry.label,
-            time_ms=round(entry.time_ms, 4),
-            share=round(entry.fraction, 4),
-            total_ms=round(breakdown.total_ms, 4),
-            **context,
-        )
-
-
-def run_tgn(result: ExperimentResult, scale: str, batches: Sequence[int]) -> None:
-    dataset = load_dataset("wikipedia", scale=scale)
-    for batch_size in batches:
-        machine = new_machine(use_gpu=True)
-        with machine.activate():
-            model = TGN(machine, dataset, TGNConfig(batch_size=batch_size))
-        profile, _ = profile_single_iteration(model, machine, label=f"tgn-b{batch_size}")
-        _record_breakdown(
-            result, "a", "TGN", profile, fold_transfers=True,
-            device="gpu", parameter="batch_size", value=batch_size,
-        )
-
-
-def run_moldgnn(result: ExperimentResult, scale: str, batches: Sequence[int]) -> None:
-    dataset = load_dataset("iso17", scale=scale)
-    for batch_size in batches:
-        machine = new_machine(use_gpu=True)
-        with machine.activate():
-            model = MolDGNN(machine, dataset, MolDGNNConfig(batch_size=batch_size))
-        profile, _ = profile_single_iteration(model, machine, label=f"moldgnn-b{batch_size}")
-        _record_breakdown(
-            result, "b", "MolDGNN", profile,
-            device="gpu", parameter="batch_size", value=batch_size,
-        )
-
-
-def run_astgnn(result: ExperimentResult, scale: str, batches: Sequence[int]) -> None:
-    dataset = load_dataset("pems", scale=scale)
-    for batch_size in batches:
-        machine = new_machine(use_gpu=True)
-        with machine.activate():
-            model = ASTGNN(machine, dataset, ASTGNNConfig(batch_size=batch_size))
-        profile, _ = profile_single_iteration(model, machine, label=f"astgnn-b{batch_size}")
-        _record_breakdown(
-            result, "c", "ASTGNN", profile,
-            device="gpu", parameter="batch_size", value=batch_size,
-        )
-
-
-def run_jodie(result: ExperimentResult, scale: str, datasets: Sequence[str]) -> None:
-    for dataset_name in datasets:
-        dataset = load_dataset(dataset_name, scale=scale)
-        for use_gpu in (False, True):
-            machine = new_machine(use_gpu=use_gpu)
-            with machine.activate():
-                model = JODIE(machine, dataset, JODIEConfig())
-            profile, _ = profile_single_iteration(
-                model, machine, label=f"jodie-{dataset_name}-{'gpu' if use_gpu else 'cpu'}"
-            )
-            _record_breakdown(
-                result, "d", "JODIE", profile, fold_transfers=True,
-                device="gpu" if use_gpu else "cpu",
-                parameter="dataset", value=dataset_name,
-            )
-
-
-def run_tgat(
-    result: ExperimentResult,
-    scale: str,
-    neighborhoods: Sequence[int],
-    datasets: Sequence[str] = ("wikipedia", "reddit"),
-    batch_size: int = 8,
-) -> None:
-    panels = {("wikipedia", "gpu"): "e", ("wikipedia", "cpu"): "f",
-              ("reddit", "gpu"): "g", ("reddit", "cpu"): "h"}
-    for dataset_name in datasets:
-        dataset = load_dataset(dataset_name, scale=scale)
-        for use_gpu in (True, False):
-            for neighbors in neighborhoods:
-                machine = new_machine(use_gpu=use_gpu)
-                with machine.activate():
-                    model = TGAT(
-                        machine, dataset,
-                        TGATConfig(num_neighbors=neighbors, batch_size=batch_size),
-                    )
-                profile, _ = profile_single_iteration(
-                    model, machine,
-                    label=f"tgat-{dataset_name}-k{neighbors}-{'gpu' if use_gpu else 'cpu'}",
-                )
-                _record_breakdown(
-                    result, panels[(dataset_name, "gpu" if use_gpu else "cpu")],
-                    "TGAT", profile,
-                    device="gpu" if use_gpu else "cpu",
-                    parameter="neighborhood", value=neighbors, dataset=dataset_name,
-                )
-
-
-def run_evolvegcn(result: ExperimentResult, scale: str, datasets: Sequence[str]) -> None:
-    panels = {"reddit-hyperlinks": "i", "bitcoin-alpha": "j"}
-    for dataset_name in datasets:
-        dataset = load_dataset(dataset_name, scale=scale)
-        for variant in ("H", "O"):
-            for use_gpu in (True, False):
-                machine = new_machine(use_gpu=use_gpu)
-                with machine.activate():
-                    model = EvolveGCN(machine, dataset, EvolveGCNConfig(variant=variant))
-                profile, _ = profile_single_iteration(
-                    model, machine,
-                    label=f"evolvegcn{variant}-{dataset_name}-{'gpu' if use_gpu else 'cpu'}",
-                )
-                _record_breakdown(
-                    result, panels[dataset_name], f"EvolveGCN-{variant}", profile,
-                    device="gpu" if use_gpu else "cpu",
-                    parameter="dataset", value=dataset_name, variant=variant,
-                )
-
-
-def run(
-    scale: str = "small",
-    paper_scale: bool = False,
-    panels: Optional[Sequence[str]] = None,
-    tgn_batches: Optional[Sequence[int]] = None,
-    moldgnn_batches: Optional[Sequence[int]] = None,
-    astgnn_batches: Optional[Sequence[int]] = None,
-    tgat_neighborhoods: Optional[Sequence[int]] = None,
-) -> ExperimentResult:
-    """Regenerate the Fig. 7 breakdowns.
-
-    Args:
-        scale: Dataset scale.
-        paper_scale: Use the paper's sweep values (larger and slower).
-        panels: Restrict to a subset of panel ids (``"a"`` .. ``"j"``).
-        *_batches / tgat_neighborhoods: Override individual sweeps.
-    """
+def run(scale: str = "small", paper_scale: bool = False) -> ExperimentResult:
+    """Regenerate the Fig. 7 breakdowns."""
     result = ExperimentResult(
         experiment="fig7",
         notes=(
@@ -221,35 +66,20 @@ def run(
             "'Memory Copy' and trailing device syncs as 'Cuda Synchronization'."
         ),
     )
-    wanted = set(panels) if panels is not None else set("abcdefghij")
-    if "a" in wanted:
-        run_tgn(
-            result,
-            scale,
-            tuple(tgn_batches or (PAPER_TGN_BATCHES if paper_scale else DEFAULT_TGN_BATCHES)),
+    for cell in profile_panels(PANELS, scale, paper_scale):
+        panel = cell.panel
+        breakdown = compute_breakdown(
+            cell.profiles[0], fold_transfers=panel.panel in FOLD_TRANSFERS
         )
-    if "b" in wanted:
-        run_moldgnn(
-            result,
-            scale,
-            tuple(
-                moldgnn_batches
-                or (PAPER_MOLDGNN_BATCHES if paper_scale else DEFAULT_MOLDGNN_BATCHES)
-            ),
-        )
-    if "c" in wanted:
-        run_astgnn(
-            result,
-            scale,
-            tuple(
-                astgnn_batches
-                or (PAPER_ASTGNN_BATCHES if paper_scale else DEFAULT_ASTGNN_BATCHES)
-            ),
-        )
-    if "d" in wanted:
-        run_jodie(result, scale, DEFAULT_JODIE_DATASETS)
-    if wanted & {"e", "f", "g", "h"}:
-        run_tgat(result, scale, tuple(tgat_neighborhoods or DEFAULT_TGAT_NEIGHBORS))
-    if wanted & {"i", "j"}:
-        run_evolvegcn(result, scale, DEFAULT_EVOLVEGCN_DATASETS)
+        for entry in breakdown.entries:
+            result.add_row(
+                panel=panel.panel,
+                model=cell.model.describe().name,
+                module=entry.label,
+                time_ms=round(entry.time_ms, 4),
+                share=round(entry.fraction, 4),
+                total_ms=round(breakdown.total_ms, 4),
+                device=cell.device, parameter=cell.parameter, value=cell.value,
+                **panel.labels,
+            )
     return result

@@ -17,38 +17,24 @@ its CPU latency, GPU latency and speedup.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from .runner import ExperimentResult, Panel, profile_panels
 
-from ..core import SpeedupTable
-from ..datasets import load as load_dataset
-from .runner import ExperimentResult, measure_iteration_latency
+_PAIR = ("cpu", "gpu")
 
-#: Qualitative expectations from the paper, used by EXPERIMENTS.md and tests.
-PAPER_TRENDS: Dict[str, str] = {
-    "tgat": "GPU speedup > 1 (paper: ~2.0-3.0x) and roughly flat across batch sizes",
-    "tgn": "GPU speedup > 1 and increasing with batch size",
-    "dyrep": "GPU speedup < 1 at every batch size",
-    "ldg": "GPU speedup < 1 at every batch size",
-    "astgnn": "GPU speedup around or above 1, improving with batch size",
-}
-
-DEFAULT_SWEEPS: Dict[str, Sequence] = {
-    "tgat_batches": (64, 128, 256),
-    "tgn_batches": (128, 1024, 4096),
-    "dyrep_batches": (16, 32, 64, 128),
-    "ldg_batches": (16, 32, 64, 128),
-    "astgnn_batches": (4, 8, 16, 32),
-}
+PANELS = (
+    Panel("a", "tgat", "wikipedia", _PAIR, "batch_size", (64, 128, 256),
+          fixed={"num_neighbors": 20}),
+    Panel("a", "tgat", "reddit", _PAIR, "batch_size", (64, 128, 256),
+          fixed={"num_neighbors": 20}),
+    Panel("b", "tgn", "wikipedia", _PAIR, "batch_size", (128, 1024, 4096)),
+    Panel("c", "dyrep", "social-evolution", _PAIR, "batch_size", (16, 32, 64, 128)),
+    Panel("d", "ldg", "social-evolution", _PAIR, "batch_size", (16, 32, 64, 128)),
+    Panel("e", "astgnn", "pems", _PAIR, "batch_size", (4, 8, 16, 32)),
+)
 
 
-def run(
-    scale: str = "small",
-    sweeps: Optional[Dict[str, Sequence]] = None,
-    tgat_datasets: Sequence[str] = ("wikipedia", "reddit"),
-) -> ExperimentResult:
+def run(scale: str = "small") -> ExperimentResult:
     """Regenerate the Fig. 8 CPU-vs-GPU comparison."""
-    sweeps = {**DEFAULT_SWEEPS, **(sweeps or {})}
-    table = SpeedupTable()
     result = ExperimentResult(
         experiment="fig8",
         notes=(
@@ -57,57 +43,14 @@ def run(
             "the paper's but cover the same regimes."
         ),
     )
-
-    # (a) TGAT on Wikipedia and Reddit.
-    for dataset_name in tgat_datasets:
-        dataset = load_dataset(dataset_name, scale=scale)
-        for batch in sweeps["tgat_batches"]:
-            for use_gpu in (False, True):
-                latency = measure_iteration_latency(
-                    "tgat", use_gpu, dataset=dataset, batch_size=batch, num_neighbors=20,
-                )
-                table.add("TGAT", dataset_name, "gpu" if use_gpu else "cpu", latency,
-                          parameter="batch_size", value=batch)
-
-    # (b) TGN on Wikipedia.
-    tgn_dataset = load_dataset("wikipedia", scale=scale)
-    for batch in sweeps["tgn_batches"]:
-        for use_gpu in (False, True):
-            latency = measure_iteration_latency(
-                "tgn", use_gpu, dataset=tgn_dataset, batch_size=batch
-            )
-            table.add("TGN", "wikipedia", "gpu" if use_gpu else "cpu", latency,
-                      parameter="batch_size", value=batch)
-
-    # (c)/(d) DyRep and LDG on Social Evolution.
-    social = load_dataset("social-evolution", scale=scale)
-    for model_name, key in (("dyrep", "dyrep_batches"), ("ldg", "ldg_batches")):
-        for batch in sweeps[key]:
-            for use_gpu in (False, True):
-                latency = measure_iteration_latency(
-                    model_name, use_gpu, dataset=social, batch_size=batch
-                )
-                table.add(model_name.upper() if model_name == "ldg" else "DyRep",
-                          "social-evolution", "gpu" if use_gpu else "cpu", latency,
-                          parameter="batch_size", value=batch)
-
-    # (e) ASTGNN on PeMS.
-    pems = load_dataset("pems", scale=scale)
-    for batch in sweeps["astgnn_batches"]:
-        for use_gpu in (False, True):
-            latency = measure_iteration_latency("astgnn", use_gpu, dataset=pems, batch_size=batch)
-            table.add("ASTGNN", "pems", "gpu" if use_gpu else "cpu", latency,
-                      parameter="batch_size", value=batch)
-
-    for row in table.rows():
-        result.add_row(**row.as_row())
+    # Every line runs ("cpu", "gpu"), so consecutive cells are one point's pair.
+    cells = profile_panels(PANELS, scale)
+    for cpu, gpu in zip(cells, cells):
+        cpu_ms, gpu_ms = cpu.profiles[0].elapsed_ms, gpu.profiles[0].elapsed_ms
+        result.add_row(
+            model=cpu.model.describe().name, dataset=cpu.panel.dataset,
+            parameter=cpu.parameter, value=cpu.value,
+            cpu_ms=round(cpu_ms, 3), gpu_ms=round(gpu_ms, 3),
+            speedup=round(cpu_ms / gpu_ms, 3),
+        )
     return result
-
-
-def speedups(result: ExperimentResult, model: str) -> Dict[float, float]:
-    """Map of parameter value -> GPU speedup for one model."""
-    return {
-        row["value"]: row["speedup"]
-        for row in result.rows
-        if row["model"].lower() == model.lower()
-    }

@@ -11,49 +11,30 @@ both the binned utilization series and per-phase summary statistics.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
-
 from ..core import utilization_report
-from ..datasets import load as load_dataset
-from ..models import ASTGNNConfig
-from ..models.astgnn import ASTGNN
-from .runner import ExperimentResult, new_machine, profile_iterations
+from .runner import ExperimentResult, Panel, profile_panels
 
-#: Qualitative expectations from the paper, used by EXPERIMENTS.md and tests.
-PAPER_TRENDS: Dict[str, str] = {
-    "utilization": "average GPU utilization rises with batch size",
-    "idle": "small batches show long idle gaps between encoder/decoder activity",
-}
+PANELS = (Panel("", "astgnn", "pems", field="batch_size", values=(4, 8, 16)),)
 
-DEFAULT_BATCHES = (4, 8, 16)
+ITERATIONS = 2
+BINS = 40
 
 
-def run(
-    scale: str = "small",
-    batches: Sequence[int] = DEFAULT_BATCHES,
-    iterations: int = 2,
-    bins: int = 40,
-) -> ExperimentResult:
-    """Regenerate Fig. 9 for the given batch sizes."""
+def run(scale: str = "small") -> ExperimentResult:
+    """Regenerate Fig. 9."""
     result = ExperimentResult(
         experiment="fig9",
         notes=(
             "Rows of kind='summary' give per-batch-size utilization statistics over "
-            f"{iterations} iterations; rows of kind='series' give the binned "
+            f"{ITERATIONS} iterations; rows of kind='series' give the binned "
             "utilization-over-time curve for plotting."
         ),
     )
-    dataset = load_dataset("pems", scale=scale)
-    for batch_size in batches:
-        machine = new_machine(use_gpu=True)
-        with machine.activate():
-            model = ASTGNN(machine, dataset, ASTGNNConfig(batch_size=batch_size))
-        profiles = profile_iterations(
-            model, machine, num_iterations=iterations, label=f"astgnn-b{batch_size}"
-        )
+    for cell in profile_panels(PANELS, scale, iterations=ITERATIONS):
+        batch_size, profiles = cell.value, cell.profiles
         total_elapsed = sum(p.elapsed_ms for p in profiles)
         reports = [
-            utilization_report(p, device_kind="gpu", bin_ms=max(p.elapsed_ms / bins, 1e-3))
+            utilization_report(p, device_kind="gpu", bin_ms=max(p.elapsed_ms / BINS, 1e-3))
             for p in profiles
         ]
         average = sum(r.busy_ms for r in reports) / total_elapsed if total_elapsed > 0 else 0.0

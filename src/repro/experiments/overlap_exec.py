@@ -22,18 +22,12 @@ that the analytic estimators the earlier figures rely on are trustworthy.
 
 from __future__ import annotations
 
-from ..core import Profiler, compute_breakdown
 from ..datasets import load as load_dataset
-from ..models import EvolveGCNConfig, TGATConfig
-from ..models.evolvegcn import EvolveGCN
-from ..models.tgat import TGAT
-from ..optim import (
-    OverlappedRunner,
-    PipelinedEvolveGCN,
-    estimate_overlap_speedup,
-    estimate_pipeline_speedup,
-)
-from .runner import ExperimentResult, new_machine
+from ..optim import OverlappedRunner, estimate_overlap_speedup
+from .runner import ExperimentResult, profile_pipelining_window, warm_window
+
+ITERATIONS = 6
+WINDOW = 4
 
 
 def _speedup_error(executed: float, analytic: float) -> float:
@@ -41,14 +35,7 @@ def _speedup_error(executed: float, analytic: float) -> float:
     return abs(executed - analytic) / analytic if analytic > 0 else float("inf")
 
 
-def run(
-    scale: str = "small",
-    iterations: int = 6,
-    window: int = 4,
-    tgat_neighbors: int = 50,
-    tgat_batch: int = 16,
-    seed: int = 0,
-) -> ExperimentResult:
+def run(scale: str = "small", seed: int = 0) -> ExperimentResult:
     """Execute both optimized schedules and compare against the estimators."""
     result = ExperimentResult(
         experiment="overlap_exec",
@@ -62,25 +49,16 @@ def run(
 
     # -- TGAT: sampling/compute overlap, executed -------------------------------
     wikipedia = load_dataset("wikipedia", scale=scale)
-    tgat_config = TGATConfig(num_neighbors=tgat_neighbors, batch_size=tgat_batch, seed=seed)
+    tgat = {"num_neighbors": 50, "batch_size": 16, "seed": seed}
 
-    machine = new_machine(use_gpu=True)
-    with machine.activate():
-        baseline_model = TGAT(machine, wikipedia, tgat_config)
-        batches = list(baseline_model.iteration_batches())[: iterations]
-        baseline_model.warm_up(batches[0])
-        baseline = OverlappedRunner(baseline_model).run_sequential(batches)
-        profiler = Profiler(machine)
+    with warm_window("tgat", wikipedia, ITERATIONS, **tgat) as (model, batches, profiler):
+        baseline = OverlappedRunner(model).run_sequential(batches)
         with profiler.capture("tgat-baseline"):
-            baseline_model.inference_iteration(batches[-1])
+            model.inference_iteration(batches[-1])
     analytic = estimate_overlap_speedup(profiler.last_profile)
 
-    machine = new_machine(use_gpu=True)
-    with machine.activate():
-        overlapped_model = TGAT(machine, wikipedia, tgat_config)
-        batches = list(overlapped_model.iteration_batches())[: iterations]
-        overlapped_model.warm_up(batches[0])
-        runner = OverlappedRunner(overlapped_model)
+    with warm_window("tgat", wikipedia, ITERATIONS, **tgat) as (model, batches, _):
+        runner = OverlappedRunner(model)
         # Prime the prefetch stream so the measured iterations are steady state.
         runner.prefetch(batches[0])
         overlapped = runner.run(batches)
@@ -109,46 +87,26 @@ def run(
     # the config's historic seed (3) -- and with it the byte-identical
     # default rows -- while distinct experiment seeds stay distinct.
     bitcoin = load_dataset("bitcoin-alpha", scale=scale)
-    snapshots = [bitcoin.snapshots[i] for i in range(min(window, len(bitcoin.snapshots)))]
-
-    machine = new_machine(use_gpu=True)
-    with machine.activate():
-        sequential_model = EvolveGCN(machine, bitcoin, EvolveGCNConfig(variant="O", seed=3 + seed))
-        sequential_model.warm_up(snapshots[0])
-        profiler = Profiler(machine)
-        with profiler.capture("evolvegcn-sequential"):
-            for snapshot in snapshots:
-                sequential_model.inference_iteration(snapshot)
-    sequential_profile = profiler.last_profile
-    pipeline_analytic = estimate_pipeline_speedup(
-        compute_breakdown(sequential_profile), "RNN", "GNN"
+    sequential_profile, pipelined_profile, pipeline_analytic, window = profile_pipelining_window(
+        bitcoin, WINDOW, use_streams=True, seed=3 + seed
     )
-
-    machine = new_machine(use_gpu=True)
-    with machine.activate():
-        pipelined_model = EvolveGCN(machine, bitcoin, EvolveGCNConfig(variant="O", seed=3 + seed))
-        pipelined_model.warm_up(snapshots[0])
-        profiler = Profiler(machine)
-        with profiler.capture("evolvegcn-pipelined"):
-            PipelinedEvolveGCN(pipelined_model).run_window(snapshots)
-    pipelined_profile = profiler.last_profile
 
     pipelined_speedup = sequential_profile.elapsed_ms / max(pipelined_profile.elapsed_ms, 1e-9)
     result.add_row(
         model="evolvegcn", configuration="sequential", mode="executed",
         iteration_ms=round(sequential_profile.elapsed_ms, 3), speedup=1.0,
-        window=len(snapshots),
+        window=window,
     )
     result.add_row(
         model="evolvegcn", configuration="pipelined", mode="executed",
         iteration_ms=round(pipelined_profile.elapsed_ms, 3),
         speedup=round(pipelined_speedup, 3),
         speedup_error=round(_speedup_error(pipelined_speedup, pipeline_analytic.speedup), 3),
-        window=len(snapshots),
+        window=window,
     )
     result.add_row(
         model="evolvegcn", configuration="pipelined", mode="analytic",
         iteration_ms=round(pipeline_analytic.pipelined_ms, 3),
-        speedup=round(pipeline_analytic.speedup, 3), window=len(snapshots),
+        speedup=round(pipeline_analytic.speedup, 3), window=window,
     )
     return result

@@ -8,16 +8,29 @@ inference iterations, and extract the quantity the figure/table reports.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Dict, List, Optional, Tuple
+from itertools import islice
+from typing import (
+    Any,
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
-from ..core import Profile, Profiler
+from ..core import Profile, Profiler, compute_breakdown
 from ..datasets import load as load_dataset
 from ..hw.machine import Machine
-from ..models import build_model
 from ..models.base import DGNNModel
+from ..models.registry import build_on_fresh_machine
 from ..models.tgat import TGAT, TGATConfig
+from ..optim import PipelinedEvolveGCN, PipelineEstimate, estimate_pipeline_speedup
 from ..serve import build_server, make_requests
 
 
@@ -37,17 +50,6 @@ class ExperimentResult:
 
     def add_row(self, **values: Any) -> None:
         self.rows.append(dict(values))
-
-    def column(self, name: str) -> List[Any]:
-        return [row.get(name) for row in self.rows]
-
-    def filter(self, **criteria: Any) -> List[Dict[str, Any]]:
-        """Rows matching all given column values."""
-        selected = []
-        for row in self.rows:
-            if all(row.get(key) == value for key, value in criteria.items()):
-                selected.append(row)
-        return selected
 
     def format_table(self, max_rows: Optional[int] = None) -> str:
         """Render the rows as a plain-text table."""
@@ -79,51 +81,16 @@ def _fmt(value: Any) -> str:
     return str(value)
 
 
-def new_machine(use_gpu: bool = True, **kwargs) -> Machine:
-    """A fresh machine for one experiment configuration."""
-    return Machine.cpu_gpu(**kwargs) if use_gpu else Machine.cpu_only(**kwargs)
-
-
-def profile_single_iteration(
-    model: DGNNModel,
-    machine: Machine,
-    label: str = "",
-    batch: Optional[Any] = None,
-    warm_up: bool = True,
-    batch_kwargs: Optional[Dict[str, Any]] = None,
-) -> Tuple[Profile, Any]:
-    """Warm the model up and profile exactly one inference iteration.
-
-    Returns the captured profile and the batch that was processed.
-    """
-    if batch is None:
-        batch = next(iter(model.iteration_batches(**(batch_kwargs or {}))))
-    with machine.activate():
-        if warm_up:
-            model.warm_up(batch)
-        profiler = Profiler(machine)
-        with profiler.capture(label or model.name):
-            model.inference_iteration(batch)
-    return (profiler.last_profile, batch)
-
-
 def profile_iterations(
-    model: DGNNModel,
-    machine: Machine,
-    num_iterations: int,
-    label: str = "",
-    warm_up: bool = True,
-    batch_kwargs: Optional[Dict[str, Any]] = None,
+    model: DGNNModel, machine: Machine, num_iterations: int, label: str = ""
 ) -> List[Profile]:
-    """Profile several consecutive iterations (one capture per iteration)."""
+    """Warm up outside the window, then profile consecutive iterations
+    (one capture per iteration)."""
     profiles: List[Profile] = []
     with machine.activate():
-        batches = model.iteration_batches(**(batch_kwargs or {}))
         profiler = Profiler(machine)
-        for index, batch in enumerate(batches):
-            if index >= num_iterations:
-                break
-            if warm_up and index == 0:
+        for index, batch in enumerate(islice(model.iteration_batches(), num_iterations)):
+            if index == 0:
                 model.warm_up(batch)
             with profiler.capture(f"{label or model.name}-iter{index}"):
                 model.inference_iteration(batch)
@@ -131,32 +98,129 @@ def profile_iterations(
     return profiles
 
 
-def measure_iteration_latency(
-    model_name: str,
-    use_gpu: bool,
-    dataset: Any = None,
-    dataset_name: Optional[str] = None,
-    scale: str = "small",
-    batch_kwargs: Optional[Dict[str, Any]] = None,
-    **config_overrides: Any,
-) -> float:
-    """End-to-end latency (ms) of one inference iteration on CPU or CPU+GPU.
+def profile_cell(
+    model_name: str, dataset: Any, *, use_gpu: bool, iterations: int = 1, **config: Any
+) -> Tuple[DGNNModel, List[Profile]]:
+    """The paper's recipe for one configuration: fresh machine, build the
+    model, warm up outside the window, profile ``iterations`` iterations."""
+    machine, model = build_on_fresh_machine(model_name, dataset, use_gpu=use_gpu, **config)
+    return (model, profile_iterations(model, machine, iterations))
 
-    Builds a fresh machine and model so runs are independent, performs warm-up
-    outside the measurement (as the paper does), and returns the host-observed
-    elapsed time of one iteration.
-    """
-    machine = new_machine(use_gpu=use_gpu)
+
+@contextmanager
+def warm_window(
+    model_name: str, dataset: Any, num_batches: int, **config: Any
+) -> Iterator[Tuple[DGNNModel, List[Any], Profiler]]:
+    """What a multi-batch measurement starts from: a fresh GPU machine
+    (active inside the block), the model, its first ``num_batches`` batches,
+    warm-up done on the first, and a profiler to capture with."""
+    machine, model = build_on_fresh_machine(model_name, dataset, use_gpu=True, **config)
     with machine.activate():
-        model = build_model(
-            model_name, machine, dataset=dataset, dataset_name=dataset_name,
-            scale=scale, **config_overrides,
+        batches = list(islice(model.iteration_batches(), num_batches))
+        model.warm_up(batches[0])
+        yield (model, batches, Profiler(machine))
+
+
+def profile_pipelining_window(
+    dataset: Any, window: int, *, use_streams: bool, **config: Any
+) -> Tuple[Profile, Profile, PipelineEstimate, int]:
+    """EvolveGCN-O over its first ``window`` snapshots (Sec. 5.2.1 / Fig. 10).
+
+    Returns the sequential baseline's profile, the pipelined schedule's, the
+    analytic estimate from the baseline's breakdown, and the number of
+    snapshots the dataset had to give.
+    """
+    with warm_window("evolvegcn-o", dataset, window, **config) as (model, snapshots, profiler):
+        with profiler.capture("evolvegcn-sequential"):
+            for snapshot in snapshots:
+                model.inference_iteration(snapshot)
+    sequential = profiler.last_profile
+    with warm_window("evolvegcn-o", dataset, window, **config) as (model, snapshots, profiler):
+        with profiler.capture("evolvegcn-pipelined"):
+            PipelinedEvolveGCN(model, use_streams=use_streams).run_window(snapshots)
+    analytic = estimate_pipeline_speedup(compute_breakdown(sequential), "RNN", "GNN")
+    return (sequential, profiler.last_profile, analytic, len(snapshots))
+
+
+class Panel(NamedTuple):
+    """One sweep line of a figure: a model on a dataset over one config field."""
+
+    #: Panel id in the paper's figure.
+    panel: str
+    #: Model table name (see :data:`repro.models.registry.MODELS`).
+    model: str
+    dataset: str
+    #: ``"cpu"`` / ``"gpu"``, in row order.
+    devices: Tuple[str, ...] = ("gpu",)
+    #: Swept config field; ``None`` is a single point, reported by its dataset.
+    field: Optional[str] = None
+    values: Tuple[Any, ...] = ()
+    #: The paper's own sweep (``paper_scale=True``); empty = same as ``values``.
+    paper_values: Tuple[Any, ...] = ()
+    #: Config fields held constant along the line.
+    fixed: Mapping[str, Any] = {}
+    #: What the figure calls the swept parameter when not by its field name.
+    parameter: Optional[str] = None
+    #: Extra columns every row of the line carries.
+    labels: Mapping[str, Any] = {}
+
+
+class Point(NamedTuple):
+    """One configuration of a panel table: what to build, and on what."""
+
+    panel: Panel
+    parameter: str
+    value: Any
+    device: str
+    dataset: Any
+    config: Dict[str, Any]
+
+
+class Cell(NamedTuple):
+    """One profiled :class:`Point`."""
+
+    panel: Panel
+    parameter: str
+    value: Any
+    device: str
+    model: DGNNModel
+    profiles: List[Profile]
+
+
+def panel_points(
+    panels: Sequence[Panel], scale: str, paper_scale: bool = False
+) -> Iterator[Point]:
+    """Every configuration of a panel table in row order: panel, value, device.
+
+    Each dataset is loaded once, at ``scale``, and shared by the points on it.
+    """
+    loaded: Dict[str, Any] = {}
+    for panel in panels:
+        if panel.dataset not in loaded:
+            loaded[panel.dataset] = load_dataset(panel.dataset, scale=scale)
+        if panel.field is None:
+            sweep = [(panel.dataset, {})]
+        else:
+            values = panel.paper_values if paper_scale and panel.paper_values else panel.values
+            sweep = [(value, {panel.field: value}) for value in values]
+        parameter = panel.parameter or panel.field or "dataset"
+        for value, swept in sweep:
+            for device in panel.devices:
+                config = {**panel.fixed, **swept}
+                yield Point(panel, parameter, value, device, loaded[panel.dataset], config)
+
+
+def profile_panels(
+    panels: Sequence[Panel], scale: str, paper_scale: bool = False, iterations: int = 1
+) -> Iterator[Cell]:
+    """:func:`profile_cell` over every point of a panel table."""
+    for panel, parameter, value, device, dataset, config in panel_points(
+        panels, scale, paper_scale
+    ):
+        model, profiles = profile_cell(
+            panel.model, dataset, use_gpu=device == "gpu", iterations=iterations, **config
         )
-    profile, _ = profile_single_iteration(
-        model, machine, label=f"{model_name}-{'gpu' if use_gpu else 'cpu'}",
-        batch_kwargs=batch_kwargs,
-    )
-    return profile.elapsed_ms
+        yield Cell(panel, parameter, value, device, model, profiles)
 
 
 class ServingSweep:

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from ..hw.machine import Machine
-from ..models import available_models, build_model
+from ..models.registry import MODEL_NAMES, build_on_fresh_machine
 from .runner import ExperimentResult
 
 #: The paper's Table 1, keyed by model name, for EXPERIMENTS.md comparison.
@@ -38,12 +37,9 @@ def run(scale: str = "tiny") -> ExperimentResult:
             "EvolveGCN once, this table separates the -O and -H variants."
         ),
     )
-    for name in available_models():
-        machine = Machine.cpu_only()
-        with machine.activate():
-            model = build_model(name, machine, scale=scale)
-        card = model.describe()
-        row = card.as_row()
+    for name in MODEL_NAMES:
+        _, model = build_on_fresh_machine(name, use_gpu=False, scale=scale)
+        row = model.describe().as_row()
         row["parameters"] = model.param_count()
         result.add_row(**row)
     return result

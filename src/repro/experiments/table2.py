@@ -17,14 +17,11 @@ accounting the paper uses.
 from __future__ import annotations
 
 import math
-from typing import Dict, Sequence
+from typing import Any, Dict, List, Sequence
 
-from ..core import Profiler, warmup_report
-from ..datasets import load as load_dataset
-from ..models import MolDGNNConfig, TGNConfig
-from ..models.moldgnn import MolDGNN
-from ..models.tgn import TGN
-from .runner import ExperimentResult, new_machine
+from ..core import Profiler
+from ..models.registry import build_on_fresh_machine
+from .runner import ExperimentResult, Panel, panel_points
 
 #: The paper's Table 2 (warm-up ms and its share of GPU working time).
 PAPER_TABLE2: Dict[str, Dict[int, Dict[str, float]]] = {
@@ -46,45 +43,41 @@ PAPER_TABLE2: Dict[str, Dict[int, Dict[str, float]]] = {
     },
 }
 
-DEFAULT_BATCHES = (8, 32, 128, 512, 2048, 8192)
+_BATCHES = (8, 32, 128, 512, 2048, 8192)
+
+PANELS = (
+    Panel("", "tgn", "wikipedia", field="batch_size", values=_BATCHES),
+    Panel("", "moldgnn", "iso17", field="batch_size", values=_BATCHES),
+)
 
 #: Fixed workload the computation time is normalised to (events for TGN,
 #: molecule windows for MolDGNN), mirroring the paper's fixed-dataset runs.
-DEFAULT_WORKLOAD = 8192
+WORKLOAD = 8192
 
-#: Trend statement checked by tests.
+
+#: The paper's observation on Table 2, checked by :func:`breaks_paper_trend`.
 PAPER_TREND = "warm-up share of GPU working time increases with batch size"
 
 
-def _measure(model_class, dataset, config, label: str, batch_size: int, workload: int):
-    machine = new_machine(use_gpu=True)
-    with machine.activate():
-        model = model_class(machine, dataset, config)
-        batch = next(iter(model.iteration_batches()))
-        # One-time context creation + weight upload happens before the
-        # Table 2 window, exactly as the paper separates "model
-        # initialization" (Sec. 4.4) from the per-run warm-up it tabulates.
-        machine.initialize_gpu(model_bytes=model.param_bytes())
-        profiler = Profiler(machine)
-        with profiler.capture(f"{label}-warmup"):
-            machine.allocation_warmup(model.batch_footprint_bytes(batch))
-        warmup_profile = profiler.last_profile
-        with profiler.capture(f"{label}-iteration"):
-            model.inference_iteration(batch)
-        iteration_profile = profiler.last_profile
-    warmup_ms = warmup_report(warmup_profile, []).warmup_ms
-    # "Computation" in Table 2 is the time the GPU spends executing kernels
-    # (transfers are accounted separately in Fig. 7's Memory Copy rows).
-    per_iteration_gpu_ms = iteration_profile.device_busy_ms("gpu")
-    iterations_needed = max(1, math.ceil(workload / batch_size))
-    return (warmup_ms, per_iteration_gpu_ms, iterations_needed)
+def breaks_paper_trend(rows: Sequence[Dict[str, Any]]) -> List[str]:
+    """Check Table 2 rows against :data:`PAPER_TREND`, model by model.
+
+    Returns a list of violation descriptions (empty when the trend holds).
+    """
+    violations: List[str] = []
+    previous: Dict[str, Dict[str, Any]] = {}
+    for row in sorted(rows, key=lambda row: row["batch_size"]):
+        last = previous.get(row["model"])
+        if last is not None and row["warmup_share"] < last["warmup_share"]:
+            violations.append(
+                f"{row['model']}: warm-up share falls from {last['warmup_share']} at batch "
+                f"{last['batch_size']} to {row['warmup_share']} at batch {row['batch_size']}"
+            )
+        previous[row["model"]] = row
+    return violations
 
 
-def run(
-    scale: str = "small",
-    batches: Sequence[int] = DEFAULT_BATCHES,
-    workload: int = DEFAULT_WORKLOAD,
-) -> ExperimentResult:
+def run(scale: str = "small") -> ExperimentResult:
     """Regenerate Table 2 for TGN and MolDGNN."""
     result = ExperimentResult(
         experiment="table2",
@@ -92,30 +85,36 @@ def run(
             "warmup_ms is the per-run allocation warm-up (context creation and "
             "weight upload excluded, as in the paper); computation_ms is the GPU "
             "working time of one iteration scaled to a fixed workload of "
-            f"{workload} events/windows; warmup_share = warmup / (warmup + computation)."
+            f"{WORKLOAD} events/windows; warmup_share = warmup / (warmup + computation)."
         ),
     )
-    wikipedia = load_dataset("wikipedia", scale=scale)
-    iso17 = load_dataset("iso17", scale=scale)
-    configs = [
-        ("TGN", TGN, wikipedia, lambda b: TGNConfig(batch_size=b)),
-        ("MolDGNN", MolDGNN, iso17, lambda b: MolDGNNConfig(batch_size=b)),
-    ]
-    for model_name, model_class, dataset, make_config in configs:
-        for batch_size in batches:
-            warmup, per_iteration_gpu_ms, iterations = _measure(
-                model_class, dataset, make_config(batch_size),
-                f"{model_name.lower()}-{batch_size}", batch_size, workload,
-            )
-            computation = per_iteration_gpu_ms * iterations
-            total = warmup + computation
-            result.add_row(
-                model=model_name,
-                batch_size=batch_size,
-                warmup_ms=round(warmup, 3),
-                computation_ms=round(computation, 3),
-                warmup_share=round(warmup / total if total > 0 else 0.0, 4),
-                iterations_for_workload=iterations,
-                per_iteration_gpu_ms=round(per_iteration_gpu_ms, 3),
-            )
+    for panel, _, batch_size, _, dataset, config in panel_points(PANELS, scale):
+        machine, model = build_on_fresh_machine(panel.model, dataset, use_gpu=True, **config)
+        with machine.activate():
+            batch = next(iter(model.iteration_batches()))
+            # One-time context creation + weight upload happens before the
+            # Table 2 window, exactly as the paper separates "model
+            # initialization" (Sec. 4.4) from the per-run warm-up it tabulates.
+            machine.initialize_gpu(model_bytes=model.param_bytes())
+            profiler = Profiler(machine)
+            with profiler.capture("warmup"):
+                machine.allocation_warmup(model.batch_footprint_bytes(batch))
+            warmup = profiler.last_profile.warmup_ms()
+            with profiler.capture("iteration"):
+                model.inference_iteration(batch)
+        # "Computation" in Table 2 is the time the GPU spends executing kernels
+        # (transfers are accounted separately in Fig. 7's Memory Copy rows).
+        per_iteration_gpu_ms = profiler.last_profile.device_busy_ms("gpu")
+        iterations = max(1, math.ceil(WORKLOAD / batch_size))
+        computation = per_iteration_gpu_ms * iterations
+        total = warmup + computation
+        result.add_row(
+            model=model.describe().name,
+            batch_size=batch_size,
+            warmup_ms=round(warmup, 3),
+            computation_ms=round(computation, 3),
+            warmup_share=round(warmup / total if total > 0 else 0.0, 4),
+            iterations_for_workload=iterations,
+            per_iteration_gpu_ms=round(per_iteration_gpu_ms, 3),
+        )
     return result

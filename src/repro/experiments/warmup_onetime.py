@@ -14,23 +14,15 @@ initialisation cost for the GPU/CPU initialisation ratio the paper quotes.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
-
 from ..core import Profiler
-from ..models import build_model
-from .runner import ExperimentResult, new_machine
+from ..models.registry import build_on_fresh_machine
+from .runner import ExperimentResult
 
-#: Qualitative expectations from the paper.
-PAPER_TRENDS: Dict[str, str] = {
-    "one_time": "the one-time GPU warm-up is tens of times larger than one inference iteration",
-    "vs_cpu": "GPU model initialisation is orders of magnitude slower than CPU initialisation",
-}
-
-DEFAULT_MODELS = ("tgat", "evolvegcn-o", "evolvegcn-h")
+MODELS = ("tgat", "evolvegcn-o", "evolvegcn-h")
 
 
-def run(scale: str = "small", models: Sequence[str] = DEFAULT_MODELS) -> ExperimentResult:
-    """Measure the one-time warm-up vs per-iteration cost for the given models."""
+def run(scale: str = "small") -> ExperimentResult:
+    """Measure the one-time warm-up vs per-iteration cost of each model."""
     result = ExperimentResult(
         experiment="warmup_onetime",
         notes=(
@@ -39,20 +31,17 @@ def run(scale: str = "small", models: Sequence[str] = DEFAULT_MODELS) -> Experim
             "pass over the parameters at host memory bandwidth)."
         ),
     )
-    for model_name in models:
-        machine = new_machine(use_gpu=True)
+    for model_name in MODELS:
+        machine, model = build_on_fresh_machine(model_name, use_gpu=True, scale=scale)
         with machine.activate():
-            model = build_model(model_name, machine, scale=scale)
             batch = next(iter(model.iteration_batches()))
             profiler = Profiler(machine)
-            with profiler.capture(f"{model_name}-warmup"):
+            with profiler.capture("warmup"):
                 model.warm_up(batch)
-            warmup_profile = profiler.last_profile
-            with profiler.capture(f"{model_name}-iteration"):
+            gpu_warmup_ms = profiler.last_profile.elapsed_ms
+            with profiler.capture("iteration"):
                 model.inference_iteration(batch)
-            iteration_profile = profiler.last_profile
-        gpu_warmup_ms = warmup_profile.elapsed_ms
-        iteration_ms = iteration_profile.elapsed_ms
+            iteration_ms = profiler.last_profile.elapsed_ms
         # CPU model initialisation: materialising the weights in host memory.
         cpu_spec = machine.cpu.spec
         cpu_init_ms = model.param_bytes() / (cpu_spec.mem_bandwidth_gbps * 1e6) + 1.0

@@ -1,6 +1,6 @@
-"""Graph substrates: static CSR graphs, discrete-time snapshot sequences,
-continuous-time event streams, temporal neighbourhood sampling, JODIE's
-t-batching, and seeded partitioners for sharded multi-GPU serving."""
+"""Graph substrates: discrete-time snapshot sequences, continuous-time event
+streams, temporal neighbourhood sampling, JODIE's t-batching, and seeded
+partitioners for sharded multi-GPU serving."""
 
 from .events import EventStream, InteractionEvent
 from .partition import (
@@ -12,23 +12,11 @@ from .partition import (
     make_partition,
     node_degrees,
 )
-from .sampling import (
-    NeighborhoodSample,
-    SamplingCostModel,
-    TemporalNeighborSampler,
-    recency_decay_weights,
-)
-from .snapshots import (
-    GraphSnapshot,
-    SnapshotDelta,
-    SnapshotSequence,
-    snapshots_from_events,
-)
-from .static import CSRGraph
+from .sampling import NeighborhoodSample, SamplingCostModel, TemporalNeighborSampler
+from .snapshots import GraphSnapshot, SnapshotDelta, SnapshotSequence
 from .tbatch import TBatch, build_tbatches, validate_tbatches
 
 __all__ = [
-    "CSRGraph",
     "EventStream",
     "GraphPartition",
     "GraphSnapshot",
@@ -46,7 +34,5 @@ __all__ = [
     "hash_partition",
     "make_partition",
     "node_degrees",
-    "recency_decay_weights",
-    "snapshots_from_events",
     "validate_tbatches",
 ]

@@ -297,17 +297,3 @@ class TemporalNeighborSampler:
             return
         cost_ms = self.cost_model.batch_cost_ms(degrees, k)
         current_machine().host_work("temporal_neighbor_sampling", cost_ms)
-
-
-def recency_decay_weights(
-    neighbor_times: np.ndarray, query_times: np.ndarray, tau: float
-) -> np.ndarray:
-    """Exponential recency weights ``exp(-(t_query - t_neighbor) / tau)``.
-
-    A small utility shared by models that bias aggregation towards recent
-    interactions (JODIE's projection and DyRep's attention both do).
-    """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    deltas = np.maximum(0.0, query_times[:, None] - neighbor_times)
-    return np.exp(-deltas / tau).astype(np.float32)

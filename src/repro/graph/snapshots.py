@@ -10,7 +10,7 @@ exploit to reduce CPU->GPU transfer volume.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, List, Sequence
 
 import numpy as np
 
@@ -167,55 +167,3 @@ class SnapshotSequence:
             for i in range(len(self._snapshots) - 1)
         ]
         return float(np.mean(ratios))
-
-
-def snapshots_from_events(
-    src: np.ndarray,
-    dst: np.ndarray,
-    timestamps: np.ndarray,
-    num_nodes: int,
-    num_snapshots: int,
-    feature_dim: int,
-    rng: Optional[np.random.Generator] = None,
-    cumulative: bool = True,
-) -> SnapshotSequence:
-    """Discretise an edge/event list into a snapshot sequence.
-
-    Args:
-        src / dst / timestamps: Event arrays (need not be sorted).
-        num_nodes: Node count shared by all snapshots.
-        num_snapshots: Number of equal-width time windows.
-        feature_dim: Width of the synthetic node features to attach.
-        rng: Generator for the node features (seeded by caller).
-        cumulative: When true each snapshot contains all edges seen so far
-            (growing graph); otherwise only the window's edges.
-    """
-    rng = rng if rng is not None else np.random.default_rng(0)
-    timestamps = np.asarray(timestamps, dtype=np.float64)
-    src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
-    if len(timestamps) == 0:
-        raise ValueError("cannot build snapshots from an empty event list")
-    edges_t = np.linspace(timestamps.min(), timestamps.max(), num_snapshots + 1)
-    base_features = rng.standard_normal((num_nodes, feature_dim)).astype(np.float32) * 0.1
-    snapshots = []
-    for step in range(num_snapshots):
-        hi = edges_t[step + 1]
-        if cumulative:
-            mask = timestamps <= hi
-        else:
-            mask = (timestamps > edges_t[step]) & (timestamps <= hi)
-            if step == 0:
-                mask |= timestamps == edges_t[0]
-        adjacency = np.zeros((num_nodes, num_nodes), dtype=np.float32)
-        adjacency[src[mask], dst[mask]] = 1.0
-        adjacency[dst[mask], src[mask]] = 1.0
-        drift = rng.standard_normal((num_nodes, feature_dim)).astype(np.float32) * 0.01
-        snapshots.append(
-            GraphSnapshot(
-                timestamp=float(hi),
-                adjacency=adjacency,
-                node_features=base_features + drift * (step + 1),
-            )
-        )
-    return SnapshotSequence(snapshots)

@@ -1,8 +1,8 @@
-"""Model registry: build any of the eight profiled DGNNs by name."""
+"""Model registry: one table row per profiled DGNN, and what is read from it."""
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Tuple, Type
 
 from ..datasets import load as load_dataset
 from ..hw.machine import Machine
@@ -16,31 +16,39 @@ from .moldgnn import MolDGNN, MolDGNNConfig
 from .tgat import TGAT, TGATConfig
 from .tgn import TGN, TGNConfig
 
-#: Default dataset for each model, matching what the paper profiles it on.
-DEFAULT_DATASETS: Dict[str, str] = {
-    "jodie": "wikipedia",
-    "tgn": "wikipedia",
-    "tgat": "wikipedia",
-    "evolvegcn": "bitcoin-alpha",
-    "evolvegcn-o": "bitcoin-alpha",
-    "evolvegcn-h": "bitcoin-alpha",
-    "astgnn": "pems",
-    "moldgnn": "iso17",
-    "dyrep": "social-evolution",
-    "ldg": "social-evolution",
-}
 
-MODEL_NAMES = (
-    "jodie",
-    "tgn",
-    "evolvegcn-o",
-    "evolvegcn-h",
-    "tgat",
-    "astgnn",
-    "dyrep",
-    "ldg",
-    "moldgnn",
+class ModelSpec(NamedTuple):
+    """One row of the model table."""
+
+    name: str
+    model_class: Type[DGNNModel]
+    config_class: type
+    #: Config fields the name itself fixes (a caller overriding one is an error).
+    variant: Mapping[str, Any]
+    #: Default dataset, matching what the paper profiles the model on.
+    dataset: str
+
+
+#: The model table, in the paper's Table 1 order.
+MODELS: Tuple[ModelSpec, ...] = (
+    ModelSpec("jodie", JODIE, JODIEConfig, {}, "wikipedia"),
+    ModelSpec("tgn", TGN, TGNConfig, {}, "wikipedia"),
+    ModelSpec("evolvegcn-o", EvolveGCN, EvolveGCNConfig, {"variant": "O"}, "bitcoin-alpha"),
+    ModelSpec("evolvegcn-h", EvolveGCN, EvolveGCNConfig, {"variant": "H"}, "bitcoin-alpha"),
+    ModelSpec("tgat", TGAT, TGATConfig, {}, "wikipedia"),
+    ModelSpec("astgnn", ASTGNN, ASTGNNConfig, {}, "pems"),
+    ModelSpec("dyrep", DyRep, DyRepConfig, {}, "social-evolution"),
+    ModelSpec("ldg", LDG, LDGConfig, {}, "social-evolution"),
+    ModelSpec("moldgnn", MolDGNN, MolDGNNConfig, {}, "iso17"),
 )
+
+_BY_NAME: Dict[str, ModelSpec] = {spec.name: spec for spec in MODELS}
+_BY_NAME["evolvegcn"] = _BY_NAME["evolvegcn-o"]
+
+MODEL_NAMES: Tuple[str, ...] = tuple(spec.name for spec in MODELS)
+
+#: Default dataset for each model name (the alias ``"evolvegcn"`` included).
+DEFAULT_DATASETS: Dict[str, str] = {name: spec.dataset for name, spec in _BY_NAME.items()}
 
 
 def available_models() -> List[str]:
@@ -67,30 +75,49 @@ def build_model(
         scale: Dataset scale when loading by name.
         **config_overrides: Forwarded to the model's config dataclass.
     """
-    key = name.lower()
-    if key == "evolvegcn":
-        key = "evolvegcn-o"
-    if key not in MODEL_NAMES:
+    spec = _BY_NAME.get(name.lower())
+    if spec is None:
         raise KeyError(f"unknown model {name!r}; available: {', '.join(MODEL_NAMES)}")
     if dataset is None:
-        dataset = load_dataset(dataset_name or DEFAULT_DATASETS[key], scale=scale)
+        dataset = load_dataset(dataset_name or spec.dataset, scale=scale)
+    return spec.model_class(machine, dataset, spec.config_class(**spec.variant, **config_overrides))
 
-    if key == "jodie":
-        return JODIE(machine, dataset, JODIEConfig(**config_overrides))
-    if key == "tgn":
-        return TGN(machine, dataset, TGNConfig(**config_overrides))
-    if key == "tgat":
-        return TGAT(machine, dataset, TGATConfig(**config_overrides))
-    if key == "evolvegcn-o":
-        return EvolveGCN(machine, dataset, EvolveGCNConfig(variant="O", **config_overrides))
-    if key == "evolvegcn-h":
-        return EvolveGCN(machine, dataset, EvolveGCNConfig(variant="H", **config_overrides))
-    if key == "astgnn":
-        return ASTGNN(machine, dataset, ASTGNNConfig(**config_overrides))
-    if key == "moldgnn":
-        return MolDGNN(machine, dataset, MolDGNNConfig(**config_overrides))
-    if key == "dyrep":
-        return DyRep(machine, dataset, DyRepConfig(**config_overrides))
-    if key == "ldg":
-        return LDG(machine, dataset, LDGConfig(**config_overrides))
-    raise AssertionError("unreachable")
+
+def build_on_fresh_machine(
+    name: str, dataset=None, *, use_gpu: bool, backend: str = "numeric", **build_kwargs
+) -> Tuple[Machine, DGNNModel]:
+    """:func:`build_model` on a machine of its own (runs must not share timelines)."""
+    machine = (Machine.cpu_gpu if use_gpu else Machine.cpu_only)(backend=backend)
+    with machine.activate():
+        return (machine, build_model(name, machine, dataset=dataset, **build_kwargs))
+
+
+def capability_table() -> str:
+    """The zoo's serving capabilities as a markdown table, one row per model.
+
+    Read off the model table and what each class declares, so the table
+    cannot drift from the code: ``repro-dgnn list-models`` prints it and
+    ``docs/ARCHITECTURE.md`` embeds it (a test regenerates it byte for byte).
+    """
+
+    def mark(flag: bool) -> str:
+        return "yes" if flag else "-"
+
+    rows = [("model", "default dataset", "serves event streams", "cache kinds", "overlap",
+             "async dispatch")]
+    for spec in MODELS:
+        cls = spec.model_class
+        rows.append((
+            f"`{spec.name}`",
+            f"`{spec.dataset}`",
+            mark(cls.serves_event_streams),
+            ", ".join(cls.cache_kinds) if cls.supports_caching else "-",
+            mark(hasattr(cls, "prepare_iteration") and hasattr(cls, "compute_iteration")),
+            mark(hasattr(cls, "dispatch_iteration")),
+        ))
+    widths = [max(len(row[column]) for row in rows) for column in range(len(rows[0]))]
+    rows.insert(1, tuple("-" * width for width in widths))
+    return "".join(
+        "| " + " | ".join(cell.ljust(width) for cell, width in zip(row, widths)) + " |\n"
+        for row in rows
+    )

@@ -11,28 +11,20 @@ from .attention import (
     TemporalNeighborAttention,
     scaled_dot_product_attention,
 )
-from .conv import (
-    GCNLayer,
-    GraphConvEncoder,
-    WeightlessGCNLayer,
-    gcn_forward,
-    normalized_adjacency,
-)
+from .conv import GCNLayer, WeightlessGCNLayer, gcn_forward, normalized_adjacency
 from .linear import MLP, Activation, Linear
 from .module import Module, ModuleList, Parameter, Sequential
-from .norm import Dropout, Embedding, LayerNorm
+from .norm import Embedding, LayerNorm
 from .recurrent import GRU, GRUCell, LSTM, LSTMCell
-from .time_encoding import BochnerTimeEncoder, PositionalEncoding, Time2Vec
+from .time_encoding import BochnerTimeEncoder, PositionalEncoding
 
 __all__ = [
     "Activation",
     "BochnerTimeEncoder",
-    "Dropout",
     "Embedding",
     "GCNLayer",
     "GRU",
     "GRUCell",
-    "GraphConvEncoder",
     "LSTM",
     "LSTMCell",
     "LayerNorm",
@@ -45,7 +37,6 @@ __all__ = [
     "PositionalEncoding",
     "Sequential",
     "TemporalNeighborAttention",
-    "Time2Vec",
     "WeightlessGCNLayer",
     "gcn_forward",
     "init",

@@ -106,38 +106,3 @@ def gcn_forward(
     if activation is None:
         return transformed
     raise ValueError(f"unknown activation {activation!r}")
-
-
-class GraphConvEncoder(Module):
-    """A small stack of GCN layers (used by MolDGNN's per-snapshot encoder)."""
-
-    def __init__(
-        self,
-        in_features: int,
-        hidden_features: int,
-        out_features: int,
-        device: Device,
-        rng: Optional[np.random.Generator] = None,
-        num_layers: int = 2,
-    ) -> None:
-        super().__init__()
-        if num_layers < 1:
-            raise ValueError("num_layers must be at least 1")
-        rng = rng if rng is not None else init.make_rng()
-        self.layers = []
-        dims = [in_features] + [hidden_features] * (num_layers - 1) + [out_features]
-        from .module import ModuleList
-
-        layers = ModuleList()
-        for index, (d_in, d_out) in enumerate(zip(dims[:-1], dims[1:])):
-            is_last = index == len(dims) - 2
-            layers.append(
-                GCNLayer(d_in, d_out, device, rng, activation=None if is_last else "relu")
-            )
-        self.layers = layers
-
-    def forward(self, adjacency: Tensor, features: Tensor) -> Tensor:
-        hidden = features
-        for layer in self.layers:
-            hidden = layer(adjacency, hidden)
-        return hidden

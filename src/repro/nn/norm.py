@@ -1,4 +1,4 @@
-"""Normalisation and inference-time regularisation layers."""
+"""Normalisation and embedding layers."""
 
 from __future__ import annotations
 
@@ -29,24 +29,6 @@ class LayerNorm(Module):
         if x.shape[-1] != self.features:
             raise ValueError(f"LayerNorm expected last dim {self.features}, got {x.shape[-1]}")
         return ops.layer_norm(x, self.weight, self.bias, eps=self.eps)
-
-
-class Dropout(Module):
-    """Inference-mode dropout: an identity that still launches a cheap kernel.
-
-    The profiled models keep their dropout layers in the inference graph;
-    PyTorch's eval-mode dropout is not entirely free, and modelling it keeps
-    kernel counts comparable.
-    """
-
-    def __init__(self, p: float = 0.1) -> None:
-        super().__init__()
-        if not 0.0 <= p < 1.0:
-            raise ValueError("dropout probability must be in [0, 1)")
-        self.p = p
-
-    def forward(self, x: Tensor) -> Tensor:
-        return ops.dropout_mask_identity(x)
 
 
 class Embedding(Module):

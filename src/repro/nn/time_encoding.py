@@ -6,7 +6,6 @@ The defining component of a DGNN is its time encoder (paper Sec. 3 / Table 1):
   ``cos(w * t + b)`` derived from Bochner's theorem;
 * JODIE, EvolveGCN, DyRep, LDG and MolDGNN use RNNs (see
   :mod:`repro.nn.recurrent`);
-* Time2Vec is the learnable generalisation several follow-up models use;
 * ASTGNN uses self-attention with positional encodings over the time axis.
 """
 
@@ -18,9 +17,7 @@ from typing import Optional
 import numpy as np
 
 from ..hw.device import Device
-from ..hw.machine import active_machine_or_none
 from ..tensor import ops
-from ..tensor.meta import placeholder
 from ..tensor.tensor import Tensor
 from . import init
 from .module import Module
@@ -60,40 +57,6 @@ class BochnerTimeEncoder(Module):
         ) else self.phase
         scaled = ops.mul(expanded, freq)
         return ops.cos(ops.add(scaled, phase))
-
-
-class Time2Vec(Module):
-    """Time2Vec encoder: one linear component plus ``time_dim - 1`` periodic ones."""
-
-    def __init__(
-        self,
-        time_dim: int,
-        device: Device,
-        rng: Optional[np.random.Generator] = None,
-    ) -> None:
-        super().__init__()
-        if time_dim < 2:
-            raise ValueError("Time2Vec needs at least 2 output dimensions")
-        rng = rng if rng is not None else init.make_rng()
-        self.time_dim = time_dim
-        self.weight = init.normal((time_dim,), device, rng, std=0.5, name="time2vec.weight")
-        self.bias = init.zeros((time_dim,), device, name="time2vec.bias")
-
-    def forward(self, timestamps: Tensor) -> Tensor:
-        """Encode timestamps of shape (...,) into (..., time_dim)."""
-        expanded = ops.expand_dims(timestamps, axis=-1)
-        weight = Tensor(self.weight.data, timestamps.device)
-        bias = Tensor(self.bias.data, timestamps.device)
-        projected = ops.add(ops.mul(expanded, weight), bias)
-        periodic = ops.sin(projected)
-        # First component stays linear, the rest are periodic.  (This splice
-        # is free in the cost model, so the shape branch only avoids
-        # materialising the placeholder operands.)
-        machine = active_machine_or_none()
-        if machine is not None and machine.shape_mode:
-            return Tensor(placeholder(projected.data.shape), timestamps.device)
-        combined = np.concatenate([projected.data[..., :1], periodic.data[..., 1:]], axis=-1)
-        return Tensor(combined, timestamps.device)
 
 
 class PositionalEncoding(Module):

@@ -2,11 +2,7 @@
 proposals: cross-time-step pipelining, sampling/compute overlap and delta
 snapshot transfer."""
 
-from .delta_transfer import (
-    DeltaTransferComparison,
-    compare_delta_transfer,
-    estimate_transfer_savings,
-)
+from .delta_transfer import DeltaTransferComparison, compare_delta_transfer
 from .overlap import (
     DEFAULT_HOST_LABELS,
     OverlapEstimate,
@@ -14,12 +10,7 @@ from .overlap import (
     OverlappedRunner,
     estimate_overlap_speedup,
 )
-from .pipelining import (
-    PipelineEstimate,
-    PipelinedEvolveGCN,
-    estimate_pipeline_speedup,
-    run_sequential_window,
-)
+from .pipelining import PipelinedEvolveGCN, PipelineEstimate, estimate_pipeline_speedup
 
 __all__ = [
     "DEFAULT_HOST_LABELS",
@@ -32,6 +23,4 @@ __all__ = [
     "compare_delta_transfer",
     "estimate_overlap_speedup",
     "estimate_pipeline_speedup",
-    "estimate_transfer_savings",
-    "run_sequential_window",
 ]

@@ -12,13 +12,11 @@ and an analytic estimator based on the dataset's measured delta ratio.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from itertools import islice
 
-from ..core import MEMORY_COPY, compute_breakdown
+from ..core import MEMORY_COPY, Profiler, compute_breakdown
 from ..datasets.base import SnapshotDataset
-from ..graph.snapshots import SnapshotSequence
-from ..experiments.runner import new_machine, profile_single_iteration
-from ..models.evolvegcn import EvolveGCN, EvolveGCNConfig
+from ..models.registry import build_on_fresh_machine
 
 
 @dataclass(frozen=True)
@@ -53,16 +51,7 @@ class DeltaTransferComparison:
         return max(0.0, 1.0 - self.delta_copy_ms / self.full_copy_ms)
 
 
-def estimate_transfer_savings(snapshots: SnapshotSequence) -> float:
-    """Upper-bound fraction of snapshot-upload volume a delta scheme avoids."""
-    return max(0.0, 1.0 - snapshots.average_delta_ratio())
-
-
-def compare_delta_transfer(
-    dataset: SnapshotDataset,
-    variant: str = "O",
-    config: Optional[EvolveGCNConfig] = None,
-) -> DeltaTransferComparison:
+def compare_delta_transfer(dataset: SnapshotDataset, variant: str = "O") -> DeltaTransferComparison:
     """Measure EvolveGCN's second-snapshot iteration with and without deltas.
 
     The *second* snapshot is measured because the first upload is identical in
@@ -70,22 +59,19 @@ def compare_delta_transfer(
     """
     results = {}
     for delta in (False, True):
-        machine = new_machine(use_gpu=True)
-        with machine.activate():
-            model = EvolveGCN(
-                machine, dataset,
-                config if config is not None and delta == config.delta_transfer
-                else EvolveGCNConfig(variant=variant, delta_transfer=delta),
-            )
-            snapshots = list(model.iteration_batches())
-            model.warm_up(snapshots[0])
-            # Prime the device with the first snapshot outside the measurement.
-            model.inference_iteration(snapshots[0])
-        profile, _ = profile_single_iteration(
-            model, machine, label=f"evolvegcn-delta-{delta}", batch=snapshots[1], warm_up=False
+        machine, model = build_on_fresh_machine(
+            f"evolvegcn-{variant}", dataset, use_gpu=True, delta_transfer=delta
         )
-        breakdown = compute_breakdown(profile)
-        results[delta] = (profile.elapsed_ms, breakdown.time_ms(MEMORY_COPY))
+        with machine.activate():
+            first, second = islice(model.iteration_batches(), 2)
+            model.warm_up(first)
+            # Prime the device with the first snapshot outside the measurement.
+            model.inference_iteration(first)
+            profiler = Profiler(machine)
+            with profiler.capture(f"evolvegcn-delta-{delta}"):
+                model.inference_iteration(second)
+        profile = profiler.last_profile
+        results[delta] = (profile.elapsed_ms, compute_breakdown(profile).time_ms(MEMORY_COPY))
     return DeltaTransferComparison(
         full_iteration_ms=results[False][0],
         delta_iteration_ms=results[True][0],

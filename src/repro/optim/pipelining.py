@@ -149,8 +149,3 @@ class PipelinedEvolveGCN:
         if machine.has_gpu:
             machine.synchronize()
         return outputs
-
-
-def run_sequential_window(model: EvolveGCN, snapshots: Sequence[GraphSnapshot]) -> List[Tensor]:
-    """Baseline: process the same window snapshot-by-snapshot (paper dataflow)."""
-    return [model.inference_iteration(snapshot) for snapshot in snapshots]

@@ -6,12 +6,11 @@ costs, and cross-device copies occupy the simulated PCIe link.
 """
 
 from . import costs, meta, ops
-from .tensor import DeviceMismatchError, Tensor, as_tensor, ensure_same_device
+from .tensor import DeviceMismatchError, Tensor, ensure_same_device
 
 __all__ = [
     "DeviceMismatchError",
     "Tensor",
-    "as_tensor",
     "costs",
     "ensure_same_device",
     "meta",

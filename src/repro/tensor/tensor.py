@@ -256,10 +256,3 @@ def ensure_same_device(*tensors: Tensor) -> Device:
                 f"{tensor.device.name!r}; insert an explicit .to(...) transfer"
             )
     return device
-
-
-def as_tensor(value: ArrayLike, device: Device, name: str = "") -> Tensor:
-    """Coerce a scalar/array/Tensor to a :class:`Tensor` on ``device``."""
-    if isinstance(value, Tensor):
-        return value
-    return Tensor(value, device, name=name)

@@ -32,12 +32,12 @@ import pytest
 from repro.cache import make_model_cache
 from repro.core import analyze_profile, cpu_busy_gpu_idle_fraction, utilization_report
 from repro.datasets import load
-from repro.experiments import run_experiment, table1
-from repro.experiments.runner import new_machine, profile_single_iteration
+from repro.experiments import run_experiment, table1, table2
+from repro.experiments.runner import profile_cell
 from repro.fuzz import draw_case
 from repro.graph.partition import make_partition
 from repro.hw import Cluster, Machine
-from repro.models import MODEL_NAMES, build_model
+from repro.models import MODEL_NAMES
 from repro.models.tgat import TGAT, TGATConfig
 from repro.obs import MetricsRegistry, Tracer, build_trace
 from repro.serve import (
@@ -100,10 +100,7 @@ def bottlenecks_json():
     rows = []
     for name in MODEL_NAMES:
         for use_gpu in (False, True):
-            machine = new_machine(use_gpu=use_gpu)
-            with machine.activate():
-                model = build_model(name, machine, scale="tiny")
-            profile, _ = profile_single_iteration(model, machine)
+            _, (profile,) = profile_cell(name, None, use_gpu=use_gpu, scale="tiny")
             report = analyze_profile(profile)
             utilization = {}
             for kind in ("cpu", "gpu"):
