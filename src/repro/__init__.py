@@ -6,7 +6,7 @@ The package is organised bottom-up:
 * :mod:`repro.hw`          -- simulated Xeon 6226R + RTX A6000 platform;
 * :mod:`repro.tensor`      -- device-placed numpy tensors with cost accounting;
 * :mod:`repro.nn`          -- the NN layers the profiled DGNNs are built from;
-* :mod:`repro.graph`       -- static/discrete/continuous dynamic-graph substrates;
+* :mod:`repro.graph`       -- discrete/continuous dynamic-graph substrates;
 * :mod:`repro.datasets`    -- seeded synthetic stand-ins for the paper's datasets;
 * :mod:`repro.models`      -- the eight profiled DGNNs;
 * :mod:`repro.core`        -- profiler, breakdowns, utilization, warm-up and

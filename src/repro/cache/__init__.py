@@ -25,10 +25,9 @@ See the ``cache_ablation`` experiment and ``repro-dgnn serve --cache`` for
 the end-to-end sweeps.
 """
 
-from .backfill import EMPTY_BACKFILL, BackfillReport, backfill_embeddings, hot_nodes
+from .backfill import backfill_embeddings, hot_nodes
 from .model_cache import CachedPlan, ModelCache, make_model_cache, merge_cache_stats
 from .policy import (
-    EVICTION_POLICIES,
     DegreeWeightedPolicy,
     EvictionPolicy,
     LFUPolicy,
@@ -39,14 +38,11 @@ from .policy import (
 from .store import CacheCostModel, CacheStats, DeviceResidentCache
 
 __all__ = [
-    "BackfillReport",
     "CacheCostModel",
     "CacheStats",
     "CachedPlan",
     "DegreeWeightedPolicy",
     "DeviceResidentCache",
-    "EMPTY_BACKFILL",
-    "EVICTION_POLICIES",
     "EvictionPolicy",
     "LFUPolicy",
     "LRUPolicy",

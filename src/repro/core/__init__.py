@@ -11,13 +11,7 @@
 """
 
 from .bottlenecks import (
-    ALL_BOTTLENECKS,
-    DATA_MOVEMENT,
-    GPU_WARMUP,
-    TEMPORAL_DEPENDENCY,
     WORKLOAD_IMBALANCE,
-    BottleneckFinding,
-    BottleneckReport,
     BottleneckThresholds,
     analyze_profile,
     detect_data_movement,
@@ -25,16 +19,8 @@ from .bottlenecks import (
     detect_temporal_dependency,
     detect_workload_imbalance,
 )
-from .breakdown import (
-    CUDA_SYNC,
-    MEMORY_COPY,
-    OTHER,
-    WARMUP_LABEL,
-    Breakdown,
-    BreakdownEntry,
-    compute_breakdown,
-)
-from .profiler import DeviceSnapshot, Profile, Profiler, StreamSnapshot
+from .breakdown import MEMORY_COPY, OTHER, Breakdown, compute_breakdown
+from .profiler import DeviceSnapshot, Profile, Profiler
 from .stats import LatencySummary, percentile
 from .utilization import (
     UtilizationPoint,
@@ -44,26 +30,16 @@ from .utilization import (
 )
 
 __all__ = [
-    "ALL_BOTTLENECKS",
     "Breakdown",
-    "BreakdownEntry",
-    "BottleneckFinding",
-    "BottleneckReport",
     "BottleneckThresholds",
-    "CUDA_SYNC",
-    "DATA_MOVEMENT",
     "DeviceSnapshot",
-    "GPU_WARMUP",
     "LatencySummary",
     "MEMORY_COPY",
     "OTHER",
     "Profile",
     "Profiler",
-    "StreamSnapshot",
-    "TEMPORAL_DEPENDENCY",
     "UtilizationPoint",
     "UtilizationReport",
-    "WARMUP_LABEL",
     "WORKLOAD_IMBALANCE",
     "analyze_profile",
     "compute_breakdown",

@@ -31,8 +31,6 @@ WORKLOAD_IMBALANCE = "workload_imbalance"
 DATA_MOVEMENT = "data_movement"
 GPU_WARMUP = "gpu_warmup"
 
-ALL_BOTTLENECKS = (TEMPORAL_DEPENDENCY, WORKLOAD_IMBALANCE, DATA_MOVEMENT, GPU_WARMUP)
-
 
 @dataclass(frozen=True)
 class BottleneckFinding:

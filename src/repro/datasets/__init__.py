@@ -1,47 +1,19 @@
 """Synthetic datasets mirroring the structure of the paper's public datasets."""
 
-from .base import (
-    MolecularDataset,
-    SnapshotDataset,
-    TemporalInteractionDataset,
-    TrafficDataset,
-)
-from .interactions import (
-    InteractionConfig,
-    generate_interactions,
-    github,
-    lastfm,
-    reddit,
-    social_evolution,
-    wikipedia,
-)
-from .molecules import MolecularConfig, generate_molecules, iso17
-from .registry import SCALES, available_datasets, load
-from .snapshot_data import (
-    SnapshotConfig,
-    bitcoin_alpha,
-    generate_snapshot_sequence,
-    reddit_hyperlinks,
-    stochastic_block_model,
-)
-from .traffic import TrafficConfig, generate_traffic, pems
+from .base import MolecularDataset, SnapshotDataset, TemporalInteractionDataset, TrafficDataset
+from .interactions import github, lastfm, reddit, social_evolution, wikipedia
+from .molecules import iso17
+from .registry import available_datasets, load
+from .snapshot_data import bitcoin_alpha, reddit_hyperlinks, stochastic_block_model
+from .traffic import pems
 
 __all__ = [
-    "InteractionConfig",
-    "MolecularConfig",
     "MolecularDataset",
-    "SCALES",
-    "SnapshotConfig",
     "SnapshotDataset",
     "TemporalInteractionDataset",
-    "TrafficConfig",
     "TrafficDataset",
     "available_datasets",
     "bitcoin_alpha",
-    "generate_interactions",
-    "generate_molecules",
-    "generate_snapshot_sequence",
-    "generate_traffic",
     "github",
     "iso17",
     "lastfm",

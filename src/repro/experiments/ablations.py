@@ -5,12 +5,15 @@ These ablations quantify each one on the simulated platform:
 
 * ``pipeline``  -- EvolveGCN-O with the weight-evolution RNN hoisted off the
   per-snapshot critical path (Sec. 5.2.1 / Fig. 10), measured for real with
-  :class:`repro.optim.PipelinedEvolveGCN` against the sequential baseline.
+  :class:`repro.optim.PipelinedEvolveGCN` against the sequential baseline:
+  hoisting reduces the per-window latency.
 * ``overlap``   -- the steady-state speedup attainable by overlapping
   CPU-side sampling with device compute (Sec. 5.1.1), estimated from the
-  measured TGAT breakdown.
+  measured TGAT breakdown: it helps but is bounded by the sampling half
+  (sampling-bound models gain < 2x).
 * ``delta``     -- EvolveGCN with delta snapshot transfer (Sec. 5.2.2),
-  measured for real against full per-snapshot re-upload.
+  measured for real against full per-snapshot re-upload: it removes most of
+  the per-snapshot memory-copy time.
 """
 
 from __future__ import annotations

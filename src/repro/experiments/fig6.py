@@ -45,11 +45,10 @@ def run(scale: str = "small", paper_scale: bool = False) -> ExperimentResult:
             "neighbourhoods stay laptop-sized; trends match the paper's panels."
         ),
     )
-    for cell in profile_panels(PANELS, scale, paper_scale):
-        (profile,) = cell.profiles
+    for point, model, (profile,) in profile_panels(PANELS, scale, paper_scale):
         result.add_row(
-            panel=cell.panel.panel, model=cell.model.describe().name,
-            parameter=cell.parameter, value=cell.value,
+            panel=point.panel.panel, model=model.describe().name,
+            parameter=point.parameter, value=point.value,
             gpu_utilization=profile.gpu_utilization(),
             gpu_compute_efficiency=profile.gpu_compute_efficiency(),
             memory_mb=profile.peak_memory_mb("gpu"),

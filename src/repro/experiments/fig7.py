@@ -66,20 +66,18 @@ def run(scale: str = "small", paper_scale: bool = False) -> ExperimentResult:
             "'Memory Copy' and trailing device syncs as 'Cuda Synchronization'."
         ),
     )
-    for cell in profile_panels(PANELS, scale, paper_scale):
-        panel = cell.panel
-        breakdown = compute_breakdown(
-            cell.profiles[0], fold_transfers=panel.panel in FOLD_TRANSFERS
-        )
+    for point, model, (profile,) in profile_panels(PANELS, scale, paper_scale):
+        panel = point.panel
+        breakdown = compute_breakdown(profile, fold_transfers=panel.panel in FOLD_TRANSFERS)
         for entry in breakdown.entries:
             result.add_row(
                 panel=panel.panel,
-                model=cell.model.describe().name,
+                model=model.describe().name,
                 module=entry.label,
                 time_ms=round(entry.time_ms, 4),
                 share=round(entry.fraction, 4),
                 total_ms=round(breakdown.total_ms, 4),
-                device=cell.device, parameter=cell.parameter, value=cell.value,
+                device=point.device, parameter=point.parameter, value=point.value,
                 **panel.labels,
             )
     return result

@@ -45,11 +45,11 @@ def run(scale: str = "small") -> ExperimentResult:
     )
     # Every line runs ("cpu", "gpu"), so consecutive cells are one point's pair.
     cells = profile_panels(PANELS, scale)
-    for cpu, gpu in zip(cells, cells):
-        cpu_ms, gpu_ms = cpu.profiles[0].elapsed_ms, gpu.profiles[0].elapsed_ms
+    for (point, model, (cpu,)), (_, _, (gpu,)) in zip(cells, cells):
+        cpu_ms, gpu_ms = cpu.elapsed_ms, gpu.elapsed_ms
         result.add_row(
-            model=cpu.model.describe().name, dataset=cpu.panel.dataset,
-            parameter=cpu.parameter, value=cpu.value,
+            model=model.describe().name, dataset=point.panel.dataset,
+            parameter=point.parameter, value=point.value,
             cpu_ms=round(cpu_ms, 3), gpu_ms=round(gpu_ms, 3),
             speedup=round(cpu_ms / gpu_ms, 3),
         )

@@ -30,8 +30,8 @@ def run(scale: str = "small") -> ExperimentResult:
             "utilization-over-time curve for plotting."
         ),
     )
-    for cell in profile_panels(PANELS, scale, iterations=ITERATIONS):
-        batch_size, profiles = cell.value, cell.profiles
+    for point, _, profiles in profile_panels(PANELS, scale, iterations=ITERATIONS):
+        batch_size = point.value
         total_elapsed = sum(p.elapsed_ms for p in profiles)
         reports = [
             utilization_report(p, device_kind="gpu", bin_ms=max(p.elapsed_ms / BINS, 1e-3))

@@ -1,9 +1,12 @@
 """Shared experiment plumbing.
 
-Every experiment in this package follows the same recipe the paper's artifact
-uses: build a fresh simulated machine for the configuration, construct the
-model, perform GPU warm-up outside the measured window, profile one (or a few)
-inference iterations, and extract the quantity the figure/table reports.
+Every offline experiment follows the recipe the paper's artifact uses: build a
+fresh simulated machine for the configuration, construct the model, perform
+GPU warm-up outside the measured window, profile one (or a few) inference
+iterations, and extract the quantity the figure/table reports.  The recipe is
+written once, as :func:`profile_cell`; a figure is a table of :class:`Panel`
+rows walked by :func:`profile_panels` plus its own row formatter.  The serving
+sweeps share :class:`ServingSweep`.
 """
 
 from __future__ import annotations
@@ -176,17 +179,6 @@ class Point(NamedTuple):
     config: Dict[str, Any]
 
 
-class Cell(NamedTuple):
-    """One profiled :class:`Point`."""
-
-    panel: Panel
-    parameter: str
-    value: Any
-    device: str
-    model: DGNNModel
-    profiles: List[Profile]
-
-
 def panel_points(
     panels: Sequence[Panel], scale: str, paper_scale: bool = False
 ) -> Iterator[Point]:
@@ -212,15 +204,14 @@ def panel_points(
 
 def profile_panels(
     panels: Sequence[Panel], scale: str, paper_scale: bool = False, iterations: int = 1
-) -> Iterator[Cell]:
+) -> Iterator[Tuple[Point, DGNNModel, List[Profile]]]:
     """:func:`profile_cell` over every point of a panel table."""
-    for panel, parameter, value, device, dataset, config in panel_points(
-        panels, scale, paper_scale
-    ):
+    for point in panel_points(panels, scale, paper_scale):
         model, profiles = profile_cell(
-            panel.model, dataset, use_gpu=device == "gpu", iterations=iterations, **config
+            point.panel.model, point.dataset, use_gpu=point.device == "gpu",
+            iterations=iterations, **point.config,
         )
-        yield Cell(panel, parameter, value, device, model, profiles)
+        yield (point, model, profiles)
 
 
 class ServingSweep:

@@ -14,15 +14,13 @@ suite in ``tests/test_fuzz.py``.
 from .config import FuzzConfig, draw_config
 from .invariants import INVARIANTS, check_case, resolve_checks
 from .program import Execution, InvariantViolation, draw_program, signature
-from .runner import FuzzFailure, FuzzReport, draw_case, fuzz, replay
+from .runner import draw_case, fuzz, replay
 from .shrink import load_reproducer, reproducer_dict, save_reproducer, shrink
 
 __all__ = [
     "INVARIANTS",
     "Execution",
     "FuzzConfig",
-    "FuzzFailure",
-    "FuzzReport",
     "InvariantViolation",
     "check_case",
     "draw_case",

@@ -2,9 +2,8 @@
 streams, temporal neighbourhood sampling, JODIE's t-batching, and seeded
 partitioners for sharded multi-GPU serving."""
 
-from .events import EventStream, InteractionEvent
+from .events import EventStream
 from .partition import (
-    PARTITIONERS,
     GraphPartition,
     available_partitioners,
     degree_balanced_partition,
@@ -12,19 +11,15 @@ from .partition import (
     make_partition,
     node_degrees,
 )
-from .sampling import NeighborhoodSample, SamplingCostModel, TemporalNeighborSampler
-from .snapshots import GraphSnapshot, SnapshotDelta, SnapshotSequence
+from .sampling import NeighborhoodSample, TemporalNeighborSampler
+from .snapshots import GraphSnapshot, SnapshotSequence
 from .tbatch import TBatch, build_tbatches, validate_tbatches
 
 __all__ = [
     "EventStream",
     "GraphPartition",
     "GraphSnapshot",
-    "InteractionEvent",
     "NeighborhoodSample",
-    "PARTITIONERS",
-    "SamplingCostModel",
-    "SnapshotDelta",
     "SnapshotSequence",
     "TBatch",
     "TemporalNeighborSampler",

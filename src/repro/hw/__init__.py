@@ -9,13 +9,12 @@ paper obtains from PyTorch Profiler and Nsight Systems.
 """
 
 from .cluster import Cluster
-from .device import Device, KernelCost
+from .device import Device
 from .events import ALLOC, FREE, KERNEL, MARKER, SYNC, TRANSFER, WARMUP, Event, EventLog
 from .link import Link
-from .machine import Machine, NoActiveMachineError, current_machine, has_active_machine
+from .machine import Machine, current_machine, has_active_machine
 from .memory import Allocation, MemoryPool, OutOfMemoryError
 from .spec import (
-    A100_SXM,
     CLUSTER_SPECS,
     DEFAULT_WARMUP,
     ETHERNET_25G,
@@ -35,23 +34,14 @@ from .spec import (
     cluster_spec,
     machine_spec,
 )
-from .stream import (
-    COPY_STREAM,
-    DEFAULT_STREAM,
-    Stream,
-    StreamEvent,
-    StreamSet,
-    union_busy_ms,
-)
+from .stream import COPY_STREAM, Stream, StreamEvent, StreamSet, union_busy_ms
 from .timeline import Interval, Timeline
-from .topology import Hop, Topology
+from .topology import Topology
 
 __all__ = [
-    "A100_SXM",
     "ALLOC",
     "CLUSTER_SPECS",
     "COPY_STREAM",
-    "DEFAULT_STREAM",
     "ETHERNET_25G",
     "FREE",
     "INFINIBAND_HDR",
@@ -70,15 +60,12 @@ __all__ = [
     "DeviceSpec",
     "Event",
     "EventLog",
-    "Hop",
     "Interval",
-    "KernelCost",
     "Link",
     "LinkSpec",
     "Machine",
     "MachineSpec",
     "MemoryPool",
-    "NoActiveMachineError",
     "OutOfMemoryError",
     "PCIE_GEN4",
     "RTX_A6000",

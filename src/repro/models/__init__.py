@@ -2,20 +2,19 @@
 :mod:`repro.nn` / :mod:`repro.graph` substrates with paper-faithful dataflow
 and region annotations."""
 
-from .astgnn import ASTGNN, ASTGNNBatch, ASTGNNConfig
+from .astgnn import ASTGNN, ASTGNNConfig
 from .base import CONTINUOUS, DISCRETE, DGNNModel, ModelCard
 from .dyrep import DyRep, DyRepConfig
 from .evolvegcn import EvolveGCN, EvolveGCNConfig
 from .jodie import JODIE, JODIEConfig
 from .ldg import LDG, LDGConfig
-from .moldgnn import MolDGNN, MolDGNNBatch, MolDGNNConfig
+from .moldgnn import MolDGNN, MolDGNNConfig
 from .registry import DEFAULT_DATASETS, MODEL_NAMES, available_models, build_model
 from .tgat import TGAT, TGATConfig
 from .tgn import TGN, TGNConfig
 
 __all__ = [
     "ASTGNN",
-    "ASTGNNBatch",
     "ASTGNNConfig",
     "CONTINUOUS",
     "DEFAULT_DATASETS",
@@ -32,7 +31,6 @@ __all__ = [
     "MODEL_NAMES",
     "ModelCard",
     "MolDGNN",
-    "MolDGNNBatch",
     "MolDGNNConfig",
     "TGAT",
     "TGATConfig",

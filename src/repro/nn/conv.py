@@ -2,7 +2,7 @@
 
 The discrete-time models in the paper (EvolveGCN, MolDGNN, ASTGNN) process
 each snapshot with graph convolutions; this module provides the symmetric-
-normalised GCN layer they build on, plus a variant whose weights are supplied
+normalised GCN forward they build on and a layer whose weights are supplied
 externally (EvolveGCN's RNN evolves the GCN weights, so the layer must accept
 them per time step rather than owning them).
 """
@@ -13,10 +13,8 @@ from typing import Optional
 
 import numpy as np
 
-from ..hw.device import Device
 from ..tensor import ops
 from ..tensor.tensor import Tensor, ensure_same_device
-from . import init
 from .module import Module
 
 
@@ -36,38 +34,6 @@ def normalized_adjacency(adjacency: np.ndarray, add_self_loops: bool = True) -> 
     nonzero = degrees > 0
     inv_sqrt[nonzero] = degrees[nonzero] ** -0.5
     return (a_hat * inv_sqrt[:, None]) * inv_sqrt[None, :]
-
-
-class GCNLayer(Module):
-    """One graph convolution: ``sigma(A_hat X W)``.
-
-    Args:
-        in_features / out_features: Feature dimensions.
-        device: Device holding the weights.
-        rng: Seeded generator for initialisation.
-        activation: ``"relu"``, ``"tanh"`` or ``None`` for linear output.
-    """
-
-    def __init__(
-        self,
-        in_features: int,
-        out_features: int,
-        device: Device,
-        rng: Optional[np.random.Generator] = None,
-        activation: Optional[str] = "relu",
-    ) -> None:
-        super().__init__()
-        rng = rng if rng is not None else init.make_rng()
-        self.in_features = in_features
-        self.out_features = out_features
-        self.weight = init.xavier_uniform(
-            (in_features, out_features), device, rng, name="gcn.weight"
-        )
-        self.activation = activation
-
-    def forward(self, adjacency: Tensor, features: Tensor) -> Tensor:
-        """``adjacency`` is the normalised (N, N) matrix, ``features`` is (N, F)."""
-        return gcn_forward(adjacency, features, self.weight, self.activation)
 
 
 class WeightlessGCNLayer(Module):

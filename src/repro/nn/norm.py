@@ -1,4 +1,4 @@
-"""Normalisation and embedding layers."""
+"""Embedding tables."""
 
 from __future__ import annotations
 
@@ -11,24 +11,6 @@ from ..tensor import ops
 from ..tensor.tensor import Tensor
 from . import init
 from .module import Module
-
-
-class LayerNorm(Module):
-    """Layer normalisation over the last feature dimension."""
-
-    def __init__(self, features: int, device: Device, eps: float = 1e-5) -> None:
-        super().__init__()
-        if features <= 0:
-            raise ValueError("features must be positive")
-        self.features = features
-        self.eps = eps
-        self.weight = init.ones((features,), device, name="layernorm.weight")
-        self.bias = init.zeros((features,), device, name="layernorm.bias")
-
-    def forward(self, x: Tensor) -> Tensor:
-        if x.shape[-1] != self.features:
-            raise ValueError(f"LayerNorm expected last dim {self.features}, got {x.shape[-1]}")
-        return ops.layer_norm(x, self.weight, self.bias, eps=self.eps)
 
 
 class Embedding(Module):

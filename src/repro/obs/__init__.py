@@ -36,16 +36,11 @@ from .critical_path import (
     top_spans,
 )
 from .export import build_trace, export_trace, validate_trace, validate_trace_file
-from .metrics import (
-    MetricsRegistry,
-    record_completion,
-    record_dispatch,
-)
-from .trace import EPS_MS, Instant, Span, Tracer
+from .metrics import MetricsRegistry, record_completion, record_dispatch
+from .trace import EPS_MS, Span, Tracer
 
 __all__ = [
     "EPS_MS",
-    "Instant",
     "MetricsRegistry",
     "Span",
     "Tracer",

@@ -2,21 +2,11 @@
 proposals: cross-time-step pipelining, sampling/compute overlap and delta
 snapshot transfer."""
 
-from .delta_transfer import DeltaTransferComparison, compare_delta_transfer
-from .overlap import (
-    DEFAULT_HOST_LABELS,
-    OverlapEstimate,
-    OverlapRunResult,
-    OverlappedRunner,
-    estimate_overlap_speedup,
-)
+from .delta_transfer import compare_delta_transfer
+from .overlap import OverlappedRunner, estimate_overlap_speedup
 from .pipelining import PipelinedEvolveGCN, PipelineEstimate, estimate_pipeline_speedup
 
 __all__ = [
-    "DEFAULT_HOST_LABELS",
-    "DeltaTransferComparison",
-    "OverlapEstimate",
-    "OverlapRunResult",
     "OverlappedRunner",
     "PipelineEstimate",
     "PipelinedEvolveGCN",

@@ -5,8 +5,7 @@ Consecutive snapshots of a discrete-time dynamic graph overlap heavily
 instead of re-uploading the full adjacency and feature matrices every time
 step, only the change set needs to cross PCIe.  The optimization is
 implemented for real in :class:`repro.models.EvolveGCN` behind the
-``delta_transfer`` config flag; this module provides the comparison harness
-and an analytic estimator based on the dataset's measured delta ratio.
+``delta_transfer`` config flag; this module provides the comparison harness.
 """
 
 from __future__ import annotations

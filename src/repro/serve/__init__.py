@@ -45,17 +45,11 @@ CLI subcommand for the end-to-end sweeps.
 """
 
 from .assemble import PLACEMENTS, build_server
-from .autoscale import AutoscaleConfig, Autoscaler, ScaleEvent
+from .autoscale import AutoscaleConfig, Autoscaler
 from .batcher import DynamicBatcher
 from .cluster import ClusterServer, build_cluster_replicas
 from .core import payload_nbytes
-from .fidelity import (
-    FULL_FIDELITY,
-    FidelityConfig,
-    FidelityController,
-    FidelityDecision,
-    make_fidelity_controller,
-)
+from .fidelity import FULL_FIDELITY, FidelityConfig, FidelityController, make_fidelity_controller
 from .placement import ShardedModel, build_replicas
 from .policy import (
     POLICIES,
@@ -70,10 +64,8 @@ from .policy import (
 )
 from .request import Request
 from .router import (
-    ROUTERS,
     JoinShortestQueueRouter,
     LeastLatencyRouter,
-    ReplicaState,
     RoundRobinRouter,
     Router,
     available_routers,
@@ -83,8 +75,6 @@ from .scaleout import ScaleOutServer
 from .server import InferenceServer
 from .telemetry import ServingReport
 from .workload import (
-    ARRIVAL_PROCESSES,
-    ArrivalProcess,
     BurstyProcess,
     DiurnalProcess,
     FlashCrowdProcess,
@@ -97,8 +87,6 @@ from .workload import (
 )
 
 __all__ = [
-    "ARRIVAL_PROCESSES",
-    "ArrivalProcess",
     "AutoscaleConfig",
     "Autoscaler",
     "BurstyProcess",
@@ -109,7 +97,6 @@ __all__ = [
     "FULL_FIDELITY",
     "FidelityConfig",
     "FidelityController",
-    "FidelityDecision",
     "FlashCrowdProcess",
     "InferenceServer",
     "JoinShortestQueueRouter",
@@ -117,13 +104,10 @@ __all__ = [
     "PLACEMENTS",
     "POLICIES",
     "PoissonProcess",
-    "ROUTERS",
-    "ReplicaState",
     "Request",
     "RoundRobinRouter",
     "Router",
     "SLOAwarePolicy",
-    "ScaleEvent",
     "ScaleOutServer",
     "SchedulerPolicy",
     "ServiceTimeEstimator",

@@ -1,9 +1,13 @@
-"""The docs tier: CLI reference drift and dead local links.
+"""The docs tier: generated-section drift, dead local links, CHANGES entry size.
 
 ``docs/CLI.md`` is generated (``repro-dgnn docs``), so the drift test is
 exact equality against a fresh render -- regenerate with::
 
     PYTHONPATH=src python -m repro.cli docs --output docs/CLI.md
+
+``docs/ARCHITECTURE.md`` embeds the model capability table between two
+markers; it is what ``repro-dgnn list-models`` prints
+(``repro.models.registry.capability_table``) and must match it byte for byte.
 
 The link check walks every markdown file in ``docs/`` plus the README and
 resolves each relative link target against the repository tree; external
@@ -16,7 +20,8 @@ import re
 
 import pytest
 
-from repro.cli import render_cli_docs
+from repro.cli import main, render_cli_docs
+from repro.models.registry import capability_table
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DOCS_DIR = os.path.join(REPO_ROOT, "docs")
@@ -44,6 +49,34 @@ def test_cli_reference_matches_the_parser():
     assert committed == render_cli_docs(), (
         "docs/CLI.md drifted from the parser; regenerate with "
         "`PYTHONPATH=src python -m repro.cli docs --output docs/CLI.md`"
+    )
+
+
+def test_architecture_embeds_the_capability_table_the_cli_prints(capsys):
+    with open(os.path.join(DOCS_DIR, "ARCHITECTURE.md"), encoding="utf-8") as handle:
+        text = handle.read()
+    begin, end = "<!-- capability-table:begin -->\n", "<!-- capability-table:end -->"
+    embedded = text[text.index(begin) + len(begin) : text.index(end)]
+    assert embedded == capability_table(), (
+        "docs/ARCHITECTURE.md's capability table drifted from the model table; paste the "
+        "output of `PYTHONPATH=src python -m repro.cli list-models` between the markers"
+    )
+    assert main(["list-models"]) == 0
+    assert capsys.readouterr().out == embedded
+
+
+#: Cap on a CHANGES.md entry; the per-file ledger belongs in the PR body.
+CHANGES_ENTRY_LIMIT = 1500
+
+
+def test_newest_changes_entry_is_short():
+    """Only the newest entry is held to the cap (older ones predate it)."""
+    with open(os.path.join(REPO_ROOT, "CHANGES.md"), encoding="utf-8") as handle:
+        text = handle.read()
+    newest = text[text.rindex("\n- PR ") + 1 :]
+    assert len(newest) <= CHANGES_ENTRY_LIMIT, (
+        f"the newest CHANGES.md entry is {len(newest)} characters; keep it under "
+        f"{CHANGES_ENTRY_LIMIT} and move the ledger to the PR body"
     )
 
 

@@ -383,6 +383,9 @@ def test_experiment_matches_golden(name):
     if name == "table1":
         # The one place output is compared to the paper's published content.
         assert table1.matches_paper(table1.run()) == []
+    if name == "table2":
+        # ... and to its one tabulated trend (`table2.PAPER_TREND`).
+        assert table2.breaks_paper_trend(json.loads(expected)["rows"]) == []
 
 
 def test_bottlenecks_match_golden():
