@@ -67,12 +67,12 @@ def run(scale: str = "small", paper_scale: bool = False) -> ExperimentResult:
         ),
     )
     for point, model, (profile,) in profile_panels(PANELS, scale, paper_scale):
-        panel = point.panel
+        panel, model_name = point.panel, model.describe().name
         breakdown = compute_breakdown(profile, fold_transfers=panel.panel in FOLD_TRANSFERS)
         for entry in breakdown.entries:
             result.add_row(
                 panel=panel.panel,
-                model=model.describe().name,
+                model=model_name,
                 module=entry.label,
                 time_ms=round(entry.time_ms, 4),
                 share=round(entry.fraction, 4),

@@ -105,7 +105,11 @@ def profile_cell(
     model_name: str, dataset: Any, *, use_gpu: bool, iterations: int = 1, **config: Any
 ) -> Tuple[DGNNModel, List[Profile]]:
     """The paper's recipe for one configuration: fresh machine, build the
-    model, warm up outside the window, profile ``iterations`` iterations."""
+    model, warm up outside the window, profile ``iterations`` iterations.
+
+    ``config`` goes to :func:`~repro.models.build_model`: config overrides, and
+    ``scale`` / ``dataset_name`` when ``dataset`` is ``None``.
+    """
     machine, model = build_on_fresh_machine(model_name, dataset, use_gpu=use_gpu, **config)
     return (model, profile_iterations(model, machine, iterations))
 

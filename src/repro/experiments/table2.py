@@ -88,8 +88,11 @@ def run(scale: str = "small") -> ExperimentResult:
             f"{WORKLOAD} events/windows; warmup_share = warmup / (warmup + computation)."
         ),
     )
-    for panel, _, batch_size, _, dataset, config in panel_points(PANELS, scale):
-        machine, model = build_on_fresh_machine(panel.model, dataset, use_gpu=True, **config)
+    for point in panel_points(PANELS, scale):
+        batch_size = point.value
+        machine, model = build_on_fresh_machine(
+            point.panel.model, point.dataset, use_gpu=True, **point.config
+        )
         with machine.activate():
             batch = next(iter(model.iteration_batches()))
             # One-time context creation + weight upload happens before the
