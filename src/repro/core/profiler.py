@@ -397,7 +397,7 @@ class Profiler:
         start_memory = {d.name: d.memory.current_bytes for d in machine.devices}
         start_busy = {d.name: d.busy_ms() for d in machine.devices}
         start_stream_busy = {d.name: d.per_stream_busy_ms() for d in machine.devices}
-        links = getattr(machine, "links", (machine.link,))
+        links = machine.links
         start_link_busy = {link.name: link.per_stream_busy_ms() for link in links}
         # O(1) snapshot of the machine's running per-device FLOP counters
         # (the profiler used to rescan the whole event log here, which made

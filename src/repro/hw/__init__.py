@@ -16,19 +16,14 @@ from .machine import Machine, current_machine, has_active_machine
 from .memory import Allocation, MemoryPool, OutOfMemoryError
 from .spec import (
     CLUSTER_SPECS,
-    DEFAULT_WARMUP,
     ETHERNET_25G,
     INFINIBAND_HDR,
     MACHINE_SPECS,
     NVLINK3,
-    PCIE_GEN4,
-    RTX_A6000,
-    XEON_6226R,
     ClusterSpec,
     DeviceSpec,
     LinkSpec,
     MachineSpec,
-    WarmupSpec,
     available_cluster_specs,
     available_machine_specs,
     cluster_spec,
@@ -55,7 +50,6 @@ __all__ = [
     "Allocation",
     "Cluster",
     "ClusterSpec",
-    "DEFAULT_WARMUP",
     "Device",
     "DeviceSpec",
     "Event",
@@ -67,15 +61,11 @@ __all__ = [
     "MachineSpec",
     "MemoryPool",
     "OutOfMemoryError",
-    "PCIE_GEN4",
-    "RTX_A6000",
     "Stream",
     "StreamEvent",
     "StreamSet",
     "Timeline",
     "Topology",
-    "WarmupSpec",
-    "XEON_6226R",
     "available_cluster_specs",
     "available_machine_specs",
     "cluster_spec",

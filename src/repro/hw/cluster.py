@@ -37,7 +37,7 @@ plain machine.
 from __future__ import annotations
 
 from dataclasses import replace as _spec_replace
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 from .device import Device
 from .events import TRANSFER
@@ -210,31 +210,35 @@ class Cluster:
             return source.topology.route(src, dst)[-1].link.free_at
         target_machine = self.nodes[dst_node]
         nic = self.nic_link(src_node, dst_node)
-        ready = issue_ms
-        # (1) Source GPU -> source host (skipped for host-resident payloads).
+        # The route as ``(issuing node, link, stream, direction, src, dst)``
+        # hops; a host-resident endpoint skips its GPU-side hop.
+        hops = []
         if src.is_gpu:
             link = source.topology.host_link(src)
-            interval = link.schedule(ready, nbytes, "d2h", name)
-            self._charge_issue(source, link, interval, nbytes, name, src.name, source.cpu.name)
-            ready = interval.end_ms
-        # (2) Source host -> destination host over the node-pair NIC.
-        nic_stream = stream if stream is not None else nic.default_stream
-        interval = nic.schedule(ready, nbytes, "p2p", name, stream=nic_stream)
-        self._charge_issue(
-            source, nic, interval, nbytes, name, source.cpu.name, target_machine.cpu.name
+            hops.append((source, link, link.default_stream, "d2h", src.name, source.cpu.name))
+        hops.append(
+            (source, nic, stream if stream is not None else nic.default_stream, "p2p",
+             source.cpu.name, target_machine.cpu.name)
         )
-        ready = interval.end_ms
-        # (3) Destination host -> destination GPU.  Issued by the destination
-        # node's host on payload arrival (its clock is synced forward to the
-        # arrival instant first; receiving work can never happen in its past).
         if dst.is_gpu:
-            self.sync_node(dst_node, ready)
             link = target_machine.topology.host_link(dst)
-            interval = link.schedule(ready, nbytes, "h2d", name)
-            self._charge_issue(
-                target_machine, link, interval, nbytes, name, target_machine.cpu.name, dst.name
+            hops.append(
+                (target_machine, link, link.default_stream, "h2d",
+                 target_machine.cpu.name, dst.name)
             )
-            ready = interval.end_ms
+        ready = issue_ms
+        for machine, link, target, direction, src_name, dst_name in hops:
+            if machine is not source:
+                # The last hop is issued by the destination node's host on
+                # payload arrival: its clock is synced forward to the arrival
+                # instant first (receiving work can never happen in its past).
+                self.sync_node(dst_node, ready)
+            duration_ms = link.book(nbytes, direction, target)
+            machine.advance_host(link.spec.host_overhead_us * 1e-3)
+            _, ready = machine._charge(
+                TRANSFER, name, link.name, target, ready, duration_ms, False,
+                nbytes, src_name, dst_name,
+            )
         # Observability hook: a NIC-routed payload becomes one ``nic`` span
         # (issue to arrival) in the attached tracer's request tree.  Strictly
         # read-only -- no charge, no clock movement -- so runs with and
@@ -243,15 +247,6 @@ class Cluster:
         if tracer is not None:
             tracer.nic_span(name, issue_ms, ready, src_node, dst_node, nbytes, source)
         return ready
-
-    @staticmethod
-    def _charge_issue(machine: Machine, link: Link, interval, nbytes, name, src_name, dst_name):
-        """Advance one node's host by a hop's issue overhead and emit its event."""
-        machine.advance_host(link.spec.host_overhead_us * 1e-3)
-        machine._emit(
-            TRANSFER, name, link.name, interval.start_ms, interval.end_ms, nbytes,
-            link.default_stream.name, src_name, dst_name,
-        )
 
     # -- reporting -------------------------------------------------------
 

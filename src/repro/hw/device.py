@@ -15,7 +15,7 @@ from .._compat import DATACLASS_SLOTS
 from .memory import MemoryPool
 from .spec import DeviceSpec
 from .stream import Stream, StreamSet
-from .timeline import Interval, Timeline
+from .timeline import Timeline
 
 #: Entries :attr:`Device._cost_cache` may hold before it is cleared wholesale
 #: (the cost model is a pure function of the key, so a cleared memo only
@@ -121,22 +121,6 @@ class Device:
     def timeline(self) -> Timeline:
         """The default stream's timeline (the seed's single device queue)."""
         return self.streams.default.timeline
-
-    def schedule(
-        self,
-        ready_ms: float,
-        duration_ms: float,
-        label: str,
-        stream: Optional[Stream] = None,
-    ) -> Interval:
-        """Queue a busy interval on ``stream`` (the default stream if omitted)."""
-        target = stream if stream is not None else self.streams.default
-        if target.resource != self.name:
-            raise ValueError(
-                f"stream {target.name!r} belongs to {target.resource!r}, "
-                f"not to device {self.name!r}"
-            )
-        return target.reserve(ready_ms, duration_ms, label)
 
     @property
     def free_at(self) -> float:

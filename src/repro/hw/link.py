@@ -11,11 +11,11 @@ bandwidth, and keeps its own busy timeline so the profiler can attribute
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from .spec import LinkSpec
 from .stream import Stream, StreamSet
-from .timeline import Interval, Timeline
+from .timeline import Timeline
 
 #: Entries :attr:`Link._transfer_ms_cache` may hold before it is cleared
 #: wholesale (a pure function of the payload size, so nothing is lost).
@@ -69,34 +69,20 @@ class Link:
             self._transfer_ms_cache[nbytes] = cached
         return cached
 
-    def schedule(
-        self,
-        ready_ms: float,
-        nbytes: int,
-        direction: str,
-        label: str,
-        stream: Optional[Stream] = None,
-    ) -> Interval:
-        """Occupy one link stream for one transfer and record the volume.
+    def book(self, nbytes: int, direction: str, stream: Stream) -> float:
+        """Record one transfer's volume; returns how long it occupies ``stream``.
 
-        Args:
-            ready_ms: Earliest time the transfer may start.
-            nbytes: Payload size in bytes.
-            direction: ``"h2d"``, ``"d2h"`` or -- on GPU<->GPU peer links --
-                ``"p2p"``.
-            label: Event label for the timeline.
-            stream: Transfer stream to queue on (default stream if omitted).
+        ``direction`` is ``"h2d"``, ``"d2h"`` or -- on GPU<->GPU peer links
+        and NICs -- ``"p2p"``; ``stream`` must be one of this link's.  The
+        machine reserves the returned duration (``Machine._charge``).
         """
         if direction not in ("h2d", "d2h", "p2p"):
             raise ValueError(f"unknown transfer direction: {direction!r}")
-        target = stream if stream is not None else self.streams.default
-        if target.resource != self.name:
+        if stream.resource != self.name:
             raise ValueError(
-                f"stream {target.name!r} belongs to {target.resource!r}, "
+                f"stream {stream.name!r} belongs to {stream.resource!r}, "
                 f"not to link {self.name!r}"
             )
-        duration = self.transfer_ms(nbytes)
-        interval = target.reserve(ready_ms, duration, label)
         if direction == "h2d":
             self._bytes_h2d += nbytes
         elif direction == "d2h":
@@ -104,7 +90,7 @@ class Link:
         else:
             self._bytes_p2p += nbytes
         self._transfers += 1
-        return interval
+        return self.transfer_ms(nbytes)
 
     # -- statistics -----------------------------------------------------
 

@@ -6,145 +6,30 @@ transfers; the graph samplers charge CPU preprocessing work to it; models ask
 it for the preferred compute device; and the profiler (:mod:`repro.core`)
 reads its event log, device timelines and memory pools.
 
-Scheduling semantics (CUDA-style streams over an analytic cost model):
+What a charge means -- streams, blocking vs non-blocking copies, multi-GPU
+routes, node clocks, the serving fast-forward, execution backends and cache
+charging -- is written once, in ``docs/ARCHITECTURE.md`` (layer 1,
+"Scheduling semantics").  What this module adds to that is *where* a charge
+happens:
 
-* The machine keeps a single *host time* cursor modelling the Python/PyTorch
-  host thread that drives inference.
-* Every resource (CPU, GPU, PCIe link) owns a set of named execution
-  :class:`~repro.hw.stream.Stream` queues.  Work issued onto one stream
-  serializes in issue order; work on different streams of the same resource
-  may overlap in simulated time.  Each resource starts with a ``"default"``
-  stream, and :meth:`Machine.use_stream` temporarily redirects issue to a
-  named stream, like ``torch.cuda.stream(s)``.
-* CPU kernels and :meth:`host_work` issued on the CPU's *default* stream run
-  synchronously: they occupy the CPU timeline and advance the host cursor to
-  their completion (the seed's blocking semantics).  Issued on a *named* CPU
-  stream they model a worker/prefetch thread: the host pays only the dispatch
-  overhead and the work queues asynchronously -- this is what makes the
-  paper's sampling/compute overlap (Sec. 5.1.1) executable.
-* GPU kernels are always launched asynchronously: the host cursor advances by
-  the launch-call overhead while the kernel queues on the current GPU stream
-  behind previously issued work on that stream.  With everything on the
-  default stream, DGNN kernels serialize exactly as in the seed -- the
-  temporal-dependency bottleneck.
-* Host<->device transfers occupy a link stream.  By default they are
-  *blocking*: the host waits for completion (mirroring unpinned-memory
-  copies) and the copy serializes on the link's default stream.  With
-  ``non_blocking=True`` the copy is queued on the machine's dedicated
-  :attr:`copy_stream` (modelling a pinned-memory DMA engine) and the host
-  pays only the issue overhead.  Transfers appear as "Memory Copy" in the
-  breakdowns -- the data-movement bottleneck.
-* Cross-stream dependencies use :meth:`record_event` / :meth:`wait_event`
-  (``cudaEventRecord`` / ``cudaStreamWaitEvent`` analogues): work issued to a
-  stream after a wait cannot start before the event's ready time.
-* ``synchronize()`` joins *all* streams on all devices and the link, as
-  ``torch.cuda.synchronize()`` does; :meth:`stream_synchronize` joins one
-  stream and :meth:`event_synchronize` waits for one recorded event.
-* GPU warm-up (context creation, weight upload, allocation warm-up) is
-  modelled explicitly and emits ``warmup`` events -- the warm-up bottleneck.
-* While the CPU runs long preprocessing (e.g. temporal neighbourhood
-  sampling) on its default stream, the GPU timeline simply stays idle, which
-  is exactly the workload-imbalance signature the paper reports.
-
-A program that only ever touches default streams reproduces the seed's
-serialized single-queue scheduling *exactly*; all stream machinery is opt-in.
-
-Multi-GPU topologies (see :class:`~repro.hw.spec.MachineSpec` and
-:class:`~repro.hw.topology.Topology`) generalize the single host+GPU+link
-shape without changing any of the above:
-
-* A machine may own several identical GPUs (``num_gpus`` in the spec, or
-  presets such as ``"4xA100-pcie"``).  Each GPU is an independent resource
-  with its own streams, memory pool and warm-up state; kernels launched on
-  different GPUs overlap freely in simulated time, while the *one* host
-  thread still serializes all dispatch -- exactly the bottleneck structure of
-  a real data-parallel inference server driven by a single Python process.
-* Each GPU gets its **own host link** (PCIe), each with default and copy
-  streams, so blocking copies to GPU 0 do not occupy GPU 1's channel.  With
-  one GPU the link keeps the seed's name and the event log is byte-identical.
-* GPU<->GPU transfers take the direct **peer link** (NVLink presets) when the
-  topology has one, appearing as a single ``p2p`` transfer; on PCIe-only
-  topologies they are *staged* through the two host links (a ``d2h`` hop on
-  the source's link, then an ``h2d`` hop on the destination's), costing two
-  serialized transfers -- the reason graph sharding on PCIe boxes amplifies
-  the paper's data-movement bottleneck instead of hiding it.
-* Warm-up is per GPU: each device pays its own context creation and weight
-  upload the first time work lands on it.
-* ``synchronize()`` joins every stream on every device and every link;
-  :meth:`device_synchronize` joins the streams of a single device, which is
-  what lets a serving loop retire one replica's batch without draining the
-  other replicas' queues.
-
-One machine is one *node*.  Rack-scale topologies compose several machines
-into a :class:`~repro.hw.cluster.Cluster`: each node keeps its own host
-clock (all starting at 0, so every ``host_time_ms`` is a position in one
-shared cluster time frame), and node pairs are joined by NIC links.  A
-cross-node payload stages GPU -> host -> NIC -> host -> GPU, with each hop
-charged to its link's timeline and the issuing node's host paying per-hop
-issue overheads -- the same charging discipline as this class's staged
-PCIe peer copies, extended across the node boundary.  Nothing in this class
-changes for cluster use; the cluster coordinates node clocks from outside
-via :meth:`advance_host` (monotone alignment only, never rewinding).
-
-Online serving (:mod:`repro.serve`) drives the host-time cursor in a third
-way: besides advancing through issued work, the serving loop calls
-:meth:`advance_host` to *fast-forward* the cursor to the next actionable
-instant -- a request arrival, a batching timeout, an SLO deadline -- whenever
-the pipeline is idle.  Because arrivals and model execution share the one
-host clock, a request's queueing delay is simply the cursor distance between
-its arrival and its dispatch, and its service time falls out of the same
-kernel/transfer scheduling as any offline iteration.  The cursor is
-monotonic (``advance_host`` rejects negative durations), so serving code
-must admit arrivals in timestamp order and may never schedule "into the
-past"; idle fast-forwards interleave safely with in-flight asynchronous
-stream work, which keeps draining behind the cursor exactly as during
-blocking execution.
-
-Execution backends decouple the cost model from the numerics that feed it:
-
-* ``backend="numeric"`` (the default) computes real numpy values in every
-  tensor operator *and* charges the corresponding kernels -- the seed's
-  behaviour, byte-identical.
-* ``backend="shape"`` propagates only shapes/dtypes/device placement through
-  operators, samplers and model layers (outputs become zero-strided
-  placeholder arrays, see :mod:`repro.tensor.meta`), while still issuing
-  **every** kernel launch, transfer, cache probe and memory-pool allocation
-  with byte-identical cost arguments.  The simulated timeline -- event
-  sequences, per-stream busy intervals, latency percentiles, cache hit/miss
-  streams -- is identical to the numeric backend's; only the wall-clock cost
-  of producing it drops (no BLAS in the hot path).  Sampler RNG draws are
-  consumed exactly as in numeric mode so fan-out sizes and cache keys match.
-* The backend composes orthogonally with :attr:`record_events`: backends
-  control whether *numerics* run, ``record_events`` controls whether the
-  profiler's event objects are materialised.  All four combinations yield
-  the same host clock, busy totals and event counts.
-* The machine itself never branches on the backend -- charges arrive
-  identically from either; :attr:`shape_mode` simply lets the tensor/model
-  layers pick their data representation once per operator.
-* Shape-backend charges depend only on shapes, so a model may
-  :meth:`~Machine.record` a compute block's charges once and
-  :meth:`~Machine.replay` them for later batches of the same shape
-  (:mod:`repro.hw.tape`); the machine still does not branch on the backend.
-
-The serving caches (:mod:`repro.cache`) are charged through the same
-machinery rather than modelled as free lookups:
-
-* **Residency** -- every admitted cache entry is an :meth:`alloc` on its
-  store's device pool (GPUs for embedding/memory rows, the host CPU for
-  sampling structures) tagged ``cache:<kind>``, and every eviction,
-  staleness expiry or invalidation is the matching :meth:`free`; cache
-  occupancy therefore shows up in the same memory reports as model
-  tensors, and a tight budget produces real eviction traffic.
-* **Lookups and updates** -- per-batch host-side table work (probes,
-  insert bookkeeping, invalidation sweeps) is charged as
-  :meth:`host_work` items named ``cache_<kind>_admin*``, and the hit-row
-  gathers / inserted-row copies as bandwidth-bound kernels
-  (``cache_<kind>_gather*`` / ``cache_<kind>_insert*``) on the store's
-  device.  All charges land on whatever stream is *current* when the
-  request path consults the cache: synchronously on the blocking path,
-  asynchronously inside the overlap server's named CPU sampling stream --
-  so cache overhead overlaps (or fails to overlap) with compute under
-  exactly the same rules as sampling itself.
+* A machine is built from one :class:`~repro.hw.spec.MachineSpec` (or its
+  preset name); the spec's ``__post_init__`` is the only validation.
+* Every charge that occupies a stream goes through one of two primitives,
+  selected by run length.  :meth:`Machine._charge` is the scalar one: reserve
+  a stream from a ready time for a duration, move the host to the interval's
+  end when the issue blocks, count, and log through :meth:`Machine._emit`.
+  ``launch_kernel``, ``host_work``, every ``transfer`` hop, both warm-ups and
+  the hops of :meth:`Cluster.transfer <repro.hw.cluster.Cluster.transfer>`
+  are written on top of it; each caller keeps only what differs -- which
+  stream, from when, and whether the host pays an issue overhead *before*
+  reserving (kernels) or *after* (non-blocking copies).
+  :meth:`Machine._charge_kernel_run` is the run primitive behind
+  ``launch_kernels`` and tape replay (:mod:`repro.hw.tape`), byte-identical
+  to one scalar launch per row.
+* The four synchronisations are one :meth:`Machine._join`: move the host to
+  ``max(now, until)`` and log the wait.
+* The machine never branches on the execution backend; :attr:`shape_mode`
+  lets the tensor/model layers pick their data representation.
 """
 
 from __future__ import annotations
@@ -169,17 +54,7 @@ from . import tape as _tape
 from .device import Device
 from .events import ALLOC, FREE, KERNEL, MARKER, SYNC, TRANSFER, WARMUP, Event, EventLog
 from .link import Link
-from .spec import (
-    DEFAULT_WARMUP,
-    PCIE_GEN4,
-    RTX_A6000,
-    XEON_6226R,
-    DeviceSpec,
-    LinkSpec,
-    MachineSpec,
-    WarmupSpec,
-    machine_spec,
-)
+from .spec import MachineSpec, machine_spec
 from .stream import COPY_STREAM, Stream, StreamEvent
 from .topology import Topology
 
@@ -217,13 +92,8 @@ class Machine:
 
     def __init__(
         self,
-        cpu_spec: DeviceSpec = XEON_6226R,
-        gpu_spec: Optional[DeviceSpec] = RTX_A6000,
-        link_spec: LinkSpec = PCIE_GEN4,
-        warmup_spec: WarmupSpec = DEFAULT_WARMUP,
+        spec: Union[str, MachineSpec] = "1xA6000",
         strict_memory: bool = False,
-        num_gpus: int = 1,
-        peer_link_spec: Optional[LinkSpec] = None,
         record_events: bool = True,
         backend: str = "numeric",
     ) -> None:
@@ -231,22 +101,24 @@ class Machine:
             raise ValueError(
                 f"unknown execution backend {backend!r}; choose 'numeric' or 'shape'"
             )
-        if gpu_spec is None:
-            num_gpus = 0
-        elif num_gpus < 1:
-            raise ValueError("a GPU machine needs num_gpus >= 1")
-        self.cpu = Device(cpu_spec, strict_memory=strict_memory)
+        #: What the machine is made of: a preset name (``"1xA6000"`` is the
+        #: paper's Xeon 6226R + RTX A6000, ``"4xA100-nvlink"``, ...) resolved
+        #: through :func:`~repro.hw.spec.machine_spec`, or a spec instance.
+        self.spec = spec = machine_spec(spec)
+        gpu_spec, num_gpus = spec.gpu, spec.num_gpus
+        self.cpu = Device(spec.cpu, strict_memory=strict_memory)
         gpus: List[Device] = []
         for index in range(num_gpus):
-            spec = (
+            device_spec = (
                 gpu_spec
                 if num_gpus == 1
                 else _spec_replace(gpu_spec, name=f"{gpu_spec.name}:{index}")
             )
-            gpus.append(Device(spec, strict_memory=strict_memory))
+            gpus.append(Device(device_spec, strict_memory=strict_memory))
         self.gpus: Tuple[Device, ...] = tuple(gpus)
-        self.topology = Topology(self.cpu, self.gpus, link_spec, peer_link_spec=peer_link_spec)
-        self.warmup_spec = warmup_spec
+        self.topology = Topology(
+            self.cpu, self.gpus, spec.host_link, peer_link_spec=spec.peer_link
+        )
         self.events = EventLog()
         #: Whether simulated actions are materialized as :class:`Event`
         #: records in :attr:`events`.  Scheduling, timelines, memory pools
@@ -260,7 +132,7 @@ class Machine:
         #: detached machine pays exactly one ``is None`` test per hook site
         #: and the simulation is event-for-event identical either way.
         self.tracer = None
-        #: Execution backend: ``"numeric"`` or ``"shape"`` (docstring above).
+        #: Execution backend: ``"numeric"`` or ``"shape"``.
         self.backend = backend
         #: Hot-path boolean the tensor/model layers branch on; the machine's
         #: own scheduling never consults it.
@@ -292,46 +164,19 @@ class Machine:
     # -- construction helpers -------------------------------------------
 
     @classmethod
-    def cpu_only(cls, cpu_spec: DeviceSpec = XEON_6226R, **kwargs) -> "Machine":
-        """A machine without a GPU (the paper's CPU-only baseline runs)."""
-        return cls(cpu_spec=cpu_spec, gpu_spec=None, **kwargs)
-
-    @classmethod
-    def cpu_gpu(
-        cls,
-        cpu_spec: DeviceSpec = XEON_6226R,
-        gpu_spec: DeviceSpec = RTX_A6000,
-        **kwargs,
-    ) -> "Machine":
+    def cpu_gpu(cls, **kwargs) -> "Machine":
         """The paper's default Xeon 6226R + RTX A6000 configuration."""
-        return cls(cpu_spec=cpu_spec, gpu_spec=gpu_spec, **kwargs)
+        return cls("1xA6000", **kwargs)
 
     @classmethod
-    def from_spec(
-        cls,
-        spec: Union[str, MachineSpec],
-        strict_memory: bool = False,
-        record_events: bool = True,
-        backend: str = "numeric",
-    ) -> "Machine":
-        """Build a machine from a :class:`~repro.hw.spec.MachineSpec` preset.
+    def cpu_only(cls, **kwargs) -> "Machine":
+        """A machine without a GPU (the paper's CPU-only baseline runs)."""
+        return cls("cpu-only", **kwargs)
 
-        ``spec`` may be a preset name (``"1xA6000"``, ``"4xA100-nvlink"``,
-        ...) or a spec instance.  ``Machine.from_spec("1xA6000")`` is
-        byte-identical to ``Machine.cpu_gpu()``.
-        """
-        resolved = machine_spec(spec)
-        return cls(
-            cpu_spec=resolved.cpu,
-            gpu_spec=resolved.gpu,
-            link_spec=resolved.host_link,
-            warmup_spec=resolved.warmup,
-            strict_memory=strict_memory,
-            num_gpus=max(resolved.num_gpus, 1) if resolved.gpu is not None else 0,
-            peer_link_spec=resolved.peer_link,
-            record_events=record_events,
-            backend=backend,
-        )
+    @classmethod
+    def from_spec(cls, spec: Union[str, MachineSpec], **kwargs) -> "Machine":
+        """``Machine(spec, ...)`` under the name the call sites use."""
+        return cls(spec, **kwargs)
 
     # -- device selection -----------------------------------------------
 
@@ -434,16 +279,6 @@ class Machine:
             device = self.device(device)
         return device.default_stream
 
-    @property
-    def copy_stream(self) -> Stream:
-        """The primary link's dedicated copy stream.
-
-        Non-blocking transfers queue on the *routed* link's copy stream, so
-        on a multi-GPU machine each host link (and each peer link) has its
-        own copy engine; this property keeps naming the single-GPU one.
-        """
-        return self.link.stream(COPY_STREAM)
-
     def current_stream(self, resource: Union[Device, Link, str]) -> Stream:
         """The stream work is currently issued onto for ``resource``.
 
@@ -489,17 +324,59 @@ class Machine:
         stream: str = "",
         src: str = "",
         dst: str = "",
+        flops: float = 0.0,
     ) -> Optional[Event]:
         """Count one simulated action and record it when recording is on."""
         self._event_count += 1
         if not self.record_events:
             return None
         event = Event(
-            kind, name, resource, start_ms, end_ms, 0.0, nbytes, self._region_tuple, src, dst,
+            kind, name, resource, start_ms, end_ms, flops, nbytes, self._region_tuple, src, dst,
             stream,
         )
         self.events.append(event)
         return event
+
+    def _charge(
+        self,
+        kind: str,
+        name: str,
+        resource: str,
+        target: Stream,
+        ready_ms: float,
+        duration_ms: float,
+        blocking: bool,
+        nbytes: int = 0,
+        src: str = "",
+        dst: str = "",
+        flops: float = 0.0,
+    ) -> Tuple[Optional[Event], float]:
+        """The scalar charge: occupy ``target`` and log it; ``(event, end_ms)``.
+
+        Reserves ``duration_ms`` on ``target`` from ``ready_ms`` (behind what
+        the stream already holds) and, when the issue blocks, moves the host
+        to the interval's end.  An asynchronous issuer pays its own host
+        overhead around the call -- before it for a kernel, whose ``ready_ms``
+        is the host clock, after it for a copy, whose ``ready_ms`` is not.
+        A run of kernels goes through :meth:`_charge_kernel_run` instead.
+        """
+        interval = target.reserve(ready_ms, duration_ms, name)
+        end_ms = interval.end_ms
+        if blocking:
+            self._host_time = end_ms
+        event = self._emit(
+            kind, name, resource, interval.start_ms, end_ms, nbytes, target.name, src, dst, flops
+        )
+        return event, end_ms
+
+    def _join(
+        self, name: str, resource: str, until_ms: float, stream: str = ""
+    ) -> Optional[Event]:
+        """Block the host until ``until_ms`` (no-op when already past it)."""
+        start = self._host_time
+        end = max(start, until_ms)
+        self._host_time = end
+        return self._emit(SYNC, name, resource, start, end, 0, stream)
 
     # -- stream events ----------------------------------------------------
 
@@ -586,7 +463,7 @@ class Machine:
     # -- kernels -----------------------------------------------------------
 
     def _resolve_kernel_stream(self, device: Device, stream: Optional[Stream]) -> Stream:
-        """The stream a kernel launch targets (shared by both launch paths).
+        """The stream a kernel launch or host work item targets.
 
         An explicit ``stream`` is validated against the device; otherwise the
         machine's current-stream override for the device wins, falling back
@@ -676,37 +553,16 @@ class Machine:
             self._tape.kernel(
                 self._region_tuple, device, name, flops, bytes_moved, cost.duration_ms, stream
             )
-        if device.is_gpu:
-            if device.name not in self._ready_gpus:
-                self.initialize_gpu(model_bytes=0, device=device)
+        if device.is_gpu and device.name not in self._ready_gpus:
+            self.initialize_gpu(model_bytes=0, device=device)
+        blocking = not device.is_gpu and target.is_default
+        if not blocking:
             self._host_time += device.spec.host_overhead_us * 1e-3
-            interval = target.reserve(self._host_time, cost.duration_ms, name)
-        elif target.is_default:
-            interval = target.reserve(self._host_time, cost.duration_ms, name)
-            self._host_time = interval.end_ms
-        else:
-            self._host_time += device.spec.host_overhead_us * 1e-3
-            interval = target.reserve(self._host_time, cost.duration_ms, name)
         self._device_flops[device.name] = self._device_flops.get(device.name, 0.0) + flops
-        self._event_count += 1
-        if not self.record_events:
-            return None
-        # Positional construction: this is the hottest event-emission site.
-        event = Event(
-            KERNEL,
-            name,
-            device.name,
-            interval.start_ms,
-            interval.end_ms,
-            flops,
-            int(bytes_moved),
-            self._region_tuple,
-            "",
-            "",
-            target.name,
-        )
-        self.events.append(event)
-        return event
+        return self._charge(
+            KERNEL, name, device.name, target, self._host_time, cost.duration_ms, blocking,
+            int(bytes_moved), flops=flops,
+        )[0]
 
     def launch_kernels(
         self,
@@ -749,15 +605,10 @@ class Machine:
         semantics); on a named CPU stream the work is queued asynchronously,
         modelling a prefetch/worker thread.
         """
-        target = stream if stream is not None else self.current_stream(self.cpu)
-        if target.is_default:
-            interval = self.cpu.schedule(self._host_time, duration_ms, name, stream=target)
-            self._host_time = interval.end_ms
-        else:
-            interval = self.cpu.schedule(self._host_time, duration_ms, name, stream=target)
-        return self._emit(
-            KERNEL, name, self.cpu.name, interval.start_ms, interval.end_ms, 0, target.name
-        )
+        target = self._resolve_kernel_stream(self.cpu, stream)
+        return self._charge(
+            KERNEL, name, self.cpu.name, target, self._host_time, duration_ms, target.is_default
+        )[0]
 
     # -- transfers ----------------------------------------------------------
 
@@ -769,7 +620,6 @@ class Machine:
         name: str = "memcpy",
         non_blocking: bool = False,
         stream: Optional[Stream] = None,
-        after: Optional[StreamEvent] = None,
         wait_for_source: bool = True,
     ) -> Optional[Event]:
         """Move ``nbytes`` between devices over the topology's links.
@@ -791,8 +641,7 @@ class Machine:
 
         The payload must exist before it can be copied, so by default the
         transfer never starts before the *current stream* of the source
-        device has drained; an explicit ``after`` event adds a further
-        dependency.  Pass ``wait_for_source=False`` when the payload is
+        device has drained.  Pass ``wait_for_source=False`` when the payload is
         known to be resident already (e.g. a warm feature table fetched
         from a peer GPU) so the copy does not serialize behind unrelated
         compute queued on the source device.
@@ -818,56 +667,42 @@ class Machine:
         if self._tape is not None:
             self._tape.transfer(
                 self._region_tuple, src, dst, nbytes, name, non_blocking, len(hops),
-                plain=stream is None and after is None and wait_for_source,
+                plain=stream is None and wait_for_source,
             )
         # The payload must exist before it can be copied: wait for the
         # producing stream to finish its queued work.
         ready = self._host_time
         if wait_for_source:
             ready = max(ready, self.current_stream(src).free_at)
-        if after is not None:
-            ready = max(ready, after.ready_ms)
         event: Optional[Event] = None
         for hop in hops:
+            link = hop.link
             target = stream
             if target is None:
                 # A use_stream() context naming this link's stream takes
                 # precedence; otherwise non-blocking copies take the link's
                 # dedicated copy stream and blocking copies serialize on the
                 # link's default stream.
-                override = self._current_streams.get(hop.link.name)
-                if override is not None:
-                    target = override
-                else:
-                    target = (
-                        hop.link.stream(COPY_STREAM)
-                        if non_blocking
-                        else hop.link.default_stream
-                    )
-            interval = hop.link.schedule(ready, nbytes, hop.direction, name, stream=target)
-            if non_blocking:
-                self._host_time += hop.link.spec.host_overhead_us * 1e-3
-            else:
-                self._host_time = interval.end_ms
-            event = self._emit(
-                TRANSFER, name, hop.link.name, interval.start_ms, interval.end_ms, nbytes,
-                target.name, src.name, dst.name,
-            )
+                target = self._current_streams.get(link.name)
+                if target is None:
+                    target = link.stream(COPY_STREAM) if non_blocking else link.default_stream
             # A staged route's second hop cannot start before the first
             # hop's copy has landed in host memory.
-            ready = interval.end_ms
+            event, ready = self._charge(
+                TRANSFER, name, link.name, target, ready,
+                link.book(nbytes, hop.direction, target), not non_blocking,
+                nbytes, src.name, dst.name,
+            )
+            if non_blocking:
+                self._host_time += link.spec.host_overhead_us * 1e-3
         return event
 
     # -- synchronisation ------------------------------------------------------
 
     def synchronize(self, name: str = "cuda_sync") -> Optional[Event]:
         """Block the host until all queued work on all streams has completed."""
-        start = self._host_time
-        pending = max((d.free_at for d in self.devices), default=start)
-        pending = max(pending, self.topology.free_at)
-        end = max(start, pending)
-        self._host_time = end
-        return self._emit(SYNC, name, self.cpu.name, start, end)
+        pending = max(max(d.free_at for d in self.devices), self.topology.free_at)
+        return self._join(name, self.cpu.name, pending)
 
     def device_synchronize(
         self, device: Union[Device, str], name: str = "device_sync"
@@ -880,26 +715,17 @@ class Machine:
         """
         if isinstance(device, str):
             device = self.device(device)
-        start = self._host_time
-        end = max(start, device.free_at)
-        self._host_time = end
-        return self._emit(SYNC, name, device.name, start, end)
+        return self._join(name, device.name, device.free_at)
 
     def stream_synchronize(self, stream: Stream, name: str = "stream_sync") -> Optional[Event]:
         """Block the host until one stream's queued work has completed."""
-        start = self._host_time
-        end = max(start, stream.free_at)
-        self._host_time = end
-        return self._emit(SYNC, name, stream.resource, start, end, 0, stream.name)
+        return self._join(name, stream.resource, stream.free_at, stream.name)
 
     def event_synchronize(
         self, stream_event: StreamEvent, name: str = "event_sync"
     ) -> Optional[Event]:
         """Block the host until a recorded stream event is ready."""
-        start = self._host_time
-        end = max(start, stream_event.ready_ms)
-        self._host_time = end
-        return self._emit(SYNC, name, stream_event.resource, start, end, 0, stream_event.stream)
+        return self._join(name, stream_event.resource, stream_event.ready_ms, stream_event.stream)
 
     # -- warm-up ------------------------------------------------------------
 
@@ -928,12 +754,9 @@ class Machine:
             raise ValueError(f"cannot initialize non-GPU device {gpu.name!r}")
         self._ready_gpus.add(gpu.name)
         emitted: List[Event] = []
-        context_ms = self.warmup_spec.context_init_ms
-        interval = gpu.schedule(self._host_time, context_ms, "context_init")
-        self._host_time = interval.end_ms
-        context_event = self._emit(
-            WARMUP, "context_init", gpu.name, interval.start_ms, interval.end_ms, 0,
-            gpu.default_stream.name,
+        context_event, _ = self._charge(
+            WARMUP, "context_init", gpu.name, gpu.default_stream, self._host_time,
+            self.spec.warmup.context_init_ms, True,
         )
         if context_event is not None:
             emitted.append(context_event)
@@ -958,13 +781,10 @@ class Machine:
             return None
         if gpu.name not in self._ready_gpus:
             self.initialize_gpu(model_bytes=0, device=gpu)
-        duration = self.warmup_spec.allocation_warmup_ms(footprint_bytes / 1e6)
-        interval = gpu.schedule(self._host_time, duration, "allocation_warmup")
-        self._host_time = interval.end_ms
-        return self._emit(
-            WARMUP, "allocation_warmup", gpu.name, interval.start_ms, interval.end_ms,
-            footprint_bytes, gpu.default_stream.name,
-        )
+        return self._charge(
+            WARMUP, "allocation_warmup", gpu.name, gpu.default_stream, self._host_time,
+            self.spec.warmup.allocation_warmup_ms(footprint_bytes / 1e6), True, footprint_bytes,
+        )[0]
 
     # -- memory ------------------------------------------------------------
 
@@ -985,24 +805,6 @@ class Machine:
         return nbytes
 
     # -- reporting helpers ----------------------------------------------------
-
-    def gpu_utilization(self, start_ms: float, end_ms: float) -> float:
-        """First GPU's busy fraction over a window (0.0 when there is no GPU).
-
-        Kept for the single-GPU reports; multi-GPU callers should name the
-        device explicitly via :meth:`device_utilization`.
-        """
-        if self.gpu is None:
-            return 0.0
-        return self.gpu.utilization(start_ms, end_ms)
-
-    def device_utilization(
-        self, device: Union[Device, str], start_ms: float, end_ms: float
-    ) -> float:
-        """One device's busy fraction over a window (device named explicitly)."""
-        if isinstance(device, str):
-            device = self.device(device)
-        return device.utilization(start_ms, end_ms)
 
     def event_cursor(self) -> int:
         """Current position in the event log (for profiler snapshots)."""

@@ -96,10 +96,6 @@ class MemoryPool:
         return self._peak
 
     @property
-    def peak_mb(self) -> float:
-        return self._peak / 1e6
-
-    @property
     def history(self) -> Tuple[Tuple[float, int], ...]:
         """Footprint samples as ``(timestamp_ms, bytes)`` pairs."""
         return tuple(zip(self._history_ms, self._history_bytes))

@@ -19,7 +19,7 @@ realistic achievable values; what matters for reproducing the paper is the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Union
 
 
@@ -83,19 +83,6 @@ class DeviceSpec:
         if flops <= 0:
             return self.peak_gflops
         return self.peak_gflops * flops / (flops + self.saturation_flops)
-
-    def derate(self, factor: float) -> "DeviceSpec":
-        """Return a copy with throughput and bandwidth scaled by ``factor``.
-
-        Useful for modelling thermal throttling or contention in ablations.
-        """
-        if factor <= 0:
-            raise ValueError("derate factor must be positive")
-        return replace(
-            self,
-            peak_gflops=self.peak_gflops * factor,
-            mem_bandwidth_gbps=self.mem_bandwidth_gbps * factor,
-        )
 
 
 @dataclass(frozen=True)

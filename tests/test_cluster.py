@@ -151,6 +151,25 @@ class TestNicRouting:
         )
         assert cluster.host_time_ms == cluster.time_ms
 
+    def test_a_nic_hop_is_logged_on_the_stream_it_occupied(self):
+        """The hop's event used to name the NIC's default stream whatever
+        stream the copy queued on, so the log disagreed with the timelines."""
+        cluster = Cluster("2n-1xA100-eth")
+        nic = cluster.nic_link(0, 1)
+        cluster.transfer(
+            0, cluster.nodes[0].cpu, 1, cluster.nodes[1].cpu, 1 << 20, name="bulk_copy",
+            stream=nic.stream("bulk"),
+        )
+        (hop,) = [e for e in all_events(cluster) if e.name == "bulk_copy"]
+        assert nic.per_stream_busy_ms() == {"default": 0.0, "bulk": hop.duration_ms}
+        assert (hop.resource, hop.stream) == (nic.name, "bulk")
+        # A stream of some other link is still refused.
+        with pytest.raises(ValueError, match="not to link"):
+            cluster.transfer(
+                0, cluster.nodes[0].cpu, 1, cluster.nodes[1].cpu, 64,
+                stream=cluster.nodes[0].link.stream("bulk"),
+            )
+
     def test_rejects_negative_bytes_and_identical_endpoints(self):
         cluster = Cluster("2n-1xA100-eth")
         with pytest.raises(ValueError):

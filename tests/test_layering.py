@@ -1,4 +1,4 @@
-"""Layering and dead-export guards: two AST walks over ``src/repro``.
+"""Layering, dead-name and charge-seam guards: AST walks over ``src/repro``.
 
 * Nothing below the top layer imports it: only ``experiments/`` itself,
   ``cli.py`` and the root ``__init__`` (which re-exports every layer) may
@@ -7,6 +7,13 @@
   other than the module that defines it and the ``__init__`` that re-exports
   it -- in ``src``, ``tests``, ``benchmarks``, ``docs`` or the README -- so an
   export nothing uses fails here instead of accumulating.
+* The same for methods: every public method or property of a ``repro.hw``
+  class is named by an attribute access (or an identifier-only string, the
+  way ``benchmarks/spans.py`` lists what it wraps) in ``src``, ``tests`` or
+  ``benchmarks``.
+* ``repro.hw`` charges through one seam: ``Event`` is built only by
+  ``Machine._emit`` and ``Machine._charge_kernel_run``, and a stream is
+  reserved only by the scalar and the run primitive.
 """
 
 import ast
@@ -106,3 +113,68 @@ def test_every_package_export_is_referenced_outside_its_definition():
             ):
                 dead.append(f"{os.path.relpath(init_path, REPO_ROOT)}: {name}")
     assert not dead, f"exported but referenced nowhere else: {dead}"
+
+
+def _functions(tree):
+    """``(class name or "", name, node)`` for every module- and class-level function."""
+    for node in tree.body:
+        for item in node.body if isinstance(node, ast.ClassDef) else (node,):
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield node.name if item is not node else "", item.name, item
+
+
+def _hw_functions():
+    for path in _files(os.path.join(PACKAGE_ROOT, "hw"), ".py"):
+        for owner, name, function in _functions(ast.parse(_read(path))):
+            yield path, owner, name, function
+
+
+def test_every_public_hw_method_is_referenced_somewhere():
+    named = set()
+    for root in ("src", "tests", "benchmarks"):
+        for path in _files(os.path.join(REPO_ROOT, root), ".py"):
+            for node in ast.walk(ast.parse(_read(path))):
+                if isinstance(node, ast.Attribute):
+                    named.add(node.attr)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    named.add(node.value)
+    dead = [
+        f"{os.path.relpath(path, REPO_ROOT)}: {owner}.{name}"
+        for path, owner, name, _ in _hw_functions()
+        if owner and not name.startswith("_") and name not in named
+    ]
+    assert not dead, f"public hw methods nothing references: {dead}"
+
+
+def _hw_sites(matches):
+    """``file: function`` of every hw function with a node ``matches`` accepts."""
+    sites = set()
+    for path, owner, name, function in _hw_functions():
+        annotations = {
+            id(inner)
+            for node in ast.walk(function)
+            for field in ("annotation", "returns")
+            if getattr(node, field, None) is not None
+            for inner in ast.walk(getattr(node, field))
+        }
+        if any(matches(node) for node in ast.walk(function) if id(node) not in annotations):
+            sites.add(f"{os.path.basename(path)}: {owner + '.' if owner else ''}{name}")
+    return sites
+
+
+def test_hw_charges_through_one_scalar_and_one_run_primitive():
+    # ``Event`` by name, not only ``Event(...)``: the run primitive maps it.
+    builds_event = _hw_sites(lambda node: isinstance(node, ast.Name) and node.id == "Event")
+    assert builds_event == {"machine.py: Machine._emit", "machine.py: Machine._charge_kernel_run"}
+    reserves = _hw_sites(
+        lambda node: isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("reserve", "reserve_run")
+    )
+    assert reserves == {
+        "machine.py: Machine._charge",
+        "machine.py: Machine._charge_kernel_run",
+        # A stream's own delegation to its timeline.
+        "stream.py: Stream.reserve",
+        "stream.py: Stream.reserve_run",
+    }

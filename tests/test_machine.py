@@ -6,6 +6,8 @@ synchronisation and one-time warm-up.  The stream engine must preserve all of
 them when only default streams are used.
 """
 
+import inspect
+
 import pytest
 
 import repro.hw.events as events_module
@@ -21,8 +23,11 @@ from repro.hw import (
     WARMUP,
     Event,
     Interval,
+    NVLINK3,
     Machine,
+    MachineSpec,
     Timeline,
+    machine_spec,
 )
 from repro.models.tgat import TGAT, TGATConfig
 from repro.obs import (
@@ -176,6 +181,69 @@ class TestRegionsAndMemory:
             if event.kind == KERNEL:
                 scanned[event.resource] = scanned.get(event.resource, 0.0) + event.flops
         assert machine.device_flops_totals() == pytest.approx(scanned)
+
+
+def mixed_program(machine):
+    """One fixed program over every charging call; returns the event log."""
+    cpu, gpu = machine.cpu, machine.gpu
+    worker = machine.stream(cpu, "worker")
+    with machine.region("iteration"):
+        machine.host_work("sample", 0.4)
+        machine.host_work("prefetch", 0.3, stream=worker)
+        machine.launch_kernel(cpu, "gather", 2e6, 8e4)
+        buffer = machine.alloc(gpu, 1 << 16, tag="batch")
+        machine.transfer(cpu, gpu, 1 << 16, non_blocking=True)
+        machine.allocation_warmup(1 << 20)
+        machine.launch_kernels(gpu, "gemm", 3, 5e7, 6e4)
+        machine.launch_kernel(gpu, "reduce", 1e6, 2e4)
+        machine.wait_event(machine.default_stream(gpu), machine.record_event(worker))
+        machine.transfer(gpu, cpu, 4096)
+        machine.stream_synchronize(worker)
+        machine.free(gpu, buffer)
+    machine.synchronize()
+    return machine.events.snapshot()
+
+
+class TestConstruction:
+    """A machine is built from one spec; the classmethods only name a preset."""
+
+    def test_every_spelling_of_the_paper_machine_runs_the_same_program(self):
+        reference = mixed_program(Machine())
+        assert {event.kind for event in reference} == {
+            KERNEL, TRANSFER, WARMUP, ALLOC, FREE, MARKER, SYNC}
+        for build in (
+            lambda: Machine("1xA6000"),
+            Machine.cpu_gpu,
+            lambda: Machine.from_spec("1xA6000"),
+            lambda: Machine(machine_spec("1xA6000")),
+        ):
+            assert mixed_program(build()) == reference
+
+    def test_a_hand_written_spec_is_accepted(self):
+        spec = MachineSpec(name="2xA6000-nvlink", num_gpus=2, peer_link=NVLINK3)
+        machine = Machine(spec, record_events=False)
+        assert machine.spec is spec and machine.num_gpus == 2
+        assert [gpu.name for gpu in machine.gpus] == ["rtx-a6000:0", "rtx-a6000:1"]
+        assert len(machine.links) == 3
+        assert Machine.cpu_only().spec is machine_spec("cpu-only")
+
+    def test_the_parts_are_not_separate_arguments(self):
+        for part in (
+            "cpu_spec", "gpu_spec", "link_spec", "warmup_spec", "num_gpus", "peer_link_spec"
+        ):
+            for build in (Machine, Machine.cpu_gpu, Machine.cpu_only):
+                with pytest.raises(TypeError, match=part):
+                    build(**{part: None})
+        assert list(inspect.signature(Machine.__init__).parameters) == [
+            "self", "spec", "strict_memory", "record_events", "backend"]
+        assert len(inspect.signature(Machine.transfer).parameters) == 1 + 7
+
+    def test_an_unknown_preset_names_the_available_ones(self):
+        with pytest.raises(KeyError, match="unknown machine spec '3xH100'; available: 1xA100"):
+            Machine("3xH100")
+        # The spec validates itself; the machine adds no second check.
+        with pytest.raises(ValueError, match="a GPU machine needs num_gpus >= 1"):
+            MachineSpec(name="none", num_gpus=0)
 
 
 EVENT_FIELDS = (

@@ -10,8 +10,10 @@ same intervals, same event logs, same samples, byte for byte.
 """
 
 import contextlib
+import sys
 import time
 from dataclasses import replace
+from functools import partial
 from unittest.mock import Mock
 
 import numpy as np
@@ -35,12 +37,12 @@ from repro.core import (
 )
 from repro.graph.events import EventStream
 from repro.graph.sampling import TemporalNeighborSampler
+from repro.hw import Cluster
 from repro.hw import device as device_module
 from repro.hw import link as link_module
 from repro.hw.device import Device
 from repro.hw.events import ALLOC, FREE, KERNEL, MARKER, SYNC, TRANSFER, WARMUP, Event
 from repro.hw.machine import Machine
-from repro.hw.spec import MACHINE_SPECS
 from repro.hw.stream import union_busy_ms
 from repro.hw.timeline import Timeline
 from repro.tensor.meta import is_placeholder
@@ -287,13 +289,7 @@ def test_batched_kernel_charging_is_byte_identical(spec, seed):
 @pytest.mark.parametrize("seed", [21, 22])
 def test_disabling_event_recording_changes_nothing_but_the_log(seed):
     recorded = Machine.from_spec("2xA100-pcie")
-    silent = Machine(
-        cpu_spec=recorded.cpu.spec,
-        gpu_spec=MACHINE_SPECS["2xA100-pcie"].gpu,
-        link_spec=MACHINE_SPECS["2xA100-pcie"].host_link,
-        num_gpus=2,
-        record_events=False,
-    )
+    silent = Machine("2xA100-pcie", record_events=False)
     events = drive_random_program(recorded, seed)
     silent_events = drive_random_program(silent, seed)
     assert silent_events == []
@@ -324,6 +320,54 @@ def test_cost_memos_are_bounded_and_transparent():
     # The shapes a serving run repeats stay memoised across the overflow resets.
     repeated = gpu.kernel_cost(2.0e6, 4096.0)
     assert gpu.kernel_cost(2.0e6, 4096.0) is repeated
+
+
+def python_calls(action):
+    """Python-level ``call`` events one ``action()`` makes (itself included)."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        action()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+#: ``call -> (ceiling, action on a warm machine m / cluster c)``.  A count,
+#: not a timing: what one charge costs the host in Python calls, recording
+#: on.  The scalar seam (``_charge`` + ``_emit``) is two calls on a kernel
+#: launch, one on a copy hop, and none on the run primitive.
+HOST_COST_CEILINGS = {
+    "launch_kernel": (11, lambda m, c: m.launch_kernel(m.gpus[0], "k", 1e6, 64e3)),
+    "host_work": (11, lambda m, c: m.host_work("h", 0.02)),
+    "transfer non-blocking": (
+        18, lambda m, c: m.transfer(m.cpu, m.gpus[0], 4096, non_blocking=True)),
+    "transfer blocking": (16, lambda m, c: m.transfer(m.cpu, m.gpus[0], 4096)),
+    "transfer peer": (16, lambda m, c: m.transfer(m.gpus[0], m.gpus[1], 4096)),
+    "launch_kernels x8": (16, lambda m, c: m.launch_kernels(m.gpus[0], "k", 8, 1e6, 64e3)),
+    "alloc + free": (12, lambda m, c: m.free(m.gpus[0], m.alloc(m.gpus[0], 4096, "t"))),
+    "cluster gpu -> gpu": (
+        42, lambda m, c: c.transfer(0, c.nodes[0].gpus[0], 1, c.nodes[1].gpus[0], 4096)),
+}
+
+
+@pytest.mark.parametrize("call", sorted(HOST_COST_CEILINGS))
+def test_python_calls_per_charge_stay_bounded(call):
+    ceiling, action = HOST_COST_CEILINGS[call]
+    machine = Machine("4xA100-nvlink")
+    cluster = Cluster("2n-2xA100-eth")
+    for node in (machine, *cluster.nodes):
+        for gpu in node.gpus:
+            node.initialize_gpu(device=gpu)
+    action(machine, cluster)  # the cost, route and transfer-time memos are warm
+    calls = python_calls(partial(action, machine, cluster))
+    assert calls <= ceiling, f"{call}: {calls} Python calls, ceiling {ceiling}"
 
 
 def assert_index_matches_reference(sampler, reference_adjacency):

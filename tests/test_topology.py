@@ -217,5 +217,5 @@ class TestPerGpuWarmupAndSync:
         machine.launch_kernel(machine.gpus[1], "k", 5e9, 0)
         machine.synchronize()
         end = machine.host_time_ms
-        assert machine.device_utilization("gpu:1", start, end) > 0
-        assert machine.device_utilization("gpu:0", start, end) == 0
+        assert machine.device("gpu:1").utilization(start, end) > 0
+        assert machine.device("gpu:0").utilization(start, end) == 0
