@@ -12,7 +12,7 @@ import random
 import pytest
 
 from repro.cache import DeviceResidentCache, make_eviction_policy
-from repro.hw import Machine
+from repro.hw import Machine, OutOfMemoryError
 from repro.hw.events import ALLOC, FREE
 
 
@@ -338,3 +338,153 @@ def test_merge_cache_stats_reports_max_peak_across_replicas():
     assert merged["bytes_peak_sum"] == 1600
     assert merged["lookups"] == 30
     assert merged["hits"] + merged["misses"] == merged["lookups"]
+
+
+# -- run == n x run-of-one: the batch entry points against per-key calls ----------
+
+RUN_CAPACITY = 240
+RUN_STALENESS = 25.0
+RUN_KEYS = 24
+
+
+def run_law_program(seed):
+    """Ops ``(name, keys, times, nbytes)`` for the run law, drawn once per seed.
+
+    A scripted prefix guarantees the cases the law has to hold on -- a key
+    repeated inside one batch, a hit then an expiry of the same key inside
+    one probe batch, an overwrite, an eviction of an entry the same batch
+    inserted, ``nbytes > capacity`` -- and a random tail mixes them.
+    """
+    rng = random.Random(seed)
+    ops = [
+        ("put", [1, 2, 3, 2, 1], [0.0, 1.0, 2.0, 3.0, 4.0], 24),  # repeats = overwrites
+        ("probe", [1, 1, 9, 2, 1], [5.0, 4.0 + RUN_STALENESS, 5.0, 3.5, 6.0], 0),  # hit, expiry, gone
+        ("flush_charges", [], [], 0),
+        ("put", list(range(4, 20)), [6.0] * 16, 24),  # 16 rows into a 10-row store
+        ("put", [20, 21], [6.0, 6.0], RUN_CAPACITY + 1),  # larger than the store
+        ("invalidate", [4, 19, 19, 23, 18], [], 0),
+        ("flush_charges", [], [], 0),
+    ]
+    clock = 7.0
+    for _ in range(140):
+        clock += rng.random() * 6.0
+        size = rng.choice((0, 1, 2, 5, 12, 30))
+        keys = [rng.randrange(RUN_KEYS) for _ in range(size)]
+        draw = rng.random()
+        if draw < 0.35:
+            times = [clock + rng.choice((0.0, 1.0, RUN_STALENESS, -3.0)) for _ in keys]
+            ops.append(("probe", keys, times, 0))
+        elif draw < 0.75:
+            times = [clock + rng.random() for _ in keys]
+            ops.append(("put", keys, times, rng.choice((8, 24, 24, 60, 120, RUN_CAPACITY + 8))))
+        elif draw < 0.9:
+            ops.append(("invalidate", keys, [], 0))
+        else:
+            ops.append(("flush_charges", [], [], 0))
+    ops.append(("flush_charges", [], [], 0))
+    return ops
+
+
+def drain_policy(policy):
+    """The policy's eviction order, read by evicting everything."""
+    order = []
+    while len(policy):
+        victim = policy.victim()
+        order.append(victim)
+        policy.on_remove(victim)
+    return order
+
+
+def run_law_observables(program, policy, batched, staleness=RUN_STALENESS, pool_room=None):
+    """Run ``program`` through the batch (or per-key) entry points; everything observable.
+
+    ``pool_room`` makes the GPU pool strict with that many bytes left, so a
+    put batch can raise ``OutOfMemoryError`` part-way; the exception is an
+    outcome like any other and the program carries on after it.
+    """
+    machine = Machine.cpu_gpu(strict_memory=pool_room is not None)
+    gpu = machine.gpu
+    if pool_room is not None:
+        machine.alloc(gpu, gpu.memory.capacity_bytes - pool_room, "filler")
+    _, store = make_store(
+        machine, policy=policy, capacity=RUN_CAPACITY, staleness=staleness,
+        weight_of=lambda key: float(key * 7 % 13),
+    )
+    def issue(name, keys, times, nbytes):
+        if name == "probe":
+            if batched:
+                return store.probe_many(keys, times)
+            return [store.probe(key, now) for key, now in zip(keys, times)]
+        if name == "put":
+            if batched:
+                return store.put_many(keys, "row", times, nbytes)
+            return sum([store.put(key, "row", now, nbytes) for key, now in zip(keys, times)])
+        if name == "invalidate":
+            if batched:
+                return store.invalidate(keys)
+            return sum([store.invalidate([key]) for key in keys])
+        if name == "squeeze":  # someone else takes pool room the store had counted on
+            return machine.alloc(gpu, nbytes, "squeeze")
+        return store.flush_charges("run")
+
+    returns = []
+    with machine.activate():
+        for op in program:
+            inserts = store.stats.inserts
+            try:
+                returns.append(issue(*op))
+            except OutOfMemoryError as error:
+                returns.append(("oom", str(error), store.stats.inserts - inserts))
+                store.flush_charges("after_oom")
+    return {
+        "events": [tuple(event) for event in machine.events],
+        "event_count": machine.event_count,
+        "pools": [
+            (d.memory.current_bytes, d.memory.peak_bytes, d.memory.history)
+            for d in machine.devices
+        ],
+        "stats": store.stats.as_dict(),
+        "resident": sorted(key for key in range(RUN_KEYS) if key in store),
+        "returns": returns,
+        "host_ms": machine.host_time_ms,
+        "eviction_order": drain_policy(store.policy),
+    }
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("policy", ["lru", "lfu", "degree"])
+def test_a_key_batch_equals_its_keys_one_at_a_time(policy, seed):
+    program = run_law_program(seed)
+    batched = run_law_observables(program, policy, batched=True)
+    scalar = run_law_observables(program, policy, batched=False)
+    for name, value in scalar.items():
+        assert batched[name] == value, name
+    assert len(batched["events"]) == batched["event_count"]
+    stats = batched["stats"]
+    # The program reached every case it was written for.
+    assert stats["hits"] and stats["stale_evictions"] and stats["evictions"]
+    assert stats["invalidations"] and stats["inserts"] > stats["entries"]
+
+
+@pytest.mark.parametrize("policy", ["lru", "lfu", "degree"])
+def test_a_key_batch_equals_its_keys_one_at_a_time_under_a_zero_bound(policy):
+    program = run_law_program(3)
+    batched = run_law_observables(program, policy, batched=True, staleness=0.0)
+    assert batched == run_law_observables(program, policy, batched=False, staleness=0.0)
+    assert batched["stats"]["inserts"] == 0 and batched["stats"]["hits"] == 0
+
+
+@pytest.mark.parametrize("policy", ["lru", "lfu", "degree"])
+def test_a_strict_pool_raises_at_the_same_key_of_a_batch(policy):
+    """The pool has room for the whole store, then for half of it: evictions, then OOMs."""
+    program = run_law_program(4)
+    middle = len(program) // 2
+    program[middle:middle] = [("invalidate", list(range(RUN_KEYS)), [], 0), ("squeeze", [], [], 180)]
+    batched = run_law_observables(program, policy, batched=True, pool_room=300)
+    scalar = run_law_observables(program, policy, batched=False, pool_room=300)
+    for name, value in scalar.items():
+        assert batched[name] == value, name
+    ooms = [value for value in batched["returns"] if isinstance(value, tuple)]
+    assert ooms and all(value[0] == "oom" for value in ooms)
+    assert any(admitted_before > 0 for _, _, admitted_before in ooms)  # mid-batch
+    assert batched["stats"]["evictions"] and batched["stats"]["bytes_peak"] == RUN_CAPACITY
