@@ -204,18 +204,10 @@ class ModelCache:
                 None,
                 np.arange(n, dtype=np.int64),
             )
-        hit_positions: List[int] = []
-        rows: List[np.ndarray] = []
-        miss_positions: List[int] = []
-        node_list = nodes.tolist()
-        time_list = times.tolist()
-        for index in range(n):
-            value = store.probe(node_list[index], time_list[index])
-            if value is None:
-                miss_positions.append(index)
-            else:
-                hit_positions.append(index)
-                rows.append(value)
+        values = store.probe_many(nodes.tolist(), times.tolist())
+        hit_positions = [index for index in range(n) if values[index] is not None]
+        miss_positions = [index for index in range(n) if values[index] is None]
+        rows = [values[index] for index in hit_positions]
         store.flush_charges("lookup")
         hit_rows = np.stack(rows).astype(np.float32, copy=False) if rows else None
         return (
@@ -231,11 +223,9 @@ class ModelCache:
         store = self._stores.get("embedding")
         if store is None or len(nodes) == 0:
             return
-        row_nbytes = int(rows.shape[1]) * 4
-        node_list = nodes.tolist()
-        time_list = times.tolist()
-        for index in range(len(node_list)):
-            store.put(node_list[index], rows[index].copy(), time_list[index], row_nbytes)
+        store.put_rows(
+            nodes.tolist(), [row.copy() for row in rows], times.tolist(), int(rows.shape[1]) * 4
+        )
         store.flush_charges("update")
 
     # -- temporal-neighbourhood samples ------------------------------------
@@ -266,8 +256,7 @@ class ModelCache:
         time_list = times.tolist()
         hits: List[Tuple[int, Tuple[np.ndarray, ...]]] = []
         miss_positions: List[int] = []
-        for index in range(n):
-            value = store.probe(node_list[index], time_list[index])
+        for index, value in enumerate(store.probe_many(node_list, time_list)):
             if value is None or value[0].shape[0] != k:
                 miss_positions.append(index)
             else:
@@ -315,16 +304,17 @@ class ModelCache:
         ``j``-th listed position (a miss-subset sample); otherwise positions
         index ``sample`` directly.
         """
-        row_nbytes = k * (8 + 8 + 8 + 4)
-        for j, position in enumerate(positions):
-            row = j if remap else position
-            value = (
-                sample.neighbor_ids[row].copy(),
-                sample.neighbor_times[row].copy(),
-                sample.event_indices[row].copy(),
-                sample.mask[row].copy(),
-            )
-            store.put(node_list[position], value, time_list[position], row_nbytes)
+        positions = list(positions)
+        rows = range(len(positions)) if remap else positions
+        ids, times, events, mask = (
+            sample.neighbor_ids, sample.neighbor_times, sample.event_indices, sample.mask
+        )
+        store.put_rows(
+            [node_list[position] for position in positions],
+            [(ids[r].copy(), times[r].copy(), events[r].copy(), mask[r].copy()) for r in rows],
+            [time_list[position] for position in positions],
+            k * (8 + 8 + 8 + 4),
+        )
 
     # -- recurrent memory rows ---------------------------------------------
 

@@ -23,8 +23,8 @@ never on hash order or wall clock.
 from __future__ import annotations
 
 import heapq
-from collections import OrderedDict
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from collections import OrderedDict, deque
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 Key = Any
 
@@ -33,18 +33,27 @@ class EvictionPolicy:
     """Orders cache entries and nominates eviction victims.
 
     The owning store calls :meth:`on_insert` when an entry is created,
-    :meth:`on_access` when an entry is served, :meth:`on_remove` when an
-    entry leaves for any reason (eviction, invalidation, staleness expiry,
-    overwrite), and :meth:`victim` to pick the next entry to evict.
+    :meth:`on_access_many` with the entries a probe batch served,
+    :meth:`on_remove` when an entry leaves for any reason (eviction,
+    invalidation, staleness expiry, overwrite), and :meth:`victim` to pick
+    the next entry to evict.
     """
 
     name = "policy"
+    #: Whether :meth:`on_insert` uses its ``weight``; the store does not
+    #: compute one for a policy that would ignore it.
+    reads_weights = False
 
     def on_insert(self, key: Key, weight: float = 0.0) -> None:
         raise NotImplementedError
 
     def on_access(self, key: Key) -> None:
         raise NotImplementedError
+
+    def on_access_many(self, keys: Iterable[Key]) -> None:
+        """:meth:`on_access` for each key in order (the hits of one probe batch)."""
+        for key in keys:
+            self.on_access(key)
 
     def on_remove(self, key: Key) -> None:
         raise NotImplementedError
@@ -72,6 +81,10 @@ class LRUPolicy(EvictionPolicy):
     def on_access(self, key: Key) -> None:
         if key in self._order:
             self._order.move_to_end(key)
+
+    def on_access_many(self, keys: Iterable[Key]) -> None:
+        order = self._order
+        deque(map(order.move_to_end, filter(order.__contains__, keys)), maxlen=0)
 
     def on_remove(self, key: Key) -> None:
         self._order.pop(key, None)
@@ -134,7 +147,6 @@ class LFUPolicy(_HeapPolicy):
     name = "lfu"
 
     def on_insert(self, key: Key, weight: float = 0.0) -> None:
-        self.on_remove(key)
         self._sequence += 1
         self._live[key] = (0.0, self._sequence, 0)
         heapq.heappush(self._heap, (0.0, self._sequence, key, 0))
@@ -155,14 +167,17 @@ class DegreeWeightedPolicy(_HeapPolicy):
     """
 
     name = "degree"
+    reads_weights = True
 
     def on_insert(self, key: Key, weight: float = 0.0) -> None:
-        self.on_remove(key)
         self._sequence += 1
         self._live[key] = (float(weight), self._sequence, 0)
         heapq.heappush(self._heap, (float(weight), self._sequence, key, 0))
 
     def on_access(self, key: Key) -> None:
+        return None
+
+    def on_access_many(self, keys: Iterable[Key]) -> None:
         return None
 
 

@@ -1,24 +1,20 @@
 """The device-charged staleness cache store.
 
-A :class:`DeviceResidentCache` is one keyed store of cache entries whose
-residency is charged to a *simulated* device memory pool and whose lookups,
-inserts and invalidations are charged to the machine clock.  Nothing here is
-"free": every probe batch costs host work, every hit batch a gather kernel on
-the store's device, every insert batch a copy kernel plus an ``alloc`` event
-on the device's :class:`~repro.hw.memory.MemoryPool`, and every eviction a
-``free`` -- so the hit-rate vs. memory-pressure trade-off shows up in the
-same profiles and memory reports as the model's own work.
+A :class:`DeviceResidentCache` is one keyed store whose residency is charged
+to a *simulated* device memory pool and whose lookups, inserts and
+invalidations are charged to the machine clock.  What each charge is, the
+strict event-time staleness window ``0 <= t_q - t_e < staleness_ms`` (so a
+zero bound serves nothing, bypasses inserts and keeps cached execution
+byte-identical to uncached) and expiry on touch are stated once, in
+``docs/ARCHITECTURE.md``: layer 1 "Cache charging" and layer 4.
 
-Staleness semantics (event-time): an entry written at event time ``t_e`` may
-serve a query at event time ``t_q`` iff ``0 <= t_q - t_e < staleness_ms``.
-The bound is *strict*, so a staleness bound of 0 admits no hit at all; since
-an entry inserted under a zero bound can never be served, :meth:`put`
-*bypasses* the insert outright (no copy kernel, no occupancy) and cached
-execution degenerates to uncached execution plus probe admin -- still
-byte-identical in results (the equivalence the golden-suite tests pin
-down).  Entries probed past their bound are expired on touch (freed and
-counted as ``stale_evictions``), so a cache under a tight bound does not
-accumulate dead rows.
+A *key batch is one run*: ``probe_many``, ``put_rows`` and ``invalidate``
+each walk their keys in order inside one body, settle the policy's hit
+touches once per batch and issue their pool traffic through one
+:meth:`Machine.memory_run <repro.hw.machine.Machine.memory_run>`; the scalar
+``probe`` / ``put`` are runs of one, so a batch equals its keys one at a
+time, byte for byte (``tests/test_cache_store.py``, the
+``batched-scalar-cache`` invariant).
 """
 
 from __future__ import annotations
@@ -158,10 +154,11 @@ class DeviceResidentCache:
         capacity_bytes: Residency budget.  Inserts evict victims until the
             new entry fits; a single entry larger than the budget is
             rejected outright (counted as an eviction-less miss).
-        staleness_ms: Event-time staleness bound (strict; see module doc).
+        staleness_ms: Event-time staleness bound (strict).
         cost_model: Machine-clock cost parameters.
         weight_of: Optional ``key -> weight`` callable consulted on insert
-            (the degree-weighted policy's recompute-cost proxy).
+            when the policy reads weights (the degree-weighted policy's
+            recompute-cost proxy).
     """
 
     def __init__(
@@ -231,137 +228,138 @@ class DeviceResidentCache:
         return self.stats.bytes_current
 
     def probe(self, key: Any, now_event_ms: float) -> Optional[Any]:
-        """Look one key up at query event-time ``now_event_ms``.
-
-        Returns the cached value on a hit and ``None`` on a miss.  An entry
-        whose age falls outside ``[0, staleness_ms)`` is a miss; entries past
-        the bound are expired (freed) on touch.  Charging is *deferred*: the
-        caller batches probes and settles them with :meth:`flush_charges`.
-        """
-        self.stats.lookups += 1
-        self._ledger.probed_keys += 1
-        self._ledger.pending = True
-        entry = self._entries.get(key)
-        if entry is None:
-            self.stats.misses += 1
-            return None
-        age = now_event_ms - entry.event_ms
-        staleness = self.effective_staleness_ms
-        if 0.0 <= age < staleness:
-            self.stats.hits += 1
-            self._ledger.hit_bytes += entry.nbytes
-            self.policy.on_access(key)
-            return entry.value
-        self.stats.misses += 1
-        self.stats.stale_rejects += 1
-        if age >= staleness:
-            self._remove(key, entry)
-            self.stats.stale_evictions += 1
-        return None
+        """Look one key up at query event-time ``now_event_ms``: a probe batch of one."""
+        return self.probe_many((key,), (now_event_ms,))[0]
 
     def probe_many(self, keys: Sequence[Any], times_ms: Sequence[float]) -> List[Any]:
-        """Look up many keys, each at its own query event-time.
+        """Look up a batch of keys, each at its own query event-time.
 
-        Semantically identical to calling :meth:`probe` once per key, in
-        order -- same stats, same deferred charges, same policy touches,
-        same expire-on-touch behaviour -- but with the per-key Python
-        overhead (attribute lookups, counter increments) hoisted out of the
-        loop.  The memory-row admission path probes thousands of tiny keys
-        per batch, where that overhead dwarfs the table work itself.
-        Returns one value-or-``None`` per key.
+        Returns the cached value per hit and ``None`` per miss.  An entry
+        whose age falls outside ``[0, staleness_ms)`` is a miss; entries past
+        the bound are expired (freed) on touch.  The policy hears of a
+        batch's hits in one :meth:`~EvictionPolicy.on_access_many`, settled
+        before any expiry so it sees touches and removals in key order.
+        Charging is *deferred* to :meth:`flush_charges`.
         """
-        n = len(keys)
+        if len(keys) != len(times_ms):
+            raise ValueError(f"probe_many got {len(keys)} keys but {len(times_ms)} times")
         stats = self.stats
-        stats.lookups += n
-        ledger = self._ledger
-        ledger.probed_keys += n
-        ledger.pending = n > 0 or ledger.pending
         entries = self._entries
         staleness = self.effective_staleness_ms
-        on_access = self.policy.on_access
-        hits = 0
-        misses = 0
-        hit_bytes = 0
+        hits = hit_bytes = stale = 0
+        touched: List[Any] = []
+        touch = touched.append
         results: List[Any] = []
         append = results.append
         for key, now in zip(keys, times_ms):
             entry = entries.get(key)
             if entry is None:
-                misses += 1
                 append(None)
                 continue
             age = now - entry.event_ms
             if 0.0 <= age < staleness:
-                hits += 1
                 hit_bytes += entry.nbytes
-                on_access(key)
+                touch(key)
                 append(entry.value)
                 continue
-            misses += 1
-            stats.stale_rejects += 1
-            if age >= staleness:
-                self._remove(key, entry)
-                stats.stale_evictions += 1
             append(None)
+            stale += 1
+            if age >= staleness:
+                self.policy.on_access_many(touched)
+                hits += len(touched)
+                touched.clear()
+                with self.machine.memory_run(self.device, self.tag) as (_, free):
+                    del entries[key]
+                    self.policy.on_remove(key)
+                    stats.bytes_current -= free(entry.alloc_id)
+                stats.stale_evictions += 1
+        if touched:
+            self.policy.on_access_many(touched)
+            hits += len(touched)
+        stats.lookups += len(results)
         stats.hits += hits
-        stats.misses += misses
-        ledger.hit_bytes += hit_bytes
+        stats.misses += len(results) - hits
+        stats.stale_rejects += stale
+        stats.entries = len(entries)
+        if results:
+            ledger = self._ledger
+            ledger.probed_keys += len(results)
+            ledger.hit_bytes += hit_bytes
+            ledger.pending = True
         return results
 
     # -- mutation ----------------------------------------------------------
 
     def put(self, key: Any, value: Any, event_ms: float, nbytes: int) -> bool:
-        """Insert (or overwrite) one entry; returns whether it was admitted.
-
-        Evicts policy victims until the entry fits the byte budget.  Entries
-        larger than the whole budget are rejected.  Charging is deferred to
-        :meth:`flush_charges`.
-
-        Write bypass: under a zero staleness bound no entry can ever be
-        served (the hit window ``[0, 0)`` is empty), so the insert is
-        skipped entirely -- no copy kernel, no allocation, no occupancy.
-        """
-        if self.staleness_ms <= 0.0:
-            return False
-        nbytes = int(nbytes)
-        if nbytes > self.capacity_bytes:
-            return False
-        previous = self._entries.get(key)
-        if previous is not None:
-            self._remove(key, previous)
-        while self.stats.bytes_current + nbytes > self.capacity_bytes:
-            victim = self.policy.victim()
-            self._remove(victim, self._entries[victim])
-            self.stats.evictions += 1
-        alloc_id = self.machine.alloc(self.device, nbytes, tag=self.tag)
-        self._entries[key] = _Entry(value, float(event_ms), nbytes, alloc_id)
-        weight = self.weight_of(key) if self.weight_of is not None else None
-        self.policy.on_insert(key, float(weight) if weight is not None else 0.0)
-        self.stats.inserts += 1
-        self.stats.bytes_current += nbytes
-        self.stats.bytes_peak = max(self.stats.bytes_peak, self.stats.bytes_current)
-        self.stats.entries = len(self._entries)
-        self._ledger.inserted_keys += 1
-        self._ledger.inserted_bytes += nbytes
-        self._ledger.pending = True
-        return True
+        """Insert (or overwrite) one entry; returns whether it was admitted."""
+        return bool(self.put_rows((key,), (value,), (event_ms,), nbytes))
 
     def put_many(
-        self,
-        keys: Sequence[Any],
-        value: Any,
-        times_ms: Sequence[float],
-        nbytes: int,
+        self, keys: Sequence[Any], value: Any, times_ms: Sequence[float], nbytes: int
     ) -> int:
-        """Insert many same-sized entries sharing one value payload.
+        """:meth:`put_rows` with one ``value`` shared by every key (presence rows)."""
+        return self.put_rows(keys, [value] * len(keys), times_ms, nbytes)
 
-        :meth:`put` once per ``(key, event_ms)`` pair, in order.  Built for
-        presence-style rows (TGN memory registration inserts ``True`` for
-        every touched node); returns the number of admitted entries.
+    def put_rows(
+        self, keys: Sequence[Any], values: Sequence[Any], times_ms: Sequence[float], nbytes: int
+    ) -> int:
+        """Insert (or overwrite) same-sized entries in key order; returns how many were admitted.
+
+        Each key evicts policy victims until its entry fits the byte budget.
+        Entries larger than the whole budget are rejected, and under a zero
+        staleness bound -- nothing inserted could ever be served -- the
+        insert is bypassed outright.  The whole batch is one
+        :meth:`~repro.hw.machine.Machine.memory_run`; if a strict pool raises
+        part-way, the keys before it stay admitted and counted.  Charging is
+        deferred to :meth:`flush_charges`.
         """
-        admitted = 0
-        for key, event_ms in zip(keys, times_ms):
-            admitted += self.put(key, value, event_ms, nbytes)
+        if not len(keys) == len(values) == len(times_ms):
+            raise ValueError(
+                f"put got {len(keys)} keys but {len(values)} values and {len(times_ms)} times"
+            )
+        nbytes = int(nbytes)
+        capacity = self.capacity_bytes
+        if self.staleness_ms <= 0.0 or nbytes > capacity:
+            return 0
+        stats = self.stats
+        entries = self._entries
+        policy = self.policy
+        on_insert, on_remove, next_victim = policy.on_insert, policy.on_remove, policy.victim
+        weight_of = self.weight_of if policy.reads_weights else None
+        current, peak = stats.bytes_current, stats.bytes_peak
+        admitted = evictions = 0
+        weight = None
+        with self.machine.memory_run(self.device, self.tag) as (alloc, free):
+            try:
+                for key, value, event_ms in zip(keys, values, times_ms):
+                    previous = entries.pop(key, None)
+                    if previous is not None:
+                        on_remove(key)
+                        current -= free(previous.alloc_id)
+                    while current + nbytes > capacity:
+                        victim = next_victim()
+                        evicted = entries.pop(victim)
+                        on_remove(victim)
+                        current -= free(evicted.alloc_id)
+                        evictions += 1
+                    entries[key] = _Entry(value, float(event_ms), nbytes, alloc(nbytes))
+                    if weight_of is not None:
+                        weight = weight_of(key)
+                    on_insert(key, float(weight) if weight is not None else 0.0)
+                    current += nbytes
+                    if current > peak:
+                        peak = current
+                    admitted += 1
+            finally:
+                stats.inserts += admitted
+                stats.evictions += evictions
+                stats.bytes_current, stats.bytes_peak = current, peak
+                stats.entries = len(entries)
+                if admitted:
+                    ledger = self._ledger
+                    ledger.inserted_keys += admitted
+                    ledger.inserted_bytes += admitted * nbytes
+                    ledger.pending = True
         return admitted
 
     def invalidate(self, keys: Iterable[Any]) -> int:
@@ -371,47 +369,44 @@ class DeviceResidentCache:
         neighbourhoods (and therefore samples/embeddings) changed, so the
         entries must not be served again regardless of the staleness bound.
         """
-        dropped = 0
-        for key in keys:
-            entry = self._entries.get(key)
-            if entry is None:
-                continue
-            self._remove(key, entry)
-            dropped += 1
-        self.stats.invalidations += dropped
-        if dropped:
-            self._ledger.invalidated_keys += dropped
-            self._ledger.pending = True
+        stats = self.stats
+        entries = self._entries
+        on_remove = self.policy.on_remove
+        dropped = released = 0
+        with self.machine.memory_run(self.device, self.tag) as (_, free):
+            try:
+                for key in keys:
+                    entry = entries.pop(key, None)
+                    if entry is not None:
+                        on_remove(key)
+                        released += free(entry.alloc_id)
+                        dropped += 1
+            finally:
+                stats.bytes_current -= released
+                stats.entries = len(entries)
+                stats.invalidations += dropped
+                if dropped:
+                    self._ledger.invalidated_keys += dropped
+                    self._ledger.pending = True
         return dropped
 
     def flush(self) -> int:
-        """Drop every live entry; returns the drop count.
+        """Drop every live entry (:meth:`invalidate` over all of them).
 
-        The bulk form of :meth:`invalidate`, used when a serving replica is
-        spun down (its device memory is released) or cold-started (whatever
-        the store held no longer exists on the new instance).  Charged like
-        any other invalidation batch -- settle with :meth:`flush_charges`.
+        Used when a serving replica is spun down (its device memory is
+        released) or cold-started (whatever the store held no longer exists
+        on the new instance).
         """
         return self.invalidate(list(self._entries))
-
-    def _remove(self, key: Any, entry: _Entry) -> None:
-        del self._entries[key]
-        self.policy.on_remove(key)
-        self.machine.free(self.device, entry.alloc_id)
-        self.stats.bytes_current -= entry.nbytes
-        self.stats.entries = len(self._entries)
 
     # -- charging ----------------------------------------------------------
 
     def flush_charges(self, label: str = "") -> None:
         """Settle the deferred machine-clock charges of the current batch.
 
-        Host-side table work (probes, insert bookkeeping, invalidations) is
-        charged as one :meth:`~repro.hw.machine.Machine.host_work` item on
-        the current CPU stream; the hit-row gather and the inserted-row copy
-        are charged as bandwidth-bound kernels on the store's device.
-        Batching the charges keeps the event log proportional to cache
-        *batches*, not to individual keys.
+        One ``host_work`` for the table work, one gather kernel for the hit
+        rows and one copy kernel for the inserted rows (ARCHITECTURE layer 1,
+        "Cache charging"), so the log grows with batches, not keys.
         """
         ledger = self._ledger
         if not ledger.any():

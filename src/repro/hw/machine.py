@@ -28,6 +28,9 @@ happens:
   to one scalar launch per row.
 * The four synchronisations are one :meth:`Machine._join`: move the host to
   ``max(now, until)`` and log the wait.
+* Memory events occupy no stream.  :meth:`Machine.alloc` / :meth:`Machine.free`
+  log one each through ``_emit``; :meth:`Machine.memory_run` is their run form
+  (the pool acts inside the block, the events are logged when it closes).
 * The machine never branches on the execution backend; :attr:`shape_mode`
   lets the tensor/model layers pick their data representation.
 """
@@ -803,6 +806,64 @@ class Machine:
         nbytes = device.memory.free(alloc_id, now)
         self._emit(FREE, "free", device.name, now, now, nbytes)
         return nbytes
+
+    @contextlib.contextmanager
+    def memory_run(
+        self, device: Device, tag: str = ""
+    ) -> Iterator[Tuple[Callable[[int], int], Callable[[int], int]]]:
+        """A run of allocations and releases on one device, logged when it closes.
+
+        Yields ``alloc(nbytes) -> id`` and ``free(id) -> nbytes``.  Each acts
+        on the device's pool (and an open tape) at once, exactly as
+        :meth:`alloc` / :meth:`free` would; their events -- all stamped with
+        the host time and region the run opened under -- are counted and
+        logged in one pass on the way out, also past an exception.  The block
+        may issue nothing else: closing raises if the host clock or the event
+        count moved inside it.
+        """
+        now = self._host_time
+        started = self._event_count
+        region = self._region_tuple
+        tape = self._tape
+        pool_alloc, pool_free = device.memory.alloc, device.memory.free
+        kinds: List[str] = []
+        names: List[str] = []
+        sizes: List[int] = []
+        alloc_name = tag or "alloc"
+
+        def alloc(nbytes: int) -> int:
+            if tape is not None:
+                tape.alloc(region, device, nbytes, tag)
+            alloc_id = pool_alloc(nbytes, tag, now)
+            kinds.append(ALLOC)
+            names.append(alloc_name)
+            sizes.append(nbytes)
+            return alloc_id
+
+        def free(alloc_id: int) -> int:
+            nbytes = pool_free(alloc_id, now)
+            kinds.append(FREE)
+            names.append("free")
+            sizes.append(nbytes)
+            return nbytes
+
+        try:
+            yield alloc, free
+        finally:
+            undisturbed = self._host_time == now and self._event_count == started
+            self._event_count += len(kinds)
+            if kinds and self.record_events:
+                self.events.extend(
+                    map(
+                        Event, kinds, names, repeat(device.name), repeat(now), repeat(now),
+                        repeat(0.0), sizes, repeat(region),
+                    )
+                )
+            if not undisturbed:
+                raise RuntimeError(
+                    f"memory run on {device.name!r} was interleaved with another charge "
+                    "or a host-clock move"
+                )
 
     # -- reporting helpers ----------------------------------------------------
 

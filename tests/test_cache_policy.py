@@ -89,3 +89,29 @@ def test_empty_policies_refuse_to_pick_victims():
         policy.on_remove("x")
         with pytest.raises(KeyError):
             policy.victim()
+
+
+@pytest.mark.parametrize("name", ["lru", "lfu", "degree"])
+def test_touching_a_batch_equals_touching_its_keys_in_order(name):
+    """``on_access_many`` (a probe batch's hits) is ``on_access`` per key, repeats and
+    unknown keys included."""
+    touched = ["c", "a", "zz", "c", "e", "a", "a", "b"]
+    orders = []
+    for batched in (True, False):
+        policy = make_eviction_policy(name)
+        for weight, key in enumerate("abcdef"):
+            policy.on_insert(key, float(weight % 3))
+        if batched:
+            policy.on_access_many(iter(touched))
+        else:
+            for key in touched:
+                policy.on_access(key)
+        order = []
+        while len(policy):
+            order.append(policy.victim())
+            policy.on_remove(order[-1])
+        orders.append(order)
+    assert orders[0] == orders[1]
+    assert sorted(orders[0]) == list("abcdef")
+    assert DegreeWeightedPolicy.reads_weights and not (
+        LRUPolicy.reads_weights or LFUPolicy.reads_weights)

@@ -376,7 +376,8 @@ def run_law_program(seed):
             ops.append(("probe", keys, times, 0))
         elif draw < 0.75:
             times = [clock + rng.random() for _ in keys]
-            ops.append(("put", keys, times, rng.choice((8, 24, 24, 60, 120, RUN_CAPACITY + 8))))
+            name = rng.choice(("put", "put_rows"))  # one shared value / one value per key
+            ops.append((name, keys, times, rng.choice((8, 24, 24, 60, 120, RUN_CAPACITY + 8))))
         elif draw < 0.9:
             ops.append(("invalidate", keys, [], 0))
         else:
@@ -397,6 +398,9 @@ def drain_policy(policy):
 
 def run_law_observables(program, policy, batched, staleness=RUN_STALENESS, pool_room=None):
     """Run ``program`` through the batch (or per-key) entry points; everything observable.
+
+    Batched: ``probe_many`` / ``put_many`` / ``put_rows`` / ``invalidate(keys)``;
+    per key: ``probe`` / ``put`` / ``invalidate([key])``.
 
     ``pool_room`` makes the GPU pool strict with that many bytes left, so a
     put batch can raise ``OutOfMemoryError`` part-way; the exception is an
@@ -419,6 +423,11 @@ def run_law_observables(program, policy, batched, staleness=RUN_STALENESS, pool_
             if batched:
                 return store.put_many(keys, "row", times, nbytes)
             return sum([store.put(key, "row", now, nbytes) for key, now in zip(keys, times)])
+        if name == "put_rows":
+            values = [f"{key}@{now}" for key, now in zip(keys, times)]
+            if batched:
+                return store.put_rows(keys, values, times, nbytes)
+            return sum([store.put(*row, nbytes) for row in zip(keys, values, times)])
         if name == "invalidate":
             if batched:
                 return store.invalidate(keys)
@@ -487,4 +496,57 @@ def test_a_strict_pool_raises_at_the_same_key_of_a_batch(policy):
     ooms = [value for value in batched["returns"] if isinstance(value, tuple)]
     assert ooms and all(value[0] == "oom" for value in ooms)
     assert any(admitted_before > 0 for _, _, admitted_before in ooms)  # mid-batch
+    assert len(batched["events"]) == batched["event_count"]  # the refused alloc left no trace
     assert batched["stats"]["evictions"] and batched["stats"]["bytes_peak"] == RUN_CAPACITY
+
+
+@pytest.mark.parametrize("call", ["probe_many", "put_many", "put_rows"])
+def test_ragged_batches_raise_before_any_state_moves(call):
+    """Regression: a short ``times_ms`` used to drop keys silently (zip) while
+    ``lookups`` counted them all, breaking ``hits + misses == lookups``."""
+    machine, store = make_store(capacity=1000, staleness=1e9)
+    store.put_many([1, 2, 3], "row", [0.0, 0.0, 0.0], 10)
+    before = (store.stats.as_dict(), machine.event_count, len(store))
+    arguments = {
+        "probe_many": ([1, 2, 3, 4], [0.0, 0.0]),
+        "put_many": ([4, 5, 6, 7], "row", [0.0, 0.0], 10),
+        "put_rows": ([4, 5, 6, 7], ["a", "b", "c", "d"], [0.0, 0.0], 10),
+    }[call]
+    with pytest.raises(ValueError, match=r"4 keys .*2 times"):
+        getattr(store, call)(*arguments)
+    assert (store.stats.as_dict(), machine.event_count, len(store)) == before
+    if call == "put_rows":
+        with pytest.raises(ValueError, match=r"2 keys .*1 values"):
+            store.put_rows([4, 5], ["a"], [0.0, 0.0], 10)
+    store.flush_charges()
+    stats = store.stats
+    assert stats.hits + stats.misses == stats.lookups
+
+
+@pytest.mark.parametrize("policy", ["lru", "lfu"])
+def test_insertion_weights_are_not_computed_for_policies_that_ignore_them(policy):
+    def weight_of(key):
+        raise AssertionError(f"weight_of({key!r}) called under {policy}")
+
+    _, store = make_store(policy=policy, capacity=100, staleness=1e9, weight_of=weight_of)
+    assert store.put(1, "a", 0.0, 40)
+    assert store.put_many([2, 3, 4], "b", [0.0] * 3, 40) == 3  # evicts on the way
+    assert store.put_rows([5], ["c"], [0.0], 40) == 1
+    assert store.stats.evictions == 3
+
+
+def test_degree_policy_still_reads_one_weight_per_admitted_insert():
+    asked = []
+    degrees = {1: 100.0, 2: 1.0, 3: 50.0, 4: 75.0, 5: None}
+
+    def weight_of(key):
+        asked.append(key)
+        return degrees[key]
+
+    _, store = make_store(policy="degree", capacity=30, staleness=1e9, weight_of=weight_of)
+    store.put_many([1, 2, 3], "row", [0.0] * 3, 10)
+    store.put(4, "row", 0.0, 10)  # evicts 2, the smallest degree
+    store.put(9, "huge", 0.0, 31)  # rejected: no weight asked for
+    store.put(5, "row", 0.0, 10)  # a missing degree weighs 0 and evicts 3
+    assert asked == [1, 2, 3, 4, 5]
+    assert drain_policy(store.policy) == [5, 4, 1]

@@ -12,8 +12,10 @@
   way ``benchmarks/spans.py`` lists what it wraps) in ``src``, ``tests`` or
   ``benchmarks``.
 * ``repro.hw`` charges through one seam: ``Event`` is built only by
-  ``Machine._emit`` and ``Machine._charge_kernel_run``, and a stream is
-  reserved only by the scalar and the run primitive.
+  ``Machine._emit`` and the two run primitives (``_charge_kernel_run``,
+  ``memory_run``), and a stream is reserved only by the scalar and the run
+  primitive.  ``repro.cache`` sits on top of that seam: it names neither
+  ``Event`` nor a device's memory pool.
 """
 
 import ast
@@ -123,8 +125,8 @@ def _functions(tree):
                 yield node.name if item is not node else "", item.name, item
 
 
-def _hw_functions():
-    for path in _files(os.path.join(PACKAGE_ROOT, "hw"), ".py"):
+def _package_functions(package):
+    for path in _files(os.path.join(PACKAGE_ROOT, package), ".py"):
         for owner, name, function in _functions(ast.parse(_read(path))):
             yield path, owner, name, function
 
@@ -140,16 +142,16 @@ def test_every_public_hw_method_is_referenced_somewhere():
                     named.add(node.value)
     dead = [
         f"{os.path.relpath(path, REPO_ROOT)}: {owner}.{name}"
-        for path, owner, name, _ in _hw_functions()
+        for path, owner, name, _ in _package_functions("hw")
         if owner and not name.startswith("_") and name not in named
     ]
     assert not dead, f"public hw methods nothing references: {dead}"
 
 
-def _hw_sites(matches):
-    """``file: function`` of every hw function with a node ``matches`` accepts."""
+def _sites(matches, package):
+    """``file: function`` of every ``package`` function with a node ``matches`` accepts."""
     sites = set()
-    for path, owner, name, function in _hw_functions():
+    for path, owner, name, function in _package_functions(package):
         annotations = {
             id(inner)
             for node in ast.walk(function)
@@ -162,14 +164,22 @@ def _hw_sites(matches):
     return sites
 
 
+def _names_event(node):
+    # ``Event`` by name, not only ``Event(...)``: the run primitives map it.
+    return isinstance(node, ast.Name) and node.id == "Event"
+
+
 def test_hw_charges_through_one_scalar_and_one_run_primitive():
-    # ``Event`` by name, not only ``Event(...)``: the run primitive maps it.
-    builds_event = _hw_sites(lambda node: isinstance(node, ast.Name) and node.id == "Event")
-    assert builds_event == {"machine.py: Machine._emit", "machine.py: Machine._charge_kernel_run"}
-    reserves = _hw_sites(
+    assert _sites(_names_event, "hw") == {
+        "machine.py: Machine._emit",
+        "machine.py: Machine._charge_kernel_run",
+        "machine.py: Machine.memory_run",
+    }
+    reserves = _sites(
         lambda node: isinstance(node, ast.Call)
         and isinstance(node.func, ast.Attribute)
-        and node.func.attr in ("reserve", "reserve_run")
+        and node.func.attr in ("reserve", "reserve_run"),
+        "hw",
     )
     assert reserves == {
         "machine.py: Machine._charge",
@@ -178,3 +188,14 @@ def test_hw_charges_through_one_scalar_and_one_run_primitive():
         "stream.py: Stream.reserve",
         "stream.py: Stream.reserve_run",
     }
+
+
+def test_the_cache_reaches_memory_only_through_the_machine():
+    touches = _sites(
+        lambda node: _names_event(node)
+        or (isinstance(node, ast.Attribute) and node.attr == "memory"),
+        "cache",
+    )
+    assert touches == set()
+    for path in _files(os.path.join(PACKAGE_ROOT, "cache"), ".py"):
+        assert not any(module.endswith(".Event") for module in _imported_modules(path)), path

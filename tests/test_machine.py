@@ -26,6 +26,7 @@ from repro.hw import (
     NVLINK3,
     Machine,
     MachineSpec,
+    OutOfMemoryError,
     Timeline,
     machine_spec,
 )
@@ -253,6 +254,15 @@ EVENT_FIELDS = (
 
 
 #: ``site -> (kind it emits, call)``: every place the machine builds an event.
+def memory_run_of(machine, device, tag, *steps):
+    """Issue ``("alloc", nbytes)`` / ``("free", alloc id)`` steps in one run; what they returned."""
+    returned = []
+    with machine.memory_run(device, tag) as (alloc, free):
+        for step, argument in steps:
+            returned.append(alloc(argument) if step == "alloc" else free(argument))
+    return returned
+
+
 EMISSION_SITES = {
     "launch_kernel": (KERNEL, lambda m, tape: m.launch_kernel(m.gpu, "k", 1e6, 1e3)),
     "launch_kernels": (KERNEL, lambda m, tape: m.launch_kernels(m.gpu, "k", 3, 1e6, 1e3)),
@@ -261,6 +271,9 @@ EMISSION_SITES = {
     "transfer": (TRANSFER, lambda m, tape: m.transfer(m.cpu, m.gpu, 4096)),
     "alloc": (ALLOC, lambda m, tape: m.alloc(m.gpu, 4096, tag="buf")),
     "free": (FREE, lambda m, tape: m.free(m.gpu, m.gpu.memory.alloc(64))),
+    "memory_run alloc": (ALLOC, lambda m, tape: memory_run_of(m, m.gpu, "buf", ("alloc", 4096))),
+    "memory_run free": (
+        FREE, lambda m, tape: memory_run_of(m, m.gpu, "buf", ("free", m.gpu.memory.alloc(64)))),
     "synchronize": (SYNC, lambda m, tape: m.synchronize()),
     "device_synchronize": (SYNC, lambda m, tape: m.device_synchronize(m.gpu)),
     "stream_synchronize": (SYNC, lambda m, tape: m.stream_synchronize(m.default_stream("gpu"))),
@@ -370,6 +383,114 @@ class TestEventContract:
             events_module, "_VALID_KINDS", events_module._VALID_KINDS - {kind})
         with pytest.raises(ValueError, match=f"unknown event kind: {kind!r}"):
             call(machine, tape)
+
+
+class TestMemoryRun:
+    """``Machine.memory_run``: the pool acts at once, the events are logged on the way out."""
+
+    STEPS = (("alloc", 4096), ("alloc", 0), ("free", 0), ("alloc", 64), ("free", 2), ("free", 1))
+
+    @staticmethod
+    def observed(machine, returned):
+        pools = [
+            (d.memory.current_bytes, d.memory.peak_bytes, d.memory.history, d.memory.usage_by_tag())
+            for d in machine.devices
+        ]
+        return (machine.events.snapshot(), machine.event_count, machine.host_time_ms, pools,
+                returned)
+
+    @pytest.mark.parametrize("tag", ["cache:embedding", ""])
+    def test_a_run_equals_the_scalar_calls_it_stands_for(self, tag):
+        scalar, run = warmed(Machine.cpu_gpu()), warmed(Machine.cpu_gpu())
+        for machine in (scalar, run):
+            machine.host_work("before", 0.75)
+        with scalar.region("iteration"), scalar.region("Cache"):
+            returned = [
+                scalar.alloc(scalar.gpu, argument, tag=tag) if step == "alloc"
+                else scalar.free(scalar.gpu, argument)
+                for step, argument in self.STEPS
+            ]
+        with run.region("iteration"), run.region("Cache"):
+            assert memory_run_of(run, run.gpu, tag, *self.STEPS) == returned
+        assert self.observed(run, returned) == self.observed(scalar, returned)
+        allocated, *_, freed = run.events.since(run.event_cursor() - len(self.STEPS))
+        assert tuple(allocated) == (
+            ALLOC, tag or "alloc", run.gpu.name, 6200.75, 6200.75, 0.0, 4096,
+            ("iteration", "Cache"), "", "", "")
+        assert (freed.kind, freed.name, freed.bytes, freed.stream) == (FREE, "free", 0, "")
+
+    def test_the_pool_moves_inside_the_block_and_the_log_when_it_closes(self, machine):
+        gpu = machine.gpu
+        with machine.memory_run(gpu, "t") as (alloc, free):
+            first = alloc(100)
+            assert gpu.memory.current_bytes == 100 and gpu.memory.history == ((0.0, 100),)
+            assert free(first) == 100 and gpu.memory.current_bytes == 0
+            assert machine.event_count == 0 and len(machine.events) == 0
+        assert machine.event_count == 2 and [e.kind for e in machine.events] == [ALLOC, FREE]
+
+    def test_an_empty_run_emits_nothing(self, machine):
+        assert memory_run_of(machine, machine.gpu, "t") == []
+        assert machine.event_count == 0 and len(machine.events) == 0
+        assert machine.gpu.memory.history == ()
+
+    def test_recording_off_counts_without_logging(self):
+        machine = Machine.cpu_gpu(record_events=False)
+        memory_run_of(machine, machine.gpu, "t", ("alloc", 8), ("free", 0))
+        assert machine.event_count == 2 and len(machine.events) == 0
+        assert machine.gpu.memory.history == ((0.0, 8), (0.0, 0))
+
+    @pytest.mark.parametrize("intruder", [
+        lambda m: m.host_work("h", 0.1),
+        lambda m: m.launch_kernel(m.cpu, "k", 1e3, 1e3),
+        lambda m: m.advance_host(0.5),
+        lambda m: m.alloc(m.gpu, 8),
+        lambda m: m.synchronize(),
+    ])
+    def test_anything_else_issued_inside_the_block_raises_on_close(self, machine, intruder):
+        with pytest.raises(RuntimeError, match="memory run on .* interleaved"):
+            with machine.memory_run(machine.gpu, "t") as (alloc, _):
+                alloc(16)
+                intruder(machine)
+        # The run's own event is still logged, and the counter still matches the log.
+        assert [e.bytes for e in machine.events.of_kind(ALLOC) if e.name == "t"] == [16]
+        assert machine.event_count == len(machine.events)
+
+    def test_a_strict_pool_raises_at_the_same_call_and_keeps_the_earlier_events(self):
+        scalar, run = Machine.cpu_gpu(strict_memory=True), Machine.cpu_gpu(strict_memory=True)
+        room = scalar.gpu.memory.capacity_bytes
+        with pytest.raises(OutOfMemoryError) as direct:
+            for nbytes in (room - 10, 4, 7, 1):
+                scalar.alloc(scalar.gpu, nbytes, tag="t")
+        issued = []
+        with pytest.raises(OutOfMemoryError) as batched:
+            with run.memory_run(run.gpu, "t") as (alloc, _):
+                for nbytes in (room - 10, 4, 7, 1):
+                    issued.append(alloc(nbytes))
+        assert issued == [0, 1] and str(batched.value) == str(direct.value)
+        assert self.observed(run, None) == self.observed(scalar, None)
+        assert len(run.events) == run.event_count == 2
+
+    def test_allocations_are_taped_and_replay_byte_identically(self):
+        def block(machine):
+            machine.launch_kernel(machine.gpu, "k", 1e6, 1e3)
+            with machine.region("Cache"):
+                memory_run_of(machine, machine.gpu, "rows", ("alloc", 256), ("alloc", 64))
+            machine.launch_kernel(machine.gpu, "k", 2e6, 1e3)
+
+        direct, replayed = warmed(Machine.cpu_gpu()), warmed(Machine.cpu_gpu())
+        _, tape = direct.record(lambda: block(direct))
+        assert tape is not None and tape.events == 4
+        block(direct)
+        replayed.record(lambda: block(replayed))
+        replayed.replay(tape)
+        assert self.observed(replayed, None) == self.observed(direct, None)
+
+    def test_a_free_inside_a_recording_yields_no_tape(self, machine):
+        held = machine.alloc(machine.gpu, 32)
+        _, tape = machine.record(
+            lambda: memory_run_of(machine, machine.gpu, "rows", ("alloc", 8), ("free", held)))
+        assert tape is None
+        assert machine.gpu.memory.current_bytes == 8
 
 
 class TestIntervalContract:

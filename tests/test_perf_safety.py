@@ -19,6 +19,7 @@ from unittest.mock import Mock
 import numpy as np
 import pytest
 
+from repro.cache import DeviceResidentCache, make_eviction_policy
 from repro.core import (
     WORKLOAD_IMBALANCE,
     BottleneckThresholds,
@@ -339,6 +340,11 @@ def python_calls(action):
     return calls
 
 
+def memory_run_alloc_free(machine):
+    with machine.memory_run(machine.gpus[0], "t") as (alloc, free):
+        free(alloc(4096))
+
+
 #: ``call -> (ceiling, action on a warm machine m / cluster c)``.  A count,
 #: not a timing: what one charge costs the host in Python calls, recording
 #: on.  The scalar seam (``_charge`` + ``_emit``) is two calls on a kernel
@@ -352,6 +358,8 @@ HOST_COST_CEILINGS = {
     "transfer peer": (16, lambda m, c: m.transfer(m.gpus[0], m.gpus[1], 4096)),
     "launch_kernels x8": (16, lambda m, c: m.launch_kernels(m.gpus[0], "k", 8, 1e6, 64e3)),
     "alloc + free": (12, lambda m, c: m.free(m.gpus[0], m.alloc(m.gpus[0], 4096, "t"))),
+    # Opening and closing a run is ~8 calls: worth it from the second key on.
+    "memory_run alloc + free": (16, lambda m, c: memory_run_alloc_free(m)),
     "cluster gpu -> gpu": (
         42, lambda m, c: c.transfer(0, c.nodes[0].gpus[0], 1, c.nodes[1].gpus[0], 4096)),
 }
@@ -368,6 +376,46 @@ def test_python_calls_per_charge_stay_bounded(call):
     action(machine, cluster)  # the cost, route and transfer-time memos are warm
     calls = python_calls(partial(action, machine, cluster))
     assert calls <= ceiling, f"{call}: {calls} Python calls, ceiling {ceiling}"
+
+
+CACHE_KEYS = 512
+
+#: ``store call -> {policy: Python calls per key (per batch for the probe)}`` on a
+#: warm store that holds exactly ``CACHE_KEYS`` rows.  A key batch is one run
+#: (one memory run, one policy settle, one event pass), so only what a key
+#: needs itself is left per key: the policy's say, the pool and the ``Event``.
+CACHE_COST_CEILINGS = {
+    "put_many, every key evicting": {"lru": 12.0, "lfu": 13.0, "degree": 13.0},
+    "probe_many, every key a hit, per batch": {"lru": 8.0, "degree": 8.0},
+    "invalidate": {"lru": 4.1, "lfu": 4.1, "degree": 4.1},
+}
+
+
+@pytest.mark.parametrize("call,policy", [
+    (call, policy) for call, ceilings in sorted(CACHE_COST_CEILINGS.items()) for policy in ceilings
+])
+def test_python_calls_per_cache_key_stay_bounded(call, policy):
+    machine = Machine.cpu_gpu()
+    machine.initialize_gpu()
+    store = DeviceResidentCache(
+        machine, machine.gpu, "embedding", make_eviction_policy(policy), CACHE_KEYS * 64, 1e12,
+        weight_of=lambda key: float(key % 97),
+    )
+    resident, fresh = list(range(CACHE_KEYS)), list(range(CACHE_KEYS, 2 * CACHE_KEYS))
+    times = [0.0] * CACHE_KEYS
+    assert store.put_many(resident, True, times, 64) == CACHE_KEYS
+    store.flush_charges()
+    if call.startswith("put_many"):
+        calls = python_calls(partial(store.put_many, fresh, True, times, 64)) / CACHE_KEYS
+        assert store.stats.evictions == CACHE_KEYS
+    elif call.startswith("probe_many"):
+        calls = python_calls(partial(store.probe_many, resident, times))
+        assert store.stats.hits == CACHE_KEYS
+    else:
+        calls = python_calls(partial(store.invalidate, resident)) / CACHE_KEYS
+        assert store.stats.invalidations == CACHE_KEYS
+    ceiling = CACHE_COST_CEILINGS[call][policy]
+    assert calls <= ceiling, f"{call} under {policy}: {calls} Python calls, ceiling {ceiling}"
 
 
 def assert_index_matches_reference(sampler, reference_adjacency):
