@@ -14,9 +14,7 @@ expensive models:
   bound decides what may be served (staleness 0 == byte-identical to
   uncached execution);
 * :mod:`repro.cache.model_cache` -- the per-model façade (embedding, sample
-  and memory stores) the request path consults, plus the
-  :class:`~repro.cache.model_cache.CachedPlan` handed between the serving
-  prepare/compute phases;
+  and memory stores) the request path consults;
 * :mod:`repro.cache.backfill` -- the proactive half: an offline pass that
   precomputes hot-node embeddings into the cache ahead of a traffic spike
   (wired into cluster warm-up and autoscaling cold starts).
@@ -26,7 +24,7 @@ the end-to-end sweeps.
 """
 
 from .backfill import backfill_embeddings, hot_nodes
-from .model_cache import CachedPlan, ModelCache, make_model_cache, merge_cache_stats
+from .model_cache import ModelCache, make_model_cache, merge_cache_stats
 from .policy import (
     DegreeWeightedPolicy,
     EvictionPolicy,
@@ -40,7 +38,6 @@ from .store import CacheCostModel, CacheStats, DeviceResidentCache
 __all__ = [
     "CacheCostModel",
     "CacheStats",
-    "CachedPlan",
     "DegreeWeightedPolicy",
     "DeviceResidentCache",
     "EvictionPolicy",

@@ -33,7 +33,6 @@ Consistency contract (who calls what, in request order):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -54,29 +53,6 @@ from .store import (
 #: Kinds that live on the model's compute device; everything else lives on
 #: the host CPU (sampling structures are CPU-side).
 _DEVICE_KINDS = ("embedding", "memory")
-
-
-@dataclass
-class CachedPlan:
-    """A batch's prepared work after cache admission.
-
-    ``hit_indices``/``hit_rows`` are the query rows served from the
-    embedding cache; ``miss_nodes``/``miss_times`` (at ``miss_indices`` of
-    the original query order) still need the full sampling + compute path,
-    and ``samples`` is their precomputed sampling plan in the model's
-    depth-first query order.
-    """
-
-    hit_indices: np.ndarray
-    hit_rows: Optional[np.ndarray]
-    miss_indices: np.ndarray
-    miss_nodes: np.ndarray
-    miss_times: np.ndarray
-    samples: List[NeighborhoodSample] = field(default_factory=list)
-
-    @property
-    def num_hits(self) -> int:
-        return int(self.hit_indices.size)
 
 
 class ModelCache:

@@ -153,12 +153,6 @@ class EventStream:
         cutoff = int(np.searchsorted(self.timestamps, timestamp, side="left"))
         return self.slice_indices(0, cutoff)
 
-    def between(self, start_time: float, end_time: float) -> "EventStream":
-        """Events with ``start_time <= t < end_time``."""
-        lo = int(np.searchsorted(self.timestamps, start_time, side="left"))
-        hi = int(np.searchsorted(self.timestamps, end_time, side="left"))
-        return self.slice_indices(lo, hi)
-
     def iter_batches(self, batch_size: int) -> Iterator["EventStream"]:
         """Yield consecutive mini-batches of events in temporal order."""
         if batch_size <= 0:

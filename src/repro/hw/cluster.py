@@ -239,13 +239,6 @@ class Cluster:
                 TRANSFER, name, link.name, target, ready, duration_ms, False,
                 nbytes, src_name, dst_name,
             )
-        # Observability hook: a NIC-routed payload becomes one ``nic`` span
-        # (issue to arrival) in the attached tracer's request tree.  Strictly
-        # read-only -- no charge, no clock movement -- so runs with and
-        # without a tracer stay event-for-event identical.
-        tracer = source.tracer
-        if tracer is not None:
-            tracer.nic_span(name, issue_ms, ready, src_node, dst_node, nbytes, source)
         return ready
 
     # -- reporting -------------------------------------------------------

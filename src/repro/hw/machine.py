@@ -129,12 +129,6 @@ class Machine:
         #: only skips building the profiler's event stream, making detailed
         #: profiling an opt-in cost.
         self.record_events = record_events
-        #: Attached :class:`~repro.obs.trace.Tracer`, or ``None``.  Set by
-        #: ``Tracer.attach``; the machine itself never consults it -- only
-        #: cross-layer hooks (e.g. the cluster NIC transfer) read it, so a
-        #: detached machine pays exactly one ``is None`` test per hook site
-        #: and the simulation is event-for-event identical either way.
-        self.tracer = None
         #: Execution backend: ``"numeric"`` or ``"shape"``.
         self.backend = backend
         #: Hot-path boolean the tensor/model layers branch on; the machine's

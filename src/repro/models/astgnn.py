@@ -21,7 +21,7 @@ Region labels match Fig. 7(c): ``Etc(data loading, cuda sync)``,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
@@ -152,17 +152,11 @@ class ASTGNN(DGNNModel):
 
     # -- batching ----------------------------------------------------------------------------
 
-    def iteration_batches(
-        self,
-        dataset: Optional[TrafficDataset] = None,
-        batch_size: Optional[int] = None,
-        max_batches: Optional[int] = None,
-    ) -> Iterator[ASTGNNBatch]:
-        dataset = dataset or self.dataset
-        batch_size = batch_size or self.config.batch_size
+    def iteration_batches(self) -> Iterator[ASTGNNBatch]:
+        dataset = self.dataset
+        batch_size = self.config.batch_size
         window = self.config.input_window
         horizon = self.config.predict_window
-        produced = 0
         step = 0
         max_start = dataset.num_steps - window - horizon
         if max_start <= 0:
@@ -174,9 +168,6 @@ class ASTGNN(DGNNModel):
                 windows.append(dataset.window(start, window))
             step += batch_size * window
             yield ASTGNNBatch(inputs=np.stack(windows).astype(np.float32), target_window=horizon)
-            produced += 1
-            if max_batches is not None and produced >= max_batches:
-                return
             if step >= max_start:
                 return
 

@@ -23,6 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Hashable, Iterator, Optional, Sequence, Tuple
 
+import numpy as np
+
+from ..graph.events import EventStream
+from ..graph.sampling import NeighborhoodSample
 from ..hw.device import Device
 from ..hw.machine import Machine
 from ..nn.module import Module
@@ -206,9 +210,14 @@ class DGNNModel(Module):
     def describe(self) -> ModelCard:
         raise NotImplementedError
 
-    def iteration_batches(self, dataset: Any, **kwargs) -> Iterator[Any]:
-        """Yield the units of work ("iterations") the paper profiles."""
-        raise NotImplementedError
+    def iteration_batches(self) -> Iterator[Any]:
+        """Yield the units of work ("iterations") the paper profiles.
+
+        Event-stream models (TGAT, TGN, DyRep, LDG) profile consecutive
+        ``config.batch_size``-event slices of their dataset's stream; models
+        with structured batches (t-batches, snapshots, windows) override.
+        """
+        yield from self.dataset.stream.iter_batches(self.config.batch_size)
 
     def inference_iteration(self, batch: Any) -> Any:
         """Run one profiled iteration; must annotate machine regions."""
@@ -259,6 +268,17 @@ class DGNNModel(Module):
         """The attached cache's telemetry dict (``None`` when uncached)."""
         return self.cache.stats() if self.cache is not None else None
 
+    def _sample(self, nodes: np.ndarray, times: np.ndarray, k: int) -> NeighborhoodSample:
+        """One batched neighbourhood query on ``self.sampler``, cache-fronted.
+
+        Without an attached cache this is exactly ``self.sampler.sample``;
+        with one, valid cached rows are served and only the miss rows hit
+        the sampler (charging its CPU cost for those rows alone).
+        """
+        if self.cache is not None:
+            return self.cache.sample(self.sampler, nodes, times, k)
+        return self.sampler.sample(nodes, times, k)
+
     def set_fanout_scale(self, scale: float) -> None:
         """Scale per-layer neighbour fan-out (adaptive-fidelity lever 1).
 
@@ -294,8 +314,6 @@ class DGNNModel(Module):
         streams (TGAT, TGN, ...); models with other batch types (t-batches,
         snapshots) must override this to be servable.
         """
-        from ..graph.events import EventStream
-
         if (
             self.serves_event_streams
             and payloads

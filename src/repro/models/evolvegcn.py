@@ -114,11 +114,9 @@ class EvolveGCN(DGNNModel):
 
     # -- batching --------------------------------------------------------------------
 
-    def iteration_batches(
-        self, dataset: Optional[SnapshotDataset] = None, **_: object
-    ) -> Iterator[GraphSnapshot]:
+    def iteration_batches(self) -> Iterator[GraphSnapshot]:
         """One profiled iteration of EvolveGCN processes one snapshot."""
-        yield from (dataset or self.dataset).snapshots
+        yield from self.dataset.snapshots
 
     def batch_footprint_bytes(self, batch: GraphSnapshot) -> int:
         return int(batch.nbytes() + self.param_bytes())

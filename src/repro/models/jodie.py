@@ -18,22 +18,12 @@ t-batch starts.
 
 Region labels match Fig. 7(d): ``Load Embedding``, ``Project User Embedding``,
 ``Predict Item Embedding``, ``Update Embedding``.
-
-Serving cache: like TGN's node memory, JODIE's dynamic embeddings are
-per-node recurrent state gathered host-side and shipped to the GPU every
-t-batch.  With a :class:`~repro.cache.ModelCache` attached (kind
-``"memory"``), the upload goes through the write-through device-resident
-store: rows registered by an earlier t-batch skip the PCIe copy, refreshed
-rows are re-registered after ``Update Embedding``.  Users are keyed by
-their raw node id and items by their global (``num_users``-offset) id, so
-the two state tables share one store without collisions.  Numerics are
-identical with or without the cache -- only transfer traffic changes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
@@ -65,8 +55,6 @@ class JODIE(DGNNModel):
     """JODIE with t-batched inference."""
 
     name = "jodie"
-    supports_caching = True
-    cache_kinds = ("memory",)
 
     def __init__(
         self,
@@ -114,12 +102,9 @@ class JODIE(DGNNModel):
 
     # -- batching --------------------------------------------------------------------
 
-    def iteration_batches(
-        self, dataset: Optional[TemporalInteractionDataset] = None, **_: object
-    ) -> Iterator[TBatch]:
+    def iteration_batches(self) -> Iterator[TBatch]:
         """Yield t-batches (built once per call, outside the profiled regions)."""
-        stream = (dataset or self.dataset).stream
-        batches = build_tbatches(stream, charge_host=False)
+        batches = build_tbatches(self.dataset.stream, charge_host=False)
         for batch in batches:
             yield from self._split(batch)
 
@@ -143,19 +128,6 @@ class JODIE(DGNNModel):
 
     # -- state ---------------------------------------------------------------------------
 
-    def reset_state(self) -> None:
-        """Reset the dynamic embeddings to their initial values."""
-        rng = np.random.default_rng(self.config.seed)
-        dim = self.config.embedding_dim
-        self._user_embeddings = (
-            rng.standard_normal((self.dataset.num_users, dim)).astype(np.float32) * 0.1
-        )
-        self._item_embeddings = (
-            rng.standard_normal((max(1, self.dataset.num_items), dim)).astype(np.float32) * 0.1
-        )
-        self._user_last_time[:] = 0.0
-        self._item_last_time[:] = 0.0
-
     @property
     def user_embeddings(self) -> np.ndarray:
         return self._user_embeddings.copy()
@@ -163,38 +135,6 @@ class JODIE(DGNNModel):
     @property
     def item_embeddings(self) -> np.ndarray:
         return self._item_embeddings.copy()
-
-    # -- cache plumbing --------------------------------------------------------------------
-
-    @property
-    def _state_row_bytes(self) -> int:
-        return self.config.embedding_dim * 4
-
-    def _upload_state_rows(
-        self, host_rows: Tensor, nodes: np.ndarray, times: np.ndarray, name: str
-    ) -> Tensor:
-        """Move gathered embedding rows to the device through the memory cache.
-
-        The same discipline as TGN's node memory: rows with a live cache
-        entry are served from the device-resident pool, only the miss rows
-        pay the host->device transfer, and misses are registered for future
-        t-batches.  The returned tensor always carries the host mirror's
-        values, so numerics are identical whether or not anything hit.
-        """
-        device = self.compute_device
-        cache = self.cache
-        if cache is None or cache.memory is None or not self.uses_gpu:
-            return host_rows.to(device, name=name)
-        hit_idx, miss_idx = cache.lookup_memory(nodes, times)
-        if miss_idx.size:
-            miss_host = Tensor(host_rows.data[miss_idx], self.host_device, name=name)
-            miss_host.to(device, name=name)
-            cache.store_memory_rows(
-                np.asarray(nodes)[miss_idx],
-                np.asarray(times, dtype=np.float64)[miss_idx],
-                self._state_row_bytes,
-            )
-        return Tensor(host_rows.data, device, name=name)
 
     # -- inference -------------------------------------------------------------------------
 
@@ -213,13 +153,8 @@ class JODIE(DGNNModel):
             item_emb_host = ops.gather_rows(Tensor(self._item_embeddings, host), items)
             user_dt = (timestamps - self._user_last_time[users]).astype(np.float32)
             item_dt = (timestamps - self._item_last_time[items]).astype(np.float32)
-            # User/item state crosses PCIe through the write-through device
-            # cache when one is attached; users keyed by raw id, items by
-            # their global (num_users-offset) id.
-            user_emb = self._upload_state_rows(user_emb_host, users, timestamps, "user_embeddings")
-            item_emb = self._upload_state_rows(
-                item_emb_host, batch.items, timestamps, "item_embeddings"
-            )
+            user_emb = user_emb_host.to(device, name="user_embeddings")
+            item_emb = item_emb_host.to(device, name="item_embeddings")
             edge_feats = Tensor(edge_feats_np, host).to(device, name="edge_features")
             user_dt_t = Tensor(user_dt[:, None], host).to(device, name="user_dt")
             item_dt_t = Tensor(item_dt[:, None], host).to(device, name="item_dt")
@@ -246,12 +181,6 @@ class JODIE(DGNNModel):
             self._item_embeddings[items] = new_item_host.data
             self._user_last_time[users] = timestamps
             self._item_last_time[items] = timestamps
-            if self.cache is not None and self.uses_gpu:
-                # Write-through: the refreshed rows are device-resident
-                # (``new_user``/``new_item``), so re-register them at the
-                # t-batch's event times for future uploads.
-                self.cache.store_memory_rows(users, timestamps, self._state_row_bytes)
-                self.cache.store_memory_rows(batch.items, timestamps, self._state_row_bytes)
 
         if self.machine.has_gpu:
             self.machine.synchronize()

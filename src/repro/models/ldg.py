@@ -15,7 +15,6 @@ Region labels: ``Encoder (NRI)``, ``Node Embedding Update``,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
 
 import numpy as np
 
@@ -100,25 +99,9 @@ class LDG(DGNNModel):
 
     # -- batching --------------------------------------------------------------------------------
 
-    def iteration_batches(
-        self, dataset: Optional[TemporalInteractionDataset] = None, batch_size: Optional[int] = None
-    ) -> Iterator[EventStream]:
-        stream = (dataset or self.dataset).stream
-        yield from stream.iter_batches(batch_size or self.config.batch_size)
-
     def batch_footprint_bytes(self, batch: EventStream) -> int:
         dim = self.config.embedding_dim
         return int(batch.num_events * (2 * dim + self.config.latent_edge_dim) * 4)
-
-    def reset_state(self) -> None:
-        rng = np.random.default_rng(self.config.seed)
-        self._embeddings = (
-            rng.standard_normal(
-                (self.dataset.num_nodes, self.config.embedding_dim)
-            ).astype(np.float32)
-            * 0.1
-        )
-        self._last_update[:] = 0.0
 
     @property
     def node_embeddings(self) -> np.ndarray:

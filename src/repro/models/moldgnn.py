@@ -19,7 +19,7 @@ Region labels match Fig. 7(b): ``GCN``, ``LSTM``, ``FFN`` (transfers appear as
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import Iterator, List
 
 import numpy as np
 
@@ -126,18 +126,11 @@ class MolDGNN(DGNNModel):
 
     # -- batching --------------------------------------------------------------------
 
-    def iteration_batches(
-        self,
-        dataset: Optional[MolecularDataset] = None,
-        batch_size: Optional[int] = None,
-        max_batches: Optional[int] = None,
-    ) -> Iterator[MolDGNNBatch]:
+    def iteration_batches(self) -> Iterator[MolDGNNBatch]:
         """Yield batches of molecule windows (cycling over trajectories)."""
-        dataset = dataset or self.dataset
-        batch_size = batch_size or self.config.batch_size
+        batch_size = self.config.batch_size
         window = self.config.window
-        trajectories = dataset.trajectories
-        produced = 0
+        trajectories = self.dataset.trajectories
         cursor = 0
         while True:
             adjacencies, features = ([], [])
@@ -152,9 +145,6 @@ class MolDGNN(DGNNModel):
                 adjacencies=np.stack(adjacencies).astype(np.float32),
                 features=np.stack(features).astype(np.float32),
             )
-            produced += 1
-            if max_batches is not None and produced >= max_batches:
-                return
             if cursor >= len(trajectories) * max(1, len(trajectories[0]) - window):
                 return
 

@@ -12,12 +12,19 @@ inference (Fig. 7(e)-(h)) and the GPU to sit mostly idle (Fig. 6(a)-(b)).
 Region labels match the paper's Fig. 7 legend: ``Sampling (CPU)``,
 ``Time Encoding``, ``Attention Layer`` (transfers appear as ``Memory Copy``
 and the trailing device sync as ``Cuda Synchronization``).
+
+Every request-path entry point (``inference_iteration``,
+``compute_iteration``, ``dispatch_iteration``) runs one forward over one
+plan type, :class:`TGATPlan`: the rows the embedding cache serves plus the
+sampling plan for the rest (without a cache, every row is a miss).  The one
+exception is the uncached ``inference_iteration``, which samples *inline*,
+interleaved with compute -- the order the offline profiles measure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,6 +42,8 @@ from ..nn import (
 from ..nn import init as nn_init
 from ..tensor import Tensor, meta, ops
 from .base import CONTINUOUS, DGNNModel, ModelCard
+
+_NO_HITS = np.empty(0, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -61,6 +70,29 @@ class TGATConfig:
     batch_size: int = 64
     uniform_sampling: bool = True
     seed: int = 0
+
+
+@dataclass
+class TGATPlan:
+    """A batch's prepared work: what :meth:`TGAT.prepare_iteration` returns.
+
+    ``hit_indices``/``hit_rows`` are the query rows served from the
+    embedding cache; ``miss_nodes``/``miss_times`` (at ``miss_indices`` of
+    the original query order) still need the full sampling + compute path,
+    and ``samples`` is their precomputed sampling plan in the model's
+    depth-first query order.
+    """
+
+    hit_indices: np.ndarray
+    hit_rows: Optional[np.ndarray]
+    miss_indices: np.ndarray
+    miss_nodes: np.ndarray
+    miss_times: np.ndarray
+    samples: List[NeighborhoodSample]
+
+    @property
+    def num_hits(self) -> int:
+        return int(self.hit_indices.size)
 
 
 class TGAT(DGNNModel):
@@ -130,12 +162,6 @@ class TGAT(DGNNModel):
 
     # -- batching -------------------------------------------------------------
 
-    def iteration_batches(
-        self, dataset: Optional[TemporalInteractionDataset] = None, batch_size: Optional[int] = None
-    ) -> Iterator[EventStream]:
-        stream = (dataset or self.dataset).stream
-        yield from stream.iter_batches(batch_size or self.config.batch_size)
-
     def batch_footprint_bytes(self, batch: EventStream) -> int:
         k = self.config.num_neighbors
         per_node = (self.config.node_dim + self.config.time_dim) * 4
@@ -144,104 +170,76 @@ class TGAT(DGNNModel):
         working_set = targets * (1 + k) * per_node * self.config.num_layers
         return int(working_set + batch.edge_features.nbytes)
 
+    @staticmethod
+    def _queries(batch: EventStream) -> Tuple[np.ndarray, np.ndarray]:
+        """The batch's (node, query time) rows: every source, then every destination."""
+        return (
+            np.concatenate([batch.src, batch.dst]),
+            np.concatenate([batch.timestamps, batch.timestamps]),
+        )
+
     # -- inference -------------------------------------------------------------
 
     def inference_iteration(self, batch: EventStream) -> Tensor:
         """Predict link scores for every interaction in the mini-batch.
 
-        With a serving cache attached the iteration runs cache-aware: the
-        embedding/sample stores are consulted before sampling and compute,
-        entries touched by the batch's events are invalidated afterwards,
-        and freshly computed rows are inserted.  At a staleness bound of 0
-        no entry is ever served, so the scores (and the sampler's RNG
-        stream) are byte-identical to the uncached path.
+        Without a cache, sampling runs inline; with one, the batch is
+        planned first (see :meth:`_forward`).  At a staleness bound of 0 no
+        entry is ever served, so the scores (and the sampler's RNG stream)
+        are byte-identical to the uncached path.
         """
-        if self.cache is not None:
-            scores = self._cached_forward(batch, self.prepare_iteration(batch))
-        else:
-            scores = self._forward(batch)
+        scores = self._forward(batch, None)
         if self.machine.has_gpu:
             self.machine.synchronize()
         return scores
 
     # -- overlap protocol (Sec. 5.1.1, executed) --------------------------------------
 
-    def prepare_iteration(self, batch: EventStream) -> List[NeighborhoodSample]:
-        """Host-side preprocessing of one batch: the full sampling plan.
-
-        Runs exactly the temporal-neighbourhood queries that
-        :meth:`inference_iteration` would issue, in the same order, and
-        returns them so :meth:`compute_iteration` can consume the batch
-        without touching the sampler.  Issued inside a named CPU stream
-        context (see :class:`repro.optim.OverlappedRunner`) the sampling cost
-        lands asynchronously, which is what lets batch ``i+1``'s sampling
-        hide under batch ``i``'s device work.
-        """
-        nodes = np.concatenate([batch.src, batch.dst])
-        times = np.concatenate([batch.timestamps, batch.timestamps])
-        if self.cache is not None:
-            return self._prepare_cached(nodes, times)
-        plan: List[NeighborhoodSample] = []
-        self._sampling_plan(nodes, times, self.config.num_layers, plan)
-        return plan
-
-    def _prepare_cached(self, nodes: np.ndarray, times: np.ndarray):
-        """Cache-admitted half of :meth:`prepare_iteration`.
+    def prepare_iteration(self, batch: EventStream) -> TGATPlan:
+        """Host-side preprocessing of one batch: cache admission and sampling.
 
         Embedding-store hits are admitted first (each one short-circuits its
         node's entire sampling subtree); the sampling plan -- itself fronted
         by the sample store via :meth:`_sample` -- is then built for the
-        miss rows only.  Hits are admitted against the cache state at
-        *prepare* time: under the overlap server batch ``i+1`` is prepared
-        before batch ``i`` retires, exactly the admission race a pipelined
-        serving cache has in production.
+        miss rows, issuing exactly the temporal-neighbourhood queries the
+        inline path would, in the same order.  Issued inside a named CPU
+        stream context (see :class:`repro.optim.OverlappedRunner`) the
+        sampling cost lands asynchronously, which is what lets batch
+        ``i+1``'s sampling hide under batch ``i``'s device work.  Hits are
+        admitted against the cache state at *prepare* time: under the
+        overlap server batch ``i+1`` is prepared before batch ``i`` retires,
+        exactly the admission race a pipelined serving cache has in
+        production.
         """
-        from ..cache.model_cache import CachedPlan
-
-        hit_idx, hit_rows, miss_idx = self.cache.lookup_embeddings(nodes, times)
-        miss_nodes = nodes[miss_idx]
-        miss_times = times[miss_idx]
-        samples: List[NeighborhoodSample] = []
-        if miss_nodes.size:
-            self._sampling_plan(miss_nodes, miss_times, self.config.num_layers, samples)
-        return CachedPlan(
-            hit_indices=hit_idx,
-            hit_rows=hit_rows,
-            miss_indices=miss_idx,
-            miss_nodes=miss_nodes,
-            miss_times=miss_times,
-            samples=samples,
-        )
-
-    def compute_iteration(self, batch: EventStream, plan) -> Tensor:
-        """Device-side half of one iteration, fed by a precomputed plan.
-
-        ``plan`` is the list :meth:`prepare_iteration` returns on the
-        uncached path, or a :class:`~repro.cache.model_cache.CachedPlan`
-        when a serving cache is attached.  Synchronises only the compute
-        device's default stream (not the whole machine), so an in-flight
-        asynchronous sampling stream keeps running.
-        """
-        if self._is_cached_plan(plan):
-            scores = self._cached_forward(batch, plan)
+        nodes, times = self._queries(batch)
+        if self.cache is None:
+            hit_idx, hit_rows, miss_idx = _NO_HITS, None, np.arange(len(nodes))
         else:
-            scores = self._forward(batch, plan=plan)
+            hit_idx, hit_rows, miss_idx = self.cache.lookup_embeddings(nodes, times)
+            nodes, times = nodes[miss_idx], times[miss_idx]
+        samples: List[NeighborhoodSample] = []
+        if nodes.size:
+            self._sampling_plan(nodes, times, self.config.num_layers, samples)
+        return TGATPlan(hit_idx, hit_rows, miss_idx, nodes, times, samples)
+
+    def compute_iteration(self, batch: EventStream, plan: TGATPlan) -> Tensor:
+        """Device-side half of one iteration, fed by a prepared plan.
+
+        Synchronises only the compute device's default stream (not the
+        whole machine), so an in-flight asynchronous sampling stream keeps
+        running.
+        """
+        scores = self._forward(batch, plan)
         if self.machine.has_gpu:
             self.machine.stream_synchronize(self.machine.default_stream(self.compute_device))
         return scores
 
-    @staticmethod
-    def _is_cached_plan(plan) -> bool:
-        return plan is not None and hasattr(plan, "miss_indices")
-
     # -- async dispatch (multi-GPU serving) -------------------------------------
 
-    def dispatch_iteration(
-        self, batch: EventStream, plan: Optional[List[NeighborhoodSample]] = None
-    ):
+    def dispatch_iteration(self, batch: EventStream, plan: Optional[TGATPlan] = None):
         """Run one iteration without blocking on the device.
 
-        Host-side work (sampling -- unless a precomputed ``plan`` is given --
+        Host-side work (sampling -- unless a prepared ``plan`` is given --
         plus kernel launches and input transfers) advances the host cursor;
         the attention kernels queue asynchronously on this replica's GPU
         stream.  Returns a :class:`~repro.hw.stream.StreamEvent` recorded on
@@ -250,12 +248,7 @@ class TGAT(DGNNModel):
         once where the blocking :meth:`inference_iteration` would serialize
         them behind a full-machine synchronisation.
         """
-        if self._is_cached_plan(plan):
-            self._cached_forward(batch, plan)
-        elif plan is None and self.cache is not None:
-            self._cached_forward(batch, self.prepare_iteration(batch))
-        else:
-            self._forward(batch, plan=plan)
+        self._forward(batch, plan)
         stream = self.machine.default_stream(self.compute_device)
         return self.machine.record_event(stream, name=f"{self.name}_dispatched")
 
@@ -280,34 +273,82 @@ class TGAT(DGNNModel):
 
     # -- recursive temporal attention -----------------------------------------------
 
-    def _sample(self, nodes: np.ndarray, times: np.ndarray, k: int) -> NeighborhoodSample:
-        """One batched neighbourhood query, fronted by the sample cache.
+    def _forward(self, batch: EventStream, plan: Optional[TGATPlan]) -> Tensor:
+        """One mini-batch forward pass.
 
-        Without an attached cache this is exactly ``self.sampler.sample``;
-        with one, valid cached rows are served and only the miss rows hit
-        the sampler (charging its CPU cost for those rows alone).
+        ``plan=None`` plans the batch first when a cache is attached and
+        samples inline otherwise.  Uncached, embedding and scoring are one
+        taped block (sampling precomputed or not -- see :meth:`_tape_key`).
+        Cached, the miss rows' embedding is the taped block; embedding-store
+        hits are merged in with a device gather, the batch's events then
+        invalidate the entries they touch and the freshly computed rows are
+        inserted at their query event times -- so an entry inserted by its
+        own batch survives, but pre-existing entries of touched nodes die.
+        With zero hits (always the case at staleness 0) the miss rows are
+        the whole batch and the scores are byte-identical to the uncached
+        forward.
         """
-        if self.cache is not None:
-            return self.cache.sample(self.sampler, nodes, times, k)
-        return self.sampler.sample(nodes, times, k)
+        cache = self.cache
+        config = self.config
+        num_events = batch.num_events
+        if cache is None:
+            if plan is None:
+                nodes, times = self._queries(batch)
+                samples = None
+            else:
+                nodes, times, samples = plan.miss_nodes, plan.miss_times, plan.samples
 
-    def _forward(
-        self, batch: EventStream, plan: Optional[Sequence[NeighborhoodSample]] = None
-    ) -> Tensor:
-        """One mini-batch forward pass (sampling inline or from a plan)."""
-        nodes = np.concatenate([batch.src, batch.dst])
-        times = np.concatenate([batch.timestamps, batch.timestamps])
+            def compute() -> Tensor:
+                embeddings = self._embed(
+                    nodes,
+                    times,
+                    layer=config.num_layers,
+                    plan=iter(samples) if samples is not None else None,
+                )
+                return self._score_pairs(embeddings, num_events)
 
-        def compute() -> Tensor:
-            embeddings = self._embed(
-                nodes,
-                times,
-                layer=self.config.num_layers,
-                plan=iter(plan) if plan is not None else None,
+            return self._replayed(self._tape_key("forward", len(nodes), num_events, samples), compute)
+        if plan is None:
+            plan = self.prepare_iteration(batch)
+        miss_emb: Optional[Tensor] = None
+        if plan.miss_nodes.size:
+            miss_emb = self._replayed(
+                self._tape_key("embed", len(plan.miss_nodes), 0, plan.samples),
+                lambda: self._embed(
+                    plan.miss_nodes,
+                    plan.miss_times,
+                    layer=config.num_layers,
+                    plan=iter(plan.samples),
+                ),
             )
-            return self._score_pairs(embeddings, batch.num_events)
-
-        return self._replayed(self._tape_key("forward", len(nodes), batch.num_events, plan), compute)
+        if plan.num_hits == 0:
+            assert miss_emb is not None
+            embeddings = miss_emb
+        else:
+            device = self.compute_device
+            num_rows = plan.num_hits + len(plan.miss_nodes)
+            if self.machine.shape_mode:
+                merged = meta.placeholder((num_rows, config.node_dim))
+            else:
+                merged = np.empty((num_rows, config.node_dim), dtype=np.float32)
+                merged[plan.hit_indices] = plan.hit_rows
+                if miss_emb is not None:
+                    merged[plan.miss_indices] = miss_emb.data
+            with self.machine.region("Others"):
+                # The hit rows are gathered from the device-resident cache
+                # pool into the batch's working tensor.
+                self.machine.launch_kernel(
+                    device,
+                    "cache_embedding_combine",
+                    0.0,
+                    float(merged.nbytes),
+                )
+            embeddings = Tensor(merged, device)
+        scores = self._score_pairs(embeddings, num_events)
+        cache.observe_events(batch)
+        if miss_emb is not None:
+            cache.store_embeddings(plan.miss_nodes, plan.miss_times, miss_emb.data)
+        return scores
 
     def _tape_key(
         self,
@@ -338,64 +379,6 @@ class TGAT(DGNNModel):
         with self.machine.region("Attention Layer"):
             pair = ops.concat([src_emb, dst_emb], axis=-1)
             return ops.sigmoid(self.link_predictor(pair))
-
-    def _cached_forward(self, batch: EventStream, plan) -> Tensor:
-        """One mini-batch forward pass through the serving cache.
-
-        Embedding-store hits are materialised with a device gather (charged
-        by the cache); the miss rows run the ordinary recursive attention
-        over the plan's precomputed samples.  Afterwards the batch's events
-        invalidate the entries they touch and the freshly computed rows are
-        inserted at their query event times -- so an entry inserted by its
-        own batch survives, but pre-existing entries of touched nodes die.
-
-        With zero hits (always the case at staleness 0) the miss subset is
-        the whole batch and the resulting scores are byte-identical to
-        :meth:`_forward`.
-        """
-        cache = self.cache
-        nodes = np.concatenate([batch.src, batch.dst])
-        times = np.concatenate([batch.timestamps, batch.timestamps])
-        config = self.config
-        miss_emb: Optional[Tensor] = None
-        if plan.miss_nodes.size:
-            miss_emb = self._replayed(
-                self._tape_key("embed", len(plan.miss_nodes), 0, plan.samples),
-                lambda: self._embed(
-                    plan.miss_nodes,
-                    plan.miss_times,
-                    layer=config.num_layers,
-                    plan=iter(plan.samples),
-                ),
-            )
-        if plan.num_hits == 0:
-            assert miss_emb is not None
-            embeddings = miss_emb
-        else:
-            device = self.compute_device
-            if self.machine.shape_mode:
-                merged = meta.placeholder((len(nodes), config.node_dim))
-            else:
-                merged = np.empty((len(nodes), config.node_dim), dtype=np.float32)
-                merged[plan.hit_indices] = plan.hit_rows
-                if miss_emb is not None:
-                    merged[plan.miss_indices] = miss_emb.data
-            with self.machine.region("Others"):
-                # The hit rows are gathered from the device-resident cache
-                # pool into the batch's working tensor.
-                self.machine.launch_kernel(
-                    device,
-                    "cache_embedding_combine",
-                    0.0,
-                    float(merged.nbytes),
-                )
-            embeddings = Tensor(merged, device)
-        scores = self._score_pairs(embeddings, batch.num_events)
-        if cache is not None:
-            cache.observe_events(batch)
-            if plan.miss_nodes.size and miss_emb is not None:
-                cache.store_embeddings(plan.miss_nodes, plan.miss_times, miss_emb.data)
-        return scores
 
     def _embed(
         self,

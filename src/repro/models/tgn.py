@@ -20,7 +20,6 @@ gathering), with transfers visible as ``Memory Copy`` unless folded.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
 
 import numpy as np
 
@@ -117,36 +116,17 @@ class TGN(DGNNModel):
 
     # -- batching ------------------------------------------------------------------
 
-    def iteration_batches(
-        self, dataset: Optional[TemporalInteractionDataset] = None, batch_size: Optional[int] = None
-    ) -> Iterator[EventStream]:
-        stream = (dataset or self.dataset).stream
-        yield from stream.iter_batches(batch_size or self.config.batch_size)
-
     def batch_footprint_bytes(self, batch: EventStream) -> int:
         nodes = 2 * batch.num_events
         per_node = (2 * self.config.memory_dim + self.config.embedding_dim) * 4
         neighbors = nodes * self.config.num_neighbors * self.config.memory_dim * 4
         return int(nodes * per_node + neighbors + batch.edge_features.nbytes)
 
-    # -- state ------------------------------------------------------------------------
-
-    def reset_state(self) -> None:
-        """Zero the node memories and last-update clock (fresh inference run)."""
-        self._memory[:] = 0.0
-        self._last_update[:] = 0.0
-
     # -- cache plumbing ----------------------------------------------------------------
 
     @property
     def _memory_row_bytes(self) -> int:
         return self.config.memory_dim * 4
-
-    def _sample(self, nodes: np.ndarray, times: np.ndarray, k: int):
-        """Neighbourhood query, fronted by the sample cache when attached."""
-        if self.cache is not None:
-            return self.cache.sample(self.sampler, nodes, times, k)
-        return self.sampler.sample(nodes, times, k)
 
     def _upload_memory_rows(
         self, host_rows: Tensor, nodes: np.ndarray, times: np.ndarray, name: str

@@ -137,15 +137,11 @@ class Tracer:
         self._node_by_machine: Dict[int, str] = {}
         #: NIC link resource names (for exporter/attribution classification).
         self.nic_resources: set = set()
-        #: Trace ids / parent span the next hardware-layer span (a NIC hop
-        #: recorded by :meth:`Cluster.transfer`) should inherit.
-        self._bound_ids: Tuple[int, ...] = ()
-        self._bound_parent: Optional[int] = None
 
     # -- wiring ------------------------------------------------------------
 
     def attach(self, machine: Any, node: str = "node0") -> "Tracer":
-        """Register one machine under a node name and hook it to this tracer.
+        """Register one machine under a node name.
 
         Requires event recording: slices index into ``machine.events``, and
         the exporter renders the timeline from them.
@@ -155,7 +151,6 @@ class Tracer:
                 "tracing requires record_events=True: spans attribute slices "
                 "of the event log, which record_events=False never materializes"
             )
-        machine.tracer = self
         self._machines[node] = machine
         self._node_by_machine[id(machine)] = node
         return self
@@ -239,46 +234,6 @@ class Tracer:
         end_index = machine.event_cursor()
         if end_index > start_index:
             self.slices.append((span_id, self.node_of(machine), start_index, end_index))
-
-    # -- hardware-layer binding --------------------------------------------
-
-    def bind(self, trace_ids: Tuple[int, ...], parent_id: Optional[int]) -> None:
-        """Declare the request context for spans the hardware layer emits.
-
-        The serving layer brackets :meth:`Cluster.transfer` calls with
-        ``bind``/``unbind`` so the NIC-hop span recorded down in ``hw``
-        lands in the right request tree.
-        """
-        self._bound_ids = trace_ids
-        self._bound_parent = parent_id
-
-    def unbind(self) -> None:
-        self._bound_ids = ()
-        self._bound_parent = None
-
-    def nic_span(
-        self,
-        name: str,
-        start_ms: float,
-        end_ms: float,
-        src_node: int,
-        dst_node: int,
-        nbytes: int,
-        machine: Any,
-    ) -> int:
-        """NIC-transfer span emitted by :meth:`Cluster.transfer` (hw layer)."""
-        return self.span(
-            f"nic:{name}",
-            "nic",
-            start_ms,
-            end_ms,
-            node=self.node_of(machine),
-            trace_ids=self._bound_ids,
-            parent_id=self._bound_parent,
-            src_node=src_node,
-            dst_node=dst_node,
-            bytes=int(nbytes),
-        )
 
     # -- views -------------------------------------------------------------
 

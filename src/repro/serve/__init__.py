@@ -49,7 +49,7 @@ from .autoscale import AutoscaleConfig, Autoscaler
 from .batcher import DynamicBatcher
 from .cluster import ClusterServer, build_cluster_replicas
 from .core import payload_nbytes
-from .fidelity import FULL_FIDELITY, FidelityConfig, FidelityController, make_fidelity_controller
+from .fidelity import FULL_FIDELITY, FidelityConfig, FidelityController
 from .placement import ShardedModel, build_replicas
 from .policy import (
     POLICIES,
@@ -124,7 +124,6 @@ __all__ = [
     "build_server",
     "generate_requests",
     "make_arrival_process",
-    "make_fidelity_controller",
     "make_policy",
     "make_requests",
     "make_router",

@@ -26,7 +26,7 @@ from ..obs.trace import Tracer
 from .autoscale import AutoscaleConfig, Autoscaler
 from .cluster import ClusterServer, build_cluster_replicas
 from .core import ServingCore
-from .fidelity import make_fidelity_controller
+from .fidelity import FidelityController
 from .placement import ShardedModel, build_replicas
 from .policy import applicable_policy_overrides, make_policy
 from .router import make_router
@@ -178,7 +178,7 @@ def build_server(
         **applicable_policy_overrides(policy, batch_timeout_ms=batch_timeout_ms, slo_ms=slo_ms),
     )
     shared = dict(
-        fidelity=make_fidelity_controller() if fidelity else None,
+        fidelity=FidelityController() if fidelity else None,
         backfill_nodes=backfill,
         tracer=tracer,
         metrics=metrics,

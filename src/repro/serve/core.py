@@ -423,16 +423,10 @@ class ServingCore:
                 # front-end pays only the issue overhead, and the remote
                 # host picks the batch up when the payload lands.
                 node_index = self.replica_nodes[target]
-                if span_id is not None:
-                    # Bind the request context so the NIC hop recorded down in
-                    # Cluster.transfer lands in this batch's span tree.
-                    tracer.bind(tuple(r.request_id for r in batch), span_id)
-                nbytes = payload_nbytes(payload)
-                arrival = self.cluster.transfer(
-                    0, front.cpu, node_index, node.cpu, nbytes, name="route_payload"
+                arrival = self._ship(
+                    node_index, node.cpu, payload_nbytes(payload), "route_payload", span_id
                 )
                 if span_id is not None:
-                    tracer.unbind()
                     tracer.record_slice(span_id, front, cursor)
                     cursor = node.event_cursor()
                 self.cluster.sync_node(node_index, arrival)
@@ -671,6 +665,35 @@ class ServingCore:
             if getattr(model, "cache", None) is not None:
                 backfill_embeddings(model, top_k=self.backfill_nodes)
 
+    def _ship(
+        self, node_index: int, dst: Any, nbytes: int, name: str, span_id: Optional[int] = None
+    ) -> float:
+        """Ship ``nbytes`` from the front-end host to ``dst`` on node ``node_index``.
+
+        Returns the arrival time.  Traced, a payload that crosses a NIC is
+        one ``nic:<name>`` span from issue to arrival on the front-end
+        track, a child of service span ``span_id`` carrying its trace ids
+        (a spin-up's weight transfer has neither).
+        """
+        front = self.machine
+        issue_ms = front.host_time_ms
+        arrival = self.cluster.transfer(0, front.cpu, node_index, dst, nbytes, name=name)
+        tracer = self.tracer
+        if tracer is not None and node_index != 0:
+            tracer.span(
+                f"nic:{name}",
+                "nic",
+                issue_ms,
+                arrival,
+                node=tracer.node_of(front),
+                trace_ids=tracer.get_span(span_id).trace_ids if span_id is not None else (),
+                parent_id=span_id,
+                src_node=0,
+                dst_node=node_index,
+                bytes=int(nbytes),
+            )
+        return arrival
+
     def _instant(self, name: str, category: str, ts_ms: float, **attrs: Any) -> None:
         """Record a point event on the front-end node's track."""
         node = self.tracer.node_of(self.machine)
@@ -698,13 +721,8 @@ class ServingCore:
         nbytes = 0
         if callable(getattr(replica, "param_bytes", None)):
             nbytes = int(replica.param_bytes())
-        arrival = self.cluster.transfer(
-            0,
-            self.machine.cpu,
-            node_index,
-            device if device.is_gpu else node.cpu,
-            max(nbytes, 1),
-            name="weight_transfer",
+        arrival = self._ship(
+            node_index, device if device.is_gpu else node.cpu, max(nbytes, 1), "weight_transfer"
         )
         ready_ms = arrival
         # Re-warm the flushed cache as part of the cold start: the replica

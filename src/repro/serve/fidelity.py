@@ -42,7 +42,7 @@ byte-identical serving*) and a regression test pin that down.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 #: Debt weights: one degraded request at lever ``n`` costs this many points.
 #: Forced stale answers are the most visible quality loss, hence the spread.
@@ -251,28 +251,3 @@ class FidelityController:
             "staleness_scale": self.config.staleness_scale,
         }
 
-
-def make_fidelity_controller(
-    enabled: bool = True,
-    fanout_scale: Optional[float] = None,
-    staleness_scale: Optional[float] = None,
-    recovery_batches: Optional[int] = None,
-) -> Optional[FidelityController]:
-    """CLI/experiment helper: a controller from flag-style overrides.
-
-    Returns ``None`` when ``enabled`` is false so callers can thread the
-    result straight into ``InferenceServer(fidelity=...)``.
-    """
-    if not enabled:
-        return None
-    defaults = FidelityConfig()
-    config = FidelityConfig(
-        fanout_scale=fanout_scale if fanout_scale is not None else defaults.fanout_scale,
-        staleness_scale=(
-            staleness_scale if staleness_scale is not None else defaults.staleness_scale
-        ),
-        recovery_batches=(
-            recovery_batches if recovery_batches is not None else defaults.recovery_batches
-        ),
-    )
-    return FidelityController(config=config)

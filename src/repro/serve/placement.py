@@ -208,21 +208,19 @@ class ShardedModel:
                 continue
             cache.invalidate_nodes(np.unique(np.concatenate(remote)).tolist())
 
-    def _charge_cross_shard_gathers(self, shard: int, plan: Sequence[Any]) -> None:
+    def _charge_cross_shard_gathers(self, shard: int, plan: Any) -> None:
         """Charge remote neighbour-feature reads to the interconnect.
 
-        Every sampled neighbour whose owner is another shard costs one
-        ``row_bytes`` row over the ``owner -> shard`` route before this
-        shard's compute can run.  Cache-served rows (a
-        :class:`~repro.cache.CachedPlan` whose hit nodes have no samples)
-        need no gather: their neighbour features were fetched when the
-        entry was populated.
+        Every sampled neighbour in ``plan.samples`` whose owner is another
+        shard costs one ``row_bytes`` row over the ``owner -> shard`` route
+        before this shard's compute can run.  Cache-served rows (hit nodes
+        have no samples) need no gather: their neighbour features were
+        fetched when the entry was populated.
         """
         machine = self.machine
         device = self.replicas[shard].compute_device
-        samples = plan.samples if hasattr(plan, "samples") else plan
         remote_rows = np.zeros(self.partition.num_shards, dtype=np.int64)
-        for sample in samples:
+        for sample in plan.samples:
             ids = sample.neighbor_ids[sample.mask.astype(bool)]
             if ids.size == 0:
                 continue

@@ -491,14 +491,3 @@ def spmm(adjacency: Tensor, x: Tensor, nnz: Optional[int] = None) -> Tensor:
     traffic = costs.ITEMSIZE * (non_zeros * 2 + non_zeros * feature_dim + _prod(out_shape)) * 2.0
     _launch(machine, device, "spmm", flops, traffic)
     return Tensor(result, device)
-
-
-def dropout_mask_identity(x: Tensor) -> Tensor:
-    """Inference-time dropout: identity, but charged one elementwise pass.
-
-    Several of the profiled models keep dropout layers in their inference
-    graphs; PyTorch still launches a (cheap) kernel for them in eval mode.
-    """
-    flops, traffic = costs.elementwise_cost(x.shape, n_inputs=1)
-    _record(x.device, "dropout_eval", flops, traffic)
-    return Tensor(x.data, x.device)

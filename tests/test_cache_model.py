@@ -7,13 +7,14 @@ staleness TGAT outputs are approximations (that is the point), while TGN
 memory-row hits never change numerics at all (values are exact copies).
 """
 
+from itertools import islice
+
 import numpy as np
 import pytest
 
 from repro.cache import ModelCache, make_model_cache
 from repro.datasets import load
 from repro.hw import Machine
-from repro.models.jodie import JODIE, JODIEConfig
 from repro.models.ldg import LDG
 from repro.models.tgat import TGAT, TGATConfig
 from repro.models.tgn import TGN, TGNConfig
@@ -77,7 +78,7 @@ def test_tgat_staleness_zero_is_byte_identical(dataset):
 
 
 def test_tgat_overlap_protocol_staleness_zero_is_byte_identical(dataset):
-    """prepare/compute with a CachedPlan reproduces the plain plan bytewise."""
+    """prepare/compute through the cache reproduces the uncached plan bytewise."""
     machine_a = Machine.cpu_gpu()
     machine_b = Machine.cpu_gpu()
     config = TGATConfig(num_neighbors=5, batch_size=32, seed=0)
@@ -155,105 +156,22 @@ def test_tgn_warm_cache_shrinks_memory_row_transfers(dataset):
     assert memory_row_bytes(cached.machine) == memory_row_bytes(uncached.machine) - hit_bytes
 
 
-def run_jodie(dataset, cache_kwargs, batches=12):
-    machine = Machine.cpu_gpu()
-    with machine.activate():
-        model = JODIE(machine, dataset, JODIEConfig(embedding_dim=32, seed=2))
-        if cache_kwargs is not None:
-            make_model_cache(model, **cache_kwargs)
-        outputs = []
-        for index, batch in enumerate(model.iteration_batches()):
-            if index == 0:
-                model.warm_up(batch)
-            outputs.append(model.inference_iteration(batch).data.copy())
-            if index + 1 >= batches:
-                break
-    return (outputs, model)
-
-
-def test_jodie_cached_numerics_identical_at_any_staleness(dataset):
-    """JODIE state-row hits skip transfers only: values are exact copies."""
-    base_outputs, _ = run_jodie(dataset, None)
-    for staleness in (0.0, 1e12):
-        cached_outputs, model = run_jodie(
-            dataset, dict(policy="lru", capacity_mb=8.0, staleness_ms=staleness)
-        )
-        for base, cached in zip(base_outputs, cached_outputs):
-            assert np.array_equal(base, cached)
-        stats = model.cache_stats()
-        assert stats["lookups"] > 0
-        if staleness > 0:
-            assert stats["by_kind"]["memory"]["hits"] > 0
-        else:
-            assert stats["hits"] == 0  # staleness 0 admits no hit at all
-
-
-def test_jodie_staleness_zero_matches_uncached_timeline(dataset):
-    """At staleness 0 the cached machine replays the uncached transfer
-    traffic exactly: every row misses, so byte totals match."""
-
-    def state_row_bytes(machine):
-        return sum(
-            event.bytes
-            for event in machine.events
-            if event.kind == "transfer"
-            and event.name in ("user_embeddings", "item_embeddings")
-        )
-
-    _, uncached = run_jodie(dataset, None)
-    _, cold = run_jodie(dataset, dict(policy="lru", capacity_mb=8.0, staleness_ms=0.0))
-    assert state_row_bytes(cold.machine) == state_row_bytes(uncached.machine)
-
-
-def test_jodie_warm_cache_shrinks_state_row_transfers(dataset):
-    def state_row_bytes(machine):
-        return sum(
-            event.bytes
-            for event in machine.events
-            if event.kind == "transfer"
-            and event.name in ("user_embeddings", "item_embeddings")
-        )
-
-    _, uncached = run_jodie(dataset, None)
-    _, cached = run_jodie(dataset, dict(policy="lru", capacity_mb=32.0, staleness_ms=1e12))
-    hit_bytes = cached.cache.memory.stats.hits * cached._state_row_bytes
-    assert hit_bytes > 0
-    assert state_row_bytes(cached.machine) == state_row_bytes(uncached.machine) - hit_bytes
-
-
-def test_jodie_users_and_items_share_the_store_without_collisions(dataset):
-    """Items are keyed by their global (num_users-offset) id, so a user and
-    an item with the same raw index occupy distinct entries."""
-    _, model = run_jodie(dataset, dict(policy="lru", capacity_mb=32.0, staleness_ms=1e12))
-    store = model.cache.memory
-    user_keys = {k for k in store._entries if k < dataset.num_users}
-    item_keys = {k for k in store._entries if k >= dataset.num_users}
-    assert user_keys and item_keys
-
-
 def test_cache_flush_forces_cold_misses(dataset):
     """flush() (the autoscaler's spin-down hook) drops every entry: the next
-    t-batch re-misses rows that were registered before the flush."""
-    machine = Machine.cpu_gpu()
-    with machine.activate():
-        model = JODIE(machine, dataset, JODIEConfig(embedding_dim=32, seed=2))
-        make_model_cache(model, policy="lru", capacity_mb=32.0, staleness_ms=1e12)
-        batches = []
-        for index, batch in enumerate(model.iteration_batches()):
-            if index == 0:
-                model.warm_up(batch)
-            model.inference_iteration(batch)
-            batches.append(batch)
-            if index + 1 >= 4:
-                break
-        store = model.cache.memory
+    batch re-misses embedding rows that were registered before the flush."""
+    _, model = run_tgat(dataset, dict(policy="lru", capacity_mb=32.0, staleness_ms=1e12))
+    cache = model.cache
+    store = cache.embeddings
+    last = list(islice(model.iteration_batches(), 4))[-1]
+    with model.machine.activate():
         assert len(store._entries) > 0
-        dropped = model.cache.flush()
-        assert dropped == store.stats.invalidations >= 1
-        assert len(store._entries) == 0
+        before = cache.stats()["invalidations"]
+        dropped = cache.flush()
+        assert dropped == cache.stats()["invalidations"] - before >= 1
+        assert all(len(cache.store(kind)._entries) == 0 for kind in cache.kinds)
         hits_before = store.stats.hits
-        model.inference_iteration(batches[-1])
-        # The replayed batch's rows were all flushed: no hit survives.
+        model.inference_iteration(last)
+        # The replayed batch's rows were all flushed: no embedding hit survives.
         assert store.stats.hits == hits_before
 
 

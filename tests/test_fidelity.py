@@ -15,7 +15,6 @@ from repro.serve import (
     PoissonProcess,
     applicable_policy_overrides,
     generate_requests,
-    make_fidelity_controller,
     make_policy,
 )
 
@@ -133,7 +132,6 @@ class TestDebtConservation:
             FidelityConfig(staleness_scale=0.5)
         with pytest.raises(ValueError):
             FidelityConfig(recovery_batches=0)
-        assert make_fidelity_controller(enabled=False) is None
 
 
 # -- end-to-end ---------------------------------------------------------------
@@ -155,7 +153,7 @@ def _serve(dataset, rate, fidelity, cached=False, duration_ms=60.0):
         dataset.stream, PoissonProcess(rate, seed=7),
         duration_ms=duration_ms, events_per_request=1, slo_ms=20.0,
     )
-    controller = make_fidelity_controller() if fidelity else None
+    controller = FidelityController() if fidelity else None
     server = InferenceServer(model, policy, fidelity=controller)
     report = server.serve(requests, label="fidelity-test", arrival_name="poisson")
     return machine, report
@@ -196,7 +194,7 @@ class TestServingIntegration:
             model = TGAT(machine, tiny_wikipedia, config)
         policy = make_policy("fifo", max_batch_size=8)
         with pytest.raises(TypeError, match="slo"):
-            InferenceServer(model, policy, fidelity=make_fidelity_controller())
+            InferenceServer(model, policy, fidelity=FidelityController())
 
 
 # -- backfill -----------------------------------------------------------------

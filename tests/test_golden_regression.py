@@ -44,6 +44,7 @@ from repro.serve import (
     AutoscaleConfig,
     Autoscaler,
     ClusterServer,
+    FidelityController,
     InferenceServer,
     ScaleOutServer,
     ShardedModel,
@@ -51,7 +52,6 @@ from repro.serve import (
     build_replicas,
     generate_requests,
     make_arrival_process,
-    make_fidelity_controller,
     make_policy,
     make_router,
 )
@@ -176,7 +176,7 @@ def _single_case(overlap=False, cached=False, fidelity=False, shard=False):
             model,
             policy,
             overlap=overlap,
-            fidelity=make_fidelity_controller() if fidelity else None,
+            fidelity=FidelityController() if fidelity else None,
             tracer=tracer,
             metrics=metrics,
         )
@@ -248,7 +248,7 @@ def _cluster_case(name, cached=False, fidelity=False, backfill=0, autoscale=Fals
             policy,
             make_router("least-latency", len(replicas)),
             autoscaler=autoscaler,
-            fidelity=make_fidelity_controller() if fidelity else None,
+            fidelity=FidelityController() if fidelity else None,
             backfill_nodes=backfill,
             tracer=tracer,
             metrics=metrics,

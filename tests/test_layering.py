@@ -16,6 +16,10 @@
   ``memory_run``), and a stream is reserved only by the scalar and the run
   primitive.  ``repro.cache`` sits on top of that seam: it names neither
   ``Event`` nor a device's memory pool.
+* One model contract: every ``iteration_batches`` takes only ``self``, the
+  event-stream body and the cache-fronted ``_sample`` live once in
+  ``DGNNModel``, TGAT has one plan type (``TGATPlan``) and one planned
+  forward, and no ``hw`` file names the tracer.
 """
 
 import ast
@@ -199,3 +203,57 @@ def test_the_cache_reaches_memory_only_through_the_machine():
     assert touches == set()
     for path in _files(os.path.join(PACKAGE_ROOT, "cache"), ".py"):
         assert not any(module.endswith(".Event") for module in _imported_modules(path)), path
+
+
+def test_no_iteration_batches_takes_a_parameter_besides_self():
+    offenders = []
+    for path, owner, name, function in _package_functions("models"):
+        arguments = function.args
+        if name == "iteration_batches" and (
+            [arg.arg for arg in arguments.posonlyargs + arguments.args] != ["self"]
+            or arguments.vararg or arguments.kwonlyargs or arguments.kwarg
+        ):
+            offenders.append(f"{os.path.basename(path)}: {owner}.{name}")
+    assert not offenders, offenders
+
+
+def test_sampling_and_event_stream_batching_are_defined_once_in_the_base_model():
+    samplers = {
+        f"{os.path.basename(path)}: {owner}.{name}"
+        for path, owner, name, _ in _package_functions("models")
+        if name == "_sample"
+    }
+    assert samplers == {"base.py: DGNNModel._sample"}
+    batchers = {
+        f"{os.path.basename(path)}: {owner}.{name}"
+        for path, owner, name, function in _package_functions("models")
+        if name == "iteration_batches"
+        and any(
+            isinstance(node, ast.Attribute) and node.attr == "iter_batches"
+            for node in ast.walk(function)
+        )
+    }
+    assert batchers == {"base.py: DGNNModel.iteration_batches"}
+
+
+def test_tgat_has_one_plan_type_and_one_planned_forward():
+    plans = {
+        f"{os.path.relpath(path, PACKAGE_ROOT)}: {node.name}"
+        for path in _files(PACKAGE_ROOT, ".py")
+        for node in ast.walk(ast.parse(_read(path)))
+        if isinstance(node, ast.ClassDef) and node.name.endswith("Plan")
+    }
+    assert plans == {os.path.join("models", "tgat.py") + ": TGATPlan"}
+    tgat = {name for _, owner, name, _ in _package_functions("models") if owner == "TGAT"}
+    assert "_forward" in tgat
+    assert not tgat & {"_prepare_cached", "_is_cached_plan", "_cached_forward"}
+
+
+def test_no_hw_file_names_the_tracer():
+    """Spans are the serving layer's business: ``hw`` carries no tracer hook."""
+    named = [
+        os.path.relpath(path, REPO_ROOT)
+        for path in _files(os.path.join(PACKAGE_ROOT, "hw"), ".py")
+        if re.search("tracer", _read(path), re.IGNORECASE)
+    ]
+    assert not named, named
