@@ -33,10 +33,9 @@ from .policy import (
     available_eviction_policies,
     make_eviction_policy,
 )
-from .store import CacheCostModel, CacheStats, DeviceResidentCache
+from .store import CacheStats, DeviceResidentCache
 
 __all__ = [
-    "CacheCostModel",
     "CacheStats",
     "DegreeWeightedPolicy",
     "DeviceResidentCache",

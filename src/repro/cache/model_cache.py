@@ -45,7 +45,6 @@ from .policy import make_eviction_policy
 from .store import (
     COUNTER_FIELDS,
     SUMMED_COUNTERS,
-    CacheCostModel,
     CacheStats,
     DeviceResidentCache,
 )
@@ -65,7 +64,6 @@ class ModelCache:
         policy: Eviction policy name (one fresh instance per store).
         capacity_mb: Total byte budget, split equally across the stores.
         staleness_ms: Event-time staleness bound (strict; 0 disables hits).
-        cost_model: Machine-clock cost parameters shared by the stores.
         degree_of: Optional ``node -> temporal degree`` callable (the
             degree-weighted policy's insert weight).
     """
@@ -78,7 +76,6 @@ class ModelCache:
         policy: str = "lru",
         capacity_mb: float = 64.0,
         staleness_ms: float = 0.0,
-        cost_model: Optional[CacheCostModel] = None,
         degree_of: Optional[Callable[[int], float]] = None,
     ) -> None:
         kinds = tuple(kinds)
@@ -94,7 +91,6 @@ class ModelCache:
         self.policy_name = policy
         self.capacity_mb = float(capacity_mb)
         self.staleness_ms = float(staleness_ms)
-        self.cost = cost_model if cost_model is not None else CacheCostModel()
         per_store = int(capacity_mb * 1e6 / len(kinds))
         self._stores: Dict[str, DeviceResidentCache] = {}
         for kind in kinds:
@@ -106,7 +102,6 @@ class ModelCache:
                 make_eviction_policy(policy),
                 per_store,
                 staleness_ms,
-                cost_model=self.cost,
                 weight_of=degree_of,
             )
 
@@ -436,7 +431,6 @@ def make_model_cache(
     policy: str = "lru",
     capacity_mb: float = 64.0,
     staleness_ms: float = 0.0,
-    cost_model: Optional[CacheCostModel] = None,
 ) -> ModelCache:
     """Build a :class:`ModelCache` for ``model`` and attach it.
 
@@ -467,7 +461,6 @@ def make_model_cache(
         policy=policy,
         capacity_mb=capacity_mb,
         staleness_ms=staleness_ms,
-        cost_model=cost_model,
         degree_of=degree_of,
     )
     model.attach_cache(cache)

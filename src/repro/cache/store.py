@@ -38,12 +38,13 @@ class CacheCostModel:
     for the row payloads.  All costs are charged through the owning
     :class:`~repro.hw.machine.Machine`, so they land on whatever stream is
     current -- synchronous on the blocking path, asynchronous inside a named
-    worker stream (the overlap server's prepare phase).
+    worker stream (the overlap server's prepare phase).  The costs are
+    class constants, not fields: the table is calibrated, not configured.
     """
 
-    probe_us_per_key: float = 0.08
-    insert_us_per_key: float = 0.12
-    invalidate_us_per_key: float = 0.04
+    probe_us_per_key = 0.08
+    insert_us_per_key = 0.12
+    invalidate_us_per_key = 0.04
 
     def probe_ms(self, keys: int) -> float:
         return keys * self.probe_us_per_key * 1e-3
@@ -53,6 +54,10 @@ class CacheCostModel:
 
     def invalidate_ms(self, keys: int) -> float:
         return keys * self.invalidate_us_per_key * 1e-3
+
+
+#: The one cost table every cache store charges by.
+CACHE_COST = CacheCostModel()
 
 
 @dataclass
@@ -155,7 +160,6 @@ class DeviceResidentCache:
             new entry fits; a single entry larger than the budget is
             rejected outright (counted as an eviction-less miss).
         staleness_ms: Event-time staleness bound (strict).
-        cost_model: Machine-clock cost parameters.
         weight_of: Optional ``key -> weight`` callable consulted on insert
             when the policy reads weights (the degree-weighted policy's
             recompute-cost proxy).
@@ -169,7 +173,6 @@ class DeviceResidentCache:
         policy: EvictionPolicy,
         capacity_bytes: int,
         staleness_ms: float,
-        cost_model: Optional[CacheCostModel] = None,
         weight_of: Optional[Any] = None,
     ) -> None:
         if capacity_bytes <= 0:
@@ -182,7 +185,6 @@ class DeviceResidentCache:
         self.policy = policy
         self.capacity_bytes = int(capacity_bytes)
         self.staleness_ms = float(staleness_ms)
-        self.cost = cost_model if cost_model is not None else CacheCostModel()
         self.weight_of = weight_of
         self.stats = CacheStats()
         self._entries: Dict[Any, _Entry] = {}
@@ -414,9 +416,9 @@ class DeviceResidentCache:
         machine = self.machine
         suffix = f"_{label}" if label else ""
         admin_ms = (
-            self.cost.probe_ms(ledger.probed_keys)
-            + self.cost.insert_ms(ledger.inserted_keys)
-            + self.cost.invalidate_ms(ledger.invalidated_keys)
+            CACHE_COST.probe_ms(ledger.probed_keys)
+            + CACHE_COST.insert_ms(ledger.inserted_keys)
+            + CACHE_COST.invalidate_ms(ledger.invalidated_keys)
         )
         if admin_ms > 0.0:
             machine.host_work(f"cache_{self.kind}_admin{suffix}", admin_ms)
@@ -435,12 +437,3 @@ class DeviceResidentCache:
                 float(ledger.inserted_bytes),
             )
         self._ledger = _ChargeLedger()
-
-    # -- introspection -----------------------------------------------------
-
-    def entry_age_ms(self, key: Any, now_event_ms: float) -> Optional[float]:
-        """Age of a live entry at ``now_event_ms`` (``None`` when absent)."""
-        entry = self._entries.get(key)
-        if entry is None:
-            return None
-        return now_event_ms - entry.event_ms

@@ -12,7 +12,6 @@
 
 from .bottlenecks import (
     WORKLOAD_IMBALANCE,
-    BottleneckThresholds,
     analyze_profile,
     detect_data_movement,
     detect_gpu_warmup,
@@ -31,7 +30,6 @@ from .utilization import (
 
 __all__ = [
     "Breakdown",
-    "BottleneckThresholds",
     "DeviceSnapshot",
     "LatencySummary",
     "MEMORY_COPY",

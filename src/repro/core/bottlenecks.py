@@ -18,7 +18,7 @@ a severity in [0, 1], the supporting evidence, and a human-readable finding.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from ..hw.events import KERNEL
 from .breakdown import MEMORY_COPY, Breakdown, compute_breakdown
@@ -49,28 +49,25 @@ class BottleneckFinding:
         return row
 
 
-@dataclass(frozen=True)
-class BottleneckThresholds:
-    """Detection thresholds.
+# Detection thresholds: the paper's qualitative statements, held as
+# constants.  Utilization below ~10% signals dependency-bound execution,
+# preprocessing above ~40% of an iteration signals imbalance, transfers above
+# ~30% signal a data-movement problem, and warm-up above ~20% of GPU working
+# time signals a warm-up problem.
+LOW_GPU_UTILIZATION = 0.10
+SMALL_KERNEL_MS = 0.05
+HOST_PREPROCESSING_SHARE = 0.40
+CPU_BUSY_GPU_IDLE = 0.35
+TRANSFER_SHARE = 0.30
+WARMUP_SHARE = 0.20
 
-    The defaults encode the paper's qualitative statements: utilization below
-    ~10% signals dependency-bound execution, preprocessing above ~40% of an
-    iteration signals imbalance, transfers above ~30% signal a data-movement
-    problem, and warm-up above ~20% of GPU working time (or several iterations
-    worth) signals a warm-up problem.
-    """
-
-    low_gpu_utilization: float = 0.10
-    small_kernel_ms: float = 0.05
-    host_preprocessing_share: float = 0.40
-    cpu_busy_gpu_idle: float = 0.35
-    transfer_share: float = 0.30
-    warmup_share: float = 0.20
+#: Breakdown labels counted as host-side preprocessing.
+PREPROCESSING_LABELS = (
+    "Sampling (CPU)", "Sampling", "top-k", "Create T-batch", "Load Embedding", "Data Loading",
+)
 
 
-def detect_temporal_dependency(
-    profile: Profile, thresholds: BottleneckThresholds = BottleneckThresholds()
-) -> BottleneckFinding:
+def detect_temporal_dependency(profile: Profile) -> BottleneckFinding:
     """Low GPU utilization caused by many small serialized kernels."""
     gpu = profile.device("gpu")
     if gpu is None:
@@ -81,9 +78,9 @@ def detect_temporal_dependency(
     utilization = profile.gpu_utilization(include_warmup=False)
     mean_kernel = profile.mean_kernel_ms("gpu")
     kernel_count = profile.kernel_count("gpu")
-    small_kernels = mean_kernel <= thresholds.small_kernel_ms
-    low_util = utilization <= thresholds.low_gpu_utilization
-    severity = max(0.0, min(1.0, 1.0 - utilization / max(thresholds.low_gpu_utilization, 1e-9)))
+    small_kernels = mean_kernel <= SMALL_KERNEL_MS
+    low_util = utilization <= LOW_GPU_UTILIZATION
+    severity = max(0.0, min(1.0, 1.0 - utilization / LOW_GPU_UTILIZATION))
     if not small_kernels:
         severity *= 0.5
     detected = low_util and kernel_count > 0
@@ -104,12 +101,7 @@ def detect_temporal_dependency(
 
 
 def detect_workload_imbalance(
-    profile: Profile,
-    thresholds: BottleneckThresholds = BottleneckThresholds(),
-    preprocessing_labels: Sequence[str] = ("Sampling (CPU)", "Sampling", "top-k",
-                                           "Create T-batch", "Load Embedding",
-                                           "Data Loading"),
-    breakdown: Optional[Breakdown] = None,
+    profile: Profile, breakdown: Optional[Breakdown] = None
 ) -> BottleneckFinding:
     """CPU-side preprocessing occupying the host while the GPU waits.
 
@@ -118,13 +110,13 @@ def detect_workload_imbalance(
     """
     if breakdown is None:
         breakdown = compute_breakdown(profile)
-    preprocessing_ms = sum(breakdown.time_ms(label) for label in preprocessing_labels)
+    preprocessing_ms = sum(breakdown.time_ms(label) for label in PREPROCESSING_LABELS)
     share = preprocessing_ms / breakdown.total_ms if breakdown.total_ms > 0 else 0.0
     starvation = cpu_busy_gpu_idle_fraction(profile)
-    severity = max(0.0, min(1.0, 0.6 * share / max(thresholds.host_preprocessing_share, 1e-9)
-                            + 0.4 * starvation / max(thresholds.cpu_busy_gpu_idle, 1e-9)))
-    detected = share >= thresholds.host_preprocessing_share or (
-        starvation >= thresholds.cpu_busy_gpu_idle and profile.device("gpu") is not None
+    severity = max(0.0, min(1.0, 0.6 * share / HOST_PREPROCESSING_SHARE
+                            + 0.4 * starvation / CPU_BUSY_GPU_IDLE))
+    detected = share >= HOST_PREPROCESSING_SHARE or (
+        starvation >= CPU_BUSY_GPU_IDLE and profile.device("gpu") is not None
     )
     description = (
         f"Host-side preprocessing (sampling/batching) takes {share * 100:.1f}% of the "
@@ -139,9 +131,7 @@ def detect_workload_imbalance(
 
 
 def detect_data_movement(
-    profile: Profile,
-    thresholds: BottleneckThresholds = BottleneckThresholds(),
-    breakdown: Optional[Breakdown] = None,
+    profile: Profile, breakdown: Optional[Breakdown] = None
 ) -> BottleneckFinding:
     """CPU<->GPU transfer time dominating the iteration.
 
@@ -152,8 +142,8 @@ def detect_data_movement(
     transfer_ms = breakdown.time_ms(MEMORY_COPY)
     share = transfer_ms / breakdown.total_ms if breakdown.total_ms > 0 else 0.0
     transfer_bytes = profile.transfer_bytes()
-    severity = max(0.0, min(1.0, share / max(thresholds.transfer_share, 1e-9)))
-    detected = share >= thresholds.transfer_share
+    severity = max(0.0, min(1.0, share / TRANSFER_SHARE))
+    detected = share >= TRANSFER_SHARE
     description = (
         f"Host<->device copies move {transfer_bytes / 1e6:.2f} MB and take "
         f"{share * 100:.1f}% of the iteration."
@@ -165,11 +155,7 @@ def detect_data_movement(
     )
 
 
-def detect_gpu_warmup(
-    profile: Profile,
-    thresholds: BottleneckThresholds = BottleneckThresholds(),
-    iteration_ms: Optional[float] = None,
-) -> BottleneckFinding:
+def detect_gpu_warmup(profile: Profile) -> BottleneckFinding:
     """Warm-up (context init, weight upload, allocation) rivaling computation."""
     warmup_ms = profile.warmup_ms()
     gpu = profile.device("gpu")
@@ -182,10 +168,8 @@ def detect_gpu_warmup(
     total = warmup_ms + gpu_work_ms
     share = warmup_ms / total if total > 0 else 0.0
     evidence = {"warmup_ms": warmup_ms, "warmup_share": share}
-    if iteration_ms is not None and iteration_ms > 0:
-        evidence["warmup_per_iteration"] = warmup_ms / iteration_ms
-    severity = max(0.0, min(1.0, share / max(thresholds.warmup_share, 1e-9)))
-    detected = share >= thresholds.warmup_share and warmup_ms > 0
+    severity = max(0.0, min(1.0, share / WARMUP_SHARE))
+    detected = share >= WARMUP_SHARE and warmup_ms > 0
     description = (
         f"GPU warm-up takes {warmup_ms:.1f} ms, {share * 100:.1f}% of the GPU working "
         "time in this window."
@@ -226,18 +210,14 @@ class BottleneckReport:
         return "\n".join(lines)
 
 
-def analyze_profile(
-    profile: Profile,
-    thresholds: BottleneckThresholds = BottleneckThresholds(),
-    iteration_ms: Optional[float] = None,
-) -> BottleneckReport:
+def analyze_profile(profile: Profile) -> BottleneckReport:
     """Run all four detectors on one profile and rank the findings."""
     breakdown = compute_breakdown(profile)
     findings = [
-        detect_temporal_dependency(profile, thresholds),
-        detect_workload_imbalance(profile, thresholds, breakdown=breakdown),
-        detect_data_movement(profile, thresholds, breakdown=breakdown),
-        detect_gpu_warmup(profile, thresholds, iteration_ms=iteration_ms),
+        detect_temporal_dependency(profile),
+        detect_workload_imbalance(profile, breakdown=breakdown),
+        detect_data_movement(profile, breakdown=breakdown),
+        detect_gpu_warmup(profile),
     ]
     findings.sort(key=lambda f: -f.severity)
     return BottleneckReport(findings=tuple(findings), profile_label=profile.label)

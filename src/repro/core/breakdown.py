@@ -13,13 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..hw.events import KERNEL, SYNC, TRANSFER, WARMUP, Event
+from ..hw.events import KERNEL, SYNC, TRANSFER, Event
 from .profiler import Profile
 
 #: Canonical labels used for implicit categories.
 MEMORY_COPY = "Memory Copy"
 CUDA_SYNC = "Cuda Synchronization"
-WARMUP_LABEL = "GPU Warm-up"
 OTHER = "Other"
 
 
@@ -94,87 +93,47 @@ class Breakdown:
         return "\n".join(lines)
 
 
-def _classify(
-    event: Event, region_depth: Optional[int], fold_transfers: bool = False
-) -> Optional[str]:
-    """Map one event to a breakdown label (None to ignore it)."""
+def _classify(event: Event, fold_transfers: bool) -> Optional[str]:
+    """Map one event to its breakdown label (None to ignore it).
+
+    Kernels take their innermost region label, which is what the paper's
+    module-level bars correspond to; warm-up events are not part of an
+    iteration and are ignored.
+    """
     if event.kind == TRANSFER:
         if fold_transfers and event.region:
             return event.innermost_region
         return MEMORY_COPY
     if event.kind == SYNC:
         return CUDA_SYNC if event.duration_ms > 0 else None
-    if event.kind == WARMUP:
-        return WARMUP_LABEL
     if event.kind == KERNEL:
-        if not event.region:
-            return OTHER
-        if region_depth is None:
-            return event.innermost_region
-        index = min(region_depth, len(event.region) - 1)
-        return event.region[index]
+        return event.innermost_region if event.region else OTHER
     return None
 
 
-def compute_breakdown(
-    profile: Profile,
-    region_depth: Optional[int] = None,
-    include_warmup: bool = False,
-    merge_below_fraction: float = 0.0,
-    fold_transfers: bool = False,
-    stream: Optional[str] = None,
-) -> Breakdown:
+def compute_breakdown(profile: Profile, fold_transfers: bool = False) -> Breakdown:
     """Aggregate a profile into a per-module breakdown.
 
     Args:
         profile: The captured window.
-        region_depth: Use the region label at this depth of the annotation
-            stack (``None`` means the innermost label, which is what the
-            paper's module-level bars correspond to).
-        include_warmup: Whether to include GPU warm-up events as a row.
-        merge_below_fraction: Merge modules below this share into ``Other``.
         fold_transfers: Attribute host<->device copies to their enclosing
             region instead of the separate "Memory Copy" row (used for models
             whose published breakdown folds transfers into the module that
             triggered them, e.g. TGN's message passing).
-        stream: Restrict the breakdown to events issued on one named
-            execution stream (any resource), attributing module time per
-            queue of an overlapped schedule.  ``None`` aggregates everything.
     """
     times: Dict[str, float] = {}
     counts: Dict[str, int] = {}
-    order: List[str] = []
     for event in profile.events:
-        if stream is not None and event.stream != stream:
-            continue
-        label = _classify(event, region_depth, fold_transfers=fold_transfers)
+        label = _classify(event, fold_transfers)
         if label is None:
-            continue
-        if label == WARMUP_LABEL and not include_warmup:
             continue
         if label not in times:
             times[label] = 0.0
             counts[label] = 0
-            order.append(label)
         times[label] += event.duration_ms
         counts[label] += 1 if event.kind == KERNEL else 0
 
     total = sum(times.values())
-    if merge_below_fraction > 0.0 and total > 0.0:
-        merged_order: List[str] = []
-        merged_times: Dict[str, float] = {}
-        merged_counts: Dict[str, int] = {}
-        for label in order:
-            share = times[label] / total
-            target = label if share >= merge_below_fraction or label == OTHER else OTHER
-            if target not in merged_times:
-                merged_times[target] = 0.0
-                merged_counts[target] = 0
-                merged_order.append(target)
-            merged_times[target] += times[label]
-            merged_counts[target] += counts[label]
-        order, times, counts = (merged_order, merged_times, merged_counts)
-
     entries = tuple(
         BreakdownEntry(
             label=label,
@@ -182,7 +141,7 @@ def compute_breakdown(
             fraction=(times[label] / total) if total > 0 else 0.0,
             kernel_count=counts[label],
         )
-        for label in sorted(order, key=lambda l: -times[l])
+        for label in sorted(times, key=lambda l: -times[l])
     )
     return Breakdown(
         entries=entries,

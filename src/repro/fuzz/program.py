@@ -43,7 +43,7 @@ from types import SimpleNamespace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..cache.policy import make_eviction_policy
-from ..cache.store import DeviceResidentCache
+from ..cache.store import CACHE_COST, DeviceResidentCache
 from ..hw.cluster import Cluster
 from ..hw.events import Event
 from ..hw.machine import Machine
@@ -441,10 +441,9 @@ class NullCacheProxy:
     demands byte-identical event logs.
     """
 
-    def __init__(self, machine: Machine, kind: str, cost_model) -> None:
+    def __init__(self, machine: Machine, kind: str) -> None:
         self.machine = machine
         self.kind = kind
-        self.cost = cost_model
         self._probed = 0
 
     def probe(self, key, now_event_ms):
@@ -471,7 +470,7 @@ class NullCacheProxy:
         if not self._probed:
             return
         suffix = f"_{label}" if label else ""
-        admin_ms = self.cost.probe_ms(self._probed)
+        admin_ms = CACHE_COST.probe_ms(self._probed)
         if admin_ms > 0.0:
             self.machine.host_work(f"cache_{self.kind}_admin{suffix}", admin_ms)
         self._probed = 0
@@ -525,9 +524,7 @@ class Execution:
             owner = self.nodes[0]
             device = owner.gpu if owner.has_gpu else owner.cpu
             if null_cache:
-                from ..cache.store import CacheCostModel
-
-                self.cache = NullCacheProxy(owner, config.cache["kind"], CacheCostModel())
+                self.cache = NullCacheProxy(owner, config.cache["kind"])
             else:
                 self.cache = DeviceResidentCache(
                     owner,

@@ -17,7 +17,6 @@ paper's Figs. 7(e)-(h).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -34,13 +33,15 @@ class SamplingCostModel:
     The defaults are calibrated so that a two-layer TGAT query over a
     200-interaction mini-batch costs tens of milliseconds for small
     neighbourhoods and grows towards a second for 300-neighbour sampling,
-    matching the magnitudes reported in the paper's Fig. 7 breakdowns.
+    matching the magnitudes reported in the paper's Fig. 7 breakdowns.  The
+    costs are class constants, not fields: the table is calibrated, not
+    configured.
     """
 
-    per_target_us: float = 10.0
-    per_candidate_us: float = 0.01
-    per_sample_us: float = 0.03
-    sort_log_factor_us: float = 1.0
+    per_target_us = 10.0
+    per_candidate_us = 0.01
+    per_sample_us = 0.03
+    sort_log_factor_us = 1.0
 
     def batch_cost_ms(self, degrees: np.ndarray, k: int) -> float:
         """Cost of sampling ``k`` neighbours for each target with ``degrees``."""
@@ -54,6 +55,10 @@ class SamplingCostModel:
             + self.sort_log_factor_us * np.log2(degrees + 2.0)
         )
         return float(per_target.sum() * 1e-3)
+
+
+#: The one cost table every sampler charges by.
+SAMPLING_COST = SamplingCostModel()
 
 
 @dataclass(frozen=True, **DATACLASS_SLOTS)
@@ -130,19 +135,14 @@ class TemporalNeighborSampler:
             otherwise take the most recent ones (both strategies appear in the
             TGAT/TGN reference code).
         seed: Seed for the uniform strategy.
-        cost_model: Host-side cost model; ``None`` uses the calibrated default.
+
+    Every call charges :data:`SAMPLING_COST`.
     """
 
-    def __init__(
-        self,
-        stream: EventStream,
-        uniform: bool = True,
-        seed: int = 0,
-        cost_model: Optional[SamplingCostModel] = None,
-    ) -> None:
+    def __init__(self, stream: EventStream, uniform: bool = True, seed: int = 0) -> None:
         self.stream = stream
         self.uniform = uniform
-        self.cost_model = cost_model if cost_model is not None else SamplingCostModel()
+        self.cost_model = SAMPLING_COST
         self._rng = np.random.default_rng(seed)
         (
             self._times,

@@ -130,16 +130,15 @@ class Cluster:
             node.advance_host(to_ms - node.host_time_ms)
         return node
 
-    def sync_all(self, to_ms: Optional[float] = None) -> float:
-        """Align every node to ``to_ms`` (the current frontier when omitted).
+    def sync_all(self, to_ms: float) -> float:
+        """Align every node to ``to_ms``.
 
         Used after cluster-wide barriers such as warm-up: every node's next
         action starts from one common instant.  Returns the aligned time.
         """
-        target = self.time_ms if to_ms is None else to_ms
         for index in range(self.num_nodes):
-            self.sync_node(index, target)
-        return target
+            self.sync_node(index, to_ms)
+        return to_ms
 
     def synchronize(self, name: str = "cluster_sync") -> float:
         """Cluster-wide barrier: drain every node, every NIC, align clocks.

@@ -22,7 +22,6 @@ maintained as intervals are reserved, so
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from itertools import chain
 from typing import Iterable, Iterator, List, NamedTuple, Sequence, Tuple
 
 
@@ -60,15 +59,10 @@ class Timeline:
         "_merged_total",
         "_run_start",
         "_run_end",
-        "_disjoint",
     )
 
     def __init__(self, name: str) -> None:
         self.name = name
-        # Scheduling keeps intervals sorted and disjoint; reporting-only
-        # timelines built by :meth:`merged` may overlap and fall back to a
-        # full scan for window queries.
-        self._disjoint = True
         # The interval store: one row per interval across three columns
         # (the first two are bisected by the window queries).
         self._starts: List[float] = []
@@ -215,8 +209,6 @@ class Timeline:
 
     def _overlap_range(self, lo: float, hi: float) -> Tuple[int, int]:
         """Index range [first, last) of intervals that may overlap [lo, hi)."""
-        if not self._disjoint:
-            return (0, len(self._starts))
         # Intervals are sorted and disjoint: everything ending at or before
         # ``lo`` and everything starting at or after ``hi`` is irrelevant.
         first = bisect_right(self._ends, lo)
@@ -294,17 +286,6 @@ class Timeline:
             return (0.0, 0.0)
         return (self._starts[0], self._ends[-1])
 
-    def merged(self, other: "Timeline", name: str = "") -> "Timeline":
-        """Return a new timeline containing both resources' intervals, sorted.
-
-        The merged timeline may contain overlapping intervals; it is intended
-        only for reporting, not for further scheduling.
-        """
-        merged = Timeline(name or f"{self.name}+{other.name}")
-        merged._disjoint = False
-        merged._fill(sorted(chain(self, other), key=lambda i: (i.start_ms, i.end_ms)))
-        return merged
-
     @classmethod
     def from_intervals(cls, name: str, intervals: Iterable[Tuple[float, float]]) -> "Timeline":
         """A reporting timeline over already scheduled ``(start, end)`` pairs.
@@ -315,36 +296,31 @@ class Timeline:
         disjoint (each start at or after the previous end).
         """
         timeline = cls(name)
-        built: List[Interval] = []
-        last_end = float("-inf")
+        starts: List[float] = []
+        ends: List[float] = []
+        # Same accumulation order as ``reserve`` (durations in list order,
+        # one ``run_end - run_start`` per closed run), so the O(1) totals
+        # match a timeline that reserved these intervals one by one.
+        busy = merged = 0.0
+        run_start = last_end = float("-inf")
         for start, end in intervals:
             if start < last_end:
                 raise ValueError("intervals must be sorted and disjoint")
             if end < start:
                 raise ValueError("interval ends before it starts")
-            built.append(Interval(start, end))
-            last_end = end
-        timeline._fill(built)
-        return timeline
-
-    def _fill(self, intervals: List[Interval]) -> None:
-        """Load an empty timeline with start-sorted (maybe overlapping) intervals."""
-        if not intervals:
-            return
-        self._starts, self._ends, self._labels = map(list, zip(*intervals))
-        # Same accumulation order as ``reserve`` (durations in list order,
-        # one ``run_end - run_start`` per closed run), so the O(1) totals
-        # match a timeline that reserved these intervals one by one.
-        busy = merged = 0.0
-        run_lo, run_hi = (self._starts[0], self._ends[0])
-        for start, end in zip(self._starts, self._ends):
             busy += end - start
-            if start > run_hi:
-                merged += run_hi - run_lo
-                run_lo, run_hi = (start, end)
-            elif end > run_hi:
-                run_hi = end
-        self._busy_total = busy
-        self._merged_total = merged
-        self._run_start = run_lo
-        self._run_end = run_hi
+            if not starts:
+                run_start = start
+            elif start > last_end:
+                merged += last_end - run_start
+                run_start = start
+            last_end = end
+            starts.append(start)
+            ends.append(end)
+        if starts:
+            timeline._starts, timeline._ends = starts, ends
+            timeline._labels = [""] * len(starts)
+            timeline._busy_total = busy
+            timeline._merged_total = merged
+            timeline._run_start, timeline._run_end = run_start, last_end
+        return timeline

@@ -30,7 +30,7 @@ from ..graph.sampling import NeighborhoodSample
 from ..hw.device import Device
 from ..hw.machine import Machine
 from ..nn.module import Module
-from ..tensor import Tensor, meta
+from ..tensor import Tensor, meta, ops
 
 #: Table 1 column values.
 CONTINUOUS = "continuous"
@@ -222,6 +222,33 @@ class DGNNModel(Module):
     def inference_iteration(self, batch: Any) -> Any:
         """Run one profiled iteration; must annotate machine regions."""
         raise NotImplementedError
+
+    def _event_sequential_iteration(self, batch: EventStream) -> Tensor:
+        """One iteration of an event-by-event embedding model (DyRep, LDG).
+
+        The node-embedding table rides along on the compute device for the
+        duration of the iteration (one upload, one download), and
+        ``_process_event(table, src, dst, timestamp)`` returns the updated
+        table plus the event's ``(1, 1)`` output.  Returns the outputs in
+        event order.
+        """
+        device = self.compute_device
+        host = self.host_device
+        outputs = []
+        table = Tensor(self._embeddings, host).to(device, name="node_embeddings")
+        for index in range(batch.num_events):
+            src = int(batch.src[index])
+            dst = int(batch.dst[index])
+            timestamp = float(batch.timestamps[index])
+            table, output = self._process_event(table, src, dst, timestamp)
+            outputs.append(output)
+        table_host = table.to(host, name="node_embeddings_out")
+        self._embeddings = np.array(table_host.data, copy=True)
+        if self.machine.has_gpu:
+            self.machine.synchronize()
+        return ops.concat(outputs, axis=0) if outputs else Tensor(
+            np.zeros((0, 1), dtype=np.float32), device
+        )
 
     def batch_footprint_bytes(self, batch: Any) -> int:
         """Approximate device-memory footprint of one iteration's working set."""

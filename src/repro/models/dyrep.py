@@ -99,35 +99,11 @@ class DyRep(DGNNModel):
         dim = self.config.embedding_dim
         return int(batch.num_events * (2 * dim + self.config.num_neighbors * dim) * 4)
 
-    # -- state --------------------------------------------------------------------------------
-
-    @property
-    def node_embeddings(self) -> np.ndarray:
-        return self._embeddings.copy()
-
     # -- inference -------------------------------------------------------------------------------
 
     def inference_iteration(self, batch: EventStream) -> Tensor:
         """Process the batch's events one by one; returns the event intensities."""
-        device = self.compute_device
-        host = self.host_device
-        intensities = []
-        # The node-embedding table rides along on the compute device for the
-        # duration of the iteration (one upload, one download).
-        table = Tensor(self._embeddings, host).to(device, name="node_embeddings")
-        for index in range(batch.num_events):
-            src = int(batch.src[index])
-            dst = int(batch.dst[index])
-            timestamp = float(batch.timestamps[index])
-            table, intensity = self._process_event(table, src, dst, timestamp)
-            intensities.append(intensity)
-        table_host = table.to(host, name="node_embeddings_out")
-        self._embeddings = np.array(table_host.data, copy=True)
-        if self.machine.has_gpu:
-            self.machine.synchronize()
-        return ops.concat(intensities, axis=0) if intensities else Tensor(
-            np.zeros((0, 1), dtype=np.float32), device
-        )
+        return self._event_sequential_iteration(batch)
 
     # -- per-event update -------------------------------------------------------------
 

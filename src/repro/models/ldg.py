@@ -103,31 +103,11 @@ class LDG(DGNNModel):
         dim = self.config.embedding_dim
         return int(batch.num_events * (2 * dim + self.config.latent_edge_dim) * 4)
 
-    @property
-    def node_embeddings(self) -> np.ndarray:
-        return self._embeddings.copy()
-
     # -- inference --------------------------------------------------------------------
 
     def inference_iteration(self, batch: EventStream) -> Tensor:
         """Process the batch's events one by one; returns the pair scores."""
-        device = self.compute_device
-        host = self.host_device
-        scores = []
-        table = Tensor(self._embeddings, host).to(device, name="node_embeddings")
-        for index in range(batch.num_events):
-            src = int(batch.src[index])
-            dst = int(batch.dst[index])
-            timestamp = float(batch.timestamps[index])
-            table, score = self._process_event(table, src, dst, timestamp)
-            scores.append(score)
-        table_host = table.to(host, name="node_embeddings_out")
-        self._embeddings = np.array(table_host.data, copy=True)
-        if self.machine.has_gpu:
-            self.machine.synchronize()
-        return ops.concat(scores, axis=0) if scores else Tensor(
-            np.zeros((0, 1), dtype=np.float32), device
-        )
+        return self._event_sequential_iteration(batch)
 
     # -- per-event update -------------------------------------------------------------
 

@@ -234,15 +234,3 @@ class Tracer:
         end_index = machine.event_cursor()
         if end_index > start_index:
             self.slices.append((span_id, self.node_of(machine), start_index, end_index))
-
-    # -- views -------------------------------------------------------------
-
-    def spans_for_request(self, request_id: int) -> List[Span]:
-        """Every span carrying ``request_id`` in its trace ids."""
-        return [s for s in self.spans if request_id in s.trace_ids]
-
-    def describe(self) -> str:
-        return (
-            f"tracer: {len(self.spans)} spans, {len(self.instants)} instants, "
-            f"{len(self.slices)} event slices over {len(self._machines)} node(s)"
-        )

@@ -22,14 +22,14 @@ half, so sampling must itself be accelerated, not merely hidden.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Iterable, List, Optional, Tuple
 
 from ..core.breakdown import compute_breakdown
 from ..core.profiler import Profile
 from ..hw.stream import Stream, StreamEvent
 
 #: Breakdown labels counted as host-side preprocessing that could be overlapped.
-DEFAULT_HOST_LABELS = (
+HOST_LABELS = (
     "Sampling (CPU)",
     "Sampling",
     "Load Embedding",
@@ -67,12 +67,10 @@ class OverlapEstimate:
         return "host" if self.host_ms >= self.device_ms else "device"
 
 
-def estimate_overlap_speedup(
-    profile: Profile, host_labels: Sequence[str] = DEFAULT_HOST_LABELS
-) -> OverlapEstimate:
+def estimate_overlap_speedup(profile: Profile) -> OverlapEstimate:
     """Estimate the steady-state speedup of overlapping preprocessing with compute.
 
-    The host half is the sum of the given preprocessing labels; the device
+    The host half is the sum of the :data:`HOST_LABELS` rows; the device
     half is everything else (attention/GNN/RNN compute, transfers, syncs).
     In steady state a perfectly overlapped pipeline is bound by the larger
     half, which for sampling-bound models like TGAT means the benefit is
@@ -80,7 +78,7 @@ def estimate_overlap_speedup(
     must itself be accelerated, not merely hidden.
     """
     breakdown = compute_breakdown(profile)
-    host_ms = sum(breakdown.time_ms(label) for label in host_labels)
+    host_ms = sum(breakdown.time_ms(label) for label in HOST_LABELS)
     device_ms = breakdown.total_ms - host_ms
     return OverlapEstimate(
         baseline_ms=breakdown.total_ms,
@@ -112,9 +110,9 @@ class OverlapRunResult:
     def total_ms(self) -> float:
         return sum(self.iteration_ms)
 
-    def steady_state_ms(self, skip: int = 1) -> float:
-        """Mean per-iteration time after discarding the first ``skip`` fills."""
-        tail = self.iteration_ms[skip:] or self.iteration_ms
+    def steady_state_ms(self) -> float:
+        """Mean per-iteration time after discarding the pipeline-fill iteration."""
+        tail = self.iteration_ms[1:] or self.iteration_ms
         if not tail:
             return 0.0
         return sum(tail) / len(tail)
@@ -138,10 +136,10 @@ class OverlappedRunner:
     counterpart of :func:`estimate_overlap_speedup`.
     """
 
-    #: Default name of the CPU prefetch stream.
+    #: Name of the CPU prefetch stream.
     STREAM_NAME = "sampling"
 
-    def __init__(self, model: Any, stream_name: str = STREAM_NAME) -> None:
+    def __init__(self, model: Any) -> None:
         for method in ("prepare_iteration", "compute_iteration"):
             if not callable(getattr(model, method, None)):
                 raise TypeError(
@@ -149,14 +147,13 @@ class OverlappedRunner:
                     f"protocol (missing {method}); see OverlappedRunner docs"
                 )
         self.model = model
-        self.stream_name = stream_name
         self._pending: Optional[Tuple[Any, Any, StreamEvent]] = None
 
     @property
     def stream(self) -> Stream:
         """The CPU prefetch stream preparation work is issued onto."""
         machine = self.model.machine
-        return machine.stream(machine.cpu, self.stream_name)
+        return machine.stream(machine.cpu, self.STREAM_NAME)
 
     def prefetch(self, batch: Any) -> None:
         """Issue the preparation of ``batch`` ahead of a :meth:`run` call.

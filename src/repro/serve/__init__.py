@@ -49,7 +49,7 @@ from .autoscale import AutoscaleConfig, Autoscaler
 from .batcher import DynamicBatcher
 from .cluster import ClusterServer, build_cluster_replicas
 from .core import payload_nbytes
-from .fidelity import FULL_FIDELITY, FidelityConfig, FidelityController
+from .fidelity import FULL_FIDELITY, FidelityController
 from .placement import ShardedModel, build_replicas
 from .policy import (
     POLICIES,
@@ -95,7 +95,6 @@ __all__ = [
     "DynamicBatcher",
     "FIFOPolicy",
     "FULL_FIDELITY",
-    "FidelityConfig",
     "FidelityController",
     "FlashCrowdProcess",
     "InferenceServer",

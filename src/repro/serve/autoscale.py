@@ -40,22 +40,27 @@ from typing import Any, Callable, Dict, List, Optional
 from .._compat import DATACLASS_SLOTS
 from ..core.stats import LatencySummary
 
+#: Estimated utilization above which the fleet grows.
+HIGH_WATERMARK = 0.75
+#: Estimated utilization below which the fleet shrinks.
+LOW_WATERMARK = 0.30
+#: Completed-request window the tail is measured over.
+P99_WINDOW = 64
+#: Arrival window the offered rate is estimated over.
+RATE_WINDOW = 32
+
 
 @dataclass(frozen=True, **DATACLASS_SLOTS)
 class AutoscaleConfig:
     """Knobs of the elastic-fleet policy.
 
     Args:
-        min_replicas: Fleet floor (never scaled below).
+        min_replicas: Fleet floor (never scaled below) and its size at
+            serve start.
         max_replicas: Fleet ceiling; must not exceed the replicas built.
-        initial_replicas: Fleet size at serve start (defaults to the floor).
-        high_watermark: Estimated utilization above which the fleet grows.
-        low_watermark: Estimated utilization below which the fleet shrinks.
         slo_ms: Optional latency SLO; a sliding-window p99 above it triggers
             a scale-up even when utilization looks fine (queue explosions
             show up in the tail before the rate estimator catches up).
-        p99_window: Completed-request window the tail is measured over.
-        rate_window: Arrival window the offered rate is estimated over.
         up_cooldown_ms: Minimum gap between consecutive scale-ups.
         down_cooldown_ms: Minimum gap after *any* scale event before a
             scale-down (longer than the up cooldown so a fresh replica is
@@ -64,12 +69,7 @@ class AutoscaleConfig:
 
     min_replicas: int = 1
     max_replicas: int = 4
-    initial_replicas: Optional[int] = None
-    high_watermark: float = 0.75
-    low_watermark: float = 0.30
     slo_ms: Optional[float] = None
-    p99_window: int = 64
-    rate_window: int = 32
     up_cooldown_ms: float = 50.0
     down_cooldown_ms: float = 200.0
 
@@ -78,17 +78,6 @@ class AutoscaleConfig:
             raise ValueError("min_replicas must be at least 1")
         if self.max_replicas < self.min_replicas:
             raise ValueError("max_replicas must be >= min_replicas")
-        start = self.initial_replicas
-        if start is not None and not self.min_replicas <= start <= self.max_replicas:
-            raise ValueError("initial_replicas must lie within [min, max]")
-        if not 0.0 < self.low_watermark < self.high_watermark:
-            raise ValueError("need 0 < low_watermark < high_watermark")
-        if self.p99_window < 1 or self.rate_window < 2:
-            raise ValueError("observation windows are too small")
-
-    @property
-    def start_replicas(self) -> int:
-        return self.initial_replicas if self.initial_replicas is not None else self.min_replicas
 
 
 @dataclass(**DATACLASS_SLOTS)
@@ -158,7 +147,7 @@ class Autoscaler:
     ) -> None:
         """Attach to a server run: router, fleet size and charge callbacks.
 
-        The first ``start_replicas`` replicas form the initial fleet; they
+        The first ``min_replicas`` replicas form the initial fleet; they
         are assumed warm (the server warm-up covered them) and start
         accruing GPU-time immediately.
         """
@@ -171,7 +160,7 @@ class Autoscaler:
         self._num_replicas = num_replicas
         self._spin_up = spin_up
         self._spin_down = spin_down
-        start = self.config.start_replicas
+        start = self.config.min_replicas
         self._fleet = _Fleet(active=set(range(start)))
         for index in range(start):
             self._fleet.owned_since[index] = now_ms
@@ -181,13 +170,13 @@ class Autoscaler:
 
     def observe_arrival(self, arrival_ms: float) -> None:
         self._arrivals.append(arrival_ms)
-        if len(self._arrivals) > self.config.rate_window:
-            del self._arrivals[: -self.config.rate_window]
+        if len(self._arrivals) > RATE_WINDOW:
+            del self._arrivals[:-RATE_WINDOW]
 
     def observe_completion(self, now_ms: float, latency_ms: float) -> None:
         self._latencies.append(latency_ms)
-        if len(self._latencies) > self.config.p99_window:
-            del self._latencies[: -self.config.p99_window]
+        if len(self._latencies) > P99_WINDOW:
+            del self._latencies[:-P99_WINDOW]
 
     # -- signals ---------------------------------------------------------
 
@@ -249,11 +238,8 @@ class Autoscaler:
             if slo_breached:
                 self._scale_up(now_ms, f"p99 {p99:.1f} ms > SLO {slo:g} ms")
                 return
-            if utilization is not None and utilization > self.config.high_watermark:
-                self._scale_up(
-                    now_ms,
-                    f"utilization {utilization:.2f} > {self.config.high_watermark:g}",
-                )
+            if utilization is not None and utilization > HIGH_WATERMARK:
+                self._scale_up(now_ms, f"utilization {utilization:.2f} > {HIGH_WATERMARK:g}")
                 return
         if (
             fleet > self.config.min_replicas
@@ -261,11 +247,9 @@ class Autoscaler:
             and not slo_breached
             and now_ms - self._last_change_ms >= self.config.down_cooldown_ms
             and utilization is not None
-            and utilization < self.config.low_watermark
+            and utilization < LOW_WATERMARK
         ):
-            self._scale_down(
-                now_ms, f"utilization {utilization:.2f} < {self.config.low_watermark:g}"
-            )
+            self._scale_down(now_ms, f"utilization {utilization:.2f} < {LOW_WATERMARK:g}")
 
     def _promote(self, now_ms: float) -> None:
         ready_now = sorted(
@@ -340,7 +324,7 @@ class Autoscaler:
         return {
             "min_replicas": self.config.min_replicas,
             "max_replicas": self.config.max_replicas,
-            "initial_replicas": self.config.start_replicas,
+            "initial_replicas": self.config.min_replicas,
             "final_fleet": self.fleet_size,
             "scale_ups": ups,
             "scale_downs": downs,

@@ -42,15 +42,6 @@ class DynamicBatcher:
     def __len__(self) -> int:
         return len(self._queue)
 
-    @property
-    def pending(self) -> List[Request]:
-        """Snapshot of the queued requests, oldest first."""
-        return list(self._queue)
-
-    @property
-    def oldest(self) -> Optional[Request]:
-        return self._queue[0] if self._queue else None
-
     # -- batch formation --------------------------------------------------------
 
     def poll(self, now_ms: float) -> List[Request]:

@@ -12,22 +12,22 @@ cost-to-quality, each with its service-cost benefit modeled and its
 Levers (cumulative -- level ``n`` keeps every lever below it engaged):
 
 1. **Fan-out shrink** (level 1): scale per-layer neighbour fan-out by
-   ``fanout_scale``.  Sampling draws, gather bytes and attention width all
+   ``FANOUT_SCALE``.  Sampling draws, gather bytes and attention width all
    shrink with the neighbour count, so service cost drops roughly with the
-   sampled fraction (``sampling_fraction`` of the per-request cost).
+   sampled fraction (``SAMPLING_FRACTION`` of the per-request cost).
 2. **Staleness widening** (level 2): multiply the cache staleness bound by
-   ``staleness_scale`` for the batch, admitting embedding/sample hits past
+   ``STALENESS_SCALE`` for the batch, admitting embedding/sample hits past
    the strict window -- hits that would have been stale rejects skip the
-   recompute (modeled as ``stale_benefit`` off the remaining cost).
+   recompute (modeled as ``STALE_BENEFIT`` off the remaining cost).
 3. **Forced cache hits** (level 3): rows whose deadline is *already lost*
    are answered straight from the embedding cache regardless of age
-   (``forced_benefit`` off the remaining cost).  The answer is wrong-ish
+   (``FORCED_BENEFIT`` off the remaining cost).  The answer is wrong-ish
    but on time for everyone behind it in the queue.
 
 The controller is consulted (side-effect-free) by the policy when the
 full-quality batch does not fit, and *advanced* exactly once per dispatch
 by the server: escalate one level on a pressured dispatch, decay one level
-after ``recovery_batches`` consecutive unpressured dispatches (hysteresis,
+after ``RECOVERY_BATCHES`` consecutive unpressured dispatches (hysteresis,
 so one quiet batch does not bounce the fleet back to full cost mid-storm).
 Every request served below full fidelity accrues per-lever debt counters
 plus a weighted scalar score, reported in ``ServingReport`` and the CLI
@@ -41,7 +41,7 @@ byte-identical serving*) and a regression test pin that down.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict
 
 #: Debt weights: one degraded request at lever ``n`` costs this many points.
@@ -49,41 +49,21 @@ from typing import Any, Dict
 DEBT_WEIGHTS = {"fanout": 1.0, "stale": 2.0, "forced": 4.0}
 
 
-@dataclass(frozen=True)
-class FidelityConfig:
-    """Tuning knobs for the degradation controller.
-
-    ``fanout_scale`` / ``staleness_scale`` set how hard levers 1 and 2 pull;
-    the ``*_benefit`` fractions model how much of the per-request service
-    cost each lever removes (multiplicative, so the modeled cost scale at
-    level 3 is ``(1 - sampling_fraction*(1-fanout_scale)) * (1 -
-    stale_benefit) * (1 - forced_benefit)``).  ``recovery_batches`` is the
-    hysteresis: consecutive unpressured dispatches required before stepping
-    one level back toward full fidelity.
-    """
-
-    fanout_scale: float = 0.5
-    staleness_scale: float = 4.0
-    recovery_batches: int = 3
-    #: Fraction of per-request service cost attributable to sampling+gather
-    #: (what lever 1 shrinks).  The TGAT profile puts sampling near 60%.
-    sampling_fraction: float = 0.6
-    #: Fractional cost removed by widened-staleness cache hits (lever 2).
-    stale_benefit: float = 0.15
-    #: Fractional cost removed by serving lost-deadline rows from cache (3).
-    forced_benefit: float = 0.2
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.fanout_scale <= 1.0:
-            raise ValueError("fanout_scale must be in (0, 1]")
-        if self.staleness_scale < 1.0:
-            raise ValueError("staleness_scale must be >= 1")
-        if self.recovery_batches < 1:
-            raise ValueError("recovery_batches must be >= 1")
-        for name in ("sampling_fraction", "stale_benefit", "forced_benefit"):
-            value = getattr(self, name)
-            if not 0.0 <= value < 1.0:
-                raise ValueError(f"{name} must be in [0, 1)")
+# The controller's calibration: how hard levers 1 and 2 pull, the recovery
+# hysteresis, and the share of per-request service cost each lever removes
+# (multiplicative, so level 3 costs ``(1 - SAMPLING_FRACTION * (1 -
+# FANOUT_SCALE)) * (1 - STALE_BENEFIT) * (1 - FORCED_BENEFIT)`` of full
+# quality).
+FANOUT_SCALE = 0.5
+STALENESS_SCALE = 4.0
+RECOVERY_BATCHES = 3
+#: Fraction of per-request service cost attributable to sampling+gather
+#: (what lever 1 shrinks).  The TGAT profile puts sampling near 60%.
+SAMPLING_FRACTION = 0.6
+#: Fractional cost removed by widened-staleness cache hits (lever 2).
+STALE_BENEFIT = 0.15
+#: Fractional cost removed by serving lost-deadline rows from cache (3).
+FORCED_BENEFIT = 0.2
 
 
 @dataclass(frozen=True)
@@ -113,7 +93,6 @@ FULL_FIDELITY = FidelityDecision(
 )
 
 
-@dataclass
 class FidelityController:
     """Escalation/recovery state machine over the three degradation levers.
 
@@ -126,20 +105,19 @@ class FidelityController:
     cost benefit the dispatch will not deliver.
     """
 
-    config: FidelityConfig = field(default_factory=FidelityConfig)
-    level: int = 0
-    max_level: int = 1
-
-    # Per-lever debt: requests served with the lever engaged.
-    fanout_requests: int = 0
-    stale_requests: int = 0
-    forced_requests: int = 0
-    # Dispatch bookkeeping.
-    degraded_batches: int = 0
-    pressured_dispatches: int = 0
-    total_dispatches: int = 0
-    max_level_seen: int = 0
-    _clear_streak: int = 0
+    def __init__(self) -> None:
+        self.level = 0
+        self.max_level = 1
+        # Per-lever debt: requests served with the lever engaged.
+        self.fanout_requests = 0
+        self.stale_requests = 0
+        self.forced_requests = 0
+        # Dispatch bookkeeping.
+        self.degraded_batches = 0
+        self.pressured_dispatches = 0
+        self.total_dispatches = 0
+        self.max_level_seen = 0
+        self._clear_streak = 0
 
     def set_cache_available(self, available: bool) -> None:
         """Unlock (or cap out) the cache-dependent levers.
@@ -154,11 +132,11 @@ class FidelityController:
         """Modeled per-request service-cost multiplier at ``level``."""
         scale = 1.0
         if level >= 1:
-            scale *= 1.0 - self.config.sampling_fraction * (1.0 - self.config.fanout_scale)
+            scale *= 1.0 - SAMPLING_FRACTION * (1.0 - FANOUT_SCALE)
         if level >= 2:
-            scale *= 1.0 - self.config.stale_benefit
+            scale *= 1.0 - STALE_BENEFIT
         if level >= 3:
-            scale *= 1.0 - self.config.forced_benefit
+            scale *= 1.0 - FORCED_BENEFIT
         return scale
 
     def projected_cost_scale(self) -> float:
@@ -174,8 +152,8 @@ class FidelityController:
         level = self.level
         return FidelityDecision(
             level=level,
-            fanout_scale=self.config.fanout_scale if level >= 1 else 1.0,
-            staleness_scale=self.config.staleness_scale if level >= 2 else 1.0,
+            fanout_scale=FANOUT_SCALE if level >= 1 else 1.0,
+            staleness_scale=STALENESS_SCALE if level >= 2 else 1.0,
             force_hits=level >= 3,
             cost_scale=self.cost_scale(level),
         )
@@ -186,7 +164,7 @@ class FidelityController:
         """Advance the state machine for one dispatched batch.
 
         Escalates one level when the batch is under deadline pressure,
-        steps one level down after ``recovery_batches`` consecutive clear
+        steps one level down after ``RECOVERY_BATCHES`` consecutive clear
         dispatches, accrues per-lever debt for the batch actually served,
         and returns the decision the server must apply.  ``lost_deadlines``
         counts rows whose deadline has already passed at dispatch time --
@@ -202,7 +180,7 @@ class FidelityController:
                 self.level += 1
         else:
             self._clear_streak += 1
-            if self.level > 0 and self._clear_streak >= self.config.recovery_batches:
+            if self.level > 0 and self._clear_streak >= RECOVERY_BATCHES:
                 self.level -= 1
                 self._clear_streak = 0
         self.max_level_seen = max(self.max_level_seen, self.level)
@@ -247,7 +225,7 @@ class FidelityController:
             "total_dispatches": self.total_dispatches,
             "max_level_seen": self.max_level_seen,
             "final_level": self.level,
-            "fanout_scale": self.config.fanout_scale,
-            "staleness_scale": self.config.staleness_scale,
+            "fanout_scale": FANOUT_SCALE,
+            "staleness_scale": STALENESS_SCALE,
         }
 

@@ -31,6 +31,9 @@ from ..graph.partition import GraphPartition
 from ..hw.device import Device
 from ..hw.machine import Machine
 
+#: Shard whose GPU gathers the final outputs.
+ROOT_SHARD = 0
+
 
 def build_replicas(
     machine: Machine,
@@ -63,9 +66,10 @@ class ShardedModel:
             protocol (TGAT-style event-stream models).
         partition: Node -> shard assignment; shard ``i`` runs on
             ``replicas[i]``'s compute device.
-        root_index: Shard whose GPU gathers the final outputs.
-        row_bytes: Bytes one cross-shard neighbour row costs on the wire
-            (defaults to the replica's ``node_dim`` float32 row).
+
+    Outputs gather on shard :data:`ROOT_SHARD`'s GPU, and one cross-shard
+    neighbour row costs ``row_bytes`` on the wire: the replica's ``node_dim``
+    float32 row.
     """
 
     supports_overlap = False
@@ -76,8 +80,6 @@ class ShardedModel:
         self,
         replicas: Sequence[Any],
         partition: GraphPartition,
-        root_index: int = 0,
-        row_bytes: Optional[int] = None,
     ) -> None:
         if not replicas:
             raise ValueError("sharded serving needs at least one replica")
@@ -94,14 +96,11 @@ class ShardedModel:
                 )
         self.replicas = list(replicas)
         self.partition = partition
-        self.root_index = root_index
         first = self.replicas[0]
         self.machine: Machine = first.machine
         self.name = f"sharded-{getattr(first, 'name', 'model')}"
-        if row_bytes is None:
-            node_dim = getattr(getattr(first, "config", None), "node_dim", 32)
-            row_bytes = int(node_dim) * 4
-        self.row_bytes = int(row_bytes)
+        node_dim = getattr(getattr(first, "config", None), "node_dim", 32)
+        self.row_bytes = int(node_dim) * 4
         #: Cumulative cross-shard neighbour rows fetched (for telemetry).
         self.cross_shard_rows = 0
 
@@ -114,7 +113,7 @@ class ShardedModel:
     @property
     def compute_device(self) -> Device:
         """The root shard's device (where gathered outputs land)."""
-        return self.replicas[self.root_index].compute_device
+        return self.replicas[ROOT_SHARD].compute_device
 
     def make_request_batch(self, payloads: Sequence[Any]) -> Any:
         return self.replicas[0].make_request_batch(payloads)
@@ -161,7 +160,7 @@ class ShardedModel:
         self._cross_shard_invalidation(batch, shard_positions)
         root_device = self.compute_device
         for index in dispatched:
-            if index == self.root_index:
+            if index == ROOT_SHARD:
                 continue
             device = self.replicas[index].compute_device
             if device.name == root_device.name:

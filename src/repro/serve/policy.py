@@ -21,9 +21,14 @@ machine, which keeps them unit-testable without a simulator.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Type
+from typing import Dict, List, Optional, Sequence, Tuple, Type
 
 from .request import Request
+
+#: EWMA smoothing weight of each new per-request service sample.
+ESTIMATOR_ALPHA = 0.3
+#: Headroom the SLO policy multiplies every service estimate by.
+SAFETY_FACTOR = 1.2
 
 
 class ServiceTimeEstimator:
@@ -36,10 +41,7 @@ class ServiceTimeEstimator:
     which scales near-linearly with batch size.
     """
 
-    def __init__(self, alpha: float = 0.3) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError("alpha must be in (0, 1]")
-        self.alpha = alpha
+    def __init__(self) -> None:
         self._per_request_ms: Optional[float] = None
 
     @property
@@ -55,7 +57,7 @@ class ServiceTimeEstimator:
         if self._per_request_ms is None:
             self._per_request_ms = sample
         else:
-            self._per_request_ms += self.alpha * (sample - self._per_request_ms)
+            self._per_request_ms += ESTIMATOR_ALPHA * (sample - self._per_request_ms)
 
     def estimate(self, batch_size: int) -> float:
         """Estimated service time of a ``batch_size`` batch (0 when unknown)."""
@@ -69,6 +71,10 @@ class SchedulerPolicy:
 
     #: Registry name; subclasses override.
     name: str = "policy"
+    #: The overrides :func:`make_policy` accepts for this policy, in the
+    #: order ``batch_timeout_ms``, ``slo_ms``; each is a constructor keyword
+    #: whose default is the policy's own.
+    overrides: Tuple[str, ...] = ()
 
     def __init__(self, max_batch_size: int = 8) -> None:
         if max_batch_size <= 0:
@@ -107,6 +113,7 @@ class TimeoutBatchingPolicy(SchedulerPolicy):
     """Accumulate until the batch fills or the oldest request times out."""
 
     name = "timeout"
+    overrides = ("batch_timeout_ms",)
 
     def __init__(self, max_batch_size: int = 8, batch_timeout_ms: float = 5.0) -> None:
         super().__init__(max_batch_size=max_batch_size)
@@ -148,6 +155,7 @@ class SLOAwarePolicy(TimeoutBatchingPolicy):
     """
 
     name = "slo"
+    overrides = ("batch_timeout_ms", "slo_ms")
 
     #: Scheduling arithmetic (deadline - now, division by the per-request
     #: cost) accumulates float rounding error; comparisons within this many
@@ -160,17 +168,12 @@ class SLOAwarePolicy(TimeoutBatchingPolicy):
         max_batch_size: int = 8,
         batch_timeout_ms: float = 5.0,
         slo_ms: float = 50.0,
-        safety_factor: float = 1.2,
-        estimator: Optional[ServiceTimeEstimator] = None,
     ) -> None:
         super().__init__(max_batch_size=max_batch_size, batch_timeout_ms=batch_timeout_ms)
         if slo_ms <= 0:
             raise ValueError("slo_ms must be positive")
-        if safety_factor < 1.0:
-            raise ValueError("safety_factor must be >= 1")
         self.slo_ms = slo_ms
-        self.safety_factor = safety_factor
-        self.estimator = estimator if estimator is not None else ServiceTimeEstimator()
+        self.estimator = ServiceTimeEstimator()
         #: Optional degradation controller (see :mod:`repro.serve.fidelity`).
         #: The policy only *consults* it -- state advances at server dispatch.
         self.fidelity = None
@@ -211,8 +214,8 @@ class SLOAwarePolicy(TimeoutBatchingPolicy):
             # No service observations yet: fall back to plain timeout batching.
             return super().select_batch_size(queue, now_ms)
         slack = self._slack_ms(queue[0], now_ms)
-        cost = per_request * self.safety_factor
-        if slack > self.estimator.estimate(candidate) * self.safety_factor + self.EPS_MS:
+        cost = per_request * SAFETY_FACTOR
+        if slack > self.estimator.estimate(candidate) * SAFETY_FACTOR + self.EPS_MS:
             # Comfortable slack: a full batch still makes the deadline.
             return super().select_batch_size(queue, now_ms)
         fitting = self._fitting(slack, cost, candidate)
@@ -247,7 +250,7 @@ class SLOAwarePolicy(TimeoutBatchingPolicy):
         if per_request is None:
             return False
         slack = self._slack_ms(queue[0], now_ms)
-        return self._fitting(slack, per_request * self.safety_factor, 1) < 1
+        return self._fitting(slack, per_request * SAFETY_FACTOR, 1) < 1
 
     def next_deadline_ms(self, queue: Sequence[Request], now_ms: float) -> Optional[float]:
         timeout_deadline = super().next_deadline_ms(queue, now_ms)
@@ -258,7 +261,7 @@ class SLOAwarePolicy(TimeoutBatchingPolicy):
             return timeout_deadline
         candidate = min(len(queue), self.max_batch_size)
         slack = self._slack_ms(queue[0], now_ms)
-        cost = per_request * self.safety_factor
+        cost = per_request * SAFETY_FACTOR
         # Schedule the wake-up against the batch select_batch_size would
         # *actually* dispatch, not the full candidate: when the slack already
         # caps the dispatchable batch below the candidate, pushing the wake
@@ -267,7 +270,7 @@ class SLOAwarePolicy(TimeoutBatchingPolicy):
         fitting = self._fitting(slack, cost, candidate)
         selected = min(candidate, max(fitting, 1))
         pressure_start = (
-            now_ms + slack - self.estimator.estimate(selected) * self.safety_factor
+            now_ms + slack - self.estimator.estimate(selected) * SAFETY_FACTOR
         )
         if pressure_start <= now_ms + self.EPS_MS:
             # Already under pressure: act immediately if a shrunken batch can
@@ -301,6 +304,14 @@ def available_policies() -> List[str]:
     return sorted(POLICIES)
 
 
+def _given_overrides(
+    batch_timeout_ms: Optional[float], slo_ms: Optional[float]
+) -> Dict[str, float]:
+    """The overrides a caller passed, by constructor keyword, in declaration order."""
+    pairs = (("batch_timeout_ms", batch_timeout_ms), ("slo_ms", slo_ms))
+    return {name: value for name, value in pairs if value is not None}
+
+
 def applicable_policy_overrides(
     name: str,
     batch_timeout_ms: Optional[float] = None,
@@ -310,20 +321,13 @@ def applicable_policy_overrides(
 
     Experiment grids run one workload across several policies carrying a
     single ``(batch_timeout_ms, slo_ms)`` pair; this filters that pair down
-    to what ``name`` actually takes, so :func:`make_policy` -- which
-    rejects inapplicable overrides -- can be called uniformly across the
-    sweep.
+    to what ``name`` actually takes (its class's ``overrides``), so
+    :func:`make_policy` -- which rejects inapplicable overrides -- can be
+    called uniformly across the sweep.
     """
-    key = name.lower()
-    overrides: Dict[str, float] = {}
-    if batch_timeout_ms is not None and key in (
-        TimeoutBatchingPolicy.name,
-        SLOAwarePolicy.name,
-    ):
-        overrides["batch_timeout_ms"] = batch_timeout_ms
-    if slo_ms is not None and key == SLOAwarePolicy.name:
-        overrides["slo_ms"] = slo_ms
-    return overrides
+    accepted = POLICIES.get(name.lower(), SchedulerPolicy).overrides
+    given = _given_overrides(batch_timeout_ms, slo_ms)
+    return {key: value for key, value in given.items() if key in accepted}
 
 
 def make_policy(
@@ -334,34 +338,23 @@ def make_policy(
 ) -> SchedulerPolicy:
     """Build a scheduler policy by registry name.
 
-    Only overrides the named policy actually consumes are accepted:
-    ``batch_timeout_ms`` applies to ``timeout`` and ``slo``, ``slo_ms`` to
-    ``slo`` alone.  Passing an inapplicable override raises
+    Only the overrides the policy class declares (``overrides``) are
+    accepted: ``batch_timeout_ms`` applies to ``timeout`` and ``slo``,
+    ``slo_ms`` to ``slo`` alone.  Passing an inapplicable override raises
     :class:`ValueError` -- silently dropping it would let a CLI typo
     (``--policy fifo --batch-timeout-ms 20``) change nothing while looking
-    accepted.  Omitted overrides fall back to the policy's own defaults.
+    accepted.  Omitted overrides fall back to the constructor's defaults.
     """
     key = name.lower()
     if key not in POLICIES:
         raise KeyError(f"unknown policy {name!r}; available: {', '.join(available_policies())}")
-    inapplicable = []
-    if batch_timeout_ms is not None and key == FIFOPolicy.name:
-        inapplicable.append("batch_timeout_ms")
-    if slo_ms is not None and key in (FIFOPolicy.name, TimeoutBatchingPolicy.name):
-        inapplicable.append("slo_ms")
+    cls = POLICIES[key]
+    given = _given_overrides(batch_timeout_ms, slo_ms)
+    inapplicable = [override for override in given if override not in cls.overrides]
     if inapplicable:
         raise ValueError(
             f"policy {name!r} does not take {' or '.join(inapplicable)}; "
             "drop the override or pick a policy that consumes it "
             f"(available: {', '.join(available_policies())})"
         )
-    if key == FIFOPolicy.name:
-        return FIFOPolicy(max_batch_size=max_batch_size)
-    timeout = batch_timeout_ms if batch_timeout_ms is not None else 5.0
-    if key == TimeoutBatchingPolicy.name:
-        return TimeoutBatchingPolicy(max_batch_size=max_batch_size, batch_timeout_ms=timeout)
-    return SLOAwarePolicy(
-        max_batch_size=max_batch_size,
-        batch_timeout_ms=timeout,
-        slo_ms=slo_ms if slo_ms is not None else 50.0,
-    )
+    return cls(max_batch_size, **given)

@@ -42,17 +42,6 @@ from .tensor import Tensor, ensure_same_device
 Scalar = Union[int, float]
 
 
-def _record(device: Device, name: str, flops: float, bytes_moved: float) -> None:
-    """Charge one kernel to the active machine (no-op without a machine).
-
-    The kernel queues on the machine's current stream for ``device``, which
-    is the default stream unless the caller is inside ``use_stream``.
-    """
-    machine = active_machine_or_none()
-    if machine is not None:
-        machine.launch_kernel(device, name, flops, bytes_moved)
-
-
 def _backend() -> Tuple[Optional[Machine], bool]:
     """The active machine and whether it runs the shape backend."""
     machine = active_machine_or_none()
@@ -62,6 +51,11 @@ def _backend() -> Tuple[Optional[Machine], bool]:
 def _launch(
     machine: Optional[Machine], device: Device, name: str, flops: float, traffic: float
 ) -> None:
+    """Charge one kernel to ``machine`` (no-op without a machine).
+
+    The kernel queues on the machine's current stream for ``device``, which
+    is the default stream unless the caller is inside ``use_stream``.
+    """
     if machine is not None:
         machine.launch_kernel(device, name, flops, traffic)
 
@@ -354,7 +348,7 @@ def transpose(x: Tensor, axes: Optional[Sequence[int]] = None) -> Tensor:
     # np.transpose is a stride-permuting view, safe for placeholders too.
     result = np.transpose(x.data, axes)
     flops, traffic = costs.copy_cost(x.shape)
-    _record(x.device, "transpose", flops, traffic)
+    _launch(active_machine_or_none(), x.device, "transpose", flops, traffic)
     return Tensor(result, x.device)
 
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.serve import AutoscaleConfig, Autoscaler
+from repro.serve.autoscale import LOW_WATERMARK, P99_WINDOW
 from repro.serve.router import RoundRobinRouter
 
 
@@ -42,16 +43,11 @@ class TestConfigValidation:
             AutoscaleConfig(min_replicas=0)
         with pytest.raises(ValueError):
             AutoscaleConfig(min_replicas=3, max_replicas=2)
-        with pytest.raises(ValueError):
-            AutoscaleConfig(initial_replicas=5, max_replicas=4)
-        with pytest.raises(ValueError):
-            AutoscaleConfig(low_watermark=0.8, high_watermark=0.7)
-        with pytest.raises(ValueError):
-            AutoscaleConfig(p99_window=0)
 
     def test_start_replicas_defaults_to_the_floor(self):
-        assert AutoscaleConfig(min_replicas=2, max_replicas=4).start_replicas == 2
-        assert AutoscaleConfig(initial_replicas=3).start_replicas == 3
+        scaler, router, _, _ = make_autoscaler(min_replicas=2, max_replicas=4)
+        assert router.active_indices() == [0, 1]
+        assert scaler.stats(0.0)["initial_replicas"] == 2
 
     def test_bind_requires_enough_built_replicas(self):
         scaler = Autoscaler(AutoscaleConfig(max_replicas=4))
@@ -82,10 +78,13 @@ class TestSignals:
         assert scaler.utilization(20.0) is not None
 
     def test_window_p99_tracks_recent_completions(self):
-        scaler, _, _, _ = make_autoscaler(p99_window=4)
-        for latency in (1.0, 2.0, 3.0, 100.0, 4.0, 5.0, 6.0, 7.0):
-            scaler.observe_completion(0.0, latency)
-        # The 100 ms outlier slid out of the 4-sample window.
+        scaler, _, _, _ = make_autoscaler()
+        scaler.observe_completion(0.0, 100.0)
+        for _ in range(P99_WINDOW - 1):
+            scaler.observe_completion(0.0, 5.0)
+        assert scaler.window_p99_ms() > 10.0
+        scaler.observe_completion(0.0, 5.0)
+        # The 100 ms outlier slid out of the window.
         assert scaler.window_p99_ms() < 10.0
 
 
@@ -146,14 +145,16 @@ class TestScaleUp:
 
 class TestScaleDown:
     def make_idle_two_replica_fleet(self, **kwargs):
+        """Two active replicas, then silence: a utilization breach at t=20
+        grows a floor-1 fleet with an instant cold start."""
         kwargs.setdefault("min_replicas", 1)
         kwargs.setdefault("max_replicas", 2)
-        kwargs.setdefault("initial_replicas", 2)
         kwargs.setdefault("down_cooldown_ms", 40.0)
-        scaler, router, ups, downs = make_autoscaler(**kwargs)
+        scaler, router, ups, downs = make_autoscaler(cold_start_ms=0.0, **kwargs)
         seed_estimator(router, 10.0)
-        scaler.observe_arrival(0.0)
-        scaler.observe_arrival(1.0)
+        offer_rate(scaler, per_ms=1.0, count=20)
+        scaler.step(20.0)
+        assert router.active_indices() == [0, 1]
         return scaler, router, ups, downs
 
     def test_idle_fleet_releases_the_newest_drained_replica(self):
@@ -178,9 +179,7 @@ class TestScaleDown:
         assert downs == []
 
     def test_never_scales_below_the_floor(self):
-        scaler, _, _, downs = self.make_idle_two_replica_fleet(
-            min_replicas=2, max_replicas=2, initial_replicas=2
-        )
+        scaler, _, _, downs = self.make_idle_two_replica_fleet(min_replicas=2, max_replicas=2)
         scaler.step(1000.0)
         assert downs == []
         assert scaler.fleet_size == 2
@@ -196,7 +195,7 @@ class TestScaleDown:
         assert ups
         # Rate has decayed below the low watermark by t=100, but only 80 ms
         # have passed since the up event: the cooldown is the only blocker.
-        assert scaler.utilization(100.0) < scaler.config.low_watermark
+        assert scaler.utilization(100.0) < LOW_WATERMARK
         scaler.step(100.0)
         assert downs == []
         scaler.step(250.0)  # past the cooldown

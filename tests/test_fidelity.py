@@ -9,7 +9,6 @@ from repro.hw import Machine
 from repro.models.tgat import TGAT, TGATConfig
 from repro.serve import (
     FULL_FIDELITY,
-    FidelityConfig,
     FidelityController,
     InferenceServer,
     PoissonProcess,
@@ -17,6 +16,7 @@ from repro.serve import (
     generate_requests,
     make_policy,
 )
+from repro.serve.fidelity import RECOVERY_BATCHES
 
 
 @pytest.fixture(scope="module")
@@ -24,16 +24,12 @@ def tiny_wikipedia():
     return load("wikipedia", scale="tiny")
 
 
-def _controller(**overrides) -> FidelityController:
-    return FidelityController(config=FidelityConfig(**overrides))
-
-
 # -- controller unit behaviour ------------------------------------------------
 
 
 class TestLeverOrdering:
     def test_levels_escalate_one_at_a_time_in_lever_order(self):
-        controller = _controller()
+        controller = FidelityController()
         controller.set_cache_available(True)
         d1 = controller.on_dispatch(True, 4)
         assert d1.level == 1
@@ -49,7 +45,7 @@ class TestLeverOrdering:
         assert 1.0 > d1.cost_scale > d2.cost_scale > d3.cost_scale > 0.0
 
     def test_without_cache_the_cache_levers_are_capped(self):
-        controller = _controller()
+        controller = FidelityController()
         controller.set_cache_available(False)
         for _ in range(5):
             decision = controller.on_dispatch(True, 4, lost_deadlines=2)
@@ -61,7 +57,7 @@ class TestLeverOrdering:
         assert snapshot["forced_requests"] == 0
 
     def test_force_hits_requires_lost_deadlines(self):
-        controller = _controller()
+        controller = FidelityController()
         controller.set_cache_available(True)
         for _ in range(3):
             controller.on_dispatch(True, 4, lost_deadlines=1)
@@ -73,22 +69,23 @@ class TestLeverOrdering:
 
 class TestRecoveryHysteresis:
     def test_recovery_needs_consecutive_clear_batches(self):
-        controller = _controller(recovery_batches=3)
+        controller = FidelityController()
         controller.set_cache_available(True)
         controller.on_dispatch(True, 4)
         controller.on_dispatch(True, 4)
         assert controller.level == 2
-        # Two clears, then pressure again: the streak resets, no decay yet.
-        controller.on_dispatch(False, 4)
-        controller.on_dispatch(False, 4)
+        # One clear short of a streak, then pressure again: the streak
+        # resets, no decay yet.
+        for _ in range(RECOVERY_BATCHES - 1):
+            controller.on_dispatch(False, 4)
         assert controller.level == 2
         controller.on_dispatch(True, 4)
         assert controller.level == 3
         # Now a full clear run decays exactly one level per streak.
-        for _ in range(3):
+        for _ in range(RECOVERY_BATCHES):
             controller.on_dispatch(False, 4)
         assert controller.level == 2
-        for _ in range(6):
+        for _ in range(2 * RECOVERY_BATCHES):
             controller.on_dispatch(False, 4)
         assert controller.level == 0
         # Recovered: further clear dispatches are full fidelity.
@@ -98,7 +95,7 @@ class TestRecoveryHysteresis:
 
 class TestDebtConservation:
     def test_debt_equals_weighted_lever_counters(self):
-        controller = _controller()
+        controller = FidelityController()
         controller.set_cache_available(True)
         batches = [(True, 4, 0), (True, 8, 0), (True, 6, 3), (False, 2, 0)]
         for pressured, size, lost in batches:
@@ -118,20 +115,12 @@ class TestDebtConservation:
         assert snapshot["degraded_batches"] <= snapshot["total_dispatches"]
 
     def test_zero_pressure_accrues_zero_debt(self):
-        controller = _controller()
+        controller = FidelityController()
         controller.set_cache_available(True)
         for _ in range(20):
             assert controller.on_dispatch(False, 8) == FULL_FIDELITY
         assert controller.debt_score == 0.0
         assert controller.snapshot()["degraded_batches"] == 0
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            FidelityConfig(fanout_scale=0.0)
-        with pytest.raises(ValueError):
-            FidelityConfig(staleness_scale=0.5)
-        with pytest.raises(ValueError):
-            FidelityConfig(recovery_batches=0)
 
 
 # -- end-to-end ---------------------------------------------------------------

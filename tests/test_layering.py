@@ -20,9 +20,13 @@
   event-stream body and the cache-fronted ``_sample`` live once in
   ``DGNNModel``, TGAT has one plan type (``TGATPlan``) and one planned
   forward, and no ``hw`` file names the tracer.
+* Fixed knobs stay constants: none of the 49 parameters and fields that had
+  one value in use comes back, each constant keeps the default it replaced,
+  and a scheduler policy's accepted overrides are declared once, on its class.
 """
 
 import ast
+import importlib
 import os
 import re
 
@@ -257,3 +261,167 @@ def test_no_hw_file_names_the_tracer():
         if re.search("tracer", _read(path), re.IGNORECASE)
     ]
     assert not named, named
+
+
+#: The 49 settable values that had exactly one value in use, by file and
+#: owner (a function, ``Class.method``, or a dataclass whose fields they
+#: were).  None may come back as a parameter or a field.
+FIXED_KNOBS = {
+    "serve/fidelity.py": {
+        "FidelityConfig": (
+            "fanout_scale", "staleness_scale", "recovery_batches",
+            "sampling_fraction", "stale_benefit", "forced_benefit",
+        ),
+        "FidelityController": ("config",),
+    },
+    "serve/autoscale.py": {
+        "AutoscaleConfig": (
+            "initial_replicas", "high_watermark", "low_watermark", "p99_window", "rate_window",
+        ),
+    },
+    "serve/policy.py": {
+        "SLOAwarePolicy.__init__": ("safety_factor", "estimator"),
+        "ServiceTimeEstimator.__init__": ("alpha",),
+    },
+    "serve/placement.py": {"ShardedModel.__init__": ("root_index", "row_bytes")},
+    "cache/store.py": {
+        "DeviceResidentCache.__init__": ("cost_model",),
+        "CacheCostModel": ("probe_us_per_key", "insert_us_per_key", "invalidate_us_per_key"),
+    },
+    "cache/model_cache.py": {
+        "ModelCache.__init__": ("cost_model",),
+        "make_model_cache": ("cost_model",),
+    },
+    "graph/sampling.py": {
+        "TemporalNeighborSampler.__init__": ("cost_model",),
+        "SamplingCostModel": (
+            "per_target_us", "per_candidate_us", "per_sample_us", "sort_log_factor_us",
+        ),
+    },
+    "core/bottlenecks.py": {
+        "analyze_profile": ("thresholds", "iteration_ms"),
+        "detect_temporal_dependency": ("thresholds",),
+        "detect_workload_imbalance": ("thresholds", "preprocessing_labels"),
+        "detect_data_movement": ("thresholds",),
+        "detect_gpu_warmup": ("thresholds", "iteration_ms"),
+        "BottleneckThresholds": (
+            "low_gpu_utilization", "small_kernel_ms", "host_preprocessing_share",
+            "cpu_busy_gpu_idle", "transfer_share", "warmup_share",
+        ),
+    },
+    "core/breakdown.py": {
+        "compute_breakdown": ("region_depth", "include_warmup", "merge_below_fraction", "stream"),
+    },
+    "optim/overlap.py": {
+        "OverlappedRunner.__init__": ("stream_name",),
+        "estimate_overlap_speedup": ("host_labels",),
+        "OverlapRunResult.steady_state_ms": ("skip",),
+    },
+}
+
+#: What each knob became: ``module: {constant (or attribute path): value}``,
+#: every value the default it replaces.
+KNOB_CONSTANTS = {
+    "repro.serve.fidelity": {
+        "FANOUT_SCALE": 0.5, "STALENESS_SCALE": 4.0, "RECOVERY_BATCHES": 3,
+        "SAMPLING_FRACTION": 0.6, "STALE_BENEFIT": 0.15, "FORCED_BENEFIT": 0.2,
+    },
+    "repro.serve.autoscale": {
+        "HIGH_WATERMARK": 0.75, "LOW_WATERMARK": 0.30, "P99_WINDOW": 64, "RATE_WINDOW": 32,
+    },
+    "repro.serve.policy": {"SAFETY_FACTOR": 1.2, "ESTIMATOR_ALPHA": 0.3},
+    "repro.serve.placement": {"ROOT_SHARD": 0},
+    "repro.cache.store": {
+        "CACHE_COST.probe_us_per_key": 0.08,
+        "CACHE_COST.insert_us_per_key": 0.12,
+        "CACHE_COST.invalidate_us_per_key": 0.04,
+    },
+    "repro.graph.sampling": {
+        "SAMPLING_COST.per_target_us": 10.0,
+        "SAMPLING_COST.per_candidate_us": 0.01,
+        "SAMPLING_COST.per_sample_us": 0.03,
+        "SAMPLING_COST.sort_log_factor_us": 1.0,
+    },
+    "repro.core.bottlenecks": {
+        "LOW_GPU_UTILIZATION": 0.10, "SMALL_KERNEL_MS": 0.05, "HOST_PREPROCESSING_SHARE": 0.40,
+        "CPU_BUSY_GPU_IDLE": 0.35, "TRANSFER_SHARE": 0.30, "WARMUP_SHARE": 0.20,
+        "PREPROCESSING_LABELS": (
+            "Sampling (CPU)", "Sampling", "top-k", "Create T-batch", "Load Embedding",
+            "Data Loading",
+        ),
+    },
+    "repro.optim.overlap": {
+        "OverlappedRunner.STREAM_NAME": "sampling",
+        "HOST_LABELS": (
+            "Sampling (CPU)", "Sampling", "Load Embedding", "top-k",
+            "Etc(data loading, cuda sync)",
+        ),
+    },
+}
+
+
+def _settable(tree):
+    """``owner -> names`` a caller can set: parameters of every function and
+    method (``Class.method``) and annotated fields of every class body."""
+    settable = {}
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            settable[node.name] = {
+                item.target.id
+                for item in node.body
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+            }
+    for owner, name, function in _functions(tree):
+        arguments = function.args
+        settable[f"{owner}.{name}" if owner else name] = {
+            arg.arg for arg in arguments.posonlyargs + arguments.args + arguments.kwonlyargs
+        }
+    return settable
+
+
+def test_the_fixed_knobs_are_constants_not_options():
+    assert sum(len(names) for owners in FIXED_KNOBS.values() for names in owners.values()) == 49
+    back = []
+    for relative, owners in FIXED_KNOBS.items():
+        settable = _settable(ast.parse(_read(os.path.join(PACKAGE_ROOT, relative))))
+        for owner, names in owners.items():
+            back += [f"{relative}: {owner}({name})" for name in set(names) & settable.get(owner, set())]
+    assert not back, f"settable again: {sorted(back)}"
+    for module_name, constants in KNOB_CONSTANTS.items():
+        module = importlib.import_module(module_name)
+        for path, value in constants.items():
+            head, *rest = path.split(".")
+            found = getattr(module, head)
+            for attribute in rest:
+                found = getattr(found, attribute)
+            assert found == value, (module_name, path)
+
+
+def test_policy_overrides_are_declared_once_per_policy_class():
+    from repro.serve.policy import POLICIES, applicable_policy_overrides, make_policy
+
+    overrides = ("batch_timeout_ms", "slo_ms")
+    tree = ast.parse(_read(os.path.join(PACKAGE_ROOT, "serve", "policy.py")))
+    # The names are spelled in the class declarations and in the one helper
+    # that maps make_policy's keywords to them -- no function branches on a
+    # policy.
+    spelled = {
+        f"{owner}.{name}" if owner else name
+        for owner, name, function in _functions(tree)
+        if any(
+            isinstance(node, ast.Constant) and node.value in overrides
+            for node in ast.walk(function)
+        )
+    }
+    assert spelled == {"_given_overrides"}
+    for owner, name, function in _functions(tree):
+        if name in ("make_policy", "applicable_policy_overrides"):
+            attributes = {n.attr for n in ast.walk(function) if isinstance(n, ast.Attribute)}
+            assert "overrides" in attributes and "name" not in attributes, name
+    given = dict(zip(overrides, (4.0, 40.0)))
+    for key, cls in POLICIES.items():
+        assert cls.overrides == tuple(name for name in overrides if name in cls.overrides)
+        accepted = {name: given[name] for name in cls.overrides}
+        assert applicable_policy_overrides(key, **given) == accepted
+        policy = make_policy(key, 3, **accepted)
+        assert [getattr(policy, name) for name in cls.overrides] == list(accepted.values())

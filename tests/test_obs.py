@@ -117,7 +117,7 @@ class TestSpans:
         _, report = _serve_single(tiny_wikipedia, tracer=tracer)
         assert report.completed > 0
         for request in report.requests:
-            spans = tracer.spans_for_request(request.request_id)
+            spans = [s for s in tracer.spans if request.request_id in s.trace_ids]
             queue = [s for s in spans if s.category == "queue"]
             service = [s for s in spans if s.category == "service"]
             assert len(queue) == 1 and len(service) == 1

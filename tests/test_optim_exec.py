@@ -74,7 +74,7 @@ class TestOverlappedRunner:
             runner.run(batches)
         stream = runner.stream
         assert stream.busy_ms() > 0
-        sampled = machine.events.on_stream(machine.cpu.name, runner.stream_name)
+        sampled = machine.events.on_stream(machine.cpu.name, runner.STREAM_NAME)
         assert any(e.name == "temporal_neighbor_sampling" for e in sampled)
 
     def test_executed_speedup_close_to_analytic_on_small_config(self):

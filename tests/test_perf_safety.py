@@ -22,7 +22,6 @@ import pytest
 from repro.cache import DeviceResidentCache, make_eviction_policy
 from repro.core import (
     WORKLOAD_IMBALANCE,
-    BottleneckThresholds,
     DeviceSnapshot,
     Profile,
     Profiler,
@@ -836,15 +835,14 @@ def test_indexed_profile_views_match_plain_scans(case):
 @pytest.mark.parametrize("case", sorted(ANALYSIS_PROFILES))
 def test_shared_breakdown_equals_standalone_detectors(case):
     profile = ANALYSIS_PROFILES[case]()
-    thresholds = BottleneckThresholds()
     standalone = [
-        detect_temporal_dependency(profile, thresholds),
-        detect_workload_imbalance(profile, thresholds),
-        detect_data_movement(profile, thresholds),
-        detect_gpu_warmup(profile, thresholds, iteration_ms=3.0),
+        detect_temporal_dependency(profile),
+        detect_workload_imbalance(profile),
+        detect_data_movement(profile),
+        detect_gpu_warmup(profile),
     ]
     standalone.sort(key=lambda f: -f.severity)
-    report = analyze_profile(profile, thresholds, iteration_ms=3.0)
+    report = analyze_profile(profile)
     assert report.findings == tuple(standalone)
     # The starvation evidence is the reference scan's number.
     assert report.finding(WORKLOAD_IMBALANCE).evidence["cpu_busy_gpu_idle"] == (

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import Profiler, compute_breakdown
+from repro.core import Profiler
 from repro.hw import KERNEL, Machine
 from repro.tensor import Tensor, ops
 
@@ -116,19 +116,6 @@ class TestPerStreamStats:
         by_name = {s.name: s for s in profile.link_streams}
         assert by_name["default"].transfer_count == 1
         assert by_name["copy"].transfer_count == 1
-
-    def test_stream_filtered_breakdown(self, machine):
-        side = machine.stream(machine.gpu, "side")
-        profiler = Profiler(machine)
-        with machine.activate():
-            with profiler.capture("w"):
-                with machine.region("A"):
-                    machine.launch_kernel(machine.gpu, "k0", flops=1e6, bytes_moved=0)
-                with machine.region("B"), machine.use_stream(side):
-                    machine.launch_kernel(machine.gpu, "k1", flops=1e6, bytes_moved=0)
-        profile = profiler.last_profile
-        side_only = compute_breakdown(profile, stream="side")
-        assert side_only.labels() == ["B"]
 
 
 class TestMemoryStats:

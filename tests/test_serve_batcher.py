@@ -11,6 +11,7 @@ from repro.serve import (
     TimeoutBatchingPolicy,
     make_policy,
 )
+from repro.serve.policy import ESTIMATOR_ALPHA, SAFETY_FACTOR
 
 
 def _request(request_id, arrival_ms, slo_ms=None):
@@ -26,7 +27,6 @@ def test_empty_queue_tick_yields_no_batch(policy_name):
     assert len(batcher) == 0
     assert batcher.poll(123.0) == []
     assert batcher.next_deadline_ms(123.0) is None
-    assert batcher.oldest is None
 
 
 # -- FIFO -----------------------------------------------------------------------
@@ -95,33 +95,26 @@ def test_slo_policy_behaves_like_timeout_before_any_observation():
 
 
 def test_slo_policy_shrinks_batch_under_deadline_pressure():
-    estimator = ServiceTimeEstimator()
-    estimator.observe(batch_size=1, service_ms=4.0)  # 4 ms per request
-    policy = SLOAwarePolicy(
-        max_batch_size=8, batch_timeout_ms=100.0, slo_ms=20.0,
-        safety_factor=1.0, estimator=estimator,
-    )
+    assert SAFETY_FACTOR == 1.2  # the arithmetic below prices a request at 4.8 ms
+    policy = SLOAwarePolicy(max_batch_size=8, batch_timeout_ms=100.0, slo_ms=20.0)
+    policy.observe(batch_size=1, service_ms=4.0)  # 4 ms per request
     queue = [_request(rid, arrival_ms=0.0, slo_ms=20.0) for rid in range(8)]
-    # Plenty of slack at t=0 for a full batch (8 * 4 = 32 > 20? no!) --
-    # slack 20 < est(8) 32, so pressure applies immediately: only
-    # floor(20 / 4) = 5 requests fit before the oldest deadline.
-    assert policy.select_batch_size(queue, 0.0) == 5
-    # Closer to the deadline the batch shrinks further.
+    # A full batch is estimated at 8 * 4.8 = 38.4 ms > 20 ms of slack, so
+    # pressure applies immediately: only floor(20 / 4.8) = 4 requests fit
+    # before the oldest deadline.
+    assert policy.select_batch_size(queue, 0.0) == 4
+    # Closer to the deadline the batch shrinks further: floor(10 / 4.8) = 2.
     assert policy.select_batch_size(queue, 10.0) == 2
-    # Once even one request cannot make it (slack 3 < 4), shrinking is
+    # Once even one request cannot make it (slack 3 < 4.8), shrinking is
     # pointless: fall back to throughput batching (full batch available).
     assert policy.select_batch_size(queue, 17.0) == 8
 
 
 def test_slo_policy_with_comfortable_slack_keeps_batching():
-    estimator = ServiceTimeEstimator()
-    estimator.observe(batch_size=1, service_ms=1.0)
-    policy = SLOAwarePolicy(
-        max_batch_size=4, batch_timeout_ms=6.0, slo_ms=100.0,
-        safety_factor=1.0, estimator=estimator,
-    )
+    policy = SLOAwarePolicy(max_batch_size=4, batch_timeout_ms=6.0, slo_ms=100.0)
+    policy.observe(batch_size=1, service_ms=1.0)
     queue = [_request(0, arrival_ms=0.0, slo_ms=100.0)]
-    # est(1) = 1 ms << 100 ms slack: defer to timeout batching (not full yet).
+    # est(1) = 1.2 ms << 100 ms slack: defer to timeout batching (not full yet).
     assert policy.select_batch_size(queue, 1.0) == 0
     queue = [_request(rid, arrival_ms=0.0, slo_ms=100.0) for rid in range(4)]
     assert policy.select_batch_size(queue, 0.0) == 4  # full batch, no shrink
@@ -129,12 +122,8 @@ def test_slo_policy_with_comfortable_slack_keeps_batching():
 
 def test_slo_policy_does_not_shed_when_deadline_is_hopeless():
     """A missed deadline must not trigger a batch-of-one death spiral."""
-    estimator = ServiceTimeEstimator()
-    estimator.observe(batch_size=1, service_ms=4.0)
-    policy = SLOAwarePolicy(
-        max_batch_size=8, batch_timeout_ms=5.0, slo_ms=20.0,
-        safety_factor=1.0, estimator=estimator,
-    )
+    policy = SLOAwarePolicy(max_batch_size=8, batch_timeout_ms=5.0, slo_ms=20.0)
+    policy.observe(batch_size=1, service_ms=4.0)
     # The oldest request is already past its deadline: even a batch of one
     # cannot make it, so the policy batches for throughput instead.
     queue = [_request(rid, arrival_ms=0.0, slo_ms=20.0) for rid in range(8)]
@@ -142,26 +131,23 @@ def test_slo_policy_does_not_shed_when_deadline_is_hopeless():
 
 
 def test_slo_policy_deadline_tracks_pressure_start():
-    estimator = ServiceTimeEstimator()
-    estimator.observe(batch_size=2, service_ms=4.0)  # 2 ms per request
-    policy = SLOAwarePolicy(
-        max_batch_size=4, batch_timeout_ms=50.0, slo_ms=30.0,
-        safety_factor=1.0, estimator=estimator,
-    )
+    policy = SLOAwarePolicy(max_batch_size=4, batch_timeout_ms=50.0, slo_ms=30.0)
+    policy.observe(batch_size=2, service_ms=4.0)  # 2 ms per request
     queue = [_request(0, arrival_ms=0.0, slo_ms=30.0)]
-    # Pressure starts when slack equals est(1) = 2 ms -> t = 28; the timeout
-    # deadline (t = 50) is later, so the policy wants waking at t = 28.
-    assert policy.next_deadline_ms(queue, 0.0) == pytest.approx(28.0)
+    # Pressure starts when slack equals est(1) = 2 * SAFETY_FACTOR ms; the
+    # timeout deadline (t = 50) is later, so the policy wants waking then.
+    assert policy.next_deadline_ms(queue, 0.0) == pytest.approx(30.0 - 2.0 * SAFETY_FACTOR)
 
 
 def test_service_time_estimator_smooths_observations():
-    estimator = ServiceTimeEstimator(alpha=0.5)
+    estimator = ServiceTimeEstimator()
     assert estimator.estimate(4) == 0.0
     estimator.observe(batch_size=2, service_ms=8.0)   # 4 ms/request
     assert estimator.per_request_ms == pytest.approx(4.0)
     estimator.observe(batch_size=4, service_ms=8.0)   # 2 ms/request sample
-    assert estimator.per_request_ms == pytest.approx(3.0)
-    assert estimator.estimate(4) == pytest.approx(12.0)
+    smoothed = 4.0 + ESTIMATOR_ALPHA * (2.0 - 4.0)
+    assert estimator.per_request_ms == pytest.approx(smoothed)
+    assert estimator.estimate(4) == pytest.approx(4 * smoothed)
 
 
 # -- force drain -------------------------------------------------------------------
@@ -189,17 +175,15 @@ def test_slo_wakeup_dispatches_the_batch_it_was_scheduled_for(per_request_ms, qu
     smaller batch and leaving the tail with zero slack -- a guaranteed SLO
     miss the policy itself caused.
     """
-    policy = SLOAwarePolicy(
-        max_batch_size=8, batch_timeout_ms=50.0, slo_ms=30.0, safety_factor=1.2
-    )
-    policy.estimator.observe(1, per_request_ms)
+    policy = SLOAwarePolicy(max_batch_size=8, batch_timeout_ms=50.0, slo_ms=30.0)
+    policy.observe(1, per_request_ms)
     queue = [_request(rid, arrival_ms=0.0, slo_ms=30.0) for rid in range(queued)]
     assert policy.select_batch_size(queue, 0.0) == 0  # comfortable: waits
     wake = policy.next_deadline_ms(queue, 0.0)
     assert wake is not None and wake > 0.0
     selected = policy.select_batch_size(queue, wake)
     assert selected == queued
-    estimated_done = wake + policy.estimator.estimate(selected) * policy.safety_factor
+    estimated_done = wake + policy.estimator.estimate(selected) * SAFETY_FACTOR
     assert estimated_done <= 30.0 + 1e-6
 
 
@@ -212,10 +196,8 @@ def test_slo_wakeup_does_not_oscillate_at_the_pressure_boundary(per_request_ms, 
     returned 0 and the server spun in epsilon-sized clock advances around
     the boundary (dispatching nothing each time) until the slack decayed.
     """
-    policy = SLOAwarePolicy(
-        max_batch_size=8, batch_timeout_ms=50.0, slo_ms=30.0, safety_factor=1.2
-    )
-    policy.estimator.observe(1, per_request_ms)
+    policy = SLOAwarePolicy(max_batch_size=8, batch_timeout_ms=50.0, slo_ms=30.0)
+    policy.observe(1, per_request_ms)
     queue = [_request(rid, arrival_ms=0.0, slo_ms=30.0) for rid in range(queued)]
     assert policy.select_batch_size(queue, 0.0) == 0
     wake = policy.next_deadline_ms(queue, 0.0)

@@ -205,8 +205,3 @@ def test_intervals_are_materialised_from_the_columns_on_read():
     assert timeline.intervals == expected == tuple(timeline)
     assert len(timeline) == 3 and timeline.span() == (1.0, 5.0)
     assert not hasattr(timeline, "_intervals")
-    merged = timeline.merged(Timeline.from_intervals("runs", [(0.5, 1.5), (4.5, 4.75)]))
-    assert [tuple(i) for i in merged] == [
-        (0.5, 1.5, ""), (1.0, 3.0, "a"), (4.0, 5.0, "b"), (4.5, 4.75, ""), (5.0, 5.0, "c"),
-    ]
-    assert merged.busy_ms() == 4.25 and merged.merged_busy_ms() == 3.5
