@@ -17,6 +17,8 @@ paper's Figs. 7(e)-(h).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -61,41 +63,75 @@ class SamplingCostModel:
 SAMPLING_COST = SamplingCostModel()
 
 
-@dataclass(frozen=True, **DATACLASS_SLOTS)
 class NeighborhoodSample:
     """Result of one batched temporal-neighbourhood query.
 
     All arrays have shape (num_targets, k); ``mask`` marks valid entries
     (targets with fewer than k earlier interactions are zero-padded).
+
+    A sample built by :meth:`deferred` computes ``neighbor_ids`` on first
+    read, by calling its resolver once; the sampler hands out such samples
+    under the shape backend, where most ids are never read.
     """
 
-    neighbor_ids: np.ndarray
-    neighbor_times: np.ndarray
-    event_indices: np.ndarray
-    mask: np.ndarray
+    __slots__ = ("_neighbor_ids", "_resolve", "neighbor_times", "event_indices", "mask")
+
+    def __init__(
+        self,
+        neighbor_ids: np.ndarray,
+        neighbor_times: np.ndarray,
+        event_indices: np.ndarray,
+        mask: np.ndarray,
+    ) -> None:
+        self._neighbor_ids = neighbor_ids
+        self._resolve: Optional[Callable[[], np.ndarray]] = None
+        self.neighbor_times = neighbor_times
+        self.event_indices = event_indices
+        self.mask = mask
+
+    @classmethod
+    def deferred(
+        cls, resolve: Callable[[], np.ndarray], *payload: np.ndarray
+    ) -> NeighborhoodSample:
+        """``NeighborhoodSample(resolve(), *payload)``, running ``resolve`` on
+        the first read of ``neighbor_ids``."""
+        sample = cls(None, *payload)
+        sample._resolve = resolve
+        return sample
+
+    @property
+    def neighbor_ids(self) -> np.ndarray:
+        if self._resolve is not None:
+            self._neighbor_ids = self._resolve()
+            self._resolve = None
+        return self._neighbor_ids
 
     @property
     def num_targets(self) -> int:
-        return int(self.neighbor_ids.shape[0])
+        return int(self.mask.shape[0])
 
     @property
     def k(self) -> int:
-        return int(self.neighbor_ids.shape[1])
+        return int(self.mask.shape[1])
 
 
-#: Largest ``k`` served by :func:`_floyd_choices`.  Its replay costs ``k`` numpy
-#: steps, so a batch repays it from about ``k`` rows up (measured: k=10 at 9
-#: rows, k=20 at 16, k=32 at 40); past 64, ``choice``'s per-call overhead is
-#: spread over enough draws that the per-row loop wins at every batch size.
+#: Largest ``k`` served by :func:`_floyd_draws`.  Resolving its draws costs
+#: ``k`` numpy steps, so a batch repays it from about ``k`` rows up (measured
+#: with the resolve eager: k=10 at 9 rows, k=20 at 16, k=32 at 40); past 64,
+#: ``choice``'s per-call overhead is spread over enough draws that the per-row
+#: loop wins at every batch size.  Under the shape backend most resolves never
+#: run, but the numeric backend and every id read still pay them, so the
+#: crossover stays as measured.
 #: Must stay <= 200: ``Generator.choice(pop, k, replace=False)`` leaves
 #: Floyd's algorithm for a tail shuffle of ``arange(pop)`` only when
 #: ``pop > 10_000 and k > pop // 50`` (numpy/random/_generator.pyx).
 _MAX_BATCHED_K = 64
 
 
-def _floyd_choices(rng: np.random.Generator, pops: np.ndarray, k: int) -> np.ndarray:
-    """Row ``i`` is ``sorted(rng.choice(pops[i], k, replace=False))``, drawn
-    for all rows, in row order, with a single ``rng.integers`` call.
+def _floyd_draws(rng: np.random.Generator, pops: np.ndarray, k: int) -> np.ndarray:
+    """The raw draws of ``rng.choice(pops[i], k, replace=False)`` for every
+    row ``i``, in row order, from a single ``rng.integers`` call;
+    :func:`_floyd_resolve` turns them into the picks.
 
     Valid while ``choice`` runs Floyd's algorithm (always, for
     ``k <= _MAX_BATCHED_K``).  There it consumes
@@ -105,25 +141,37 @@ def _floyd_choices(rng: np.random.Generator, pops: np.ndarray, k: int) -> np.nda
     ``integers(0, bounds, endpoint=True)`` consumes for those bounds, element
     by element.  The shuffle draws are discarded: the picks get sorted.
     """
-    last = pops[:, None] - k + np.arange(k)
     bounds = np.empty((len(pops), 2 * k - 1), dtype=np.int64)
-    bounds[:, :k] = last
+    bounds[:, :k] = pops[:, None] - k + np.arange(k)
     bounds[:, k:] = np.arange(k - 1, 0, -1)
-    picks = rng.integers(0, bounds.ravel(), endpoint=True).reshape(bounds.shape)[:, :k]
-    ordered = np.sort(picks, axis=1)
+    return rng.integers(0, bounds.ravel(), endpoint=True).reshape(bounds.shape)[:, :k]
+
+
+def _floyd_resolve(pops: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Row ``i`` is ``sorted(choice(pops[i], k, replace=False))``, given that
+    call's raw ``draws`` (see :func:`_floyd_draws`); reads no RNG and writes
+    neither input."""
+    k = draws.shape[1]
+    ordered = np.sort(draws, axis=1)
     # Distinct draws are never substituted, so they already are the answer.
     # A row with a repeated draw replays Floyd's rule step by step: ``j``
     # exceeds everything selected before it, but may equal a later draw.
     repeated = np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
     if len(repeated):
-        replay = picks[repeated]
-        substitute = last[repeated]
+        replay = draws[repeated]
+        substitute = pops[repeated, None] - k + np.arange(k)
         for step in range(1, k):
             seen = (replay[:, :step] == replay[:, step, None]).any(axis=1)
             replay[seen, step] = substitute[seen, step]
         replay.sort(axis=1)
         ordered[repeated] = replay
     return ordered
+
+
+def _floyd_choices(rng: np.random.Generator, pops: np.ndarray, k: int) -> np.ndarray:
+    """Row ``i`` is ``sorted(rng.choice(pops[i], k, replace=False))``, drawn
+    for all rows, in row order, with a single ``rng.integers`` call."""
+    return _floyd_resolve(pops, _floyd_draws(rng, pops, k))
 
 
 class TemporalNeighborSampler:
@@ -229,12 +277,16 @@ class TemporalNeighborSampler:
         internals and is pinned against ``Generator.choice`` itself in
         ``tests/test_sampler_rng_contract.py``.
 
-        Under the machine's ``shape`` backend the sampler consumes the *same*
-        RNG draws and materialises ``neighbor_ids`` and ``mask`` (both feed
-        timeline-relevant logic downstream: deeper sampling layers, cache
-        keys, cross-shard gather accounting) -- only the pure payload arrays
-        ``neighbor_times`` and ``event_indices`` become placeholders,
-        skipping their gathers.
+        Under the machine's ``shape`` backend the RNG draws are kept and the
+        ids are resolved on first read.  Everything that moves the RNG or the
+        clock still runs here -- validation, the bisects, the mask, the draw
+        and the charge -- so the stream is consumed exactly as the numeric
+        backend consumes it.  Turning the draws into ``neighbor_ids``
+        (Floyd's replay, the sort, the gather) waits for the first read of
+        that attribute, and runs over arrays nothing writes, so the ids are
+        the numeric ones whenever they are read; TGAT's shape-backend compute
+        reads only the ids that feed a deeper query.  ``neighbor_times`` and
+        ``event_indices`` are placeholders there.
         """
         nodes = np.asarray(nodes, dtype=np.int64)
         timestamps = np.asarray(timestamps, dtype=np.float64)
@@ -247,50 +299,72 @@ class TemporalNeighborSampler:
         if batch and not 0 <= nodes.min() <= nodes.max() < num_nodes:
             bad = int(nodes[(nodes < 0) | (nodes >= num_nodes)][0])
             raise ValueError(f"node id {bad} is outside [0, {num_nodes})")
+        nan = np.isnan(timestamps)
+        if nan.any():
+            # NaN bisects past every time: the row would see its whole history.
+            raise ValueError(f"query time of row {int(np.flatnonzero(nan)[0])} is NaN")
         machine = active_machine_or_none()
         shape_only = machine is not None and machine.shape_mode
         starts = self._offsets[nodes]
         ranks = self._unique_times.searchsorted(timestamps, side="left")
         targets = nodes * (len(self._unique_times) + 1) + ranks
         degrees = self._keys.searchsorted(targets, side="left") - starts
-        # Most-recent-k positions within each row's candidates; uniform rows
-        # with more than k candidates overwrite theirs with the drawn ones.
-        columns = np.arange(k)
-        chosen = np.maximum(degrees - k, 0)[:, None] + columns
+        drawn = picks = None
         if self.uniform:
             drawn = np.flatnonzero(degrees > k)
             if len(drawn):
-                chosen[drawn] = self._draw(degrees[drawn], k)
+                picks = self._deferred_draw(degrees[drawn], k)
+        columns = np.arange(k)
         valid = columns < degrees[:, None]
-        flat = np.where(valid, starts[:, None] + chosen, len(self._keys))
-        neighbor_ids = self._neighbors[flat]
-        if shape_only:
-            neighbor_times = placeholder((batch, k), np.float64)
-            event_indices = placeholder((batch, k), np.int64)
-        else:
-            neighbor_times = self._times[flat]
-            event_indices = self._events[flat]
         self._charge(degrees, k)
+
+        def slots() -> np.ndarray:
+            # Most-recent-k positions within each row's candidates; uniform
+            # rows with more than k candidates take the drawn ones.  Padding
+            # points at the payload's trailing zero.
+            chosen = np.maximum(degrees - k, 0)[:, None] + columns
+            if picks is not None:
+                chosen[drawn] = picks()
+            return np.where(valid, starts[:, None] + chosen, len(self._keys))
+
+        mask = valid.astype(np.float32)
+        if shape_only:
+            return NeighborhoodSample.deferred(
+                partial(self._resolve_ids, slots),
+                placeholder((batch, k), np.float64),
+                placeholder((batch, k), np.int64),
+                mask,
+            )
+        flat = slots()
         return NeighborhoodSample(
-            neighbor_ids, neighbor_times, event_indices, valid.astype(np.float32)
+            self._neighbors[flat], self._times[flat], self._events[flat], mask
         )
 
-    def _draw(self, pops: np.ndarray, k: int) -> np.ndarray:
-        """``sorted(choice(pop, k, replace=False))`` per row, same RNG stream.
+    def _resolve_ids(self, slots: Callable[[], np.ndarray]) -> np.ndarray:
+        """``neighbor_ids`` of a deferred sample."""
+        return self._neighbors[slots()]
 
-        One batched draw when there are at least ``k`` rows to repay it;
-        fewer rows, or ``k > _MAX_BATCHED_K`` (the only place numpy's
-        tail-shuffle regime can occur), call ``choice`` row by row.
+    def _draw(self, pops: np.ndarray, k: int) -> np.ndarray:
+        """``sorted(choice(pop, k, replace=False))`` per row, same RNG stream."""
+        return self._deferred_draw(pops, k)()
+
+    def _deferred_draw(self, pops: np.ndarray, k: int) -> Callable[[], np.ndarray]:
+        """:meth:`_draw` with the RNG consumed now and the picks left to the call.
+
+        One batched draw when there are at least ``k`` rows to repay it, whose
+        replay and sort are what the call defers; fewer rows, or
+        ``k > _MAX_BATCHED_K`` (the only place numpy's tail-shuffle regime can
+        occur), call ``choice`` row by row, at once.
         """
         if k <= min(len(pops), _MAX_BATCHED_K):
-            return _floyd_choices(self._rng, pops, k)
+            return partial(_floyd_resolve, pops, _floyd_draws(self._rng, pops, k))
         choice = self._rng.choice
         out = np.empty((len(pops), k), dtype=np.int64)
         for row, pop in enumerate(pops.tolist()):
             picks = choice(pop, size=k, replace=False)
             picks.sort()
             out[row] = picks
-        return out
+        return lambda: out
 
     def _charge(self, degrees: np.ndarray, k: int) -> None:
         if not has_active_machine():

@@ -259,16 +259,21 @@ class TGAT(DGNNModel):
         layer: int,
         out: List[NeighborhoodSample],
     ) -> None:
-        """Depth-first sampling recursion matching :meth:`_embed`'s query order."""
+        """Depth-first sampling recursion matching :meth:`_embed`'s query order.
+
+        A layer-1 sample feeds no deeper query, so its ids are left unread.
+        """
         if layer == 0:
             return
         config = self.config
         with self.machine.region("Sampling (CPU)"):
             sample = self._sample(nodes, times, self.effective_fanout(config.num_neighbors))
         out.append(sample)
+        if layer == 1:
+            return
         self._sampling_plan(nodes, times, layer - 1, out)
         flat_neighbors = sample.neighbor_ids.reshape(-1)
-        flat_times = np.repeat(times, sample.neighbor_ids.shape[1])
+        flat_times = np.repeat(times, sample.k)
         self._sampling_plan(flat_neighbors, flat_times, layer - 1, out)
 
     # -- recursive temporal attention -----------------------------------------------
@@ -369,7 +374,7 @@ class TGAT(DGNNModel):
         table = self._device_features
         if plan is None or table is None or table.device != self.compute_device:
             return None
-        widths = tuple(sample.neighbor_ids.shape for sample in plan)
+        widths = tuple(sample.mask.shape for sample in plan)
         return (site, num_nodes, num_events, widths, self.machine.current_region)
 
     def _score_pairs(self, embeddings: Tensor, num_events: int) -> Tensor:
@@ -405,10 +410,15 @@ class TGAT(DGNNModel):
         # configured fan-out: under adaptive fidelity the overlap server may
         # change the fan-out scale between a batch's prepare and compute
         # phases, and the plan's samples carry the width they were drawn at.
-        fanout = sample.neighbor_ids.shape[1]
+        fanout = sample.k
         # Recursive lower-layer embeddings for the targets and their neighbours.
         target_prev = self._embed(nodes, times, layer - 1, plan=plan)
-        flat_neighbors = sample.neighbor_ids.reshape(-1)
+        if layer == 1 and self.machine.shape_mode:
+            # Layer 0 is a shape-only gather, which reads the index's length
+            # alone: the sample's ids stay unresolved.
+            flat_neighbors = meta.placeholder(len(nodes) * fanout, np.int64)
+        else:
+            flat_neighbors = sample.neighbor_ids.reshape(-1)
         flat_times = np.repeat(times, fanout)
         neighbor_prev = self._embed(flat_neighbors, flat_times, layer - 1, plan=plan)
         num_targets = len(nodes)

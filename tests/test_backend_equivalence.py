@@ -15,6 +15,7 @@ import pytest
 from repro.datasets import load as load_dataset
 from repro.experiments import cache_ablation, scaling, serving
 from repro.fuzz.program import signature
+from repro.graph.sampling import NeighborhoodSample
 from repro.hw.machine import Machine
 from repro.models.tgat import TGAT, TGATConfig
 from repro.serve import build_server, generate_requests, make_arrival_process
@@ -186,6 +187,52 @@ def test_slo_fidelity_under_overload_identical(cache_mb):
     # staleness bound), so the plans' own widths picked the tapes.
     assert numeric["fanout_requests"] > 0
     assert numeric["max_level_seen"] >= (2 if cache_mb else 1)
+
+
+# -- shape-backend samples resolve their ids only when read --------------------
+
+
+def _stamps(report):
+    return [(r.request_id, r.arrival_ms, r.dispatched_ms, r.completed_ms, r.replica)
+            for r in report.requests]
+
+
+@pytest.mark.parametrize("topology, serving", [
+    ("1xA6000", {"overlap": True}),
+    ("2xA100-pcie", {"placement": "replicate"}),
+])
+def test_shape_serving_resolves_only_the_layer2_query(topology, serving, monkeypatch):
+    """Of a batch's three queries (layer-2 targets, layer-1 targets, their
+    neighbours), only the first one's ids feed a deeper query; the others are
+    never resolved.  Resolving all of them up front changes nothing."""
+    deferred = NeighborhoodSample.deferred.__func__
+    made, resolved = [], []
+
+    def counted(cls, resolve, *payload):
+        index = len(made)
+        made.append(index)
+
+        def spy():
+            resolved.append(index)
+            return resolve()
+
+        return deferred(cls, spy, *payload)
+
+    monkeypatch.setattr(NeighborhoodSample, "deferred", classmethod(counted))
+    lazy = _serve("shape", topology, **serving)
+    assert len(made) % 3 == 0 and made
+    assert resolved == made[::3]
+    monkeypatch.setattr(
+        NeighborhoodSample, "deferred",
+        classmethod(lambda cls, resolve, *payload: cls(resolve(), *payload)),
+    )
+    eager = _serve("shape", topology, **serving)
+    assert lazy.replay_stats() == eager.replay_stats()
+    assert lazy.replay_stats()["replayed"] > 0
+    assert _percentiles(lazy.report) == _percentiles(eager.report)
+    assert _stamps(lazy.report) == _stamps(eager.report)
+    for lazy_machine, eager_machine in zip(lazy.machines, eager.machines):
+        assert signature(lazy_machine) == signature(eager_machine)
 
 
 # -- what must run direct ------------------------------------------------------

@@ -7,6 +7,10 @@ That is a dependence on numpy internals, so the oracle here is the installed
 ``choice`` -- not a copy of it: the picks must be equal **and** the bit
 generator must end in the same state.  A numpy release that changes
 ``choice`` fails here, loudly, instead of letting the golden tables drift.
+
+Under the shape backend the sampler keeps every draw eager but resolves
+``neighbor_ids`` on first read; the tests at the end pin that the stream is
+consumed before any read, in numeric order, and that unread ids never resolve.
 """
 
 import numpy as np
@@ -14,6 +18,7 @@ import pytest
 
 from repro.graph.events import EventStream
 from repro.graph.sampling import _MAX_BATCHED_K, TemporalNeighborSampler, _floyd_choices
+from repro.hw.machine import Machine
 
 
 def choice_rows(rng, pops, k):
@@ -105,3 +110,92 @@ def test_sampler_draw_preserves_stream_order_across_every_route(seed):
         picks = sampler._draw(pops.astype(np.int64), k)
         assert np.array_equal(picks, choice_rows(reference, pops, k))
         assert sampler._rng.bit_generator.state == reference.bit_generator.state
+
+
+# -- the sampler under the shape backend: draws kept, ids resolved on first read
+
+
+def busy_stream(seed, num_events=4000, num_nodes=40):
+    """Degrees around 200: k=20 and k=64 rows draw, early rows are padded."""
+    rng = np.random.default_rng(seed)
+    return EventStream(
+        src=rng.integers(0, num_nodes, size=num_events),
+        dst=rng.integers(0, num_nodes, size=num_events),
+        timestamps=np.sort(rng.uniform(0.0, 1000.0, size=num_events)),
+        num_nodes=num_nodes,
+    )
+
+
+#: ``(rows, k)`` per query: the batched route (with Floyd collisions at
+#: k=64), the per-row ``choice`` route (fewer rows than k), and k > 64.
+QUERIES = ((300, 20), (5, 20), (200, 64), (80, 70))
+
+
+def sample_on(backend, seed):
+    """The samples of :data:`QUERIES` on a fresh sampler, and the generator
+    state after each call -- taken before any id is read."""
+    stream = busy_stream(seed)
+    sampler = TemporalNeighborSampler(stream, uniform=True, seed=seed)
+    queries = np.random.default_rng(100 + seed)
+    samples, states = [], []
+    with Machine.cpu_gpu(backend=backend).activate():
+        for rows, k in QUERIES:
+            nodes = queries.integers(0, stream.num_nodes, size=rows)
+            times = queries.uniform(0.0, 1100.0, size=rows)
+            samples.append(sampler.sample(nodes, times, k))
+            states.append(sampler._rng.bit_generator.state)
+    return samples, states
+
+
+@pytest.fixture
+def resolves(monkeypatch):
+    """Row counts of every deferred sample resolved, in resolve order."""
+    rows = []
+    resolve = TemporalNeighborSampler._resolve_ids
+
+    def spy(self, slots):
+        ids = resolve(self, slots)
+        rows.append(len(ids))
+        return ids
+
+    monkeypatch.setattr(TemporalNeighborSampler, "_resolve_ids", spy)
+    return rows
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_shape_sampler_consumes_the_stream_before_any_id_is_read(seed, resolves):
+    shape, shape_states = sample_on("shape", seed)
+    numeric, numeric_states = sample_on("numeric", seed)
+    assert resolves == []
+    assert shape_states == numeric_states
+    # Read in reverse order: each resolve sees only its own draws.
+    for lazy, eager in reversed(list(zip(shape, numeric))):
+        assert np.array_equal(lazy.neighbor_ids, eager.neighbor_ids)
+        assert np.array_equal(lazy.mask, eager.mask)
+        assert (lazy.num_targets, lazy.k) == (eager.num_targets, eager.k)
+    assert resolves == [rows for rows, _ in reversed(QUERIES)]
+    assert shape[0].neighbor_ids is shape[0].neighbor_ids  # resolved once, then kept
+    assert len(resolves) == len(QUERIES)
+
+
+def test_unread_samples_never_resolve(resolves):
+    shape, _ = sample_on("shape", 7)
+    numeric, _ = sample_on("numeric", 7)
+    assert np.array_equal(shape[2].neighbor_ids, numeric[2].neighbor_ids)
+    for sample in numeric:  # resolved inside sample(), not through the spy
+        sample.neighbor_ids
+    assert resolves == [QUERIES[2][0]]
+
+
+def test_sampler_rejects_nan_query_times():
+    """A NaN time used to bisect past every interaction: the row sampled the
+    node's whole history, future interactions included."""
+    sampler = TemporalNeighborSampler(busy_stream(0), uniform=True)
+    times = np.array([100.0, 200.0, np.nan, 300.0, np.nan])
+    state = sampler._rng.bit_generator.state
+    with pytest.raises(ValueError, match="query time of row 2 is NaN"):
+        sampler.sample(np.arange(5), times, 4)
+    assert sampler._rng.bit_generator.state == state
+    # +-inf keep their meaning: all of a node's history, or none of it.
+    sample = sampler.sample(np.array([3, 3]), np.array([np.inf, -np.inf]), 1000)
+    assert sample.mask.sum(axis=1).tolist() == [sampler.total_degree(3), 0]
