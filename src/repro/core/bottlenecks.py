@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from ..hw.events import KERNEL
 from .breakdown import MEMORY_COPY, Breakdown, compute_breakdown
 from .profiler import Profile
 from .utilization import cpu_busy_gpu_idle_fraction
@@ -161,10 +160,7 @@ def detect_gpu_warmup(profile: Profile) -> BottleneckFinding:
     gpu = profile.device("gpu")
     gpu_work_ms = 0.0
     if gpu is not None:
-        gpu_work_ms = (
-            sum(e.duration_ms for e in profile.events_on(gpu.name, KERNEL))
-            + profile.transfer_time_ms()
-        )
+        gpu_work_ms = profile.kernel_time_ms(gpu.name) + profile.transfer_time_ms()
     total = warmup_ms + gpu_work_ms
     share = warmup_ms / total if total > 0 else 0.0
     evidence = {"warmup_ms": warmup_ms, "warmup_share": share}

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..hw.events import KERNEL, SYNC, TRANSFER, Event
+from ..hw.events import KERNEL, SYNC, TRANSFER
 from .profiler import Profile
 
 #: Canonical labels used for implicit categories.
@@ -93,21 +93,23 @@ class Breakdown:
         return "\n".join(lines)
 
 
-def _classify(event: Event, fold_transfers: bool) -> Optional[str]:
+def _classify(
+    kind: str, region: Tuple[str, ...], duration_ms: float, fold_transfers: bool
+) -> Optional[str]:
     """Map one event to its breakdown label (None to ignore it).
 
     Kernels take their innermost region label, which is what the paper's
     module-level bars correspond to; warm-up events are not part of an
     iteration and are ignored.
     """
-    if event.kind == TRANSFER:
-        if fold_transfers and event.region:
-            return event.innermost_region
+    if kind == TRANSFER:
+        if fold_transfers and region:
+            return region[-1]
         return MEMORY_COPY
-    if event.kind == SYNC:
-        return CUDA_SYNC if event.duration_ms > 0 else None
-    if event.kind == KERNEL:
-        return event.innermost_region if event.region else OTHER
+    if kind == SYNC:
+        return CUDA_SYNC if duration_ms > 0 else None
+    if kind == KERNEL:
+        return region[-1] if region else OTHER
     return None
 
 
@@ -123,15 +125,16 @@ def compute_breakdown(profile: Profile, fold_transfers: bool = False) -> Breakdo
     """
     times: Dict[str, float] = {}
     counts: Dict[str, int] = {}
-    for event in profile.events:
-        label = _classify(event, fold_transfers)
+    for kind, _, _, start_ms, end_ms, _, _, region, _, _, _ in profile.rows:
+        duration_ms = end_ms - start_ms
+        label = _classify(kind, region, duration_ms, fold_transfers)
         if label is None:
             continue
         if label not in times:
             times[label] = 0.0
             counts[label] = 0
-        times[label] += event.duration_ms
-        counts[label] += 1 if event.kind == KERNEL else 0
+        times[label] += duration_ms
+        counts[label] += 1 if kind == KERNEL else 0
 
     total = sum(times.values())
     entries = tuple(

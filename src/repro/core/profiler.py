@@ -8,24 +8,30 @@ leaving it (after an implicit device synchronisation) produces a
 kernel events, transfers, synchronisations, warm-up steps, memory activity
 and the device busy timelines.
 
-Cost model of profiling: event records are cheap slotted dataclasses whose
-region tuples are interned by the machine (all events issued inside one
-region share a single tuple object), the busy counters the capture snapshots
-are maintained incrementally by the timelines (O(1) reads, no event-log
-rescans), and a machine built with ``record_events=False`` skips
-materializing the event stream entirely -- detailed profiling is an opt-in
-cost, not a tax on every simulated action.  A capture on such a machine
-still reports busy/utilization statistics from the timelines but sees an
-empty event list.
+Cost model of profiling: the machine logs each event as a row -- a plain
+11-field tuple in :class:`~repro.hw.events.Event` field order, whose region
+tuple is interned (all events issued inside one region share one tuple
+object) and which the garbage collector stops tracking after its first
+collection.  A capture keeps the window's rows (a slice of the log, no
+copies of the rows themselves) and counts its per-stream kernels and
+transfers from them in one pass; the busy counters it snapshots are
+maintained incrementally by the timelines (O(1) reads, no event-log
+rescans).  A machine built with ``record_events=False`` skips logging
+entirely -- detailed profiling is an opt-in cost, not a tax on every
+simulated action.  A capture on such a machine still reports
+busy/utilization statistics from the timelines but sees an empty event list.
 
-Cost model of reading a :class:`Profile`: the per-kind views
+Cost model of reading a :class:`Profile`: ``Event`` values are built only
+for the view a caller reads -- all events (``events``), one kind
 (``events_of_kind`` and the ``kernel_`` / ``transfer_`` / ``sync_`` /
-``warmup_events`` properties), the per-device views (``events_on``) and the
-merged busy runs (``busy_timeline``) come from one lazily built index -- the
-first per-kind read partitions the window in a single pass, the per-device
-split and the busy runs are derived from those partitions on first use, and
-every later read is a dictionary lookup.  ``events_on_stream``,
-``memory_timeline`` and ``regions`` still scan the window.
+``warmup_events`` properties) or one kind on one resource (``events_on``) --
+once per view, from one lazily built index of rows: the first per-kind read
+partitions the window in a single pass, the per-device split is derived from
+a kind's partition on first use, and every later read is a dictionary
+lookup.  Everything the analysis computes -- the merged busy runs
+(``busy_timeline``), utilization, the time and byte totals, the kernel
+counts, ``memory_timeline`` and ``regions`` -- reads rows and builds no
+``Event``.
 """
 
 from __future__ import annotations
@@ -33,10 +39,10 @@ from __future__ import annotations
 import contextlib
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .._compat import DATACLASS_SLOTS
-from ..hw.events import ALLOC, FREE, KERNEL, SYNC, TRANSFER, WARMUP, Event
+from ..hw.events import ALLOC, FREE, KERNEL, SYNC, TRANSFER, WARMUP, Event, event_view
 from ..hw.machine import Machine
 from ..hw.timeline import Timeline
 
@@ -93,50 +99,60 @@ class DeviceSnapshot:
 
 
 class _EventIndex:
-    """Lazily built partitions of one window's events, issue order preserved.
+    """Lazily built partitions of one window's rows, issue order preserved.
 
     Each level is built on first use so a reader pays only for what it asks:
     the by-kind partition is one pass over the window, the per-resource split
-    of a kind is one pass over that kind's events, and a device's merged busy
-    runs are one sort of its kernel (and warm-up) events.
+    of a kind is one pass over that kind's rows, a view builds one
+    :class:`Event` per row of the part it covers, and a device's merged busy
+    runs are one sort of its kernel (and warm-up) rows -- no ``Event`` at all.
+    Rows are in ``Event`` field order: kind ``[0]``, resource ``[2]``,
+    start ``[3]``, end ``[4]``, bytes ``[6]``.
     """
 
-    __slots__ = ("_events", "_by_kind", "_by_resource", "_busy")
+    __slots__ = ("_rows", "_by_kind", "_by_resource", "_views", "_busy")
 
-    def __init__(self, events: Tuple[Event, ...]) -> None:
-        self._events = events
-        self._by_kind: Optional[Dict[str, Tuple[Event, ...]]] = None
-        self._by_resource: Dict[str, Dict[str, Tuple[Event, ...]]] = {}
+    def __init__(self, rows: Tuple[tuple, ...]) -> None:
+        self._rows = rows
+        self._by_kind: Optional[Dict[str, Tuple[tuple, ...]]] = None
+        self._by_resource: Dict[str, Dict[str, Tuple[tuple, ...]]] = {}
+        self._views: Dict[Tuple[str, Optional[str]], Tuple[Event, ...]] = {}
         self._busy: Dict[Tuple[str, bool], Timeline] = {}
 
-    def of_kind(self, kind: str) -> Tuple[Event, ...]:
+    def rows_of_kind(self, kind: str) -> Tuple[tuple, ...]:
         if self._by_kind is None:
-            # Attribute reads are spelled out (here and in ``on``) rather than
-            # passed in as a key function: on a 100 k-event serving window the
-            # call per event costs more than the partition itself.
-            parts: Dict[str, List[Event]] = {}
-            for event in self._events:
-                parts.setdefault(event.kind, []).append(event)
+            parts: Dict[str, List[tuple]] = {}
+            for row in self._rows:
+                parts.setdefault(row[0], []).append(row)
             self._by_kind = {name: tuple(part) for name, part in parts.items()}
         return self._by_kind.get(kind, ())
 
-    def on(self, resource: str, kind: str) -> Tuple[Event, ...]:
+    def rows_on(self, resource: str, kind: str) -> Tuple[tuple, ...]:
         split = self._by_resource.get(kind)
         if split is None:
-            parts: Dict[str, List[Event]] = {}
-            for event in self.of_kind(kind):
-                parts.setdefault(event.resource, []).append(event)
+            parts: Dict[str, List[tuple]] = {}
+            for row in self.rows_of_kind(kind):
+                parts.setdefault(row[2], []).append(row)
             split = self._by_resource[kind] = {name: tuple(part) for name, part in parts.items()}
         return split.get(resource, ())
+
+    def view(self, kind: str, resource: Optional[str] = None) -> Tuple[Event, ...]:
+        """The events of one kind (on one resource), built once and cached."""
+        key = (kind, resource)
+        events = self._views.get(key)
+        if events is None:
+            rows = self.rows_of_kind(kind) if resource is None else self.rows_on(resource, kind)
+            events = self._views[key] = tuple(map(event_view, rows))
+        return events
 
     def busy_timeline(self, device_name: str, include_warmup: bool) -> Timeline:
         key = (device_name, include_warmup)
         timeline = self._busy.get(key)
         if timeline is None:
-            events = self.on(device_name, KERNEL)
+            rows = self.rows_on(device_name, KERNEL)
             if include_warmup:
-                events += self.on(device_name, WARMUP)
-            intervals = sorted((e.start_ms, e.end_ms) for e in events if e.end_ms > e.start_ms)
+                rows += self.rows_on(device_name, WARMUP)
+            intervals = sorted((row[3], row[4]) for row in rows if row[4] > row[3])
             # Merge overlaps so kernels running concurrently on different
             # streams count once; utilization must stay <= 1 for overlapped
             # schedules.
@@ -150,13 +166,23 @@ class _EventIndex:
         return timeline
 
 
-@dataclass(frozen=True)
+def _duration_ms(rows: Tuple[tuple, ...]) -> float:
+    """Summed ``end_ms - start_ms`` of ``rows``, as ``Event.duration_ms`` would sum."""
+    return sum(row[4] - row[3] for row in rows)
+
+
+@dataclass(frozen=True, init=False)
 class Profile:
     """Everything recorded between the start and end of a capture window.
 
     Attributes:
         start_ms / end_ms: Simulated window boundaries (host clock).
-        events: Events issued inside the window, in issue order.
+        events: Events issued inside the window, in issue order -- built
+            from :attr:`rows` on first read.
+        rows: The same events as the log stores them (or as the constructor
+            was given them): one 11-field tuple each, in ``Event`` field
+            order.  The analysis reads these; only a view a caller asks for
+            builds ``Event`` values.
         devices: Per-device statistics over the window.
         link_name: Name of the host<->device link.
         label: Optional label supplied when the capture was opened.
@@ -174,6 +200,31 @@ class Profile:
     #: ``link_streams`` remains the primary link's snapshot tuple.
     all_links: Tuple[Tuple[str, Tuple[StreamSnapshot, ...]], ...] = ()
 
+    def __init__(
+        self,
+        start_ms: float,
+        end_ms: float,
+        events: Iterable[tuple],
+        devices: Tuple[DeviceSnapshot, ...],
+        link_name: str,
+        label: str = "",
+        link_streams: Tuple[StreamSnapshot, ...] = (),
+        all_links: Tuple[Tuple[str, Tuple[StreamSnapshot, ...]], ...] = (),
+    ) -> None:
+        # ``events`` stays a field -- the constructor's keyword, what
+        # ``replace`` passes on and what ``==`` compares -- but is stored as
+        # rows and built by the cached property below on first read.
+        for name, value in (
+            ("start_ms", start_ms), ("end_ms", end_ms), ("rows", tuple(events)),
+            ("devices", devices), ("link_name", link_name), ("label", label),
+            ("link_streams", link_streams), ("all_links", all_links),
+        ):
+            object.__setattr__(self, name, value)
+
+    @cached_property
+    def events(self) -> Tuple[Event, ...]:
+        return tuple(map(event_view, self.rows))
+
     # -- basic views ---------------------------------------------------------
 
     @property
@@ -184,14 +235,14 @@ class Profile:
     @cached_property
     def _index(self) -> _EventIndex:
         # Not a dataclass field: equality, hashing and ``replace`` ignore it.
-        return _EventIndex(self.events)
+        return _EventIndex(self.rows)
 
     def events_of_kind(self, kind: str) -> Tuple[Event, ...]:
-        return self._index.of_kind(kind)
+        return self._index.view(kind)
 
     def events_on(self, resource: str, kind: str) -> Tuple[Event, ...]:
         """Events of one kind issued on one device or link, in issue order."""
-        return self._index.on(resource, kind)
+        return self._index.view(kind, resource)
 
     @property
     def kernel_events(self) -> Tuple[Event, ...]:
@@ -239,7 +290,9 @@ class Profile:
 
     def events_on_stream(self, resource: str, stream: str) -> Tuple[Event, ...]:
         """Events the window issued onto one stream of one resource."""
-        return tuple(e for e in self.events if e.resource == resource and e.stream == stream)
+        return tuple(
+            event_view(row) for row in self.rows if row[2] == resource and row[10] == stream
+        )
 
     def busy_timeline(self, device_name: str, include_warmup: bool = False) -> Timeline:
         """Merged busy runs of one named device as a queryable timeline.
@@ -278,7 +331,7 @@ class Profile:
             return 0.0
         busy = snapshot.busy_ms
         if not include_warmup:
-            busy -= sum(e.duration_ms for e in self.events_on(snapshot.name, WARMUP))
+            busy -= _duration_ms(self._index.rows_on(snapshot.name, WARMUP))
         return max(0.0, min(1.0, busy / self.elapsed_ms))
 
     def per_gpu_utilization(self, include_warmup: bool = False) -> Dict[str, float]:
@@ -298,16 +351,16 @@ class Profile:
         return max(0.0, min(1.0, achieved_gflops / gpu.peak_gflops))
 
     def transfer_time_ms(self) -> float:
-        return sum(e.duration_ms for e in self.transfer_events)
+        return _duration_ms(self._index.rows_of_kind(TRANSFER))
 
     def transfer_bytes(self) -> int:
-        return sum(e.bytes for e in self.transfer_events)
+        return sum(row[6] for row in self._index.rows_of_kind(TRANSFER))
 
     def sync_wait_ms(self) -> float:
-        return sum(e.duration_ms for e in self.sync_events)
+        return _duration_ms(self._index.rows_of_kind(SYNC))
 
     def warmup_ms(self) -> float:
-        return sum(e.duration_ms for e in self.warmup_events)
+        return _duration_ms(self._index.rows_of_kind(WARMUP))
 
     def peak_memory_mb(self, kind: str) -> float:
         snapshot = self.device(kind)
@@ -315,17 +368,24 @@ class Profile:
 
     def kernel_count(self, kind: Optional[str] = None) -> int:
         if kind is None:
-            return len(self.kernel_events)
+            return len(self._index.rows_of_kind(KERNEL))
         snapshot = self.device(kind)
         if snapshot is None:
             return 0
-        return len(self.events_on(snapshot.name, KERNEL))
+        return len(self._index.rows_on(snapshot.name, KERNEL))
+
+    def kernel_time_ms(self, kind: str) -> float:
+        """Summed kernel time on one device (by name or kind)."""
+        snapshot = self.device(kind)
+        if snapshot is None:
+            return 0.0
+        return _duration_ms(self._index.rows_on(snapshot.name, KERNEL))
 
     def mean_kernel_ms(self, kind: str) -> float:
         snapshot = self.device(kind)
         if snapshot is None:
             return 0.0
-        durations = [e.duration_ms for e in self.events_on(snapshot.name, KERNEL)]
+        durations = [row[4] - row[3] for row in self._index.rows_on(snapshot.name, KERNEL)]
         return sum(durations) / len(durations) if durations else 0.0
 
     # -- memory over time ----------------------------------------------------------
@@ -337,16 +397,16 @@ class Profile:
             return []
         current = snapshot.start_memory_bytes
         series: List[Tuple[float, int]] = [(self.start_ms, current)]
-        for event in self.events:
-            if event.resource != snapshot.name:
+        for kind, _, resource, start_ms, _, _, nbytes, _, _, _, _ in self.rows:
+            if resource != snapshot.name:
                 continue
-            if event.kind == ALLOC:
-                current += event.bytes
-            elif event.kind == FREE:
-                current -= event.bytes
+            if kind == ALLOC:
+                current += nbytes
+            elif kind == FREE:
+                current -= nbytes
             else:
                 continue
-            series.append((event.start_ms, current))
+            series.append((start_ms, current))
         series.append((self.end_ms, current))
         return series
 
@@ -355,8 +415,9 @@ class Profile:
     def regions(self) -> List[str]:
         """Distinct innermost region labels, in first-seen order."""
         seen: List[str] = []
-        for event in self.events:
-            label = event.innermost_region
+        for row in self.rows:
+            region = row[7]
+            label = region[-1] if region else ""
             if label and label not in seen:
                 seen.append(label)
         return seen
@@ -409,18 +470,18 @@ class Profiler:
             if synchronize:
                 machine.synchronize(name="profiler_sync")
             end_ms = machine.host_time_ms
-            events = tuple(machine.events.since(start_cursor))
-            # One pass over the window's events builds every per-resource /
+            rows = tuple(machine.events.rows[start_cursor:])
+            # One pass over the window's rows builds every per-resource /
             # per-stream count the snapshots need (the counts used to be
             # recomputed with a full scan per stream, O(streams x events)).
             kernel_counts: Dict[Tuple[str, str], int] = {}
             transfer_counts: Dict[Tuple[str, str], int] = {}
-            for event in events:
-                if event.kind == KERNEL:
-                    key = (event.resource, event.stream)
+            for kind, _, resource, _, _, _, _, _, _, _, stream in rows:
+                if kind == KERNEL:
+                    key = (resource, stream)
                     kernel_counts[key] = kernel_counts.get(key, 0) + 1
-                elif event.kind == TRANSFER:
-                    key = (event.resource, event.stream)
+                elif kind == TRANSFER:
+                    key = (resource, stream)
                     transfer_counts[key] = transfer_counts.get(key, 0) + 1
             device_kernel_counts: Dict[str, int] = {}
             for (resource, _), count in kernel_counts.items():
@@ -470,7 +531,7 @@ class Profiler:
                 Profile(
                     start_ms=start_ms,
                     end_ms=end_ms,
-                    events=events,
+                    events=rows,
                     devices=tuple(devices),
                     link_name=primary,
                     label=label,

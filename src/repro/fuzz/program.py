@@ -38,14 +38,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from operator import attrgetter
 from types import SimpleNamespace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..cache.policy import make_eviction_policy
 from ..cache.store import CACHE_COST, DeviceResidentCache
 from ..hw.cluster import Cluster
-from ..hw.events import Event
 from ..hw.machine import Machine
 from .config import FuzzConfig
 
@@ -676,11 +674,6 @@ def _tiny_dataset():
     return _DATASET_CACHE["tiny"]
 
 
-#: Every field of an event, in declaration order (a field added to ``Event``
-#: later is compared without anyone remembering to list it here).
-_EVENT_FIELDS = attrgetter(*Event._fields)
-
-
 def signature(machine: Machine) -> List[Tuple]:
-    """The event-identity fingerprint differentials compare: every field (11)."""
-    return [_EVENT_FIELDS(event) for event in machine.events]
+    """The event-identity fingerprint differentials compare: the log's rows, every field (11)."""
+    return list(machine.events.rows)

@@ -13,7 +13,7 @@ from .device import Device
 from .events import ALLOC, FREE, KERNEL, MARKER, SYNC, TRANSFER, WARMUP, Event, EventLog
 from .link import Link
 from .machine import Machine, current_machine, has_active_machine
-from .memory import Allocation, MemoryPool, OutOfMemoryError
+from .memory import MemoryPool, OutOfMemoryError
 from .spec import (
     CLUSTER_SPECS,
     ETHERNET_25G,
@@ -47,7 +47,6 @@ __all__ = [
     "SYNC",
     "TRANSFER",
     "WARMUP",
-    "Allocation",
     "Cluster",
     "ClusterSpec",
     "Device",

@@ -5,11 +5,20 @@ warm-up step or a memory (de)allocation -- produces one event.  The profiler
 in :mod:`repro.core` consumes the event stream to build the breakdowns,
 utilization timelines and memory curves that the paper derives from PyTorch
 Profiler and NVIDIA Nsight Systems traces.
+
+:class:`Event` is the one public value type.  The log stores each event as a
+*row* -- an exact 11-field tuple in ``Event`` field order -- and hands out
+``Event`` values built from the rows on demand (:data:`event_view`).  The
+cyclic garbage collector stops tracking an exact tuple of strings and numbers
+after its first collection; an instance of a tuple *subclass* stays tracked
+and is walked again by every full collection, a cost that grows with the
+log.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Sequence, Tuple
+from functools import partial
+from typing import Iterable, Iterator, List, NamedTuple, Sequence, Tuple
 
 #: Event kinds.
 KERNEL = "kernel"
@@ -25,7 +34,18 @@ MARKER = "marker"
 
 _VALID_KINDS = frozenset({KERNEL, TRANSFER, WARMUP, ALLOC, FREE, SYNC, MARKER})
 
-_new_tuple = tuple.__new__
+
+def check_event(kind: str, name: str = "", start_ms: float = 0.0, end_ms: float = 0.0) -> None:
+    """The two checks every event passes, wherever it is built or logged.
+
+    ``kind`` must be one of the seven kinds and the event must not end before
+    it starts.  A run charger whose kind is a constant and whose events
+    cannot end early calls it once per run with the kind alone.
+    """
+    if kind not in _VALID_KINDS:
+        raise ValueError(f"unknown event kind: {kind!r}")
+    if end_ms < start_ms:
+        raise ValueError(f"event {name!r} ends ({end_ms}) before it starts ({start_ms})")
 
 
 class _EventFields(NamedTuple):
@@ -48,10 +68,9 @@ class Event(_EventFields):
     """A single timestamped action on a simulated device or link.
 
     An immutable value; every construction checks the kind and that the
-    event does not end before it starts.  (A named tuple under a validating
-    ``__new__``: one event per simulated action makes the constructor the
-    hottest allocation in the simulator, and a frozen dataclass pays one
-    ``object.__setattr__`` per field.)
+    event does not end before it starts (:func:`check_event`).  The machine
+    logs rows that passed the same checks, and reads build an ``Event``
+    around a stored row without repeating them (:data:`event_view`).
 
     Attributes:
         kind: One of ``kernel``, ``transfer``, ``warmup``, ``alloc``, ``free``
@@ -84,11 +103,8 @@ class Event(_EventFields):
         dst: str = "",
         stream: str = "",
     ) -> "Event":
-        if kind not in _VALID_KINDS:
-            raise ValueError(f"unknown event kind: {kind!r}")
-        if end_ms < start_ms:
-            raise ValueError(f"event {name!r} ends ({end_ms}) before it starts ({start_ms})")
-        return _new_tuple(
+        check_event(kind, name, start_ms, end_ms)
+        return tuple.__new__(
             cls, (kind, name, resource, start_ms, end_ms, flops, bytes, region, src, dst, stream)
         )
 
@@ -111,46 +127,49 @@ class Event(_EventFields):
         return self.start_ms < end_ms and self.end_ms > start_ms
 
 
-class EventLog:
-    """An append-only sequence of :class:`Event` objects.
+#: ``event_view(row)``: the :class:`Event` a stored row stands for, built
+#: without re-running the checks the row passed when it was logged.
+event_view = partial(tuple.__new__, Event)
 
-    The machine owns one log per run context; profilers snapshot slices of it.
+
+class EventLog:
+    """An append-only sequence of events, stored as rows, read as :class:`Event`.
+
+    The machine owns one log per run context and appends to :attr:`rows`
+    directly; profilers and exporters read the rows, everything else reads
+    ``Event`` values built on demand.
     """
 
-    __slots__ = ("_events",)
+    __slots__ = ("rows",)
 
     def __init__(self) -> None:
-        self._events: list[Event] = []
-
-    def append(self, event: Event) -> None:
-        self._events.append(event)
-
-    def extend(self, events: Iterable[Event]) -> None:
-        self._events.extend(events)
+        #: One exact 11-field tuple per event, in issue order.
+        self.rows: List[tuple] = []
 
     def __len__(self) -> int:
-        return len(self._events)
+        return len(self.rows)
 
-    def __iter__(self):
-        return iter(self._events)
+    def __iter__(self) -> Iterator[Event]:
+        return map(event_view, self.rows)
 
     def __getitem__(self, index):
-        return self._events[index]
-
-    def clear(self) -> None:
-        self._events.clear()
+        if isinstance(index, slice):
+            return list(map(event_view, self.rows[index]))
+        return event_view(self.rows[index])
 
     def snapshot(self) -> Sequence[Event]:
         """An immutable copy of the current event list."""
-        return tuple(self._events)
+        return tuple(map(event_view, self.rows))
 
     def since(self, index: int) -> Sequence[Event]:
         """Events appended at or after position ``index``."""
-        return tuple(self._events[index:])
+        return tuple(map(event_view, self.rows[index:]))
 
     def of_kind(self, kind: str) -> Sequence[Event]:
-        return tuple(e for e in self._events if e.kind == kind)
+        return tuple(event_view(row) for row in self.rows if row[0] == kind)
 
     def on_stream(self, resource: str, stream: str) -> Sequence[Event]:
         """Events issued on one stream of one resource."""
-        return tuple(e for e in self._events if e.resource == resource and e.stream == stream)
+        return tuple(
+            event_view(row) for row in self.rows if row[2] == resource and row[10] == stream
+        )

@@ -31,6 +31,11 @@ happens:
 * Memory events occupy no stream.  :meth:`Machine.alloc` / :meth:`Machine.free`
   log one each through ``_emit``; :meth:`Machine.memory_run` is their run form
   (the pool acts inside the block, the events are logged when it closes).
+* Those three -- ``_emit``, ``_charge_kernel_run`` and ``memory_run`` -- are
+  the only places a row is appended to the log (:mod:`repro.hw.events`), each
+  after the ``Event`` constructor's checks.  A public charge method returns
+  the :class:`Event` view of its row; the run chargers, the cluster's hops
+  and ``alloc`` / ``free`` never build one.
 * The machine never branches on the execution backend; :attr:`shape_mode`
   lets the tensor/model layers pick their data representation.
 """
@@ -55,7 +60,19 @@ from typing import (
 
 from . import tape as _tape
 from .device import Device
-from .events import ALLOC, FREE, KERNEL, MARKER, SYNC, TRANSFER, WARMUP, Event, EventLog
+from .events import (
+    ALLOC,
+    FREE,
+    KERNEL,
+    MARKER,
+    SYNC,
+    TRANSFER,
+    WARMUP,
+    Event,
+    EventLog,
+    check_event,
+    event_view,
+)
 from .link import Link
 from .spec import MachineSpec, machine_spec
 from .stream import COPY_STREAM, Stream, StreamEvent
@@ -123,11 +140,13 @@ class Machine:
             self.cpu, self.gpus, spec.host_link, peer_link_spec=spec.peer_link
         )
         self.events = EventLog()
-        #: Whether simulated actions are materialized as :class:`Event`
-        #: records in :attr:`events`.  Scheduling, timelines, memory pools
-        #: and the host clock are identical either way; disabling recording
-        #: only skips building the profiler's event stream, making detailed
-        #: profiling an opt-in cost.
+        #: The log's row list: :meth:`_emit`, :meth:`_charge_kernel_run` and
+        #: :meth:`memory_run` append to it, nothing else does.
+        self._log = self.events.rows
+        #: Whether simulated actions are recorded in :attr:`events`.
+        #: Scheduling, timelines, memory pools and the host clock are
+        #: identical either way; disabling recording only skips building the
+        #: profiler's event stream, making detailed profiling an opt-in cost.
         self.record_events = record_events
         #: Execution backend: ``"numeric"`` or ``"shape"``.
         self.backend = backend
@@ -322,17 +341,22 @@ class Machine:
         src: str = "",
         dst: str = "",
         flops: float = 0.0,
-    ) -> Optional[Event]:
-        """Count one simulated action and record it when recording is on."""
+    ) -> Optional[tuple]:
+        """Count one simulated action and log its row when recording is on.
+
+        Returns the row (``None`` with recording off); a public charge method
+        hands its caller the :class:`Event` view of it.
+        """
         self._event_count += 1
         if not self.record_events:
             return None
-        event = Event(
+        check_event(kind, name, start_ms, end_ms)
+        row = (
             kind, name, resource, start_ms, end_ms, flops, nbytes, self._region_tuple, src, dst,
             stream,
         )
-        self.events.append(event)
-        return event
+        self._log.append(row)
+        return row
 
     def _charge(
         self,
@@ -347,8 +371,8 @@ class Machine:
         src: str = "",
         dst: str = "",
         flops: float = 0.0,
-    ) -> Tuple[Optional[Event], float]:
-        """The scalar charge: occupy ``target`` and log it; ``(event, end_ms)``.
+    ) -> Tuple[Optional[tuple], float]:
+        """The scalar charge: occupy ``target`` and log it; ``(row, end_ms)``.
 
         Reserves ``duration_ms`` on ``target`` from ``ready_ms`` (behind what
         the stream already holds) and, when the issue blocks, moves the host
@@ -361,10 +385,10 @@ class Machine:
         end_ms = interval.end_ms
         if blocking:
             self._host_time = end_ms
-        event = self._emit(
+        row = self._emit(
             kind, name, resource, interval.start_ms, end_ms, nbytes, target.name, src, dst, flops
         )
-        return event, end_ms
+        return row, end_ms
 
     def _join(
         self, name: str, resource: str, until_ms: float, stream: str = ""
@@ -373,7 +397,8 @@ class Machine:
         start = self._host_time
         end = max(start, until_ms)
         self._host_time = end
-        return self._emit(SYNC, name, resource, start, end, 0, stream)
+        row = self._emit(SYNC, name, resource, start, end, 0, stream)
+        return None if row is None else event_view(row)
 
     # -- stream events ----------------------------------------------------
 
@@ -485,16 +510,18 @@ class Machine:
         sizes: Sequence[int],
         durations: Sequence[float],
         regions: Iterable[Tuple[str, ...]],
-    ) -> List[Event]:
+    ) -> List[tuple]:
         """Charge kernels launched back to back on one device, as columns.
 
         The one run charger behind :meth:`launch_kernels` and tape replay
         (:mod:`repro.hw.tape`), byte-identical to one :meth:`launch_kernel`
         per row: what the launches share -- the stream, the lazy GPU warm-up,
-        the host overhead -- is resolved once, the stream reserves the whole
-        run in one call, and the events are built in one pass.  A launch that
-        is not asynchronous (CPU default stream) runs the host to each
-        kernel's end instead of paying the overhead.
+        the host overhead, the kind check -- is resolved once, the stream
+        reserves the whole run in one call, and the rows are zipped from the
+        columns in one pass (``reserve_run`` has already refused a negative
+        duration, so no row ends before it starts).  A launch that is not
+        asynchronous (CPU default stream) runs the host to each kernel's end
+        instead of paying the overhead.  Returns the logged rows.
         """
         target = self._resolve_kernel_stream(device, stream)
         is_gpu = device.is_gpu
@@ -516,14 +543,15 @@ class Machine:
         self._event_count += len(starts)
         if not self.record_events:
             return []
-        events = list(
-            map(
-                Event, repeat(KERNEL), names, repeat(resource), starts, ends, flops, sizes,
-                regions, repeat(""), repeat(""), repeat(target.name),
+        check_event(KERNEL)
+        rows = list(
+            zip(
+                repeat(KERNEL), names, repeat(resource), starts, ends, flops, sizes, regions,
+                repeat(""), repeat(""), repeat(target.name),
             )
         )
-        self.events.extend(events)
-        return events
+        self._log.extend(rows)
+        return rows
 
     def launch_kernel(
         self,
@@ -556,10 +584,11 @@ class Machine:
         if not blocking:
             self._host_time += device.spec.host_overhead_us * 1e-3
         self._device_flops[device.name] = self._device_flops.get(device.name, 0.0) + flops
-        return self._charge(
+        row = self._charge(
             KERNEL, name, device.name, target, self._host_time, cost.duration_ms, blocking,
             int(bytes_moved), flops=flops,
         )[0]
+        return None if row is None else event_view(row)
 
     def launch_kernels(
         self,
@@ -583,7 +612,7 @@ class Machine:
         if count == 0:
             return []
         duration = device.kernel_cost(flops, bytes_moved).duration_ms
-        return self._charge_kernel_run(
+        rows = self._charge_kernel_run(
             device,
             stream,
             [name] * count,
@@ -592,6 +621,7 @@ class Machine:
             [duration] * count,
             repeat(self._region_tuple),
         )
+        return list(map(event_view, rows))
 
     def host_work(
         self, name: str, duration_ms: float, stream: Optional[Stream] = None
@@ -603,9 +633,10 @@ class Machine:
         modelling a prefetch/worker thread.
         """
         target = self._resolve_kernel_stream(self.cpu, stream)
-        return self._charge(
+        row = self._charge(
             KERNEL, name, self.cpu.name, target, self._host_time, duration_ms, target.is_default
         )[0]
+        return None if row is None else event_view(row)
 
     # -- transfers ----------------------------------------------------------
 
@@ -671,7 +702,7 @@ class Machine:
         ready = self._host_time
         if wait_for_source:
             ready = max(ready, self.current_stream(src).free_at)
-        event: Optional[Event] = None
+        row: Optional[tuple] = None
         for hop in hops:
             link = hop.link
             target = stream
@@ -685,14 +716,14 @@ class Machine:
                     target = link.stream(COPY_STREAM) if non_blocking else link.default_stream
             # A staged route's second hop cannot start before the first
             # hop's copy has landed in host memory.
-            event, ready = self._charge(
+            row, ready = self._charge(
                 TRANSFER, name, link.name, target, ready,
                 link.book(nbytes, hop.direction, target), not non_blocking,
                 nbytes, src.name, dst.name,
             )
             if non_blocking:
                 self._host_time += link.spec.host_overhead_us * 1e-3
-        return event
+        return None if row is None else event_view(row)
 
     # -- synchronisation ------------------------------------------------------
 
@@ -751,12 +782,12 @@ class Machine:
             raise ValueError(f"cannot initialize non-GPU device {gpu.name!r}")
         self._ready_gpus.add(gpu.name)
         emitted: List[Event] = []
-        context_event, _ = self._charge(
+        context_row, _ = self._charge(
             WARMUP, "context_init", gpu.name, gpu.default_stream, self._host_time,
             self.spec.warmup.context_init_ms, True,
         )
-        if context_event is not None:
-            emitted.append(context_event)
+        if context_row is not None:
+            emitted.append(event_view(context_row))
         if model_bytes > 0:
             upload = self.transfer(self.cpu, gpu, model_bytes, name="weight_upload")
             if upload is not None:
@@ -778,10 +809,11 @@ class Machine:
             return None
         if gpu.name not in self._ready_gpus:
             self.initialize_gpu(model_bytes=0, device=gpu)
-        return self._charge(
+        row = self._charge(
             WARMUP, "allocation_warmup", gpu.name, gpu.default_stream, self._host_time,
             self.spec.warmup.allocation_warmup_ms(footprint_bytes / 1e6), True, footprint_bytes,
         )[0]
+        return None if row is None else event_view(row)
 
     # -- memory ------------------------------------------------------------
 
@@ -790,14 +822,14 @@ class Machine:
         if self._tape is not None:
             self._tape.alloc(self._region_tuple, device, nbytes, tag)
         now = self._host_time
-        alloc_id = device.memory.alloc(nbytes, tag, now)
+        alloc_id = device.memory.alloc(nbytes, tag)
         self._emit(ALLOC, tag or "alloc", device.name, now, now, nbytes)
         return alloc_id
 
     def free(self, device: Device, alloc_id: int) -> int:
         """Release a device allocation and emit a ``free`` event."""
         now = self._host_time
-        nbytes = device.memory.free(alloc_id, now)
+        nbytes = device.memory.free(alloc_id)
         self._emit(FREE, "free", device.name, now, now, nbytes)
         return nbytes
 
@@ -810,10 +842,11 @@ class Machine:
         Yields ``alloc(nbytes) -> id`` and ``free(id) -> nbytes``.  Each acts
         on the device's pool (and an open tape) at once, exactly as
         :meth:`alloc` / :meth:`free` would; their events -- all stamped with
-        the host time and region the run opened under -- are counted and
-        logged in one pass on the way out, also past an exception.  The block
-        may issue nothing else: closing raises if the host clock or the event
-        count moved inside it.
+        the host time and region the run opened under, so none ends before it
+        starts -- are counted, kind-checked once per kind and logged in one
+        pass on the way out, also past an exception.  The block may issue
+        nothing else: closing raises if the host clock or the event count
+        moved inside it.
         """
         now = self._host_time
         started = self._event_count
@@ -828,14 +861,14 @@ class Machine:
         def alloc(nbytes: int) -> int:
             if tape is not None:
                 tape.alloc(region, device, nbytes, tag)
-            alloc_id = pool_alloc(nbytes, tag, now)
+            alloc_id = pool_alloc(nbytes, tag)
             kinds.append(ALLOC)
             names.append(alloc_name)
             sizes.append(nbytes)
             return alloc_id
 
         def free(alloc_id: int) -> int:
-            nbytes = pool_free(alloc_id, now)
+            nbytes = pool_free(alloc_id)
             kinds.append(FREE)
             names.append("free")
             sizes.append(nbytes)
@@ -847,10 +880,12 @@ class Machine:
             undisturbed = self._host_time == now and self._event_count == started
             self._event_count += len(kinds)
             if kinds and self.record_events:
-                self.events.extend(
-                    map(
-                        Event, kinds, names, repeat(device.name), repeat(now), repeat(now),
-                        repeat(0.0), sizes, repeat(region),
+                for kind in dict.fromkeys(kinds):
+                    check_event(kind)
+                self._log.extend(
+                    zip(
+                        kinds, names, repeat(device.name), repeat(now), repeat(now), repeat(0.0),
+                        sizes, repeat(region), repeat(""), repeat(""), repeat(""),
                     )
                 )
             if not undisturbed:

@@ -10,9 +10,10 @@ both through :meth:`Machine.record <repro.hw.machine.Machine.record>` and
 
 **The contract is byte identity.**  Replaying a tape leaves every observable
 exactly as re-running the recorded block would: all 11
-:class:`~repro.hw.events.Event` fields in order, the host clock, the event
+:class:`~repro.hw.events.Event` fields of every logged row in order (the
+``alloc`` rows are the pools' footprint over time), the host clock, the event
 count, the per-device FLOP totals, every stream and link timeline, the
-memory pools' ``current/peak/history``, the lazy GPU warm-up, and the
+memory pools' current and peak bytes, the lazy GPU warm-up, and the
 exception a strict pool raises -- at the same entry, after the same events.
 A tape stores no times and no stream: both are resolved when it replays, so
 a ``use_stream`` override in force at replay time is honoured and a tape
@@ -134,7 +135,9 @@ def replay(machine: "Machine", tape: Tape) -> None:
     stored at record time.  Transfers and allocations go through the public
     methods.  An exception (a strict pool's ``OutOfMemoryError``) leaves the
     segments before it charged and the region restored, like the recorded
-    block would.
+    block would.  The kernel runs and allocations build no
+    :class:`~repro.hw.events.Event`; a transfer returns the view of its row,
+    which is dropped.
     """
     ambient = machine._region_tuple
     if tape.region != ambient:

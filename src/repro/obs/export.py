@@ -49,7 +49,9 @@ TRACE_VERSION = 1
 SCHEMA_RELPATH = os.path.join("docs", "trace.schema.json")
 
 
-def classify_event(event: Any, nic_resources: set, cpu_names: set) -> Optional[str]:
+def classify_event(
+    kind: str, name: str, resource: str, nic_resources: set, cpu_names: set
+) -> Optional[str]:
     """Attribution category of one timeline event (``None`` = skip).
 
     Cache charges are recognisable by their ``cache_`` name prefix on either
@@ -57,17 +59,17 @@ def classify_event(event: Any, nic_resources: set, cpu_names: set) -> Optional[s
     kernels are compute, remaining host kernels are the sampling/marshalling
     work the paper attributes to the CPU.
     """
-    if event.kind == MARKER or event.kind == ALLOC or event.kind == FREE:
+    if kind == MARKER or kind == ALLOC or kind == FREE:
         return None
-    if event.name.startswith("cache_"):
+    if name.startswith("cache_"):
         return "cache"
-    if event.kind == TRANSFER:
-        return "nic" if event.resource in nic_resources else "copy"
-    if event.kind == KERNEL:
-        return "sample" if event.resource in cpu_names else "kernel"
-    if event.kind == SYNC:
+    if kind == TRANSFER:
+        return "nic" if resource in nic_resources else "copy"
+    if kind == KERNEL:
+        return "sample" if resource in cpu_names else "kernel"
+    if kind == SYNC:
         return "sync"
-    if event.kind == WARMUP:
+    if kind == WARMUP:
         return "warmup"
     return None
 
@@ -106,38 +108,40 @@ def build_trace(
             }
         )
         tracks: Dict[Tuple[str, str], int] = {}
-        for event in machine.events:
-            category = classify_event(event, nic_resources, cpu_names)
+        for (
+            kind, name, resource, start_ms, end_ms, flops, nbytes, _, _, _, stream
+        ) in machine.events.rows:
+            category = classify_event(kind, name, resource, nic_resources, cpu_names)
             if category is None:
                 continue
-            track = (event.resource, event.stream)
+            track = (resource, stream)
             tid = tracks.get(track)
             if tid is None:
                 tid = tracks[track] = len(tracks) + 1
-                stream_label = f" [{event.stream}]" if event.stream else ""
+                stream_label = f" [{stream}]" if stream else ""
                 events.append(
                     {
                         "ph": "M",
                         "name": "thread_name",
                         "pid": pid,
                         "tid": tid,
-                        "args": {"name": f"{event.resource}{stream_label}"},
+                        "args": {"name": f"{resource}{stream_label}"},
                     }
                 )
             record: Dict[str, Any] = {
                 "ph": "X",
-                "name": event.name,
+                "name": name,
                 "cat": category,
                 "pid": pid,
                 "tid": tid,
-                "ts": event.start_ms * 1000.0,
-                "dur": event.duration_ms * 1000.0,
-                "args": {"node": node, "resource": event.resource, "stream": event.stream},
+                "ts": start_ms * 1000.0,
+                "dur": (end_ms - start_ms) * 1000.0,
+                "args": {"node": node, "resource": resource, "stream": stream},
             }
-            if event.bytes:
-                record["args"]["bytes"] = int(event.bytes)
-            if event.flops:
-                record["args"]["flops"] = event.flops
+            if nbytes:
+                record["args"]["bytes"] = int(nbytes)
+            if flops:
+                record["args"]["flops"] = flops
             events.append(record)
 
     # -- spans as async begin/end pairs ------------------------------------

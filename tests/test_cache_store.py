@@ -449,7 +449,10 @@ def run_law_observables(program, policy, batched, staleness=RUN_STALENESS, pool_
         "events": [tuple(event) for event in machine.events],
         "event_count": machine.event_count,
         "pools": [
-            (d.memory.current_bytes, d.memory.peak_bytes, d.memory.history)
+            # The pool's footprint over time: its device's memory rows.
+            (d.memory.current_bytes, d.memory.peak_bytes,
+             [row for row in machine.events.rows
+              if row[2] == d.name and row[0] in (ALLOC, FREE)])
             for d in machine.devices
         ],
         "stats": store.stats.as_dict(),

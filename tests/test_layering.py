@@ -177,12 +177,29 @@ def _names_event(node):
     return isinstance(node, ast.Name) and node.id == "Event"
 
 
+def _appends_a_row(node):
+    # ``Machine._log`` is the event log's row list (``EventLog.rows``).
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("append", "extend", "insert")
+        and isinstance(node.func.value, ast.Attribute)
+        and node.func.value.attr in ("_log", "rows")
+    )
+
+
 def test_hw_charges_through_one_scalar_and_one_run_primitive():
-    assert _sites(_names_event, "hw") == {
+    row_sites = {
         "machine.py: Machine._emit",
         "machine.py: Machine._charge_kernel_run",
         "machine.py: Machine.memory_run",
     }
+    assert _sites(_appends_a_row, "hw") == row_sites
+    # Each of them runs the constructor's checks, through the one helper.
+    checks = _sites(lambda node: isinstance(node, ast.Name) and node.id == "check_event", "hw")
+    assert checks == row_sites | {"events.py: Event.__new__"}
+    # No hw function builds an ``Event`` by name: reads wrap stored rows.
+    assert _sites(_names_event, "hw") == set()
     reserves = _sites(
         lambda node: isinstance(node, ast.Call)
         and isinstance(node.func, ast.Attribute)

@@ -6,6 +6,7 @@ synchronisation and one-time warm-up.  The stream engine must preserve all of
 them when only default streams are used.
 """
 
+import gc
 import inspect
 
 import pytest
@@ -166,8 +167,6 @@ class TestRegionsAndMemory:
         assert freed == 4096
         assert machine.cpu.memory.current_bytes == 0
         assert machine.cpu.memory.peak_bytes == 4096
-        # One (timestamp_ms, bytes) sample per change, read back as pairs.
-        assert machine.cpu.memory.history == ((0.0, 4096), (1.5, 0))
 
     def test_running_flop_counters(self, machine):
         warmed(machine)
@@ -251,6 +250,11 @@ EVENT_FIELDS = (
     "kind", "name", "resource", "start_ms", "end_ms", "flops", "bytes", "region", "src", "dst",
     "stream",
 )
+
+
+def memory_rows(machine, device):
+    """The log's ``alloc`` / ``free`` rows on ``device``: its pool's footprint over time."""
+    return [row for row in machine.events.rows if row[2] == device.name and row[0] in (ALLOC, FREE)]
 
 
 #: ``site -> (kind it emits, call)``: every place the machine builds an event.
@@ -392,8 +396,10 @@ class TestMemoryRun:
 
     @staticmethod
     def observed(machine, returned):
+        # A pool's footprint over time is its device's memory rows.
         pools = [
-            (d.memory.current_bytes, d.memory.peak_bytes, d.memory.history, d.memory.usage_by_tag())
+            (d.memory.current_bytes, d.memory.peak_bytes, memory_rows(machine, d),
+             d.memory.usage_by_tag())
             for d in machine.devices
         ]
         return (machine.events.snapshot(), machine.event_count, machine.host_time_ms, pools,
@@ -423,7 +429,7 @@ class TestMemoryRun:
         gpu = machine.gpu
         with machine.memory_run(gpu, "t") as (alloc, free):
             first = alloc(100)
-            assert gpu.memory.current_bytes == 100 and gpu.memory.history == ((0.0, 100),)
+            assert gpu.memory.current_bytes == 100 and gpu.memory.usage_by_tag() == {"t": 100}
             assert free(first) == 100 and gpu.memory.current_bytes == 0
             assert machine.event_count == 0 and len(machine.events) == 0
         assert machine.event_count == 2 and [e.kind for e in machine.events] == [ALLOC, FREE]
@@ -431,13 +437,13 @@ class TestMemoryRun:
     def test_an_empty_run_emits_nothing(self, machine):
         assert memory_run_of(machine, machine.gpu, "t") == []
         assert machine.event_count == 0 and len(machine.events) == 0
-        assert machine.gpu.memory.history == ()
+        assert machine.gpu.memory.peak_bytes == 0
 
     def test_recording_off_counts_without_logging(self):
         machine = Machine.cpu_gpu(record_events=False)
         memory_run_of(machine, machine.gpu, "t", ("alloc", 8), ("free", 0))
         assert machine.event_count == 2 and len(machine.events) == 0
-        assert machine.gpu.memory.history == ((0.0, 8), (0.0, 0))
+        assert (machine.gpu.memory.peak_bytes, machine.gpu.memory.current_bytes) == (8, 0)
 
     @pytest.mark.parametrize("intruder", [
         lambda m: m.host_work("h", 0.1),
@@ -493,6 +499,106 @@ class TestMemoryRun:
         assert machine.gpu.memory.current_bytes == 8
 
 
+def collect_twice():
+    """Two full collections: an exact tuple is untracked once its elements are,
+    and one pass can visit a row before the fresh region tuple it holds."""
+    gc.collect()
+    gc.collect()
+
+
+class TestEventRows:
+    """The log stores plain 11-field rows; every read is an ``Event`` view of one."""
+
+    @staticmethod
+    def taped(machine):
+        def block():
+            machine.launch_kernel(machine.gpu, "taped", 1e6, 1e3)
+            machine.alloc(machine.gpu, 64, tag="taped")
+            machine.transfer(machine.cpu, machine.gpu, 128)
+
+        return machine.record(block)[1]
+
+    @staticmethod
+    def program(machine, tape):
+        """Scalar emits, a kernel run, two memory runs and a tape replay."""
+        cpu, gpu = machine.cpu, machine.gpu
+        with machine.region("iteration"):
+            machine.host_work("sample", 0.2)
+            machine.launch_kernel(gpu, "gemm", 1e6, 1e3)
+            machine.transfer(cpu, gpu, 4096, non_blocking=True)
+            machine.launch_kernels(gpu, "step", 4, 1e6, 1e3)
+            with machine.region("Cache"):
+                first, _ = memory_run_of(machine, gpu, "rows", ("alloc", 256), ("alloc", 64))
+                memory_run_of(machine, gpu, "rows", ("free", first))
+            machine.free(gpu, machine.alloc(gpu, 32, tag="buf"))
+            cpu_done = machine.record_event(machine.default_stream(cpu))
+            machine.wait_event(machine.default_stream(gpu), cpu_done)
+            machine.synchronize()
+        machine.replay(tape)
+
+    def test_no_stored_row_stays_tracked_by_the_garbage_collector(self):
+        machine = warmed(Machine.cpu_gpu())
+        self.program(machine, self.taped(machine))
+        collect_twice()
+        rows = machine.events.rows
+        assert len(rows) == machine.event_count > 20
+        assert {type(row) for row in rows} == {tuple} and {len(row) for row in rows} == {11}
+        assert {row[0] for row in rows} == {KERNEL, TRANSFER, WARMUP, ALLOC, FREE, MARKER, SYNC}
+        assert not [row for row in rows if gc.is_tracked(row)]
+
+    def test_logging_twenty_thousand_events_adds_no_tracked_objects(self):
+        machine = warmed(Machine.cpu_gpu())
+        tape = self.taped(machine)
+        self.program(machine, tape)  # every cost and route memo is warm
+        collect_twice()
+        before, logged = len(gc.get_objects()), machine.event_count
+        while machine.event_count - logged < 20_000:
+            self.program(machine, tape)
+        collect_twice()
+        # As ``Event`` instances (a tuple subclass) the log alone was +20 000.
+        assert len(gc.get_objects()) - before < 100
+
+    def test_every_read_is_an_event_equal_to_its_stored_row(self):
+        machine = Machine.cpu_gpu()
+        log, rows = machine.events, machine.events.rows
+        returned = [(machine.initialize_gpu(model_bytes=1 << 20), 2)]
+        for call, count in (
+            (lambda: machine.launch_kernel(machine.gpu, "k", 1e6, 1e3), 1),
+            (lambda: machine.launch_kernels(machine.gpu, "k", 3, 1e6, 1e3), 3),
+            (lambda: machine.host_work("h", 0.1), 1),
+            (lambda: machine.transfer(machine.cpu, machine.gpu, 4096), 1),
+            (lambda: machine.allocation_warmup(1 << 20), 1),
+            (lambda: machine.stream_synchronize(machine.default_stream("gpu")), 1),
+            (lambda: machine.device_synchronize(machine.gpu), 1),
+            (lambda: machine.synchronize(), 1),
+        ):
+            returned.append((call(), count))
+        cursor = 0
+        for value, count in returned:
+            events = value if isinstance(value, list) else [value]
+            assert len(events) == count
+            assert all(type(e) is Event for e in events)
+            assert events == rows[cursor:cursor + count]
+            cursor += count
+        assert cursor == len(rows) == len(log)
+        reads = {
+            "iter": list(log),
+            "index": [log[i] for i in range(len(log))],
+            "slice": log[:],
+            "snapshot": log.snapshot(),
+            "since": log.since(0),
+        }
+        for name, events in reads.items():
+            assert all(type(e) is Event for e in events), name
+            assert list(events) == rows, name
+        for kind in (KERNEL, TRANSFER, WARMUP, SYNC, "absent"):
+            assert log.of_kind(kind) == tuple(row for row in rows if row[0] == kind)
+            assert all(type(e) is Event for e in log.of_kind(kind))
+        on_gpu = log.on_stream(machine.gpu.name, "default")
+        assert on_gpu and all(type(e) is Event for e in on_gpu)
+        assert on_gpu == tuple(r for r in rows if r[2] == machine.gpu.name and r[10] == "default")
+
+
 class TestIntervalContract:
     def test_an_interval_is_an_immutable_three_field_value(self):
         interval = Interval(1.0, 2.5, "gemm")
@@ -538,7 +644,7 @@ def test_observation_leaves_every_event_field_as_it_was():
     def fields():
         return [tuple(getattr(event, name) for name in EVENT_FIELDS) for event in machine.events]
 
-    held = list(machine.events)
+    held = list(machine.events.rows)
     before = fields()
     assert len(before) == machine.event_count > 500
     assert model.replay_stats["replayed"] > 0
@@ -549,4 +655,43 @@ def test_observation_leaves_every_event_field_as_it_was():
     assert compute_breakdown(profiler.last_profile).total_ms > 0
     assert analyze_profile(profiler.last_profile).findings
     assert fields() == before
-    assert all(now is then for now, then in zip(machine.events, held))
+    # The stored rows themselves, not views built for this read.
+    assert len(machine.events.rows) == len(held)
+    assert all(now is then for now, then in zip(machine.events.rows, held))
+
+
+def test_profile_analysis_reads_rows_and_leaves_the_events_view_unbuilt():
+    """A capture keeps the log's own rows; only reading ``events`` builds them all."""
+    dataset = load("wikipedia", scale="tiny")
+    machine = Machine.cpu_gpu(backend="shape")
+    with machine.activate():
+        model = TGAT(machine, dataset, TGATConfig(num_neighbors=5, batch_size=8))
+    requests = generate_requests(
+        dataset.stream, PoissonProcess(600.0, seed=3),
+        duration_ms=150.0, events_per_request=1, slo_ms=50.0,
+    )
+    server = InferenceServer(
+        model, make_policy("timeout", max_batch_size=8, batch_timeout_ms=4.0), overlap=True)
+    profiler = Profiler(machine)
+    with profiler.capture("serve_single"):
+        server.serve(requests, arrival_name="poisson")
+    profile = profiler.last_profile
+    rows = profile.rows
+    assert len(rows) > 500
+    assert all(row is stored for row, stored in zip(rows, machine.events.rows[-len(rows):]))
+
+    gpu = machine.gpu.name
+    assert profile.per_gpu_utilization()[gpu] > 0
+    assert len(profile.busy_timeline(gpu)) > 0 and len(profile.busy_timeline(gpu, True)) > 0
+    assert profile.kernel_count(gpu) > 1
+    assert profile.kernel_time_ms(gpu) > profile.mean_kernel_ms(gpu) > 0
+    assert profile.transfer_time_ms() > 0 and profile.transfer_bytes() > 0
+    assert profile.sync_wait_ms() > 0 and profile.warmup_ms() > 0
+    assert len(profile.memory_timeline("gpu")) > 2 and profile.regions()
+    assert compute_breakdown(profile).total_ms > 0
+    assert analyze_profile(profile).findings
+    assert "events" not in vars(profile)
+
+    events = profile.events
+    assert "events" in vars(profile) and profile.events is events
+    assert events == rows and all(type(event) is Event for event in events)

@@ -346,21 +346,22 @@ def memory_run_alloc_free(machine):
 
 #: ``call -> (ceiling, action on a warm machine m / cluster c)``.  A count,
 #: not a timing: what one charge costs the host in Python calls, recording
-#: on.  The scalar seam (``_charge`` + ``_emit``) is two calls on a kernel
-#: launch, one on a copy hop, and none on the run primitive.
+#: on.  The scalar seam is ``_charge`` -> ``_emit`` -> ``check_event``; the
+#: run primitive checks its kind once and appends its rows in C, so a run
+#: costs no call per kernel.
 HOST_COST_CEILINGS = {
-    "launch_kernel": (11, lambda m, c: m.launch_kernel(m.gpus[0], "k", 1e6, 64e3)),
-    "host_work": (11, lambda m, c: m.host_work("h", 0.02)),
+    "launch_kernel": (10, lambda m, c: m.launch_kernel(m.gpus[0], "k", 1e6, 64e3)),
+    "host_work": (10, lambda m, c: m.host_work("h", 0.02)),
     "transfer non-blocking": (
-        18, lambda m, c: m.transfer(m.cpu, m.gpus[0], 4096, non_blocking=True)),
-    "transfer blocking": (16, lambda m, c: m.transfer(m.cpu, m.gpus[0], 4096)),
-    "transfer peer": (16, lambda m, c: m.transfer(m.gpus[0], m.gpus[1], 4096)),
-    "launch_kernels x8": (16, lambda m, c: m.launch_kernels(m.gpus[0], "k", 8, 1e6, 64e3)),
-    "alloc + free": (12, lambda m, c: m.free(m.gpus[0], m.alloc(m.gpus[0], 4096, "t"))),
-    # Opening and closing a run is ~8 calls: worth it from the second key on.
-    "memory_run alloc + free": (16, lambda m, c: memory_run_alloc_free(m)),
+        17, lambda m, c: m.transfer(m.cpu, m.gpus[0], 4096, non_blocking=True)),
+    "transfer blocking": (15, lambda m, c: m.transfer(m.cpu, m.gpus[0], 4096)),
+    "transfer peer": (15, lambda m, c: m.transfer(m.gpus[0], m.gpus[1], 4096)),
+    "launch_kernels x8": (8, lambda m, c: m.launch_kernels(m.gpus[0], "k", 8, 1e6, 64e3)),
+    "alloc + free": (9, lambda m, c: m.free(m.gpus[0], m.alloc(m.gpus[0], 4096, "t"))),
+    # Opening and closing a run is ~9 calls; it breaks even at two alloc + free pairs.
+    "memory_run alloc + free": (14, lambda m, c: memory_run_alloc_free(m)),
     "cluster gpu -> gpu": (
-        42, lambda m, c: c.transfer(0, c.nodes[0].gpus[0], 1, c.nodes[1].gpus[0], 4096)),
+        39, lambda m, c: c.transfer(0, c.nodes[0].gpus[0], 1, c.nodes[1].gpus[0], 4096)),
 }
 
 
@@ -381,12 +382,12 @@ CACHE_KEYS = 512
 
 #: ``store call -> {policy: Python calls per key (per batch for the probe)}`` on a
 #: warm store that holds exactly ``CACHE_KEYS`` rows.  A key batch is one run
-#: (one memory run, one policy settle, one event pass), so only what a key
-#: needs itself is left per key: the policy's say, the pool and the ``Event``.
+#: (one memory run, one policy settle, one pass zipping the rows), so only
+#: what a key needs itself is left per key: the policy's say and the pool.
 CACHE_COST_CEILINGS = {
-    "put_many, every key evicting": {"lru": 12.0, "lfu": 13.0, "degree": 13.0},
+    "put_many, every key evicting": {"lru": 9.0, "lfu": 10.0, "degree": 10.0},
     "probe_many, every key a hit, per batch": {"lru": 8.0, "degree": 8.0},
-    "invalidate": {"lru": 4.1, "lfu": 4.1, "degree": 4.1},
+    "invalidate": {"lru": 3.1, "lfu": 3.1, "degree": 3.1},
 }
 
 
@@ -818,6 +819,7 @@ def test_indexed_profile_views_match_plain_scans(case):
     for device in profile.devices:
         durations = [e.duration_ms for e in kernels if e.resource == device.name]
         assert profile.kernel_count(device.name) == len(durations)
+        assert profile.kernel_time_ms(device.name) == sum(durations)
         assert profile.mean_kernel_ms(device.name) == (
             sum(durations) / len(durations) if durations else 0.0
         )
@@ -830,6 +832,23 @@ def test_indexed_profile_views_match_plain_scans(case):
     # the same events an equal one.
     assert profile.kernel_events is profile.kernel_events
     assert replace(profile, label="copy").kernel_events == kernels
+
+
+@pytest.mark.parametrize("case", sorted(ANALYSIS_PROFILES))
+def test_profile_views_are_events_built_from_the_window_rows(case):
+    """Every view holds ``Event`` values, each equal to its row of ``profile.rows``."""
+    profile = ANALYSIS_PROFILES[case]()
+    rows = profile.rows
+    views = [profile.events, profile.events_on_stream("gpu0", "default")]
+    for kind in (KERNEL, TRANSFER, WARMUP, SYNC, ALLOC, FREE, MARKER):
+        views.append(profile.events_of_kind(kind))
+        assert views[-1] == tuple(row for row in rows if row[0] == kind)
+        for device in profile.devices:
+            views.append(profile.events_on(device.name, kind))
+            assert views[-1] == tuple(
+                row for row in rows if row[2] == device.name and row[0] == kind)
+    assert profile.events == rows
+    assert all(type(event) is Event for view in views for event in view)
 
 
 @pytest.mark.parametrize("case", sorted(ANALYSIS_PROFILES))

@@ -11,6 +11,7 @@ The last section covers the model-side store, ``DGNNModel._replayed``.
 import pytest
 
 from repro.fuzz.program import signature
+from repro.hw.events import ALLOC, FREE
 from repro.hw.machine import Machine
 from repro.hw.memory import OutOfMemoryError
 from repro.hw.tape import _KERNEL
@@ -69,7 +70,9 @@ def _observables(machine):
             device.name: (
                 device.memory.current_bytes,
                 device.memory.peak_bytes,
-                device.memory.history,
+                # The pool's footprint over time: its device's memory rows.
+                [row for row in machine.events.rows
+                 if row[2] == device.name and row[0] in (ALLOC, FREE)],
             )
             for device in machine.devices
         },
