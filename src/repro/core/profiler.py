@@ -21,17 +21,14 @@ entirely -- detailed profiling is an opt-in cost, not a tax on every
 simulated action.  A capture on such a machine still reports
 busy/utilization statistics from the timelines but sees an empty event list.
 
-Cost model of reading a :class:`Profile`: ``Event`` values are built only
-for the view a caller reads -- all events (``events``), one kind
-(``events_of_kind`` and the ``kernel_`` / ``transfer_`` / ``sync_`` /
-``warmup_events`` properties) or one kind on one resource (``events_on``) --
-once per view, from one lazily built index of rows: the first per-kind read
-partitions the window in a single pass, the per-device split is derived from
-a kind's partition on first use, and every later read is a dictionary
-lookup.  Everything the analysis computes -- the merged busy runs
-(``busy_timeline``), utilization, the time and byte totals, the kernel
-counts, ``memory_timeline`` and ``regions`` -- reads rows and builds no
-``Event``.
+Cost model of reading a :class:`Profile`: everything the analysis computes
+-- the merged busy runs (``busy_timeline``), utilization, the time and byte
+totals, the kernel counts, ``memory_timeline`` and ``regions`` -- reads
+``rows`` through one lazily built index (the first per-kind read partitions
+the window in a single pass, the per-device split is derived from a kind's
+partition on first use) and builds no ``Event``.  The one ``Event`` view is
+``events``, built once on first read; a filtered view is a comprehension
+over it.
 """
 
 from __future__ import annotations
@@ -39,7 +36,7 @@ from __future__ import annotations
 import contextlib
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .._compat import DATACLASS_SLOTS
 from ..hw.events import ALLOC, FREE, KERNEL, SYNC, TRANSFER, WARMUP, Event, event_view
@@ -103,20 +100,18 @@ class _EventIndex:
 
     Each level is built on first use so a reader pays only for what it asks:
     the by-kind partition is one pass over the window, the per-resource split
-    of a kind is one pass over that kind's rows, a view builds one
-    :class:`Event` per row of the part it covers, and a device's merged busy
+    of a kind is one pass over that kind's rows, and a device's merged busy
     runs are one sort of its kernel (and warm-up) rows -- no ``Event`` at all.
     Rows are in ``Event`` field order: kind ``[0]``, resource ``[2]``,
     start ``[3]``, end ``[4]``, bytes ``[6]``.
     """
 
-    __slots__ = ("_rows", "_by_kind", "_by_resource", "_views", "_busy")
+    __slots__ = ("_rows", "_by_kind", "_by_resource", "_busy")
 
     def __init__(self, rows: Tuple[tuple, ...]) -> None:
         self._rows = rows
         self._by_kind: Optional[Dict[str, Tuple[tuple, ...]]] = None
         self._by_resource: Dict[str, Dict[str, Tuple[tuple, ...]]] = {}
-        self._views: Dict[Tuple[str, Optional[str]], Tuple[Event, ...]] = {}
         self._busy: Dict[Tuple[str, bool], Timeline] = {}
 
     def rows_of_kind(self, kind: str) -> Tuple[tuple, ...]:
@@ -135,15 +130,6 @@ class _EventIndex:
                 parts.setdefault(row[2], []).append(row)
             split = self._by_resource[kind] = {name: tuple(part) for name, part in parts.items()}
         return split.get(resource, ())
-
-    def view(self, kind: str, resource: Optional[str] = None) -> Tuple[Event, ...]:
-        """The events of one kind (on one resource), built once and cached."""
-        key = (kind, resource)
-        events = self._views.get(key)
-        if events is None:
-            rows = self.rows_of_kind(kind) if resource is None else self.rows_on(resource, kind)
-            events = self._views[key] = tuple(map(event_view, rows))
-        return events
 
     def busy_timeline(self, device_name: str, include_warmup: bool) -> Timeline:
         key = (device_name, include_warmup)
@@ -171,18 +157,17 @@ def _duration_ms(rows: Tuple[tuple, ...]) -> float:
     return sum(row[4] - row[3] for row in rows)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class Profile:
     """Everything recorded between the start and end of a capture window.
 
     Attributes:
         start_ms / end_ms: Simulated window boundaries (host clock).
-        events: Events issued inside the window, in issue order -- built
-            from :attr:`rows` on first read.
-        rows: The same events as the log stores them (or as the constructor
-            was given them): one 11-field tuple each, in ``Event`` field
-            order.  The analysis reads these; only a view a caller asks for
-            builds ``Event`` values.
+        rows: The events issued inside the window, in issue order, as the
+            log stores them: one 11-field tuple each, in ``Event`` field
+            order.  The analysis reads these.
+        events: The same events as ``Event`` values -- built from
+            :attr:`rows` on first read, not a field.
         devices: Per-device statistics over the window.
         link_name: Name of the host<->device link.
         label: Optional label supplied when the capture was opened.
@@ -190,7 +175,7 @@ class Profile:
 
     start_ms: float
     end_ms: float
-    events: Tuple[Event, ...]
+    rows: Tuple[tuple, ...]
     devices: Tuple[DeviceSnapshot, ...]
     link_name: str
     label: str = ""
@@ -199,27 +184,6 @@ class Profile:
     #: machines have one host link per GPU plus optional peer links);
     #: ``link_streams`` remains the primary link's snapshot tuple.
     all_links: Tuple[Tuple[str, Tuple[StreamSnapshot, ...]], ...] = ()
-
-    def __init__(
-        self,
-        start_ms: float,
-        end_ms: float,
-        events: Iterable[tuple],
-        devices: Tuple[DeviceSnapshot, ...],
-        link_name: str,
-        label: str = "",
-        link_streams: Tuple[StreamSnapshot, ...] = (),
-        all_links: Tuple[Tuple[str, Tuple[StreamSnapshot, ...]], ...] = (),
-    ) -> None:
-        # ``events`` stays a field -- the constructor's keyword, what
-        # ``replace`` passes on and what ``==`` compares -- but is stored as
-        # rows and built by the cached property below on first read.
-        for name, value in (
-            ("start_ms", start_ms), ("end_ms", end_ms), ("rows", tuple(events)),
-            ("devices", devices), ("link_name", link_name), ("label", label),
-            ("link_streams", link_streams), ("all_links", all_links),
-        ):
-            object.__setattr__(self, name, value)
 
     @cached_property
     def events(self) -> Tuple[Event, ...]:
@@ -236,29 +200,6 @@ class Profile:
     def _index(self) -> _EventIndex:
         # Not a dataclass field: equality, hashing and ``replace`` ignore it.
         return _EventIndex(self.rows)
-
-    def events_of_kind(self, kind: str) -> Tuple[Event, ...]:
-        return self._index.view(kind)
-
-    def events_on(self, resource: str, kind: str) -> Tuple[Event, ...]:
-        """Events of one kind issued on one device or link, in issue order."""
-        return self._index.view(kind, resource)
-
-    @property
-    def kernel_events(self) -> Tuple[Event, ...]:
-        return self.events_of_kind(KERNEL)
-
-    @property
-    def transfer_events(self) -> Tuple[Event, ...]:
-        return self.events_of_kind(TRANSFER)
-
-    @property
-    def sync_events(self) -> Tuple[Event, ...]:
-        return self.events_of_kind(SYNC)
-
-    @property
-    def warmup_events(self) -> Tuple[Event, ...]:
-        return self.events_of_kind(WARMUP)
 
     def device(self, name_or_kind: str) -> Optional[DeviceSnapshot]:
         """Find a device snapshot by name or by kind (``"cpu"``/``"gpu"``)."""
@@ -287,12 +228,6 @@ class Profile:
             if snapshot.name == stream:
                 return snapshot.busy_ms
         return 0.0
-
-    def events_on_stream(self, resource: str, stream: str) -> Tuple[Event, ...]:
-        """Events the window issued onto one stream of one resource."""
-        return tuple(
-            event_view(row) for row in self.rows if row[2] == resource and row[10] == stream
-        )
 
     def busy_timeline(self, device_name: str, include_warmup: bool = False) -> Timeline:
         """Merged busy runs of one named device as a queryable timeline.
@@ -531,7 +466,7 @@ class Profiler:
                 Profile(
                     start_ms=start_ms,
                     end_ms=end_ms,
-                    events=rows,
+                    rows=rows,
                     devices=tuple(devices),
                     link_name=primary,
                     label=label,

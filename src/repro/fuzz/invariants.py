@@ -81,12 +81,11 @@ def _check_stream_intervals(config: FuzzConfig, ops: List[Op], base: Execution) 
                             f"({interval.start_ms} < {previous_end})",
                         )
                     previous_end = interval.end_ms
-        for event in machine.events:
-            if event.end_ms < event.start_ms:
+        for _, name, _, start_ms, end_ms, *_ in machine.events.rows:
+            if end_ms < start_ms:
                 raise InvariantViolation(
                     "stream-intervals",
-                    f"event {event.name!r} ends before it starts "
-                    f"({event.end_ms} < {event.start_ms})",
+                    f"event {name!r} ends before it starts ({end_ms} < {start_ms})",
                 )
 
 

@@ -234,7 +234,7 @@ class Cluster:
                 self.sync_node(dst_node, ready)
             duration_ms = link.book(nbytes, direction, target)
             machine.advance_host(link.spec.host_overhead_us * 1e-3)
-            _, ready = machine._charge(
+            ready = machine._charge(
                 TRANSFER, name, link.name, target, ready, duration_ms, False,
                 nbytes, src_name, dst_name,
             )

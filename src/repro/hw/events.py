@@ -18,7 +18,7 @@ log.
 from __future__ import annotations
 
 from functools import partial
-from typing import Iterable, Iterator, List, NamedTuple, Sequence, Tuple
+from typing import Iterable, Iterator, List, NamedTuple, Tuple
 
 #: Event kinds.
 KERNEL = "kernel"
@@ -136,8 +136,9 @@ class EventLog:
     """An append-only sequence of events, stored as rows, read as :class:`Event`.
 
     The machine owns one log per run context and appends to :attr:`rows`
-    directly; profilers and exporters read the rows, everything else reads
-    ``Event`` values built on demand.
+    directly.  Iterating, indexing and slicing are the one way to read
+    ``Event`` values; a filter is a comprehension over them, and the
+    profilers and exporters that must not pay for the views read the rows.
     """
 
     __slots__ = ("rows",)
@@ -156,20 +157,3 @@ class EventLog:
         if isinstance(index, slice):
             return list(map(event_view, self.rows[index]))
         return event_view(self.rows[index])
-
-    def snapshot(self) -> Sequence[Event]:
-        """An immutable copy of the current event list."""
-        return tuple(map(event_view, self.rows))
-
-    def since(self, index: int) -> Sequence[Event]:
-        """Events appended at or after position ``index``."""
-        return tuple(map(event_view, self.rows[index:]))
-
-    def of_kind(self, kind: str) -> Sequence[Event]:
-        return tuple(event_view(row) for row in self.rows if row[0] == kind)
-
-    def on_stream(self, resource: str, stream: str) -> Sequence[Event]:
-        """Events issued on one stream of one resource."""
-        return tuple(
-            event_view(row) for row in self.rows if row[2] == resource and row[10] == stream
-        )

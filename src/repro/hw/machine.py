@@ -33,9 +33,8 @@ happens:
   (the pool acts inside the block, the events are logged when it closes).
 * Those three -- ``_emit``, ``_charge_kernel_run`` and ``memory_run`` -- are
   the only places a row is appended to the log (:mod:`repro.hw.events`), each
-  after the ``Event`` constructor's checks.  A public charge method returns
-  the :class:`Event` view of its row; the run chargers, the cluster's hops
-  and ``alloc`` / ``free`` never build one.
+  after the ``Event`` constructor's checks.  A charge is a command: it
+  returns nothing, and what it did is read back from :attr:`Machine.events`.
 * The machine never branches on the execution backend; :attr:`shape_mode`
   lets the tensor/model layers pick their data representation.
 """
@@ -68,10 +67,8 @@ from .events import (
     SYNC,
     TRANSFER,
     WARMUP,
-    Event,
     EventLog,
     check_event,
-    event_view,
 )
 from .link import Link
 from .spec import MachineSpec, machine_spec
@@ -253,10 +250,10 @@ class Machine:
             if name == "gpu":
                 return self.gpus[0]
             if name.startswith("gpu:"):
-                try:
-                    return self.gpus[int(name.split(":", 1)[1])]
-                except (ValueError, IndexError):
-                    raise KeyError(f"unknown device {name!r} on this machine") from None
+                index = name[4:]
+                if index.isdecimal() and int(index) < len(self.gpus):
+                    return self.gpus[int(index)]
+                raise KeyError(f"unknown device {name!r} on this machine")
             for gpu in self.gpus:
                 if name == gpu.name:
                     return gpu
@@ -341,22 +338,17 @@ class Machine:
         src: str = "",
         dst: str = "",
         flops: float = 0.0,
-    ) -> Optional[tuple]:
-        """Count one simulated action and log its row when recording is on.
-
-        Returns the row (``None`` with recording off); a public charge method
-        hands its caller the :class:`Event` view of it.
-        """
+    ) -> None:
+        """Count one simulated action and log its row when recording is on."""
         self._event_count += 1
         if not self.record_events:
-            return None
+            return
         check_event(kind, name, start_ms, end_ms)
         row = (
             kind, name, resource, start_ms, end_ms, flops, nbytes, self._region_tuple, src, dst,
             stream,
         )
         self._log.append(row)
-        return row
 
     def _charge(
         self,
@@ -371,8 +363,8 @@ class Machine:
         src: str = "",
         dst: str = "",
         flops: float = 0.0,
-    ) -> Tuple[Optional[tuple], float]:
-        """The scalar charge: occupy ``target`` and log it; ``(row, end_ms)``.
+    ) -> float:
+        """The scalar charge: occupy ``target``, log it, return the interval's end.
 
         Reserves ``duration_ms`` on ``target`` from ``ready_ms`` (behind what
         the stream already holds) and, when the issue blocks, moves the host
@@ -385,20 +377,17 @@ class Machine:
         end_ms = interval.end_ms
         if blocking:
             self._host_time = end_ms
-        row = self._emit(
+        self._emit(
             kind, name, resource, interval.start_ms, end_ms, nbytes, target.name, src, dst, flops
         )
-        return row, end_ms
+        return end_ms
 
-    def _join(
-        self, name: str, resource: str, until_ms: float, stream: str = ""
-    ) -> Optional[Event]:
+    def _join(self, name: str, resource: str, until_ms: float, stream: str = "") -> None:
         """Block the host until ``until_ms`` (no-op when already past it)."""
         start = self._host_time
         end = max(start, until_ms)
         self._host_time = end
-        row = self._emit(SYNC, name, resource, start, end, 0, stream)
-        return None if row is None else event_view(row)
+        self._emit(SYNC, name, resource, start, end, 0, stream)
 
     # -- stream events ----------------------------------------------------
 
@@ -510,7 +499,7 @@ class Machine:
         sizes: Sequence[int],
         durations: Sequence[float],
         regions: Iterable[Tuple[str, ...]],
-    ) -> List[tuple]:
+    ) -> None:
         """Charge kernels launched back to back on one device, as columns.
 
         The one run charger behind :meth:`launch_kernels` and tape replay
@@ -521,7 +510,7 @@ class Machine:
         columns in one pass (``reserve_run`` has already refused a negative
         duration, so no row ends before it starts).  A launch that is not
         asynchronous (CPU default stream) runs the host to each kernel's end
-        instead of paying the overhead.  Returns the logged rows.
+        instead of paying the overhead.
         """
         target = self._resolve_kernel_stream(device, stream)
         is_gpu = device.is_gpu
@@ -542,16 +531,14 @@ class Machine:
         self._device_flops[resource] = total
         self._event_count += len(starts)
         if not self.record_events:
-            return []
+            return
         check_event(KERNEL)
-        rows = list(
+        self._log.extend(
             zip(
                 repeat(KERNEL), names, repeat(resource), starts, ends, flops, sizes, regions,
                 repeat(""), repeat(""), repeat(target.name),
             )
         )
-        self._log.extend(rows)
-        return rows
 
     def launch_kernel(
         self,
@@ -560,11 +547,8 @@ class Machine:
         flops: float,
         bytes_moved: float,
         stream: Optional[Stream] = None,
-    ) -> Optional[Event]:
+    ) -> None:
         """Launch a compute kernel on ``device`` and record the event.
-
-        Returns the recorded :class:`Event`, or ``None`` when event
-        recording is disabled (``record_events=False``).
 
         The kernel queues on ``stream`` (the device's *current* stream when
         omitted).  GPU kernels are always asynchronous: the host pays only
@@ -584,11 +568,10 @@ class Machine:
         if not blocking:
             self._host_time += device.spec.host_overhead_us * 1e-3
         self._device_flops[device.name] = self._device_flops.get(device.name, 0.0) + flops
-        row = self._charge(
+        self._charge(
             KERNEL, name, device.name, target, self._host_time, cost.duration_ms, blocking,
             int(bytes_moved), flops=flops,
-        )[0]
-        return None if row is None else event_view(row)
+        )
 
     def launch_kernels(
         self,
@@ -598,7 +581,7 @@ class Machine:
         flops: float,
         bytes_moved: float,
         stream: Optional[Stream] = None,
-    ) -> List[Event]:
+    ) -> None:
         """Launch ``count`` identical kernels back to back (batched charging).
 
         Byte-identical to calling :meth:`launch_kernel` ``count`` times with
@@ -610,9 +593,9 @@ class Machine:
         if count < 0:
             raise ValueError("count must be non-negative")
         if count == 0:
-            return []
+            return
         duration = device.kernel_cost(flops, bytes_moved).duration_ms
-        rows = self._charge_kernel_run(
+        self._charge_kernel_run(
             device,
             stream,
             [name] * count,
@@ -621,11 +604,8 @@ class Machine:
             [duration] * count,
             repeat(self._region_tuple),
         )
-        return list(map(event_view, rows))
 
-    def host_work(
-        self, name: str, duration_ms: float, stream: Optional[Stream] = None
-    ) -> Optional[Event]:
+    def host_work(self, name: str, duration_ms: float, stream: Optional[Stream] = None) -> None:
         """Charge host-only work (Python bookkeeping, data loading) to the CPU.
 
         On the CPU's default stream the host blocks until completion (seed
@@ -633,10 +613,9 @@ class Machine:
         modelling a prefetch/worker thread.
         """
         target = self._resolve_kernel_stream(self.cpu, stream)
-        row = self._charge(
+        self._charge(
             KERNEL, name, self.cpu.name, target, self._host_time, duration_ms, target.is_default
-        )[0]
-        return None if row is None else event_view(row)
+        )
 
     # -- transfers ----------------------------------------------------------
 
@@ -649,15 +628,14 @@ class Machine:
         non_blocking: bool = False,
         stream: Optional[Stream] = None,
         wait_for_source: bool = True,
-    ) -> Optional[Event]:
+    ) -> None:
         """Move ``nbytes`` between devices over the topology's links.
 
         The route is resolved by the :class:`~repro.hw.topology.Topology`:
         host<->GPU copies occupy that GPU's host link; GPU<->GPU copies take
         the direct peer link when the topology has one (a single ``p2p``
         transfer) and otherwise *stage* through the two host links (``d2h``
-        then ``h2d``, serialized), emitting one event per hop and returning
-        the final one.
+        then ``h2d``, serialized), emitting one event per hop.
 
         Blocking transfers (the default) occupy each routed link's default
         stream and advance the host cursor to completion, mirroring
@@ -702,7 +680,6 @@ class Machine:
         ready = self._host_time
         if wait_for_source:
             ready = max(ready, self.current_stream(src).free_at)
-        row: Optional[tuple] = None
         for hop in hops:
             link = hop.link
             target = stream
@@ -716,25 +693,22 @@ class Machine:
                     target = link.stream(COPY_STREAM) if non_blocking else link.default_stream
             # A staged route's second hop cannot start before the first
             # hop's copy has landed in host memory.
-            row, ready = self._charge(
+            ready = self._charge(
                 TRANSFER, name, link.name, target, ready,
                 link.book(nbytes, hop.direction, target), not non_blocking,
                 nbytes, src.name, dst.name,
             )
             if non_blocking:
                 self._host_time += link.spec.host_overhead_us * 1e-3
-        return None if row is None else event_view(row)
 
     # -- synchronisation ------------------------------------------------------
 
-    def synchronize(self, name: str = "cuda_sync") -> Optional[Event]:
+    def synchronize(self, name: str = "cuda_sync") -> None:
         """Block the host until all queued work on all streams has completed."""
         pending = max(max(d.free_at for d in self.devices), self.topology.free_at)
-        return self._join(name, self.cpu.name, pending)
+        self._join(name, self.cpu.name, pending)
 
-    def device_synchronize(
-        self, device: Union[Device, str], name: str = "device_sync"
-    ) -> Optional[Event]:
+    def device_synchronize(self, device: Union[Device, str], name: str = "device_sync") -> None:
         """Block the host until one device's streams have all drained.
 
         The multi-GPU analogue of ``torch.cuda.synchronize(device)``: a
@@ -743,17 +717,15 @@ class Machine:
         """
         if isinstance(device, str):
             device = self.device(device)
-        return self._join(name, device.name, device.free_at)
+        self._join(name, device.name, device.free_at)
 
-    def stream_synchronize(self, stream: Stream, name: str = "stream_sync") -> Optional[Event]:
+    def stream_synchronize(self, stream: Stream, name: str = "stream_sync") -> None:
         """Block the host until one stream's queued work has completed."""
-        return self._join(name, stream.resource, stream.free_at, stream.name)
+        self._join(name, stream.resource, stream.free_at, stream.name)
 
-    def event_synchronize(
-        self, stream_event: StreamEvent, name: str = "event_sync"
-    ) -> Optional[Event]:
+    def event_synchronize(self, stream_event: StreamEvent, name: str = "event_sync") -> None:
         """Block the host until a recorded stream event is ready."""
-        return self._join(name, stream_event.resource, stream_event.ready_ms, stream_event.stream)
+        self._join(name, stream_event.resource, stream_event.ready_ms, stream_event.stream)
 
     # -- warm-up ------------------------------------------------------------
 
@@ -766,37 +738,29 @@ class Machine:
         """Whether one GPU's context has been created."""
         return device.name in self._ready_gpus
 
-    def initialize_gpu(self, model_bytes: int = 0, device: Optional[Device] = None) -> List[Event]:
+    def initialize_gpu(self, model_bytes: int = 0, device: Optional[Device] = None) -> None:
         """Perform one-time warm-up of one GPU: context creation, weight upload.
 
-        ``device`` selects the GPU (the first one when omitted).  Returns the
-        warm-up events (empty when there is no GPU or that GPU's context
-        already exists).  Mirrors the paper's Sec. 4.4 "model initialization"
-        component, which it measures at several seconds; on a multi-GPU
-        machine each device pays it independently.
+        ``device`` selects the GPU (the first one when omitted); nothing is
+        charged when there is no GPU or that GPU's context already exists.
+        Mirrors the paper's Sec. 4.4 "model initialization" component, which
+        it measures at several seconds; on a multi-GPU machine each device
+        pays it independently.
         """
         gpu = device if device is not None else self.gpu
         if gpu is None or gpu.name in self._ready_gpus:
-            return []
+            return
         if not gpu.is_gpu:
             raise ValueError(f"cannot initialize non-GPU device {gpu.name!r}")
         self._ready_gpus.add(gpu.name)
-        emitted: List[Event] = []
-        context_row, _ = self._charge(
+        self._charge(
             WARMUP, "context_init", gpu.name, gpu.default_stream, self._host_time,
             self.spec.warmup.context_init_ms, True,
         )
-        if context_row is not None:
-            emitted.append(event_view(context_row))
         if model_bytes > 0:
-            upload = self.transfer(self.cpu, gpu, model_bytes, name="weight_upload")
-            if upload is not None:
-                emitted.append(upload)
-        return emitted
+            self.transfer(self.cpu, gpu, model_bytes, name="weight_upload")
 
-    def allocation_warmup(
-        self, footprint_bytes: int, device: Optional[Device] = None
-    ) -> Optional[Event]:
+    def allocation_warmup(self, footprint_bytes: int, device: Optional[Device] = None) -> None:
         """Per-run lazy-allocation warm-up proportional to the batch footprint.
 
         Mirrors the second warm-up component of Sec. 4.4 (Table 2): before the
@@ -806,14 +770,13 @@ class Machine:
         """
         gpu = device if device is not None else self.gpu
         if gpu is None:
-            return None
+            return
         if gpu.name not in self._ready_gpus:
             self.initialize_gpu(model_bytes=0, device=gpu)
-        row = self._charge(
+        self._charge(
             WARMUP, "allocation_warmup", gpu.name, gpu.default_stream, self._host_time,
             self.spec.warmup.allocation_warmup_ms(footprint_bytes / 1e6), True, footprint_bytes,
-        )[0]
-        return None if row is None else event_view(row)
+        )
 
     # -- memory ------------------------------------------------------------
 

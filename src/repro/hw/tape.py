@@ -135,9 +135,8 @@ def replay(machine: "Machine", tape: Tape) -> None:
     stored at record time.  Transfers and allocations go through the public
     methods.  An exception (a strict pool's ``OutOfMemoryError``) leaves the
     segments before it charged and the region restored, like the recorded
-    block would.  The kernel runs and allocations build no
-    :class:`~repro.hw.events.Event`; a transfer returns the view of its row,
-    which is dropped.
+    block would.  Like every charge, a replay returns nothing: what it did
+    is in the machine's event log.
     """
     ambient = machine._region_tuple
     if tape.region != ambient:

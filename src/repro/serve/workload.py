@@ -303,7 +303,8 @@ def make_arrival_process(
     """Build an arrival process by registry name.
 
     Extra keyword arguments are forwarded to the process constructor (e.g.
-    ``flash_at_ms`` for ``flash-crowd``, ``period_ms`` for ``diurnal``).
+    ``flash_at_ms`` for ``flash-crowd``, ``period_ms`` for ``diurnal``);
+    trace replay takes none and refuses any.
     """
     key = name.lower()
     if key not in ARRIVAL_PROCESSES:
@@ -313,6 +314,10 @@ def make_arrival_process(
     if key == TraceReplay.name:
         if trace_timestamps is None:
             raise ValueError("trace replay needs trace_timestamps")
+        if kwargs:
+            raise ValueError(
+                f"trace replay takes no arrival parameters; got {', '.join(sorted(kwargs))}"
+            )
         return TraceReplay(rate_per_s, trace_timestamps, seed=seed)
     return ARRIVAL_PROCESSES[key](rate_per_s, seed=seed, **kwargs)
 

@@ -95,6 +95,17 @@ def test_cli_serve_runs_end_to_end(capsys):
     assert "p99" in out
 
 
+def test_cli_serve_rejects_an_arrival_param_trace_replay_would_ignore(capsys):
+    code = main(
+        ["serve", "tgat", "--scale", "tiny", "--arrival", "trace",
+         "--arrival-param", "flash_multiplier=8"]
+    )
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (
+        "error: trace replay takes no arrival parameters; got flash_multiplier\n")
+
+
 def test_cli_serve_rejects_unservable_models(capsys):
     code = main(["serve", "jodie", "--scale", "tiny", "--rate", "100", "--duration", "50"])
     captured = capsys.readouterr()

@@ -16,6 +16,10 @@
   ``memory_run``), and a stream is reserved only by the scalar and the run
   primitive.  ``repro.cache`` sits on top of that seam: it names neither
   ``Event`` nor a device's memory pool.
+* One read path: ``Event`` views are built only by the log
+  (``hw/events.py``) and the profile (``core/profiler.py``), and none of the
+  eleven filtered read variants that used to sit on ``EventLog`` and
+  ``Profile`` comes back.
 * One model contract: every ``iteration_batches`` takes only ``self``, the
   event-stream body and the cache-fronted ``_sample`` live once in
   ``DGNNModel``, TGAT has one plan type (``TGATPlan``) and one planned
@@ -213,6 +217,59 @@ def test_hw_charges_through_one_scalar_and_one_run_primitive():
         "stream.py: Stream.reserve",
         "stream.py: Stream.reserve_run",
     }
+
+
+def test_event_views_are_built_only_by_the_log_and_the_profile():
+    naming = {
+        os.path.relpath(path, PACKAGE_ROOT)
+        for path in _files(PACKAGE_ROOT, ".py")
+        if re.search(r"\bevent_view\b", _read(path))
+    }
+    assert naming == {os.path.join("hw", "events.py"), os.path.join("core", "profiler.py")}
+
+
+#: The filtered reads deleted when the charges became commands: iterating,
+#: indexing and slicing ``machine.events``, and a profile's ``rows`` plus its
+#: one ``events`` view, are the read paths left.
+DELETED_READS = {
+    "hw/events.py": {"EventLog": ("snapshot", "since", "of_kind", "on_stream")},
+    "core/profiler.py": {
+        "Profile": (
+            "events_of_kind", "events_on", "kernel_events", "transfer_events", "sync_events",
+            "warmup_events", "events_on_stream",
+        ),
+    },
+}
+
+
+def _class_members(tree):
+    """``class -> names`` its body defines: methods, properties and assigned attributes."""
+    members = {}
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            names = members[node.name] = set()
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names.add(item.name)
+                elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    names.add(item.target.id)
+                elif isinstance(item, ast.Assign):
+                    names.update(t.id for t in item.targets if isinstance(t, ast.Name))
+    return members
+
+
+def test_the_deleted_event_reads_stay_deleted():
+    assert sum(len(names) for owners in DELETED_READS.values() for names in owners.values()) == 11
+    back = []
+    for relative, owners in DELETED_READS.items():
+        members = _class_members(ast.parse(_read(os.path.join(PACKAGE_ROOT, relative))))
+        for owner, names in owners.items():
+            assert owner in members, (relative, owner)
+            back += [f"{relative}: {owner}.{name}" for name in set(names) & members[owner]]
+    assert not back, f"defined again: {sorted(back)}"
+    # The profile is a plain dataclass: its rows are a field, not a constructor's rewrite.
+    profile = _class_members(ast.parse(_read(os.path.join(PACKAGE_ROOT, "core", "profiler.py"))))
+    assert "__init__" not in profile["Profile"] and "rows" in profile["Profile"]
 
 
 def test_the_cache_reaches_memory_only_through_the_machine():

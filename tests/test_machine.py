@@ -56,7 +56,8 @@ def warmed(machine):
 class TestHostCursor:
     def test_cpu_kernel_blocks_host(self, machine):
         start = machine.host_time_ms
-        event = machine.launch_kernel(machine.cpu, "cpu_op", flops=1e6, bytes_moved=1e3)
+        machine.launch_kernel(machine.cpu, "cpu_op", flops=1e6, bytes_moved=1e3)
+        event = machine.events[-1]
         assert machine.host_time_ms == event.end_ms
         assert event.end_ms > start
 
@@ -67,7 +68,8 @@ class TestHostCursor:
     def test_gpu_kernel_is_asynchronous(self, machine):
         warmed(machine)
         before = machine.host_time_ms
-        event = machine.launch_kernel(machine.gpu, "gemm", flops=1e9, bytes_moved=1e6)
+        machine.launch_kernel(machine.gpu, "gemm", flops=1e9, bytes_moved=1e6)
+        event = machine.events[-1]
         # The host pays only the launch-call overhead, not the kernel duration.
         overhead_ms = machine.gpu.spec.host_overhead_us * 1e-3
         assert machine.host_time_ms == pytest.approx(before + overhead_ms)
@@ -75,8 +77,9 @@ class TestHostCursor:
 
     def test_gpu_kernels_serialize_on_default_stream(self, machine):
         warmed(machine)
-        first = machine.launch_kernel(machine.gpu, "k1", flops=1e9, bytes_moved=0)
-        second = machine.launch_kernel(machine.gpu, "k2", flops=1e9, bytes_moved=0)
+        machine.launch_kernel(machine.gpu, "k1", flops=1e9, bytes_moved=0)
+        machine.launch_kernel(machine.gpu, "k2", flops=1e9, bytes_moved=0)
+        first, second = machine.events[-2:]
         assert second.start_ms >= first.end_ms
 
 
@@ -84,7 +87,8 @@ class TestTransfers:
     def test_blocking_transfer_occupies_link_and_host(self, machine):
         warmed(machine)
         nbytes = 2_000_000
-        event = machine.transfer(machine.cpu, machine.gpu, nbytes)
+        machine.transfer(machine.cpu, machine.gpu, nbytes)
+        event = machine.events[-1]
         expected_ms = machine.link.spec.transfer_ms(nbytes)
         assert event.duration_ms == pytest.approx(expected_ms)
         assert machine.host_time_ms == event.end_ms
@@ -93,8 +97,9 @@ class TestTransfers:
 
     def test_transfer_waits_for_producing_device(self, machine):
         warmed(machine)
-        kernel = machine.launch_kernel(machine.gpu, "produce", flops=1e10, bytes_moved=0)
-        copy = machine.transfer(machine.gpu, machine.cpu, 1000)
+        machine.launch_kernel(machine.gpu, "produce", flops=1e10, bytes_moved=0)
+        machine.transfer(machine.gpu, machine.cpu, 1000)
+        kernel, copy = machine.events[-2:]
         assert copy.start_ms >= kernel.end_ms
 
     def test_transfer_rejects_same_device(self, machine):
@@ -113,26 +118,28 @@ class TestTransfers:
 class TestSynchronize:
     def test_synchronize_joins_all_queued_work(self, machine):
         warmed(machine)
-        kernel = machine.launch_kernel(machine.gpu, "slow", flops=1e11, bytes_moved=0)
+        machine.launch_kernel(machine.gpu, "slow", flops=1e11, bytes_moved=0)
+        kernel = machine.events[-1]
         assert machine.host_time_ms < kernel.end_ms
-        sync = machine.synchronize()
-        assert sync.kind == SYNC
+        machine.synchronize()
+        assert machine.events[-1].kind == SYNC
         assert machine.host_time_ms == pytest.approx(kernel.end_ms)
 
     def test_synchronize_is_noop_when_idle(self, machine):
         warmed(machine)
         before = machine.host_time_ms
-        sync = machine.synchronize()
-        assert sync.duration_ms == 0.0
+        machine.synchronize()
+        assert machine.events[-1].duration_ms == 0.0
         assert machine.host_time_ms == before
 
 
 class TestWarmup:
     def test_gpu_context_initialized_once(self, machine):
-        events = machine.initialize_gpu(model_bytes=0)
-        assert [e.kind for e in events] == [WARMUP]
+        machine.initialize_gpu(model_bytes=0)
+        assert [e.kind for e in machine.events] == [WARMUP]
         assert machine.gpu_context_ready
-        assert machine.initialize_gpu(model_bytes=0) == []
+        machine.initialize_gpu(model_bytes=0)
+        assert len(machine.events) == machine.event_count == 1
 
     def test_first_gpu_kernel_triggers_warmup(self, machine):
         machine.launch_kernel(machine.gpu, "k", flops=1.0, bytes_moved=0)
@@ -141,22 +148,25 @@ class TestWarmup:
         assert KERNEL in kinds
 
     def test_weight_upload_is_a_transfer(self, machine):
-        events = machine.initialize_gpu(model_bytes=1_000_000)
+        machine.initialize_gpu(model_bytes=1_000_000)
+        events = machine.events[:]
         assert [e.kind for e in events] == [WARMUP, TRANSFER]
         assert events[1].name == "weight_upload"
 
     def test_cpu_only_machine_has_no_warmup(self):
         machine = Machine.cpu_only()
-        assert machine.initialize_gpu() == []
-        assert machine.allocation_warmup(1000) is None
+        machine.initialize_gpu()
+        machine.allocation_warmup(1000)
+        assert len(machine.events) == machine.event_count == 0
+        assert machine.host_time_ms == 0.0
 
 
 class TestRegionsAndMemory:
     def test_regions_annotate_events(self, machine):
         with machine.region("iteration"):
             with machine.region("Sampling"):
-                event = machine.host_work("sample", 1.0)
-        assert event.region == ("iteration", "Sampling")
+                machine.host_work("sample", 1.0)
+        assert machine.events[-1].region == ("iteration", "Sampling")
         assert machine.current_region == ()
 
     def test_alloc_free_roundtrip(self, machine):
@@ -201,7 +211,7 @@ def mixed_program(machine):
         machine.stream_synchronize(worker)
         machine.free(gpu, buffer)
     machine.synchronize()
-    return machine.events.snapshot()
+    return machine.events[:]
 
 
 class TestConstruction:
@@ -379,7 +389,7 @@ class TestEventContract:
         tape = machine.record(lambda: machine.launch_kernel(machine.gpu, "taped", 1e6, 1e3))[1]
         cursor = machine.event_cursor()
         call(machine, tape)
-        emitted = machine.events.since(cursor)
+        emitted = machine.events[cursor:]
         assert emitted and {event.kind for event in emitted} == {kind}
         assert all(type(event) is Event for event in emitted)
         # With its kind struck from the valid set, the same call is refused.
@@ -402,8 +412,7 @@ class TestMemoryRun:
              d.memory.usage_by_tag())
             for d in machine.devices
         ]
-        return (machine.events.snapshot(), machine.event_count, machine.host_time_ms, pools,
-                returned)
+        return (machine.events[:], machine.event_count, machine.host_time_ms, pools, returned)
 
     @pytest.mark.parametrize("tag", ["cache:embedding", ""])
     def test_a_run_equals_the_scalar_calls_it_stands_for(self, tag):
@@ -419,7 +428,7 @@ class TestMemoryRun:
         with run.region("iteration"), run.region("Cache"):
             assert memory_run_of(run, run.gpu, tag, *self.STEPS) == returned
         assert self.observed(run, returned) == self.observed(scalar, returned)
-        allocated, *_, freed = run.events.since(run.event_cursor() - len(self.STEPS))
+        allocated, *_, freed = run.events[-len(self.STEPS):]
         assert tuple(allocated) == (
             ALLOC, tag or "alloc", run.gpu.name, 6200.75, 6200.75, 0.0, 4096,
             ("iteration", "Cache"), "", "", "")
@@ -458,7 +467,7 @@ class TestMemoryRun:
                 alloc(16)
                 intruder(machine)
         # The run's own event is still logged, and the counter still matches the log.
-        assert [e.bytes for e in machine.events.of_kind(ALLOC) if e.name == "t"] == [16]
+        assert [e.bytes for e in machine.events if e.kind == ALLOC and e.name == "t"] == [16]
         assert machine.event_count == len(machine.events)
 
     def test_a_strict_pool_raises_at_the_same_call_and_keeps_the_earlier_events(self):
@@ -559,44 +568,49 @@ class TestEventRows:
         assert len(gc.get_objects()) - before < 100
 
     def test_every_read_is_an_event_equal_to_its_stored_row(self):
-        machine = Machine.cpu_gpu()
+        machine = warmed(Machine.cpu_gpu())
+        self.program(machine, self.taped(machine))
         log, rows = machine.events, machine.events.rows
-        returned = [(machine.initialize_gpu(model_bytes=1 << 20), 2)]
-        for call, count in (
-            (lambda: machine.launch_kernel(machine.gpu, "k", 1e6, 1e3), 1),
-            (lambda: machine.launch_kernels(machine.gpu, "k", 3, 1e6, 1e3), 3),
-            (lambda: machine.host_work("h", 0.1), 1),
-            (lambda: machine.transfer(machine.cpu, machine.gpu, 4096), 1),
-            (lambda: machine.allocation_warmup(1 << 20), 1),
-            (lambda: machine.stream_synchronize(machine.default_stream("gpu")), 1),
-            (lambda: machine.device_synchronize(machine.gpu), 1),
-            (lambda: machine.synchronize(), 1),
-        ):
-            returned.append((call(), count))
-        cursor = 0
-        for value, count in returned:
-            events = value if isinstance(value, list) else [value]
-            assert len(events) == count
-            assert all(type(e) is Event for e in events)
-            assert events == rows[cursor:cursor + count]
-            cursor += count
-        assert cursor == len(rows) == len(log)
+        cursor = len(rows) // 2
         reads = {
             "iter": list(log),
             "index": [log[i] for i in range(len(log))],
+            "negative index": [log[i - len(log)] for i in range(len(log))],
             "slice": log[:],
-            "snapshot": log.snapshot(),
-            "since": log.since(0),
         }
         for name, events in reads.items():
             assert all(type(e) is Event for e in events), name
-            assert list(events) == rows, name
-        for kind in (KERNEL, TRANSFER, WARMUP, SYNC, "absent"):
-            assert log.of_kind(kind) == tuple(row for row in rows if row[0] == kind)
-            assert all(type(e) is Event for e in log.of_kind(kind))
-        on_gpu = log.on_stream(machine.gpu.name, "default")
-        assert on_gpu and all(type(e) is Event for e in on_gpu)
-        assert on_gpu == tuple(r for r in rows if r[2] == machine.gpu.name and r[10] == "default")
+            assert events == rows, name
+        tail = log[cursor:]
+        assert all(type(e) is Event for e in tail) and tail == rows[cursor:]
+        on_gpu = [e for e in log if e.resource == machine.gpu.name and e.stream == "default"]
+        assert on_gpu == [r for r in rows if r[2] == machine.gpu.name and r[10] == "default"]
+
+    def test_every_charge_method_is_a_command(self):
+        """The ten public charge methods return nothing; what they did is in the log."""
+        machine = Machine("2xA100-pcie")
+        gpu0, gpu1 = machine.gpus
+        machine.initialize_gpu(device=gpu0)
+        marker = machine.record_event(machine.default_stream(gpu0))
+        rows = machine.events.rows
+        charges = {
+            "initialize_gpu": (lambda: machine.initialize_gpu(model_bytes=1 << 20, device=gpu1), 2),
+            "launch_kernel": (lambda: machine.launch_kernel(gpu0, "k", 1e6, 1e3), 1),
+            "launch_kernels": (lambda: machine.launch_kernels(gpu1, "k", 3, 1e6, 1e3), 3),
+            "host_work": (lambda: machine.host_work("h", 0.1), 1),
+            "transfer": (lambda: machine.transfer(gpu0, gpu1, 4096), 2),
+            "allocation_warmup": (lambda: machine.allocation_warmup(1 << 20, device=gpu1), 1),
+            "stream_synchronize": (
+                lambda: machine.stream_synchronize(machine.default_stream(gpu0)), 1),
+            "event_synchronize": (lambda: machine.event_synchronize(marker), 1),
+            "device_synchronize": (lambda: machine.device_synchronize(gpu1), 1),
+            "synchronize": (lambda: machine.synchronize(), 1),
+        }
+        for name, (call, count) in charges.items():
+            cursor = len(rows)
+            assert call() is None, name
+            assert len(rows) - cursor == count, name
+        assert len(rows) == machine.event_count
 
 
 class TestIntervalContract:

@@ -74,8 +74,11 @@ class TestOverlappedRunner:
             runner.run(batches)
         stream = runner.stream
         assert stream.busy_ms() > 0
-        sampled = machine.events.on_stream(machine.cpu.name, runner.STREAM_NAME)
-        assert any(e.name == "temporal_neighbor_sampling" for e in sampled)
+        assert any(
+            e.name == "temporal_neighbor_sampling"
+            for e in machine.events
+            if e.resource == machine.cpu.name and e.stream == runner.STREAM_NAME
+        )
 
     def test_executed_speedup_close_to_analytic_on_small_config(self):
         """Acceptance: executed within 15% of the analytic estimate."""
@@ -134,8 +137,9 @@ class TestPipelinedEvolveGCN:
             model.warm_up(snapshots[0])
             PipelinedEvolveGCN(model).run_window(snapshots)
         gpu_name = machine.gpu.name
-        rnn_events = machine.events.on_stream(gpu_name, PipelinedEvolveGCN.RNN_STREAM)
-        gnn_events = machine.events.on_stream(gpu_name, PipelinedEvolveGCN.GNN_STREAM)
+        on_gpu = [e for e in machine.events if e.resource == gpu_name]
+        rnn_events = [e for e in on_gpu if e.stream == PipelinedEvolveGCN.RNN_STREAM]
+        gnn_events = [e for e in on_gpu if e.stream == PipelinedEvolveGCN.GNN_STREAM]
         assert rnn_events and gnn_events
         # Each snapshot's GNN starts only after its weights are ready.
         first_gnn_kernel = next(e for e in gnn_events if e.kind == "kernel")

@@ -41,7 +41,7 @@ from repro.hw import Cluster
 from repro.hw import device as device_module
 from repro.hw import link as link_module
 from repro.hw.device import Device
-from repro.hw.events import ALLOC, FREE, KERNEL, MARKER, SYNC, TRANSFER, WARMUP, Event
+from repro.hw.events import ALLOC, KERNEL, MARKER, SYNC, TRANSFER, WARMUP, Event
 from repro.hw.machine import Machine
 from repro.hw.stream import union_busy_ms
 from repro.hw.timeline import Timeline
@@ -208,7 +208,7 @@ def drive_random_program(machine, seed, steps=120, batch_api=False):
                 with machine.region("phase"):
                     machine.host_work("annotated", 0.05)
         machine.synchronize(name="final")
-    recorded.extend(machine.events.snapshot())
+    recorded.extend(machine.events)
     return recorded
 
 
@@ -683,7 +683,7 @@ def synthetic_profile(events, start_ms, end_ms, with_gpu=True):
     return Profile(
         start_ms=start_ms,
         end_ms=end_ms,
-        events=tuple(events),
+        rows=tuple(events),
         devices=devices,
         link_name="pcie",
         label="synthetic",
@@ -797,20 +797,10 @@ def test_window_queries_match_reference_scan(case):
 def test_indexed_profile_views_match_plain_scans(case):
     profile = ANALYSIS_PROFILES[case]()
     events = profile.events
-    for kind in (KERNEL, TRANSFER, WARMUP, SYNC, ALLOC, FREE, MARKER, "absent"):
-        assert profile.events_of_kind(kind) == tuple(e for e in events if e.kind == kind)
-        for resource in [d.name for d in profile.devices] + [profile.link_name, "absent"]:
-            assert profile.events_on(resource, kind) == tuple(
-                e for e in events if e.resource == resource and e.kind == kind
-            )
     kernels = tuple(e for e in events if e.kind == KERNEL)
     transfers = tuple(e for e in events if e.kind == TRANSFER)
     warmups = tuple(e for e in events if e.kind == WARMUP)
     syncs = tuple(e for e in events if e.kind == SYNC)
-    assert profile.kernel_events == kernels
-    assert profile.transfer_events == transfers
-    assert profile.warmup_events == warmups
-    assert profile.sync_events == syncs
     assert profile.kernel_count() == len(kernels)
     assert profile.transfer_time_ms() == sum(e.duration_ms for e in transfers)
     assert profile.transfer_bytes() == sum(e.bytes for e in transfers)
@@ -828,27 +818,18 @@ def test_indexed_profile_views_match_plain_scans(case):
             assert profile.device_utilization(device.name) == max(
                 0.0, min(1.0, busy / profile.elapsed_ms)
             )
-    # A second read returns the same objects (cached), a fresh Profile over
-    # the same events an equal one.
-    assert profile.kernel_events is profile.kernel_events
-    assert replace(profile, label="copy").kernel_events == kernels
+    # A fresh Profile over the same rows computes the same statistics.
+    copy = replace(profile, label="copy")
+    assert copy == replace(profile, label="copy") and copy.rows is profile.rows
+    assert copy.kernel_count() == len(kernels) and copy.transfer_bytes() == profile.transfer_bytes()
 
 
 @pytest.mark.parametrize("case", sorted(ANALYSIS_PROFILES))
 def test_profile_views_are_events_built_from_the_window_rows(case):
-    """Every view holds ``Event`` values, each equal to its row of ``profile.rows``."""
+    """The one view holds ``Event`` values, each equal to its row of ``profile.rows``."""
     profile = ANALYSIS_PROFILES[case]()
-    rows = profile.rows
-    views = [profile.events, profile.events_on_stream("gpu0", "default")]
-    for kind in (KERNEL, TRANSFER, WARMUP, SYNC, ALLOC, FREE, MARKER):
-        views.append(profile.events_of_kind(kind))
-        assert views[-1] == tuple(row for row in rows if row[0] == kind)
-        for device in profile.devices:
-            views.append(profile.events_on(device.name, kind))
-            assert views[-1] == tuple(
-                row for row in rows if row[2] == device.name and row[0] == kind)
-    assert profile.events == rows
-    assert all(type(event) is Event for view in views for event in view)
+    assert profile.events == profile.rows and profile.events is profile.events
+    assert all(type(event) is Event for event in profile.events)
 
 
 @pytest.mark.parametrize("case", sorted(ANALYSIS_PROFILES))

@@ -104,7 +104,8 @@ class TestPerStreamStats:
         assert profile.stream_busy_ms("gpu", "side") > 0
         # Union busy never exceeds the per-stream sum, and both streams ran.
         assert gpu.busy_ms <= sum(s.busy_ms for s in gpu.streams) + 1e-9
-        assert len(profile.events_on_stream(machine.gpu.name, "side")) == 1
+        on_side = [e for e in profile.events if e.resource == machine.gpu.name and e.stream == "side"]
+        assert [e.name for e in on_side] == ["k1"]
 
     def test_link_stream_snapshots(self, machine):
         profiler = Profiler(machine)

@@ -167,6 +167,16 @@ def test_make_arrival_process_registry():
         make_arrival_process("trace", 10.0)  # missing trace
 
 
+def test_trace_replay_refuses_the_parameters_it_would_ignore():
+    with pytest.raises(
+        ValueError,
+        match=r"^trace replay takes no arrival parameters; got flash_at_ms, flash_multiplier$",
+    ):
+        make_arrival_process(
+            "trace", 10.0, trace_timestamps=[0.0, 1.0], flash_multiplier=8, flash_at_ms=5.0
+        )
+
+
 def test_generate_requests_slices_the_stream_in_order():
     stream = load("wikipedia", scale="tiny").stream
     requests = generate_requests(

@@ -18,9 +18,10 @@ class TestCrossStreamOverlap:
         a = machine.stream(machine.gpu, "a")
         b = machine.stream(machine.gpu, "b")
         with machine.use_stream(a):
-            first = machine.launch_kernel(machine.gpu, "ka", flops=1e10, bytes_moved=0)
+            machine.launch_kernel(machine.gpu, "ka", flops=1e10, bytes_moved=0)
         with machine.use_stream(b):
-            second = machine.launch_kernel(machine.gpu, "kb", flops=1e10, bytes_moved=0)
+            machine.launch_kernel(machine.gpu, "kb", flops=1e10, bytes_moved=0)
+        first, second = machine.events[-2:]
         # Both start before the other ends: they run concurrently.
         assert second.start_ms < first.end_ms
         assert first.start_ms < second.end_ms
@@ -35,7 +36,8 @@ class TestCrossStreamOverlap:
     def test_async_cpu_stream_does_not_block_host(self, machine):
         worker = machine.stream(machine.cpu, "worker")
         before = machine.host_time_ms
-        event = machine.host_work("prefetch", 10.0, stream=worker)
+        machine.host_work("prefetch", 10.0, stream=worker)
+        event = machine.events[-1]
         assert machine.host_time_ms == pytest.approx(before)
         assert event.end_ms >= 10.0
         assert event.stream == "worker"
@@ -43,8 +45,9 @@ class TestCrossStreamOverlap:
     def test_same_stream_still_serializes(self, machine):
         a = machine.stream(machine.gpu, "a")
         with machine.use_stream(a):
-            first = machine.launch_kernel(machine.gpu, "k1", flops=1e9, bytes_moved=0)
-            second = machine.launch_kernel(machine.gpu, "k2", flops=1e9, bytes_moved=0)
+            machine.launch_kernel(machine.gpu, "k1", flops=1e9, bytes_moved=0)
+            machine.launch_kernel(machine.gpu, "k2", flops=1e9, bytes_moved=0)
+        first, second = machine.events[-2:]
         assert second.start_ms >= first.end_ms
 
 
@@ -53,21 +56,23 @@ class TestStreamEvents:
         producer = machine.stream(machine.gpu, "producer")
         consumer = machine.stream(machine.gpu, "consumer")
         with machine.use_stream(producer):
-            produced = machine.launch_kernel(machine.gpu, "produce", flops=1e10, bytes_moved=0)
+            machine.launch_kernel(machine.gpu, "produce", flops=1e10, bytes_moved=0)
+        produced = machine.events[-1]
         ready = machine.record_event(producer, name="produced")
         assert ready.ready_ms == pytest.approx(produced.end_ms)
         machine.wait_event(consumer, ready)
         with machine.use_stream(consumer):
-            consumed = machine.launch_kernel(machine.gpu, "consume", flops=1e6, bytes_moved=0)
-        assert consumed.start_ms >= produced.end_ms
+            machine.launch_kernel(machine.gpu, "consume", flops=1e6, bytes_moved=0)
+        assert machine.events[-1].start_ms >= produced.end_ms
 
     def test_wait_event_does_not_reorder_prior_work(self, machine):
         producer = machine.stream(machine.gpu, "producer")
         consumer = machine.stream(machine.gpu, "consumer")
         with machine.use_stream(consumer):
-            early = machine.launch_kernel(machine.gpu, "early", flops=1e6, bytes_moved=0)
+            machine.launch_kernel(machine.gpu, "early", flops=1e6, bytes_moved=0)
         with machine.use_stream(producer):
-            slow = machine.launch_kernel(machine.gpu, "slow", flops=1e11, bytes_moved=0)
+            machine.launch_kernel(machine.gpu, "slow", flops=1e11, bytes_moved=0)
+        early, slow = machine.events[-2:]
         machine.wait_event(consumer, machine.record_event(producer))
         # Work issued before the wait is unaffected.
         assert early.end_ms < slow.end_ms
@@ -81,7 +86,8 @@ class TestStreamEvents:
     def test_event_synchronize_blocks_host(self, machine):
         stream = machine.stream(machine.gpu, "s")
         with machine.use_stream(stream):
-            kernel = machine.launch_kernel(machine.gpu, "k", flops=1e10, bytes_moved=0)
+            machine.launch_kernel(machine.gpu, "k", flops=1e10, bytes_moved=0)
+        kernel = machine.events[-1]
         event = machine.record_event(stream)
         machine.event_synchronize(event)
         assert machine.host_time_ms == pytest.approx(kernel.end_ms)
@@ -92,9 +98,10 @@ class TestStreamSynchronize:
         fast = machine.stream(machine.gpu, "fast")
         slow = machine.stream(machine.gpu, "slow")
         with machine.use_stream(slow):
-            slow_kernel = machine.launch_kernel(machine.gpu, "slow", flops=1e11, bytes_moved=0)
+            machine.launch_kernel(machine.gpu, "slow", flops=1e11, bytes_moved=0)
         with machine.use_stream(fast):
-            fast_kernel = machine.launch_kernel(machine.gpu, "fast", flops=1e6, bytes_moved=0)
+            machine.launch_kernel(machine.gpu, "fast", flops=1e6, bytes_moved=0)
+        slow_kernel, fast_kernel = machine.events[-2:]
         machine.stream_synchronize(fast)
         assert machine.host_time_ms >= fast_kernel.end_ms
         assert machine.host_time_ms < slow_kernel.end_ms
@@ -155,7 +162,8 @@ class TestSeedEquivalence:
         assert machine.host_time_ms == pytest.approx(t0 + 2.0)
 
         gpu = machine.gpu.spec
-        kernel = machine.launch_kernel(machine.gpu, "gemm", flops=1e9, bytes_moved=0)
+        machine.launch_kernel(machine.gpu, "gemm", flops=1e9, bytes_moved=0)
+        kernel = machine.events[-1]
         launch_ms = gpu.host_overhead_us * 1e-3
         assert machine.host_time_ms == pytest.approx(t0 + 2.0 + launch_ms)
         body_ms = 1e9 / (gpu.effective_gflops(1e9) * 1e6)
@@ -165,7 +173,8 @@ class TestSeedEquivalence:
 
         # Blocking transfer: waits for the producing GPU queue, occupies the
         # link for latency + bytes/bandwidth, and blocks the host.
-        copy = machine.transfer(machine.gpu, machine.cpu, 2_000_000)
+        machine.transfer(machine.gpu, machine.cpu, 2_000_000)
+        copy = machine.events[-1]
         assert copy.start_ms == pytest.approx(kernel.end_ms)
         expected_copy_ms = machine.link.spec.latency_us * 1e-3 + 2_000_000 / (
             machine.link.spec.bandwidth_gbps * 1e6
@@ -183,8 +192,8 @@ class TestLinkStreamContext:
     def test_use_stream_routes_transfers_onto_named_link_stream(self, machine):
         copies = machine.link.stream("mycopies")
         with machine.use_stream(copies):
-            event = machine.transfer(machine.cpu, machine.gpu, 1000)
-        assert event.stream == "mycopies"
+            machine.transfer(machine.cpu, machine.gpu, 1000)
+        assert machine.events[-1].stream == "mycopies"
         assert copies.busy_ms() > 0
 
     def test_current_stream_resolves_link_by_name(self, machine):

@@ -127,7 +127,7 @@ def test_events_carry_the_recorded_region_src_and_dst():
     machine = _machine("2xA100-pcie")
     start = machine.event_cursor()
     machine.replay(tape)
-    events = machine.events.since(start)
+    events = machine.events[start:]
     regions = {event.region for event in events}
     assert regions == {(), ("outer",), ("outer", "inner")}
     staged = [event for event in events if event.name == "peer_rows"]

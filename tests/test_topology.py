@@ -57,6 +57,13 @@ class TestMultiGpuShape:
         with pytest.raises(KeyError):
             machine.device("gpu:7")
 
+    def test_a_negative_index_is_unknown_like_one_past_the_end(self):
+        """No negative index reaches a GPU from the end of the tuple."""
+        machine = Machine.from_spec("2xA100-pcie")
+        for name in ("gpu:-1", "gpu:-2", "gpu:2"):
+            with pytest.raises(KeyError, match=rf"^\"unknown device '{name}' on this machine\"$"):
+                machine.device(name)
+
     def test_devices_includes_every_gpu(self):
         machine = Machine.from_spec("4xA100-pcie")
         assert len(machine.devices) == 5  # cpu + 4 gpus
@@ -75,8 +82,9 @@ class TestTransferRouting:
         machine = Machine.from_spec("2xA100-pcie")
         for gpu in machine.gpus:
             machine.initialize_gpu(device=gpu)
-        e0 = machine.transfer(machine.cpu, machine.gpus[0], 1000)
-        e1 = machine.transfer(machine.cpu, machine.gpus[1], 1000)
+        machine.transfer(machine.cpu, machine.gpus[0], 1000)
+        machine.transfer(machine.cpu, machine.gpus[1], 1000)
+        e0, e1 = machine.events[-2:]
         assert e0.resource == "pcie-gen4-x16:0"
         assert e1.resource == "pcie-gen4-x16:1"
 
@@ -85,10 +93,10 @@ class TestTransferRouting:
         for gpu in machine.gpus:
             machine.initialize_gpu(device=gpu)
         before = len(machine.events)
-        event = machine.transfer(machine.gpus[0], machine.gpus[1], 1_000_000)
+        machine.transfer(machine.gpus[0], machine.gpus[1], 1_000_000)
         transfers = [e for e in machine.events[before:] if e.kind == "transfer"]
         assert len(transfers) == 1
-        assert event.resource.startswith("nvlink3")
+        assert transfers[0].resource.startswith("nvlink3")
         link = machine.topology.peer_link(machine.gpus[0], machine.gpus[1])
         assert link.bytes_p2p == 1_000_000
 
@@ -127,11 +135,12 @@ class TestTransferRouting:
         backlog_end = machine.gpus[0].default_stream.free_at
         issued_at = machine.host_time_ms
         assert issued_at < backlog_end  # async launch left the host ahead
-        resident = machine.transfer(machine.gpus[0], machine.gpus[1], 1000, wait_for_source=False)
+        machine.transfer(machine.gpus[0], machine.gpus[1], 1000, wait_for_source=False)
+        resident = machine.events[-1]
         assert resident.start_ms < backlog_end
         assert resident.start_ms >= issued_at
-        waiting = machine.transfer(machine.gpus[0], machine.gpus[1], 1000)
-        assert waiting.start_ms >= backlog_end - 1e-9
+        machine.transfer(machine.gpus[0], machine.gpus[1], 1000)
+        assert machine.events[-1].start_ms >= backlog_end - 1e-9
 
     def test_staged_transfer_rejects_explicit_stream(self):
         machine = Machine.from_spec("2xA100-pcie")
@@ -145,7 +154,8 @@ class TestTransferRouting:
         machine = Machine.from_spec("2xA100-pcie")
         for gpu in machine.gpus:
             machine.initialize_gpu(device=gpu)
-        event = machine.transfer(machine.cpu, machine.gpus[1], 1000, non_blocking=True)
+        machine.transfer(machine.cpu, machine.gpus[1], 1000, non_blocking=True)
+        event = machine.events[-1]
         assert event.resource == "pcie-gen4-x16:1"
         assert event.stream == "copy"
 
@@ -166,8 +176,9 @@ class TestPerGpuWarmupAndSync:
             machine.initialize_gpu(device=gpu)
         machine.synchronize()
         # Large kernels so device time dwarfs the host dispatch overhead.
-        a = machine.launch_kernel(machine.gpus[0], "a", 5e10, 0)
-        b = machine.launch_kernel(machine.gpus[1], "b", 5e10, 0)
+        machine.launch_kernel(machine.gpus[0], "a", 5e10, 0)
+        machine.launch_kernel(machine.gpus[1], "b", 5e10, 0)
+        a, b = machine.events[-2:]
         assert a.start_ms < b.end_ms and b.start_ms < a.end_ms
 
     def test_device_synchronize_joins_only_one_gpu(self):
