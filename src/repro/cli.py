@@ -124,7 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("name", choices=available_experiments())
     exp.add_argument("--scale", default="small", choices=("tiny", "small", "paper"))
     exp.add_argument("--seed", type=int, default=0,
-                     help="random seed for seeded experiments (serving, overlap_exec)")
+                     help="random seed for seeded experiments (serving, scaling, "
+                          "autoscaling, cache_ablation, adaptive_fidelity, overlap_exec)")
     exp.add_argument("--output", default=None, help="write the rows as JSON to this path")
     exp.add_argument("--max-rows", type=int, default=None, help="limit printed rows")
 

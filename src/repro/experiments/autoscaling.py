@@ -23,97 +23,73 @@ marker naming the winning axis.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Sequence
+from typing import Any
 
 from .runner import ExperimentResult, ServingSweep
-from .scaling import CALIBRATION_TOPOLOGY
+from .scaling import CALIBRATION_TOPOLOGY, EVENTS_PER_REQUEST
+
+CLUSTER = "2n-2xA100-eth"
+STATIC_FLEETS = (1, 2, 4)
+#: The elastic fleet's bounds and cooldowns (``AutoscaleConfig`` fields).
+ELASTIC = {"min_replicas": 1, "max_replicas": 4, "up_cooldown_ms": 20.0, "down_cooldown_ms": 80.0}
+#: The arrival baseline, as a fraction of the calibrated single-replica
+#: capacity, and the flash window over it (``FlashCrowdProcess`` parameters).
+BASELINE_UTILIZATION = 0.55
+FLASH = {"flash_at_ms": 150.0, "flash_duration_ms": 150.0, "flash_multiplier": 6.0}
+DURATION_MS = 700.0
+ROUTER = "least-latency"
 
 
-def run(
-    scale: str = "small",
-    seed: int = 0,
-    cluster: str = "2n-2xA100-eth",
-    static_fleets: Sequence[int] = (1, 2, 4),
-    min_replicas: int = 1,
-    max_replicas: int = 4,
-    baseline_utilization: float = 0.55,
-    flash_multiplier: float = 6.0,
-    flash_at_ms: float = 150.0,
-    flash_duration_ms: float = 150.0,
-    duration_ms: float = 700.0,
-    router: str = "least-latency",
-    policy: str = "timeout",
-    max_batch_size: int = 8,
-    batch_timeout_ms: float = 4.0,
-    slo_ms: float = 50.0,
-    events_per_request: int = 4,
-    num_neighbors: int = 10,
-    backend: str = "numeric",
-) -> ExperimentResult:
+def run(scale: str = "small", seed: int = 0, backend: str = "numeric") -> ExperimentResult:
     """Compare static fleet sizes against the elastic autoscaler.
 
-    The arrival baseline is ``baseline_utilization`` of the calibrated
-    single-replica capacity; the flash window multiplies it by
-    ``flash_multiplier``.  ``backend`` selects the execution backend for
-    every run (calibration included).
+    ``backend`` selects the execution backend for every run (calibration
+    included).
     """
     sweep = ServingSweep(
         CALIBRATION_TOPOLOGY,
         scale=scale,
         seed=seed,
-        max_batch_size=max_batch_size,
-        batch_timeout_ms=batch_timeout_ms,
-        slo_ms=slo_ms,
-        events_per_request=events_per_request,
-        num_neighbors=num_neighbors,
         backend=backend,
+        slo_ms=50.0,
+        events_per_request=EVENTS_PER_REQUEST,
     )
-    capacity_rps = sweep.capacity_rps
-    rate_rps = capacity_rps * baseline_utilization
-
+    rate_rps = sweep.capacity_rps * BASELINE_UTILIZATION
+    low, high = ELASTIC["min_replicas"], ELASTIC["max_replicas"]
     result = ExperimentResult(
         experiment="autoscaling",
         notes=(
-            f"TGAT cluster serving on wikipedia/{scale} over {cluster}: a "
-            f"flash crowd ({flash_multiplier:g}x for {flash_duration_ms:g} ms "
-            f"at t={flash_at_ms:g} ms over a {rate_rps:.0f} req/s baseline, "
-            f"{baseline_utilization:g} of the calibrated {capacity_rps:.0f} "
-            "req/s single-replica capacity) served by static fleets of "
-            f"{tuple(static_fleets)} replicas vs. an elastic fleet "
-            f"[{min_replicas}, {max_replicas}] with modeled cold starts "
+            f"TGAT cluster serving on wikipedia/{scale} over {CLUSTER}: a "
+            f"flash crowd ({FLASH['flash_multiplier']:g}x for "
+            f"{FLASH['flash_duration_ms']:g} ms at t={FLASH['flash_at_ms']:g} ms "
+            f"over a {rate_rps:.0f} req/s baseline, {BASELINE_UTILIZATION:g} of "
+            f"the calibrated {sweep.capacity_rps:.0f} req/s single-replica "
+            f"capacity) served by static fleets of {STATIC_FLEETS} replicas vs. "
+            f"an elastic fleet [{low}, {high}] with modeled cold starts "
             "(weight transfer over the NIC, cold caches).  GPU-time is the "
             "fleet-size integral over the serving window; the elastic fleet "
             "beats every static size on p99 or GPU-time."
         ),
     )
 
-    def serve(
-        fleet: str,
-        replicas: Any,
-        fleet_size: Optional[int] = None,
-        autoscale: Optional[Dict[str, Any]] = None,
-    ):
-        """One run on a fresh cluster, static unless ``autoscale`` is given.
-
-        Returns ``(row, unrounded p99, GPU-time)``.
-        """
-        server = sweep.server(
-            cluster, num_replicas=fleet_size, policy=policy, router=router, autoscale=autoscale
-        )
-        requests = sweep.requests(
-            "flash-crowd",
+    def serve(fleet: str, replicas: Any, **options: Any):
+        """One run on a fresh cluster: ``num_replicas`` static, ``autoscale``
+        elastic.  Returns ``(row, unrounded p99, GPU-time)``."""
+        report = sweep.cell(
+            CLUSTER,
+            fleet,
             rate_rps,
-            duration_ms,
-            flash_at_ms=flash_at_ms,
-            flash_duration_ms=flash_duration_ms,
-            flash_multiplier=flash_multiplier,
+            DURATION_MS,
+            arrival=("flash-crowd", FLASH),
+            router=ROUTER,
+            **options,
         )
-        report = server.serve(requests, label=fleet, arrival_name="flash-crowd")
         summary = report.summary()
         p99 = report.total_latency().p99_ms if report.completed else None
         elastic = report.autoscale or {}
-        if autoscale is None:
-            gpu_time = fleet_size * report.duration_ms
+        static = "autoscale" not in options
+        if static:
+            gpu_time = options["num_replicas"] * report.duration_ms
         else:
             gpu_time = elastic.get("gpu_time_ms", 0.0)
         row = dict(
@@ -126,9 +102,9 @@ def run(
             p99_ms=summary.get("p99_ms"),
             slo_violation_rate=round(report.slo_violation_rate, 4),
             gpu_time_ms=round(gpu_time, 3),
-            nic_mb=round(server.cluster.nic_bytes() / 1e6, 3),
+            nic_mb=round(report.cluster["nic_bytes"] / 1e6, 3),
         )
-        if autoscale is not None:
+        if not static:
             row.update(
                 scale_ups=elastic.get("scale_ups", 0),
                 scale_downs=elastic.get("scale_downs", 0),
@@ -137,21 +113,12 @@ def run(
         return row, p99, gpu_time
 
     statics = {}
-    for size in static_fleets:
-        row, static_p99, static_gpu_time = serve(f"static-{size}", size, fleet_size=size)
+    for size in STATIC_FLEETS:
+        row, static_p99, static_gpu_time = serve(f"static-{size}", size, num_replicas=size)
         statics[size] = (static_p99, static_gpu_time)
         result.add_row(**row)
 
-    row, p99, gpu_time = serve(
-        "elastic",
-        f"{min_replicas}-{max_replicas}",
-        autoscale={
-            "min_replicas": min_replicas,
-            "max_replicas": max_replicas,
-            "up_cooldown_ms": 20.0,
-            "down_cooldown_ms": 80.0,
-        },
-    )
+    row, p99, gpu_time = serve("elastic", f"{low}-{high}", autoscale=ELASTIC)
     # The dominance check: against every static size the elastic fleet must
     # win at least one axis (tail latency or fleet cost).
     for size, (static_p99, static_gpu_time) in statics.items():

@@ -26,35 +26,22 @@ on the machine clock, not assumed.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict, Optional
 
 from .runner import ExperimentResult, ServingSweep
 from .serving import TOPOLOGY
 
-#: Default sweep axes.  The small capacity point is deliberately tight --
-#: a few hundred rows -- so eviction policies actually differ under
-#: pressure; the large point fits every entry and isolates pure hit-rate.
+#: The sweep axes.  The small capacity point is deliberately tight -- a few
+#: hundred rows -- so eviction policies actually differ under pressure; the
+#: large point fits every entry and isolates pure hit-rate.
 POLICIES = ("lru", "lfu", "degree")
 CAPACITIES_MB = (0.02, 8.0)
 STALENESS_FRACTIONS = (0.0, 0.5)
+UTILIZATION = 1.3
+DURATION_MS = 150.0
 
 
-def run(
-    scale: str = "small",
-    seed: int = 0,
-    arrival: str = "poisson",
-    policies: Sequence[str] = POLICIES,
-    capacities_mb: Sequence[float] = CAPACITIES_MB,
-    staleness_fractions: Sequence[float] = STALENESS_FRACTIONS,
-    utilization: float = 1.3,
-    duration_ms: float = 150.0,
-    max_batch_size: int = 8,
-    batch_timeout_ms: float = 4.0,
-    slo_ms: float = 50.0,
-    events_per_request: int = 1,
-    num_neighbors: int = 10,
-    backend: str = "numeric",
-) -> ExperimentResult:
+def run(scale: str = "small", seed: int = 0, backend: str = "numeric") -> ExperimentResult:
     """Sweep eviction policy x capacity x staleness against p99/throughput.
 
     ``backend`` selects the execution backend for every run (calibration
@@ -62,24 +49,16 @@ def run(
     rates, evictions and latency percentiles -- faster.
     """
     sweep = ServingSweep(
-        TOPOLOGY,
-        scale=scale,
-        seed=seed,
-        max_batch_size=max_batch_size,
-        batch_timeout_ms=batch_timeout_ms,
-        slo_ms=slo_ms,
-        events_per_request=events_per_request,
-        num_neighbors=num_neighbors,
-        backend=backend,
+        TOPOLOGY, scale=scale, seed=seed, backend=backend, slo_ms=50.0, events_per_request=1
     )
     span_start, span_end = sweep.dataset.stream.time_span
     span_ms = max(span_end - span_start, 1.0)
-    rate_rps = sweep.capacity_rps * utilization
+    rate_rps = sweep.capacity_rps * UTILIZATION
     result = ExperimentResult(
         experiment="cache_ablation",
         notes=(
             f"TGAT overlap serving on wikipedia/{scale} at "
-            f"{utilization:g}x calibrated capacity ({rate_rps:.0f} req/s); "
+            f"{UTILIZATION:g}x calibrated capacity ({rate_rps:.0f} req/s); "
             "every cell serves the identical request sequence twice (warm + "
             "measured).  staleness_ms values are the listed fractions of "
             f"the stream's {span_ms:.0f} ms event-time span; staleness 0 "
@@ -89,15 +68,12 @@ def run(
     )
 
     def serve_cell(label: str, cache: Optional[Dict[str, Any]]) -> None:
-        """One warmed run (fresh machine, two passes) -> one row."""
-        requests = sweep.requests(arrival, rate_rps, duration_ms)
-        server = sweep.server(TOPOLOGY, policy="timeout", overlap=True, cache=cache)
-        # Warm pass: same request sequence, outside the measured window.  It
-        # populates the cache exactly as a preceding traffic window would; the
-        # uncached baseline runs it too so both configurations are measured in
-        # the same steady state (allocator warm, sampler index hot).
-        server.serve(requests, label=f"{label}-warm", arrival_name=arrival, warm_up=True)
-        report = server.serve(requests, label=label, arrival_name=arrival, warm_up=False)
+        """One warmed run -> one row.  The uncached baseline is warmed too, so
+        both configurations are measured in the same steady state (allocator
+        warm, sampler index hot)."""
+        report = sweep.cell(
+            TOPOLOGY, label, rate_rps, DURATION_MS, warm=True, overlap=True, cache=cache
+        )
         summary = report.summary()
         stats = report.cache or {}
         config = cache or {}
@@ -118,9 +94,9 @@ def run(
         )
 
     serve_cell("cache-ablation-uncached", None)
-    for policy_name in policies:
-        for capacity_mb in capacities_mb:
-            for fraction in staleness_fractions:
+    for policy_name in POLICIES:
+        for capacity_mb in CAPACITIES_MB:
+            for fraction in STALENESS_FRACTIONS:
                 serve_cell(
                     f"cache-{policy_name}-{capacity_mb:g}mb-f{fraction:g}",
                     {

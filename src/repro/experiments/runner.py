@@ -6,14 +6,14 @@ GPU warm-up outside the measured window, profile one (or a few) inference
 iterations, and extract the quantity the figure/table reports.  The recipe is
 written once, as :func:`profile_cell`; a figure is a table of :class:`Panel`
 rows walked by :func:`profile_panels` plus its own row formatter.  The serving
-sweeps share :class:`ServingSweep`.
+sweeps have the same shape: a table of :meth:`ServingSweep.cell` calls plus a
+row formatter.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import islice
 from typing import (
     Any,
@@ -34,7 +34,7 @@ from ..models.base import DGNNModel
 from ..models.registry import build_on_fresh_machine
 from ..models.tgat import TGAT, TGATConfig
 from ..optim import PipelinedEvolveGCN, PipelineEstimate, estimate_pipeline_speedup
-from ..serve import build_server, make_requests
+from ..serve import ServingReport, build_server, make_requests
 
 
 @dataclass
@@ -218,8 +218,17 @@ def profile_panels(
         yield (point, model, profiles)
 
 
+#: What every serving sweep holds: the batch a server forms, how long it
+#: waits to fill one, TGAT's sampling fan-out, and the arrival process
+#: (a :func:`~repro.serve.make_requests` name and its parameters).
+MAX_BATCH_SIZE = 8
+BATCH_TIMEOUT_MS = 4.0
+NUM_NEIGHBORS = 10
+POISSON: Tuple[str, Mapping[str, Any]] = ("poisson", {})
+
+
 class ServingSweep:
-    """What the serving sweeps share: dataset, model factory, capacity, knobs.
+    """What the serving sweeps share: dataset, model factory, capacity, cell.
 
     Loads wikipedia at ``scale``, fixes the TGAT configuration every cell
     serves, and measures the blocking cost of one request on a throwaway
@@ -227,10 +236,8 @@ class ServingSweep:
     ``inference_iteration`` (the second excludes first-iteration effects),
     divided by the batch size.  Arrival rates are fractions of the implied
     ``capacity_rps``, which keeps queueing behaviour stable across dataset
-    scales.  ``requests`` and ``server`` are :func:`~repro.serve.make_requests`
-    and :func:`~repro.serve.build_server` with the knobs a sweep holds
-    constant filled in; every cell builds a fresh server on a fresh machine
-    (runs must not share timelines).
+    scales.  A sweep is a table of :meth:`cell` calls; sweeps differ here
+    only in the calibration topology, ``slo_ms`` and ``events_per_request``.
     """
 
     def __init__(
@@ -239,35 +246,20 @@ class ServingSweep:
         *,
         scale: str,
         seed: int,
-        max_batch_size: int,
-        batch_timeout_ms: float,
+        backend: str,
         slo_ms: float,
         events_per_request: int,
-        num_neighbors: int,
-        backend: str,
     ) -> None:
         self.dataset = dataset = load_dataset("wikipedia", scale=scale)
-        events = max_batch_size * events_per_request
-        config = TGATConfig(num_neighbors=num_neighbors, batch_size=events, seed=seed)
+        self.seed, self.backend = seed, backend
+        self.slo_ms, self.events_per_request = slo_ms, events_per_request
+        events = MAX_BATCH_SIZE * events_per_request
+        config = TGATConfig(num_neighbors=NUM_NEIGHBORS, batch_size=events, seed=seed)
 
         def factory(machine: Machine) -> TGAT:
             return TGAT(machine, dataset, config)
 
-        self.requests = partial(
-            make_requests,
-            dataset.stream,
-            seed=seed,
-            events_per_request=events_per_request,
-            slo_ms=slo_ms,
-        )
-        self.server = partial(
-            build_server,
-            model_factory=factory,
-            backend=backend,
-            max_batch_size=max_batch_size,
-            batch_timeout_ms=batch_timeout_ms,
-            slo_ms=slo_ms,
-        )
+        self.factory = factory
         machine = Machine.from_spec(calibration_topology, backend=backend)
         batches = [dataset.stream.slice_indices(i * events, (i + 1) * events) for i in range(2)]
         with machine.activate():
@@ -276,5 +268,49 @@ class ServingSweep:
             model.inference_iteration(batches[0])
             start = machine.host_time_ms
             model.inference_iteration(batches[1])
-            self.per_request_ms = (machine.host_time_ms - start) / max_batch_size
+            self.per_request_ms = (machine.host_time_ms - start) / MAX_BATCH_SIZE
         self.capacity_rps = 1000.0 / self.per_request_ms if self.per_request_ms > 0 else 1000.0
+
+    def cell(
+        self,
+        topology: str,
+        label: str,
+        rate_rps: float,
+        duration_ms: float,
+        *,
+        arrival: Tuple[str, Mapping[str, Any]] = POISSON,
+        warm: bool = False,
+        **options: Any,
+    ) -> ServingReport:
+        """One run: fresh requests -> a fresh server on a fresh machine -> serve.
+
+        ``options`` go to :func:`~repro.serve.build_server`; no two cells
+        share a server, since runs must not share timelines.  With ``warm``
+        the same requests are served once first, outside the measured
+        window, as a preceding traffic window would: caches filled,
+        allocator warm.
+        """
+        name, parameters = arrival
+        requests = make_requests(
+            self.dataset.stream,
+            name,
+            rate_rps,
+            duration_ms,
+            seed=self.seed,
+            events_per_request=self.events_per_request,
+            slo_ms=self.slo_ms,
+            **parameters,
+        )
+        server = build_server(
+            topology,
+            self.factory,
+            backend=self.backend,
+            max_batch_size=MAX_BATCH_SIZE,
+            batch_timeout_ms=BATCH_TIMEOUT_MS,
+            slo_ms=self.slo_ms,
+            seed=self.seed,
+            **options,
+        )
+        if warm:
+            server.serve(requests, label=f"{label}-warm", arrival_name=name)
+        return server.serve(requests, label=label, arrival_name=name, warm_up=not warm)

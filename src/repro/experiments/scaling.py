@@ -21,12 +21,11 @@ so the sweep queues by construction where intended.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from .runner import MAX_BATCH_SIZE, ExperimentResult, ServingSweep
 
-from .runner import ExperimentResult, ServingSweep
-
-#: (spec name, gpus used, placement) configurations the sweep compares.
-DEFAULT_CONFIGS = (
+#: (spec name, gpus used, placement) configurations the sweep compares; the
+#: first is the 1-GPU baseline every row is compared against.
+CONFIGS = (
     ("1xA100", 1, "replicate"),
     ("2xA100-pcie", 2, "replicate"),
     ("4xA100-pcie", 4, "replicate"),
@@ -34,28 +33,17 @@ DEFAULT_CONFIGS = (
     ("2xA100-nvlink", 2, "shard"),
     ("4xA100-nvlink", 4, "shard"),
 )
+UTILIZATIONS = (0.8, 1.6)
+ROUTER = "round-robin"
+PARTITIONER = "degree"
+DURATION_MS = 400.0
+EVENTS_PER_REQUEST = 4
 
 #: The one-replica platform arrival rates are calibrated on.
 CALIBRATION_TOPOLOGY = "1xA100"
 
 
-def run(
-    scale: str = "small",
-    seed: int = 0,
-    arrival: str = "poisson",
-    configs: Sequence = DEFAULT_CONFIGS,
-    utilizations: Sequence[float] = (0.8, 1.6),
-    router: str = "round-robin",
-    partitioner: str = "degree",
-    policy: str = "timeout",
-    duration_ms: float = 400.0,
-    max_batch_size: int = 8,
-    batch_timeout_ms: float = 4.0,
-    slo_ms: float = 50.0,
-    events_per_request: int = 4,
-    num_neighbors: int = 10,
-    backend: str = "numeric",
-) -> ExperimentResult:
+def run(scale: str = "small", seed: int = 0, backend: str = "numeric") -> ExperimentResult:
     """Sweep placements x topologies x arrival rates over one dataset.
 
     ``backend`` selects the execution backend for every run (calibration
@@ -65,46 +53,37 @@ def run(
         CALIBRATION_TOPOLOGY,
         scale=scale,
         seed=seed,
-        max_batch_size=max_batch_size,
-        batch_timeout_ms=batch_timeout_ms,
-        slo_ms=slo_ms,
-        events_per_request=events_per_request,
-        num_neighbors=num_neighbors,
         backend=backend,
+        slo_ms=50.0,
+        events_per_request=EVENTS_PER_REQUEST,
     )
-    per_request_ms, capacity_rps = sweep.per_request_ms, sweep.capacity_rps
     result = ExperimentResult(
         experiment="scaling",
         notes=(
             f"TGAT serving on wikipedia/{scale} across multi-GPU topologies; "
-            f"calibrated single-replica capacity {capacity_rps:.0f} req/s "
-            f"({per_request_ms:.3f} ms/request at batch {max_batch_size} x "
-            f"{events_per_request} events).  Arrival rates are utilization x "
+            f"calibrated single-replica capacity {sweep.capacity_rps:.0f} req/s "
+            f"({sweep.per_request_ms:.3f} ms/request at batch {MAX_BATCH_SIZE} x "
+            f"{EVENTS_PER_REQUEST} events).  Arrival rates are utilization x "
             "capacity.  Replicated rows route batches to per-GPU replicas "
-            f"({router}); sharded rows split each batch by a seeded "
-            f"{partitioner} partition, charging cross-shard gathers to "
+            f"({ROUTER}); sharded rows split each batch by a seeded "
+            f"{PARTITIONER} partition, charging cross-shard gathers to "
             "peer/PCIe links.  At queueing utilizations, replication on >= 2 "
             "GPUs strictly beats the 1-GPU baseline on throughput and p99."
         ),
     )
-    baselines: Dict[float, Dict[str, float]] = {}
-    for utilization in utilizations:
-        rate_rps = capacity_rps * utilization
-        for spec, num_gpus, placement in configs:
-            requests = sweep.requests(arrival, rate_rps, duration_ms)
-            server = sweep.server(
+    for utilization in UTILIZATIONS:
+        rate_rps = sweep.capacity_rps * utilization
+        baseline = None
+        for spec, num_gpus, placement in CONFIGS:
+            report = sweep.cell(
                 spec,
+                f"tgat-{spec}-{placement}-u{utilization:g}",
+                rate_rps,
+                DURATION_MS,
                 placement=placement,
                 num_replicas=num_gpus,
-                policy=policy,
-                router=router,
-                partitioner=partitioner,
-                seed=seed,
-            )
-            report = server.serve(
-                requests,
-                label=f"tgat-{spec}-{placement}-u{utilization:g}",
-                arrival_name=arrival,
+                router=ROUTER,
+                partitioner=PARTITIONER,
             )
             summary = report.summary()
             p99_ms = report.total_latency().p99_ms if report.completed else None
@@ -124,20 +103,14 @@ def run(
             )
             for name, value in sorted(report.per_device_utilization.items()):
                 row[f"util_{name}"] = round(value, 4)
-            baseline = baselines.get(utilization)
-            if num_gpus == 1 and placement == "replicate" and baseline is None:
-                baselines[utilization] = {
-                    "throughput_rps": report.throughput_rps,
-                    "p99_ms": p99_ms,
-                }
-                row["throughput_vs_1gpu"] = 1.0
-                row["p99_vs_1gpu"] = 1.0
-            elif baseline is not None:
-                if baseline["throughput_rps"] > 0:
-                    row["throughput_vs_1gpu"] = round(
-                        report.throughput_rps / baseline["throughput_rps"], 3
-                    )
-                if p99_ms is not None and baseline.get("p99_ms"):
-                    row["p99_vs_1gpu"] = round(p99_ms / baseline["p99_ms"], 3)
+            if baseline is None:
+                baseline = (report.throughput_rps, p99_ms)
+                row.update(throughput_vs_1gpu=1.0, p99_vs_1gpu=1.0)
+            else:
+                throughput_1gpu, p99_1gpu = baseline
+                if throughput_1gpu > 0:
+                    row["throughput_vs_1gpu"] = round(report.throughput_rps / throughput_1gpu, 3)
+                if p99_ms is not None and p99_1gpu:
+                    row["p99_vs_1gpu"] = round(p99_ms / p99_1gpu, 3)
             result.add_row(**row)
     return result

@@ -22,76 +22,50 @@ cannot show.
 
 from __future__ import annotations
 
-from typing import Sequence
+from .runner import MAX_BATCH_SIZE, ExperimentResult, ServingSweep
 
-from .runner import ExperimentResult, ServingSweep
-
-#: Execution modes the sweep compares.
+#: The sweep, in row order: utilization x policy x execution mode.
+UTILIZATIONS = (1.2, 1.6)
+POLICIES = ("fifo", "slo")
 MODES = ("blocking", "overlap")
+DURATION_MS = 250.0
 
 #: The paper's platform (``Machine.cpu_gpu()``), as a topology preset.
 TOPOLOGY = "1xA6000"
 
 
-def run(
-    scale: str = "small",
-    seed: int = 0,
-    arrival: str = "poisson",
-    policies: Sequence[str] = ("fifo", "slo"),
-    utilizations: Sequence[float] = (1.2, 1.6),
-    duration_ms: float = 250.0,
-    max_batch_size: int = 8,
-    batch_timeout_ms: float = 4.0,
-    slo_ms: float = 50.0,
-    events_per_request: int = 1,
-    num_neighbors: int = 10,
-    modes: Sequence[str] = MODES,
-    backend: str = "numeric",
-) -> ExperimentResult:
+def run(scale: str = "small", seed: int = 0, backend: str = "numeric") -> ExperimentResult:
     """Sweep policies x arrival rates x execution modes over one dataset.
 
     ``backend`` selects the execution backend for every run (calibration
     included); the ``shape`` backend reproduces the identical rows, faster.
     """
     sweep = ServingSweep(
-        TOPOLOGY,
-        scale=scale,
-        seed=seed,
-        max_batch_size=max_batch_size,
-        batch_timeout_ms=batch_timeout_ms,
-        slo_ms=slo_ms,
-        events_per_request=events_per_request,
-        num_neighbors=num_neighbors,
-        backend=backend,
+        TOPOLOGY, scale=scale, seed=seed, backend=backend, slo_ms=50.0, events_per_request=1
     )
-    per_request_ms, capacity_rps = sweep.per_request_ms, sweep.capacity_rps
     result = ExperimentResult(
         experiment="serving",
         notes=(
             f"TGAT link-prediction serving on wikipedia/{scale}; calibrated "
-            f"blocking capacity {capacity_rps:.0f} req/s "
-            f"({per_request_ms:.3f} ms/request at batch {max_batch_size}); "
+            f"blocking capacity {sweep.capacity_rps:.0f} req/s "
+            f"({sweep.per_request_ms:.3f} ms/request at batch {MAX_BATCH_SIZE}); "
             "arrival rates are utilization x capacity, so rates > capacity "
             "queue by construction.  At queueing rates the overlap mode's "
             "p99 is strictly below blocking at the same rate."
         ),
     )
-    for utilization in utilizations:
-        rate_rps = capacity_rps * utilization
-        for policy_name in policies:
-            for mode in modes:
-                if mode not in MODES:
-                    raise ValueError(f"unknown mode {mode!r}; pick from {MODES}")
-                requests = sweep.requests(arrival, rate_rps, duration_ms)
-                server = sweep.server(TOPOLOGY, policy=policy_name, overlap=mode == "overlap")
-                report = server.serve(
-                    requests,
-                    label=f"tgat-{policy_name}-{mode}-u{utilization:g}",
-                    arrival_name=arrival,
+    for utilization in UTILIZATIONS:
+        rate_rps = sweep.capacity_rps * utilization
+        for policy_name in POLICIES:
+            for mode in MODES:
+                report = sweep.cell(
+                    TOPOLOGY,
+                    f"tgat-{policy_name}-{mode}-u{utilization:g}",
+                    rate_rps,
+                    DURATION_MS,
+                    policy=policy_name,
+                    overlap=mode == "overlap",
                 )
-                # A sweep cell can legitimately complete nothing (e.g. a
-                # duration shorter than one inter-arrival gap): the summary
-                # then has no latency keys and the cell reports them empty.
                 summary = report.summary()
                 result.add_row(
                     policy=policy_name,

@@ -275,56 +275,30 @@ def test_a_model_that_synchronizes_inside_its_compute_is_never_replayed():
     assert any(e.name == "mid_embed_sync" for e in shape.machines[0].events)
 
 
-# -- experiment-level equivalence (reduced default configs, tiny scale) ------
+# -- experiment-level equivalence (default sweeps, tiny scale) ---------------
+
+
+def _experiment_rows(experiment):
+    rows = {backend: experiment.run("tiny", 0, backend).rows for backend in BACKENDS}
+    assert rows["numeric"]
+    return rows
 
 
 def test_serving_experiment_rows_identical():
-    rows = {}
-    for backend in BACKENDS:
-        result = serving.run(
-            scale="tiny",
-            policies=("fifo", "slo"),
-            utilizations=(1.2,),
-            duration_ms=80.0,
-            backend=backend,
-        )
-        assert result.rows, backend
-        rows[backend] = result.rows
+    rows = _experiment_rows(serving)
     assert rows["shape"] == rows["numeric"]
 
 
 def test_scaling_experiment_rows_identical():
-    rows = {}
-    for backend in BACKENDS:
-        result = scaling.run(
-            scale="tiny",
-            configs=(("1xA100", 1, "replicate"), ("2xA100-pcie", 2, "shard")),
-            utilizations=(0.8,),
-            duration_ms=80.0,
-            backend=backend,
-        )
-        assert result.rows, backend
-        rows[backend] = result.rows
+    rows = _experiment_rows(scaling)
     assert rows["shape"] == rows["numeric"]
 
 
 def test_cache_ablation_experiment_rows_identical():
-    rows = {}
-    for backend in BACKENDS:
-        result = cache_ablation.run(
-            scale="tiny",
-            policies=("lru",),
-            capacities_mb=(8.0,),
-            staleness_fractions=(0.0, 0.5),
-            duration_ms=60.0,
-            backend=backend,
-        )
-        assert result.rows, backend
-        rows[backend] = result.rows
-    # The warm nonzero-staleness cell must actually have served hits, or the
-    # equality above proves nothing about the cache path.
-    warmed = [row for row in rows["numeric"] if row.get("hit_rate")]
-    assert warmed and warmed[0]["hit_rate"] > 0
+    rows = _experiment_rows(cache_ablation)
+    # The warm nonzero-staleness cells must actually have served hits, or the
+    # equality below proves nothing about the cache path.
+    assert any(row["hit_rate"] for row in rows["numeric"])
     assert rows["shape"] == rows["numeric"]
 
 

@@ -229,24 +229,17 @@ def test_cli_serve_cache_rejects_bad_budget(capsys):
 def test_cache_ablation_experiment_rows(dataset):
     from repro.experiments import run_experiment
 
-    result = run_experiment(
-        "cache_ablation",
-        scale="tiny",
-        policies=("lru",),
-        capacities_mb=(8.0,),
-        staleness_fractions=(0.0, 0.5),
-        duration_ms=60.0,
-    )
-    assert result.rows[0]["policy"] == "uncached"
-    cells = {
-        (row["policy"], row["staleness_ms"]): row for row in result.rows[1:]
-    }
-    assert len(cells) == 2
-    warm = next(row for key, row in cells.items() if key[1] and key[1] > 0)
-    cold = next(row for key, row in cells.items() if not key[1])
-    assert cold["hit_rate"] == 0
-    assert warm["hit_rate"] > 0
-    assert warm["p99_ms"] < result.rows[0]["p99_ms"]
+    result = run_experiment("cache_ablation", scale="tiny", backend="shape")
+    uncached, *cells = result.rows
+    assert uncached["policy"] == "uncached"
+    # 3 policies x 2 capacities x 2 staleness bounds.
+    assert len({(row["policy"], row["cache_mb"], row["staleness_ms"]) for row in cells}) == 12
+    warm = [row for row in cells if row["staleness_ms"] > 0]
+    cold = [row for row in cells if row["staleness_ms"] == 0]
+    assert len(warm) == len(cold) == 6
+    assert all(row["hit_rate"] == 0 for row in cold)
+    assert all(row["hit_rate"] > 0 for row in warm)
+    assert all(row["p99_ms"] < uncached["p99_ms"] for row in warm)
 
 
 def test_property_serving_cache_counters_are_consistent(dataset):

@@ -27,10 +27,13 @@
 * Fixed knobs stay constants: none of the 49 parameters and fields that had
   one value in use comes back, each constant keeps the default it replaced,
   and a scheduler policy's accepted overrides are declared once, on its class.
+  The serving sweeps' axes are module constants too: each ``run`` takes
+  ``(scale, seed, backend)``.
 """
 
 import ast
 import importlib
+import inspect
 import os
 import re
 
@@ -499,3 +502,19 @@ def test_policy_overrides_are_declared_once_per_policy_class():
         assert applicable_policy_overrides(key, **given) == accepted
         policy = make_policy(key, 3, **accepted)
         assert [getattr(policy, name) for name in cls.overrides] == list(accepted.values())
+
+
+#: The five serving sweeps; ``run`` takes what the CLI and the goldens pass.
+SERVING_SWEEPS = ("serving", "scaling", "autoscaling", "cache_ablation", "adaptive_fidelity")
+
+
+def test_serving_sweeps_take_only_scale_seed_and_backend():
+    from repro.experiments import EXPERIMENTS
+    from repro.experiments.runner import ServingSweep
+
+    for name in SERVING_SWEEPS:
+        parameters = tuple(inspect.signature(EXPERIMENTS[name]).parameters)
+        assert parameters == ("scale", "seed", "backend"), name
+    assert tuple(inspect.signature(ServingSweep).parameters) == (
+        "calibration_topology", "scale", "seed", "backend", "slo_ms", "events_per_request",
+    )

@@ -226,17 +226,13 @@ class TestScalingExperiment:
     def test_scaling_experiment_headline_invariants(self):
         from repro.experiments import run_experiment
 
-        result = run_experiment(
-            "scaling",
-            scale="tiny",
-            configs=(
-                ("1xA100", 1, "replicate"),
-                ("2xA100-pcie", 2, "replicate"),
-            ),
-            utilizations=(1.5,),
-            duration_ms=250.0,
-        )
-        rows = {row["spec"]: row for row in result.rows}
+        result = run_experiment("scaling", scale="tiny", backend="shape")
+        # At the queueing utilization, replicated rows only.
+        rows = {
+            row["spec"]: row
+            for row in result.rows
+            if row["utilization"] == 1.6 and row["placement"] == "replicate"
+        }
         one, two = (rows["1xA100"], rows["2xA100-pcie"])
         assert two["throughput_rps"] > one["throughput_rps"]
         assert two["p99_ms"] < one["p99_ms"]
