@@ -1,8 +1,8 @@
 """Neural-network substrate built on :mod:`repro.tensor`.
 
-Provides the layers the eight profiled DGNNs are composed of: dense and
-recurrent layers, attention, graph convolutions, embedding tables and the
-time encoders that distinguish DGNNs from static GNNs.
+Provides the layers the eight profiled DGNNs are composed of: dense layers,
+recurrent cells, attention, graph convolutions and the time encoders that
+distinguish DGNNs from static GNNs.
 """
 
 from . import init
@@ -10,16 +10,12 @@ from .attention import MultiHeadAttention, TemporalNeighborAttention
 from .conv import WeightlessGCNLayer, normalized_adjacency
 from .linear import MLP, Linear
 from .module import Module, ModuleList, Parameter, Sequential
-from .norm import Embedding
-from .recurrent import GRU, GRUCell, LSTM, LSTMCell
+from .recurrent import GRUCell, LSTMCell
 from .time_encoding import BochnerTimeEncoder, PositionalEncoding
 
 __all__ = [
     "BochnerTimeEncoder",
-    "Embedding",
-    "GRU",
     "GRUCell",
-    "LSTM",
     "LSTMCell",
     "Linear",
     "MLP",

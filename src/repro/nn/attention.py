@@ -14,9 +14,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..hw.device import Device
-from ..hw.machine import active_machine_or_none
 from ..tensor import ops
-from ..tensor.meta import placeholder
 from ..tensor.tensor import Tensor, ensure_same_device
 from . import init
 from .linear import Linear
@@ -36,12 +34,7 @@ def scaled_dot_product_attention(
     scores = ops.matmul(query, ops.transpose(key, _swap_last_two(key.ndim)), name="attn_qk")
     scores = ops.mul(scores, 1.0 / math.sqrt(max(1, d_model)))
     if mask is not None:
-        machine = active_machine_or_none()
-        if machine is not None and machine.shape_mode:
-            penalty = Tensor(placeholder(mask.data.shape), scores.device)
-        else:
-            penalty = Tensor((1.0 - mask.data) * -1e9, scores.device)
-        scores = ops.add(scores, penalty)
+        scores = ops.add_mask(scores, mask)
     weights = ops.softmax(scores, axis=-1)
     attended = ops.matmul(weights, value, name="attn_v")
     return (attended, weights)

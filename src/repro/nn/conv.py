@@ -18,7 +18,7 @@ from ..tensor.tensor import Tensor, ensure_same_device
 from .module import Module
 
 
-def normalized_adjacency(adjacency: np.ndarray, add_self_loops: bool = True) -> np.ndarray:
+def normalized_adjacency(adjacency: np.ndarray) -> np.ndarray:
     """Symmetrically normalise an adjacency matrix: ``D^-1/2 (A + I) D^-1/2``.
 
     Operates on plain numpy because the paper's models perform this step as
@@ -26,9 +26,7 @@ def normalized_adjacency(adjacency: np.ndarray, add_self_loops: bool = True) -> 
     """
     if adjacency.ndim != 2 or adjacency.shape[0] != adjacency.shape[1]:
         raise ValueError("adjacency must be a square matrix")
-    a_hat = adjacency.astype(np.float32)
-    if add_self_loops:
-        a_hat = a_hat + np.eye(a_hat.shape[0], dtype=np.float32)
+    a_hat = adjacency.astype(np.float32) + np.eye(adjacency.shape[0], dtype=np.float32)
     degrees = a_hat.sum(axis=1)
     inv_sqrt = np.zeros_like(degrees)
     nonzero = degrees > 0
@@ -67,8 +65,6 @@ def gcn_forward(
     transformed = ops.matmul(aggregated, weight, name="gcn_transform")
     if activation == "relu":
         return ops.relu(transformed)
-    if activation == "tanh":
-        return ops.tanh(transformed)
     if activation is None:
         return transformed
     raise ValueError(f"unknown activation {activation!r}")

@@ -38,10 +38,6 @@ def zeros(shape: Sequence[int], device: Device, name: str = "") -> Parameter:
     return Parameter(np.zeros(shape, dtype=np.float32), device, name=name)
 
 
-def ones(shape: Sequence[int], device: Device, name: str = "") -> Parameter:
-    return Parameter(np.ones(shape, dtype=np.float32), device, name=name)
-
-
 def normal(
     shape: Sequence[int],
     device: Device,

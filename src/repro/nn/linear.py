@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -21,7 +21,6 @@ class Linear(Module):
         out_features: Output feature dimension.
         device: Device holding the weights.
         rng: Seeded generator for initialisation.
-        bias: Whether to include a bias term.
     """
 
     def __init__(
@@ -30,7 +29,6 @@ class Linear(Module):
         out_features: int,
         device: Device,
         rng: Optional[np.random.Generator] = None,
-        bias: bool = True,
     ) -> None:
         super().__init__()
         if in_features <= 0 or out_features <= 0:
@@ -41,7 +39,7 @@ class Linear(Module):
         self.weight = init.xavier_uniform(
             (out_features, in_features), device, rng, name="linear.weight"
         )
-        self.bias = init.zeros((out_features,), device, name="linear.bias") if bias else None
+        self.bias = init.zeros((out_features,), device, name="linear.bias")
 
     def forward(self, x: Tensor) -> Tensor:
         if x.shape[-1] != self.in_features:
@@ -49,37 +47,20 @@ class Linear(Module):
         return ops.linear(x, self.weight, self.bias)
 
 
-class Activation(Module):
-    """Wraps a functional activation so it can live inside ``Sequential``."""
-
-    _FUNCTIONS: dict = {
-        "relu": ops.relu,
-        "tanh": ops.tanh,
-        "sigmoid": ops.sigmoid,
-        "leaky_relu": ops.leaky_relu,
-        "softplus": ops.softplus,
-    }
-
-    def __init__(self, name: str = "relu") -> None:
-        super().__init__()
-        if name not in self._FUNCTIONS:
-            raise ValueError(f"unknown activation {name!r}")
-        self.name = name
-        self._fn: Callable[[Tensor], Tensor] = self._FUNCTIONS[name]
+class ReLU(Module):
+    """``ops.relu`` as a module, so it can live inside ``Sequential``."""
 
     def forward(self, x: Tensor) -> Tensor:
-        return self._fn(x)
+        return ops.relu(x)
 
 
 class MLP(Module):
-    """Multi-layer perceptron with a configurable activation.
+    """Multi-layer perceptron: ``Linear`` layers with a ReLU between each pair.
 
     Args:
         dims: Layer widths, e.g. ``(in, hidden, out)``.
         device: Device holding the weights.
         rng: Seeded generator for initialisation.
-        activation: Activation between layers (none after the last layer).
-        final_activation: Optional activation applied to the output.
     """
 
     def __init__(
@@ -87,22 +68,15 @@ class MLP(Module):
         dims: Sequence[int],
         device: Device,
         rng: Optional[np.random.Generator] = None,
-        activation: str = "relu",
-        final_activation: Optional[str] = None,
     ) -> None:
         super().__init__()
         if len(dims) < 2:
             raise ValueError("MLP needs at least an input and an output dimension")
         rng = rng if rng is not None else init.make_rng()
         layers = []
-        for index, (d_in, d_out) in enumerate(zip(dims[:-1], dims[1:])):
-            layers.append(Linear(d_in, d_out, device, rng))
-            is_last = index == len(dims) - 2
-            if not is_last:
-                layers.append(Activation(activation))
-            elif final_activation is not None:
-                layers.append(Activation(final_activation))
-        self.net = Sequential(*layers)
+        for d_in, d_out in zip(dims[:-1], dims[1:]):
+            layers += [Linear(d_in, d_out, device, rng), ReLU()]
+        self.net = Sequential(*layers[:-1])
         self.dims = tuple(dims)
 
     def forward(self, x: Tensor) -> Tensor:

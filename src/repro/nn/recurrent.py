@@ -11,7 +11,7 @@ simulated profiles exhibit the same behaviour.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -92,77 +92,6 @@ class LSTMCell(Module):
         new_c = ops.add(ops.mul(f_gate, c), ops.mul(i_gate, g_gate))
         new_h = ops.mul(o_gate, ops.tanh(new_c))
         return (new_h, new_c)
-
-
-class GRU(Module):
-    """Run a :class:`GRUCell` over a sequence, step by step.
-
-    Input is (time, batch, input_size); the steps are executed sequentially,
-    carrying the hidden state forward -- the temporal dependency the paper
-    profiles.
-    """
-
-    def __init__(
-        self,
-        input_size: int,
-        hidden_size: int,
-        device: Device,
-        rng: Optional[np.random.Generator] = None,
-    ) -> None:
-        super().__init__()
-        self.cell = GRUCell(input_size, hidden_size, device, rng)
-        self.hidden_size = hidden_size
-
-    def forward(self, sequence: Tensor, h0: Optional[Tensor] = None) -> Tuple[Tensor, Tensor]:
-        """Returns ``(outputs, final_hidden)`` with outputs of shape (T, B, H)."""
-        if sequence.ndim != 3:
-            raise ValueError("GRU expects a (time, batch, features) tensor")
-        steps, batch, _ = sequence.shape
-        h = h0 if h0 is not None else Tensor(
-            np.zeros((batch, self.hidden_size), dtype=np.float32), sequence.device
-        )
-        outputs: List[Tensor] = []
-        for t in range(steps):
-            x_t = Tensor(sequence.data[t], sequence.device)
-            h = self.cell(x_t, h)
-            outputs.append(h)
-        return (ops.stack(outputs, axis=0), h)
-
-
-class LSTM(Module):
-    """Run an :class:`LSTMCell` over a sequence, step by step."""
-
-    def __init__(
-        self,
-        input_size: int,
-        hidden_size: int,
-        device: Device,
-        rng: Optional[np.random.Generator] = None,
-    ) -> None:
-        super().__init__()
-        self.cell = LSTMCell(input_size, hidden_size, device, rng)
-        self.hidden_size = hidden_size
-
-    def forward(
-        self, sequence: Tensor, state: Optional[Tuple[Tensor, Tensor]] = None
-    ) -> Tuple[Tensor, Tuple[Tensor, Tensor]]:
-        """Returns ``(outputs, (h, c))`` with outputs of shape (T, B, H)."""
-        if sequence.ndim != 3:
-            raise ValueError("LSTM expects a (time, batch, features) tensor")
-        steps, batch, _ = sequence.shape
-        if state is None:
-            zeros = np.zeros((batch, self.hidden_size), dtype=np.float32)
-            state = (
-                Tensor(zeros, sequence.device),
-                Tensor(zeros.copy(), sequence.device),
-            )
-        h, c = state
-        outputs: List[Tensor] = []
-        for t in range(steps):
-            x_t = Tensor(sequence.data[t], sequence.device)
-            h, c = self.cell(x_t, (h, c))
-            outputs.append(h)
-        return (ops.stack(outputs, axis=0), (h, c))
 
 
 def _split3(tensor: Tensor, width: int) -> Tuple[Tensor, Tensor, Tensor]:

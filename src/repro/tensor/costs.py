@@ -1,9 +1,13 @@
 """FLOP and byte-traffic estimates for tensor operators.
 
 Every operator in :mod:`repro.tensor.ops` reports its work to the hardware
-simulator as a (flops, bytes) pair.  The helpers here centralise those
-estimates so the cost model stays consistent across operators and is easy to
-audit against standard roofline accounting:
+simulator as a (flops, bytes) pair.  Each estimate here is one operator's
+cost, called as ``cost(out_shape, *operands)`` with the operator's operands
+(arrays under the numeric backend, placeholders under the shape backend).
+It reads shapes only -- :func:`spmm_cost` also counts the adjacency's
+non-zeros, and adjacencies are real arrays under both backends -- so the two
+backends charge identical kernels.  The estimates follow standard roofline
+accounting:
 
 * dense matmul of (m, k) @ (k, n): ``2 m k n`` FLOPs, ``(mk + kn + mn)``
   elements of traffic;
@@ -17,7 +21,12 @@ audit against standard roofline accounting:
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from math import prod
+from typing import Tuple
+
+import numpy as np
+
+Cost = Tuple[float, float]
 
 #: Bytes per element; the library computes in float32 throughout.
 ITEMSIZE = 4
@@ -27,72 +36,67 @@ ITEMSIZE = 4
 IRREGULAR_ACCESS_FACTOR = 8.0
 
 
-def _numel(shape: Sequence[int]) -> int:
-    n = 1
-    for dim in shape:
-        n *= int(dim)
-    return n
-
-
-def matmul_cost(m: int, k: int, n: int) -> Tuple[float, float]:
-    """(flops, bytes) of a dense (m, k) @ (k, n) product."""
+def matmul_cost(out_shape, a, b) -> Cost:
+    """A dense (m, k) @ (k, n) product per leading output index."""
+    if a.ndim >= 2 and b.ndim >= 2:
+        batch = prod(out_shape[:-2])
+        m, k = a.shape[-2:]
+        n = b.shape[-1]
+    else:
+        batch, m, k, n = (1, 1, a.shape[-1], 1)
     flops = 2.0 * m * k * n
-    traffic = ITEMSIZE * (m * k + k * n + m * n)
-    return (flops, float(traffic))
-
-
-def batched_matmul_cost(batch: int, m: int, k: int, n: int) -> Tuple[float, float]:
-    """(flops, bytes) of ``batch`` independent (m, k) @ (k, n) products."""
-    flops, traffic = matmul_cost(m, k, n)
+    traffic = float(ITEMSIZE * (m * k + k * n + m * n))
     return (batch * flops, batch * traffic)
 
 
-def elementwise_cost(
-    out_shape: Sequence[int], n_inputs: int = 2, flops_per_element: float = 1.0
-) -> Tuple[float, float]:
-    """(flops, bytes) of an elementwise op producing ``out_shape``."""
-    numel = _numel(out_shape)
-    flops = flops_per_element * numel
-    traffic = ITEMSIZE * numel * (n_inputs + 1)
-    return (flops, float(traffic))
+def linear_cost(out_shape, x, weight, bias) -> Cost:
+    """``x @ weight.T`` over the rows of ``x``, plus one FLOP per output for the bias."""
+    rows = prod(out_shape[:-1])
+    n, k = weight.shape
+    flops = 2.0 * rows * k * n + prod(out_shape)
+    return (flops, float(ITEMSIZE * (rows * k + k * n + rows * n)))
 
 
-def reduction_cost(in_shape: Sequence[int], out_shape: Sequence[int]) -> Tuple[float, float]:
-    """(flops, bytes) of a reduction (sum/mean/max) from ``in_shape``."""
-    flops = float(_numel(in_shape))
-    traffic = ITEMSIZE * (_numel(in_shape) + _numel(out_shape))
-    return (flops, float(traffic))
+def elementwise_cost(flops_per_element, out_shape, *operands) -> Cost:
+    """An elementwise op: every operand read and the output written once.
+
+    Operators bind ``flops_per_element`` with :func:`functools.partial`.
+    """
+    numel = prod(out_shape)
+    return (flops_per_element * numel, float(ITEMSIZE * numel * (len(operands) + 1)))
 
 
-def softmax_cost(shape: Sequence[int]) -> Tuple[float, float]:
-    """(flops, bytes) of a softmax over the last axis of ``shape``."""
-    numel = _numel(shape)
-    # max, subtract, exp, sum, divide ~ 5 passes over the data.
-    flops = 5.0 * numel
-    traffic = ITEMSIZE * numel * 3
-    return (flops, float(traffic))
+def reduction_cost(out_shape, x, *_) -> Cost:
+    """A reduction (sum/mean) of ``x``: one FLOP per input element."""
+    numel = prod(x.shape)
+    return (float(numel), float(ITEMSIZE * (numel + prod(out_shape))))
 
 
-def copy_cost(shape: Sequence[int]) -> Tuple[float, float]:
-    """(flops, bytes) of a data movement op (concat/stack/transpose/reshape copy)."""
-    numel = _numel(shape)
-    return (0.0, float(ITEMSIZE * numel * 2))
+def softmax_cost(out_shape, *_) -> Cost:
+    """Max, subtract, exp, sum, divide: ~5 passes over the data."""
+    numel = prod(out_shape)
+    return (5.0 * numel, float(ITEMSIZE * numel * 3))
 
 
-def gather_cost(out_shape: Sequence[int]) -> Tuple[float, float]:
-    """(flops, bytes) of an irregular gather producing ``out_shape``."""
-    numel = _numel(out_shape)
-    traffic = ITEMSIZE * numel * 2 * IRREGULAR_ACCESS_FACTOR
-    return (0.0, float(traffic))
+def copy_cost(out_shape, *_) -> Cost:
+    """A data movement op (concat/stack/transpose): read and write every element."""
+    return (0.0, float(ITEMSIZE * prod(out_shape) * 2))
 
 
-def scatter_cost(updates_shape: Sequence[int]) -> Tuple[float, float]:
-    """(flops, bytes) of an irregular scatter of ``updates_shape`` elements."""
-    numel = _numel(updates_shape)
-    traffic = ITEMSIZE * numel * 2 * IRREGULAR_ACCESS_FACTOR
-    return (0.0, float(traffic))
+def gather_cost(out_shape, *_) -> Cost:
+    """An irregular gather producing ``out_shape``."""
+    return (0.0, float(ITEMSIZE * prod(out_shape) * 2 * IRREGULAR_ACCESS_FACTOR))
 
 
-def nbytes(shape: Sequence[int]) -> int:
-    """Size in bytes of a float32 tensor with ``shape``."""
-    return ITEMSIZE * _numel(shape)
+def scatter_cost(out_shape, x, indices, updates) -> Cost:
+    """An irregular scatter of the ``updates`` rows."""
+    return (0.0, float(ITEMSIZE * prod(updates.shape) * 2 * IRREGULAR_ACCESS_FACTOR))
+
+
+def spmm_cost(out_shape, adjacency, x) -> Cost:
+    """A sparse product over the adjacency's non-zero entries."""
+    non_zeros = int(np.count_nonzero(adjacency))
+    feature_dim = x.shape[-1]
+    flops = 2.0 * non_zeros * feature_dim
+    traffic = ITEMSIZE * (non_zeros * 2 + non_zeros * feature_dim + prod(out_shape)) * 2.0
+    return (flops, traffic)

@@ -31,21 +31,6 @@ ArrayLike = Union[np.ndarray, Sequence, float, int]
 _FLOAT32 = np.dtype(np.float32)
 
 
-def _fill(shape: Sequence[int], value: float) -> np.ndarray:
-    """Constant-array constructor that honours the active backend.
-
-    Under the shape backend the constant's value is irrelevant downstream, so
-    a zero-strided placeholder replaces the dense allocation; the Tensor's
-    logical ``nbytes`` (and therefore the memory-pool charge) is unchanged.
-    """
-    machine = active_machine_or_none()
-    if machine is not None and machine.shape_mode:
-        from .meta import placeholder
-
-        return placeholder(tuple(shape))
-    return np.full(shape, value, dtype=np.float32)
-
-
 class Tensor:
     """A numpy array bound to a simulated device.
 
@@ -94,15 +79,7 @@ class Tensor:
 
     @classmethod
     def zeros(cls, shape: Sequence[int], device: Device, name: str = "") -> "Tensor":
-        return cls(_fill(shape, 0.0), device, name=name, track_memory=True)
-
-    @classmethod
-    def ones(cls, shape: Sequence[int], device: Device, name: str = "") -> "Tensor":
-        return cls(_fill(shape, 1.0), device, name=name, track_memory=True)
-
-    @classmethod
-    def full(cls, shape: Sequence[int], value: float, device: Device, name: str = "") -> "Tensor":
-        return cls(_fill(shape, value), device, name=name, track_memory=True)
+        return cls(np.zeros(shape, dtype=np.float32), device, name=name, track_memory=True)
 
     # -- basic properties ---------------------------------------------------
 
@@ -139,43 +116,20 @@ class Tensor:
 
     # -- device movement ------------------------------------------------------
 
-    def to(
-        self,
-        device: Device,
-        record: bool = True,
-        name: str = "",
-        non_blocking: bool = False,
-        track_memory: Optional[bool] = None,
-    ) -> "Tensor":
+    def to(self, device: Device, name: str = "") -> "Tensor":
         """Copy the tensor to another device.
 
-        When a machine is active and ``record`` is true, the copy occupies the
-        PCIe link and appears as a ``transfer`` event (the "Memory Copy" rows
-        of the paper's breakdowns).  With ``non_blocking=True`` the copy is
-        queued on the machine's dedicated copy stream and the host does not
-        wait for it (pinned-memory semantics, like
-        ``tensor.to(device, non_blocking=True)`` in PyTorch); synchronise the
-        copy stream before timing-sensitive consumption.
-
-        ``record`` controls only whether the transfer *event* is emitted;
-        whether the destination copy is registered with the device's memory
-        pool is controlled independently by ``track_memory`` (default: always
-        track, so even unrecorded moves keep the memory accounting honest).
-        Moving to the same device returns ``self``.
+        When a machine is active the copy occupies the link and appears as a
+        ``transfer`` event (the "Memory Copy" rows of the paper's
+        breakdowns), and the destination copy is registered with the
+        device's memory pool.  Moving to the same device returns ``self``.
         """
         if device == self.device:
             return self
-        if record and has_active_machine():
-            machine = current_machine()
-            machine.transfer(
-                self.device,
-                device,
-                self.nbytes,
-                name=name or "memcpy",
-                non_blocking=non_blocking,
-            )
-        track = True if track_memory is None else track_memory
-        return Tensor(self.data, device, name=name or self.name, track_memory=track)
+        machine = active_machine_or_none()
+        if machine is not None:
+            machine.transfer(self.device, device, self.nbytes, name=name or "memcpy")
+        return Tensor(self.data, device, name=name or self.name, track_memory=True)
 
     def free(self) -> None:
         """Release the tracked allocation, if any."""

@@ -320,3 +320,33 @@ def test_shape_mode_outputs_are_placeholders_and_numeric_are_dense():
         assert out.data.shape == (4, 3)
         assert is_placeholder(out.data) == expect_placeholder
         assert out.data.dtype == np.float32
+
+
+def _dense(shape, like):
+    return Tensor(np.ones(shape, dtype=np.float32), like.device)
+
+
+#: Calls numpy refuses, on ``x`` of shape (3, 4): each backend must refuse
+#: them too, with a ``ValueError``, before anything is charged.
+REFUSED = {
+    "reduce_sum axis=2": lambda x: ops.reduce_sum(x, axis=2),
+    "concat (3,4)+(2,5)": lambda x: ops.concat([x, _dense((2, 5), x)], axis=0),
+    "concat axis=3": lambda x: ops.concat([x, x], axis=3),
+    "stack axis=5": lambda x: ops.stack([x, x], axis=5),
+    "reshape (5,5)": lambda x: ops.reshape(x, (5, 5)),
+    "linear w(6,5)": lambda x: ops.linear(x, _dense((6, 5), x), _dense((6,), x)),
+    "softmax axis=3": lambda x: ops.softmax(x, axis=3),
+}
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("call", sorted(REFUSED))
+def test_both_backends_refuse_what_numpy_refuses_before_charging(call, backend):
+    machine = Machine("1xA6000", backend=backend)
+    machine.initialize_gpu()
+    with machine.activate():
+        x = Tensor(np.ones((3, 4), dtype=np.float32), machine.gpu)
+        logged = len(machine.events)
+        with pytest.raises(ValueError):
+            REFUSED[call](x)
+    assert len(machine.events) == logged

@@ -29,6 +29,10 @@
   and a scheduler policy's accepted overrides are declared once, on its class.
   The serving sweeps' axes are module constants too: each ``run`` takes
   ``(scale, seed, backend)``.
+* One backend seam: across ``tensor/`` and ``nn/`` one function reads
+  ``machine.shape_mode`` and launches an operator's kernel, none of the eight
+  tensor/nn options nothing set comes back, and every public operator and
+  ``nn`` class has a caller in ``src``.
 """
 
 import ast
@@ -518,3 +522,77 @@ def test_serving_sweeps_take_only_scale_seed_and_backend():
     assert tuple(inspect.signature(ServingSweep).parameters) == (
         "calibration_topology", "scale", "seed", "backend", "slo_ms", "events_per_request",
     )
+
+
+def _reads_shape_mode(node):
+    return isinstance(node, ast.Attribute) and node.attr == "shape_mode"
+
+
+def _launches_a_kernel(node):
+    return isinstance(node, ast.Attribute) and node.attr in ("launch_kernel", "launch_kernels")
+
+
+def test_one_function_chooses_the_backend_and_launches_the_kernel():
+    for matches in (_reads_shape_mode, _launches_a_kernel):
+        assert _sites(matches, "tensor") | _sites(matches, "nn") == {"ops.py: _run"}
+        # ... and no module-level statement does either.
+        found = sum(
+            matches(node)
+            for package in ("tensor", "nn")
+            for path in _files(os.path.join(PACKAGE_ROOT, package), ".py")
+            for node in ast.walk(ast.parse(_read(path)))
+        )
+        assert found == 1
+
+
+#: The options nothing in ``src/`` or ``benchmarks/`` set, by file and owner.
+#: None may come back as a parameter.
+DELETED_OPTIONS = {
+    "tensor/tensor.py": {"Tensor.to": ("record", "non_blocking", "track_memory")},
+    "tensor/ops.py": {"spmm": ("nnz",)},
+    "nn/linear.py": {
+        "Linear.__init__": ("bias",),
+        "MLP.__init__": ("activation", "final_activation"),
+    },
+    "nn/conv.py": {"normalized_adjacency": ("add_self_loops",)},
+}
+
+
+def test_the_deleted_tensor_and_nn_options_stay_deleted():
+    assert sum(len(names) for owners in DELETED_OPTIONS.values() for names in owners.values()) == 8
+    back = []
+    for relative, owners in DELETED_OPTIONS.items():
+        settable = _settable(ast.parse(_read(os.path.join(PACKAGE_ROOT, relative))))
+        for owner, names in owners.items():
+            assert owner in settable, (relative, owner)
+            back += [f"{relative}: {owner}({name})" for name in set(names) & settable[owner]]
+    assert not back, f"settable again: {sorted(back)}"
+
+
+def test_every_operator_and_nn_class_has_a_caller_in_src():
+    from repro.tensor import ops
+
+    operators = {
+        name
+        for name, value in vars(ops).items()
+        if inspect.isfunction(value) and value.__module__ == ops.__name__ and name[0] != "_"
+    }
+    classes = {
+        node.name
+        for path in _files(os.path.join(PACKAGE_ROOT, "nn"), ".py")
+        for node in ast.parse(_read(path)).body
+        if isinstance(node, ast.ClassDef) and node.name[0] != "_"
+    }
+    called, named = set(), set()
+    for path in _files(PACKAGE_ROOT, ".py"):
+        if path.endswith(os.path.join("nn", "__init__.py")):
+            continue  # a re-export is not a caller
+        for node in ast.walk(ast.parse(_read(path))):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.value.id == "ops":
+                    called.add(node.attr)
+                named.add(node.attr)
+            elif isinstance(node, ast.Name):
+                named.add(node.id)
+    assert sorted(operators - called) == []
+    assert sorted(classes - named) == []

@@ -10,6 +10,7 @@ same intervals, same event logs, same samples, byte for byte.
 """
 
 import contextlib
+import os
 import sys
 import time
 from dataclasses import replace
@@ -19,6 +20,7 @@ from unittest.mock import Mock
 import numpy as np
 import pytest
 
+import repro
 from repro.cache import DeviceResidentCache, make_eviction_policy
 from repro.core import (
     WORKLOAD_IMBALANCE,
@@ -45,6 +47,7 @@ from repro.hw.events import ALLOC, KERNEL, MARKER, SYNC, TRANSFER, WARMUP, Event
 from repro.hw.machine import Machine
 from repro.hw.stream import union_busy_ms
 from repro.hw.timeline import Timeline
+from repro.tensor import Tensor, ops
 from repro.tensor.meta import is_placeholder
 
 
@@ -322,13 +325,16 @@ def test_cost_memos_are_bounded_and_transparent():
     assert gpu.kernel_cost(2.0e6, 4096.0) is repeated
 
 
-def python_calls(action):
-    """Python-level ``call`` events one ``action()`` makes (itself included)."""
+def python_calls(action, under=""):
+    """Python-level ``call`` events one ``action()`` makes (itself included).
+
+    With ``under`` set, only frames whose code file starts with it count.
+    """
     calls = 0
 
     def count(frame, event, arg):
         nonlocal calls
-        if event == "call":
+        if event == "call" and frame.f_code.co_filename.startswith(under):
             calls += 1
 
     sys.setprofile(count)
@@ -376,6 +382,43 @@ def test_python_calls_per_charge_stay_bounded(call):
     action(machine, cluster)  # the cost, route and transfer-time memos are warm
     calls = python_calls(partial(action, machine, cluster))
     assert calls <= ceiling, f"{call}: {calls} Python calls, ceiling {ceiling}"
+
+
+#: Operator ceilings count only ``src/repro`` frames, so numpy's own Python
+#: frames -- which vary across numpy versions -- do not move them.
+REPRO_ROOT = os.path.dirname(os.path.abspath(repro.__file__))
+
+#: ``op -> ((numeric, shape) ceiling, call on x (3, 4), w (4, 5), linear
+#: weight (5, 4), bias (5,), row indices)``: the ``repro`` frames one operator
+#: costs on a warm 1xA6000 machine, kernel launch included.
+OP_COST_CEILINGS = {
+    "matmul": ((18, 20), lambda x, w, lw, b, idx: ops.matmul(x, w)),
+    "linear": ((15, 16), lambda x, w, lw, b, idx: ops.linear(x, lw, b)),
+    "add (tensor)": ((18, 18), lambda x, w, lw, b, idx: ops.add(x, x)),
+    "mul (scalar)": ((18, 17), lambda x, w, lw, b, idx: ops.mul(x, 2.0)),
+    "sigmoid": ((17, 17), lambda x, w, lw, b, idx: ops.sigmoid(x)),
+    "reduce_sum": ((19, 23), lambda x, w, lw, b, idx: ops.reduce_sum(x, axis=1)),
+    "softmax": ((16, 17), lambda x, w, lw, b, idx: ops.softmax(x)),
+    "concat": ((17, 20), lambda x, w, lw, b, idx: ops.concat([x, x], axis=0)),
+    "gather_rows": ((15, 16), lambda x, w, lw, b, idx: ops.gather_rows(x, idx)),
+    "reshape": ((4, 9), lambda x, w, lw, b, idx: ops.reshape(x, (4, 3))),
+}
+
+
+@pytest.mark.parametrize("backend", ["numeric", "shape"])
+@pytest.mark.parametrize("op", sorted(OP_COST_CEILINGS))
+def test_python_calls_per_operator_stay_bounded(op, backend):
+    ceilings, action = OP_COST_CEILINGS[op]
+    machine = Machine("1xA6000", backend=backend)
+    machine.initialize_gpu()
+    with machine.activate():
+        shapes = ((3, 4), (4, 5), (5, 4), (5,))
+        operands = [Tensor(np.ones(shape, dtype=np.float32), machine.gpu) for shape in shapes]
+        call = partial(action, *operands, np.array([0, 2]))
+        call()  # the kernel-cost and placeholder memos are warm
+        calls = python_calls(call, REPRO_ROOT)
+    ceiling = ceilings[backend == "shape"]
+    assert calls <= ceiling, f"{op} ({backend}): {calls} Python calls, ceiling {ceiling}"
 
 
 CACHE_KEYS = 512

@@ -1,8 +1,11 @@
-"""Tensor operators: numerics plus kernel charging."""
+"""Tensor operators: numerics plus kernel charging, per op on both backends."""
+
+import inspect
 
 import numpy as np
 import pytest
 
+from repro.fuzz.program import signature
 from repro.hw import KERNEL, Machine
 from repro.tensor import Tensor, ops
 from repro.tensor.tensor import DeviceMismatchError
@@ -100,3 +103,57 @@ class TestStreamIssue:
         assert events[-2].stream == "default"
         assert events[-1].stream == "side"
         assert stream.busy_ms() > 0
+
+
+def _array(*shape):
+    return np.arange(np.prod(shape), dtype=np.float32).reshape(shape) / 7.0 - 1.0
+
+
+#: One row per public operator: ``op -> call(t)``, where ``t(*shape)`` is a
+#: dense tensor of that shape on the GPU.  Adding an operator means adding a row.
+OP_ROWS = {
+    "matmul": lambda t: ops.matmul(t(2, 3, 4), t(4, 5)),
+    "linear": lambda t: ops.linear(t(2, 3, 4), t(6, 4), t(6)),
+    "add": lambda t: ops.add(t(3, 1, 4), t(2, 4)),
+    "sub": lambda t: ops.sub(t(3, 4), 2.0),
+    "mul": lambda t: ops.mul(t(3, 4), t(3, 4)),
+    "div": lambda t: ops.div(t(3, 4), 3),
+    "relu": lambda t: ops.relu(t(3, 4)),
+    "sigmoid": lambda t: ops.sigmoid(t(3, 4)),
+    "tanh": lambda t: ops.tanh(t(3, 4)),
+    "cos": lambda t: ops.cos(t(3, 4)),
+    "softplus": lambda t: ops.softplus(t(3, 4)),
+    "add_mask": lambda t: ops.add_mask(t(2, 1, 3, 5), t(2, 1, 1, 5)),
+    "reduce_sum": lambda t: ops.reduce_sum(t(3, 4, 5), axis=-2, keepdims=True),
+    "reduce_mean": lambda t: ops.reduce_mean(t(3, 4, 5), axis=1),
+    "softmax": lambda t: ops.softmax(t(3, 4, 5), axis=1),
+    "reshape": lambda t: ops.reshape(t(3, 4, 5), (-1, 10)),
+    "transpose": lambda t: ops.transpose(t(3, 4, 5), (2, 0, 1)),
+    "concat": lambda t: ops.concat([t(3, 4), t(3, 2), t(3, 1)], axis=-1),
+    "stack": lambda t: ops.stack([t(3, 4), t(3, 4)], axis=-1),
+    "expand_dims": lambda t: ops.expand_dims(t(3, 4), 1),
+    "gather_rows": lambda t: ops.gather_rows(t(5, 4), [4, 0, 0]),
+    "scatter_rows": lambda t: ops.scatter_rows(t(5, 4), np.array([1, 3]), t(2, 4)),
+    "spmm": lambda t: ops.spmm(t(4, 4), t(4, 3)),
+}
+
+
+def test_every_public_operator_has_a_row():
+    public = {
+        name
+        for name, value in vars(ops).items()
+        if inspect.isfunction(value) and value.__module__ == ops.__name__ and name[0] != "_"
+    }
+    assert set(OP_ROWS) == public
+
+
+@pytest.mark.parametrize("op", sorted(OP_ROWS))
+def test_each_operator_charges_the_same_kernels_under_both_backends(op):
+    runs = {}
+    for backend in ("numeric", "shape"):
+        machine = Machine("1xA6000", backend=backend)
+        machine.initialize_gpu()
+        with machine.activate():
+            out = OP_ROWS[op](lambda *shape: Tensor(_array(*shape), machine.gpu))
+        runs[backend] = (out.shape, signature(machine))
+    assert runs["shape"] == runs["numeric"]

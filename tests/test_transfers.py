@@ -1,4 +1,4 @@
-"""``Tensor.to`` transfer and memory accounting."""
+"""``Tensor.to`` transfer and memory accounting, and non-blocking copies."""
 
 import numpy as np
 import pytest
@@ -35,37 +35,28 @@ class TestTransferAccounting:
             x.to(machine.gpu)
         assert machine.host_time_ms == pytest.approx(transfers(machine)[-1].end_ms)
 
+    def test_to_always_tracks_the_destination_copy(self, machine):
+        with machine.activate():
+            x = Tensor(np.ones((10, 10), dtype=np.float32), machine.cpu)
+            before = machine.gpu.memory.current_bytes
+            moved = x.to(machine.gpu)
+        assert len(transfers(machine)) == 1
+        assert moved.is_tracked
+        assert machine.gpu.memory.current_bytes == before + moved.nbytes
+
     def test_same_device_move_is_identity(self, machine):
         with machine.activate():
             x = Tensor(np.ones(4, dtype=np.float32), machine.cpu)
             assert x.to(machine.cpu) is x
         assert transfers(machine) == []
 
-    def test_unrecorded_move_still_tracks_destination_memory(self, machine):
-        with machine.activate():
-            x = Tensor(np.ones((10, 10), dtype=np.float32), machine.cpu)
-            before = machine.gpu.memory.current_bytes
-            moved = x.to(machine.gpu, record=False)
-        assert transfers(machine) == []
-        assert moved.is_tracked
-        assert machine.gpu.memory.current_bytes == before + moved.nbytes
-
-    def test_track_memory_opt_out(self, machine):
-        with machine.activate():
-            x = Tensor(np.ones((10, 10), dtype=np.float32), machine.cpu)
-            before = machine.gpu.memory.current_bytes
-            moved = x.to(machine.gpu, track_memory=False)
-        assert len(transfers(machine)) == 1
-        assert not moved.is_tracked
-        assert machine.gpu.memory.current_bytes == before
-
 
 class TestNonBlockingTransfers:
+    """``Machine.transfer(..., non_blocking=True)``: the pinned-memory copy path."""
+
     def test_non_blocking_copy_does_not_block_host(self, machine):
-        with machine.activate():
-            x = Tensor(np.ones((512, 512), dtype=np.float32), machine.cpu)
-            before = machine.host_time_ms
-            x.to(machine.gpu, non_blocking=True)
+        before = machine.host_time_ms
+        machine.transfer(machine.cpu, machine.gpu, 512 * 512 * 4, non_blocking=True)
         copy = transfers(machine)[-1]
         overhead_ms = machine.link.spec.host_overhead_us * 1e-3
         assert machine.host_time_ms == pytest.approx(before + overhead_ms)
@@ -73,17 +64,12 @@ class TestNonBlockingTransfers:
         assert copy.stream == "copy"
 
     def test_non_blocking_copies_serialize_on_copy_stream(self, machine):
-        with machine.activate():
-            x = Tensor(np.ones((256, 256), dtype=np.float32), machine.cpu)
-            x.to(machine.gpu, non_blocking=True)
-            y = Tensor(np.ones((256, 256), dtype=np.float32), machine.cpu)
-            y.to(machine.gpu, non_blocking=True)
+        machine.transfer(machine.cpu, machine.gpu, 256 * 256 * 4, non_blocking=True)
+        machine.transfer(machine.cpu, machine.gpu, 256 * 256 * 4, non_blocking=True)
         first, second = transfers(machine)[-2:]
         assert second.start_ms >= first.end_ms
 
     def test_synchronize_drains_copy_stream(self, machine):
-        with machine.activate():
-            x = Tensor(np.ones((512, 512), dtype=np.float32), machine.cpu)
-            x.to(machine.gpu, non_blocking=True)
-            machine.synchronize()
+        machine.transfer(machine.cpu, machine.gpu, 512 * 512 * 4, non_blocking=True)
+        machine.synchronize()
         assert machine.host_time_ms >= transfers(machine)[-1].end_ms
