@@ -108,8 +108,7 @@ def backfill_embeddings(
         with machine.region("Cache Backfill"):
             rows = compute(node_array, times)
             cache.store_embeddings(node_array, times, rows.data)
-        if machine.has_gpu:
-            machine.synchronize()
+        model.finish_iteration()
     return BackfillReport(
         requested=top_k,
         computed=len(nodes),

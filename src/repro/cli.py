@@ -486,6 +486,9 @@ def _print_profile_summary(profile, title: str) -> None:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
+    if args.iterations < 1:
+        print("error: --iterations must be positive", file=sys.stderr)
+        return 2
     machine, model = build_on_fresh_machine(
         args.model, use_gpu=args.device == "gpu", backend=args.backend,
         dataset_name=args.dataset, scale=args.scale, **_parse_param(args.param),

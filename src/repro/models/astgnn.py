@@ -178,7 +178,7 @@ class ASTGNN(DGNNModel):
 
     # -- inference --------------------------------------------------------------------------------
 
-    def inference_iteration(self, batch: ASTGNNBatch) -> Tensor:
+    def _forward(self, batch: ASTGNNBatch) -> Tensor:
         """Forecast ``predict_window`` steps for every window in the batch."""
         device = self.compute_device
         host = self.host_device
@@ -221,9 +221,6 @@ class ASTGNN(DGNNModel):
             ordered = ops.transpose(per_sensor, (0, 2, 1, 3))
             forecast = self.output_proj(ordered)
             forecast_host = forecast.to(host, name="traffic_forecast")
-
-        if self.machine.has_gpu:
-            self.machine.synchronize()
         return forecast_host
 
     # -- blocks ------------------------------------------------------------------------------------

@@ -12,10 +12,16 @@ Every model in :mod:`repro.models` follows the same contract:
 * :meth:`DGNNModel.iteration_batches` yields the units of work the paper
   profiles ("one iteration": a mini-batch of events, one snapshot, one
   t-batch, ... depending on the model);
-* :meth:`DGNNModel.inference_iteration` runs one such unit, annotating the
-  machine's region stack with the same module names the paper's breakdown
-  figures use, so the profiler can reproduce Fig. 7;
+* ``_forward(batch)`` issues one such unit's work, annotating the machine's
+  region stack with the same module names the paper's breakdown figures
+  use, so the profiler can reproduce Fig. 7;
 * :meth:`DGNNModel.describe` returns the model's Table 1 row.
+
+A model says what an iteration issues; the base owns how it ends: the one
+full join :meth:`~DGNNModel.finish_iteration` (after ``inference_iteration``),
+a default-stream sync (``compute_iteration``) or a completion event
+(``dispatch_iteration``).  Capabilities are declared class flags, and
+:func:`require_protocol` is the one refusal.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from ..graph.events import EventStream
 from ..graph.sampling import NeighborhoodSample
 from ..hw.device import Device
 from ..hw.machine import Machine
+from ..hw.stream import StreamEvent
 from ..nn.module import Module
 from ..tensor import Tensor, meta, ops
 
@@ -101,6 +108,13 @@ class DGNNModel(Module):
     #: Entry kinds a caching model populates -- a subset of
     #: ``("embedding", "sample", "memory")``.
     cache_kinds: Tuple[str, ...] = ()
+
+    #: Declared protocols, read as plain attributes: overlap (a host-only
+    #: ``prepare_iteration`` whose plan :meth:`compute_iteration` consumes,
+    #: see :mod:`repro.optim`) and async dispatch (:meth:`dispatch_iteration`
+    #: returns a completion event instead of joining).
+    supports_overlap: bool = False
+    supports_async_dispatch: bool = False
 
     def __init__(self, machine: Machine, device: Optional[Device] = None) -> None:
         super().__init__()
@@ -219,9 +233,37 @@ class DGNNModel(Module):
         """
         yield from self.dataset.stream.iter_batches(self.config.batch_size)
 
-    def inference_iteration(self, batch: Any) -> Any:
-        """Run one profiled iteration; must annotate machine regions."""
+    def _forward(self, batch: Any) -> Any:
+        """Issue one iteration's work, annotating machine regions; never joins."""
         raise NotImplementedError
+
+    # -- how an iteration ends -------------------------------------------------
+
+    def finish_iteration(self) -> None:
+        """The one full join ending an iteration (``torch.cuda.synchronize()``)."""
+        if self.machine.has_gpu:
+            self.machine.synchronize()
+
+    def inference_iteration(self, batch: Any) -> Any:
+        """Run one profiled iteration: ``_forward``, then the full join."""
+        output = self._forward(batch)
+        self.finish_iteration()
+        return output
+
+    def compute_iteration(self, batch: Any, plan: Any) -> Any:
+        """``_forward`` over a prepared plan, then a sync of the compute device's
+        default stream only, so an in-flight sampling stream keeps running."""
+        output = self._forward(batch, plan)
+        if self.machine.has_gpu:
+            self.machine.stream_synchronize(self.machine.default_stream(self.compute_device))
+        return output
+
+    def dispatch_iteration(self, batch: Any, plan: Any = None) -> StreamEvent:
+        """``_forward`` without joining: returns the event recorded on the compute
+        device's default stream, whose ``ready_ms`` is the batch's completion."""
+        self._forward(batch, plan)
+        stream = self.machine.default_stream(self.compute_device)
+        return self.machine.record_event(stream, name=f"{self.name}_dispatched")
 
     def _event_sequential_iteration(self, batch: EventStream) -> Tensor:
         """One iteration of an event-by-event embedding model (DyRep, LDG).
@@ -244,8 +286,7 @@ class DGNNModel(Module):
             outputs.append(output)
         table_host = table.to(host, name="node_embeddings_out")
         self._embeddings = np.array(table_host.data, copy=True)
-        if self.machine.has_gpu:
-            self.machine.synchronize()
+        self.finish_iteration()
         return ops.concat(outputs, axis=0) if outputs else Tensor(
             np.zeros((0, 1), dtype=np.float32), device
         )
@@ -256,34 +297,12 @@ class DGNNModel(Module):
 
     # -- serving adapter -----------------------------------------------------
 
-    @property
-    def supports_overlap(self) -> bool:
-        """Whether the model implements the ``prepare_iteration`` /
-        ``compute_iteration`` overlap protocol (see :mod:`repro.optim`)."""
-        return callable(getattr(self, "prepare_iteration", None)) and callable(
-            getattr(self, "compute_iteration", None)
-        )
-
-    @property
-    def supports_async_dispatch(self) -> bool:
-        """Whether the model implements ``dispatch_iteration``.
-
-        The scale-out serving layer (:mod:`repro.serve.scaleout`) runs model
-        replicas concurrently by *dispatching* batches -- host-side sampling
-        plus asynchronous kernel launches, no trailing synchronisation --
-        and retiring each batch at the ready time of the returned
-        :class:`~repro.hw.stream.StreamEvent`.  Models whose iteration can
-        only run blocking (ending in a full-machine sync) cannot overlap
-        across replicas and return False here.
-        """
-        return callable(getattr(self, "dispatch_iteration", None))
-
     def attach_cache(self, cache: Any) -> None:
         """Attach a staleness-aware serving cache to the request path.
 
-        Once attached, ``inference_iteration`` (and the overlap protocol's
-        ``prepare_iteration``/``compute_iteration``) consult the cache before
-        sampling/compute and feed it back afterwards: entries touched by the
+        Once attached, every iteration entry point (and the overlap
+        protocol's ``prepare_iteration``) consults the cache before
+        sampling/compute and feeds it back afterwards: entries touched by the
         batch's incoming events are invalidated, freshly computed rows are
         inserted.  Detach by attaching ``None``.
         """
@@ -351,4 +370,17 @@ class DGNNModel(Module):
             f"{type(self).__name__} cannot merge request payloads of type "
             f"{[type(p).__name__ for p in payloads]}; override "
             "make_request_batch to serve this model"
+        )
+
+
+def require_protocol(model: Any, protocol: str, refusal: str) -> None:
+    """Raise the one refusal unless ``model`` declares ``"overlap"``/``"async dispatch"``."""
+    if protocol == "overlap":
+        declared, methods = model.supports_overlap, "prepare_iteration/compute_iteration"
+    else:
+        declared, methods = model.supports_async_dispatch, "dispatch_iteration"
+    if not declared:
+        raise TypeError(
+            f"{type(model).__name__} does not implement the {protocol} protocol "
+            f"({methods}); {refusal}"
         )

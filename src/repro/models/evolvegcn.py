@@ -123,7 +123,7 @@ class EvolveGCN(DGNNModel):
 
     # -- inference ----------------------------------------------------------------------
 
-    def inference_iteration(self, batch: GraphSnapshot) -> Tensor:
+    def _forward(self, batch: GraphSnapshot) -> Tensor:
         """Process one snapshot: evolve the weights, run the two GCN layers."""
         device = self.compute_device
         host = self.host_device
@@ -158,9 +158,6 @@ class EvolveGCN(DGNNModel):
             embeddings = self.gcn_out_layer(adjacency, hidden, new_weight_1)
             logits = self.classifier(embeddings)
             logits_host = logits.to(host, name="snapshot_logits")
-
-        if self.machine.has_gpu:
-            self.machine.synchronize()
         return logits_host
 
     # -- snapshot upload --------------------------------------------------------------------

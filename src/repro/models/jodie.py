@@ -138,7 +138,7 @@ class JODIE(DGNNModel):
 
     # -- inference -------------------------------------------------------------------------
 
-    def inference_iteration(self, batch: TBatch) -> Tensor:
+    def _forward(self, batch: TBatch) -> Tensor:
         """Process one t-batch; returns the predicted item embeddings."""
         device = self.compute_device
         host = self.host_device
@@ -181,7 +181,4 @@ class JODIE(DGNNModel):
             self._item_embeddings[items] = new_item_host.data
             self._user_last_time[users] = timestamps
             self._item_last_time[items] = timestamps
-
-        if self.machine.has_gpu:
-            self.machine.synchronize()
         return predicted_item

@@ -153,7 +153,7 @@ class MolDGNN(DGNNModel):
 
     # -- inference -----------------------------------------------------------------------
 
-    def inference_iteration(self, batch: MolDGNNBatch) -> Tensor:
+    def _forward(self, batch: MolDGNNBatch) -> Tensor:
         """Predict the next adjacency matrix for every molecule in the batch."""
         device = self.compute_device
         host = self.host_device
@@ -209,7 +209,4 @@ class MolDGNN(DGNNModel):
                 predicted = Tensor(predictions.data[index], device)
                 outputs.append(predicted.to(host, name="predicted_adjacency"))
                 self.machine.host_work("prediction_marshalling", MARSHALLING_MS_PER_FRAME)
-
-        if self.machine.has_gpu:
-            self.machine.synchronize()
         return predictions

@@ -112,8 +112,8 @@ def capability_table() -> str:
             f"`{spec.dataset}`",
             mark(cls.serves_event_streams),
             ", ".join(cls.cache_kinds) if cls.supports_caching else "-",
-            mark(hasattr(cls, "prepare_iteration") and hasattr(cls, "compute_iteration")),
-            mark(hasattr(cls, "dispatch_iteration")),
+            mark(cls.supports_overlap),
+            mark(cls.supports_async_dispatch),
         ))
     widths = [max(len(row[column]) for row in rows) for column in range(len(rows[0]))]
     rows.insert(1, tuple("-" * width for width in widths))

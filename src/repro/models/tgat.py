@@ -13,12 +13,12 @@ Region labels match the paper's Fig. 7 legend: ``Sampling (CPU)``,
 ``Time Encoding``, ``Attention Layer`` (transfers appear as ``Memory Copy``
 and the trailing device sync as ``Cuda Synchronization``).
 
-Every request-path entry point (``inference_iteration``,
-``compute_iteration``, ``dispatch_iteration``) runs one forward over one
-plan type, :class:`TGATPlan`: the rows the embedding cache serves plus the
-sampling plan for the rest (without a cache, every row is a miss).  The one
-exception is the uncached ``inference_iteration``, which samples *inline*,
-interleaved with compute -- the order the offline profiles measure.
+TGAT declares both protocols; ``prepare_iteration`` plans a batch and every
+entry point runs one ``_forward`` over one plan type, :class:`TGATPlan`: the
+rows the embedding cache serves plus the sampling plan for the rest (without
+a cache, every row is a miss).  The one exception is the uncached
+``inference_iteration``, which samples *inline*, interleaved with compute --
+the order the offline profiles measure.
 """
 
 from __future__ import annotations
@@ -102,6 +102,8 @@ class TGAT(DGNNModel):
     serves_event_streams = True
     supports_caching = True
     cache_kinds = ("embedding", "sample")
+    supports_overlap = True
+    supports_async_dispatch = True
 
     def __init__(
         self,
@@ -178,21 +180,6 @@ class TGAT(DGNNModel):
             np.concatenate([batch.timestamps, batch.timestamps]),
         )
 
-    # -- inference -------------------------------------------------------------
-
-    def inference_iteration(self, batch: EventStream) -> Tensor:
-        """Predict link scores for every interaction in the mini-batch.
-
-        Without a cache, sampling runs inline; with one, the batch is
-        planned first (see :meth:`_forward`).  At a staleness bound of 0 no
-        entry is ever served, so the scores (and the sampler's RNG stream)
-        are byte-identical to the uncached path.
-        """
-        scores = self._forward(batch, None)
-        if self.machine.has_gpu:
-            self.machine.synchronize()
-        return scores
-
     # -- overlap protocol (Sec. 5.1.1, executed) --------------------------------------
 
     def prepare_iteration(self, batch: EventStream) -> TGATPlan:
@@ -222,36 +209,6 @@ class TGAT(DGNNModel):
             self._sampling_plan(nodes, times, self.config.num_layers, samples)
         return TGATPlan(hit_idx, hit_rows, miss_idx, nodes, times, samples)
 
-    def compute_iteration(self, batch: EventStream, plan: TGATPlan) -> Tensor:
-        """Device-side half of one iteration, fed by a prepared plan.
-
-        Synchronises only the compute device's default stream (not the
-        whole machine), so an in-flight asynchronous sampling stream keeps
-        running.
-        """
-        scores = self._forward(batch, plan)
-        if self.machine.has_gpu:
-            self.machine.stream_synchronize(self.machine.default_stream(self.compute_device))
-        return scores
-
-    # -- async dispatch (multi-GPU serving) -------------------------------------
-
-    def dispatch_iteration(self, batch: EventStream, plan: Optional[TGATPlan] = None):
-        """Run one iteration without blocking on the device.
-
-        Host-side work (sampling -- unless a prepared ``plan`` is given --
-        plus kernel launches and input transfers) advances the host cursor;
-        the attention kernels queue asynchronously on this replica's GPU
-        stream.  Returns a :class:`~repro.hw.stream.StreamEvent` recorded on
-        that stream: its ``ready_ms`` is the batch's completion time.  This
-        is what lets a scale-out server keep several GPU replicas busy at
-        once where the blocking :meth:`inference_iteration` would serialize
-        them behind a full-machine synchronisation.
-        """
-        self._forward(batch, plan)
-        stream = self.machine.default_stream(self.compute_device)
-        return self.machine.record_event(stream, name=f"{self.name}_dispatched")
-
     def _sampling_plan(
         self,
         nodes: np.ndarray,
@@ -278,8 +235,8 @@ class TGAT(DGNNModel):
 
     # -- recursive temporal attention -----------------------------------------------
 
-    def _forward(self, batch: EventStream, plan: Optional[TGATPlan]) -> Tensor:
-        """One mini-batch forward pass.
+    def _forward(self, batch: EventStream, plan: Optional[TGATPlan] = None) -> Tensor:
+        """Predict link scores for every interaction in the mini-batch.
 
         ``plan=None`` plans the batch first when a cache is attached and
         samples inline otherwise.  Uncached, embedding and scoring are one

@@ -156,7 +156,7 @@ class TGN(DGNNModel):
 
     # -- inference ---------------------------------------------------------------------
 
-    def inference_iteration(self, batch: EventStream) -> Tensor:
+    def _forward(self, batch: EventStream) -> Tensor:
         """Process one batch of interactions; returns the edge probabilities."""
         device = self.compute_device
         host = self.host_device
@@ -255,6 +255,4 @@ class TGN(DGNNModel):
             # exempt -- the write-through above already re-registered the
             # touched rows with their post-event values.
             self.cache.observe_events(batch, kinds=("sample",))
-        if self.machine.has_gpu:
-            self.machine.synchronize()
         return scores_host

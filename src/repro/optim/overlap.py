@@ -7,9 +7,8 @@ accelerator-side computation of the previous batch.  Two tools are provided:
 * :class:`OverlappedRunner` -- an *executable* double-buffered scheduler: the
   host-side preparation of batch ``i+1`` is issued onto a named CPU stream
   (a prefetch worker) while the device computes batch ``i``, with stream
-  events ordering the hand-off.  Any model exposing the
-  ``prepare_iteration`` / ``compute_iteration`` protocol (e.g.
-  :class:`~repro.models.tgat.TGAT`) can be driven this way.
+  events ordering the hand-off.  Any model declaring ``supports_overlap``
+  (e.g. :class:`~repro.models.tgat.TGAT`) can be driven this way.
 * :func:`estimate_overlap_speedup` -- the analytic steady-state what-if on a
   measured profile: a perfectly overlapped pipeline is bound by the larger
   of the host and device halves.
@@ -27,6 +26,7 @@ from typing import Any, Iterable, List, Optional, Tuple
 from ..core.breakdown import compute_breakdown
 from ..core.profiler import Profile
 from ..hw.stream import Stream, StreamEvent
+from ..models.base import require_protocol
 
 #: Breakdown labels counted as host-side preprocessing that could be overlapped.
 HOST_LABELS = (
@@ -121,12 +121,13 @@ class OverlapRunResult:
 class OverlappedRunner:
     """Double-buffered execution of a prepare/compute model (Sec. 5.1.1).
 
-    Drives any model implementing the overlap protocol:
+    Drives any model declaring ``supports_overlap``:
 
     * ``prepare_iteration(batch)`` -- host-only preprocessing returning an
       opaque *plan* (for TGAT: the temporal-neighbourhood sampling plan);
-    * ``compute_iteration(batch, plan)`` -- the rest of the iteration, which
-      must synchronise only its own compute stream(s), not the whole machine.
+    * ``compute_iteration(batch, plan)`` -- the base model's device half,
+      which synchronises only the compute device's default stream, not the
+      whole machine.
 
     The runner issues ``prepare_iteration(batch[i+1])`` onto a named CPU
     stream (modelling the prefetch worker thread the paper proposes) before
@@ -140,12 +141,7 @@ class OverlappedRunner:
     STREAM_NAME = "sampling"
 
     def __init__(self, model: Any) -> None:
-        for method in ("prepare_iteration", "compute_iteration"):
-            if not callable(getattr(model, method, None)):
-                raise TypeError(
-                    f"{type(model).__name__} does not implement the overlap "
-                    f"protocol (missing {method}); see OverlappedRunner docs"
-                )
+        require_protocol(model, "overlap", "see OverlappedRunner docs")
         self.model = model
         self._pending: Optional[Tuple[Any, Any, StreamEvent]] = None
 

@@ -146,6 +146,5 @@ class PipelinedEvolveGCN:
                     outputs.append(model.classifier(embeddings))
         model.weight_0 = Parameter(trajectory[-1][0].data, device, name="gcn.weight0")
         model.weight_1 = Parameter(trajectory[-1][1].data, device, name="gcn.weight1")
-        if machine.has_gpu:
-            machine.synchronize()
+        model.finish_iteration()
         return outputs

@@ -20,14 +20,14 @@ executes*, and the core branches on that, never on which class built it.
   sampling on the host, compute on the device, a full synchronisation at
   the end.  This is the seed's serialized semantics and the baseline the
   paper profiles.
-* *overlap* -- for models implementing ``prepare_iteration`` /
-  ``compute_iteration`` the core keeps one batch in flight: when batch
-  ``i+1`` is formed (from requests that queued up while ``i`` was running)
-  its sampling is issued onto the ``serve-sampling`` CPU stream *before* the
-  host blocks on batch ``i``'s device work, so the two overlap in simulated
-  time exactly as in :class:`repro.optim.OverlappedRunner`.  Under load this
-  shortens the effective service time towards ``max(host, device)``, which
-  is what pulls in the p99.
+* *overlap* -- for models declaring ``supports_overlap`` the core keeps one
+  batch in flight: when batch ``i+1`` is formed (from requests that queued
+  up while ``i`` was running) its sampling is issued onto the
+  ``serve-sampling`` CPU stream *before* the host blocks on batch ``i``'s
+  device work, so the two overlap in simulated time exactly as in
+  :class:`repro.optim.OverlappedRunner`.  Under load this shortens the
+  effective service time towards ``max(host, device)``, which is what pulls
+  in the p99.
 
 **The host never joins** (a :class:`~repro.serve.router.Router` picks one of
 N replicas -- round-robin, join-shortest-queue or least estimated latency):
@@ -97,6 +97,7 @@ from ..cache import backfill_embeddings, merge_cache_stats
 from ..core.profiler import Profiler
 from ..hw.cluster import Cluster
 from ..hw.stream import StreamEvent
+from ..models.base import require_protocol
 from ..obs.metrics import MetricsRegistry, record_completion, record_dispatch
 from ..obs.trace import Tracer
 from .autoscale import Autoscaler
@@ -172,12 +173,7 @@ class ServingCore:
                     f"router expects {router.num_replicas} replicas, got {len(replicas)}"
                 )
             for replica in replicas:
-                if not getattr(replica, "supports_async_dispatch", False):
-                    raise TypeError(
-                        f"{type(replica).__name__} does not implement "
-                        "dispatch_iteration; routed serving requires the "
-                        "async dispatch protocol"
-                    )
+                require_protocol(replica, "async dispatch", "routed serving requires it")
         if fidelity is not None:
             if not callable(getattr(policy, "attach_fidelity", None)):
                 raise TypeError(
@@ -432,7 +428,7 @@ class ServingCore:
                 self.cluster.sync_node(node_index, arrival)
             with node.activate():
                 plan = None
-                if getattr(replica, "supports_overlap", False):
+                if replica.supports_overlap:
                     plan, prepared = self._prepare(node, target, payload, span_id)
                     device = replica.compute_device
                     if device.is_gpu:

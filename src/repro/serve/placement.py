@@ -30,6 +30,7 @@ from ..graph.events import EventStream
 from ..graph.partition import GraphPartition
 from ..hw.device import Device
 from ..hw.machine import Machine
+from ..models.base import require_protocol
 
 #: Shard whose GPU gathers the final outputs.
 ROOT_SHARD = 0
@@ -62,8 +63,8 @@ class ShardedModel:
 
     Args:
         replicas: One model per shard (see :func:`build_replicas`); each must
-            implement the ``prepare_iteration`` / ``dispatch_iteration``
-            protocol (TGAT-style event-stream models).
+            declare ``supports_async_dispatch`` (TGAT-style event-stream
+            models: ``prepare_iteration`` then ``dispatch_iteration``).
         partition: Node -> shard assignment; shard ``i`` runs on
             ``replicas[i]``'s compute device.
 
@@ -73,6 +74,7 @@ class ShardedModel:
     """
 
     supports_overlap = False
+    supports_async_dispatch = False
     #: Telemetry tag the serving report picks up.
     serving_placement = "shard"
 
@@ -89,11 +91,7 @@ class ShardedModel:
                 f"{len(replicas)} replicas were given"
             )
         for replica in replicas:
-            if not getattr(replica, "supports_async_dispatch", False):
-                raise TypeError(
-                    f"{type(replica).__name__} does not implement "
-                    "dispatch_iteration; it cannot be sharded"
-                )
+            require_protocol(replica, "async dispatch", "it cannot be sharded")
         self.replicas = list(replicas)
         self.partition = partition
         first = self.replicas[0]

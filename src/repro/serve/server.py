@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Any, Optional, Sequence
 
+from ..models.base import require_protocol
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import Tracer
 from .core import ServingCore
@@ -33,11 +34,8 @@ class InferenceServer(ServingCore):
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        if overlap and not getattr(model, "supports_overlap", False):
-            raise TypeError(
-                f"{type(model).__name__} does not implement the overlap protocol "
-                "(prepare_iteration/compute_iteration); serve it with overlap=False"
-            )
+        if overlap:
+            require_protocol(model, "overlap", "serve it with overlap=False")
         super().__init__(
             [model],
             policy,

@@ -180,3 +180,13 @@ def test_cli_serve_rejects_scaleout_on_cpu_only_topology(capsys):
     )
     assert code == 2
     assert "needs a GPU topology" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("iterations", ["0", "-2"])
+def test_cli_profile_rejects_a_non_positive_iteration_count(iterations, capsys):
+    code = main(
+        ["profile", "tgat", "--scale", "tiny", "--backend", "shape", "--iterations", iterations]
+    )
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: --iterations must be positive\n"

@@ -24,6 +24,13 @@
   event-stream body and the cache-fronted ``_sample`` live once in
   ``DGNNModel``, TGAT has one plan type (``TGATPlan``) and one planned
   forward, and no ``hw`` file names the tracer.
+* One iteration contract: models issue an iteration's work, and only
+  ``models/base.py`` ends one -- no other model file synchronises or records
+  a completion event, and the schedules outside ``models/`` that drive a
+  model end through ``finish_iteration``.  What a model can run is declared:
+  no ``getattr``/``hasattr``/``callable`` in ``src`` probes for a protocol,
+  and a class declaring ``supports_overlap = True`` defines
+  ``prepare_iteration``.
 * Fixed knobs stay constants: none of the 49 parameters and fields that had
   one value in use comes back, each constant keeps the default it replaced,
   and a scheduler policy's accepted overrides are declared once, on its class.
@@ -332,6 +339,99 @@ def test_tgat_has_one_plan_type_and_one_planned_forward():
     tgat = {name for _, owner, name, _ in _package_functions("models") if owner == "TGAT"}
     assert "_forward" in tgat
     assert not tgat & {"_prepare_cached", "_is_cached_plan", "_cached_forward"}
+
+
+#: The joins and the completion marker an iteration can end on.
+ITERATION_ENDS = ("synchronize", "stream_synchronize", "device_synchronize", "record_event")
+
+
+def _ends_an_iteration(node):
+    return isinstance(node, ast.Attribute) and node.attr in ITERATION_ENDS
+
+
+def _names_finish_iteration(node):
+    return isinstance(node, ast.Attribute) and node.attr == "finish_iteration"
+
+
+def test_only_the_base_model_ends_an_iteration():
+    for path in _files(os.path.join(PACKAGE_ROOT, "models"), ".py"):
+        if os.path.basename(path) != "base.py":
+            tree = ast.parse(_read(path))
+            assert not any(_ends_an_iteration(node) for node in ast.walk(tree)), path
+    assert _sites(_ends_an_iteration, "models") == {
+        "base.py: DGNNModel.finish_iteration",
+        "base.py: DGNNModel.compute_iteration",
+        "base.py: DGNNModel.dispatch_iteration",
+    }
+    outside = _sites(_names_finish_iteration, "optim") | _sites(_names_finish_iteration, "cache")
+    assert outside == {
+        "pipelining.py: PipelinedEvolveGCN.run_window",
+        "backfill.py: backfill_embeddings",
+    }
+
+
+#: What a model can run is declared on its class, never probed for.
+PROTOCOL_NAMES = {
+    "supports_overlap",
+    "supports_async_dispatch",
+    "prepare_iteration",
+    "compute_iteration",
+    "dispatch_iteration",
+}
+
+
+def _probed_names(node):
+    """What a ``getattr``/``hasattr``/``callable`` call names, as strings or attributes."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
+        return set()
+    if node.func.id not in ("getattr", "hasattr", "callable"):
+        return set()
+    names = set()
+    for inner in ast.walk(node):
+        if isinstance(inner, ast.Attribute):
+            names.add(inner.attr)
+        elif isinstance(inner, ast.Constant) and isinstance(inner.value, str):
+            names.add(inner.value)
+    return names
+
+
+def test_no_source_file_probes_for_a_protocol():
+    probes = [
+        f"{os.path.relpath(path, PACKAGE_ROOT)}:{node.lineno}"
+        for path in _files(PACKAGE_ROOT, ".py")
+        for node in ast.walk(ast.parse(_read(path)))
+        if _probed_names(node) & PROTOCOL_NAMES
+    ]
+    assert not probes, probes
+
+
+def _true_flags(cls):
+    """Names the class body sets to ``True`` (``flag = True`` or ``flag: bool = True``)."""
+    flags = set()
+    for item in cls.body:
+        if isinstance(item, ast.Assign):
+            targets = item.targets
+        elif isinstance(item, ast.AnnAssign):
+            targets = [item.target]
+        else:
+            continue
+        if isinstance(item.value, ast.Constant) and item.value.value is True:
+            flags.update(target.id for target in targets if isinstance(target, ast.Name))
+    return flags
+
+
+def test_an_overlap_capable_class_defines_prepare_iteration():
+    declared, preparing = set(), set()
+    for path in _files(PACKAGE_ROOT, ".py"):
+        for node in ast.walk(ast.parse(_read(path))):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            if "supports_overlap" in _true_flags(node):
+                declared.add(node.name)
+            methods = {item.name for item in node.body if isinstance(item, ast.FunctionDef)}
+            if "prepare_iteration" in methods:
+                preparing.add(node.name)
+    assert declared == preparing == {"TGAT"}
 
 
 def test_no_hw_file_names_the_tracer():
