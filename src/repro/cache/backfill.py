@@ -61,10 +61,9 @@ def hot_nodes(model: Any, top_k: int) -> List[int]:
     Deterministic: degree ties break toward the smaller node id.  Nodes
     that never interact are excluded regardless of budget.
     """
-    sampler = getattr(model, "sampler", None)
-    if sampler is None or top_k <= 0:
+    if top_k <= 0:
         return []
-    degrees = sampler.total_degrees
+    degrees = model.sampler.total_degrees
     order = np.lexsort((np.arange(len(degrees)), -degrees))
     return order[degrees[order] > 0][:top_k].tolist()
 
@@ -75,23 +74,22 @@ def backfill_embeddings(
     """Precompute hot-node embeddings into ``model``'s attached cache.
 
     Requires an attached :class:`~repro.cache.ModelCache`; returns
-    :data:`EMPTY_BACKFILL` when the model caches no embeddings or cannot
-    compute them standalone (no ``compute_embeddings``), so callers can
-    wire the pass unconditionally.  ``event_time`` is the event timestamp
+    :data:`EMPTY_BACKFILL` when the model caches no embeddings, so callers
+    can wire the pass unconditionally (a model that caches ``"embedding"``
+    defines ``compute_embeddings``).  ``event_time`` is the event timestamp
     the rows are registered at -- it defaults to the stream's first
     timestamp, making the entries maximally fresh for the queries that
     follow (an entry's age is ``query_time - event_time``, and the strict
     hit window rejects negative ages).
     """
-    cache = getattr(model, "cache", None)
+    cache = model.cache
     if cache is None:
         raise TypeError(
             f"{type(model).__name__} has no attached cache to backfill; "
             "attach one with make_model_cache first"
         )
     store = cache.embeddings
-    compute = getattr(model, "compute_embeddings", None)
-    if store is None or not callable(compute):
+    if store is None:
         return EMPTY_BACKFILL
     nodes = hot_nodes(model, top_k)
     if not nodes:
@@ -106,7 +104,7 @@ def backfill_embeddings(
     start_ms = machine.host_time_ms
     with machine.activate():
         with machine.region("Cache Backfill"):
-            rows = compute(node_array, times)
+            rows = model.compute_embeddings(node_array, times)
             cache.store_embeddings(node_array, times, rows.data)
         model.finish_iteration()
     return BackfillReport(

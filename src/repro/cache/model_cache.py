@@ -437,23 +437,19 @@ def make_model_cache(
     The model must opt in via ``supports_caching`` and declare its entry
     kinds in ``cache_kinds`` (see :class:`repro.models.base.DGNNModel`).
     The degree-weighted policy reads node degrees from the model's
-    temporal-neighbour sampler when it has one.
+    temporal-neighbour sampler (every caching model samples).
     """
-    if not getattr(model, "supports_caching", False):
+    if not model.supports_caching:
         raise TypeError(
             f"{type(model).__name__} does not support request caching; "
             "only models declaring supports_caching/cache_kinds can serve "
             "with --cache"
         )
-    kinds = tuple(getattr(model, "cache_kinds", ()))
+    kinds = tuple(model.cache_kinds)
     if not kinds:
         raise TypeError(
             f"{type(model).__name__} declares supports_caching but no cache_kinds"
         )
-    degree_of: Optional[Callable[[int], float]] = None
-    sampler = getattr(model, "sampler", None)
-    if sampler is not None and hasattr(sampler, "total_degree"):
-        degree_of = sampler.total_degree
     cache = ModelCache(
         model.machine,
         model.compute_device,
@@ -461,7 +457,7 @@ def make_model_cache(
         policy=policy,
         capacity_mb=capacity_mb,
         staleness_ms=staleness_ms,
-        degree_of=degree_of,
+        degree_of=model.sampler.total_degree,
     )
     model.attach_cache(cache)
     return cache

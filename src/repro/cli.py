@@ -29,7 +29,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 from . import __version__
 from .cache import available_eviction_policies
 from .core import Profiler, analyze_profile, compute_breakdown
-from .datasets import available_datasets, load
+from .datasets import TemporalInteractionDataset, available_datasets, load
 from .experiments import available_experiments, run_experiment
 from .experiments.runner import profile_iterations
 from .fuzz import INVARIANTS, fuzz as run_fuzz, load_reproducer, replay, save_reproducer
@@ -551,8 +551,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             make_policy(args.policy, batch_timeout_ms=args.batch_timeout_ms)
         overrides = _parse_param(args.param)
         dataset = load(args.dataset or DEFAULT_DATASETS[args.model], scale=args.scale)
-        stream = getattr(dataset, "stream", None)
-        if stream is None:
+        if not isinstance(dataset, TemporalInteractionDataset):
             raise TypeError(f"{args.model} exposes no event stream to serve")
         server = build_server(
             args.topology,
@@ -590,7 +589,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             metrics=MetricsRegistry() if args.trace else None,
         )
         requests = make_requests(
-            stream,
+            dataset.stream,
             args.arrival,
             args.rate,
             args.duration,

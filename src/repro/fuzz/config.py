@@ -143,7 +143,7 @@ def draw_config(rng: random.Random) -> FuzzConfig:
             ),
             # Adaptive fidelity rides on the slo policy's deadline signal.  The
             # rule table refuses it for shard only; replicate is legal but not
-            # drawn yet (widening the episode is ROADMAP direction 1).
+            # drawn yet (widening the episode is ROADMAP direction 4b).
             "fidelity": (
                 placement == "single" and policy == "slo" and rng.random() < 0.5
             ),

@@ -118,7 +118,7 @@ def _check_memory_balance(config: FuzzConfig, ops: List[Op], base: Execution) ->
 
 def _check_cache_conservation(config: FuzzConfig, ops: List[Op], base: Execution) -> None:
     cache = base.cache
-    if cache is None or not hasattr(cache, "stats"):
+    if cache is None or cache.stats is None:
         return
     stats = cache.stats
     if stats.hits + stats.misses != stats.lookups:
@@ -294,11 +294,11 @@ def _check_batched_scalar(config: FuzzConfig, ops: List[Op], base: Execution) ->
         [signature(node) for node in paired.nodes],
         "batched probe_many/put_many vs scalar probe/put",
     )
-    if hasattr(base.cache, "stats") and base.cache.stats.as_dict() != paired.cache.stats.as_dict():
+    batched, scalar = base.cache.stats, paired.cache.stats
+    if batched is not None and batched.as_dict() != scalar.as_dict():
         raise InvariantViolation(
             "batched-scalar-cache",
-            f"final stats diverge: batched {base.cache.stats.as_dict()} "
-            f"vs scalar {paired.cache.stats.as_dict()}",
+            f"final stats diverge: batched {batched.as_dict()} vs scalar {scalar.as_dict()}",
         )
 
 

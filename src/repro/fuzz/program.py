@@ -439,6 +439,9 @@ class NullCacheProxy:
     demands byte-identical event logs.
     """
 
+    #: Keeps no counters: the cache checks read ``stats`` and skip a proxy.
+    stats = None
+
     def __init__(self, machine: Machine, kind: str) -> None:
         self.machine = machine
         self.kind = kind

@@ -116,6 +116,10 @@ class DGNNModel(Module):
     supports_overlap: bool = False
     supports_async_dispatch: bool = False
 
+    #: Serving shape the report names: one model on one device.
+    serving_placement: str = "single"
+    num_replicas: int = 1
+
     def __init__(self, machine: Machine, device: Optional[Device] = None) -> None:
         super().__init__()
         self.machine = machine
@@ -313,6 +317,11 @@ class DGNNModel(Module):
     def cache_stats(self) -> Optional[Any]:
         """The attached cache's telemetry dict (``None`` when uncached)."""
         return self.cache.stats() if self.cache is not None else None
+
+    @property
+    def backfill_targets(self) -> Tuple["DGNNModel", ...]:
+        """The models a cache backfill warms: this one."""
+        return (self,)
 
     def _sample(self, nodes: np.ndarray, times: np.ndarray, k: int) -> NeighborhoodSample:
         """One batched neighbourhood query on ``self.sampler``, cache-fronted.

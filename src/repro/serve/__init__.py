@@ -48,7 +48,6 @@ from .assemble import PLACEMENTS, build_server
 from .autoscale import AutoscaleConfig, Autoscaler
 from .batcher import DynamicBatcher
 from .cluster import ClusterServer, build_cluster_replicas
-from .core import payload_nbytes
 from .fidelity import FULL_FIDELITY, FidelityController
 from .placement import ShardedModel, build_replicas
 from .policy import (
@@ -126,5 +125,4 @@ __all__ = [
     "make_policy",
     "make_requests",
     "make_router",
-    "payload_nbytes",
 ]

@@ -21,6 +21,7 @@ from ..graph.partition import make_partition
 from ..hw.cluster import Cluster
 from ..hw.machine import Machine
 from ..hw.spec import CLUSTER_SPECS, available_cluster_specs, machine_spec
+from ..models.base import require_protocol
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import Tracer
 from .autoscale import AutoscaleConfig, Autoscaler
@@ -202,9 +203,7 @@ def build_server(
         return ScaleOutServer(replicas, scheduler, make_router(router, len(replicas)), **shared)
     model = replicas[0]
     if placement == "shard":
-        stream = getattr(getattr(model, "dataset", None), "stream", None)
-        if stream is None:
-            raise TypeError(f"{type(model).__name__} exposes no event stream to partition")
-        partition = make_partition(partitioner, stream, len(replicas), seed=seed)
+        require_protocol(model, "async dispatch", "it cannot be sharded")
+        partition = make_partition(partitioner, model.dataset.stream, len(replicas), seed=seed)
         model = ShardedModel(replicas, partition)
     return InferenceServer(model, scheduler, overlap=overlap, **shared)

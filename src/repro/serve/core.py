@@ -109,20 +109,6 @@ from .router import Router
 from .telemetry import ServingReport
 
 
-def payload_nbytes(payload: Any) -> int:
-    """Wire size of a request batch's event payload (NIC routing charge)."""
-    total = 0
-    for name in ("src", "dst", "timestamps", "edge_features"):
-        array = getattr(payload, name, None)
-        if array is None:
-            continue
-        data = getattr(array, "data", array)
-        nbytes = getattr(data, "nbytes", None)
-        if nbytes:
-            total += int(nbytes)
-    return max(total, 1)
-
-
 class Flight(NamedTuple):
     """One dispatched batch the loop has not completed yet."""
 
@@ -175,11 +161,6 @@ class ServingCore:
             for replica in replicas:
                 require_protocol(replica, "async dispatch", "routed serving requires it")
         if fidelity is not None:
-            if not callable(getattr(policy, "attach_fidelity", None)):
-                raise TypeError(
-                    f"policy {policy.describe()} has no deadline estimator to drive "
-                    "degradation; adaptive fidelity requires the 'slo' policy"
-                )
             policy.attach_fidelity(fidelity)
         self.replicas = list(replicas)
         self.replica_nodes = list(replica_nodes or [0] * len(replicas))
@@ -241,11 +222,22 @@ class ServingCore:
             report.placement = "replicate"
             report.router = self.router.describe()
             report.num_replicas = len(self.replicas)
+        else:
+            # One model: it names its own placement (a ShardedModel says "shard").
+            report.placement = self.replicas[0].serving_placement
+            report.num_replicas = self.replicas[0].num_replicas
+        if cluster is not None:
+            report.cluster = {
+                "spec": cluster.spec.name,
+                "num_nodes": cluster.num_nodes,
+                "nic": cluster.spec.nic.name,
+                "nic_bytes": cluster.nic_bytes(),
+            }
         if not requests:
             return report
         if self.fidelity is not None:
             self.fidelity.set_cache_available(
-                any(getattr(replica, "cache", None) is not None for replica in self.replicas)
+                any(replica.cache is not None for replica in self.replicas)
             )
         if self.tracer is not None and not self.tracer.attached(front):
             if cluster is not None:
@@ -289,12 +281,7 @@ class ServingCore:
             for name, value in profile.per_gpu_utilization().items()
         }
         if cluster is not None:
-            report.cluster = {
-                "spec": cluster.spec.name,
-                "num_nodes": cluster.num_nodes,
-                "nic": cluster.spec.nic.name,
-                "nic_bytes": cluster.nic_bytes(),
-            }
+            report.cluster["nic_bytes"] = cluster.nic_bytes()
         if profile.elapsed_ms > 0:
             report.cpu_utilization = min(1.0, profile.device_busy_ms("cpu") / profile.elapsed_ms)
         if multi_node and profile.elapsed_ms > 0:
@@ -311,21 +298,9 @@ class ServingCore:
                 for link in cluster.nic_links
             }
         if self.router is None:
-            # One model: it names its own placement (a ShardedModel says "shard").
-            model = self.replicas[0]
-            report.placement = getattr(model, "serving_placement", "single")
-            report.num_replicas = getattr(model, "num_replicas", 1)
-            stats = getattr(model, "cache_stats", None)
-            if callable(stats):
-                report.cache = stats()
+            report.cache = self.replicas[0].cache_stats()
         else:
-            report.cache = merge_cache_stats(
-                [
-                    replica.cache_stats()
-                    for replica in self.replicas
-                    if callable(getattr(replica, "cache_stats", None))
-                ]
-            )
+            report.cache = merge_cache_stats([replica.cache_stats() for replica in self.replicas])
         if self.autoscaler is not None:
             report.autoscale = self.autoscaler.stats(duration_ms)
         if self.fidelity is not None:
@@ -420,7 +395,7 @@ class ServingCore:
                 # host picks the batch up when the payload lands.
                 node_index = self.replica_nodes[target]
                 arrival = self._ship(
-                    node_index, node.cpu, payload_nbytes(payload), "route_payload", span_id
+                    node_index, node.cpu, max(payload.nbytes(), 1), "route_payload", span_id
                 )
                 if span_id is not None:
                     tracer.record_slice(span_id, front, cursor)
@@ -606,10 +581,7 @@ class ServingCore:
         """
         if self.fidelity is None:
             return FULL_FIDELITY.cost_scale
-        pressured = False
-        probe = getattr(self.policy, "deadline_pressured", None)
-        if probe is not None:
-            pressured = probe(batch, now_ms)
+        pressured = self.policy.deadline_pressured(batch, now_ms)
         lost = sum(
             1
             for request in batch
@@ -621,12 +593,9 @@ class ServingCore:
             now = self.machine.host_time_ms
             self._instant(name, "fidelity", now, previous=self._fidelity_level)
         self._fidelity_level = decision.level
-        setter = getattr(replica, "set_fanout_scale", None)
-        if setter is not None:
-            setter(decision.fanout_scale)
-        cache = getattr(replica, "cache", None)
-        if cache is not None:
-            cache.set_fidelity(decision.staleness_scale, decision.force_hits)
+        replica.set_fanout_scale(decision.fanout_scale)
+        if replica.cache is not None:
+            replica.cache.set_fidelity(decision.staleness_scale, decision.force_hits)
         return decision.cost_scale
 
     def _broadcast_invalidation(self, origin: int, payload: Any) -> None:
@@ -643,12 +612,11 @@ class ServingCore:
         for index, replica in enumerate(self.replicas):
             if index == origin:
                 continue
-            cache = getattr(replica, "cache", None)
-            if cache is None:
+            if replica.cache is None:
                 continue
             if touched is None:
                 touched = payload.touched_nodes().tolist()
-            cache.invalidate_nodes(touched)
+            replica.cache.invalidate_nodes(touched)
         if touched is not None and self.tracer is not None:
             now = self.machine.host_time_ms
             self._instant("invalidate_broadcast", "cache", now, origin=origin, nodes=len(touched))
@@ -657,8 +625,8 @@ class ServingCore:
         """Backfill ``replica``'s cache -- every shard's, for a sharded model."""
         if self.backfill_nodes <= 0:
             return
-        for model in getattr(replica, "replicas", (replica,)):
-            if getattr(model, "cache", None) is not None:
+        for model in replica.backfill_targets:
+            if model.cache is not None:
                 backfill_embeddings(model, top_k=self.backfill_nodes)
 
     def _ship(
@@ -714,17 +682,17 @@ class ServingCore:
         if node_index == 0 and not device.is_gpu:
             return now_ms  # host-resident replica: nothing to ship
         node = self.cluster.nodes[node_index]
-        nbytes = 0
-        if callable(getattr(replica, "param_bytes", None)):
-            nbytes = int(replica.param_bytes())
         arrival = self._ship(
-            node_index, device if device.is_gpu else node.cpu, max(nbytes, 1), "weight_transfer"
+            node_index,
+            device if device.is_gpu else node.cpu,
+            max(replica.param_bytes(), 1),
+            "weight_transfer",
         )
         ready_ms = arrival
         # Re-warm the flushed cache as part of the cold start: the replica
         # only joins the fleet once its hot rows are back, so the backfill
         # charge lands inside the modeled spin-up latency.
-        if self.backfill_nodes > 0 and getattr(replica, "cache", None) is not None:
+        if self.backfill_nodes > 0 and replica.cache is not None:
             if node_index != 0:
                 self.cluster.sync_node(node_index, arrival)
             backfill_embeddings(replica, top_k=self.backfill_nodes)
@@ -735,6 +703,6 @@ class ServingCore:
         """Release one replica: flush its cache so re-activation is cold."""
         if self.tracer is not None:
             self._instant(f"scale:down:r{index}", "scale", self._t0 + now_ms)
-        cache = getattr(self.replicas[index], "cache", None)
+        cache = self.replicas[index].cache
         if cache is not None:
             cache.flush()

@@ -14,9 +14,14 @@ Two scale-out placements sit on top of the N-GPU
   neighbour features a shard needs from other shards are charged to the
   GPU<->GPU route *before* its compute -- one ``p2p`` transfer per remote
   shard on NVLink topologies, two staged PCIe hops otherwise.  Shard
-  outputs are gathered on a root GPU at the end.  The wrapper implements
-  the model protocol the blocking :class:`~repro.serve.server.InferenceServer`
-  expects, so sharded serving reuses the whole arrival/batching loop.
+  outputs are gathered on a root GPU at the end.  The wrapper declares
+  the same serving surface a :class:`~repro.models.base.DGNNModel` does
+  (``serving_placement``, ``num_replicas``, ``cache``, ``cache_stats()``,
+  ``backfill_targets``), so the blocking
+  :class:`~repro.serve.server.InferenceServer` serves it through the whole
+  arrival/batching loop without asking what it is.  Its caches live on its
+  shards: ``cache`` is ``None``, ``cache_stats()`` merges the shards'
+  counters and ``backfill_targets`` names the shards.
 """
 
 from __future__ import annotations
@@ -77,6 +82,8 @@ class ShardedModel:
     supports_async_dispatch = False
     #: Telemetry tag the serving report picks up.
     serving_placement = "shard"
+    #: The caches live on the shards (see :attr:`backfill_targets`).
+    cache = None
 
     def __init__(
         self,
@@ -96,9 +103,8 @@ class ShardedModel:
         self.partition = partition
         first = self.replicas[0]
         self.machine: Machine = first.machine
-        self.name = f"sharded-{getattr(first, 'name', 'model')}"
-        node_dim = getattr(getattr(first, "config", None), "node_dim", 32)
-        self.row_bytes = int(node_dim) * 4
+        self.name = f"sharded-{first.name}"
+        self.row_bytes = int(first.config.node_dim) * 4
         #: Cumulative cross-shard neighbour rows fetched (for telemetry).
         self.cross_shard_rows = 0
 
@@ -107,6 +113,11 @@ class ShardedModel:
     @property
     def num_replicas(self) -> int:
         return len(self.replicas)
+
+    @property
+    def backfill_targets(self) -> List[Any]:
+        """The models a cache backfill warms: every shard."""
+        return self.replicas
 
     @property
     def compute_device(self) -> Device:
@@ -118,13 +129,7 @@ class ShardedModel:
 
     def cache_stats(self) -> Optional[Any]:
         """Per-shard cache counters merged into one view (``None`` uncached)."""
-        return merge_cache_stats(
-            [
-                replica.cache_stats()
-                for replica in self.replicas
-                if callable(getattr(replica, "cache_stats", None))
-            ]
-        )
+        return merge_cache_stats([replica.cache_stats() for replica in self.replicas])
 
     def warm_up(self, batch: Optional[Any] = None) -> None:
         """Warm every shard's GPU (context, weights, allocation)."""
@@ -182,7 +187,7 @@ class ShardedModel:
         *other* shards' slices of the batch -- the coherence traffic graph
         sharding adds on top of the neighbour gathers.
         """
-        caches = [getattr(replica, "cache", None) for replica in self.replicas]
+        caches = [replica.cache for replica in self.replicas]
         if not any(cache is not None for cache in caches):
             return
         touched_per_shard = [

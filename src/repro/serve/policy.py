@@ -96,6 +96,13 @@ class SchedulerPolicy:
     def observe(self, batch_size: int, service_ms: float) -> None:
         """Feedback hook: one batch of ``batch_size`` took ``service_ms``."""
 
+    def attach_fidelity(self, controller) -> None:
+        """Refuse a degradation controller: only ``slo`` estimates deadlines."""
+        raise TypeError(
+            f"policy {self.describe()} has no deadline estimator to drive "
+            "degradation; adaptive fidelity requires the 'slo' policy"
+        )
+
     def describe(self) -> str:
         return f"{self.name}(max_batch_size={self.max_batch_size})"
 

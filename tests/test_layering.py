@@ -30,7 +30,10 @@
   model end through ``finish_iteration``.  What a model can run is declared:
   no ``getattr``/``hasattr``/``callable`` in ``src`` probes for a protocol,
   and a class declaring ``supports_overlap = True`` defines
-  ``prepare_iteration``.
+  ``prepare_iteration``.  The serving surface is declared the same way: no
+  ``getattr``/``hasattr`` with a literal name and no ``callable`` anywhere in
+  ``src`` (one tracer site aside), and a class whose ``cache_kinds`` holds
+  ``"embedding"`` defines ``compute_embeddings``.
 * Fixed knobs stay constants: none of the 49 parameters and fields that had
   one value in use comes back, each constant keeps the default it replaced,
   and a scheduler policy's accepted overrides are declared once, on its class.
@@ -432,6 +435,59 @@ def test_an_overlap_capable_class_defines_prepare_iteration():
             if "prepare_iteration" in methods:
                 preparing.add(node.name)
     assert declared == preparing == {"TGAT"}
+
+
+#: The one literal-name probe left: the tracer asks whether a machine logs
+#: events (it goes with ``record_events`` itself).
+ALLOWED_PROBES = {("obs/trace.py", "record_events")}
+
+
+def _literal_probe(node):
+    """The name a ``getattr``/``hasattr`` call spells as a string, ``"callable"``
+    for any ``callable(...)``, else ``None``; variable names pass."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
+        return None
+    if node.func.id == "callable":
+        return "callable"
+    if node.func.id in ("getattr", "hasattr") and len(node.args) >= 2:
+        name = node.args[1]
+        if isinstance(name, ast.Constant) and isinstance(name.value, str):
+            return name.value
+    return None
+
+
+def test_no_source_file_probes_an_object_for_a_named_member():
+    """Every served thing declares its surface; callers read it as plain attributes."""
+    probes = set()
+    for path in _files(PACKAGE_ROOT, ".py"):
+        relative = os.path.relpath(path, PACKAGE_ROOT).replace(os.sep, "/")
+        for node in ast.walk(ast.parse(_read(path))):
+            name = _literal_probe(node)
+            if name is not None:
+                probes.add((relative, name))
+    assert probes == ALLOWED_PROBES
+
+
+def test_an_embedding_caching_class_defines_compute_embeddings():
+    declared, computing = set(), set()
+    for path in _files(PACKAGE_ROOT, ".py"):
+        for node in ast.walk(ast.parse(_read(path))):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for item in node.body:
+                if (
+                    isinstance(item, ast.Assign)
+                    and any(
+                        isinstance(target, ast.Name) and target.id == "cache_kinds"
+                        for target in item.targets
+                    )
+                    and "embedding" in ast.literal_eval(item.value)
+                ):
+                    declared.add(node.name)
+            methods = {item.name for item in node.body if isinstance(item, ast.FunctionDef)}
+            if "compute_embeddings" in methods:
+                computing.add(node.name)
+    assert declared == computing == {"TGAT"}
 
 
 def test_no_hw_file_names_the_tracer():

@@ -6,7 +6,9 @@ import os
 import pytest
 
 import repro.serve
-from repro.serve import ClusterServer, InferenceServer, ScaleOutServer
+from repro.datasets import load
+from repro.models.tgat import TGAT, TGATConfig
+from repro.serve import ClusterServer, InferenceServer, ScaleOutServer, build_server
 from repro.serve.core import ServingCore
 
 SERVE_DIR = os.path.dirname(repro.serve.__file__)
@@ -55,3 +57,22 @@ def test_thin_classes_define_only_a_constructor_and_a_delegating_serve():
     for cls in (InferenceServer, ScaleOutServer, ClusterServer):
         methods = {name for name, value in vars(cls).items() if callable(value)}
         assert methods == {"__init__", "serve"}
+
+
+def test_an_empty_run_reports_the_shape_it_was_built_with():
+    """No request served still names the placement, fleet size and cluster."""
+    dataset = load("wikipedia", scale="tiny")
+
+    def factory(machine):
+        return TGAT(machine, dataset, TGATConfig(num_neighbors=5))
+
+    cluster = {"spec": "2n-1xA100-eth", "num_nodes": 2, "nic": "eth-25g", "nic_bytes": 0}
+    for topology, placement, shape in (
+        ("2xA100-nvlink", "shard", ("shard", 2, None)),
+        ("2xA100-nvlink", "replicate", ("replicate", 2, None)),
+        ("2n-1xA100-eth", "single", ("replicate", 2, cluster)),
+    ):
+        server = build_server(topology, factory, placement=placement, backend="shape")
+        report = server.serve([], label="empty")
+        assert (report.placement, report.num_replicas, report.cluster) == shape, topology
+        assert report.offered == report.completed == 0
