@@ -17,12 +17,14 @@ handing it work timestamped "now".  Clocks never move backwards.
 Cross-node transfers.  :meth:`Cluster.transfer` stages a payload over the
 full route GPU -> host -> NIC -> host -> GPU:
 
-* a ``d2h`` hop on the source GPU's host link (skipped for host-resident
-  payloads),
-* one hop on the node-pair NIC link (recorded with direction ``"p2p"`` --
-  the NIC is a peer channel between the two node hosts),
-* an ``h2d`` hop on the destination GPU's host link (skipped for
-  host-destined payloads).
+* a hop on the source GPU's host link (skipped for host-resident payloads),
+* one hop on the node-pair NIC link, a peer channel between the two node
+  hosts,
+* a hop on the destination GPU's host link (skipped for host-destined
+  payloads).
+
+Each hop's ``TRANSFER`` row names its source and destination; the links
+count only their total bytes (:meth:`Cluster.nic_bytes`).
 
 Each hop is charged on its link's timeline with the link's own
 bandwidth/latency, hops serialize (a later hop cannot start before the
@@ -183,9 +185,9 @@ class Cluster:
     ) -> float:
         """Move ``nbytes`` between devices of two nodes; returns arrival time.
 
-        Cross-node payloads stage GPU -> host -> NIC -> host -> GPU: a
-        ``d2h`` hop on the source GPU's host link, the NIC hop, then an
-        ``h2d`` hop on the destination GPU's host link, each charged on its
+        Cross-node payloads stage GPU -> host -> NIC -> host -> GPU: a hop
+        on the source GPU's host link, the NIC hop, then a hop on the
+        destination GPU's host link, each charged on its
         link timeline and serialized after the previous hop.  Host-resident
         endpoints skip their GPU-side hop.  The *source* node's host issues
         the transfer asynchronously (it pays each hop's issue overhead but
@@ -206,33 +208,32 @@ class Cluster:
             if src == dst:
                 raise ValueError("transfer requires two distinct endpoints")
             source.transfer(src, dst, nbytes, name=name, non_blocking=True, stream=stream)
-            return source.topology.route(src, dst)[-1].link.free_at
+            return source.topology.route(src, dst)[-1].free_at
         target_machine = self.nodes[dst_node]
         nic = self.nic_link(src_node, dst_node)
-        # The route as ``(issuing node, link, stream, direction, src, dst)``
-        # hops; a host-resident endpoint skips its GPU-side hop.
+        # The route as ``(issuing node, link, stream, src, dst)`` hops; a
+        # host-resident endpoint skips its GPU-side hop.
         hops = []
         if src.is_gpu:
             link = source.topology.host_link(src)
-            hops.append((source, link, link.default_stream, "d2h", src.name, source.cpu.name))
+            hops.append((source, link, link.default_stream, src.name, source.cpu.name))
         hops.append(
-            (source, nic, stream if stream is not None else nic.default_stream, "p2p",
+            (source, nic, stream if stream is not None else nic.default_stream,
              source.cpu.name, target_machine.cpu.name)
         )
         if dst.is_gpu:
             link = target_machine.topology.host_link(dst)
             hops.append(
-                (target_machine, link, link.default_stream, "h2d",
-                 target_machine.cpu.name, dst.name)
+                (target_machine, link, link.default_stream, target_machine.cpu.name, dst.name)
             )
         ready = issue_ms
-        for machine, link, target, direction, src_name, dst_name in hops:
+        for machine, link, target, src_name, dst_name in hops:
             if machine is not source:
                 # The last hop is issued by the destination node's host on
                 # payload arrival: its clock is synced forward to the arrival
                 # instant first (receiving work can never happen in its past).
                 self.sync_node(dst_node, ready)
-            duration_ms = link.book(nbytes, direction, target)
+            duration_ms = link.book(nbytes, target)
             machine.advance_host(link.spec.host_overhead_us * 1e-3)
             ready = machine._charge(
                 TRANSFER, name, link.name, target, ready, duration_ms, False,

@@ -37,10 +37,9 @@ class Link:
         # Cached identity (the spec is frozen); read on every transfer.
         self.name: str = spec.name
         self.default_stream: Stream = self.streams.default
-        self._bytes_h2d = 0
-        self._bytes_d2h = 0
-        self._bytes_p2p = 0
-        self._transfers = 0
+        #: Bytes booked over the link, all directions (its ``TRANSFER`` rows
+        #: say which way each payload went).
+        self.total_bytes = 0
         #: Memo of per-size transfer durations: serving workloads move the
         #: same few payload shapes over and over.
         self._transfer_ms_cache: Dict[int, float] = {}
@@ -69,50 +68,21 @@ class Link:
             self._transfer_ms_cache[nbytes] = cached
         return cached
 
-    def book(self, nbytes: int, direction: str, stream: Stream) -> float:
+    def book(self, nbytes: int, stream: Stream) -> float:
         """Record one transfer's volume; returns how long it occupies ``stream``.
 
-        ``direction`` is ``"h2d"``, ``"d2h"`` or -- on GPU<->GPU peer links
-        and NICs -- ``"p2p"``; ``stream`` must be one of this link's.  The
-        machine reserves the returned duration (``Machine._charge``).
+        ``stream`` must be one of this link's.  The machine reserves the
+        returned duration (``Machine._charge``).
         """
-        if direction not in ("h2d", "d2h", "p2p"):
-            raise ValueError(f"unknown transfer direction: {direction!r}")
         if stream.resource != self.name:
             raise ValueError(
                 f"stream {stream.name!r} belongs to {stream.resource!r}, "
                 f"not to link {self.name!r}"
             )
-        if direction == "h2d":
-            self._bytes_h2d += nbytes
-        elif direction == "d2h":
-            self._bytes_d2h += nbytes
-        else:
-            self._bytes_p2p += nbytes
-        self._transfers += 1
+        self.total_bytes += nbytes
         return self.transfer_ms(nbytes)
 
     # -- statistics -----------------------------------------------------
-
-    @property
-    def bytes_h2d(self) -> int:
-        return self._bytes_h2d
-
-    @property
-    def bytes_d2h(self) -> int:
-        return self._bytes_d2h
-
-    @property
-    def bytes_p2p(self) -> int:
-        return self._bytes_p2p
-
-    @property
-    def total_bytes(self) -> int:
-        return self._bytes_h2d + self._bytes_d2h + self._bytes_p2p
-
-    @property
-    def transfer_count(self) -> int:
-        return self._transfers
 
     def busy_ms(self, start_ms: float | None = None, end_ms: float | None = None) -> float:
         """Union busy time across all link streams."""

@@ -373,7 +373,7 @@ class Machine:
         is the host clock, after it for a copy, whose ``ready_ms`` is not.
         A run of kernels goes through :meth:`_charge_kernel_run` instead.
         """
-        interval = target.reserve(ready_ms, duration_ms, name)
+        interval = target.reserve(ready_ms, duration_ms)
         end_ms = interval.end_ms
         if blocking:
             self._host_time = end_ms
@@ -520,7 +520,6 @@ class Machine:
             self._host_time,
             device.spec.host_overhead_us * 1e-3,
             durations,
-            names,
             blocking=not is_gpu and target.is_default,
         )
         resource = device.name
@@ -633,9 +632,9 @@ class Machine:
 
         The route is resolved by the :class:`~repro.hw.topology.Topology`:
         host<->GPU copies occupy that GPU's host link; GPU<->GPU copies take
-        the direct peer link when the topology has one (a single ``p2p``
-        transfer) and otherwise *stage* through the two host links (``d2h``
-        then ``h2d``, serialized), emitting one event per hop.
+        the direct peer link when the topology has one (a single hop) and
+        otherwise *stage* through the two host links (source's, then
+        destination's, serialized), emitting one event per hop.
 
         Blocking transfers (the default) occupy each routed link's default
         stream and advance the host cursor to completion, mirroring
@@ -680,8 +679,7 @@ class Machine:
         ready = self._host_time
         if wait_for_source:
             ready = max(ready, self.current_stream(src).free_at)
-        for hop in hops:
-            link = hop.link
+        for link in hops:
             target = stream
             if target is None:
                 # A use_stream() context naming this link's stream takes
@@ -695,7 +693,7 @@ class Machine:
             # hop's copy has landed in host memory.
             ready = self._charge(
                 TRANSFER, name, link.name, target, ready,
-                link.book(nbytes, hop.direction, target), not non_blocking,
+                link.book(nbytes, target), not non_blocking,
                 nbytes, src.name, dst.name,
             )
             if non_blocking:

@@ -84,16 +84,15 @@ class Stream:
         """Earliest time at which newly issued work could start."""
         return max(self.timeline.free_at, self._not_before)
 
-    def reserve(self, ready_ms: float, duration_ms: float, label: str) -> Interval:
+    def reserve(self, ready_ms: float, duration_ms: float) -> Interval:
         """Queue ``duration_ms`` of work behind everything already issued."""
-        return self.timeline.reserve(max(ready_ms, self._not_before), duration_ms, label)
+        return self.timeline.reserve(max(ready_ms, self._not_before), duration_ms)
 
     def reserve_run(
         self,
         host_ms: float,
         step_ms: float,
         durations: Sequence[float],
-        labels: Sequence[str],
         blocking: bool,
     ) -> Tuple[List[float], List[float], float]:
         """Queue a run of work items issued back to back by one host.
@@ -103,7 +102,7 @@ class Stream:
         which this passes the stream's ``wait_event`` floor).
         """
         return self.timeline.reserve_run(
-            host_ms, step_ms, self._not_before, durations, labels, blocking
+            host_ms, step_ms, self._not_before, durations, blocking
         )
 
     def record_event(self, at_ms: float, name: str = "event") -> StreamEvent:

@@ -6,8 +6,9 @@ paper asks of Nsight traces: how busy was the GPU over a window (utilization),
 when does the resource next become free (for scheduling), and how does
 utilization evolve over time (Fig. 9's utilization-vs-time plots).
 
-Storage is columnar: three parallel lists (starts, ends, labels) and no
-per-interval object.  An :class:`Interval` is a value ``reserve`` returns and
+Storage is columnar: two parallel lists (starts, ends) and no per-interval
+object.  What occupied an interval is the event log's business, not the
+timeline's.  An :class:`Interval` is a value ``reserve`` returns and
 iteration materialises on read; nothing holds one.  Running totals are
 maintained as intervals are reserved, so
 
@@ -26,7 +27,7 @@ from typing import Iterable, Iterator, List, NamedTuple, Sequence, Tuple
 
 
 class Interval(NamedTuple):
-    """A closed-open busy interval ``[start_ms, end_ms)`` with a label.
+    """A closed-open busy interval ``[start_ms, end_ms)``.
 
     A plain immutable value: ``end_ms >= start_ms`` is enforced where
     intervals enter a :class:`Timeline` (:meth:`Timeline.reserve`,
@@ -35,7 +36,6 @@ class Interval(NamedTuple):
 
     start_ms: float
     end_ms: float
-    label: str = ""
 
     @property
     def duration_ms(self) -> float:
@@ -54,7 +54,6 @@ class Timeline:
         "name",
         "_starts",
         "_ends",
-        "_labels",
         "_busy_total",
         "_merged_total",
         "_run_start",
@@ -63,11 +62,10 @@ class Timeline:
 
     def __init__(self, name: str) -> None:
         self.name = name
-        # The interval store: one row per interval across three columns
-        # (the first two are bisected by the window queries).
+        # The interval store: one row per interval across two columns, both
+        # bisected by the window queries.
         self._starts: List[float] = []
         self._ends: List[float] = []
-        self._labels: List[str] = []
         # Running sum of durations, accumulated in insertion order so the
         # float value matches the old full rescan bit for bit.
         self._busy_total = 0.0
@@ -84,7 +82,7 @@ class Timeline:
         """Earliest time at which the resource is free."""
         return self._ends[-1] if self._ends else 0.0
 
-    def reserve(self, ready_ms: float, duration_ms: float, label: str = "") -> Interval:
+    def reserve(self, ready_ms: float, duration_ms: float) -> Interval:
         """Schedule a busy interval of ``duration_ms`` starting no earlier
         than ``ready_ms`` and no earlier than the end of the last interval.
 
@@ -113,8 +111,7 @@ class Timeline:
             self._run_end = end
         self._starts.append(start)
         ends.append(end)
-        self._labels.append(label)
-        return Interval(start, end, label)
+        return Interval(start, end)
 
     def reserve_run(
         self,
@@ -122,7 +119,6 @@ class Timeline:
         step_ms: float,
         floor_ms: float,
         durations: Sequence[float],
-        labels: Sequence[str],
         blocking: bool,
     ) -> Tuple[List[float], List[float], float]:
         """Reserve ``durations`` back to back from one host cursor.
@@ -139,8 +135,6 @@ class Timeline:
         leaves the timeline exactly as it was, which is stronger than the
         scalar loop (it would have reserved the run's prefix first).
         """
-        if len(labels) != len(durations):
-            raise ValueError("reserve_run needs one label per duration")
         empty = not self._ends
         last_end = 0.0 if empty else self._ends[-1]
         busy = self._busy_total
@@ -172,7 +166,6 @@ class Timeline:
                 host = end
         self._starts.extend(starts)
         self._ends.extend(ends)
-        self._labels.extend(labels)
         self._busy_total = busy
         self._merged_total = merged
         self._run_start = run_start
@@ -185,7 +178,7 @@ class Timeline:
         return len(self._starts)
 
     def __iter__(self) -> Iterator[Interval]:
-        return map(Interval, self._starts, self._ends, self._labels)
+        return map(Interval, self._starts, self._ends)
 
     @property
     def intervals(self) -> Sequence[Interval]:
@@ -319,7 +312,6 @@ class Timeline:
             ends.append(end)
         if starts:
             timeline._starts, timeline._ends = starts, ends
-            timeline._labels = [""] * len(starts)
             timeline._busy_total = busy
             timeline._merged_total = merged
             timeline._run_start, timeline._run_end = run_start, last_end

@@ -11,10 +11,11 @@ The seed modelled exactly one PCIe link between the host and "the GPU".  A
   the two host links (device -> host -> device), which is the PCIe-only data
   path and costs two transfers instead of one.
 
-A route between two devices is expressed as a list of :class:`Hop` objects
-(link + direction); :meth:`Topology.route` returns one hop for host<->GPU and
-peered GPU<->GPU copies, and two hops for staged peer copies.  The
-:class:`~repro.hw.machine.Machine` walks the hops when scheduling a transfer.
+A route between two devices is the list of links it crosses, in order:
+:meth:`Topology.route` returns one link for host<->GPU and peered GPU<->GPU
+copies, and two for staged peer copies.  The
+:class:`~repro.hw.machine.Machine` walks the links when scheduling a
+transfer; each hop's ``TRANSFER`` row names its source and destination.
 
 On a single-GPU machine the topology degenerates to exactly the seed's shape:
 one link carrying the unchanged spec name, so event logs, breakdowns and all
@@ -24,8 +25,8 @@ One :class:`Topology` covers one *node*.  Cross-node routes extend the
 staged-peer idea one level up: a :class:`~repro.hw.cluster.Cluster` joins
 node pairs with NIC links (Ethernet/InfiniBand presets), and a transfer
 between devices of different nodes stages GPU -> host -> NIC -> host -> GPU
--- a ``d2h`` hop on this topology's host link, the NIC hop, then an ``h2d``
-hop on the destination node's topology -- each hop charged on its own link
+-- a hop on this topology's host link, the NIC hop, then a hop on the
+destination node's host link -- each hop charged on its own link
 timeline with hops serialized.  Intra-node routes are unchanged: a
 single-node cluster never consults a NIC and reproduces this module's
 routing byte-for-byte.
@@ -33,21 +34,12 @@ routing byte-for-byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .._compat import DATACLASS_SLOTS
 from .device import Device
 from .link import Link
 from .spec import LinkSpec
-
-
-@dataclass(frozen=True, **DATACLASS_SLOTS)
-class Hop:
-    """One leg of a transfer route: a link plus the transfer direction."""
-
-    link: Link
-    direction: str  # "h2d", "d2h" or "p2p"
 
 
 class Topology:
@@ -98,7 +90,7 @@ class Topology:
         #: Memo of :meth:`route` results keyed by (src, dst) device names.
         #: Routes are pure functions of the (immutable) link complement, and
         #: every transfer used to recompute its hop list from scratch.
-        self._route_cache: Dict[Tuple[str, str], List[Hop]] = {}
+        self._route_cache: Dict[Tuple[str, str], List[Link]] = {}
         #: Memo for :meth:`link_named` (linear scan otherwise).
         self._links_by_name: Dict[str, Link] = {link.name: link for link in self.links}
 
@@ -133,12 +125,12 @@ class Topology:
 
     # -- routing --------------------------------------------------------
 
-    def route(self, src: Device, dst: Device) -> List[Hop]:
-        """The hop sequence a ``src -> dst`` transfer occupies.
+    def route(self, src: Device, dst: Device) -> List[Link]:
+        """The links a ``src -> dst`` transfer occupies, in order.
 
         host<->GPU copies take the GPU's host link; GPU<->GPU copies take the
         direct peer link when one exists and otherwise stage through the two
-        host links (d2h on the source's link, then h2d on the destination's).
+        host links (the source's, then the destination's).
 
         Routes are memoized per (src, dst) pair: the link complement never
         changes after construction, so the lookup is a dict hit on every
@@ -152,18 +144,18 @@ class Topology:
         self._route_cache[key] = hops
         return hops
 
-    def _compute_route(self, src: Device, dst: Device) -> List[Hop]:
+    def _compute_route(self, src: Device, dst: Device) -> List[Link]:
         if src.name == dst.name:
             raise ValueError("transfer requires two distinct devices")
         if src.is_gpu and dst.is_gpu:
             peer = self.peer_link(src, dst)
             if peer is not None:
-                return [Hop(peer, "p2p")]
-            return [Hop(self.host_link(src), "d2h"), Hop(self.host_link(dst), "h2d")]
+                return [peer]
+            return [self.host_link(src), self.host_link(dst)]
         if dst.is_gpu:
-            return [Hop(self.host_link(dst), "h2d")]
+            return [self.host_link(dst)]
         if src.is_gpu:
-            return [Hop(self.host_link(src), "d2h")]
+            return [self.host_link(src)]
         raise ValueError(f"no route between host devices {src.name!r} and {dst.name!r}")
 
     # -- aggregate views ------------------------------------------------
@@ -176,7 +168,3 @@ class Topology:
     def busy_ms(self, start_ms: Optional[float] = None, end_ms: Optional[float] = None) -> float:
         """Summed busy time across all links (links are independent channels)."""
         return sum(link.busy_ms(start_ms, end_ms) for link in self.links)
-
-    @property
-    def total_bytes(self) -> int:
-        return sum(link.total_bytes for link in self.links)

@@ -7,8 +7,8 @@ paper builds by hand:
 
 * :mod:`repro.obs.trace` -- a span :class:`Tracer` the servers feed: every
   request gets queue/service spans (plus sample/compute/NIC children)
-  stamped with simulated-clock times, and slices of the machine event log
-  attribute timeline events to the batch that issued them.  Tracing is
+  stamped with simulated-clock times; what ran stays in each machine's
+  event log, which the exporter and attribution read.  Tracing is
   strictly read-only with respect to the simulation: tracer off means zero
   objects on the serving hot path and event-for-event identical runs
   (regression-tested and covered by the ``trace-conservation`` fuzz

@@ -1,6 +1,6 @@
 """The span tracer: per-request spans over the simulated timeline.
 
-A :class:`Tracer` collects three kinds of records while a server runs:
+A :class:`Tracer` collects two kinds of records while a server runs:
 
 * **Spans** -- named intervals on the simulated clock.  The servers emit a
   ``queue`` span per request (arrival to dispatch), a ``service`` span per
@@ -10,10 +10,10 @@ A :class:`Tracer` collects three kinds of records while a server runs:
   linked (by trace id) to a service span on whichever node ran the batch.
 * **Instants** -- point events: fidelity level changes, autoscale
   spin-up/down, cache invalidation broadcasts.
-* **Event slices** -- ``(span, node, start_index, end_index)`` windows of a
-  machine's event log, captured with :meth:`Machine.event_cursor` around
-  the host code that issued a batch's work.  They attribute every timeline
-  event to the span that caused it without touching the events themselves.
+
+What ran is not copied here: each attached machine's event log is the one
+record of it.  The exporter renders its rows, and ``repro-dgnn trace``
+attributes them to a request by the request's time window.
 
 The tracer is strictly *read-only* with respect to the simulation: it never
 charges work, never advances a clock, never emits an event.  Attaching one
@@ -123,16 +123,13 @@ class Instant:
 
 
 class Tracer:
-    """Collects spans, instants and event-log slices from one serving run."""
+    """Collects spans and instants from one serving run."""
 
     def __init__(self) -> None:
         self.spans: List[Span] = []
         self.instants: List[Instant] = []
-        #: ``(span_id, node, start_index, end_index)`` event-log windows.
-        self.slices: List[Tuple[int, str, int, int]] = []
         #: Serve-loop origin on the machine clock (set by the server).
         self.t0 = 0.0
-        self._next_id = 0
         self._machines: Dict[str, Any] = {}
         self._node_by_machine: Dict[int, str] = {}
         #: NIC link resource names (for exporter/attribution classification).
@@ -143,13 +140,13 @@ class Tracer:
     def attach(self, machine: Any, node: str = "node0") -> "Tracer":
         """Register one machine under a node name.
 
-        Requires event recording: slices index into ``machine.events``, and
-        the exporter renders the timeline from them.
+        Requires event recording: the exporter renders each node's timeline
+        from ``machine.events``.
         """
-        if not getattr(machine, "record_events", True):
+        if not machine.record_events:
             raise ValueError(
-                "tracing requires record_events=True: spans attribute slices "
-                "of the event log, which record_events=False never materializes"
+                "tracing requires record_events=True: the exported timeline is "
+                "the event log, which record_events=False never materializes"
             )
         self._machines[node] = machine
         self._node_by_machine[id(machine)] = node
@@ -169,68 +166,40 @@ class Tracer:
     def attached(self, machine: Any) -> bool:
         return id(machine) in self._node_by_machine
 
-    def node_of(self, machine: Any) -> str:
-        return self._node_by_machine[id(machine)]
-
-    # -- spans -------------------------------------------------------------
+    # -- records -----------------------------------------------------------
 
     def span(
         self,
         name: str,
         category: str,
         start_ms: float,
-        end_ms: float,
-        node: str,
+        end_ms: Optional[float] = None,
+        *,
+        machine: Any,
         trace_ids: Tuple[int, ...] = (),
         parent_id: Optional[int] = None,
         **attrs: Any,
     ) -> int:
-        """Record one closed span; returns its id."""
-        sid = self._next_id
-        self._next_id += 1
+        """Record one span on ``machine``'s node track; returns its id.
+
+        Without ``end_ms`` the span stays open until :meth:`close_span`.  A
+        child span (``parent_id`` given) carries its parent's trace ids.
+        """
+        sid = len(self.spans)
+        if parent_id is not None:
+            trace_ids = self.spans[parent_id].trace_ids
+        node = self._node_by_machine[id(machine)]
         self.spans.append(
             Span(sid, name, category, start_ms, end_ms, node, trace_ids, parent_id, attrs)
-        )
-        return sid
-
-    def open_span(
-        self,
-        name: str,
-        category: str,
-        start_ms: float,
-        node: str,
-        trace_ids: Tuple[int, ...] = (),
-        parent_id: Optional[int] = None,
-        **attrs: Any,
-    ) -> int:
-        """Open a span whose end is not known yet (close with :meth:`close_span`)."""
-        sid = self._next_id
-        self._next_id += 1
-        self.spans.append(
-            Span(sid, name, category, start_ms, None, node, trace_ids, parent_id, attrs)
         )
         return sid
 
     def close_span(self, span_id: int, end_ms: float) -> None:
         self.spans[span_id].end_ms = end_ms
 
-    def get_span(self, span_id: int) -> Span:
-        return self.spans[span_id]
-
     def instant(
-        self, name: str, category: str, ts_ms: float, node: str, **attrs: Any
+        self, name: str, category: str, ts_ms: float, *, machine: Any, **attrs: Any
     ) -> None:
+        """Record a point event on ``machine``'s node track."""
+        node = self._node_by_machine[id(machine)]
         self.instants.append(Instant(name, category, ts_ms, node, attrs))
-
-    # -- event-log slices --------------------------------------------------
-
-    def record_slice(self, span_id: int, machine: Any, start_index: int) -> None:
-        """Attribute events issued since ``start_index`` to ``span_id``.
-
-        Call with a cursor captured via ``machine.event_cursor()`` right
-        before the span's host-side work; the slice closes at the current
-        cursor.  Empty windows are dropped.
-        """
-        end_index = machine.event_cursor()
-        if end_index > start_index:
-            self.slices.append((span_id, self.node_of(machine), start_index, end_index))

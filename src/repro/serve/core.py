@@ -239,10 +239,12 @@ class ServingCore:
             self.fidelity.set_cache_available(
                 any(replica.cache is not None for replica in self.replicas)
             )
-        if self.tracer is not None and not self.tracer.attached(front):
+        if self.tracer is not None:
+            # A cluster is attached whole even when its front-end already is:
+            # the serving nodes' spans need their node names too.
             if cluster is not None:
                 self.tracer.attach_cluster(cluster)
-            else:
+            elif not self.tracer.attached(front):
                 self.tracer.attach(front)
         ordered = sorted(requests, key=lambda r: (r.arrival_ms, r.request_id))
         with front.activate():
@@ -374,11 +376,9 @@ class ServingCore:
         target = self.router.route(len(batch), now) if routed else 0
         replica = self.replicas[target]
         cost_scale = self._degrade(batch, now, replica)
-        tracer = self.tracer
         span_id = None
-        cursor = 0
-        if tracer is not None:
-            span_id, cursor = self._trace_dispatch(batch, target, now)
+        if self.tracer is not None:
+            span_id = self._trace_dispatch(batch, target, now)
         if self.metrics is not None:
             record_dispatch(self.metrics, len(batch), len(self.batcher))
         payload = replica.make_request_batch([r.payload for r in batch])
@@ -397,9 +397,6 @@ class ServingCore:
                 arrival = self._ship(
                     node_index, node.cpu, max(payload.nbytes(), 1), "route_payload", span_id
                 )
-                if span_id is not None:
-                    tracer.record_slice(span_id, front, cursor)
-                    cursor = node.event_cursor()
                 self.cluster.sync_node(node_index, arrival)
             with node.activate():
                 plan = None
@@ -409,15 +406,11 @@ class ServingCore:
                     if device.is_gpu:
                         node.wait_event(node.default_stream(device), prepared)
                 ready = replica.dispatch_iteration(payload, plan=plan)
-            if span_id is not None:
-                tracer.record_slice(span_id, node, cursor)
             self.router.notify_dispatch(target, len(batch))
             self._inflight.append(Flight(batch, target, ready, cost_scale, span_id))
             self._broadcast_invalidation(target, payload)
         elif not self.overlap:
             replica.inference_iteration(payload)
-            if span_id is not None:
-                tracer.record_slice(span_id, front, cursor)
             self._complete(
                 Flight(batch, target, None, cost_scale, span_id), front.host_time_ms, completed
             )
@@ -426,8 +419,6 @@ class ServingCore:
             # blocking on the previous batch's device work, so the two run
             # concurrently in simulated time.
             plan, prepared = self._prepare(front, target, payload, span_id)
-            if span_id is not None:
-                tracer.record_slice(span_id, front, cursor)
             previous, self._prepared = (
                 self._prepared,
                 Flight(batch, target, prepared, cost_scale, span_id, payload, plan),
@@ -456,39 +447,22 @@ class ServingCore:
             plan = self.replicas[target].prepare_iteration(payload)
             prepared = machine.record_event(stream, name=event_name)
         if span_id is not None:
-            tracer = self.tracer
-            tracer.span(
-                "sample",
-                "sample",
-                issue_ms,
-                prepared.ready_ms,
-                node=tracer.node_of(machine),
-                trace_ids=tracer.get_span(span_id).trace_ids,
-                parent_id=span_id,
-                **attrs,
+            self.tracer.span(
+                "sample", "sample", issue_ms, prepared.ready_ms,
+                machine=machine, parent_id=span_id, **attrs,
             )
         return plan, prepared
 
     def _join(self, flight: Flight, completed: List[Request]) -> None:
         """Retire one pipelined batch: wait for its plan, run device compute."""
         machine = self.machine
-        tracer = self.tracer
-        span_id = flight.span_id
-        if span_id is not None:
-            cursor = machine.event_cursor()
-            started = machine.host_time_ms
+        started = machine.host_time_ms
         machine.event_synchronize(flight.ready, name="serve_wait_prepared")
         self.replicas[flight.replica].compute_iteration(flight.payload, flight.plan)
-        if span_id is not None:
-            tracer.record_slice(span_id, machine, cursor)
-            tracer.span(
-                "compute",
-                "compute",
-                started,
-                machine.host_time_ms,
-                node=tracer.node_of(machine),
-                trace_ids=tracer.get_span(span_id).trace_ids,
-                parent_id=span_id,
+        if flight.span_id is not None:
+            self.tracer.span(
+                "compute", "compute", started, machine.host_time_ms,
+                machine=machine, parent_id=flight.span_id,
             )
         self._complete(flight, machine.host_time_ms, completed)
 
@@ -532,15 +506,13 @@ class ServingCore:
 
     # -- cross-cutting hooks -------------------------------------------------------
 
-    def _trace_dispatch(self, batch: List[Request], target: int, now: float) -> Tuple[int, int]:
+    def _trace_dispatch(self, batch: List[Request], target: int, now: float) -> int:
         """Open the batch's service span (on its serving node) and close the
         queue spans of its riders (on the front-end node that held them).
 
-        Returns ``(service span id, front-end event-log cursor)``; the cursor
-        anchors the slice of timeline events this dispatch is about to issue.
+        Returns the service span's id.
         """
         tracer = self.tracer
-        front = self.machine
         start_ms = self._t0 + now
         name = f"batch-{batch[0].request_id}"
         attrs = {}
@@ -549,25 +521,18 @@ class ServingCore:
             attrs["replica"] = target
             if self.cluster is not None:
                 attrs["node_index"] = self.replica_nodes[target]
-        span_id = tracer.open_span(
-            name,
-            "service",
-            start_ms,
-            node=tracer.node_of(self.replicas[target].machine),
+        span_id = tracer.span(
+            name, "service", start_ms,
+            machine=self.replicas[target].machine,
             trace_ids=tuple(r.request_id for r in batch),
             **attrs,
         )
-        front_node = tracer.node_of(front)
         for request in batch:
             tracer.span(
-                "queue",
-                "queue",
-                self._t0 + request.arrival_ms,
-                start_ms,
-                node=front_node,
-                trace_ids=(request.request_id,),
+                "queue", "queue", self._t0 + request.arrival_ms, start_ms,
+                machine=self.machine, trace_ids=(request.request_id,),
             )
-        return span_id, front.event_cursor()
+        return span_id
 
     def _degrade(self, batch: List[Request], now_ms: float, replica: Any) -> float:
         """Advance the fidelity controller and apply its levers to ``replica``.
@@ -589,9 +554,10 @@ class ServingCore:
         )
         decision = self.fidelity.on_dispatch(pressured, len(batch), lost_deadlines=lost)
         if self.tracer is not None and decision.level != self._fidelity_level:
-            name = f"fidelity:level={decision.level}"
-            now = self.machine.host_time_ms
-            self._instant(name, "fidelity", now, previous=self._fidelity_level)
+            self.tracer.instant(
+                f"fidelity:level={decision.level}", "fidelity", self.machine.host_time_ms,
+                machine=self.machine, previous=self._fidelity_level,
+            )
         self._fidelity_level = decision.level
         replica.set_fanout_scale(decision.fanout_scale)
         if replica.cache is not None:
@@ -618,8 +584,10 @@ class ServingCore:
                 touched = payload.touched_nodes().tolist()
             replica.cache.invalidate_nodes(touched)
         if touched is not None and self.tracer is not None:
-            now = self.machine.host_time_ms
-            self._instant("invalidate_broadcast", "cache", now, origin=origin, nodes=len(touched))
+            self.tracer.instant(
+                "invalidate_broadcast", "cache", self.machine.host_time_ms,
+                machine=self.machine, origin=origin, nodes=len(touched),
+            )
 
     def _backfill(self, replica: Any) -> None:
         """Backfill ``replica``'s cache -- every shard's, for a sharded model."""
@@ -642,26 +610,13 @@ class ServingCore:
         front = self.machine
         issue_ms = front.host_time_ms
         arrival = self.cluster.transfer(0, front.cpu, node_index, dst, nbytes, name=name)
-        tracer = self.tracer
-        if tracer is not None and node_index != 0:
-            tracer.span(
-                f"nic:{name}",
-                "nic",
-                issue_ms,
-                arrival,
-                node=tracer.node_of(front),
-                trace_ids=tracer.get_span(span_id).trace_ids if span_id is not None else (),
-                parent_id=span_id,
-                src_node=0,
-                dst_node=node_index,
-                bytes=int(nbytes),
+        if self.tracer is not None and node_index != 0:
+            self.tracer.span(
+                f"nic:{name}", "nic", issue_ms, arrival,
+                machine=front, parent_id=span_id,
+                src_node=0, dst_node=node_index, bytes=int(nbytes),
             )
         return arrival
-
-    def _instant(self, name: str, category: str, ts_ms: float, **attrs: Any) -> None:
-        """Record a point event on the front-end node's track."""
-        node = self.tracer.node_of(self.machine)
-        self.tracer.instant(name, category, ts_ms, node=node, **attrs)
 
     # -- autoscaler charge callbacks ---------------------------------------------
 
@@ -677,7 +632,10 @@ class ServingCore:
         replica = self.replicas[index]
         node_index = self.replica_nodes[index]
         if self.tracer is not None:
-            self._instant(f"scale:up:r{index}", "scale", self._t0 + now_ms, node_index=node_index)
+            self.tracer.instant(
+                f"scale:up:r{index}", "scale", self._t0 + now_ms,
+                machine=self.machine, node_index=node_index,
+            )
         device = replica.compute_device
         if node_index == 0 and not device.is_gpu:
             return now_ms  # host-resident replica: nothing to ship
@@ -702,7 +660,9 @@ class ServingCore:
     def _spin_down(self, index: int, now_ms: float) -> None:
         """Release one replica: flush its cache so re-activation is cold."""
         if self.tracer is not None:
-            self._instant(f"scale:down:r{index}", "scale", self._t0 + now_ms)
+            self.tracer.instant(
+                f"scale:down:r{index}", "scale", self._t0 + now_ms, machine=self.machine
+            )
         cache = self.replicas[index].cache
         if cache is not None:
             cache.flush()

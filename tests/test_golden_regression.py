@@ -309,7 +309,7 @@ def serving_json():
     """Every serving configuration, bare and observed, floats unrounded.
 
     The trace digest covers span names, attributes, parents and order, the
-    instants and every event-log slice; bare and traced runs must agree on
+    instants and the rendered event log; bare and traced runs must agree on
     everything the simulation produced (the tracer is read-only).
     """
     dataset = load("wikipedia", scale="tiny")
@@ -328,7 +328,6 @@ def serving_json():
             "trace": {
                 "spans": len(tracer.spans),
                 "instants": len(tracer.instants),
-                "slices": len(tracer.slices),
                 "digest": _digest(payload),
             },
         }

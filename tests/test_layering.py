@@ -32,8 +32,11 @@
   and a class declaring ``supports_overlap = True`` defines
   ``prepare_iteration``.  The serving surface is declared the same way: no
   ``getattr``/``hasattr`` with a literal name and no ``callable`` anywhere in
-  ``src`` (one tracer site aside), and a class whose ``cache_kinds`` holds
-  ``"embedding"`` defines ``compute_embeddings``.
+  ``src``, and a class whose ``cache_kinds`` holds ``"embedding"`` defines
+  ``compute_embeddings``.
+* The event log is the one record of what ran: only the profiler reads an
+  event-log cursor (``Machine.event_cursor``) -- the serving loop and the
+  tracer keep no index windows into the log beside it.
 * Fixed knobs stay constants: none of the 49 parameters and fields that had
   one value in use comes back, each constant keeps the default it replaced,
   and a scheduler policy's accepted overrides are declared once, on its class.
@@ -437,9 +440,8 @@ def test_an_overlap_capable_class_defines_prepare_iteration():
     assert declared == preparing == {"TGAT"}
 
 
-#: The one literal-name probe left: the tracer asks whether a machine logs
-#: events (it goes with ``record_events`` itself).
-ALLOWED_PROBES = {("obs/trace.py", "record_events")}
+#: No literal-name probe is left anywhere in ``src``.
+ALLOWED_PROBES = set()
 
 
 def _literal_probe(node):
@@ -488,6 +490,20 @@ def test_an_embedding_caching_class_defines_compute_embeddings():
             if "compute_embeddings" in methods:
                 computing.add(node.name)
     assert declared == computing == {"TGAT"}
+
+
+def test_only_the_profiler_reads_an_event_cursor():
+    """Spans are attributed by time window, not by index windows into the log."""
+    readers = set()
+    for path in _files(PACKAGE_ROOT, ".py"):
+        for node in ast.walk(ast.parse(_read(path))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "event_cursor"
+            ):
+                readers.add(os.path.relpath(path, PACKAGE_ROOT).replace(os.sep, "/"))
+    assert readers == {"core/profiler.py"}
 
 
 def test_no_hw_file_names_the_tracer():

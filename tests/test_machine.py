@@ -92,8 +92,10 @@ class TestTransfers:
         expected_ms = machine.link.spec.transfer_ms(nbytes)
         assert event.duration_ms == pytest.approx(expected_ms)
         assert machine.host_time_ms == event.end_ms
-        assert machine.link.bytes_h2d == nbytes
-        assert machine.link.transfer_count == 1
+        transfers = [e for e in machine.events if e.kind == TRANSFER]
+        assert [(e.src, e.dst, e.bytes) for e in transfers] == [
+            (machine.cpu.name, machine.gpu.name, nbytes)
+        ]
 
     def test_transfer_waits_for_producing_device(self, machine):
         warmed(machine)
@@ -110,8 +112,15 @@ class TestTransfers:
         warmed(machine)
         machine.transfer(machine.cpu, machine.gpu, 100)
         machine.transfer(machine.gpu, machine.cpu, 40)
-        assert machine.link.bytes_h2d == 100
-        assert machine.link.bytes_d2h == 40
+
+        def sent(src, dst):
+            return sum(
+                e.bytes for e in machine.events
+                if e.kind == TRANSFER and (e.src, e.dst) == (src.name, dst.name)
+            )
+
+        assert sent(machine.cpu, machine.gpu) == 100
+        assert sent(machine.gpu, machine.cpu) == 40
         assert machine.link.total_bytes == 140
 
 
@@ -614,22 +623,22 @@ class TestEventRows:
 
 
 class TestIntervalContract:
-    def test_an_interval_is_an_immutable_three_field_value(self):
-        interval = Interval(1.0, 2.5, "gemm")
-        assert (interval.start_ms, interval.end_ms, interval.label) == (1.0, 2.5, "gemm")
-        assert interval.duration_ms == 1.5 and Interval(1.0, 2.5).label == ""
-        assert interval == Interval(1.0, 2.5, "gemm") != Interval(1.0, 2.5, "other")
-        assert hash(interval) == hash(Interval(1.0, 2.5, "gemm"))
-        for name in ("start_ms", "end_ms", "label", "note"):
+    def test_an_interval_is_an_immutable_two_field_value(self):
+        interval = Interval(1.0, 2.5)
+        assert (interval.start_ms, interval.end_ms) == (1.0, 2.5)
+        assert interval.duration_ms == 1.5
+        assert interval == Interval(1.0, 2.5) != Interval(1.0, 3.0)
+        assert hash(interval) == hash(Interval(1.0, 2.5))
+        for name in ("start_ms", "end_ms", "note"):
             with pytest.raises(AttributeError):
                 setattr(interval, name, 0.0)
 
     def test_a_timeline_admits_no_interval_that_ends_before_it_starts(self):
         timeline = Timeline("t")
         with pytest.raises(ValueError, match="duration must be non-negative"):
-            timeline.reserve(0.0, -1e-9, "k")
+            timeline.reserve(0.0, -1e-9)
         with pytest.raises(ValueError, match="duration must be non-negative"):
-            timeline.reserve_run(0.0, 0.0, 0.0, [1.0, -1e-9], ["a", "b"], False)
+            timeline.reserve_run(0.0, 0.0, 0.0, [1.0, -1e-9], False)
         assert len(timeline) == 0
         with pytest.raises(ValueError, match="interval ends before it starts"):
             Timeline.from_intervals("bad", [(0.0, 1.0), (3.0, 2.0)])

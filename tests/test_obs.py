@@ -134,7 +134,7 @@ class TestSpans:
             assert span.end_ms is not None
             assert span.end_ms >= span.start_ms - EPS_MS
             if span.parent_id is not None:
-                parent = tracer.get_span(span.parent_id)
+                parent = tracer.spans[span.parent_id]
                 assert parent.start_ms - EPS_MS <= span.start_ms
                 assert span.end_ms <= parent.end_ms + EPS_MS
 
@@ -194,6 +194,28 @@ class TestExport:
         scale_ups = [i for i in payload["repro"]["instants"] if i["name"].startswith("scale:up")]
         assert scale_ups and all("node_index" in i["attrs"] for i in scale_ups)
         assert any(e["ph"] == "i" and e["args"] for e in payload["traceEvents"])
+
+    def test_a_tracer_attached_to_the_front_end_still_traces_the_cluster(self, tiny_wikipedia):
+        """Pre-attaching the front-end node must not leave the other nodes unnamed."""
+        config = TGATConfig(num_neighbors=5, batch_size=8)
+
+        def traced(pre_attach):
+            tracer = Tracer()
+            server = build_server(
+                "2n-1xA100-eth", lambda machine: TGAT(machine, tiny_wikipedia, config),
+                backend="shape", batch_timeout_ms=4.0, slo_ms=50.0, tracer=tracer,
+            )
+            if pre_attach:
+                tracer.attach(server.machine)
+            requests = make_requests(
+                tiny_wikipedia.stream, "poisson", 500.0, 250.0, seed=0, slo_ms=50.0
+            )
+            report = server.serve(requests, arrival_name="poisson")
+            return build_trace(tracer, report=report)
+
+        payload = traced(pre_attach=True)
+        assert payload == traced(pre_attach=False)
+        assert {span["node"] for span in payload["repro"]["spans"]} == {"node0", "node1"}
 
     def test_validate_trace_rejects_unbalanced_spans(self, tiny_wikipedia):
         tracer = Tracer()

@@ -222,7 +222,7 @@ def test_windowed_busy_matches_reference_scan(seed):
     cursor = 0.0
     for _ in range(300):
         cursor += float(rng.uniform(0.0, 2.0))
-        timeline.reserve(cursor, float(rng.uniform(0.0, 1.5)), "op")
+        timeline.reserve(cursor, float(rng.uniform(0.0, 1.5)))
     intervals = list(timeline)
     assert timeline.busy_ms() == reference_busy_ms(intervals)
     for _ in range(200):
@@ -242,7 +242,7 @@ def test_union_busy_matches_reference_merge(seed):
         cursor = 0.0
         for _ in range(150):
             cursor += float(rng.uniform(0.0, 1.0))
-            timeline.reserve(cursor, float(rng.uniform(0.0, 2.0)), "op")
+            timeline.reserve(cursor, float(rng.uniform(0.0, 2.0)))
         timelines.append(timeline)
     assert union_busy_ms(timelines) == reference_union_busy_ms(timelines)
     # The single-timeline fast path (merged_busy_ms) must agree too.

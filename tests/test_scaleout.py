@@ -183,7 +183,7 @@ class TestShardedServing:
         assert sharded.cross_shard_rows > 0
         machine = sharded.machine
         peer = machine.topology.peer_link(machine.gpus[0], machine.gpus[1])
-        assert peer.bytes_p2p > 0
+        assert sum(e.bytes for e in machine.events if e.resource == peer.name) > 0
 
     def test_pcie_sharding_stages_gathers_through_host_links(self):
         dataset = make_dataset()

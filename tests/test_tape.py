@@ -53,7 +53,7 @@ def _script(machine):
 
 def _timelines(resource):
     return {
-        stream.name: [(i.start_ms, i.end_ms, i.label) for i in stream.timeline.intervals]
+        stream.name: [(i.start_ms, i.end_ms) for i in stream.timeline.intervals]
         for stream in resource.streams
     }
 

@@ -3,7 +3,7 @@
 A :class:`~repro.hw.stream.Stream` driven by the scalar loop every launch
 path used to run -- one ``reserve`` per work item from one host cursor -- and
 a twin driven by ``reserve_run`` must be indistinguishable: returned starts,
-ends and host cursor, the three storage columns, the O(1) totals and every
+ends and host cursor, the two storage columns, the O(1) totals and every
 windowed query.  Floats are compared by ``float.hex`` so a last-ulp
 difference (or a ``-0.0``) cannot hide behind ``==``.
 """
@@ -26,13 +26,13 @@ def bits(values):
     return [float(value).hex() for value in values]
 
 
-def scalar_run(stream, host_ms, step_ms, durations, labels, blocking):
+def scalar_run(stream, host_ms, step_ms, durations, blocking):
     """The reference: what ``launch_kernel`` does, once per work item."""
     starts, ends = [], []
-    for duration_ms, label in zip(durations, labels):
+    for duration_ms in durations:
         if not blocking:
             host_ms += step_ms
-        interval = stream.reserve(host_ms, duration_ms, label)
+        interval = stream.reserve(host_ms, duration_ms)
         if blocking:
             host_ms = interval.end_ms
         starts.append(interval.start_ms)
@@ -64,9 +64,7 @@ def draw_duration(rng):
 
 def draw_run(rng):
     length = rng.choice((0, 1, 1, 2, 3, 5, 8, 13, 40))
-    durations = [draw_duration(rng) for _ in range(length)]
-    labels = [rng.choice(("gemm", "softmax", "", "k")) for _ in range(length)]
-    return durations, labels
+    return [draw_duration(rng) for _ in range(length)]
 
 
 def seed_existing(rng, streams):
@@ -81,7 +79,7 @@ def seed_existing(rng, streams):
         ready = cursor - rng.uniform(0.0, 1.0) if touching else cursor + rng.uniform(0.01, 3.0)
         duration = draw_duration(rng)
         for stream in streams:
-            cursor = stream.reserve(ready, duration, "seeded").end_ms
+            cursor = stream.reserve(ready, duration).end_ms
 
 
 def assert_twins_match(rng, scalar, batched, background):
@@ -124,11 +122,9 @@ def test_reserve_run_is_bit_identical_to_the_scalar_loop(seed):
                     stream.wait_event(StreamEvent("worker", "gpu0", ready))
             step_ms = rng.choice((0.0, 0.0, 0.004, 0.0105, rng.uniform(0.0, 1.0)))
             blocking = rng.random() < 0.5
-            durations, labels = draw_run(rng)
-            expected = scalar_run(scalar, host_ms, step_ms, durations, labels, blocking)
-            starts, ends, host_after = batched.reserve_run(
-                host_ms, step_ms, durations, labels, blocking
-            )
+            durations = draw_run(rng)
+            expected = scalar_run(scalar, host_ms, step_ms, durations, blocking)
+            starts, ends, host_after = batched.reserve_run(host_ms, step_ms, durations, blocking)
             assert bits(starts) == bits(expected[0])
             assert bits(ends) == bits(expected[1])
             assert host_after.hex() == expected[2].hex()
@@ -152,7 +148,7 @@ def test_the_property_test_draws_every_shape_it_claims():
                 pairs = list(zip(timeline._starts[1:], timeline._ends))
                 seen.add("touching" if any(s == e for s, e in pairs) else "gapped-only")
                 seen.add("gapped" if any(s > e for s, e in pairs) else "touching-only")
-            durations, _ = draw_run(rng)
+            durations = draw_run(rng)
             seen.add(f"run-{min(len(durations), 2)}")
             if 0.0 in durations:
                 seen.add("zero-duration")
@@ -166,41 +162,33 @@ def test_a_negative_duration_raises_and_leaves_the_timeline_untouched(seed):
     for _ in range(20):
         stream = Stream("gpu0", "default")
         seed_existing(rng, (stream,))
-        durations, labels = draw_run(rng)
+        durations = draw_run(rng)
         position = rng.randint(0, len(durations))
         durations.insert(position, -rng.choice((1e-12, 0.5, 3.0)))
-        labels.insert(position, "bad")
         before = state(stream.timeline)
         with pytest.raises(ValueError, match="duration must be non-negative"):
-            stream.reserve_run(rng.uniform(0.0, 9.0), 0.01, durations, labels, rng.random() < 0.5)
+            stream.reserve_run(rng.uniform(0.0, 9.0), 0.01, durations, rng.random() < 0.5)
         assert state(stream.timeline) == before
         # The scalar loop is weaker: it reserves the prefix before it raises.
         with pytest.raises(ValueError, match="duration must be non-negative"):
-            scalar_run(stream, 0.0, 0.01, durations, labels, False)
+            scalar_run(stream, 0.0, 0.01, durations, False)
         assert len(stream.timeline) == len(before["_starts"]) + position
-
-
-def test_a_run_needs_one_label_per_duration():
-    timeline = Timeline("t")
-    with pytest.raises(ValueError, match="one label per duration"):
-        timeline.reserve_run(0.0, 0.0, 0.0, [1.0, 2.0], ["only-one"], False)
-    assert len(timeline) == 0
 
 
 def test_an_empty_run_is_a_no_op():
     timeline = Timeline("t")
-    timeline.reserve(1.0, 2.0, "seeded")
+    timeline.reserve(1.0, 2.0)
     before = state(timeline)
-    assert timeline.reserve_run(7.5, 0.25, 0.0, [], [], False) == ([], [], 7.5)
-    assert timeline.reserve_run(7.5, 0.25, 0.0, [], [], True) == ([], [], 7.5)
+    assert timeline.reserve_run(7.5, 0.25, 0.0, [], False) == ([], [], 7.5)
+    assert timeline.reserve_run(7.5, 0.25, 0.0, [], True) == ([], [], 7.5)
     assert state(timeline) == before
 
 
 def test_intervals_are_materialised_from_the_columns_on_read():
     timeline = Timeline("t")
-    first = timeline.reserve(1.0, 2.0, "a")
-    timeline.reserve_run(0.0, 0.5, 4.0, [1.0, 0.0], ["b", "c"], False)
-    expected = (Interval(1.0, 3.0, "a"), Interval(4.0, 5.0, "b"), Interval(5.0, 5.0, "c"))
+    first = timeline.reserve(1.0, 2.0)
+    timeline.reserve_run(0.0, 0.5, 4.0, [1.0, 0.0], False)
+    expected = (Interval(1.0, 3.0), Interval(4.0, 5.0), Interval(5.0, 5.0))
     assert first == expected[0]
     assert timeline.intervals == expected == tuple(timeline)
     assert len(timeline) == 3 and timeline.span() == (1.0, 5.0)
