@@ -71,7 +71,9 @@ def _window_events(
 
     Takes every categorised timeline event on the serving node, plus NIC
     hops from *any* node (the route to a remote replica is charged on the
-    front-end's log but belongs to this request's path).
+    front-end's log but belongs to this request's path).  The window is
+    tested before the node, so only events that reach into it pay the
+    ``args`` lookup; the test reads the same bounds the clipping does.
     """
     intervals: List[Tuple[str, float, float]] = []
     for event in payload["traceEvents"]:
@@ -80,10 +82,12 @@ def _window_events(
         category = event.get("cat")
         if category not in ATTRIBUTION_PRIORITY:
             continue
-        if category != "nic" and event.get("args", {}).get("node") != node:
-            continue
         ts = event["ts"] / 1000.0
         te = ts + event.get("dur", 0.0) / 1000.0
+        if te <= start_ms or ts >= end_ms:
+            continue
+        if category != "nic" and event.get("args", {}).get("node") != node:
+            continue
         lo = max(ts, start_ms)
         hi = min(te, end_ms)
         if hi > lo:

@@ -28,16 +28,23 @@ everything in ``repro`` stays in simulated milliseconds.
 (``docs/trace.schema.json``) with a small built-in validator, so CI needs no
 third-party jsonschema package.  It implements the subset ``type``/``enum``/
 ``required``/``properties``/``items`` and compiles the schema into closures
-before it reads the payload (one call per trace event, not one per node);
-a schema using any other constraint keyword, or an unknown type name, is
-refused while compiling rather than left silently unchecked.
+before it reads the payload.  An array of flat objects such as
+``traceEvents`` is accepted by column -- a few C-level passes over the whole
+array, no Python call per trace event -- and only when the columns do not
+show it valid are its entries checked one by one, which finds and words the
+first violation.  A schema using any other constraint keyword, an unknown
+type name or a keyword value of the wrong shape is refused while compiling
+rather than left silently unchecked.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import os
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from contextlib import contextmanager
+from itertools import repeat
+from typing import Any, Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 from ..hw.events import ALLOC, FREE, KERNEL, MARKER, SYNC, TRANSFER, WARMUP
 from .trace import Tracer
@@ -74,6 +81,24 @@ def classify_event(
     return None
 
 
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector; the caller's setting is restored on exit.
+
+    A payload is a tree of fresh, acyclic dicts -- one per trace event --
+    that refcounting frees; the collections their count would trigger
+    mid-build (full ones included) can find nothing to collect.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@_collector_paused()
 def build_trace(
     tracer: Tracer,
     report: Optional[Any] = None,
@@ -303,7 +328,7 @@ _TYPE_CLASSES = {
 }
 
 #: Keywords that make a schema node more than a leaf (``type``/``enum`` only).
-_STRUCTURE = ("required", "properties", "items")
+_STRUCTURE = frozenset(("required", "properties", "items"))
 #: All a schema node may say: the constraints that are checked, and annotations.
 _KEYWORDS = frozenset(("type", "enum", *_STRUCTURE, "$schema", "title", "description"))
 
@@ -321,48 +346,150 @@ def _head(schema: Any, where: str) -> Tuple[Tuple[type, ...], bool, str, Optiona
     whether a ``bool`` must be turned away although ``isinstance`` lets it
     through as an ``int``, the type names as the message prints them, and
     the enum list (or ``None``).  A keyword or type name the subset does
-    not implement raises ``ValueError`` naming the schema path ``where`` --
-    a constraint that is not enforced must not look enforced.
+    not implement, or a keyword value of the wrong shape (an ``enum`` that
+    is not a list, an empty ``type`` list), raises ``ValueError`` naming the
+    schema path ``where`` -- a constraint that is not enforced as written
+    must not look enforced.
     """
     if not isinstance(schema, dict):
         raise ValueError(f"schema {where}: expected an object, got {type(schema).__name__}")
     for keyword in schema:
         if keyword not in _KEYWORDS:
             raise ValueError(f"schema {where}: unsupported keyword {keyword!r}")
+    enum = schema.get("enum")
+    if enum is not None and not isinstance(enum, list):
+        raise ValueError(f"schema {where}: 'enum' must be a list, got {type(enum).__name__}")
     types = schema.get("type")
     if types is None:
-        return (object,), False, "", schema.get("enum")
+        return (object,), False, "", enum
     names = types if isinstance(types, list) else [types]
+    if not names:
+        raise ValueError(f"schema {where}: 'type' must name at least one type")
     for name in names:
-        if name not in _TYPE_CLASSES:
+        if not isinstance(name, str) or name not in _TYPE_CLASSES:
             raise ValueError(f"schema {where}: unknown type {name!r}")
     classes = tuple(cls for name in names for cls in _TYPE_CLASSES[name])
-    return classes, int in classes and bool not in classes, "/".join(names), schema.get("enum")
+    return classes, int in classes and bool not in classes, "/".join(names), enum
 
 
-def _compile(schema: Any, where: str = "$") -> Callable[[Any], None]:
-    """Compile a schema node into ``check(instance)``.
+class _Absent:
+    """Class of the placeholder a column holds for an entry without the key."""
+
+
+_ABSENT = _Absent()
+
+
+def _exact(classes: Tuple[type, ...]) -> Optional[FrozenSet[type]]:
+    """The exact classes a column may hold for a node (``None``: any type).
+
+    A value's class must be one of them, so a subclass -- ``bool`` for an
+    ``integer`` included -- is never accepted by column.
+    """
+    return None if classes == (object,) else frozenset(classes)
+
+
+def _fits(values: Iterable[Any], classes: Optional[FrozenSet[type]], enum: Optional[list]) -> bool:
+    """Whether every value of one column passes a leaf's type and enum test.
+
+    ``classes`` comes from :func:`_exact`; ``_ABSENT`` entries are skipped.
+    ``False`` means "not shown", not "invalid": the caller then walks the
+    entries one by one and words the first violation.
+    """
+    if enum is not None:
+        values = list(values)
+    if classes is not None:
+        # Classes of every value, not of the distinct ones: a set keeps one
+        # of 1, 1.0 and True.
+        types = set(map(type, values))
+        types.discard(_Absent)
+        if not types <= classes:
+            return False
+    if enum is None:
+        return True
+    try:
+        distinct = set(values)
+    except TypeError:  # an unhashable value
+        return False
+    distinct.discard(_ABSENT)
+    return all(map(enum.__contains__, distinct))
+
+
+def _column(
+    exact: Optional[FrozenSet[type]],
+    enum: Optional[list],
+    required: Tuple[str, ...],
+    leaves: List[Tuple[str, Optional[FrozenSet[type]], Optional[list]]],
+) -> Callable[[list], bool]:
+    """Compile ``accepts(array)`` for an array whose entries obey one leaf-only node.
+
+    True only if every entry would pass the node's ``check``, shown a column
+    at a time by C-level passes: the distinct entry classes, each required
+    key by ``dict.__contains__``, each leaf property's values by
+    ``dict.get``.  Entries with properties to check must be plain dicts.
+    """
+    if required or leaves:
+        exact = frozenset((dict,)) if exact is None else exact & {dict}
+
+    def accepts(array: list) -> bool:
+        if not _fits(array, exact, enum):
+            return False
+        for key in required:
+            if not all(map(dict.__contains__, array, repeat(key))):
+                return False
+        for key, sub_classes, sub_enum in leaves:
+            if not _fits(map(dict.get, array, repeat(key), repeat(_ABSENT)), sub_classes, sub_enum):
+                return False
+        return True
+
+    return accepts
+
+
+def _compile(
+    schema: Any, where: str = "$"
+) -> Tuple[Callable[[Any], None], Optional[Callable[[list], bool]]]:
+    """Compile a schema node into ``(check, accepts)``.
 
     Supported keywords: ``type`` (string or list), ``enum``, ``required``,
     ``properties``, ``items``.  Everything a node asks is resolved here,
     once: its class tuple, enum, required keys, the ``items`` checker and
     the property list in schema order, where a *leaf* property (``type``/
     ``enum`` only) is checked inline by its parent and only a nested one
-    costs a call.  ``check`` raises :class:`_Violation` on the first
-    violation in the order type, enum, required, properties (schema order),
-    items (index order); the path is assembled while it unwinds, so a valid
-    payload formats nothing.
+    costs a call.  ``check(instance)`` raises :class:`_Violation` on the
+    first violation in the order type, enum, required, properties (schema
+    order), items (index order); the path is assembled while it unwinds, so
+    a valid payload formats nothing.
+
+    ``accepts(array)`` is the column check for an array of such instances
+    (:func:`_column`), or ``None`` when the node has a nested property or
+    ``items``.  An array whose ``items`` node has one runs it first -- a few
+    C-level passes for the whole array -- and checks its entries one by one
+    only when the columns do not show every entry valid.  That walk finds
+    and words the first violation, so verdicts and messages are the item
+    walk's; on the checked-in schema only ``repro.spans`` (nested
+    ``trace_ids``) is walked entry by entry on a valid export.
     """
     classes, no_bool, expected, enum = _head(schema, where)
-    required = tuple(schema.get("required", ()))
+    required = schema.get("required", [])
+    if not isinstance(required, list) or not all(isinstance(key, str) for key in required):
+        raise ValueError(f"schema {where}: 'required' must be a list of strings, got {required!r}")
+    required = tuple(required)
+    declared = schema.get("properties", {})
+    if not isinstance(declared, dict):
+        raise ValueError(
+            f"schema {where}: 'properties' must be an object, got {type(declared).__name__}"
+        )
     properties = []
-    for key, subschema in schema.get("properties", {}).items():
+    leaves = []
+    for key, subschema in declared.items():
         sub_where = f"{where}.properties.{key}"
         head = _head(subschema, sub_where)
-        leaf = not any(keyword in subschema for keyword in _STRUCTURE)
-        properties.append((key, None if leaf else _compile(subschema, sub_where)) + head)
+        if _STRUCTURE.isdisjoint(subschema):
+            properties.append((key, None) + head)
+            leaves.append((key, _exact(head[0]), head[3]))
+        else:
+            properties.append((key, _compile(subschema, sub_where)[0]) + head)
     items = schema.get("items")
-    check_item = None if items is None else _compile(items, f"{where}.items")
+    check_item, accepts_items = (None, None) if items is None else _compile(items, f"{where}.items")
 
     def check(instance: Any) -> None:
         if not isinstance(instance, classes) or (no_bool and isinstance(instance, bool)):
@@ -392,6 +519,8 @@ def _compile(schema: Any, where: str = "$") -> Callable[[Any], None]:
                 violation.path = f".{key}{violation.path}"
                 raise
         elif check_item is not None and isinstance(instance, list):
+            if accepts_items is not None and accepts_items(instance):
+                return
             try:
                 for index, entry in enumerate(instance):
                     check_item(entry)
@@ -399,7 +528,9 @@ def _compile(schema: Any, where: str = "$") -> Callable[[Any], None]:
                 violation.path = f"[{index}]{violation.path}"
                 raise
 
-    return check
+    if items is not None or len(leaves) < len(properties):
+        return check, None
+    return check, _column(_exact(classes), enum, required, leaves)
 
 
 def validate_trace(payload: Dict[str, Any], schema_path: Optional[str] = None) -> None:
@@ -413,7 +544,7 @@ def validate_trace(payload: Dict[str, Any], schema_path: Optional[str] = None) -
     """
     resolved = schema_path or _default_schema_path()
     with open(resolved, "r", encoding="utf-8") as handle:
-        check = _compile(json.load(handle))
+        check, _ = _compile(json.load(handle))
     try:
         check(payload)
     except _Violation as violation:

@@ -1,5 +1,7 @@
 """Observability layer: tracer identity, trace export, attribution, merges."""
 
+import gc
+import hashlib
 import json
 
 import pytest
@@ -32,6 +34,10 @@ from repro.serve import (
     make_requests,
     make_router,
 )
+
+#: sha256 over ``repr(attribute_request(...))`` of every completed request of
+#: the shared ``small_export``, in request order.
+SMALL_EXPORT_ATTRIBUTION_SHA256 = "bb702608480385fa6c5405d597f96afb6d90ff703c4fe72a8daad97a76806633"
 
 
 @pytest.fixture(scope="module")
@@ -217,6 +223,30 @@ class TestExport:
         assert payload == traced(pre_attach=False)
         assert {span["node"] for span in payload["repro"]["spans"]} == {"node0", "node1"}
 
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-enabled", "gc-disabled"])
+    def test_build_trace_leaves_the_collector_as_it_found_it(self, enabled):
+        """The build pauses the cyclic collector and restores the caller's
+        setting afterwards -- also when it raises."""
+        paused = []
+
+        class UnreadableReport:
+            @property
+            def label(self):
+                paused.append(not gc.isenabled())
+                raise RuntimeError("unreadable report")
+
+        was_enabled = gc.isenabled()
+        try:
+            gc.enable() if enabled else gc.disable()
+            build_trace(Tracer())
+            assert gc.isenabled() is enabled
+            with pytest.raises(RuntimeError, match="unreadable report"):
+                build_trace(Tracer(), report=UnreadableReport())
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable() if was_enabled else gc.disable()
+        assert paused == [True]
+
     def test_validate_trace_rejects_unbalanced_spans(self, tiny_wikipedia):
         tracer = Tracer()
         _, report = _serve_single(tiny_wikipedia, tracer=tracer)
@@ -243,6 +273,17 @@ class TestAttribution:
         assert covered == pytest.approx(breakdown["total"], abs=1e-6)
         assert breakdown["queue"] == pytest.approx(request["queue_ms"], abs=1e-6)
         assert all(value >= -1e-9 for value in breakdown.values())
+
+    def test_attribution_of_every_request_is_pinned(self, small_export):
+        """sha256 over ``repr`` of every completed request's breakdown in the
+        shared cluster export: the order in which the sweep filters events
+        (phase, category, window, node) must not move one float."""
+        requests = small_export["repro"]["requests"]
+        digest = hashlib.sha256()
+        for request in requests:
+            digest.update(repr(attribute_request(small_export, request)).encode())
+        assert len(requests) == 10
+        assert digest.hexdigest() == SMALL_EXPORT_ATTRIBUTION_SHA256
 
     def test_pick_request_by_id_and_errors(self, cluster_payload):
         first = cluster_payload["repro"]["requests"][0]
