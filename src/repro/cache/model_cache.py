@@ -53,6 +53,10 @@ from .store import (
 #: the host CPU (sampling structures are CPU-side).
 _DEVICE_KINDS = ("embedding", "memory")
 
+#: A cached sample row per neighbour: id, time and event index (int64,
+#: float64, int64) plus the float32 mask.
+_SAMPLE_BYTES_PER_NEIGHBOR = 8 + 8 + 8 + 4
+
 
 class ModelCache:
     """Staleness-bounded embedding/sample/memory cache for one model.
@@ -211,7 +215,8 @@ class ModelCache:
         """Cache-fronted batched temporal-neighbourhood query.
 
         Per query row: serve the cached sample row when one is valid under
-        the staleness bound, otherwise fall through to ``sampler`` for the
+        the staleness bound and drawn at this ``k`` (a row of another width
+        is a miss, never a hit), otherwise fall through to ``sampler`` for the
         miss rows only (which charges the sampler's CPU cost for exactly
         those rows).  With zero hits the sampler is invoked on the original
         arrays, so the draw sequence -- and therefore the RNG stream -- is
@@ -227,8 +232,9 @@ class ModelCache:
         time_list = times.tolist()
         hits: List[Tuple[int, Tuple[np.ndarray, ...]]] = []
         miss_positions: List[int] = []
-        for index, value in enumerate(store.probe_many(node_list, time_list)):
-            if value is None or value[0].shape[0] != k:
+        probed = store.probe_many(node_list, time_list, nbytes=k * _SAMPLE_BYTES_PER_NEIGHBOR)
+        for index, value in enumerate(probed):
+            if value is None:
                 miss_positions.append(index)
             else:
                 hits.append((index, value))
@@ -284,7 +290,7 @@ class ModelCache:
             [node_list[position] for position in positions],
             [(ids[r].copy(), times[r].copy(), events[r].copy(), mask[r].copy()) for r in rows],
             [time_list[position] for position in positions],
-            k * (8 + 8 + 8 + 4),
+            k * _SAMPLE_BYTES_PER_NEIGHBOR,
         )
 
     # -- recurrent memory rows ---------------------------------------------

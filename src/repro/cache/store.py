@@ -233,14 +233,19 @@ class DeviceResidentCache:
         """Look one key up at query event-time ``now_event_ms``: a probe batch of one."""
         return self.probe_many((key,), (now_event_ms,))[0]
 
-    def probe_many(self, keys: Sequence[Any], times_ms: Sequence[float]) -> List[Any]:
+    def probe_many(
+        self, keys: Sequence[Any], times_ms: Sequence[float], nbytes: Optional[int] = None
+    ) -> List[Any]:
         """Look up a batch of keys, each at its own query event-time.
 
         Returns the cached value per hit and ``None`` per miss.  An entry
         whose age falls outside ``[0, staleness_ms)`` is a miss; entries past
-        the bound are expired (freed) on touch.  The policy hears of a
-        batch's hits in one :meth:`~EvictionPolicy.on_access_many`, settled
-        before any expiry so it sees touches and removals in key order.
+        the bound are expired (freed) on touch.  Given ``nbytes``, a fresh
+        entry of any other size is a plain miss too (no hit, no gather, not
+        a stale reject): a row of another width answers no query.  The
+        policy hears of a batch's hits in one
+        :meth:`~EvictionPolicy.on_access_many`, settled before any expiry so
+        it sees touches and removals in key order.
         Charging is *deferred* to :meth:`flush_charges`.
         """
         if len(keys) != len(times_ms):
@@ -260,6 +265,9 @@ class DeviceResidentCache:
                 continue
             age = now - entry.event_ms
             if 0.0 <= age < staleness:
+                if nbytes is not None and entry.nbytes != nbytes:
+                    append(None)
+                    continue
                 hit_bytes += entry.nbytes
                 touch(key)
                 append(entry.value)

@@ -19,6 +19,16 @@ A tape stores no times and no stream: both are resolved when it replays, so
 a ``use_stream`` override in force at replay time is honoured and a tape
 replays on any machine with the same device names.
 
+**A renamed copy replays on like devices.**  The kernel durations on a tape
+are functions of the device spec alone, so a tape also replays on devices
+whose specs differ from the recorder's only in ``name``, once
+:meth:`Tape.renamed` has made their copy; :meth:`Tape.devices` lists the
+names a copy must map, and the replay loop itself never renames.  Which
+models may share a tape -- one class, config and dataset, host and compute
+specs equal but for the name -- and that a tape naming a third device (a
+peer GPU) stays with its recorder are rules of
+:meth:`DGNNModel.join_tape_book <repro.models.base.DGNNModel.join_tape_book>`.
+
 **Completeness is checked, not assumed.**  Only three calls are taped --
 ``launch_kernel`` (current stream), ``transfer`` (default source/ordering
 arguments) and ``alloc`` -- and each knows how many events it emits (a
@@ -34,7 +44,7 @@ the caller keeps running that block directly.
 from __future__ import annotations
 
 from itertools import groupby
-from typing import TYPE_CHECKING, Any, Callable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Set, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .machine import Machine
@@ -88,6 +98,28 @@ class Tape:
     def alloc(self, region, device, nbytes, tag) -> None:
         self.entries.append((_ALLOC, region, device.name, tag, None, nbytes, None))
         self.events += 1
+
+    def devices(self) -> Set[str]:
+        """The name of every device the entries charge (a transfer's two ends)."""
+        names = {entry[2] for entry in self.entries}
+        names.update(entry[4] for entry in self.entries if entry[0] == _TRANSFER)
+        return names
+
+    def renamed(self, names: Dict[str, str]) -> "Tape":
+        """A sealed copy charging ``names[d]`` wherever this tape charges ``d``.
+
+        ``names`` maps every name in :meth:`devices` to a device of the same
+        spec but for its name; the copy then replays exactly as this tape
+        would on those devices.
+        """
+        copy = Tape(self.region)
+        copy.events = self.events
+        copy.entries = [
+            (tag, region, names[device], name, names[arg] if tag == _TRANSFER else arg, size, tail)
+            for tag, region, device, name, arg, size, tail in self.entries
+        ]
+        copy.seal()
+        return copy
 
     def seal(self) -> None:
         """Fold the entries into segments (layout comment above)."""

@@ -26,7 +26,7 @@ a default-stream sync (``compute_iteration``) or a completion event
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, Hashable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
@@ -43,11 +43,21 @@ from ..tensor import Tensor, meta, ops
 CONTINUOUS = "continuous"
 DISCRETE = "discrete"
 
-# Tapes a model keeps (see ``DGNNModel._replayed``).  Bounded like the
-# placeholder memo in ``tensor/meta.py``: reset wholesale if a pathological
-# workload floods it with shape signatures.
+# Tapes a model keeps, and tapes a book holds (see ``DGNNModel._replayed``).
+# Bounded like the placeholder memo in ``tensor/meta.py``: reset wholesale if
+# a pathological workload floods one with shape signatures.
 _TAPE_LIMIT = 256
 _UNSEEN = object()
+
+
+def _keep(store: Dict[Hashable, Any], key: Hashable, value: Any) -> None:
+    if len(store) >= _TAPE_LIMIT:
+        store.clear()
+    store[key] = value
+
+
+def _same_but_name(a: Device, b: Device) -> bool:
+    return replace(a.spec, name=b.name) == b.spec
 
 
 @dataclass(frozen=True)
@@ -120,6 +130,12 @@ class DGNNModel(Module):
     serving_placement: str = "single"
     num_replicas: int = 1
 
+    #: The hyper-parameters and the dataset a model is built from; every
+    #: model sets both (they decide whether two models record alike, see
+    #: :meth:`join_tape_book`).
+    config: Any = None
+    dataset: Any = None
+
     def __init__(self, machine: Machine, device: Optional[Device] = None) -> None:
         super().__init__()
         self.machine = machine
@@ -135,10 +151,15 @@ class DGNNModel(Module):
         #: serving layer sets this per dispatched batch; sampling models
         #: read it through :meth:`effective_fanout`.
         self._fanout_scale: float = 1.0
-        #: Shape signature -> ``(tape, output shape, output device)``, or
-        #: ``None`` for a signature whose recording failed the tape's checks
-        #: and therefore keeps running direct (see :meth:`_replayed`).
+        #: Shape signature -> ``(tape, output shape, output device)`` this
+        #: model replays, or ``None`` for a signature whose recording failed
+        #: the tape's checks and therefore keeps running direct (see
+        #: :meth:`_replayed`).
         self._tapes: Dict[Hashable, Optional[tuple]] = {}
+        #: Shape signature -> ``(tape, output shape, host name, compute
+        #: name)``: the tapes this model and every model that joined its book
+        #: recorded and may share (see :meth:`join_tape_book`).
+        self._tape_book: Dict[Hashable, tuple] = {}
         self._replay_stats = {"recorded": 0, "replayed": 0, "direct": 0}
 
     # -- devices -------------------------------------------------------------
@@ -178,8 +199,32 @@ class DGNNModel(Module):
     @property
     def replay_stats(self) -> Dict[str, int]:
         """How the shape backend ran this model's taped call sites so far:
-        ``recorded`` once, ``replayed`` from a tape, or ``direct``."""
+        ``recorded`` once, ``replayed`` from a tape (its own or one a model
+        sharing its book recorded), or ``direct``."""
         return dict(self._replay_stats)
+
+    def join_tape_book(self, other: "DGNNModel") -> bool:
+        """Share ``other``'s tape book if the two record alike; returns whether.
+
+        Alike means one class, equal ``config``, the same ``dataset`` object,
+        and host and compute specs equal but for ``name``: for every shape
+        signature the two then issue the same charges on differently named
+        devices.  The book holds the tapes its members recorded that name
+        only the recorder's host and compute device; a member meeting one
+        keeps a copy renamed for its own devices
+        (:meth:`~repro.hw.tape.Tape.renamed`).  A tape naming a third device,
+        and a failed recording, stay private to the recorder.
+        """
+        if not (
+            type(self) is type(other)
+            and self.config == other.config
+            and self.dataset is other.dataset
+            and _same_but_name(self.host_device, other.host_device)
+            and _same_but_name(self._compute_device, other._compute_device)
+        ):
+            return False
+        self._tape_book = other._tape_book
+        return True
 
     def _replayed(self, key: Optional[Hashable], compute: Callable[[], Tensor]) -> Tensor:
         """``compute()``, replayed from a tape when ``key`` was seen before.
@@ -190,7 +235,9 @@ class DGNNModel(Module):
         backend the first call with a key runs ``compute`` under
         :meth:`Machine.record <repro.hw.machine.Machine.record>` and keeps
         the tape; later calls replay it and return a placeholder of the
-        recorded output shape.  ``key=None`` (the caller saw a reason to run
+        recorded output shape.  A key this model has not seen but its tape
+        book holds replays that tape, renamed for this model's devices (see
+        :meth:`join_tape_book`).  ``key=None`` (the caller saw a reason to run
         direct), an open recording, and a key whose tape failed the
         completeness checks all run ``compute`` as if this helper did not
         exist; the numeric backend never records.
@@ -204,6 +251,8 @@ class DGNNModel(Module):
             known = None
         else:
             known = tapes.get(key, _UNSEEN)
+            if known is _UNSEEN:
+                known = self._adopted(key)
         if known is None:
             stats["direct"] += 1
             return compute()
@@ -213,15 +262,30 @@ class DGNNModel(Module):
             stats["replayed"] += 1
             return Tensor(meta.placeholder(shape), device)
         result, tape = machine.record(compute)
-        if len(tapes) >= _TAPE_LIMIT:
-            tapes.clear()
         if tape is None or result.is_tracked:
-            tapes[key] = None
+            _keep(tapes, key, None)
             stats["direct"] += 1
-        else:
-            tapes[key] = (tape, result.shape, result.device)
-            stats["recorded"] += 1
+            return result
+        _keep(tapes, key, (tape, result.shape, result.device))
+        stats["recorded"] += 1
+        host, device = self.host_device.name, self._compute_device.name
+        if result.device.name == device and tape.devices() <= {host, device}:
+            _keep(self._tape_book, key, (tape, result.shape, host, device))
         return result
+
+    def _adopted(self, key: Hashable) -> Any:
+        """The book's tape for ``key`` as this model replays it, now kept in
+        ``_tapes``; ``_UNSEEN`` when the book has none."""
+        entry = self._tape_book.get(key)
+        if entry is None:
+            return _UNSEEN
+        tape, shape, host, device = entry
+        names = {host: self.host_device.name, device: self._compute_device.name}
+        if any(old != new for old, new in names.items()):
+            tape = tape.renamed(names)
+        known = (tape, shape, self._compute_device)
+        _keep(self._tapes, key, known)
+        return known
 
     # -- interface for subclasses ------------------------------------------------
 

@@ -18,7 +18,7 @@ from ..obs.trace import Tracer
 from .autoscale import Autoscaler
 from .core import ServingCore
 from .fidelity import FidelityController
-from .placement import build_replicas
+from .placement import build_replicas, share_tape_books
 from .policy import SchedulerPolicy
 from .request import Request
 from .router import Router
@@ -34,7 +34,8 @@ def build_cluster_replicas(
     ``factory`` is called as ``factory(machine)`` -- once per GPU, with the
     owning node's machine -- inside that machine's placement context, so
     each replica's weights and kernels land on its own node and device (see
-    :func:`~repro.serve.placement.build_replicas`).  Returns
+    :func:`~repro.serve.placement.build_replicas`).  Like replicas share
+    one tape book across nodes too (:func:`share_tape_books`).  Returns
     ``(replicas, replica_nodes)``: the flat replica list (node-major,
     GPU-minor) and each replica's owning node index.
     """
@@ -45,6 +46,7 @@ def build_cluster_replicas(
             built = build_replicas(machine, lambda: factory(machine))
         replicas.extend(built)
         nodes.extend([node_index] * len(built))
+    share_tape_books(replicas)
     return replicas, nodes
 
 

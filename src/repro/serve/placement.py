@@ -7,7 +7,9 @@ Two scale-out placements sit on top of the N-GPU
   each constructed inside ``machine.placement(gpu_i)`` so its weights,
   feature tables and kernels land on its own device.  A router
   (:mod:`repro.serve.router`) spreads batches across the replicas; see
-  :class:`~repro.serve.scaleout.ScaleOutServer`.
+  :class:`~repro.serve.scaleout.ScaleOutServer`.  Like replicas share one
+  tape book (:func:`share_tape_books`), so under the shape backend a batch
+  shape is recorded once per replica set, not once per replica.
 * **Sharding** (:class:`ShardedModel`): the graph's node space is split by a
   seeded :class:`~repro.graph.partition.GraphPartition`; each batch is
   divided by event ownership, every shard computes on its own GPU, and the
@@ -51,7 +53,8 @@ def build_replicas(
     ``factory`` is called once per device inside
     ``with machine.placement(device):`` so every model constructor that
     reads ``machine.compute_device`` (they all do) pins its replica to that
-    device without needing a device argument.
+    device without needing a device argument.  The replicas then share tape
+    books (:func:`share_tape_books`).
     """
     targets = list(devices) if devices is not None else list(machine.gpus)
     if not targets:
@@ -60,7 +63,21 @@ def build_replicas(
     for device in targets:
         with machine.placement(device):
             replicas.append(factory())
+    share_tape_books(replicas)
     return replicas
+
+
+def share_tape_books(replicas: Sequence[Any]) -> None:
+    """Give each set of replicas that record alike one tape book.
+
+    Each replica joins the book of the first earlier replica it records like
+    (:meth:`~repro.models.base.DGNNModel.join_tape_book`); a replica like
+    none of them keeps its own book and is the one later replicas try.
+    """
+    leaders: List[Any] = []
+    for replica in replicas:
+        if not any(replica.join_tape_book(leader) for leader in leaders):
+            leaders.append(replica)
 
 
 class ShardedModel:

@@ -14,6 +14,7 @@ import pytest
 
 from repro.cache import ModelCache, make_model_cache
 from repro.datasets import load
+from repro.graph.sampling import TemporalNeighborSampler
 from repro.hw import Machine
 from repro.models.ldg import LDG
 from repro.models.tgat import TGAT, TGATConfig
@@ -220,3 +221,25 @@ def test_degree_policy_is_wired_to_the_sampler(dataset):
     )
     store = model.cache.embeddings
     assert store.weight_of == model.sampler.total_degree
+
+
+def test_a_sample_row_of_another_width_is_a_miss(dataset):
+    """A row drawn at fan-out 10 answers no fan-out-5 query: no hit is counted
+    and no gather is charged, and every probe is a hit or a miss."""
+    machine = Machine.cpu_gpu()
+    sampler = TemporalNeighborSampler(dataset.stream, seed=0)
+    nodes = np.unique(dataset.stream.src[:32])
+    times = np.full(len(nodes), float(dataset.stream.timestamps[-1]))
+    with machine.activate():
+        cache = ModelCache(
+            machine, machine.gpu, kinds=("sample",), capacity_mb=4.0, staleness_ms=1e12
+        )
+        cache.sample(sampler, nodes, times, 10)
+        assert all(int(node) in cache.samples for node in nodes)
+        narrow = cache.sample(sampler, nodes, times, 5)
+    assert narrow.neighbor_ids.shape == (len(nodes), 5)
+    stats = cache.samples.stats
+    assert stats.hits == 0
+    assert stats.hits + stats.misses == stats.lookups == 2 * len(nodes)
+    gathered = [e for e in machine.events if e.name.startswith("cache_sample_gather")]
+    assert sum(e.bytes for e in gathered) == 0

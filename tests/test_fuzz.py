@@ -30,6 +30,8 @@ from repro.fuzz import (
 )
 from repro.fuzz.program import Execution, InvariantViolation
 from repro.hw.machine import Machine
+from repro.hw.spec import machine_spec
+from repro.hw.tape import Tape
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "fuzz_corpus")
 
@@ -84,6 +86,55 @@ def test_seed_zero_serving_episodes_replay_tapes(monkeypatch):
     assert episodes >= 20
     assert replaying >= episodes // 2, (replaying, episodes)
     assert all(entries > 0 for entries in replayed)
+
+
+def test_seed_zero_spread_episodes_replay_tapes_a_sibling_recorded(monkeypatch):
+    """Renamed tapes stay under ``backend-equivalence`` only if some episode
+    replays one: a replicate or shard episode of the ``--seed 0 --budget 100``
+    campaign must replay a tape another replica recorded.
+
+    A sibling's tape reaches a replica as a copy ``Tape.renamed`` made, or --
+    across a cluster's nodes, whose device names repeat -- as the tape itself
+    replaying on another machine than its recorder's.
+    """
+    recorded_on, copies, sibling_replays = {}, {}, []
+    record, replay, renamed = Machine.record, Machine.replay, Tape.renamed
+
+    def record_spy(machine, block):
+        result, tape = record(machine, block)
+        if tape is not None:
+            recorded_on[id(tape)] = (tape, machine)
+        return result, tape
+
+    def renamed_spy(tape, names):
+        copy = renamed(tape, names)
+        copies[id(copy)] = copy
+        return copy
+
+    def replay_spy(machine, tape):
+        _, recorder = recorded_on.get(id(tape), (tape, machine))
+        if id(tape) in copies or recorder is not machine:
+            sibling_replays.append(tape)
+        replay(machine, tape)
+
+    monkeypatch.setattr(Machine, "record", record_spy)
+    monkeypatch.setattr(Machine, "replay", replay_spy)
+    monkeypatch.setattr(Tape, "renamed", renamed_spy)
+    episodes = sharing = 0
+    for case in range(100):
+        config, ops = draw_case(0, case)
+        serving = config.serving
+        if serving is None or serving["placement"] == "single":
+            continue
+        if machine_spec(config.topology).num_gpus < 2:
+            continue
+        config.backend = "shape"
+        before = len(sibling_replays)
+        Execution(config, checks=set()).run(ops)
+        episodes += 1
+        sharing += len(sibling_replays) > before
+    assert episodes >= 5
+    assert sharing >= max(1, episodes // 2), (sharing, episodes)
 
 
 # -- planted violations ------------------------------------------------------
