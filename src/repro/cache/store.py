@@ -15,12 +15,19 @@ touches once per batch and issue their pool traffic through one
 ``probe`` / ``put`` are runs of one, so a batch equals its keys one at a
 time, byte for byte (``tests/test_cache_store.py``, the
 ``batched-scalar-cache`` invariant).
+
+A live entry is the exact tuple ``(value, event_ms, nbytes, alloc_id)``,
+read by position: the value served on a hit, the event time its staleness
+is measured from, its row size in bytes and the id of its simulated pool
+allocation.  An exact tuple of atomics (a row, a presence flag, a tuple of
+row arrays) leaves the cyclic garbage collector's tracking after its first
+collection, so a full store adds nothing for full collections to walk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .._compat import DATACLASS_SLOTS
 from ..hw.device import Device
@@ -121,16 +128,6 @@ COUNTER_FIELDS = tuple(f.name for f in fields(CacheStats))
 SUMMED_COUNTERS = tuple(name for name in COUNTER_FIELDS if not name.startswith("bytes_peak"))
 
 
-@dataclass(**DATACLASS_SLOTS)
-class _Entry:
-    """One live cache entry."""
-
-    value: Any
-    event_ms: float
-    nbytes: int
-    alloc_id: int
-
-
 @dataclass
 class _ChargeLedger:
     """Deferred per-batch charge counters (see ``flush_charges``)."""
@@ -157,8 +154,10 @@ class DeviceResidentCache:
             used for allocation tags and telemetry.
         policy: Eviction policy instance (not shared between stores).
         capacity_bytes: Residency budget.  Inserts evict victims until the
-            new entry fits; a single entry larger than the budget is
-            rejected outright (counted as an eviction-less miss).
+            new entry fits; an entry larger than the whole budget is
+            rejected outright: :meth:`put_rows` returns 0 before touching
+            the store, so nothing is evicted or admitted, no counter moves
+            and an older entry under the same key stays as it was.
         staleness_ms: Event-time staleness bound (strict).
         weight_of: Optional ``key -> weight`` callable consulted on insert
             when the policy reads weights (the degree-weighted policy's
@@ -187,7 +186,8 @@ class DeviceResidentCache:
         self.staleness_ms = float(staleness_ms)
         self.weight_of = weight_of
         self.stats = CacheStats()
-        self._entries: Dict[Any, _Entry] = {}
+        #: key -> (value, event_ms, nbytes, alloc_id); see the module docstring.
+        self._entries: Dict[Any, Tuple[Any, float, int, int]] = {}
         self._ledger = _ChargeLedger()
         self.tag = f"cache:{kind}"
         # Adaptive-fidelity override of the hit window (None = base bound).
@@ -263,14 +263,14 @@ class DeviceResidentCache:
             if entry is None:
                 append(None)
                 continue
-            age = now - entry.event_ms
+            age = now - entry[1]
             if 0.0 <= age < staleness:
-                if nbytes is not None and entry.nbytes != nbytes:
+                if nbytes is not None and entry[2] != nbytes:
                     append(None)
                     continue
-                hit_bytes += entry.nbytes
+                hit_bytes += entry[2]
                 touch(key)
-                append(entry.value)
+                append(entry[0])
                 continue
             append(None)
             stale += 1
@@ -281,7 +281,7 @@ class DeviceResidentCache:
                 with self.machine.memory_run(self.device, self.tag) as (_, free):
                     del entries[key]
                     self.policy.on_remove(key)
-                    stats.bytes_current -= free(entry.alloc_id)
+                    stats.bytes_current -= free(entry[3])
                 stats.stale_evictions += 1
         if touched:
             self.policy.on_access_many(touched)
@@ -345,14 +345,14 @@ class DeviceResidentCache:
                     previous = entries.pop(key, None)
                     if previous is not None:
                         on_remove(key)
-                        current -= free(previous.alloc_id)
+                        current -= free(previous[3])
                     while current + nbytes > capacity:
                         victim = next_victim()
                         evicted = entries.pop(victim)
                         on_remove(victim)
-                        current -= free(evicted.alloc_id)
+                        current -= free(evicted[3])
                         evictions += 1
-                    entries[key] = _Entry(value, float(event_ms), nbytes, alloc(nbytes))
+                    entries[key] = (value, float(event_ms), nbytes, alloc(nbytes))
                     if weight_of is not None:
                         weight = weight_of(key)
                     on_insert(key, float(weight) if weight is not None else 0.0)
@@ -389,7 +389,7 @@ class DeviceResidentCache:
                     entry = entries.pop(key, None)
                     if entry is not None:
                         on_remove(key)
-                        released += free(entry.alloc_id)
+                        released += free(entry[3])
                         dropped += 1
             finally:
                 stats.bytes_current -= released

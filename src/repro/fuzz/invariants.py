@@ -132,7 +132,7 @@ def _check_cache_conservation(config: FuzzConfig, ops: List[Op], base: Execution
             "cache-conservation",
             f"stale_rejects ({stats.stale_rejects}) exceed misses ({stats.misses})",
         )
-    live_bytes = sum(entry.nbytes for entry in cache._entries.values())
+    live_bytes = sum(entry[2] for entry in cache._entries.values())
     if stats.bytes_current != live_bytes:
         raise InvariantViolation(
             "cache-conservation",

@@ -8,10 +8,8 @@ device computes kernel durations from its roofline cost model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from .._compat import DATACLASS_SLOTS
 from .memory import MemoryPool
 from .spec import DeviceSpec
 from .stream import Stream, StreamSet
@@ -21,24 +19,6 @@ from .timeline import Timeline
 #: (the cost model is a pure function of the key, so a cleared memo only
 #: recomputes): data-dependent shapes must not grow a long-running server.
 _COST_CACHE_LIMIT = 4096
-
-
-@dataclass(frozen=True, **DATACLASS_SLOTS)
-class KernelCost:
-    """Breakdown of one kernel's simulated cost.
-
-    Attributes:
-        compute_ms: Time the execution units spend on floating point work.
-        memory_ms: Time bound by device memory bandwidth.
-        launch_ms: Fixed launch/dispatch overhead on the device.
-        duration_ms: Total device-side duration
-            (``launch + max(compute, memory)``, floored at ``min_kernel_us``).
-    """
-
-    compute_ms: float
-    memory_ms: float
-    launch_ms: float
-    duration_ms: float
 
 
 class Device:
@@ -63,12 +43,13 @@ class Device:
         self.is_gpu: bool = spec.is_gpu
         self.is_cpu: bool = spec.is_cpu
         self.default_stream: Stream = self.streams.default
-        #: Memo of :meth:`kernel_cost` keyed by (flops, bytes): DGNN
+        #: Memo of :meth:`kernel_ms` durations keyed by (flops, bytes): DGNN
         #: inference launches long homogeneous sequences of identically
         #: shaped kernels (RNN steps, per-head attention blocks, repeated
         #: mini-batches), so the cost model is recomputed only on the first
-        #: occurrence of each shape.
-        self._cost_cache: Dict[Tuple[float, float], KernelCost] = {}
+        #: occurrence of each shape.  Like the link's memo it holds floats,
+        #: which the cyclic garbage collector never tracks.
+        self._cost_cache: Dict[Tuple[float, float], float] = {}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Device({self.spec.name!r}, kind={self.spec.kind!r})"
@@ -81,35 +62,30 @@ class Device:
 
     # -- cost model -----------------------------------------------------
 
-    def kernel_cost(self, flops: float, bytes_moved: float) -> KernelCost:
+    def kernel_ms(self, flops: float, bytes_moved: float) -> float:
         """Duration of one kernel under the device's roofline model.
 
         The kernel is compute bound when ``flops / effective_gflops`` exceeds
         ``bytes / bandwidth`` and memory bound otherwise; a fixed launch
-        overhead is always added.  Small kernels are penalised through the
-        spec's saturation curve, which is the mechanism behind low GPU
-        utilization for serialized DGNN updates.
+        overhead is always added (``launch + max(compute, memory)``, the
+        body floored at ``min_kernel_us``).  Small kernels are penalised
+        through the spec's saturation curve, which is the mechanism behind
+        low GPU utilization for serialized DGNN updates.
         """
         cached = self._cost_cache.get((flops, bytes_moved))
-        if cached is not None:
-            return cached
-        if flops < 0 or bytes_moved < 0:
-            raise ValueError("flops and bytes must be non-negative")
-        effective = self.spec.effective_gflops(flops)
-        compute_ms = flops / (effective * 1e6) if flops > 0 else 0.0
-        memory_ms = bytes_moved / (self.spec.mem_bandwidth_gbps * 1e6)
-        launch_ms = self.spec.launch_overhead_us * 1e-3
-        body_ms = max(compute_ms, memory_ms, self.spec.min_kernel_us * 1e-3)
-        cost = KernelCost(
-            compute_ms=compute_ms,
-            memory_ms=memory_ms,
-            launch_ms=launch_ms,
-            duration_ms=launch_ms + body_ms,
-        )
-        if len(self._cost_cache) >= _COST_CACHE_LIMIT:
-            self._cost_cache.clear()
-        self._cost_cache[(flops, bytes_moved)] = cost
-        return cost
+        if cached is None:
+            if flops < 0 or bytes_moved < 0:
+                raise ValueError("flops and bytes must be non-negative")
+            spec = self.spec
+            compute_ms = flops / (spec.effective_gflops(flops) * 1e6) if flops > 0 else 0.0
+            memory_ms = bytes_moved / (spec.mem_bandwidth_gbps * 1e6)
+            cached = spec.launch_overhead_us * 1e-3 + max(
+                compute_ms, memory_ms, spec.min_kernel_us * 1e-3
+            )
+            if len(self._cost_cache) >= _COST_CACHE_LIMIT:
+                self._cost_cache.clear()
+            self._cost_cache[(flops, bytes_moved)] = cached
+        return cached
 
     # -- streams / scheduling -------------------------------------------
 

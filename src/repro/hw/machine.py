@@ -556,10 +556,10 @@ class Machine:
         thread -- asynchronous enqueue -- on any named CPU stream.
         """
         target = self._resolve_kernel_stream(device, stream)
-        cost = device.kernel_cost(flops, bytes_moved)
+        duration = device.kernel_ms(flops, bytes_moved)
         if self._tape is not None:
             self._tape.kernel(
-                self._region_tuple, device, name, flops, bytes_moved, cost.duration_ms, stream
+                self._region_tuple, device, name, flops, bytes_moved, duration, stream
             )
         if device.is_gpu and device.name not in self._ready_gpus:
             self.initialize_gpu(model_bytes=0, device=device)
@@ -568,7 +568,7 @@ class Machine:
             self._host_time += device.spec.host_overhead_us * 1e-3
         self._device_flops[device.name] = self._device_flops.get(device.name, 0.0) + flops
         self._charge(
-            KERNEL, name, device.name, target, self._host_time, cost.duration_ms, blocking,
+            KERNEL, name, device.name, target, self._host_time, duration, blocking,
             int(bytes_moved), flops=flops,
         )
 
@@ -593,7 +593,7 @@ class Machine:
             raise ValueError("count must be non-negative")
         if count == 0:
             return
-        duration = device.kernel_cost(flops, bytes_moved).duration_ms
+        duration = device.kernel_ms(flops, bytes_moved)
         self._charge_kernel_run(
             device,
             stream,

@@ -10,6 +10,7 @@ same intervals, same event logs, same samples, byte for byte.
 """
 
 import contextlib
+import gc
 import os
 import sys
 import time
@@ -312,17 +313,69 @@ def test_cost_memos_are_bounded_and_transparent():
     flops = rng.uniform(1.0e5, 5.0e8, 10_000).tolist()
     sizes = rng.permutation(np.arange(1, 200_000))[:10_000].tolist()
     for flop, size in zip(flops, sizes):
-        cost = gpu.kernel_cost(flop, float(size))
+        duration = gpu.kernel_ms(flop, float(size))
         assert link.transfer_ms(size) == link.spec.transfer_ms(size)
         # A device that has never seen the shape computes it from scratch.
-        assert cost == Device(gpu.spec).kernel_cost(flop, float(size))
-        # A repeated shape is served from the memo.
-        assert gpu.kernel_cost(flop, float(size)) is cost
+        assert duration == Device(gpu.spec).kernel_ms(flop, float(size))
+        # A repeated shape is served from the memo (the memoised float itself).
+        assert gpu.kernel_ms(flop, float(size)) is duration
     assert 0 < len(gpu._cost_cache) <= device_module._COST_CACHE_LIMIT < 10_000
     assert 0 < len(link._transfer_ms_cache) <= link_module._TRANSFER_CACHE_LIMIT < 10_000
     # The shapes a serving run repeats stay memoised across the overflow resets.
-    repeated = gpu.kernel_cost(2.0e6, 4096.0)
-    assert gpu.kernel_cost(2.0e6, 4096.0) is repeated
+    repeated = gpu.kernel_ms(2.0e6, 4096.0)
+    assert gpu.kernel_ms(2.0e6, 4096.0) is repeated
+
+
+def tracked_objects_gained(warm_up, work):
+    """Objects ``work()`` leaves tracked by the cyclic garbage collector.
+
+    Two full collections on each side: an exact tuple is untracked once its
+    elements are, and one pass can visit a tuple before a fresh one it holds.
+    """
+    warm_up()
+    gc.collect()
+    gc.collect()
+    before = len(gc.get_objects())
+    work()
+    gc.collect()
+    gc.collect()
+    return len(gc.get_objects()) - before
+
+
+def test_distinct_kernel_shapes_add_no_tracked_objects():
+    """10 000 kernel shapes: the cost memo holds durations, nothing to walk."""
+    machine = Machine.cpu_gpu()
+    machine.initialize_gpu()
+
+    def launch(first, count):
+        for i in range(first, first + count):
+            machine.launch_kernel(machine.gpu, "k", 1.0e6 + i, 1.0e3 + i)
+
+    # As one record per shape the memo kept 1 808 (10 000 past its last reset).
+    assert tracked_objects_gained(partial(launch, 0, 10), partial(launch, 10, 10_000)) < 100
+
+
+@pytest.mark.parametrize("policy", ["lru", "lfu", "degree"])
+def test_cache_churn_adds_no_tracked_objects(policy):
+    """40 rounds of put, probe and invalidate: a live entry is an exact tuple."""
+    machine = Machine.cpu_gpu()
+    machine.initialize_gpu()
+    store = DeviceResidentCache(
+        machine, machine.gpu, "embedding", make_eviction_policy(policy), 4096 * 64, 1e12,
+        weight_of=lambda key: float(key % 97),
+    )
+    rng = np.random.default_rng(11)
+
+    def churn(rounds):
+        for _ in range(rounds):
+            now = float(machine.host_time_ms)
+            store.put_many(rng.choice(20_000, 512, replace=False).tolist(), True, [now] * 512, 64)
+            store.probe_many(rng.choice(20_000, 64, replace=False).tolist(), [now] * 64)
+            store.invalidate(rng.choice(20_000, 128, replace=False).tolist())
+
+    # As one object per live entry the store kept about 4 000.
+    assert tracked_objects_gained(partial(churn, 1), partial(churn, 40)) < 100
+    assert len(store) > 3_000
 
 
 def python_calls(action, under=""):
