@@ -83,8 +83,16 @@ class LRUPolicy(EvictionPolicy):
             self._order.move_to_end(key)
 
     def on_access_many(self, keys: Iterable[Key]) -> None:
-        order = self._order
-        deque(map(order.move_to_end, filter(order.__contains__, keys)), maxlen=0)
+        # The store passes live keys only, so touch without a membership test.
+        # An unknown key raises KeyError after the iterator has yielded it, so
+        # the next pass resumes just past it.
+        move_to_end, keys = self._order.move_to_end, iter(keys)
+        while True:
+            try:
+                deque(map(move_to_end, keys), maxlen=0)
+            except KeyError:
+                continue
+            return
 
     def on_remove(self, key: Key) -> None:
         self._order.pop(key, None)

@@ -12,7 +12,7 @@ to the workload-imbalance bottleneck.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Iterator, List, Sequence
 
 import numpy as np
 
@@ -38,69 +38,71 @@ class TBatch:
         return int(len(self.event_indices))
 
 
-def build_tbatches(stream: EventStream, charge_host: bool = True) -> List[TBatch]:
-    """Partition an interaction stream into t-batches.
+def iter_tbatches(stream: EventStream) -> Iterator[TBatch]:
+    """Yield the t-batches of ``stream`` in batch order, each built when it is reached.
 
-    Uses the greedy rule from the JODIE paper: an interaction goes into batch
-    ``max(last_batch(user), last_batch(item)) + 1``.  The result preserves
-    per-node temporal order (a node's interactions appear in increasing batch
-    index) while maximising intra-batch parallelism.
+    The greedy rule from the JODIE paper puts an interaction into batch
+    ``max(last_batch(user), last_batch(item)) + 1``, so a node's interactions
+    appear in increasing batch index while each batch is as large as that
+    order allows.  Every assignment is made before the first batch is
+    yielded; a batch holds its events in stream order.
+    """
+    last_batch_of_node: dict[int, int] = {}
+    get = last_batch_of_node.get
+    batch_of_event = []
+    for user, item in zip(stream.src.tolist(), stream.dst.tolist()):
+        batch_index = max(get(user, -1), get(item, -1)) + 1
+        last_batch_of_node[user] = last_batch_of_node[item] = batch_index
+        batch_of_event.append(batch_index)
+    assignments = np.array(batch_of_event, dtype=np.int64)
+    order = np.argsort(assignments, kind="stable")
+    users, items = stream.src[order], stream.dst[order]
+    timestamps = stream.timestamps[order]
+    start = 0
+    for stop in np.cumsum(np.bincount(assignments)).tolist():
+        rows = slice(start, stop)
+        yield TBatch(order[rows], users[rows], items[rows], timestamps[rows])
+        start = stop
+
+
+def build_tbatches(stream: EventStream, charge_host: bool = True) -> List[TBatch]:
+    """Partition an interaction stream into t-batches (:func:`iter_tbatches` as a list).
 
     Args:
         stream: Interaction stream (sorted by time).
         charge_host: Whether to charge the preprocessing cost to the active
             machine (on by default; disable for pure algorithmic use).
     """
-    last_batch_of_node: dict[int, int] = {}
-    assignments = np.zeros(stream.num_events, dtype=np.int64)
-    for index in range(stream.num_events):
-        user = int(stream.src[index])
-        item = int(stream.dst[index])
-        batch_index = max(last_batch_of_node.get(user, -1), last_batch_of_node.get(item, -1)) + 1
-        assignments[index] = batch_index
-        last_batch_of_node[user] = batch_index
-        last_batch_of_node[item] = batch_index
     if charge_host and has_active_machine():
         cost_ms = stream.num_events * TBATCH_COST_PER_EVENT_US * 1e-3
         current_machine().host_work("tbatch_construction", cost_ms)
-    num_batches = int(assignments.max() + 1) if stream.num_events else 0
-    batches: List[TBatch] = []
-    for batch_index in range(num_batches):
-        positions = np.nonzero(assignments == batch_index)[0]
-        batches.append(
-            TBatch(
-                event_indices=positions,
-                users=stream.src[positions],
-                items=stream.dst[positions],
-                timestamps=stream.timestamps[positions],
-            )
-        )
-    return batches
+    return list(iter_tbatches(stream))
 
 
 def validate_tbatches(stream: EventStream, batches: Sequence[TBatch]) -> bool:
-    """Check the two t-batch invariants.
+    """Check the two t-batch invariants and that the batches cover the stream.
 
     1. Within a batch, no user and no item appears twice.
-    2. Across batches, each node's interactions appear in non-decreasing
-       temporal order of batch index.
+    2. Taken batch after batch, each node's event indices strictly increase,
+       so no node's interactions go backwards in time.
 
-    Returns True when both hold; raises ``ValueError`` otherwise (so tests can
-    assert on the message).
+    The batches' event indices together must be every event of ``stream``
+    exactly once.  Returns True when all of this holds; raises ``ValueError``
+    otherwise (so tests can assert on the message).
     """
-    seen_events = 0
-    last_batch_of_node: dict[int, int] = {}
+    last_event_of_node: dict[int, int] = {}
     for batch_index, batch in enumerate(batches):
-        if len(set(batch.users.tolist())) != len(batch.users):
+        users, items = batch.users.tolist(), batch.items.tolist()
+        if len(set(users)) != len(users):
             raise ValueError(f"batch {batch_index} repeats a user")
-        if len(set(batch.items.tolist())) != len(batch.items):
+        if len(set(items)) != len(items):
             raise ValueError(f"batch {batch_index} repeats an item")
-        for node in np.concatenate([batch.users, batch.items]):
-            previous = last_batch_of_node.get(int(node), -1)
-            if batch_index < previous:
-                raise ValueError(f"node {int(node)} goes backwards in time")
-            last_batch_of_node[int(node)] = batch_index
-        seen_events += batch.size
-    if seen_events != stream.num_events:
+        for event, user, item in zip(batch.event_indices.tolist(), users, items):
+            for node in {user, item}:
+                if event <= last_event_of_node.get(node, -1):
+                    raise ValueError(f"node {node} goes backwards in time")
+                last_event_of_node[node] = event
+    covered = np.concatenate([np.empty(0, np.int64)] + [b.event_indices for b in batches])
+    if not np.array_equal(np.sort(covered), np.arange(stream.num_events)):
         raise ValueError("t-batches do not cover the stream exactly once")
     return True

@@ -28,7 +28,7 @@ from typing import Iterator
 import numpy as np
 
 from ..datasets.base import TemporalInteractionDataset
-from ..graph.tbatch import TBatch, build_tbatches
+from ..graph.tbatch import TBatch, iter_tbatches
 from ..hw.machine import Machine
 from ..nn import GRUCell, Linear
 from ..nn import init as nn_init
@@ -103,9 +103,12 @@ class JODIE(DGNNModel):
     # -- batching --------------------------------------------------------------------
 
     def iteration_batches(self) -> Iterator[TBatch]:
-        """Yield t-batches (built once per call, outside the profiled regions)."""
-        batches = build_tbatches(self.dataset.stream, charge_host=False)
-        for batch in batches:
+        """Yield t-batches, split at ``max_tbatch_size``, outside the profiled regions.
+
+        Each call assigns the whole stream to t-batches in one pass, then
+        builds only the batches it is asked for, as they are consumed.
+        """
+        for batch in iter_tbatches(self.dataset.stream):
             yield from self._split(batch)
 
     def _split(self, batch: TBatch) -> Iterator[TBatch]:

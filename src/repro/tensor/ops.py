@@ -157,12 +157,15 @@ def _unary(name: str, fn, flops_per_element: float):
 
 
 def _stable_sigmoid(values: np.ndarray) -> np.ndarray:
-    positive = values >= 0
-    out = np.empty_like(values, dtype=np.float32)
-    out[positive] = 1.0 / (1.0 + np.exp(-values[positive]))
-    exp_v = np.exp(values[~positive])
-    out[~positive] = exp_v / (1.0 + exp_v)
-    return out
+    """``1 / (1 + exp(-v))`` for ``v >= 0``, ``exp(v) / (1 + exp(v))`` below, as float32.
+
+    Both branches come from one ``exp(-|v|)``, which cannot overflow.  It is
+    spelled ``minimum(v, -v)`` because that returns a NaN with its own sign,
+    as the below-zero branch's ``exp(v)`` sees it.
+    """
+    exp_v = np.exp(np.minimum(values, -values))
+    denom = 1.0 + exp_v
+    return np.where(values >= 0, 1.0 / denom, exp_v / denom).astype(np.float32, copy=False)
 
 
 add = _binary("add", np.add)
@@ -216,8 +219,15 @@ def reduce_mean(x: Tensor, axis: Optional[int] = None, keepdims: bool = False) -
 
 
 def _softmax(v, axis):
-    shifted = v - np.max(v, axis=axis, keepdims=True)
-    exps = np.exp(shifted)
+    if v.ndim and axis in (-1, v.ndim - 1) and v.size > v.shape[-1] ** 2:
+        # More rows than the last axis is long: numpy would run one short
+        # reduce per row.  A max is order-free, so take it over a copy with
+        # that axis outermost, as a few long elementwise maxima.  The sum
+        # keeps numpy's own order, which fixes the bits.
+        peak = np.expand_dims(np.ascontiguousarray(np.moveaxis(v, -1, 0)).max(axis=0), -1)
+    else:
+        peak = np.max(v, axis=axis, keepdims=True)
+    exps = np.exp(v - peak)
     return exps / np.sum(exps, axis=axis, keepdims=True)
 
 

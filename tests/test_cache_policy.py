@@ -115,3 +115,35 @@ def test_touching_a_batch_equals_touching_its_keys_in_order(name):
     assert sorted(orders[0]) == list("abcdef")
     assert DegreeWeightedPolicy.reads_weights and not (
         LRUPolicy.reads_weights or LFUPolicy.reads_weights)
+
+
+#: Touch sequences whose unknown keys sit where a batched touch could lose its
+#: place: first, last, back to back, and nothing but unknown keys.
+UNKNOWN_KEY_TOUCHES = {
+    "first": ["zz", "c", "a", "b"],
+    "last": ["c", "a", "b", "zz"],
+    "back to back": ["c", "yy", "zz", "a", "xx", "ww", "vv", "b", "a"],
+    "only unknown": ["zz", "yy", "zz"],
+}
+
+
+def _victim_order(name, touch):
+    policy = make_eviction_policy(name)
+    for weight, key in enumerate("abcdef"):
+        policy.on_insert(key, float(weight % 3))
+    touch(policy)
+    order = []
+    while len(policy):
+        order.append(policy.victim())
+        policy.on_remove(order[-1])
+    return order
+
+
+@pytest.mark.parametrize("name", ["lru", "lfu", "degree"])
+@pytest.mark.parametrize("case", sorted(UNKNOWN_KEY_TOUCHES))
+def test_a_batch_touch_skips_unknown_keys_wherever_they_sit(name, case):
+    touched = UNKNOWN_KEY_TOUCHES[case]
+    batched = _victim_order(name, lambda policy: policy.on_access_many(iter(touched)))
+    one_by_one = _victim_order(name, lambda policy: [policy.on_access(key) for key in touched])
+    assert batched == one_by_one
+    assert sorted(batched) == list("abcdef")

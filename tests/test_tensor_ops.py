@@ -157,3 +157,69 @@ def test_each_operator_charges_the_same_kernels_under_both_backends(op):
             out = OP_ROWS[op](lambda *shape: Tensor(_array(*shape), machine.gpu))
         runs[backend] = (out.shape, signature(machine))
     assert runs["shape"] == runs["numeric"]
+
+
+# -- numerics pinned to the reference implementations ----------------------------
+
+
+def _reference_sigmoid(values: np.ndarray) -> np.ndarray:
+    positive = values >= 0
+    out = np.empty_like(values, dtype=np.float32)
+    out[positive] = 1.0 / (1.0 + np.exp(-values[positive]))
+    exp_v = np.exp(values[~positive])
+    out[~positive] = exp_v / (1.0 + exp_v)
+    return out
+
+
+def _reference_softmax(v, axis):
+    shifted = v - np.max(v, axis=axis, keepdims=True)
+    exps = np.exp(shifted)
+    return exps / np.sum(exps, axis=axis, keepdims=True)
+
+
+def _assert_bit_identical(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _with_specials(shape, dtype, seed):
+    """Values of ``dtype`` up to 1e4 in magnitude, salted with +-0, +-inf and NaN."""
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 5, shape)
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e4, -1e4])
+    salt = rng.random(shape) < 0.05
+    values[salt] = rng.choice(specials, int(salt.sum()))
+    return values.astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(7,), (64, 33), (5, 6, 7)])
+def test_sigmoid_is_bit_identical_to_the_masked_reference(dtype, shape):
+    values = _with_specials(shape, dtype, seed=len(shape))
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e4, -1e4], dtype=dtype)
+    for v in (values, values.T, values[..., ::2], specials):
+        _assert_bit_identical(ops._stable_sigmoid(v), _reference_sigmoid(v))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(960, 4, 12, 12), (50, 1000), (3, 1), (1, 5), (200, 3, 2)])
+def test_softmax_is_bit_identical_to_the_reference_over_every_axis(dtype, shape):
+    clean = np.random.default_rng(1).standard_normal(shape).astype(dtype) * 4
+    salted = _with_specials(shape, dtype, seed=2)
+    for v in (clean, salted, clean.T):
+        for axis in [*range(v.ndim), -1]:
+            with np.errstate(invalid="ignore", over="ignore"):
+                want = _reference_softmax(v, axis)
+                got = ops._softmax(v, axis)
+            _assert_bit_identical(got, want)
+
+
+@pytest.mark.parametrize("axis", [4, -5, 7])
+def test_softmax_refuses_an_out_of_range_axis_as_numpy_does(axis):
+    v = np.ones((960, 4, 12, 12), dtype=np.float32)
+    with pytest.raises(np.exceptions.AxisError) as want:
+        _reference_softmax(v, axis)
+    with pytest.raises(np.exceptions.AxisError) as got:
+        ops._softmax(v, axis)
+    assert str(got.value) == str(want.value)
