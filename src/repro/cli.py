@@ -462,6 +462,9 @@ def _cmd_list_experiments() -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
+    if args.max_rows is not None and args.max_rows < 0:
+        print("error: --max-rows must be non-negative", file=sys.stderr)
+        return 2
     result = run_experiment(args.name, scale=args.scale, seed=args.seed)
     print(result.format_table(max_rows=args.max_rows))
     if args.output:
@@ -534,10 +537,10 @@ def _profile_overlapped(args, model, profiler) -> int:
     print("per-iteration host time (ms): "
           + "  ".join(f"{t:.3f}" for t in result.iteration_ms))
     print(f"steady-state iteration: {result.steady_state_ms():.3f} ms")
-    for snapshot in profile.stream_snapshots("cpu"):
-        if snapshot.name != "default":
-            print(f"prefetch stream '{snapshot.name}': busy {snapshot.busy_ms:.3f} ms "
-                  f"({snapshot.occupancy * 100:.1f}% of window)")
+    name = runner.stream.name
+    busy = profile.stream_busy_ms("cpu", name)
+    occupancy = busy / max(busy, profile.elapsed_ms) if busy > 0 else 0.0
+    print(f"prefetch stream '{name}': busy {busy:.3f} ms ({occupancy * 100:.1f}% of window)")
     return 0
 
 

@@ -5,21 +5,23 @@ methodology.  A :class:`Profiler` wraps a :class:`~repro.hw.machine.Machine`;
 entering its capture context snapshots the event cursor and simulated clock,
 leaving it (after an implicit device synchronisation) produces a
 :class:`Profile` -- an immutable view of everything that happened in between:
-kernel events, transfers, synchronisations, warm-up steps, memory activity
-and the device busy timelines.
+kernel events, transfers, synchronisations, warm-up steps and memory
+activity.
 
-Cost model of profiling: the machine logs each event as a row -- a plain
-11-field tuple in :class:`~repro.hw.events.Event` field order, whose region
-tuple is interned (all events issued inside one region share one tuple
-object) and which the garbage collector stops tracking after its first
-collection.  A capture keeps the window's rows (a slice of the log, no
-copies of the rows themselves) and counts its per-stream kernels and
-transfers from them in one pass; the busy counters it snapshots are
-maintained incrementally by the timelines (O(1) reads, no event-log
-rescans).  A machine built with ``record_events=False`` skips logging
-entirely -- detailed profiling is an opt-in cost, not a tax on every
-simulated action.  A capture on such a machine still reports
-busy/utilization statistics from the timelines but sees an empty event list.
+What a capture keeps: the window's rows (a slice of the log, no copies of
+the rows themselves) plus, per device, the three counters the log cannot
+reproduce bit for bit -- the union busy time across its streams, the FLOPs
+charged and the memory pool's bytes -- read from the machine's running
+counters at both ends of the window (O(1) each, no event-log rescans).
+Anything per stream is read from the rows.  The machine logs each event as
+a row -- a plain 11-field tuple in :class:`~repro.hw.events.Event` field
+order, whose region tuple is interned (all events issued inside one region
+share one tuple object) and which the garbage collector stops tracking
+after its first collection.  A machine built with ``record_events=False``
+skips logging entirely -- detailed profiling is an opt-in cost, not a tax
+on every simulated action.  A capture on such a machine still reports the
+per-device counters but has no rows, so its event list is empty and its
+per-stream view reads 0.
 
 Cost model of reading a :class:`Profile`: everything the analysis computes
 -- the merged busy runs (``busy_timeline``), utilization, the time and byte
@@ -45,54 +47,22 @@ from ..hw.timeline import Timeline
 
 
 @dataclass(frozen=True, **DATACLASS_SLOTS)
-class StreamSnapshot:
-    """Per-stream statistics captured over one profiling window.
-
-    ``idle_ms`` is the window time during which the stream had no queued
-    work; for the seed's single default stream it is the familiar
-    GPU-starvation signature, for named streams it shows how well an
-    overlapped schedule keeps each queue fed.
-    """
-
-    resource: str
-    name: str
-    busy_ms: float
-    idle_ms: float
-    kernel_count: int
-    transfer_count: int
-
-    @property
-    def occupancy(self) -> float:
-        """Busy fraction of the window for this stream."""
-        total = self.busy_ms + self.idle_ms
-        return self.busy_ms / total if total > 0 else 0.0
-
-
-@dataclass(frozen=True, **DATACLASS_SLOTS)
 class DeviceSnapshot:
     """Per-device statistics captured over one profiling window.
 
     ``busy_ms`` is the *union* busy time across the device's streams
-    (concurrent work on two streams counts once); ``streams`` holds the
-    per-stream split.
+    (concurrent work on two streams counts once); the per-stream split is
+    :meth:`Profile.stream_busy_ms`.
     """
 
     name: str
     kind: str
     peak_gflops: float
     busy_ms: float
-    kernel_count: int
     flops: float
     peak_memory_bytes: int
     start_memory_bytes: int
     end_memory_bytes: int
-    streams: Tuple[StreamSnapshot, ...] = ()
-
-    def stream(self, name: str) -> Optional[StreamSnapshot]:
-        for snapshot in self.streams:
-            if snapshot.name == name:
-                return snapshot
-        return None
 
 
 class _EventIndex:
@@ -152,6 +122,10 @@ class _EventIndex:
         return timeline
 
 
+#: Row kinds that occupy the stream they name (a ``SYNC`` row only waits on it).
+_OCCUPYING = frozenset({KERNEL, TRANSFER, WARMUP})
+
+
 def _duration_ms(rows: Tuple[tuple, ...]) -> float:
     """Summed ``end_ms - start_ms`` of ``rows``, as ``Event.duration_ms`` would sum."""
     return sum(row[4] - row[3] for row in rows)
@@ -169,7 +143,6 @@ class Profile:
         events: The same events as ``Event`` values -- built from
             :attr:`rows` on first read, not a field.
         devices: Per-device statistics over the window.
-        link_name: Name of the host<->device link.
         label: Optional label supplied when the capture was opened.
     """
 
@@ -177,13 +150,7 @@ class Profile:
     end_ms: float
     rows: Tuple[tuple, ...]
     devices: Tuple[DeviceSnapshot, ...]
-    link_name: str
     label: str = ""
-    link_streams: Tuple[StreamSnapshot, ...] = ()
-    #: Per-link stream snapshots for *every* topology link (multi-GPU
-    #: machines have one host link per GPU plus optional peer links);
-    #: ``link_streams`` remains the primary link's snapshot tuple.
-    all_links: Tuple[Tuple[str, Tuple[StreamSnapshot, ...]], ...] = ()
 
     @cached_property
     def events(self) -> Tuple[Event, ...]:
@@ -208,26 +175,20 @@ class Profile:
                 return snapshot
         return None
 
-    # -- per-stream views -----------------------------------------------------
-
-    def stream_snapshots(self, name_or_kind: str) -> Tuple[StreamSnapshot, ...]:
-        """Per-stream statistics of one device (or any link by its name)."""
-        snapshot = self.device(name_or_kind)
-        if snapshot is not None:
-            return snapshot.streams
-        if name_or_kind == self.link_name:
-            return self.link_streams
-        for link_name, streams in self.all_links:
-            if link_name == name_or_kind:
-                return streams
-        return ()
-
     def stream_busy_ms(self, name_or_kind: str, stream: str) -> float:
-        """Busy time of one stream of one device/link over the window."""
-        for snapshot in self.stream_snapshots(name_or_kind):
-            if snapshot.name == stream:
-                return snapshot.busy_ms
-        return 0.0
+        """Time one stream of one device (or any link, by name) was occupied.
+
+        The summed durations of the window's kernel, transfer and warm-up
+        rows on that resource and stream.  A ``SYNC`` row names the stream
+        it waited on but occupies nothing, so it is not counted.
+        """
+        snapshot = self.device(name_or_kind)
+        resource = snapshot.name if snapshot is not None else name_or_kind
+        return sum(
+            row[4] - row[3]
+            for row in self.rows
+            if row[2] == resource and row[10] == stream and row[0] in _OCCUPYING
+        )
 
     def busy_timeline(self, device_name: str, include_warmup: bool = False) -> Timeline:
         """Merged busy runs of one named device as a queryable timeline.
@@ -392,9 +353,6 @@ class Profiler:
         start_ms = machine.host_time_ms
         start_memory = {d.name: d.memory.current_bytes for d in machine.devices}
         start_busy = {d.name: d.busy_ms() for d in machine.devices}
-        start_stream_busy = {d.name: d.per_stream_busy_ms() for d in machine.devices}
-        links = machine.links
-        start_link_busy = {link.name: link.per_stream_busy_ms() for link in links}
         # O(1) snapshot of the machine's running per-device FLOP counters
         # (the profiler used to rescan the whole event log here, which made
         # repeated captures O(n^2) across a run).
@@ -406,21 +364,6 @@ class Profiler:
                 machine.synchronize(name="profiler_sync")
             end_ms = machine.host_time_ms
             rows = tuple(machine.events.rows[start_cursor:])
-            # One pass over the window's rows builds every per-resource /
-            # per-stream count the snapshots need (the counts used to be
-            # recomputed with a full scan per stream, O(streams x events)).
-            kernel_counts: Dict[Tuple[str, str], int] = {}
-            transfer_counts: Dict[Tuple[str, str], int] = {}
-            for kind, _, resource, _, _, _, _, _, _, _, stream in rows:
-                if kind == KERNEL:
-                    key = (resource, stream)
-                    kernel_counts[key] = kernel_counts.get(key, 0) + 1
-                elif kind == TRANSFER:
-                    key = (resource, stream)
-                    transfer_counts[key] = transfer_counts.get(key, 0) + 1
-            device_kernel_counts: Dict[str, int] = {}
-            for (resource, _), count in kernel_counts.items():
-                device_kernel_counts[resource] = device_kernel_counts.get(resource, 0) + count
             devices = []
             for device in machine.devices:
                 flops = machine.device_flops(device.name) - start_flops.get(device.name, 0.0)
@@ -430,74 +373,18 @@ class Profiler:
                         kind=device.kind,
                         peak_gflops=device.spec.peak_gflops,
                         busy_ms=device.busy_ms() - start_busy[device.name],
-                        kernel_count=device_kernel_counts.get(device.name, 0),
                         flops=flops,
                         peak_memory_bytes=device.memory.peak_bytes,
                         start_memory_bytes=start_memory[device.name],
                         end_memory_bytes=device.memory.current_bytes,
-                        streams=self._stream_snapshots(
-                            device.name,
-                            device.per_stream_busy_ms(),
-                            start_stream_busy[device.name],
-                            start_ms,
-                            end_ms,
-                            kernel_counts,
-                            transfer_counts,
-                        ),
                     )
                 )
-            all_links = tuple(
-                (
-                    link.name,
-                    self._stream_snapshots(
-                        link.name,
-                        link.per_stream_busy_ms(),
-                        start_link_busy.get(link.name, {}),
-                        start_ms,
-                        end_ms,
-                        kernel_counts,
-                        transfer_counts,
-                    ),
-                )
-                for link in links
-            )
-            primary = machine.link.name
             self.profiles.append(
                 Profile(
                     start_ms=start_ms,
                     end_ms=end_ms,
                     rows=rows,
                     devices=tuple(devices),
-                    link_name=primary,
                     label=label,
-                    link_streams=dict(all_links).get(primary, ()),
-                    all_links=all_links,
                 )
             )
-
-    @staticmethod
-    def _stream_snapshots(
-        resource: str,
-        end_busy: Dict[str, float],
-        start_busy: Dict[str, float],
-        start_ms: float,
-        end_ms: float,
-        kernel_counts: Dict[Tuple[str, str], int],
-        transfer_counts: Dict[Tuple[str, str], int],
-    ) -> Tuple[StreamSnapshot, ...]:
-        """Per-stream busy/idle deltas for one resource over the window."""
-        window = max(0.0, end_ms - start_ms)
-        snapshots = []
-        for name, busy in end_busy.items():
-            busy_delta = busy - start_busy.get(name, 0.0)
-            snapshots.append(
-                StreamSnapshot(
-                    resource=resource,
-                    name=name,
-                    busy_ms=busy_delta,
-                    idle_ms=max(0.0, window - busy_delta),
-                    kernel_count=kernel_counts.get((resource, name), 0),
-                    transfer_count=transfer_counts.get((resource, name), 0),
-                )
-            )
-        return tuple(snapshots)

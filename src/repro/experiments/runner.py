@@ -55,7 +55,9 @@ class ExperimentResult:
         self.rows.append(dict(values))
 
     def format_table(self, max_rows: Optional[int] = None) -> str:
-        """Render the rows as a plain-text table."""
+        """Render the rows as a plain-text table (the first ``max_rows`` rows)."""
+        if max_rows is not None and max_rows < 0:
+            raise ValueError("max_rows must be non-negative")
         if not self.rows:
             return f"{self.experiment}: (no rows)"
         columns = list(self.rows[0].keys())

@@ -491,8 +491,6 @@ class Execution:
         no_trace: Force the serving episode to run without a tracer even
             when the config asks for one (the trace-conservation
             differential's paired run).
-        record_events: Forwarded to the machines; the differential checks
-            need event logs, so it defaults on.
     """
 
     def __init__(
@@ -502,7 +500,6 @@ class Execution:
         null_cache: bool = False,
         scalar_cache: bool = False,
         no_trace: bool = False,
-        record_events: bool = True,
     ) -> None:
         self.config = config
         self.checks = checks
@@ -510,16 +507,10 @@ class Execution:
         self.no_trace = no_trace
         self.cluster: Optional[Cluster] = None
         if config.cluster:
-            self.cluster = Cluster(
-                config.cluster, backend=config.backend, record_events=record_events
-            )
+            self.cluster = Cluster(config.cluster, backend=config.backend)
             self.nodes: List[Machine] = list(self.cluster.nodes)
         else:
-            self.nodes = [
-                Machine.from_spec(
-                    config.topology, backend=config.backend, record_events=record_events
-                )
-            ]
+            self.nodes = [Machine.from_spec(config.topology, backend=config.backend)]
         self.cache = None
         if config.cache:
             owner = self.nodes[0]

@@ -56,20 +56,13 @@ class Cluster:
         self,
         spec: Union[str, ClusterSpec],
         strict_memory: bool = False,
-        record_events: bool = True,
         backend: str = "numeric",
     ) -> None:
         resolved = cluster_spec(spec)
         self.spec = resolved
         self.backend = backend
-        self.record_events = record_events
         self.nodes: Tuple[Machine, ...] = tuple(
-            Machine.from_spec(
-                resolved.node,
-                strict_memory=strict_memory,
-                record_events=record_events,
-                backend=backend,
-            )
+            Machine.from_spec(resolved.node, strict_memory=strict_memory, backend=backend)
             for _ in range(resolved.num_nodes)
         )
         #: One NIC link per node pair, named ``"<nic>:<i>-<j>"`` (i < j).

@@ -109,11 +109,6 @@ class Device:
         """Union busy time across all streams (concurrent work counts once)."""
         return self.streams.busy_ms(start_ms, end_ms)
 
-    def per_stream_busy_ms(
-        self, start_ms: Optional[float] = None, end_ms: Optional[float] = None
-    ) -> Dict[str, float]:
-        return self.streams.per_stream_busy_ms(start_ms, end_ms)
-
     def utilization(self, start_ms: float, end_ms: float) -> float:
         if end_ms <= start_ms:
             return 0.0

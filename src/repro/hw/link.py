@@ -87,8 +87,3 @@ class Link:
     def busy_ms(self, start_ms: float | None = None, end_ms: float | None = None) -> float:
         """Union busy time across all link streams."""
         return self.streams.busy_ms(start_ms, end_ms)
-
-    def per_stream_busy_ms(
-        self, start_ms: float | None = None, end_ms: float | None = None
-    ) -> Dict[str, float]:
-        return self.streams.per_stream_busy_ms(start_ms, end_ms)

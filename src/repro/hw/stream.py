@@ -198,11 +198,6 @@ class StreamSet:
             return value
         return union_busy_ms(active, start_ms, end_ms)
 
-    def per_stream_busy_ms(
-        self, start_ms: Optional[float] = None, end_ms: Optional[float] = None
-    ) -> Dict[str, float]:
-        return {name: stream.busy_ms(start_ms, end_ms) for name, stream in self._streams.items()}
-
 
 def union_busy_ms(
     timelines: Iterable[Timeline],

@@ -9,15 +9,14 @@ utilization evolve over time (Fig. 9's utilization-vs-time plots).
 Storage is columnar: two parallel lists (starts, ends) and no per-interval
 object.  What occupied an interval is the event log's business, not the
 timeline's.  An :class:`Interval` is a value ``reserve`` returns and
-iteration materialises on read; nothing holds one.  Running totals are
-maintained as intervals are reserved, so
+iteration materialises on read; nothing holds one.  So
 
-* unclipped ``busy_ms()`` is O(1) (a stored running sum, accumulated in
-  insertion order so the float result is bit-identical to the old scan);
-* windowed ``busy_ms(lo, hi)`` binary-searches the overlapping range and
-  only walks the intervals that actually intersect the window;
+* ``busy_ms(lo, hi)`` binary-searches the overlapping range and only walks
+  the intervals that actually intersect the window; unclipped, it walks
+  them all (O(intervals), summing ``end - start`` in insertion order);
 * the contiguous-run union total that :func:`repro.hw.stream.union_busy_ms`
-  needs for single-stream resources is maintained incrementally.
+  needs for single-stream resources is the one running total, kept as
+  intervals are reserved: unclipped ``merged_busy_ms()`` is O(1).
 """
 
 from __future__ import annotations
@@ -54,7 +53,6 @@ class Timeline:
         "name",
         "_starts",
         "_ends",
-        "_busy_total",
         "_merged_total",
         "_run_start",
         "_run_end",
@@ -66,9 +64,6 @@ class Timeline:
         # bisected by the window queries.
         self._starts: List[float] = []
         self._ends: List[float] = []
-        # Running sum of durations, accumulated in insertion order so the
-        # float value matches the old full rescan bit for bit.
-        self._busy_total = 0.0
         # Incremental merged-run accounting for union_busy_ms: completed
         # contiguous runs plus the currently open run [run_start, run_end).
         self._merged_total = 0.0
@@ -94,10 +89,6 @@ class Timeline:
         last_end = ends[-1] if ends else 0.0
         start = ready_ms if ready_ms > last_end else last_end
         end = start + duration_ms
-        # Accumulate end - start (not duration_ms): the old full rescan
-        # summed interval.duration_ms, and start + d - start can differ from
-        # d in the last ulp.
-        self._busy_total += end - start
         # Merged-run bookkeeping: a gap closes the open run, a touching or
         # first interval extends it (start >= last_end always holds here).
         if not ends:
@@ -137,7 +128,6 @@ class Timeline:
         """
         empty = not self._ends
         last_end = 0.0 if empty else self._ends[-1]
-        busy = self._busy_total
         merged = self._merged_total
         run_start = self._run_start
         run_end = self._run_end
@@ -152,7 +142,6 @@ class Timeline:
             ready = floor_ms if floor_ms > host else host
             start = ready if ready > last_end else last_end
             last_end = end = start + duration_ms
-            busy += end - start
             if empty:
                 empty = False
                 run_start = start
@@ -166,7 +155,6 @@ class Timeline:
                 host = end
         self._starts.extend(starts)
         self._ends.extend(ends)
-        self._busy_total = busy
         self._merged_total = merged
         self._run_start = run_start
         self._run_end = run_end
@@ -186,8 +174,6 @@ class Timeline:
 
     def busy_ms(self, start_ms: float | None = None, end_ms: float | None = None) -> float:
         """Total busy time, optionally clipped to a window."""
-        if start_ms is None and end_ms is None:
-            return self._busy_total
         lo = start_ms if start_ms is not None else float("-inf")
         hi = end_ms if end_ms is not None else float("inf")
         first, last = self._overlap_range(lo, hi)
@@ -244,12 +230,6 @@ class Timeline:
             total += run_hi - run_lo
         return total
 
-    def utilization(self, start_ms: float, end_ms: float) -> float:
-        """Fraction of the window [start, end) during which the resource is busy."""
-        if end_ms <= start_ms:
-            return 0.0
-        return self.busy_ms(start_ms, end_ms) / (end_ms - start_ms)
-
     def utilization_series(
         self, start_ms: float, end_ms: float, bin_ms: float
     ) -> List[Tuple[float, float]]:
@@ -291,17 +271,16 @@ class Timeline:
         timeline = cls(name)
         starts: List[float] = []
         ends: List[float] = []
-        # Same accumulation order as ``reserve`` (durations in list order,
-        # one ``run_end - run_start`` per closed run), so the O(1) totals
-        # match a timeline that reserved these intervals one by one.
-        busy = merged = 0.0
+        # Same accumulation order as ``reserve`` (one ``run_end -
+        # run_start`` per closed run), so the O(1) merged total matches a
+        # timeline that reserved these intervals one by one.
+        merged = 0.0
         run_start = last_end = float("-inf")
         for start, end in intervals:
             if start < last_end:
                 raise ValueError("intervals must be sorted and disjoint")
             if end < start:
                 raise ValueError("interval ends before it starts")
-            busy += end - start
             if not starts:
                 run_start = start
             elif start > last_end:
@@ -312,7 +291,6 @@ class Timeline:
             ends.append(end)
         if starts:
             timeline._starts, timeline._ends = starts, ends
-            timeline._busy_total = busy
             timeline._merged_total = merged
             timeline._run_start, timeline._run_end = run_start, last_end
         return timeline

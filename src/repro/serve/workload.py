@@ -336,10 +336,14 @@ def generate_requests(
     time-ordered event stream (the constraint
     :meth:`~repro.graph.events.EventStream.concat` enforces).  Generation
     stops at ``duration_ms`` or when the stream runs out of slices --
-    wrapping around would break temporal ordering inside a batch.
+    wrapping around would break temporal ordering inside a batch.  A
+    ``slo_ms`` that is neither ``None`` nor a positive finite number would
+    make every request late, so it is refused before any arrival is drawn.
     """
     if events_per_request <= 0:
         raise ValueError("events_per_request must be positive")
+    if slo_ms is not None and not (math.isfinite(slo_ms) and slo_ms > 0):
+        raise ValueError(f"slo_ms must be a positive finite number, got {slo_ms!r}")
     max_requests = stream.num_events // events_per_request
     requests: List[Request] = []
     for index, arrival in enumerate(

@@ -190,3 +190,31 @@ def test_cli_profile_rejects_a_non_positive_iteration_count(iterations, capsys):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == "error: --iterations must be positive\n"
+
+
+@pytest.mark.parametrize("slo_ms", ["0", "-5", "nan", "inf"])
+def test_cli_serve_refuses_an_slo_every_request_would_miss(slo_ms, capsys):
+    code = main(
+        ["serve", "tgat", "--scale", "tiny", "--backend", "shape", "--rate", "100",
+         "--duration", "50", f"--slo-ms={slo_ms}"]
+    )
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: slo_ms must be a positive finite number")
+
+
+def test_cli_experiment_refuses_a_negative_row_limit(capsys):
+    code = main(["experiment", "table1", "--scale", "tiny", "--max-rows", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: --max-rows must be non-negative\n"
+
+
+def test_cli_profile_overlap_reports_the_prefetch_stream(capsys):
+    code = main(
+        ["profile", "tgat", "--overlap", "--scale", "tiny", "--backend", "shape",
+         "--iterations", "3"]
+    )
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.splitlines()[-1] == "prefetch stream 'sampling': busy 79.281 ms (66.6% of window)"

@@ -160,7 +160,8 @@ class TestNicRouting:
             stream=nic.stream("bulk"),
         )
         (hop,) = [e for e in all_events(cluster) if e.name == "bulk_copy"]
-        assert nic.per_stream_busy_ms() == {"default": 0.0, "bulk": hop.duration_ms}
+        busy = {s.name: s.busy_ms() for s in nic.streams}
+        assert busy == {"default": 0.0, "bulk": hop.duration_ms}
         assert (hop.resource, hop.stream) == (nic.name, "bulk")
         # A stream of some other link is still refused.
         with pytest.raises(ValueError, match="not to link"):

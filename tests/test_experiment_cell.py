@@ -5,7 +5,13 @@ import inspect
 import pytest
 
 from repro.experiments import EXPERIMENTS
-from repro.experiments.runner import Panel, panel_points, profile_cell, profile_iterations
+from repro.experiments.runner import (
+    ExperimentResult,
+    Panel,
+    panel_points,
+    profile_cell,
+    profile_iterations,
+)
 from repro.models import DEFAULT_DATASETS, MODEL_NAMES, build_model
 from repro.models.registry import MODELS, build_on_fresh_machine
 
@@ -92,3 +98,11 @@ def test_offline_experiments_take_no_per_sweep_options(name):
     """Another sweep is another panel table, not another keyword argument."""
     parameters = set(inspect.signature(EXPERIMENTS[name]).parameters)
     assert parameters <= {"scale", "paper_scale", "seed"}, parameters
+
+
+def test_format_table_shows_the_first_max_rows_rows_and_refuses_a_negative_limit():
+    result = ExperimentResult("demo", rows=[{"model": "a"}, {"model": "b"}, {"model": "c"}])
+    assert result.format_table(max_rows=2).splitlines()[-2:] == ["a    ", "b    "]
+    assert result.format_table(max_rows=0).splitlines() == ["demo", "model", "-----"]
+    with pytest.raises(ValueError, match="max_rows must be non-negative"):
+        result.format_table(max_rows=-1)

@@ -768,7 +768,6 @@ def synthetic_profile(events, start_ms, end_ms, with_gpu=True):
             kind=kind,
             peak_gflops=1000.0,
             busy_ms=sum(e.duration_ms for e in events if e.resource == f"{kind}0"),
-            kernel_count=0,
             flops=0.0,
             peak_memory_bytes=0,
             start_memory_bytes=0,
@@ -781,7 +780,6 @@ def synthetic_profile(events, start_ms, end_ms, with_gpu=True):
         end_ms=end_ms,
         rows=tuple(events),
         devices=devices,
-        link_name="pcie",
         label="synthetic",
     )
 

@@ -222,3 +222,19 @@ def test_make_requests_is_the_named_process_over_the_stream(arrival, params):
     assert [(r.request_id, r.arrival_ms, r.num_events, r.slo_ms) for r in built] == [
         (r.request_id, r.arrival_ms, r.num_events, r.slo_ms) for r in expected
     ]
+
+
+class _NoDraws:
+    """An arrival process that must not be asked for arrivals."""
+
+    def arrival_times_ms(self, duration_ms, max_requests=None):
+        raise AssertionError("an arrival was drawn before slo_ms was checked")
+
+
+@pytest.mark.parametrize("slo_ms", [0.0, -5.0, float("nan"), float("inf")])
+def test_generate_requests_refuses_an_slo_every_request_would_miss(slo_ms):
+    stream = load("wikipedia", scale="tiny").stream
+    with pytest.raises(ValueError, match="slo_ms must be a positive finite number"):
+        generate_requests(stream, _NoDraws(), duration_ms=100.0, slo_ms=slo_ms)
+    with pytest.raises(ValueError, match="slo_ms must be a positive finite number"):
+        make_requests(stream, "poisson", 300.0, 100.0, slo_ms=slo_ms)
