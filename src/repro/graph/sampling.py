@@ -18,12 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
 from .._compat import DATACLASS_SLOTS
-from ..hw.machine import active_machine_or_none, current_machine, has_active_machine
+from ..hw.machine import active_machine_or_none
 from ..tensor.meta import placeholder
 from .events import EventStream
 
@@ -45,18 +45,23 @@ class SamplingCostModel:
     per_sample_us = 0.03
     sort_log_factor_us = 1.0
 
-    def batch_cost_ms(self, degrees: np.ndarray, k: int) -> float:
-        """Cost of sampling ``k`` neighbours for each target with ``degrees``."""
+    def target_costs_us(self, degrees: np.ndarray, k: int) -> np.ndarray:
+        """Per-target cost (µs) of sampling ``k`` neighbours, elementwise over
+        ``degrees``: each element depends on its own degree alone, so a
+        sampler may tabulate it once per ``k`` and gather."""
         if k < 0:
             raise ValueError("k must be non-negative")
         degrees = np.asarray(degrees, dtype=np.float64)
-        per_target = (
+        return (
             self.per_target_us
             + self.per_candidate_us * degrees
             + self.per_sample_us * k
             + self.sort_log_factor_us * np.log2(degrees + 2.0)
         )
-        return float(per_target.sum() * 1e-3)
+
+    def batch_cost_ms(self, degrees: np.ndarray, k: int) -> float:
+        """Cost of sampling ``k`` neighbours for each target with ``degrees``."""
+        return float(self.target_costs_us(degrees, k).sum() * 1e-3)
 
 
 #: The one cost table every sampler charges by.
@@ -126,6 +131,11 @@ class NeighborhoodSample:
 #: Floyd's algorithm for a tail shuffle of ``arange(pop)`` only when
 #: ``pop > 10_000 and k > pop // 50`` (numpy/random/_generator.pyx).
 _MAX_BATCHED_K = 64
+
+#: Fan-outs a sampler keeps a cost table for.  Adaptive fidelity visits a
+#: handful; the memo is reset wholesale if something floods it, like the
+#: model's tape store.
+_PER_K_LIMIT = 64
 
 
 def _floyd_draws(rng: np.random.Generator, pops: np.ndarray, k: int) -> np.ndarray:
@@ -203,6 +213,12 @@ class TemporalNeighborSampler:
         #: Per-node interaction count over the whole stream (CSR row lengths).
         self.total_degrees = np.diff(self._offsets)
         self.total_degrees.setflags(write=False)
+        #: ``k -> (arange(k), table)``: ``table[d]`` is what :attr:`cost_model`
+        #: charges a target with ``d`` earlier interactions, for every ``d``
+        #: the stream can produce.
+        self._per_k: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+        #: ``(k, node bytes, time bytes, query)`` of the last validated call.
+        self._last_query: Optional[tuple] = None
 
     @staticmethod
     def _build_index(stream: EventStream):
@@ -259,6 +275,8 @@ class TemporalNeighborSampler:
         expensive a node's neighbourhood sample is to recompute (the
         per-query cost grows with the candidate-list length).
         """
+        if not 0 <= node < len(self.total_degrees):
+            raise ValueError(f"node id {node} is outside [0, {len(self.total_degrees)})")
         return int(self.total_degrees[node])
 
     def sample(self, nodes: np.ndarray, timestamps: np.ndarray, k: int) -> NeighborhoodSample:
@@ -269,7 +287,11 @@ class TemporalNeighborSampler:
 
         The whole batch is served by a fixed number of numpy calls: two
         bisects over the CSR index (see :meth:`_build_index`) give every
-        row's cutoff, one fancy index per output gathers it.  The results
+        row's cutoff, one fancy index per output gathers it, and the charge
+        is one gather from a per-``k`` cost table.  An equal query asked
+        twice in a row -- TGAT asks each once per layer -- is bisected once
+        (:meth:`_query`); its draw, charge and mask still happen per call.
+        The results
         and the RNG stream are those of the reference per-row loop --
         ``sorted(rng.choice(cutoff, k, replace=False))`` for each uniform row
         with ``cutoff > k``, in row order -- which :meth:`_draw` reproduces
@@ -287,36 +309,27 @@ class TemporalNeighborSampler:
         the numeric ones whenever they are read; TGAT's shape-backend compute
         reads only the ids that feed a deeper query.  ``neighbor_times`` and
         ``event_indices`` are placeholders there.
+
+        Node ids must be a 1-D integer array: a float or boolean id, or a
+        query of another rank, raises ``ValueError`` before anything is drawn
+        or charged.
         """
-        nodes = np.asarray(nodes, dtype=np.int64)
+        nodes = np.asarray(nodes)
         timestamps = np.asarray(timestamps, dtype=np.float64)
+        if nodes.ndim != 1:
+            raise ValueError(f"nodes must be a 1-D array of node ids, not {nodes.ndim}-D")
         if nodes.shape != timestamps.shape:
             raise ValueError("nodes and timestamps must have the same shape")
+        if nodes.dtype.kind not in "iu" and len(nodes):
+            raise ValueError(f"node ids must be integers, not {nodes.dtype}")
         if k <= 0:
             raise ValueError("k must be positive")
-        batch = len(nodes)
-        num_nodes = self.stream.num_nodes
-        if batch and not 0 <= nodes.min() <= nodes.max() < num_nodes:
-            bad = int(nodes[(nodes < 0) | (nodes >= num_nodes)][0])
-            raise ValueError(f"node id {bad} is outside [0, {num_nodes})")
-        nan = np.isnan(timestamps)
-        if nan.any():
-            # NaN bisects past every time: the row would see its whole history.
-            raise ValueError(f"query time of row {int(np.flatnonzero(nan)[0])} is NaN")
+        nodes = nodes.astype(np.int64, copy=False)
+        columns, starts, degrees, drawn, pops, valid, cost_ms = self._query(nodes, timestamps, k)
+        picks = None if pops is None else self._deferred_draw(pops, k)
         machine = active_machine_or_none()
-        shape_only = machine is not None and machine.shape_mode
-        starts = self._offsets[nodes]
-        ranks = self._unique_times.searchsorted(timestamps, side="left")
-        targets = nodes * (len(self._unique_times) + 1) + ranks
-        degrees = self._keys.searchsorted(targets, side="left") - starts
-        drawn = picks = None
-        if self.uniform:
-            drawn = np.flatnonzero(degrees > k)
-            if len(drawn):
-                picks = self._deferred_draw(degrees[drawn], k)
-        columns = np.arange(k)
-        valid = columns < degrees[:, None]
-        self._charge(degrees, k)
+        if machine is not None:
+            machine.host_work("temporal_neighbor_sampling", cost_ms)
 
         def slots() -> np.ndarray:
             # Most-recent-k positions within each row's candidates; uniform
@@ -328,17 +341,70 @@ class TemporalNeighborSampler:
             return np.where(valid, starts[:, None] + chosen, len(self._keys))
 
         mask = valid.astype(np.float32)
-        if shape_only:
+        if machine is not None and machine.shape_mode:
             return NeighborhoodSample.deferred(
                 partial(self._resolve_ids, slots),
-                placeholder((batch, k), np.float64),
-                placeholder((batch, k), np.int64),
+                placeholder(mask.shape, np.float64),
+                placeholder(mask.shape, np.int64),
                 mask,
             )
         flat = slots()
         return NeighborhoodSample(
             self._neighbors[flat], self._times[flat], self._events[flat], mask
         )
+
+    def _query(self, nodes: np.ndarray, times: np.ndarray, k: int) -> tuple:
+        """What ``(nodes, times, k)`` determine before any draw: ``(arange(k),
+        starts, degrees, drawn rows, their candidate counts, valid, charge
+        in ms)``, validating the query on the way.
+
+        TGAT asks each query twice in a row (once per layer), so the last
+        validated query is kept -- its arrays as bytes, which are copies --
+        and its result is handed back when the next call asks for the same
+        values; nothing in a result is ever written.  Equal bytes are equal
+        values (a NaN is never kept), and the only equal values with other
+        bytes, ``0.0`` and ``-0.0``, bisect alike and merely miss.
+        """
+        node_bytes, time_bytes = nodes.tobytes(), times.tobytes()
+        last = self._last_query
+        if last is not None and last[0] == k and last[1] == node_bytes and last[2] == time_bytes:
+            return last[3]
+        num_nodes = self.stream.num_nodes
+        if len(nodes) and not 0 <= nodes.min() <= nodes.max() < num_nodes:
+            bad = int(nodes[(nodes < 0) | (nodes >= num_nodes)][0])
+            raise ValueError(f"node id {bad} is outside [0, {num_nodes})")
+        nan = np.isnan(times)
+        if nan.any():
+            # NaN bisects past every time: the row would see its whole history.
+            raise ValueError(f"query time of row {int(np.flatnonzero(nan)[0])} is NaN")
+        columns, table = self._per_k.get(k) or self._tabulate(k)
+        starts = self._offsets[nodes]
+        ranks = self._unique_times.searchsorted(times, side="left")
+        targets = nodes * (len(self._unique_times) + 1) + ranks
+        degrees = self._keys.searchsorted(targets, side="left") - starts
+        drawn = pops = None
+        if self.uniform:
+            drawn = np.flatnonzero(degrees > k)
+            if len(drawn):
+                pops = degrees[drawn]
+        valid = columns < degrees[:, None]
+        # The gather holds the values target_costs_us(degrees, k) computes,
+        # in the same order, so its pairwise sum is batch_cost_ms's.
+        query = (columns, starts, degrees, drawn, pops, valid, float(table[degrees].sum() * 1e-3))
+        self._last_query = (k, node_bytes, time_bytes, query)
+        return query
+
+    def _tabulate(self, k: int) -> Tuple[np.ndarray, np.ndarray]:
+        """``(arange(k), cost table)`` for fan-out ``k``, memoised."""
+        if len(self._per_k) >= _PER_K_LIMIT:
+            self._per_k.clear()
+        columns = np.arange(k)
+        degrees = np.arange(int(self.total_degrees.max(initial=0)) + 1)
+        table = self.cost_model.target_costs_us(degrees, k)
+        columns.setflags(write=False)
+        table.setflags(write=False)
+        self._per_k[k] = (columns, table)
+        return columns, table
 
     def _resolve_ids(self, slots: Callable[[], np.ndarray]) -> np.ndarray:
         """``neighbor_ids`` of a deferred sample."""
@@ -365,9 +431,3 @@ class TemporalNeighborSampler:
             picks.sort()
             out[row] = picks
         return lambda: out
-
-    def _charge(self, degrees: np.ndarray, k: int) -> None:
-        if not has_active_machine():
-            return
-        cost_ms = self.cost_model.batch_cost_ms(degrees, k)
-        current_machine().host_work("temporal_neighbor_sampling", cost_ms)

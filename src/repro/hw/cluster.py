@@ -38,6 +38,7 @@ plain machine.
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace as _spec_replace
 from typing import Dict, Optional, Tuple, Union
 
@@ -193,8 +194,8 @@ class Cluster:
         Same-node transfers delegate to the node machine's own
         :meth:`~repro.hw.machine.Machine.transfer` and never touch a NIC.
         """
-        if nbytes < 0:
-            raise ValueError("nbytes must be non-negative")
+        if not 0 <= nbytes < math.inf:
+            raise ValueError("nbytes must be non-negative and finite")
         source = self.nodes[src_node]
         issue_ms = source.host_time_ms if ready_ms is None else max(ready_ms, 0.0)
         if src_node == dst_node:

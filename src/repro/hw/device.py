@@ -8,6 +8,7 @@ device computes kernel durations from its roofline cost model.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Optional, Tuple
 
 from .memory import MemoryPool
@@ -74,8 +75,9 @@ class Device:
         """
         cached = self._cost_cache.get((flops, bytes_moved))
         if cached is None:
-            if flops < 0 or bytes_moved < 0:
-                raise ValueError("flops and bytes must be non-negative")
+            # Checked on a miss only: a NaN never hits, so it always lands here.
+            if not (0 <= flops < math.inf and 0 <= bytes_moved < math.inf):
+                raise ValueError("flops and bytes must be non-negative and finite")
             spec = self.spec
             compute_ms = flops / (spec.effective_gflops(flops) * 1e6) if flops > 0 else 0.0
             memory_ms = bytes_moved / (spec.mem_bandwidth_gbps * 1e6)

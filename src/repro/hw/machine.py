@@ -42,6 +42,7 @@ happens:
 from __future__ import annotations
 
 import contextlib
+import math
 from dataclasses import replace as _spec_replace
 from itertools import repeat
 from typing import (
@@ -424,8 +425,8 @@ class Machine:
 
     def advance_host(self, duration_ms: float) -> None:
         """Advance the host cursor by a pure-host cost (Python overhead etc.)."""
-        if duration_ms < 0:
-            raise ValueError("duration must be non-negative")
+        if not 0 <= duration_ms < math.inf:
+            raise ValueError("duration must be non-negative and finite")
         if self._tape is not None:
             self._tape.usable = False
         self._host_time += duration_ms
@@ -611,6 +612,8 @@ class Machine:
         semantics); on a named CPU stream the work is queued asynchronously,
         modelling a prefetch/worker thread.
         """
+        if not 0 <= duration_ms < math.inf:
+            raise ValueError("duration must be non-negative and finite")
         target = self._resolve_kernel_stream(self.cpu, stream)
         self._charge(
             KERNEL, name, self.cpu.name, target, self._host_time, duration_ms, target.is_default
@@ -658,8 +661,8 @@ class Machine:
         """
         if src == dst:
             raise ValueError("transfer requires two distinct devices")
-        if nbytes < 0:
-            raise ValueError("nbytes must be non-negative")
+        if not 0 <= nbytes < math.inf:
+            raise ValueError("nbytes must be non-negative and finite")
         hops = self.topology.route(src, dst)
         for hop_device in (src, dst):
             if hop_device.is_gpu and hop_device.name not in self._ready_gpus:

@@ -22,6 +22,7 @@ from repro.hw import (
     SYNC,
     TRANSFER,
     WARMUP,
+    Cluster,
     Event,
     Interval,
     NVLINK3,
@@ -122,6 +123,69 @@ class TestTransfers:
         assert sent(machine.cpu, machine.gpu) == 100
         assert sent(machine.gpu, machine.cpu) == 40
         assert machine.link.total_bytes == 140
+
+
+NAN, INF = float("nan"), float("inf")
+
+#: Every hw entry point that takes a duration, a size or a kernel shape,
+#: called with a NaN or an infinity.
+NON_FINITE_CHARGES = {
+    "host_work nan": lambda m: m.host_work("h", NAN),
+    "host_work inf": lambda m: m.host_work("h", INF),
+    "host_work nan on a named stream": lambda m: m.host_work("h", NAN, m.cpu.stream("w")),
+    "advance_host nan": lambda m: m.advance_host(NAN),
+    "advance_host inf": lambda m: m.advance_host(INF),
+    "transfer nan bytes": lambda m: m.transfer(m.cpu, m.gpu, NAN),
+    "transfer inf bytes": lambda m: m.transfer(m.cpu, m.gpu, INF, non_blocking=True),
+    "launch_kernel nan flops": lambda m: m.launch_kernel(m.gpu, "k", NAN, 1e3),
+    "launch_kernel inf bytes": lambda m: m.launch_kernel(m.cpu, "k", 1e6, INF),
+    "kernel_ms nan": lambda m: m.gpu.kernel_ms(NAN, 1e3),
+}
+
+
+class TestNonFiniteCharges:
+    """NaN and inf are refused at every entry point before any state moves.
+
+    A NaN host charge used to turn the host clock into NaN (the next GPU
+    warm-up then silently restored a finite time), a NaN transfer was booked,
+    and every NaN kernel shape added a memo entry, since NaN != NaN.
+    """
+
+    @staticmethod
+    def state(machine):
+        return (
+            machine.host_time_ms,
+            machine.event_count,
+            [tuple(event) for event in machine.events],
+            machine.link.total_bytes,
+            len(machine.gpu._cost_cache),
+            len(machine.cpu._cost_cache),
+        )
+
+    @pytest.mark.parametrize("charge", sorted(NON_FINITE_CHARGES))
+    def test_refused_with_nothing_moved(self, machine, charge):
+        warmed(machine)
+        machine.host_work("before", 1.0)
+        machine.launch_kernel(machine.gpu, "k", 1e6, 1e3)
+        before = self.state(machine)
+        with pytest.raises(ValueError, match="non-negative and finite"):
+            NON_FINITE_CHARGES[charge](machine)
+        assert self.state(machine) == before
+
+    def test_cluster_transfer_refuses_nan_bytes(self):
+        cluster = Cluster("2n-1xA100-eth")
+        nodes = cluster.nodes
+        before = [(node.host_time_ms, node.event_count) for node in nodes]
+        with pytest.raises(ValueError, match="nbytes must be non-negative and finite"):
+            cluster.transfer(0, nodes[0].gpus[0], 1, nodes[1].gpus[0], NAN)
+        assert [(node.host_time_ms, node.event_count) for node in nodes] == before
+
+    def test_finite_edges_are_still_charged(self, machine):
+        warmed(machine)
+        machine.host_work("zero", 0.0)
+        machine.advance_host(0.0)
+        machine.transfer(machine.cpu, machine.gpu, 0)
+        assert machine.gpu.kernel_ms(0.0, 0.0) > 0.0
 
 
 class TestSynchronize:

@@ -39,7 +39,7 @@ from repro.core import (
     utilization_report,
 )
 from repro.graph.events import EventStream
-from repro.graph.sampling import TemporalNeighborSampler
+from repro.graph.sampling import _PER_K_LIMIT, SAMPLING_COST, TemporalNeighborSampler
 from repro.hw import Cluster
 from repro.hw import device as device_module
 from repro.hw import link as link_module
@@ -529,10 +529,17 @@ def assert_index_matches_reference(sampler, reference_adjacency):
 
 
 def assert_samples_match_reference(fast, reference_adjacency, reference_rng, nodes, times, k):
-    sample = fast.sample(nodes, times, k)
-    ids, ntimes, events, mask, _ = reference_sample(
+    """One query on ``fast`` against the reference loop: the four output
+    arrays, the generator state and the host charge -- the cost model over
+    the reference's own cutoffs, charged once, on a fresh machine."""
+    machine = Machine.cpu_gpu()
+    with machine.activate():
+        sample = fast.sample(nodes, times, k)
+    ids, ntimes, events, mask, degrees = reference_sample(
         reference_adjacency, reference_rng, fast.uniform, nodes, times, k
     )
+    assert machine.event_count == 1
+    assert machine.host_time_ms == SAMPLING_COST.batch_cost_ms(degrees, k)
     for fast_array, ref_array in zip(
         (sample.neighbor_ids, sample.neighbor_times, sample.event_indices, sample.mask),
         (ids, ntimes, events, mask),
@@ -639,6 +646,109 @@ def test_large_uniform_batch_makes_one_rng_call():
     spy.reset_mock()
     sampler.sample(nodes[:3], times[:3], 20)
     assert (spy.choice.call_count, spy.integers.call_count) == (3, 0)
+
+
+@pytest.mark.parametrize("uniform", [True, False])
+def test_sampler_matches_reference_across_repeated_queries(uniform):
+    """The sampler keeps its last query's bisects and charge and reuses them
+    for the next call that asks for equal values.  Every call here is checked
+    against the reference loop, which keeps nothing: a repeat with the same
+    arrays or with equal new ones, the kept arrays mutated in place, another
+    ``k``, a shorter prefix, ``-0.0`` for ``0.0``, and a NaN or an
+    out-of-range id right after a kept query (refused, nothing moved)."""
+    rng = np.random.default_rng(59)
+    stream = random_stream(rng, num_events=600)
+    reference_adjacency = reference_build_index(stream)
+    fast = TemporalNeighborSampler(stream, uniform=uniform, seed=59)
+    reference_rng = np.random.default_rng(59)
+    nodes = rng.integers(0, stream.num_nodes, size=40)
+    times = rng.uniform(0.0, 1200.0, size=40)
+
+    def check(nodes, times, k=3):
+        assert_samples_match_reference(fast, reference_adjacency, reference_rng, nodes, times, k)
+
+    def refused(nodes, times, message):
+        state = fast._rng.bit_generator.state
+        machine = Machine.cpu_gpu()
+        with machine.activate(), pytest.raises(ValueError, match=message):
+            fast.sample(nodes, times, 3)
+        assert fast._rng.bit_generator.state == state
+        assert (machine.event_count, machine.host_time_ms) == (0, 0.0)
+
+    check(nodes, times)
+    check(nodes, times)
+    check(nodes.copy(), times.copy())
+    nodes[::5] = (nodes[::5] + 1) % stream.num_nodes
+    check(nodes, times)
+    times[1::7] += 50.0
+    check(nodes, times)
+    check(nodes, times, 7)
+    check(nodes, times, 3)
+    check(nodes[:20], times[:20])
+    check(nodes, times)
+    zeros = np.zeros(len(nodes))
+    check(nodes, zeros)
+    check(nodes, -zeros)
+    check(nodes, times)
+    kept = times[6]
+    times[6] = np.nan  # in place, in the array the kept query came from
+    refused(nodes, times, "query time of row 6 is NaN")
+    times[6] = kept
+    check(nodes, times)
+    refused(np.where(np.arange(len(nodes)) == 9, stream.num_nodes, nodes), times,
+            f"node id {stream.num_nodes} ")
+    check(nodes, times)
+
+
+def test_sampler_reuses_only_an_equal_last_query():
+    """The perf guard, by identity: an equal repeat is served from the kept
+    query (no bisect, no cost gather), anything else is recomputed, and the
+    per-``k`` cost tables stay bounded."""
+    rng = np.random.default_rng(61)
+    stream = random_stream(rng, num_events=600)
+    sampler = TemporalNeighborSampler(stream, uniform=True, seed=61)
+    nodes = rng.integers(0, stream.num_nodes, size=30)
+    times = rng.uniform(0.0, 1200.0, size=30)
+    query = sampler._query(nodes, times, 4)
+    assert sampler._query(nodes.copy(), times.copy(), 4) is query
+    assert sampler._query(nodes, times, 5) is not query
+    query = sampler._query(nodes, times, 4)
+    times[0] += 1.0
+    assert sampler._query(nodes, times, 4) is not query
+    for k in range(1, 2 * _PER_K_LIMIT + 2):
+        sampler.sample(nodes, times, k)
+        assert len(sampler._per_k) <= _PER_K_LIMIT
+
+
+@pytest.mark.parametrize("nodes, message", [
+    (np.array([3.7, 1.0]), "node ids must be integers, not float64"),
+    (np.array([True, False]), "node ids must be integers, not bool"),
+    (np.arange(6).reshape(2, 3), "nodes must be a 1-D array of node ids, not 2-D"),
+    (np.array(3), "nodes must be a 1-D array of node ids, not 0-D"),
+])
+def test_sampler_refuses_non_integer_and_non_1d_node_ids(nodes, message):
+    """A float id used to be truncated (3.7 sampled node 3), a boolean one
+    read as 0/1, a 2-D query failed inside the draw and a 0-d one in
+    ``len()``: each is refused before anything is drawn or charged."""
+    sampler = TemporalNeighborSampler(random_stream(np.random.default_rng(53)), uniform=True)
+    state = sampler._rng.bit_generator.state
+    machine = Machine.cpu_gpu()
+    with machine.activate(), pytest.raises(ValueError, match=message):
+        sampler.sample(nodes, np.full(nodes.shape, 2000.0), 4)
+    assert sampler._rng.bit_generator.state == state
+    assert (machine.event_count, machine.host_time_ms) == (0, 0.0)
+    # An empty query has no ids to be wrong, whatever its dtype.
+    assert sampler.sample(np.array([]), np.array([]), 4).num_targets == 0
+
+
+def test_total_degree_refuses_ids_outside_the_stream():
+    """``total_degree(-1)`` used to return the last node's degree."""
+    stream = random_stream(np.random.default_rng(53))
+    sampler = TemporalNeighborSampler(stream)
+    for bad in (-1, stream.num_nodes):
+        with pytest.raises(ValueError, match=f"node id {bad} is outside"):
+            sampler.total_degree(bad)
+    assert sampler.total_degree(stream.num_nodes - 1) == sampler.total_degrees[-1]
 
 
 @pytest.mark.parametrize("bad", [-1, 25])

@@ -11,13 +11,23 @@ generator must end in the same state.  A numpy release that changes
 Under the shape backend the sampler keeps every draw eager but resolves
 ``neighbor_ids`` on first read; the tests at the end pin that the stream is
 consumed before any read, in numeric order, and that unread ids never resolve.
+
+The sampler also charges from a per-``k`` cost table instead of evaluating the
+cost model per call; the last tests pin that table against the cost model's
+own expression, bit for bit, at every array length and alignment numpy's
+vector loops distinguish.
 """
 
 import numpy as np
 import pytest
 
 from repro.graph.events import EventStream
-from repro.graph.sampling import _MAX_BATCHED_K, TemporalNeighborSampler, _floyd_choices
+from repro.graph.sampling import (
+    _MAX_BATCHED_K,
+    SAMPLING_COST,
+    TemporalNeighborSampler,
+    _floyd_choices,
+)
 from repro.hw.machine import Machine
 
 
@@ -199,3 +209,52 @@ def test_sampler_rejects_nan_query_times():
     # +-inf keep their meaning: all of a node's history, or none of it.
     sample = sampler.sample(np.array([3, 3]), np.array([np.inf, -np.inf]), 1000)
     assert sample.mask.sum(axis=1).tolist() == [sampler.total_degree(3), 0]
+
+
+# -- the per-k cost table against the cost model's expression
+
+
+def reference_target_costs_us(degrees, k):
+    """``SamplingCostModel.batch_cost_ms``'s elementwise expression, verbatim
+    as it stood before the sampler tabulated it (before the ``.sum()``)."""
+    model = SAMPLING_COST
+    degrees = np.asarray(degrees, dtype=np.float64)
+    per_target = (
+        model.per_target_us
+        + model.per_candidate_us * degrees
+        + model.per_sample_us * k
+        + model.sort_log_factor_us * np.log2(degrees + 2.0)
+    )
+    return per_target
+
+
+#: Lengths on both sides of every SIMD width and unroll numpy's ``log2`` and
+#: arithmetic loops use, plus a few long ones with ragged tails.
+TABLE_LENGTHS = (*range(71), 128, 2560, 4097)
+
+
+@pytest.mark.parametrize("k", [1, 10, 20, 64, 200])
+def test_cost_table_equals_the_cost_expression_bit_for_bit(k):
+    sampler = TemporalNeighborSampler(busy_stream(k), uniform=True, seed=k)
+    _, table = sampler._tabulate(k)
+    top = int(sampler.total_degrees.max())
+    assert len(table) == top + 1 and not table.flags.writeable
+    # Every degree the stream can produce, as one array.
+    every = np.arange(top + 1)
+    assert table.tobytes() == reference_target_costs_us(every, k).tobytes()
+    # Gathers of every length at several alignments of a larger buffer: the
+    # expression evaluated on that very slice must give the gathered bits,
+    # and the sums must agree with batch_cost_ms.
+    draws = np.random.default_rng(k)
+    buffer = draws.integers(0, top + 1, size=max(TABLE_LENGTHS) + 8)
+    mismatches = 0
+    for length in TABLE_LENGTHS:
+        for offset in (0, 1, 3, 7):
+            degrees = buffer[offset:offset + length]
+            gathered = table[degrees]
+            expected = reference_target_costs_us(degrees, k)
+            mismatches += gathered.tobytes() != expected.tobytes()
+            cost_ms = float(gathered.sum() * 1e-3)
+            assert cost_ms == float(expected.sum() * 1e-3)
+            assert cost_ms == SAMPLING_COST.batch_cost_ms(degrees, k)
+    assert mismatches == 0
