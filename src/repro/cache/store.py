@@ -29,42 +29,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .._compat import DATACLASS_SLOTS
+from ..hw import spec
 from ..hw.device import Device
 from ..hw.machine import Machine
 from .policy import EvictionPolicy
 
 
-@dataclass(frozen=True, **DATACLASS_SLOTS)
-class CacheCostModel:
-    """Machine-clock cost of cache operations.
-
-    The defaults model a host-side open-addressing table in front of a
-    device-resident row pool: fractions of a microsecond per probed key on
-    the host, and bandwidth-bound gather/copy kernels on the store's device
-    for the row payloads.  All costs are charged through the owning
-    :class:`~repro.hw.machine.Machine`, so they land on whatever stream is
-    current -- synchronous on the blocking path, asynchronous inside a named
-    worker stream (the overlap server's prepare phase).  The costs are
-    class constants, not fields: the table is calibrated, not configured.
-    """
-
-    probe_us_per_key = 0.08
-    insert_us_per_key = 0.12
-    invalidate_us_per_key = 0.04
-
-    def probe_ms(self, keys: int) -> float:
-        return keys * self.probe_us_per_key * 1e-3
-
-    def insert_ms(self, keys: int) -> float:
-        return keys * self.insert_us_per_key * 1e-3
-
-    def invalidate_ms(self, keys: int) -> float:
-        return keys * self.invalidate_us_per_key * 1e-3
-
-
-#: The one cost table every cache store charges by.
-CACHE_COST = CacheCostModel()
+def cache_admin_ms(probed: int, inserted: int, invalidated: int) -> float:
+    """Host time (ms) of a batch's table work: its probed, inserted and
+    invalidated keys at the cache prices of :mod:`repro.hw.spec`."""
+    return (
+        probed * spec.CACHE_PROBE_US_PER_KEY * 1e-3
+        + inserted * spec.CACHE_INSERT_US_PER_KEY * 1e-3
+        + invalidated * spec.CACHE_INVALIDATE_US_PER_KEY * 1e-3
+    )
 
 
 @dataclass
@@ -423,10 +401,8 @@ class DeviceResidentCache:
             return
         machine = self.machine
         suffix = f"_{label}" if label else ""
-        admin_ms = (
-            CACHE_COST.probe_ms(ledger.probed_keys)
-            + CACHE_COST.insert_ms(ledger.inserted_keys)
-            + CACHE_COST.invalidate_ms(ledger.invalidated_keys)
+        admin_ms = cache_admin_ms(
+            ledger.probed_keys, ledger.inserted_keys, ledger.invalidated_keys
         )
         if admin_ms > 0.0:
             machine.host_work(f"cache_{self.kind}_admin{suffix}", admin_ms)

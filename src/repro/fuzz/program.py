@@ -42,7 +42,7 @@ from types import SimpleNamespace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..cache.policy import make_eviction_policy
-from ..cache.store import CACHE_COST, DeviceResidentCache
+from ..cache.store import DeviceResidentCache, cache_admin_ms
 from ..hw.cluster import Cluster
 from ..hw.machine import Machine
 from .config import FuzzConfig
@@ -471,7 +471,7 @@ class NullCacheProxy:
         if not self._probed:
             return
         suffix = f"_{label}" if label else ""
-        admin_ms = CACHE_COST.probe_ms(self._probed)
+        admin_ms = cache_admin_ms(self._probed, 0, 0)
         if admin_ms > 0.0:
             self.machine.host_work(f"cache_{self.kind}_admin{suffix}", admin_ms)
         self._probed = 0

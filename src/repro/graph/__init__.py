@@ -13,7 +13,7 @@ from .partition import (
 )
 from .sampling import NeighborhoodSample, TemporalNeighborSampler
 from .snapshots import GraphSnapshot, SnapshotSequence
-from .tbatch import TBatch, build_tbatches, validate_tbatches
+from .tbatch import TBatch, validate_tbatches
 
 __all__ = [
     "EventStream",
@@ -24,7 +24,6 @@ __all__ = [
     "TBatch",
     "TemporalNeighborSampler",
     "available_partitioners",
-    "build_tbatches",
     "degree_balanced_partition",
     "hash_partition",
     "make_partition",

@@ -16,56 +16,29 @@ paper's Figs. 7(e)-(h).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from .._compat import DATACLASS_SLOTS
+from ..hw import spec
 from ..hw.machine import active_machine_or_none
 from ..tensor.meta import placeholder
 from .events import EventStream
 
 
-@dataclass(frozen=True, **DATACLASS_SLOTS)
-class SamplingCostModel:
-    """Host-side cost of temporal neighbourhood sampling.
-
-    The defaults are calibrated so that a two-layer TGAT query over a
-    200-interaction mini-batch costs tens of milliseconds for small
-    neighbourhoods and grows towards a second for 300-neighbour sampling,
-    matching the magnitudes reported in the paper's Fig. 7 breakdowns.  The
-    costs are class constants, not fields: the table is calibrated, not
-    configured.
-    """
-
-    per_target_us = 10.0
-    per_candidate_us = 0.01
-    per_sample_us = 0.03
-    sort_log_factor_us = 1.0
-
-    def target_costs_us(self, degrees: np.ndarray, k: int) -> np.ndarray:
-        """Per-target cost (µs) of sampling ``k`` neighbours, elementwise over
-        ``degrees``: each element depends on its own degree alone, so a
-        sampler may tabulate it once per ``k`` and gather."""
-        if k < 0:
-            raise ValueError("k must be non-negative")
-        degrees = np.asarray(degrees, dtype=np.float64)
-        return (
-            self.per_target_us
-            + self.per_candidate_us * degrees
-            + self.per_sample_us * k
-            + self.sort_log_factor_us * np.log2(degrees + 2.0)
-        )
-
-    def batch_cost_ms(self, degrees: np.ndarray, k: int) -> float:
-        """Cost of sampling ``k`` neighbours for each target with ``degrees``."""
-        return float(self.target_costs_us(degrees, k).sum() * 1e-3)
-
-
-#: The one cost table every sampler charges by.
-SAMPLING_COST = SamplingCostModel()
+def target_costs_us(degrees: np.ndarray, k: int) -> np.ndarray:
+    """Host cost (µs) of sampling ``k`` neighbours for a target with each of
+    ``degrees`` earlier interactions, at the sampling prices in
+    :mod:`repro.hw.spec`.  Each element depends on its own degree alone, so
+    a sampler tabulates it once per ``k`` and gathers."""
+    degrees = np.asarray(degrees, dtype=np.float64)
+    return (
+        spec.SAMPLING_US_PER_TARGET
+        + spec.SAMPLING_US_PER_CANDIDATE * degrees
+        + spec.SAMPLING_US_PER_SAMPLE * k
+        + spec.SAMPLING_SORT_US_PER_LOG2_DEGREE * np.log2(degrees + 2.0)
+    )
 
 
 class NeighborhoodSample:
@@ -194,13 +167,12 @@ class TemporalNeighborSampler:
             TGAT/TGN reference code).
         seed: Seed for the uniform strategy.
 
-    Every call charges :data:`SAMPLING_COST`.
+    Every call charges :func:`target_costs_us` for its rows.
     """
 
     def __init__(self, stream: EventStream, uniform: bool = True, seed: int = 0) -> None:
         self.stream = stream
         self.uniform = uniform
-        self.cost_model = SAMPLING_COST
         self._rng = np.random.default_rng(seed)
         (
             self._times,
@@ -213,9 +185,9 @@ class TemporalNeighborSampler:
         #: Per-node interaction count over the whole stream (CSR row lengths).
         self.total_degrees = np.diff(self._offsets)
         self.total_degrees.setflags(write=False)
-        #: ``k -> (arange(k), table)``: ``table[d]`` is what :attr:`cost_model`
-        #: charges a target with ``d`` earlier interactions, for every ``d``
-        #: the stream can produce.
+        #: ``k -> (arange(k), table)``: ``table[d]`` is what a target with
+        #: ``d`` earlier interactions is charged, for every ``d`` the stream
+        #: can produce.
         self._per_k: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         #: ``(k, node bytes, time bytes, query)`` of the last validated call.
         self._last_query: Optional[tuple] = None
@@ -389,7 +361,7 @@ class TemporalNeighborSampler:
                 pops = degrees[drawn]
         valid = columns < degrees[:, None]
         # The gather holds the values target_costs_us(degrees, k) computes,
-        # in the same order, so its pairwise sum is batch_cost_ms's.
+        # in the same order, so its pairwise sum is that array's.
         query = (columns, starts, degrees, drawn, pops, valid, float(table[degrees].sum() * 1e-3))
         self._last_query = (k, node_bytes, time_bytes, query)
         return query
@@ -400,7 +372,7 @@ class TemporalNeighborSampler:
             self._per_k.clear()
         columns = np.arange(k)
         degrees = np.arange(int(self.total_degrees.max(initial=0)) + 1)
-        table = self.cost_model.target_costs_us(degrees, k)
+        table = target_costs_us(degrees, k)
         columns.setflags(write=False)
         table.setflags(write=False)
         self._per_k[k] = (columns, table)

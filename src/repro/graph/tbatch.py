@@ -6,22 +6,18 @@ the batch's recurrent updates run in parallel while still respecting each
 node's temporal order across batches.  The paper reports a 9.2x speedup from
 t-batching and uses it in the profiled inference configuration, while also
 noting that building the batches is CPU-side preprocessing that contributes
-to the workload-imbalance bottleneck.
+to the workload-imbalance bottleneck.  The simulator builds them outside the
+profiled regions and charges nothing for it: Fig. 7(d) has no t-batch bar.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from ..hw.machine import current_machine, has_active_machine
 from .events import EventStream
-
-#: Host-side cost of assigning one interaction to a t-batch (dictionary
-#: lookups and appends in the reference implementation).
-TBATCH_COST_PER_EVENT_US = 1.2
 
 
 @dataclass(frozen=True)
@@ -63,20 +59,6 @@ def iter_tbatches(stream: EventStream) -> Iterator[TBatch]:
         rows = slice(start, stop)
         yield TBatch(order[rows], users[rows], items[rows], timestamps[rows])
         start = stop
-
-
-def build_tbatches(stream: EventStream, charge_host: bool = True) -> List[TBatch]:
-    """Partition an interaction stream into t-batches (:func:`iter_tbatches` as a list).
-
-    Args:
-        stream: Interaction stream (sorted by time).
-        charge_host: Whether to charge the preprocessing cost to the active
-            machine (on by default; disable for pure algorithmic use).
-    """
-    if charge_host and has_active_machine():
-        cost_ms = stream.num_events * TBATCH_COST_PER_EVENT_US * 1e-3
-        current_machine().host_work("tbatch_construction", cost_ms)
-    return list(iter_tbatches(stream))
 
 
 def validate_tbatches(stream: EventStream, batches: Sequence[TBatch]) -> bool:

@@ -218,6 +218,57 @@ INFINIBAND_HDR = LinkSpec(
 )
 
 
+# -- Host-work prices ----------------------------------------------------------
+#
+# What ``Machine.host_work`` charges for the CPU-side work the reference
+# implementations do around their kernels, plus the traffic multiplier of
+# irregular kernels.  Charge sites read ``spec.NAME`` when they charge (a
+# sampler when it builds its per-``k`` table), so rebinding one reprices
+# everything built afterwards.  Where each is charged: docs/ARCHITECTURE.md,
+# "Priced constants".
+
+#: Temporal neighbourhood sampling, per query row: a fixed cost, plus one
+#: per earlier interaction of the row (the candidate list), one per sampled
+#: neighbour, and one per ``log2(degree + 2)`` (the index sort).  Calibrated
+#: so a two-layer TGAT query over a 200-interaction mini-batch costs tens of
+#: milliseconds for small fan-outs and grows towards a second at fan-out 300,
+#: the magnitudes of the paper's Fig. 7 breakdowns.
+SAMPLING_US_PER_TARGET = 10.0
+SAMPLING_US_PER_CANDIDATE = 0.01
+SAMPLING_US_PER_SAMPLE = 0.03
+SAMPLING_SORT_US_PER_LOG2_DEGREE = 1.0
+
+#: Serving-cache table work, per key: a host-side open-addressing table in
+#: front of a device-resident row pool (the row payloads are charged as
+#: bandwidth-bound kernels on the store's device, not here).
+CACHE_PROBE_US_PER_KEY = 0.08
+CACHE_INSERT_US_PER_KEY = 0.12
+CACHE_INVALIDATE_US_PER_KEY = 0.04
+
+#: Multiplier on the byte traffic of gather/scatter kernels, for their poor
+#: locality next to streaming access (the memory inefficiency of sampling
+#: and embedding lookups).
+IRREGULAR_ACCESS_FACTOR = 8.0
+
+#: EvolveGCN: symmetric normalisation of one snapshot's adjacency on the CPU
+#: before upload, per non-zero.
+ADJ_NORMALIZATION_US_PER_NNZ = 0.02
+
+#: EvolveGCN-H: ranking the node scores for the top-k summary, per score,
+#: plus a fixed cost per selection.
+TOPK_SELECTION_US_PER_SCORE = 0.002
+TOPK_SELECTION_MS_PER_CALL = 0.01
+
+#: ASTGNN: slicing and normalising one window of the traffic signal on the
+#: host, per value.
+DATA_LOADING_US_PER_VALUE = 0.002
+
+#: MolDGNN: converting one molecular-graph frame from its host
+#: representation into a device-ready tensor (the aten::to / copy_ work the
+#: paper's profiles attribute to "Memory Copy").
+MARSHALLING_MS_PER_FRAME = 0.02
+
+
 # -- Machine-level presets ----------------------------------------------------
 
 

@@ -26,6 +26,7 @@ from typing import Iterator
 import numpy as np
 
 from ..datasets.base import TrafficDataset
+from ..hw import spec
 from ..hw.machine import Machine
 from ..nn import (
     Linear,
@@ -37,9 +38,6 @@ from ..nn import (
 from ..nn import init as nn_init
 from ..tensor import Tensor, ops
 from .base import DGNNModel, DISCRETE, ModelCard
-
-#: Host-side cost of slicing and normalising one window of the traffic signal.
-DATA_LOADING_US_PER_VALUE = 0.002
 
 
 @dataclass(frozen=True)
@@ -187,7 +185,7 @@ class ASTGNN(DGNNModel):
         # Data loading / normalisation on the host.
         with self.machine.region("Etc(data loading, cuda sync)"):
             self.machine.host_work(
-                "traffic_window_loading", batch.inputs.size * DATA_LOADING_US_PER_VALUE * 1e-3
+                "traffic_window_loading", batch.inputs.size * spec.DATA_LOADING_US_PER_VALUE * 1e-3
             )
             inputs = Tensor(batch.inputs, host).to(device, name="traffic_window")
             adjacency = Tensor(self._normalized_adjacency, host).to(device, name="sensor_adjacency")

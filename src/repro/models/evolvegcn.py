@@ -24,16 +24,13 @@ import numpy as np
 
 from ..datasets.base import SnapshotDataset
 from ..graph.snapshots import GraphSnapshot
+from ..hw import spec
 from ..hw.machine import Machine
 from ..nn import GRUCell, Linear, WeightlessGCNLayer, normalized_adjacency
 from ..nn import init as nn_init
 from ..nn.module import Parameter
 from ..tensor import Tensor, ops
 from .base import DGNNModel, DISCRETE, ModelCard
-
-#: Host-side cost (microseconds per non-zero) of normalising one snapshot's
-#: adjacency on the CPU before upload.
-ADJ_NORMALIZATION_US_PER_NNZ = 0.02
 
 
 @dataclass(frozen=True)
@@ -128,16 +125,8 @@ class EvolveGCN(DGNNModel):
         device = self.compute_device
         host = self.host_device
 
-        # Host-side preprocessing: symmetric normalisation of the snapshot
-        # adjacency, then the per-snapshot upload the paper attributes its
-        # memory-copy share to.
         with self.machine.region("GNN"):
-            normalized = normalized_adjacency(batch.adjacency)
-            self.machine.host_work(
-                "adjacency_normalization",
-                batch.num_edges * ADJ_NORMALIZATION_US_PER_NNZ * 1e-3,
-            )
-            adjacency, features = self._upload_snapshot(batch, normalized)
+            adjacency, features = self._prepare_snapshot(batch)
 
         # Layer 1: evolve W0, then convolve.
         new_weight_0 = self._evolve_weight(
@@ -160,10 +149,14 @@ class EvolveGCN(DGNNModel):
             logits_host = logits.to(host, name="snapshot_logits")
         return logits_host
 
-    # -- snapshot upload --------------------------------------------------------------------
+    # -- snapshot preparation ---------------------------------------------------------------
 
-    def _upload_snapshot(self, batch: GraphSnapshot, normalized: np.ndarray):
-        """Move this snapshot's adjacency and features onto the compute device.
+    def _prepare_snapshot(self, batch: GraphSnapshot):
+        """Normalise this snapshot's adjacency on the host, then move it and the
+        features onto the compute device -- the per-snapshot upload the paper
+        attributes its memory-copy share to.  The pipelined schedule
+        (:class:`repro.optim.pipelining.PipelinedEvolveGCN`) prepares its
+        snapshots here too, so both pay the same prices.
 
         In the baseline configuration the full snapshot is re-uploaded every
         time step, as the profiled reference implementation does.  With
@@ -171,6 +164,11 @@ class EvolveGCN(DGNNModel):
         set relative to the previously uploaded snapshot crosses PCIe and the
         full tensors are reconstructed on the device.
         """
+        normalized = normalized_adjacency(batch.adjacency)
+        self.machine.host_work(
+            "adjacency_normalization",
+            batch.num_edges * spec.ADJ_NORMALIZATION_US_PER_NNZ * 1e-3,
+        )
         device = self.compute_device
         host = self.host_device
         config = self.config
@@ -238,7 +236,11 @@ class EvolveGCN(DGNNModel):
         flat_scores = scores.data.reshape(-1)
         available = min(k, len(flat_scores))
         top_indices = np.argsort(-flat_scores, kind="stable")[:available]
-        self.machine.host_work("topk_selection", len(flat_scores) * 0.002 * 1e-3 + 0.01)
+        self.machine.host_work(
+            "topk_selection",
+            len(flat_scores) * spec.TOPK_SELECTION_US_PER_SCORE * 1e-3
+            + spec.TOPK_SELECTION_MS_PER_CALL,
+        )
         selected = ops.gather_rows(node_embeddings, top_indices)
         gate = ops.sigmoid(ops.gather_rows(scores, top_indices))
         summary = ops.transpose(ops.mul(selected, gate))

@@ -24,16 +24,12 @@ from typing import Iterator, List
 import numpy as np
 
 from ..datasets.base import MolecularDataset
+from ..hw import spec
 from ..hw.machine import Machine
 from ..nn import MLP, LSTMCell, Linear, normalized_adjacency
 from ..nn import init as nn_init
 from ..tensor import Tensor, ops
 from .base import DGNNModel, DISCRETE, ModelCard
-
-#: Host-side cost of converting one molecular-graph frame from its host
-#: representation into a device-ready tensor (the aten::to / copy_ work the
-#: paper's profiles attribute to "Memory Copy").
-MARSHALLING_MS_PER_FRAME = 0.02
 
 
 @dataclass(frozen=True)
@@ -169,7 +165,9 @@ class MolDGNN(DGNNModel):
         feature_parts: List[Tensor] = []
         with self.machine.region("Memory Copy"):
             for index in range(molecules):
-                self.machine.host_work("adjacency_marshalling", MARSHALLING_MS_PER_FRAME * window)
+                self.machine.host_work(
+                    "adjacency_marshalling", spec.MARSHALLING_MS_PER_FRAME * window
+                )
                 adjacency_parts.append(
                     Tensor(batch.adjacencies[index], host).to(device, name="molecule_adjacency")
                 )
@@ -208,5 +206,5 @@ class MolDGNN(DGNNModel):
             for index in range(molecules):
                 predicted = Tensor(predictions.data[index], device)
                 outputs.append(predicted.to(host, name="predicted_adjacency"))
-                self.machine.host_work("prediction_marshalling", MARSHALLING_MS_PER_FRAME)
+                self.machine.host_work("prediction_marshalling", spec.MARSHALLING_MS_PER_FRAME)
         return predictions

@@ -127,13 +127,9 @@ class PipelinedEvolveGCN:
         # weights.  The "gnn" stream waits on each snapshot's weight-ready
         # event, so it overlaps with still-executing later RNN steps.
         outputs: List[Tensor] = []
-        from ..nn import normalized_adjacency
-
         for snapshot, (w0, w1), ready in zip(snapshots, trajectory, weight_ready):
             with machine.region("GNN"):
-                normalized = normalized_adjacency(snapshot.adjacency)
-                machine.host_work("adjacency_normalization", snapshot.num_edges * 2e-5)
-                adjacency, features = model._upload_snapshot(snapshot, normalized)
+                adjacency, features = model._prepare_snapshot(snapshot)
                 if pipelined:
                     machine.wait_event(gnn_stream, ready)
                     with machine.use_stream(gnn_stream):

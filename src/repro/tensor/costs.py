@@ -14,8 +14,9 @@ accounting:
 * elementwise ops: one (or a few) FLOPs per output element, read inputs and
   write the output;
 * gathers and scatters move little data but access it irregularly, so they are
-  charged an *irregularity factor* of extra traffic -- the mechanism behind
-  the paper's observation that temporal sampling and embedding lookups are
+  charged an *irregularity factor* of extra traffic
+  (``hw.spec.IRREGULAR_ACCESS_FACTOR``) -- the mechanism behind the paper's
+  observation that temporal sampling and embedding lookups are
   memory-inefficient.
 """
 
@@ -26,14 +27,12 @@ from typing import Tuple
 
 import numpy as np
 
+from ..hw import spec
+
 Cost = Tuple[float, float]
 
 #: Bytes per element; the library computes in float32 throughout.
 ITEMSIZE = 4
-
-#: Multiplier applied to the byte traffic of irregular (gather/scatter)
-#: accesses to reflect their poor locality relative to streaming access.
-IRREGULAR_ACCESS_FACTOR = 8.0
 
 
 def matmul_cost(out_shape, a, b) -> Cost:
@@ -85,12 +84,12 @@ def copy_cost(out_shape, *_) -> Cost:
 
 def gather_cost(out_shape, *_) -> Cost:
     """An irregular gather producing ``out_shape``."""
-    return (0.0, float(ITEMSIZE * prod(out_shape) * 2 * IRREGULAR_ACCESS_FACTOR))
+    return (0.0, float(ITEMSIZE * prod(out_shape) * 2 * spec.IRREGULAR_ACCESS_FACTOR))
 
 
 def scatter_cost(out_shape, x, indices, updates) -> Cost:
     """An irregular scatter of the ``updates`` rows."""
-    return (0.0, float(ITEMSIZE * prod(updates.shape) * 2 * IRREGULAR_ACCESS_FACTOR))
+    return (0.0, float(ITEMSIZE * prod(updates.shape) * 2 * spec.IRREGULAR_ACCESS_FACTOR))
 
 
 def spmm_cost(out_shape, adjacency, x) -> Cost:

@@ -8,6 +8,8 @@ exact equality against a fresh render -- regenerate with::
 ``docs/ARCHITECTURE.md`` embeds the model capability table between two
 markers; it is what ``repro-dgnn list-models`` prints
 (``repro.models.registry.capability_table``) and must match it byte for byte.
+Its "Priced constants" table must name every host-work price of
+``hw/spec.py``, in order, with its value.
 
 The link check walks every markdown file in ``docs/`` plus the README and
 resolves each relative link target against the repository tree; external
@@ -63,6 +65,29 @@ def test_architecture_embeds_the_capability_table_the_cli_prints(capsys):
     )
     assert main(["list-models"]) == 0
     assert capsys.readouterr().out == embedded
+
+
+def test_architecture_prices_table_matches_the_record_in_hw_spec():
+    """The "Priced constants" table lists every host-work price of
+    ``hw/spec.py`` -- the same names, in the module's order, with its values."""
+    from repro.hw import spec
+
+    with open(os.path.join(DOCS_DIR, "ARCHITECTURE.md"), encoding="utf-8") as handle:
+        text = handle.read()
+    begin, end = "<!-- priced-constants:begin -->\n", "<!-- priced-constants:end -->"
+    table = text[text.index(begin) + len(begin) : text.index(end)]
+    documented = re.findall(r"^\| `(\w+)` \| ([^|]+?) \|", table, re.MULTILINE)
+    price = re.compile(r"(_US|_FACTOR)$|_US_PER_|_MS_PER_")
+    record = [
+        (name, repr(value))
+        for name, value in vars(spec).items()
+        if name.isupper() and price.search(name)
+    ]
+    assert len(record) == 13
+    assert documented == record, (
+        "docs/ARCHITECTURE.md's priced-constants table drifted from the host-work prices "
+        "in src/repro/hw/spec.py"
+    )
 
 
 #: Cap on a CHANGES.md entry; the per-file ledger belongs in the PR body.

@@ -40,6 +40,9 @@
 * Fixed knobs stay constants: none of the 49 parameters and fields that had
   one value in use comes back, each constant keeps the default it replaced,
   and a scheduler policy's accepted overrides are declared once, on its class.
+* Every price in one place: only ``hw/spec.py`` defines a price, no
+  ``host_work`` duration spells one, and each of its 13 host-work prices is
+  read as ``spec.NAME`` somewhere in ``src``.
   The serving sweeps' axes are module constants too: each ``run`` takes
   ``(scale, seed, backend)``.
 * One backend seam: across ``tensor/`` and ``nn/`` one function reads
@@ -518,7 +521,8 @@ def test_no_hw_file_names_the_tracer():
 
 #: The 49 settable values that had exactly one value in use, by file and
 #: owner (a function, ``Class.method``, or a dataclass whose fields they
-#: were).  None may come back as a parameter or a field.
+#: were -- or, for the two cost tables, the function that replaced the
+#: class).  None may come back as a parameter or a field.
 FIXED_KNOBS = {
     "serve/fidelity.py": {
         "FidelityConfig": (
@@ -539,7 +543,7 @@ FIXED_KNOBS = {
     "serve/placement.py": {"ShardedModel.__init__": ("root_index", "row_bytes")},
     "cache/store.py": {
         "DeviceResidentCache.__init__": ("cost_model",),
-        "CacheCostModel": ("probe_us_per_key", "insert_us_per_key", "invalidate_us_per_key"),
+        "cache_admin_ms": ("probe_us_per_key", "insert_us_per_key", "invalidate_us_per_key"),
     },
     "cache/model_cache.py": {
         "ModelCache.__init__": ("cost_model",),
@@ -547,7 +551,7 @@ FIXED_KNOBS = {
     },
     "graph/sampling.py": {
         "TemporalNeighborSampler.__init__": ("cost_model",),
-        "SamplingCostModel": (
+        "target_costs_us": (
             "per_target_us", "per_candidate_us", "per_sample_us", "sort_log_factor_us",
         ),
     },
@@ -584,16 +588,14 @@ KNOB_CONSTANTS = {
     },
     "repro.serve.policy": {"SAFETY_FACTOR": 1.2, "ESTIMATOR_ALPHA": 0.3},
     "repro.serve.placement": {"ROOT_SHARD": 0},
-    "repro.cache.store": {
-        "CACHE_COST.probe_us_per_key": 0.08,
-        "CACHE_COST.insert_us_per_key": 0.12,
-        "CACHE_COST.invalidate_us_per_key": 0.04,
-    },
-    "repro.graph.sampling": {
-        "SAMPLING_COST.per_target_us": 10.0,
-        "SAMPLING_COST.per_candidate_us": 0.01,
-        "SAMPLING_COST.per_sample_us": 0.03,
-        "SAMPLING_COST.sort_log_factor_us": 1.0,
+    "repro.hw.spec": {
+        "CACHE_PROBE_US_PER_KEY": 0.08,
+        "CACHE_INSERT_US_PER_KEY": 0.12,
+        "CACHE_INVALIDATE_US_PER_KEY": 0.04,
+        "SAMPLING_US_PER_TARGET": 10.0,
+        "SAMPLING_US_PER_CANDIDATE": 0.01,
+        "SAMPLING_US_PER_SAMPLE": 0.03,
+        "SAMPLING_SORT_US_PER_LOG2_DEGREE": 1.0,
     },
     "repro.core.bottlenecks": {
         "LOW_GPU_UTILIZATION": 0.10, "SMALL_KERNEL_MS": 0.05, "HOST_PREPROCESSING_SHARE": 0.40,
@@ -768,3 +770,88 @@ def test_every_operator_and_nn_class_has_a_caller_in_src():
                 named.add(node.id)
     assert sorted(operators - called) == []
     assert sorted(classes - named) == []
+
+
+#: A name that prices work: ``*_us``, ``*_us_per_*``, ``*_ms_per_*`` or
+#: ``*_factor``, in any case.
+PRICE_NAME = re.compile(r"(_us|_factor)$|_us_per_|_ms_per_", re.IGNORECASE)
+
+#: Names that match :data:`PRICE_NAME` outside ``hw/spec.py`` but price no
+#: work: the SLO policy's margin over its service-time estimate.
+NOT_PRICES = {"serve/policy.py": {"SAFETY_FACTOR"}}
+
+
+def test_every_price_is_defined_in_hw_spec():
+    """No other module defines a price, as a module constant or as a class
+    constant or field (the form the two cost-table singletons had)."""
+    stray = []
+    for path in _files(PACKAGE_ROOT, ".py"):
+        relative = os.path.relpath(path, PACKAGE_ROOT).replace(os.sep, "/")
+        if relative == "hw/spec.py":
+            continue
+        for node in ast.parse(_read(path)).body:
+            for item in node.body if isinstance(node, ast.ClassDef) else (node,):
+                if isinstance(item, ast.Assign):
+                    targets = item.targets
+                elif isinstance(item, ast.AnnAssign):
+                    targets = [item.target]
+                else:
+                    continue
+                stray += [
+                    f"{relative}: {target.id}"
+                    for target in targets
+                    if isinstance(target, ast.Name)
+                    and PRICE_NAME.search(target.id)
+                    and target.id not in NOT_PRICES.get(relative, ())
+                ]
+    assert not stray, stray
+
+
+def test_no_host_work_charge_spells_a_price():
+    """A ``host_work`` duration reads its prices from ``hw.spec``; the only
+    literal it may hold is the microseconds-to-milliseconds factor."""
+    spelled = []
+    for path in _files(PACKAGE_ROOT, ".py"):
+        relative = os.path.relpath(path, PACKAGE_ROOT).replace(os.sep, "/")
+        for node in ast.walk(ast.parse(_read(path))):
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "host_work"
+            ):
+                continue
+            durations = node.args[1:2] + [k.value for k in node.keywords if k.arg == "duration_ms"]
+            assert len(durations) == 1, f"{relative}:{node.lineno}"
+            spelled += [
+                f"{relative}:{node.lineno}: {literal.value!r}"
+                for literal in ast.walk(durations[0])
+                if isinstance(literal, ast.Constant)
+                and type(literal.value) in (int, float)
+                and literal.value != 1e-3
+            ]
+    assert not spelled, spelled
+
+
+def test_every_host_work_price_has_a_reader_that_reads_it_from_spec():
+    """Each of the 13 prices is read as ``spec.NAME`` somewhere in ``src``, and
+    nothing imports one by name (a rebinding of ``hw.spec`` must reach it)."""
+    from repro.hw import spec
+
+    prices = {name for name in vars(spec) if name.isupper() and PRICE_NAME.search(name)}
+    assert len(prices) == 13, sorted(prices)
+    read, imported = set(), []
+    for path in _files(PACKAGE_ROOT, ".py"):
+        relative = os.path.relpath(path, PACKAGE_ROOT).replace(os.sep, "/")
+        if relative == "hw/spec.py":
+            continue
+        for node in ast.walk(ast.parse(_read(path))):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "spec"
+            ):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                imported += [f"{relative}: {a.name}" for a in node.names if a.name in prices]
+    assert sorted(prices - read) == []
+    assert not imported, imported

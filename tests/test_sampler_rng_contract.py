@@ -24,10 +24,11 @@ import pytest
 from repro.graph.events import EventStream
 from repro.graph.sampling import (
     _MAX_BATCHED_K,
-    SAMPLING_COST,
     TemporalNeighborSampler,
     _floyd_choices,
+    target_costs_us,
 )
+from repro.hw import spec
 from repro.hw.machine import Machine
 
 
@@ -215,15 +216,15 @@ def test_sampler_rejects_nan_query_times():
 
 
 def reference_target_costs_us(degrees, k):
-    """``SamplingCostModel.batch_cost_ms``'s elementwise expression, verbatim
-    as it stood before the sampler tabulated it (before the ``.sum()``)."""
-    model = SAMPLING_COST
+    """The per-call cost model's elementwise expression, verbatim as it stood
+    before the sampler tabulated it (before the ``.sum()``), at the sampling
+    prices of ``repro.hw.spec``."""
     degrees = np.asarray(degrees, dtype=np.float64)
     per_target = (
-        model.per_target_us
-        + model.per_candidate_us * degrees
-        + model.per_sample_us * k
-        + model.sort_log_factor_us * np.log2(degrees + 2.0)
+        spec.SAMPLING_US_PER_TARGET
+        + spec.SAMPLING_US_PER_CANDIDATE * degrees
+        + spec.SAMPLING_US_PER_SAMPLE * k
+        + spec.SAMPLING_SORT_US_PER_LOG2_DEGREE * np.log2(degrees + 2.0)
     )
     return per_target
 
@@ -244,7 +245,7 @@ def test_cost_table_equals_the_cost_expression_bit_for_bit(k):
     assert table.tobytes() == reference_target_costs_us(every, k).tobytes()
     # Gathers of every length at several alignments of a larger buffer: the
     # expression evaluated on that very slice must give the gathered bits,
-    # and the sums must agree with batch_cost_ms.
+    # and the sums must agree with the summed target_costs_us.
     draws = np.random.default_rng(k)
     buffer = draws.integers(0, top + 1, size=max(TABLE_LENGTHS) + 8)
     mismatches = 0
@@ -256,5 +257,5 @@ def test_cost_table_equals_the_cost_expression_bit_for_bit(k):
             mismatches += gathered.tobytes() != expected.tobytes()
             cost_ms = float(gathered.sum() * 1e-3)
             assert cost_ms == float(expected.sum() * 1e-3)
-            assert cost_ms == SAMPLING_COST.batch_cost_ms(degrees, k)
+            assert cost_ms == float(target_costs_us(degrees, k).sum() * 1e-3)
     assert mismatches == 0

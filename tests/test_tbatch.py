@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from repro.datasets import load
-from repro.graph import EventStream, TBatch, build_tbatches, validate_tbatches
-from repro.graph.tbatch import TBATCH_COST_PER_EVENT_US
-from repro.hw import KERNEL, Machine
+from repro.graph import EventStream, TBatch, validate_tbatches
+from repro.graph.tbatch import iter_tbatches
+from repro.hw import Machine
 from repro.models import build_model
 
 INTERACTION_DATASETS = ("wikipedia", "reddit", "lastfm", "social-evolution", "github")
@@ -18,14 +18,14 @@ INTERACTION_DATASETS = ("wikipedia", "reddit", "lastfm", "social-evolution", "gi
 @pytest.mark.parametrize("name", INTERACTION_DATASETS)
 def test_build_tbatches_satisfies_both_invariants(name):
     stream = load(name, scale="tiny").stream
-    batches = build_tbatches(stream, charge_host=False)
+    batches = list(iter_tbatches(stream))
     assert validate_tbatches(stream, batches)
     assert sum(batch.size for batch in batches) == stream.num_events
 
 
 def test_validate_tbatches_rejects_a_repeated_user_and_a_dropped_batch():
     stream = load("wikipedia", scale="tiny").stream
-    batches = build_tbatches(stream, charge_host=False)
+    batches = list(iter_tbatches(stream))
     with pytest.raises(ValueError, match="exactly once"):
         validate_tbatches(stream, batches[:-1])
     first, second = batches[0], batches[1]
@@ -82,7 +82,7 @@ MISORDERED = {
 @pytest.mark.parametrize("case", sorted(MISORDERED))
 def test_validate_tbatches_rejects_batches_out_of_order(case):
     stream = load("wikipedia", scale="tiny").stream
-    wrong = MISORDERED[case](build_tbatches(stream, charge_host=False))
+    wrong = MISORDERED[case](list(iter_tbatches(stream)))
     assert sum(batch.size for batch in wrong) == stream.num_events
     with pytest.raises(ValueError, match="goes backwards in time|exactly once"):
         validate_tbatches(stream, wrong)
@@ -141,7 +141,7 @@ def test_build_tbatches_equals_the_per_event_reference(name):
         stream = EventStream(src, dst, np.arange(len(src), dtype=np.float64) / 2)
     else:
         stream = load(name, scale="tiny").stream
-    _assert_same_batches(build_tbatches(stream, charge_host=False), _reference_tbatches(stream))
+    _assert_same_batches(list(iter_tbatches(stream)), _reference_tbatches(stream))
 
 
 def test_jodie_iteration_batches_split_the_reference_batches():
@@ -153,12 +153,3 @@ def test_jodie_iteration_batches_split_the_reference_batches():
     want = [piece for batch in reference for piece in model._split(batch)]
     _assert_same_batches(list(model.iteration_batches()), want)
 
-
-def test_charging_host_work_logs_one_tbatch_construction_item():
-    stream = load("wikipedia", scale="tiny").stream
-    machine = Machine.cpu_only()
-    with machine.activate():
-        build_tbatches(stream)
-    (event,) = [e for e in machine.events if e.kind == KERNEL]
-    assert event.name == "tbatch_construction"
-    assert event.end_ms - event.start_ms == stream.num_events * TBATCH_COST_PER_EVENT_US * 1e-3
