@@ -37,6 +37,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 
 import numpy as np
 
+from .._compat import ordered_sum
 from ..graph.events import EventStream
 from ..graph.sampling import NeighborhoodSample, TemporalNeighborSampler
 from ..hw.device import Device
@@ -416,7 +417,7 @@ def merge_cache_stats(reports: Sequence[Optional[Dict[str, Any]]]) -> Optional[D
                 kinds.append(kind)
     merged: Dict[str, Any] = {
         "policy": live[0].get("policy", ""),
-        "capacity_mb": sum(report.get("capacity_mb", 0.0) for report in live),
+        "capacity_mb": ordered_sum(report.get("capacity_mb", 0.0) for report in live),
         "staleness_ms": live[0].get("staleness_ms", 0.0),
         "kinds": kinds,
         "caches": len(live),

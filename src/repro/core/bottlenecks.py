@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from .._compat import ordered_sum
 from .breakdown import MEMORY_COPY, Breakdown, compute_breakdown
 from .profiler import Profile
 from .utilization import cpu_busy_gpu_idle_fraction
@@ -109,7 +110,7 @@ def detect_workload_imbalance(
     """
     if breakdown is None:
         breakdown = compute_breakdown(profile)
-    preprocessing_ms = sum(breakdown.time_ms(label) for label in PREPROCESSING_LABELS)
+    preprocessing_ms = ordered_sum(breakdown.time_ms(label) for label in PREPROCESSING_LABELS)
     share = preprocessing_ms / breakdown.total_ms if breakdown.total_ms > 0 else 0.0
     starvation = cpu_busy_gpu_idle_fraction(profile)
     severity = max(0.0, min(1.0, 0.6 * share / HOST_PREPROCESSING_SHARE

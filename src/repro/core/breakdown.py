@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from .._compat import ordered_sum
 from ..hw.events import KERNEL, SYNC, TRANSFER
 from .profiler import Profile
 
@@ -136,7 +137,7 @@ def compute_breakdown(profile: Profile, fold_transfers: bool = False) -> Breakdo
         times[label] += duration_ms
         counts[label] += 1 if kind == KERNEL else 0
 
-    total = sum(times.values())
+    total = ordered_sum(times.values())
     entries = tuple(
         BreakdownEntry(
             label=label,

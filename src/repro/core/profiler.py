@@ -38,12 +38,15 @@ from __future__ import annotations
 import contextlib
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .._compat import DATACLASS_SLOTS
+import numpy as np
+
+from .._compat import DATACLASS_SLOTS, ordered_sum
 from ..hw.events import ALLOC, FREE, KERNEL, SYNC, TRANSFER, WARMUP, Event, event_view
 from ..hw.machine import Machine
-from ..hw.timeline import Timeline
+from ..hw.timeline import Timeline, merged_runs
 
 
 @dataclass(frozen=True, **DATACLASS_SLOTS)
@@ -71,7 +74,8 @@ class _EventIndex:
     Each level is built on first use so a reader pays only for what it asks:
     the by-kind partition is one pass over the window, the per-resource split
     of a kind is one pass over that kind's rows, and a device's merged busy
-    runs are one sort of its kernel (and warm-up) rows -- no ``Event`` at all.
+    runs are one numpy sort and merge of its kernel (and warm-up) rows -- no
+    ``Event`` at all.
     Rows are in ``Event`` field order: kind ``[0]``, resource ``[2]``,
     start ``[3]``, end ``[4]``, bytes ``[6]``.
     """
@@ -108,17 +112,16 @@ class _EventIndex:
             rows = self.rows_on(device_name, KERNEL)
             if include_warmup:
                 rows += self.rows_on(device_name, WARMUP)
-            intervals = sorted((row[3], row[4]) for row in rows if row[4] > row[3])
+            starts = np.fromiter(map(itemgetter(3), rows), dtype=np.float64, count=len(rows))
+            ends = np.fromiter(map(itemgetter(4), rows), dtype=np.float64, count=len(rows))
+            order = np.lexsort((ends, starts))
             # Merge overlaps so kernels running concurrently on different
             # streams count once; utilization must stay <= 1 for overlapped
             # schedules.
-            merged: List[Tuple[float, float]] = []
-            for start, end in intervals:
-                if merged and start <= merged[-1][1]:
-                    merged[-1] = (merged[-1][0], max(merged[-1][1], end))
-                else:
-                    merged.append((start, end))
-            timeline = self._busy[key] = Timeline.from_intervals(device_name, merged)
+            run_starts, run_ends, _ = merged_runs(starts[order], ends[order])
+            timeline = self._busy[key] = Timeline.from_intervals(
+                device_name, zip(run_starts.tolist(), run_ends.tolist())
+            )
         return timeline
 
 
@@ -128,7 +131,7 @@ _OCCUPYING = frozenset({KERNEL, TRANSFER, WARMUP})
 
 def _duration_ms(rows: Tuple[tuple, ...]) -> float:
     """Summed ``end_ms - start_ms`` of ``rows``, as ``Event.duration_ms`` would sum."""
-    return sum(row[4] - row[3] for row in rows)
+    return ordered_sum(row[4] - row[3] for row in rows)
 
 
 @dataclass(frozen=True)
@@ -184,7 +187,7 @@ class Profile:
         """
         snapshot = self.device(name_or_kind)
         resource = snapshot.name if snapshot is not None else name_or_kind
-        return sum(
+        return ordered_sum(
             row[4] - row[3]
             for row in self.rows
             if row[2] == resource and row[10] == stream and row[0] in _OCCUPYING
@@ -282,7 +285,7 @@ class Profile:
         if snapshot is None:
             return 0.0
         durations = [row[4] - row[3] for row in self._index.rows_on(snapshot.name, KERNEL)]
-        return sum(durations) / len(durations) if durations else 0.0
+        return ordered_sum(durations) / len(durations) if durations else 0.0
 
     # -- memory over time ----------------------------------------------------------
 

@@ -15,6 +15,8 @@ from typing import Dict, Sequence
 
 import numpy as np
 
+from .._compat import ordered_sum
+
 
 def percentile(values: Sequence[float], q: float) -> float:
     """The ``q``-th percentile of ``values`` (linear interpolation).
@@ -56,7 +58,7 @@ class LatencySummary:
         floats = [float(v) for v in values]
         return cls(
             count=len(floats),
-            mean_ms=sum(floats) / len(floats),
+            mean_ms=ordered_sum(floats) / len(floats),
             min_ms=min(floats),
             max_ms=max(floats),
             p50_ms=percentile(floats, 50.0),

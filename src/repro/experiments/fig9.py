@@ -11,6 +11,7 @@ both the binned utilization series and per-phase summary statistics.
 
 from __future__ import annotations
 
+from .._compat import ordered_sum
 from ..core import utilization_report
 from .runner import ExperimentResult, Panel, profile_panels
 
@@ -32,12 +33,13 @@ def run(scale: str = "small") -> ExperimentResult:
     )
     for point, _, profiles in profile_panels(PANELS, scale, iterations=ITERATIONS):
         batch_size = point.value
-        total_elapsed = sum(p.elapsed_ms for p in profiles)
+        total_elapsed = ordered_sum(p.elapsed_ms for p in profiles)
         reports = [
             utilization_report(p, device_kind="gpu", bin_ms=max(p.elapsed_ms / BINS, 1e-3))
             for p in profiles
         ]
-        average = sum(r.busy_ms for r in reports) / total_elapsed if total_elapsed > 0 else 0.0
+        busy = ordered_sum(r.busy_ms for r in reports)
+        average = busy / total_elapsed if total_elapsed > 0 else 0.0
         longest_idle = max((r.longest_idle_gap_ms for r in reports), default=0.0)
         result.add_row(
             kind="summary", batch_size=batch_size, iterations=len(profiles),

@@ -26,8 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .._compat import DATACLASS_SLOTS
-from .timeline import Interval, Timeline
+from .timeline import Interval, Timeline, _clipped, merged_runs
 
 #: Name of the implicit stream every resource starts with.
 DEFAULT_STREAM = "default"
@@ -207,32 +209,21 @@ def union_busy_ms(
     """Total time during which *any* of the given timelines is busy.
 
     Intervals within one timeline are disjoint, but intervals on different
-    timelines (streams) may overlap; this sweeps the merged interval list so
-    concurrent work counts once.  With a single timeline this reduces exactly
-    to ``Timeline.busy_ms``.
+    timelines (streams) may overlap; this clips every interval in the window,
+    sorts the spans by ``(lo, hi)`` and merges them in one
+    :func:`~repro.hw.timeline.merged_runs` sweep, so concurrent work counts
+    once.  With a single timeline this reduces exactly to
+    ``Timeline.merged_busy_ms`` (not ``Timeline.busy_ms``, which adds the
+    intervals one by one and so rounds differently).
     """
     lo = start_ms if start_ms is not None else float("-inf")
     hi = end_ms if end_ms is not None else float("inf")
-    spans: List[Tuple[float, float]] = []
+    starts: List[float] = []
+    ends: List[float] = []
     for timeline in timelines:
         first, last = timeline._overlap_range(lo, hi)
-        starts = timeline._starts
-        ends = timeline._ends
-        for index in range(first, last):
-            clipped_lo = max(starts[index], lo)
-            clipped_hi = min(ends[index], hi)
-            if clipped_hi > clipped_lo:
-                spans.append((clipped_lo, clipped_hi))
-    if not spans:
-        return 0.0
-    spans.sort()
-    total = 0.0
-    current_lo, current_hi = spans[0]
-    for span_lo, span_hi in spans[1:]:
-        if span_lo > current_hi:
-            total += current_hi - current_lo
-            current_lo, current_hi = (span_lo, span_hi)
-        else:
-            current_hi = max(current_hi, span_hi)
-    total += current_hi - current_lo
-    return total
+        starts += timeline._starts[first:last]
+        ends += timeline._ends[first:last]
+    los, his = _clipped(starts, ends, lo, hi)
+    order = np.lexsort((his, los))
+    return merged_runs(los[order], his[order])[2]

@@ -13,16 +13,26 @@ iteration materialises on read; nothing holds one.  So
 
 * ``busy_ms(lo, hi)`` binary-searches the overlapping range and only walks
   the intervals that actually intersect the window; unclipped, it walks
-  them all (O(intervals), summing ``end - start`` in insertion order);
+  them all (O(intervals), summing ``end - start`` in insertion order).  It
+  stays a Python walk on purpose: the analysis asks it once per grid cell
+  or bin (hundreds of windows of a few intervals each per profile), where a
+  numpy call's fixed cost would outweigh the walk;
 * the contiguous-run union total that :func:`repro.hw.stream.union_busy_ms`
   needs for single-stream resources is the one running total, kept as
-  intervals are reserved: unclipped ``merged_busy_ms()`` is O(1).
+  intervals are reserved: unclipped ``merged_busy_ms()`` is O(1);
+* every other merged question -- a clipped ``merged_busy_ms``,
+  :func:`~repro.hw.stream.union_busy_ms` over several streams, the
+  profiler's merged busy runs -- is one numpy sweep in :func:`merged_runs`
+  after the bisect: O(intervals in the window) in C, a fixed number of
+  Python calls whatever the window holds.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from typing import Iterable, Iterator, List, NamedTuple, Sequence, Tuple
+
+import numpy as np
 
 
 class Interval(NamedTuple):
@@ -201,7 +211,8 @@ class Timeline:
         :func:`repro.hw.stream.union_busy_ms` over a single timeline (sum of
         ``run_end - run_start`` per gap-separated run), which differs from
         :meth:`busy_ms` only in float rounding.  The unclipped value is
-        maintained incrementally and returned in O(1).
+        maintained incrementally and returned in O(1); a window is one
+        :func:`merged_runs` sweep over the bisected range.
         """
         if start_ms is None and end_ms is None:
             if not self._starts:
@@ -210,25 +221,7 @@ class Timeline:
         lo = start_ms if start_ms is not None else float("-inf")
         hi = end_ms if end_ms is not None else float("inf")
         first, last = self._overlap_range(lo, hi)
-        starts = self._starts
-        ends = self._ends
-        total = 0.0
-        run_lo = run_hi = None
-        for index in range(first, last):
-            span_lo = max(starts[index], lo)
-            span_hi = min(ends[index], hi)
-            if span_hi <= span_lo:
-                continue
-            if run_lo is None:
-                run_lo, run_hi = (span_lo, span_hi)
-            elif span_lo > run_hi:
-                total += run_hi - run_lo
-                run_lo, run_hi = (span_lo, span_hi)
-            else:
-                run_hi = max(run_hi, span_hi)
-        if run_lo is not None:
-            total += run_hi - run_lo
-        return total
+        return merged_runs(*_clipped(self._starts[first:last], self._ends[first:last], lo, hi))[2]
 
     def utilization_series(
         self, start_ms: float, end_ms: float, bin_ms: float
@@ -294,3 +287,47 @@ class Timeline:
             timeline._merged_total = merged
             timeline._run_start, timeline._run_end = run_start, last_end
         return timeline
+
+
+def _clipped(
+    starts: Sequence[float], ends: Sequence[float], lo: float, hi: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(starts, ends)`` as float64 columns clipped to ``[lo, hi]``.
+
+    float64 whatever the endpoints are: a timeline may hold ints.
+    ``np.fromiter`` reads each float object once; ``np.array`` reads the
+    list twice (shape discovery, then values), and on a long run's
+    timeline those objects sit scattered in memory.
+    """
+    return (
+        np.maximum(np.fromiter(starts, dtype=np.float64, count=len(starts)), lo),
+        np.minimum(np.fromiter(ends, dtype=np.float64, count=len(ends)), hi),
+    )
+
+
+def merged_runs(los: np.ndarray, his: np.ndarray) -> Tuple[np.ndarray, np.ndarray, float]:
+    """Merge spans into contiguous busy runs: ``(run_los, run_his, total_ms)``.
+
+    ``los`` and ``his`` are float64 columns sorted by ``(lo, hi)``; spans
+    with ``hi <= lo`` are dropped.  A span joins the open run when it starts
+    at or before the furthest end so far (touching spans merge) and opens a
+    new run when it starts after it.  ``total_ms`` adds the run lengths left
+    to right (``np.add.accumulate`` is a sequential scan, not a pairwise
+    sum), so it is the bits a Python ``total += run_hi - run_lo`` loop gives,
+    on every Python version.  This is the one place the merge rule lives.
+    """
+    keep = his > los
+    los = los[keep]
+    his = his[keep]
+    if not len(los):
+        return los, his, 0.0
+    reach = np.maximum.accumulate(his)
+    opens = np.empty(len(los), dtype=bool)
+    opens[0] = True
+    np.greater(los[1:], reach[:-1], out=opens[1:])
+    closes = np.empty(len(los), dtype=bool)
+    closes[:-1] = opens[1:]
+    closes[-1] = True
+    run_los = los[opens]
+    run_his = reach[closes]
+    return run_los, run_his, float(np.add.accumulate(run_his - run_los)[-1])

@@ -37,6 +37,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .._compat import ordered_sum
 from .device import Device
 from .link import Link
 from .spec import LinkSpec
@@ -167,4 +168,4 @@ class Topology:
 
     def busy_ms(self, start_ms: Optional[float] = None, end_ms: Optional[float] = None) -> float:
         """Summed busy time across all links (links are independent channels)."""
-        return sum(link.busy_ms(start_ms, end_ms) for link in self.links)
+        return ordered_sum(link.busy_ms(start_ms, end_ms) for link in self.links)

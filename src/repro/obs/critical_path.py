@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Sequence, Tuple
 
+from .._compat import ordered_sum
 from ..core.stats import percentile
 
 #: Sweep priority, strongest claim first.
@@ -139,7 +140,7 @@ def format_breakdown(request: Dict[str, Any], breakdown: Dict[str, float]) -> st
         if value <= 0.0 and segment not in ("queue", "wait"):
             continue
         lines.append(f"  {segment:<10} {value:9.3f}   {value / total * 100:5.1f}%")
-    covered = sum(breakdown[s] for s in BREAKDOWN_SEGMENTS)
+    covered = ordered_sum(breakdown[s] for s in BREAKDOWN_SEGMENTS)
     lines.append(f"  {'sum':<10} {covered:9.3f}   {covered / total * 100:5.1f}%")
     return "\n".join(lines)
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterable, List, Optional, Tuple
 
+from .._compat import ordered_sum
 from ..core.breakdown import compute_breakdown
 from ..core.profiler import Profile
 from ..hw.stream import Stream, StreamEvent
@@ -78,7 +79,7 @@ def estimate_overlap_speedup(profile: Profile) -> OverlapEstimate:
     must itself be accelerated, not merely hidden.
     """
     breakdown = compute_breakdown(profile)
-    host_ms = sum(breakdown.time_ms(label) for label in HOST_LABELS)
+    host_ms = ordered_sum(breakdown.time_ms(label) for label in HOST_LABELS)
     device_ms = breakdown.total_ms - host_ms
     return OverlapEstimate(
         baseline_ms=breakdown.total_ms,
@@ -108,14 +109,14 @@ class OverlapRunResult:
 
     @property
     def total_ms(self) -> float:
-        return sum(self.iteration_ms)
+        return ordered_sum(self.iteration_ms)
 
     def steady_state_ms(self) -> float:
         """Mean per-iteration time after discarding the pipeline-fill iteration."""
         tail = self.iteration_ms[1:] or self.iteration_ms
         if not tail:
             return 0.0
-        return sum(tail) / len(tail)
+        return ordered_sum(tail) / len(tail)
 
 
 class OverlappedRunner:

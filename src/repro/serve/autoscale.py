@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
-from .._compat import DATACLASS_SLOTS
+from .._compat import DATACLASS_SLOTS, ordered_sum
 from ..core.stats import LatencySummary
 
 #: Estimated utilization above which the fleet grows.
@@ -201,7 +201,7 @@ class Autoscaler:
         ]
         if not estimates:
             return None
-        return sum(estimates) / len(estimates)
+        return ordered_sum(estimates) / len(estimates)
 
     def utilization(self, now_ms: float) -> Optional[float]:
         """Estimated fleet utilization: offered work rate over capacity."""
@@ -312,7 +312,7 @@ class Autoscaler:
 
     def gpu_time_ms(self, end_ms: float) -> float:
         """The fleet's GPU-time integral up to ``end_ms`` (non-mutating)."""
-        open_spans = sum(
+        open_spans = ordered_sum(
             max(0.0, end_ms - since) for since in self._fleet.owned_since.values()
         )
         return self._fleet.gpu_time_ms + open_spans

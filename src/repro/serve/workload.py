@@ -32,6 +32,7 @@ import math
 import random
 from typing import Iterator, List, Optional, Sequence
 
+from .._compat import ordered_sum
 from ..graph.events import EventStream
 from .request import Request
 
@@ -267,7 +268,7 @@ class TraceReplay(ArrivalProcess):
         gaps = [g for g in gaps if g >= 0.0]
         if not gaps:
             raise ValueError("trace replay needs at least two ordered timestamps")
-        mean_gap = sum(gaps) / len(gaps)
+        mean_gap = ordered_sum(gaps) / len(gaps)
         target_mean_ms = 1000.0 / rate_per_s
         scale = target_mean_ms / mean_gap if mean_gap > 0 else 0.0
         self._gaps_ms = [g * scale if mean_gap > 0 else target_mean_ms for g in gaps]

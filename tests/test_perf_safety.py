@@ -10,6 +10,7 @@ same intervals, same event logs, same samples, byte for byte.
 """
 
 import contextlib
+import functools
 import gc
 import os
 import sys
@@ -22,6 +23,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro._compat import ordered_sum
 from repro.cache import DeviceResidentCache, make_eviction_policy
 from repro.core import (
     WORKLOAD_IMBALANCE,
@@ -56,9 +58,10 @@ from repro.tensor.meta import is_placeholder
 
 
 def reference_busy_ms(intervals, start_ms=None, end_ms=None):
-    """Pre-optimization Timeline.busy_ms: a full scan per query."""
+    """Pre-optimization Timeline.busy_ms: a full scan per query (left-to-right
+    totals: ``ordered_sum`` is the pre-3.12 builtin ``sum``)."""
     if start_ms is None and end_ms is None:
-        return sum(i.duration_ms for i in intervals)
+        return ordered_sum(i.duration_ms for i in intervals)
     lo = start_ms if start_ms is not None else float("-inf")
     hi = end_ms if end_ms is not None else float("inf")
     total = 0.0
@@ -256,6 +259,85 @@ def test_union_busy_matches_reference_merge(seed):
         assert single.merged_busy_ms(lo, hi) == reference_union_busy_ms([single], lo, hi)
 
 
+def _reserved(name, pairs):
+    """A timeline that ``reserve``d ``(ready, duration)`` pairs in order."""
+    timeline = Timeline(name)
+    for ready, duration in pairs:
+        timeline.reserve(ready, duration)
+    return timeline
+
+
+def _random_streams(seed, streams, intervals):
+    rng = np.random.default_rng(seed)
+    return [
+        _reserved(
+            f"s{index}",
+            zip(
+                np.cumsum(rng.uniform(0.0, 1.0, intervals)).tolist(),
+                rng.uniform(0.0, 2.0, intervals).tolist(),
+            ),
+        )
+        for index in range(streams)
+    ]
+
+
+#: ``name -> streams``: merge inputs no golden reaches, each compared over
+#: every window of :func:`merge_windows`.
+MERGE_INPUTS = {
+    "zero-length intervals": lambda: [
+        _reserved("a", [(0.0, 0.0), (0.5, 0.0), (0.5, 1.0), (1.5, 0.0), (3.0, 0.0)]),
+        Timeline.from_intervals("b", [(0.25, 0.25), (1.5, 1.5), (2.0, 2.5), (2.5, 2.5)]),
+    ],
+    "spans on two streams that touch": lambda: [
+        Timeline.from_intervals("a", [(0.0, 0.1), (0.30000000000000004, 0.7), (1.0, 2.0)]),
+        Timeline.from_intervals("b", [(0.1, 0.30000000000000004), (0.7, 1.0), (2.0, 2.5)]),
+    ],
+    "integer endpoints": lambda: [
+        Timeline.from_intervals("a", [(0, 3), (5, 5), (5, 7), (9, 13)]),
+        Timeline.from_intervals("b", [(2, 6), (7, 8), (13, 13), (20, 25)]),
+        _reserved("c", [(1, 3), (5, 0), (6, 2), (9, 4)]),
+    ],
+    "empty timelines": lambda: [Timeline("empty"), Timeline("also-empty")],
+    "an empty and a busy timeline": lambda: [Timeline("empty"), _reserved("a", [(1.0, 2.0)])],
+    "10 000 intervals on three streams": lambda: _random_streams(5, 3, 3_334),
+}
+
+
+def merge_windows(timelines):
+    """Two-sided, one-sided, unbounded, empty and out-of-span windows, some
+    with integer bounds."""
+    first = min((t.span()[0] for t in timelines if len(t)), default=0.0)
+    last = max((t.free_at for t in timelines), default=0.0)
+    middle = (first + last) / 2
+    return [
+        (None, None),
+        (first, last),
+        (None, middle),
+        (middle, None),
+        (middle, middle),
+        (first - 10, first - 1),
+        (last + 1, last + 10),
+        (None, first),
+        (last, None),
+        (first + (last - first) / 3, last - (last - first) / 3),
+        (int(first) + 1, int(last) - 1),
+        (None, int(last) // 2),
+        (int(last) // 2, None),
+    ]
+
+
+@pytest.mark.parametrize("case", sorted(MERGE_INPUTS))
+def test_merged_and_union_busy_match_reference_on_named_inputs(case):
+    timelines = MERGE_INPUTS[case]()
+    for window in merge_windows(timelines):
+        union = union_busy_ms(timelines, *window)
+        assert type(union) is float and union == reference_union_busy_ms(timelines, *window)
+        for timeline in timelines:
+            merged = timeline.merged_busy_ms(*window)
+            assert type(merged) is float
+            assert merged == reference_union_busy_ms([timeline], *window), (timeline.name, window)
+
+
 def stream_timelines(machine):
     """Every stream of every device and link (default, worker, side, copy)."""
     return {
@@ -378,16 +460,17 @@ def test_cache_churn_adds_no_tracked_objects(policy):
     assert len(store) > 3_000
 
 
-def python_calls(action, under=""):
+def python_calls(action, under="", events=("call",)):
     """Python-level ``call`` events one ``action()`` makes (itself included).
 
-    With ``under`` set, only frames whose code file starts with it count.
+    With ``under`` set, only frames whose code file starts with it count;
+    ``events=("call", "c_call")`` counts calls of C functions too.
     """
     calls = 0
 
     def count(frame, event, arg):
         nonlocal calls
-        if event == "call" and frame.f_code.co_filename.startswith(under):
+        if event in events and frame.f_code.co_filename.startswith(under):
             calls += 1
 
     sys.setprofile(count)
@@ -401,6 +484,29 @@ def python_calls(action, under=""):
 def memory_run_alloc_free(machine):
     with machine.memory_run(machine.gpus[0], "t") as (alloc, free):
         free(alloc(4096))
+
+
+@functools.lru_cache(maxsize=None)
+def loaded_machine(intervals):
+    """A 1xA100 machine with ``intervals`` busy intervals on its GPU, split
+    over two overlapping streams, and as many on its PCIe link's one stream.
+    """
+    machine = Machine("1xA100")
+    gpu = machine.gpus[0]
+    gpu.streams.default.reserve_run(0.0, 0.01, [0.004] * (intervals // 2), False)
+    gpu.streams.stream("worker").reserve_run(0.002, 0.01, [0.006] * (intervals // 2), False)
+    machine.links[0].streams.default.reserve_run(0.0, 0.01, [0.003] * intervals, False)
+    return machine
+
+
+#: ``query -> (machine, intervals) -> busy``: the windowed reads a run's
+#: report closes with, over a window that holds all but a few of the
+#: ``intervals`` of :func:`loaded_machine`.  The GPU's is a two-stream
+#: union, the link's a one-stream merged sweep.
+WINDOWED_BUSY = {
+    "Device.utilization": lambda m, n: m.gpus[0].utilization(0.5, n * 0.005 - 0.5),
+    "Link.busy_ms": lambda m, n: m.links[0].busy_ms(0.5, n * 0.01 - 0.5),
+}
 
 
 #: ``call -> (ceiling, action on a warm machine m / cluster c)``.  A count,
@@ -421,6 +527,11 @@ HOST_COST_CEILINGS = {
     "memory_run alloc + free": (14, lambda m, c: memory_run_alloc_free(m)),
     "cluster gpu -> gpu": (
         39, lambda m, c: c.transfer(0, c.nodes[0].gpus[0], 1, c.nodes[1].gpus[0], 4096)),
+    # A window over 20 000 intervals is one numpy sweep: no call per interval.
+    "Device.utilization windowed, 20 000 intervals": (
+        15, lambda m, c: WINDOWED_BUSY["Device.utilization"](loaded_machine(20_000), 20_000)),
+    "Link.busy_ms windowed, 20 000 intervals": (
+        13, lambda m, c: WINDOWED_BUSY["Link.busy_ms"](loaded_machine(20_000), 20_000)),
 }
 
 
@@ -435,6 +546,17 @@ def test_python_calls_per_charge_stay_bounded(call):
     action(machine, cluster)  # the cost, route and transfer-time memos are warm
     calls = python_calls(partial(action, machine, cluster))
     assert calls <= ceiling, f"{call}: {calls} Python calls, ceiling {ceiling}"
+
+
+@pytest.mark.parametrize("query", sorted(WINDOWED_BUSY))
+def test_windowed_busy_makes_no_call_per_interval(query):
+    """Python and C calls alike: a Python merge loop makes a ``max`` and a
+    ``min`` call per interval, so ten times the intervals shows."""
+    counts = [
+        python_calls(partial(WINDOWED_BUSY[query], loaded_machine(n), n), events=("call", "c_call"))
+        for n in (2_000, 20_000)
+    ]
+    assert counts[0] == counts[1], f"{query}: {counts} calls at 2 000 and 20 000 intervals"
 
 
 #: Operator ceilings count only ``src/repro`` frames, so numpy's own Python
@@ -1052,6 +1174,53 @@ def test_shared_breakdown_equals_standalone_detectors(case):
     assert report.finding(WORKLOAD_IMBALANCE).evidence["cpu_busy_gpu_idle"] == (
         reference_cpu_busy_gpu_idle_fraction(profile)
     )
+
+
+def _kernels(resource, spans, stream="default", kind=KERNEL):
+    return [
+        Event(kind, "op", resource, start, end, region=("iteration", "Sampling"), stream=stream)
+        for start, end in spans
+    ]
+
+
+def _many_kernels():
+    rng = np.random.default_rng(9)
+    starts = np.cumsum(rng.uniform(0.0, 0.01, 10_000))
+    spans = list(zip(starts.tolist(), (starts + rng.uniform(0.0, 0.02, 10_000)).tolist()))
+    return _kernels("gpu0", spans[0::2]) + _kernels("gpu0", spans[1::2], "worker")
+
+
+#: ``name -> rows on gpu0``: what the profiler's busy-run merge must survive
+#: beyond :data:`ANALYSIS_PROFILES`, compared against the old merge loop.
+BUSY_RUN_INPUTS = {
+    "touching across streams": lambda: (
+        _kernels("gpu0", [(0.0, 0.1), (0.2, 0.5)])
+        + _kernels("gpu0", [(0.1, 0.2), (0.5, 0.6)], "worker")
+    ),
+    "nested and out of order": lambda: (
+        _kernels("gpu0", [(3.0, 4.0), (0.0, 10.0), (2.0, 2.5)])
+        + _kernels("gpu0", [(9.0, 12.0), (12.5, 13.0)], "worker")
+    ),
+    "zero-length only": lambda: _kernels("gpu0", [(1.0, 1.0), (2.0, 2.0)]),
+    "integer endpoints": lambda: (
+        _kernels("gpu0", [(0, 3), (3, 5), (7, 7), (8, 9)])
+        + _kernels("gpu0", [(2, 4)], "worker")
+        + _kernels("gpu0", [(9, 11)], kind=WARMUP)
+    ),
+    "no kernels": lambda: [],
+    "10 000 kernels on two streams": _many_kernels,
+}
+
+
+@pytest.mark.parametrize("case", sorted(BUSY_RUN_INPUTS))
+def test_busy_timeline_runs_match_the_old_merge(case):
+    events = BUSY_RUN_INPUTS[case]()
+    profile = synthetic_profile(events, 0.0, max((e.end_ms for e in events), default=1.0))
+    for include_warmup in (False, True):
+        runs = [(run.start_ms, run.end_ms) for run in profile.busy_timeline("gpu0", include_warmup)]
+        want = reference_busy_intervals(profile, "gpu0", include_warmup)
+        assert runs == want
+        assert all(type(value) is float for run in runs for value in run)
 
 
 def test_timeline_from_intervals_keeps_endpoints_and_rejects_overlap():
