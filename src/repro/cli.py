@@ -492,21 +492,25 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     if args.iterations < 1:
         print("error: --iterations must be positive", file=sys.stderr)
         return 2
-    machine, model = build_on_fresh_machine(
-        args.model, use_gpu=args.device == "gpu", backend=args.backend,
-        dataset_name=args.dataset, scale=args.scale, **_parse_param(args.param),
-    )
-    tracer = Tracer().attach(machine) if args.trace else None
-    if args.overlap:
-        with machine.activate():
-            status = _profile_overlapped(args, model, Profiler(machine))
-        if status != 0:
-            return status
-    else:
-        profiles = profile_iterations(model, machine, args.iterations, label=args.model)
-        for profile in profiles:
-            _print_profile_summary(profile, f"{profile.label} ({args.device})")
-        print(analyze_profile(profiles[-1]).format_table())
+    try:
+        machine, model = build_on_fresh_machine(
+            args.model, use_gpu=args.device == "gpu", backend=args.backend,
+            dataset_name=args.dataset, scale=args.scale, **_parse_param(args.param),
+        )
+        tracer = Tracer().attach(machine) if args.trace else None
+        if args.overlap:
+            with machine.activate():
+                status = _profile_overlapped(args, model, Profiler(machine))
+            if status != 0:
+                return status
+        else:
+            profiles = profile_iterations(model, machine, args.iterations, label=args.model)
+            for profile in profiles:
+                _print_profile_summary(profile, f"{profile.label} ({args.device})")
+            print(analyze_profile(profiles[-1]).format_table())
+    except (KeyError, TypeError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if tracer is not None:
         export_trace(args.trace, tracer, label=f"{args.model}-profile")
         print(f"wrote trace to {args.trace}")

@@ -11,8 +11,11 @@ activity.
 What a capture keeps: the window's rows (a slice of the log, no copies of
 the rows themselves) plus, per device, the three counters the log cannot
 reproduce bit for bit -- the union busy time across its streams, the FLOPs
-charged and the memory pool's bytes -- read from the machine's running
-counters at both ends of the window (O(1) each, no event-log rescans).
+charged and the memory pool's bytes -- read from the machine at both ends
+of the window, never by rescanning the event log.  The FLOPs and bytes are
+running counters (O(1) each); the busy time is one
+:func:`~repro.hw.stream.union_busy_ms` sweep over the device's intervals
+(O(intervals) in numpy, a fixed number of Python calls).
 Anything per stream is read from the rows.  The machine logs each event as
 a row -- a plain 11-field tuple in :class:`~repro.hw.events.Event` field
 order, whose region tuple is interned (all events issued inside one region

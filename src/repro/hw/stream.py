@@ -29,7 +29,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .._compat import DATACLASS_SLOTS
-from .timeline import Interval, Timeline, _clipped, merged_runs
+from .timeline import Interval, Timeline, merged_runs
 
 #: Name of the implicit stream every resource starts with.
 DEFAULT_STREAM = "default"
@@ -137,13 +137,11 @@ class StreamSet:
     different streams are not double counted, so utilization stays <= 1).
     """
 
-    __slots__ = ("resource", "_streams", "_union_cache")
+    __slots__ = ("resource", "_streams")
 
     def __init__(self, resource: str) -> None:
         self.resource = resource
         self._streams: Dict[str, Stream] = {DEFAULT_STREAM: Stream(resource, DEFAULT_STREAM)}
-        #: (version, value) memo for the unclipped multi-stream union scan.
-        self._union_cache: Tuple[int, float] = (-1, 0.0)
 
     # -- access ---------------------------------------------------------
 
@@ -179,26 +177,13 @@ class StreamSet:
     def busy_ms(self, start_ms: Optional[float] = None, end_ms: Optional[float] = None) -> float:
         """Union busy time across all streams, optionally clipped to a window.
 
-        Resources whose work all landed on a single stream (the seed's
-        default-stream-only schedules) answer from the timeline's
-        incrementally maintained merged-run total instead of rescanning;
-        unclipped multi-stream unions are memoized per interval count so
-        repeated profiler snapshots stay O(1) between new work.
+        One :func:`union_busy_ms` over every stream, whether one holds work
+        or many, windowed or not: no total is kept between calls, so each
+        call is one sweep over the window's spans.
         """
-        active = [stream.timeline for stream in self._streams.values() if len(stream.timeline)]
-        if not active:
-            return 0.0
-        if len(active) == 1:
-            return active[0].merged_busy_ms(start_ms, end_ms)
-        if start_ms is None and end_ms is None:
-            version = sum(len(timeline) for timeline in active)
-            cached_version, cached_value = self._union_cache
-            if cached_version == version:
-                return cached_value
-            value = union_busy_ms(active, None, None)
-            self._union_cache = (version, value)
-            return value
-        return union_busy_ms(active, start_ms, end_ms)
+        return union_busy_ms(
+            [stream.timeline for stream in self._streams.values()], start_ms, end_ms
+        )
 
 
 def union_busy_ms(
@@ -208,22 +193,32 @@ def union_busy_ms(
 ) -> float:
     """Total time during which *any* of the given timelines is busy.
 
-    Intervals within one timeline are disjoint, but intervals on different
-    timelines (streams) may overlap; this clips every interval in the window,
-    sorts the spans by ``(lo, hi)`` and merges them in one
+    The one merged-busy reader.  Intervals within one timeline are disjoint,
+    but intervals on different timelines (streams) may overlap; this clips
+    every interval in the window to float64 columns (a timeline may hold
+    ints), sorts the spans by ``(lo, hi)`` and merges them in one
     :func:`~repro.hw.timeline.merged_runs` sweep, so concurrent work counts
-    once.  With a single timeline this reduces exactly to
-    ``Timeline.merged_busy_ms`` (not ``Timeline.busy_ms``, which adds the
-    intervals one by one and so rounds differently).
+    once and touching intervals join one run.  Spans that all come from one
+    timeline are already in that order, so they skip the sort.  This
+    differs from ``Timeline.busy_ms``, which adds the intervals one by one,
+    only in float rounding.
     """
     lo = start_ms if start_ms is not None else float("-inf")
     hi = end_ms if end_ms is not None else float("inf")
     starts: List[float] = []
     ends: List[float] = []
+    sources = 0
     for timeline in timelines:
         first, last = timeline._overlap_range(lo, hi)
-        starts += timeline._starts[first:last]
-        ends += timeline._ends[first:last]
-    los, his = _clipped(starts, ends, lo, hi)
-    order = np.lexsort((his, los))
-    return merged_runs(los[order], his[order])[2]
+        if last > first:
+            starts += timeline._starts[first:last]
+            ends += timeline._ends[first:last]
+            sources += 1
+    # ``np.fromiter`` reads each float object once; ``np.array`` reads the
+    # list twice, and on a long run those objects sit scattered in memory.
+    los = np.maximum(np.fromiter(starts, dtype=np.float64, count=len(starts)), lo)
+    his = np.minimum(np.fromiter(ends, dtype=np.float64, count=len(ends)), hi)
+    if sources > 1:
+        order = np.lexsort((his, los))
+        los, his = los[order], his[order]
+    return merged_runs(los, his)[2]

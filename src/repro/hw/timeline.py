@@ -9,7 +9,8 @@ utilization evolve over time (Fig. 9's utilization-vs-time plots).
 Storage is columnar: two parallel lists (starts, ends) and no per-interval
 object.  What occupied an interval is the event log's business, not the
 timeline's.  An :class:`Interval` is a value ``reserve`` returns and
-iteration materialises on read; nothing holds one.  So
+iteration materialises on read; nothing holds one.  No running total is
+kept either: reserving an interval appends two floats and nothing else.  So
 
 * ``busy_ms(lo, hi)`` binary-searches the overlapping range and only walks
   the intervals that actually intersect the window; unclipped, it walks
@@ -17,14 +18,13 @@ iteration materialises on read; nothing holds one.  So
   stays a Python walk on purpose: the analysis asks it once per grid cell
   or bin (hundreds of windows of a few intervals each per profile), where a
   numpy call's fixed cost would outweigh the walk;
-* the contiguous-run union total that :func:`repro.hw.stream.union_busy_ms`
-  needs for single-stream resources is the one running total, kept as
-  intervals are reserved: unclipped ``merged_busy_ms()`` is O(1);
-* every other merged question -- a clipped ``merged_busy_ms``,
-  :func:`~repro.hw.stream.union_busy_ms` over several streams, the
-  profiler's merged busy runs -- is one numpy sweep in :func:`merged_runs`
-  after the bisect: O(intervals in the window) in C, a fixed number of
-  Python calls whatever the window holds.
+* a merged question -- busy time with touching intervals merged into
+  contiguous runs, over one stream or the union of several -- is
+  :func:`repro.hw.stream.union_busy_ms`, the one merged-busy reader: after
+  the bisect it is one numpy sweep in :func:`merged_runs`, O(intervals in
+  the window) in C and a fixed number of Python calls whatever the window
+  holds, windowed or not.  :func:`merged_runs` is the one place the merge
+  rule lives; the profiler's merged busy runs call it too.
 """
 
 from __future__ import annotations
@@ -59,14 +59,7 @@ class Timeline:
     this class enforces that invariant.
     """
 
-    __slots__ = (
-        "name",
-        "_starts",
-        "_ends",
-        "_merged_total",
-        "_run_start",
-        "_run_end",
-    )
+    __slots__ = ("name", "_starts", "_ends")
 
     def __init__(self, name: str) -> None:
         self.name = name
@@ -74,11 +67,6 @@ class Timeline:
         # bisected by the window queries.
         self._starts: List[float] = []
         self._ends: List[float] = []
-        # Incremental merged-run accounting for union_busy_ms: completed
-        # contiguous runs plus the currently open run [run_start, run_end).
-        self._merged_total = 0.0
-        self._run_start = 0.0
-        self._run_end = 0.0
 
     # -- recording ------------------------------------------------------
 
@@ -99,17 +87,6 @@ class Timeline:
         last_end = ends[-1] if ends else 0.0
         start = ready_ms if ready_ms > last_end else last_end
         end = start + duration_ms
-        # Merged-run bookkeeping: a gap closes the open run, a touching or
-        # first interval extends it (start >= last_end always holds here).
-        if not ends:
-            self._run_start = start
-            self._run_end = end
-        elif start > self._run_end:
-            self._merged_total += self._run_end - self._run_start
-            self._run_start = start
-            self._run_end = end
-        else:
-            self._run_end = end
         self._starts.append(start)
         ends.append(end)
         return Interval(start, end)
@@ -136,11 +113,7 @@ class Timeline:
         leaves the timeline exactly as it was, which is stronger than the
         scalar loop (it would have reserved the run's prefix first).
         """
-        empty = not self._ends
-        last_end = 0.0 if empty else self._ends[-1]
-        merged = self._merged_total
-        run_start = self._run_start
-        run_end = self._run_end
+        last_end = self._ends[-1] if self._ends else 0.0
         host = host_ms
         starts: List[float] = []
         ends: List[float] = []
@@ -152,22 +125,12 @@ class Timeline:
             ready = floor_ms if floor_ms > host else host
             start = ready if ready > last_end else last_end
             last_end = end = start + duration_ms
-            if empty:
-                empty = False
-                run_start = start
-            elif start > run_end:
-                merged += run_end - run_start
-                run_start = start
-            run_end = end
             starts.append(start)
             ends.append(end)
             if blocking:
                 host = end
         self._starts.extend(starts)
         self._ends.extend(ends)
-        self._merged_total = merged
-        self._run_start = run_start
-        self._run_end = run_end
         return starts, ends, host
 
     # -- queries --------------------------------------------------------
@@ -203,25 +166,6 @@ class Timeline:
         first = bisect_right(self._ends, lo)
         last = bisect_left(self._starts, hi)
         return (first, last)
-
-    def merged_busy_ms(self, start_ms: float | None = None, end_ms: float | None = None) -> float:
-        """Busy time with touching intervals merged into contiguous runs.
-
-        This reproduces exactly the accumulation order of
-        :func:`repro.hw.stream.union_busy_ms` over a single timeline (sum of
-        ``run_end - run_start`` per gap-separated run), which differs from
-        :meth:`busy_ms` only in float rounding.  The unclipped value is
-        maintained incrementally and returned in O(1); a window is one
-        :func:`merged_runs` sweep over the bisected range.
-        """
-        if start_ms is None and end_ms is None:
-            if not self._starts:
-                return 0.0
-            return self._merged_total + (self._run_end - self._run_start)
-        lo = start_ms if start_ms is not None else float("-inf")
-        hi = end_ms if end_ms is not None else float("inf")
-        first, last = self._overlap_range(lo, hi)
-        return merged_runs(*_clipped(self._starts[first:last], self._ends[first:last], lo, hi))[2]
 
     def utilization_series(
         self, start_ms: float, end_ms: float, bin_ms: float
@@ -264,45 +208,17 @@ class Timeline:
         timeline = cls(name)
         starts: List[float] = []
         ends: List[float] = []
-        # Same accumulation order as ``reserve`` (one ``run_end -
-        # run_start`` per closed run), so the O(1) merged total matches a
-        # timeline that reserved these intervals one by one.
-        merged = 0.0
-        run_start = last_end = float("-inf")
+        last_end = float("-inf")
         for start, end in intervals:
             if start < last_end:
                 raise ValueError("intervals must be sorted and disjoint")
             if end < start:
                 raise ValueError("interval ends before it starts")
-            if not starts:
-                run_start = start
-            elif start > last_end:
-                merged += last_end - run_start
-                run_start = start
             last_end = end
             starts.append(start)
             ends.append(end)
-        if starts:
-            timeline._starts, timeline._ends = starts, ends
-            timeline._merged_total = merged
-            timeline._run_start, timeline._run_end = run_start, last_end
+        timeline._starts, timeline._ends = starts, ends
         return timeline
-
-
-def _clipped(
-    starts: Sequence[float], ends: Sequence[float], lo: float, hi: float
-) -> Tuple[np.ndarray, np.ndarray]:
-    """``(starts, ends)`` as float64 columns clipped to ``[lo, hi]``.
-
-    float64 whatever the endpoints are: a timeline may hold ints.
-    ``np.fromiter`` reads each float object once; ``np.array`` reads the
-    list twice (shape discovery, then values), and on a long run's
-    timeline those objects sit scattered in memory.
-    """
-    return (
-        np.maximum(np.fromiter(starts, dtype=np.float64, count=len(starts)), lo),
-        np.minimum(np.fromiter(ends, dtype=np.float64, count=len(ends)), hi),
-    )
 
 
 def merged_runs(los: np.ndarray, his: np.ndarray) -> Tuple[np.ndarray, np.ndarray, float]:
@@ -314,7 +230,9 @@ def merged_runs(los: np.ndarray, his: np.ndarray) -> Tuple[np.ndarray, np.ndarra
     new run when it starts after it.  ``total_ms`` adds the run lengths left
     to right (``np.add.accumulate`` is a sequential scan, not a pairwise
     sum), so it is the bits a Python ``total += run_hi - run_lo`` loop gives,
-    on every Python version.  This is the one place the merge rule lives.
+    on every Python version.  This is the one place the merge rule lives:
+    :func:`repro.hw.stream.union_busy_ms` and the profiler's merged busy
+    runs call it, and no timeline keeps a merged total of its own.
     """
     keep = his > los
     los = los[keep]

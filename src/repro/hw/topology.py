@@ -37,7 +37,6 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .._compat import ordered_sum
 from .device import Device
 from .link import Link
 from .spec import LinkSpec
@@ -165,7 +164,3 @@ class Topology:
     def free_at(self) -> float:
         """Time at which every link stream has drained."""
         return max((link.free_at for link in self.links), default=0.0)
-
-    def busy_ms(self, start_ms: Optional[float] = None, end_ms: Optional[float] = None) -> float:
-        """Summed busy time across all links (links are independent channels)."""
-        return ordered_sum(link.busy_ms(start_ms, end_ms) for link in self.links)

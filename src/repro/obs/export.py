@@ -24,15 +24,15 @@ exported file is self-contained for both Perfetto and ``repro-dgnn trace``.
 Timestamps in ``traceEvents`` are microseconds (trace-event convention);
 everything in ``repro`` stays in simulated milliseconds.
 
-:func:`validate_trace` checks a payload against the checked-in JSON schema
-(``docs/trace.schema.json``) with a small built-in validator, so CI needs no
-third-party jsonschema package.  It implements the subset ``type``/``enum``/
-``required``/``properties``/``items`` and compiles the schema into closures
-before it reads the payload.  An array of flat objects such as
-``traceEvents`` is accepted by column -- a few C-level passes over the whole
-array, no Python call per trace event -- and only when the columns do not
-show it valid are its entries checked one by one, which finds and words the
-first violation.  A schema using any other constraint keyword, an unknown
+:func:`validate_trace` checks a payload against the JSON schema shipped in
+this package (``trace.schema.json``, next to this module) with a small
+built-in validator, so CI needs no third-party jsonschema package.  It
+implements the subset ``type``/``enum``/``required``/``properties``/``items``
+and compiles the schema into closures before it reads the payload.  An
+array of flat objects such as ``traceEvents`` is accepted by column -- a few
+C-level passes over the whole array, no Python call per trace event -- and
+only when the columns do not show it valid are its entries checked one by
+one, which finds and words the first violation.  A schema using any other constraint keyword, an unknown
 type name or a keyword value of the wrong shape is refused while compiling
 rather than left silently unchecked.
 """
@@ -52,8 +52,9 @@ from .trace import Tracer
 #: Trace payload schema version (bump when the layout changes).
 TRACE_VERSION = 1
 
-#: Repo-relative location of the JSON schema the exporter promises.
-SCHEMA_RELPATH = os.path.join("docs", "trace.schema.json")
+#: The JSON schema the exporter promises, shipped as package data beside
+#: this module so an installed package validates without a checkout.
+SCHEMA_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "trace.schema.json")
 
 
 def classify_event(
@@ -309,12 +310,6 @@ def export_trace(
 # -- schema validation -------------------------------------------------------
 
 
-def _default_schema_path() -> str:
-    # src/repro/obs/export.py -> repo root is four dirnames up.
-    root = os.path.dirname(os.path.dirname(os.path.dirname(os.path.dirname(__file__))))
-    return os.path.join(root, SCHEMA_RELPATH)
-
-
 #: Accepted classes per schema type name.  ``bool`` subclasses ``int``, so
 #: ``number``/``integer`` additionally reject booleans (see :func:`_head`).
 _TYPE_CLASSES = {
@@ -534,7 +529,7 @@ def _compile(
 
 
 def validate_trace(payload: Dict[str, Any], schema_path: Optional[str] = None) -> None:
-    """Validate a trace payload against ``docs/trace.schema.json``.
+    """Validate a trace payload against the packaged ``trace.schema.json``.
 
     Raises ``ValueError`` on the first violation, naming its path.  Beyond
     the schema it checks three structural promises the schema subset cannot
@@ -542,8 +537,7 @@ def validate_trace(payload: Dict[str, Any], schema_path: Optional[str] = None) -
     ends, and every ``X`` event has the ``ts`` the attribution sweep reads
     -- so a payload accepted here is one ``repro-dgnn trace`` can analyse.
     """
-    resolved = schema_path or _default_schema_path()
-    with open(resolved, "r", encoding="utf-8") as handle:
+    with open(schema_path or SCHEMA_PATH, "r", encoding="utf-8") as handle:
         check, _ = _compile(json.load(handle))
     try:
         check(payload)

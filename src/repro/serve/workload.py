@@ -37,6 +37,17 @@ from ..graph.events import EventStream
 from .request import Request
 
 
+def _require_finite(**params: float) -> None:
+    """Refuse a NaN or infinite parameter, naming it.
+
+    Range checks compare, and every comparison with NaN is false: a NaN
+    would pass them and then stall or silently flatten the process.
+    """
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 class ArrivalProcess:
     """Base class: a seeded generator of request arrival times (ms)."""
 
@@ -44,6 +55,7 @@ class ArrivalProcess:
     name: str = "arrivals"
 
     def __init__(self, rate_per_s: float, seed: int = 0) -> None:
+        _require_finite(rate_per_s=rate_per_s)
         if rate_per_s <= 0:
             raise ValueError("arrival rate must be positive")
         self.rate_per_s = float(rate_per_s)
@@ -102,6 +114,7 @@ class BurstyProcess(ArrivalProcess):
         off_rate_fraction: float = 0.2,
     ) -> None:
         super().__init__(rate_per_s, seed=seed)
+        _require_finite(on_ms=on_ms, off_ms=off_ms, off_rate_fraction=off_rate_fraction)
         if on_ms <= 0 or off_ms <= 0:
             raise ValueError("phase durations must be positive")
         if not 0.0 <= off_rate_fraction < 1.0:
@@ -159,6 +172,7 @@ class DiurnalProcess(ArrivalProcess):
         trough_fraction: float = 0.25,
     ) -> None:
         super().__init__(rate_per_s, seed=seed)
+        _require_finite(period_ms=period_ms, trough_fraction=trough_fraction)
         if period_ms <= 0:
             raise ValueError("period must be positive")
         if not 0.0 <= trough_fraction <= 1.0:
@@ -211,6 +225,11 @@ class FlashCrowdProcess(ArrivalProcess):
         flash_multiplier: float = 8.0,
     ) -> None:
         super().__init__(rate_per_s, seed=seed)
+        _require_finite(
+            flash_at_ms=flash_at_ms,
+            flash_duration_ms=flash_duration_ms,
+            flash_multiplier=flash_multiplier,
+        )
         if flash_at_ms < 0:
             raise ValueError("flash_at_ms must be non-negative")
         if flash_duration_ms <= 0:

@@ -192,6 +192,24 @@ def test_cli_profile_rejects_a_non_positive_iteration_count(iterations, capsys):
     assert captured.err == "error: --iterations must be positive\n"
 
 
+@pytest.mark.parametrize("overlap", [[], ["--overlap"]])
+@pytest.mark.parametrize(
+    "param, message",
+    [
+        ("nosuch=1", "unexpected keyword argument 'nosuch'"),
+        ("batch_size=0", "batch_size must be positive"),
+    ],
+)
+def test_cli_profile_reports_a_bad_param_like_serve(param, message, overlap, capsys):
+    code = main(
+        ["profile", "tgat", "--scale", "tiny", "--backend", "shape", "--iterations", "1",
+         "--param", param, *overlap]
+    )
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
 @pytest.mark.parametrize("slo_ms", ["0", "-5", "nan", "inf"])
 def test_cli_serve_refuses_an_slo_every_request_would_miss(slo_ms, capsys):
     code = main(

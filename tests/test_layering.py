@@ -34,6 +34,10 @@
   ``getattr``/``hasattr`` with a literal name and no ``callable`` anywhere in
   ``src``, and a class whose ``cache_kinds`` holds ``"embedding"`` defines
   ``compute_embeddings``.
+* One merge rule, one reader: a ``Timeline`` holds only its name and its two
+  columns, and none of the running merged totals, the union memo,
+  ``Timeline.merged_busy_ms`` or ``Topology.busy_ms`` comes back in
+  ``repro.hw``.
 * The event log is the one record of what ran: only the profiler reads an
   event-log cursor (``Machine.event_cursor``) -- the serving loop and the
   tracer keep no index windows into the log beside it.
@@ -517,6 +521,24 @@ def test_no_hw_file_names_the_tracer():
         if re.search("tracer", _read(path), re.IGNORECASE)
     ]
     assert not named, named
+
+
+#: The merged-busy copies beside ``merged_runs`` and ``union_busy_ms``.
+DELETED_MERGE_NAMES = re.compile(r"_merged_total|_run_start|_run_end|_union_cache|merged_busy_ms")
+
+
+def test_hw_has_one_merge_rule_and_one_merged_busy_reader():
+    from repro.hw.timeline import Timeline
+
+    assert Timeline.__slots__ == ("name", "_starts", "_ends")
+    named = [
+        f"{os.path.relpath(path, REPO_ROOT)}: {match.group(0)}"
+        for path in _files(os.path.join(PACKAGE_ROOT, "hw"), ".py")
+        for match in DELETED_MERGE_NAMES.finditer(_read(path))
+    ]
+    assert not named, named
+    topology = _class_members(ast.parse(_read(os.path.join(PACKAGE_ROOT, "hw", "topology.py"))))
+    assert "busy_ms" not in topology["Topology"]
 
 
 #: The 49 settable values that had exactly one value in use, by file and

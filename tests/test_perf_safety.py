@@ -249,14 +249,14 @@ def test_union_busy_matches_reference_merge(seed):
             timeline.reserve(cursor, float(rng.uniform(0.0, 2.0)))
         timelines.append(timeline)
     assert union_busy_ms(timelines) == reference_union_busy_ms(timelines)
-    # The single-timeline fast path (merged_busy_ms) must agree too.
+    # A single timeline (the path that skips the sort) must agree too.
     single = timelines[0]
-    assert single.merged_busy_ms() == reference_union_busy_ms([single])
+    assert union_busy_ms([single]) == reference_union_busy_ms([single])
     for _ in range(100):
         lo = float(rng.uniform(-5.0, 200.0))
         hi = lo + float(rng.uniform(0.0, 100.0))
         assert union_busy_ms(timelines, lo, hi) == reference_union_busy_ms(timelines, lo, hi)
-        assert single.merged_busy_ms(lo, hi) == reference_union_busy_ms([single], lo, hi)
+        assert union_busy_ms([single], lo, hi) == reference_union_busy_ms([single], lo, hi)
 
 
 def _reserved(name, pairs):
@@ -333,7 +333,7 @@ def test_merged_and_union_busy_match_reference_on_named_inputs(case):
         union = union_busy_ms(timelines, *window)
         assert type(union) is float and union == reference_union_busy_ms(timelines, *window)
         for timeline in timelines:
-            merged = timeline.merged_busy_ms(*window)
+            merged = union_busy_ms([timeline], *window)
             assert type(merged) is float
             assert merged == reference_union_busy_ms([timeline], *window), (timeline.name, window)
 
@@ -1228,7 +1228,7 @@ def test_timeline_from_intervals_keeps_endpoints_and_rejects_overlap():
     timeline = Timeline.from_intervals("runs", pairs)
     assert [(i.start_ms, i.end_ms) for i in timeline] == pairs
     assert timeline.busy_ms() == reference_busy_ms(list(timeline))
-    assert timeline.merged_busy_ms() == reference_union_busy_ms([timeline])
+    assert union_busy_ms([timeline]) == reference_union_busy_ms([timeline])
     assert timeline.busy_ms(0.2, 0.8) == reference_clip_overlap(pairs, 0.2, 0.8)
     with pytest.raises(ValueError):
         Timeline.from_intervals("bad", [(0.0, 2.0), (1.0, 3.0)])

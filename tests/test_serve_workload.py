@@ -141,6 +141,31 @@ def test_flash_crowd_validates_its_window():
         FlashCrowdProcess(100.0, flash_multiplier=0.5)
 
 
+#: Every float parameter of every arrival process (``rate_per_s`` is the rate).
+FLOAT_PARAMS = {
+    "poisson": ("rate_per_s",),
+    "bursty": ("rate_per_s", "on_ms", "off_ms", "off_rate_fraction"),
+    "diurnal": ("rate_per_s", "period_ms", "trough_fraction"),
+    "flash-crowd": ("rate_per_s", "flash_at_ms", "flash_duration_ms", "flash_multiplier"),
+    "trace": ("rate_per_s",),
+}
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "arrival, param", [(arrival, p) for arrival, ps in FLOAT_PARAMS.items() for p in ps]
+)
+def test_every_arrival_process_refuses_a_non_finite_parameter(arrival, param, value):
+    # A NaN passes every range check (each comparison is false): diurnal's
+    # thinning then rejects every candidate forever, and flash-crowd serves
+    # plain Poisson.  Refused at construction, naming the parameter.
+    params = {param: value}
+    rate = params.pop("rate_per_s", 100.0)
+    trace = [0.0, 1.0, 2.0] if arrival == "trace" else None
+    with pytest.raises(ValueError, match=rf"^{param} must be finite, got {value!r}$"):
+        make_arrival_process(arrival, rate, trace_timestamps=trace, **params)
+
+
 def test_make_arrival_process_forwards_process_kwargs():
     process = make_arrival_process(
         "flash-crowd", 100.0, seed=2, flash_at_ms=10.0, flash_multiplier=3.0

@@ -3,7 +3,7 @@
 A :class:`~repro.hw.stream.Stream` driven by the scalar loop every launch
 path used to run -- one ``reserve`` per work item from one host cursor -- and
 a twin driven by ``reserve_run`` must be indistinguishable: returned starts,
-ends and host cursor, the two storage columns, the O(1) totals and every
+ends and host cursor, the two storage columns, the unclipped totals and every
 windowed query.  Floats are compared by ``float.hex`` so a last-ulp
 difference (or a ``-0.0``) cannot hide behind ``==``.
 """
@@ -88,14 +88,14 @@ def assert_twins_match(rng, scalar, batched, background):
     assert scalar.free_at.hex() == batched.free_at.hex()
     one, two = scalar.timeline, batched.timeline
     assert one.busy_ms().hex() == two.busy_ms().hex()
-    assert one.merged_busy_ms().hex() == two.merged_busy_ms().hex()
+    assert union_busy_ms([one]).hex() == union_busy_ms([two]).hex()
     assert union_busy_ms([one, background]).hex() == union_busy_ms([two, background]).hex()
     horizon = one.free_at + 5.0
     for _ in range(20):
         lo = rng.uniform(-2.0, horizon)
         hi = lo + rng.uniform(0.0, horizon / 2 + 1.0)
         assert one.busy_ms(lo, hi).hex() == two.busy_ms(lo, hi).hex()
-        assert one.merged_busy_ms(lo, hi).hex() == two.merged_busy_ms(lo, hi).hex()
+        assert union_busy_ms([one], lo, hi).hex() == union_busy_ms([two], lo, hi).hex()
         assert (
             union_busy_ms([one, background], lo, hi).hex()
             == union_busy_ms([two, background], lo, hi).hex()

@@ -16,6 +16,8 @@ import copy
 import json
 import os
 import random
+import shutil
+import subprocess
 import sys
 
 import pytest
@@ -31,9 +33,8 @@ from repro.obs import (
     validate_trace,
 )
 
-SCHEMA_PATH = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "docs", "trace.schema.json"
-)
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SCHEMA_PATH = os.path.join(REPO_ROOT, "src", "repro", "obs", "trace.schema.json")
 
 
 def _load_schema():
@@ -316,6 +317,38 @@ def test_python_calls_per_trace_event_stay_bounded(cluster_export):
 
 def test_checked_in_schema_compiles_and_accepts_a_real_export(small_export):
     validate_trace(small_export)
+
+
+def test_a_copy_of_the_package_without_docs_finds_its_schema(tmp_path, small_export):
+    """The schema ships inside ``repro.obs``: no checkout around the package."""
+    site = tmp_path / "site"
+    shutil.copytree(
+        os.path.join(REPO_ROOT, "src", "repro"),
+        site / "repro",
+        ignore=shutil.ignore_patterns("__pycache__"),
+    )
+    trace = tmp_path / "sample-trace.json"
+    trace.write_text(json.dumps(small_export), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(site))
+    found = subprocess.run(
+        [sys.executable, "-c", "from repro.obs import export; print(export.SCHEMA_PATH)"],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert found.stdout.strip() == str(site / "repro" / "obs" / "trace.schema.json")
+    run = subprocess.run(
+        [sys.executable, "-m", "repro.cli", "trace", str(trace)],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert "error" not in run.stderr
 
 
 @pytest.mark.parametrize(
