@@ -33,6 +33,8 @@ Consistency contract (who calls what, in request order):
 
 from __future__ import annotations
 
+import math
+from functools import lru_cache
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -54,9 +56,42 @@ from .store import (
 #: the host CPU (sampling structures are CPU-side).
 _DEVICE_KINDS = ("embedding", "memory")
 
-#: A cached sample row per neighbour: id, time and event index (int64,
-#: float64, int64) plus the float32 mask.
-_SAMPLE_BYTES_PER_NEIGHBOR = 8 + 8 + 8 + 4
+#: A cached sample row per neighbour, in record order: id, time and event
+#: index plus the mask bit -- the columns of a :class:`NeighborhoodSample`,
+#: 28 bytes.
+_SAMPLE_FIELDS = (
+    ("ids", np.int64),
+    ("times", np.float64),
+    ("events", np.int64),
+    ("mask", np.float32),
+)
+
+
+@lru_cache(maxsize=64)
+def _sample_record(k: int) -> np.dtype:
+    """The packed layout of one sample row drawn at fan-out ``k``: its ``k``
+    ids, times, event indices and mask bits, ``28 * k`` bytes -- the size the
+    sample store charges for the row."""
+    if k <= 0:
+        raise ValueError("k must be positive")
+    return np.dtype([(name, dtype, (k,)) for name, dtype in _SAMPLE_FIELDS])
+
+
+def _sample_columns(sample: NeighborhoodSample) -> Tuple[np.ndarray, ...]:
+    return (sample.neighbor_ids, sample.neighbor_times, sample.event_indices, sample.mask)
+
+
+def _split(blob: bytes, width: int) -> List[bytes]:
+    """``blob`` cut into consecutive ``width``-byte records."""
+    return [blob[start:start + width] for start in range(0, len(blob), width)]
+
+
+def _pack_sample(sample: NeighborhoodSample, record: np.dtype) -> List[bytes]:
+    """One ``record`` per row of ``sample``: one structured fill, one copy out."""
+    rows = np.empty(sample.num_targets, dtype=record)
+    for (name, _), column in zip(_SAMPLE_FIELDS, _sample_columns(sample)):
+        rows[name] = column
+    return _split(rows.tobytes(), record.itemsize)
 
 
 class ModelCache:
@@ -89,8 +124,8 @@ class ModelCache:
         unknown = [k for k in kinds if k not in ("embedding", "sample", "memory")]
         if unknown:
             raise ValueError(f"unknown cache kind(s) {unknown}")
-        if capacity_mb <= 0:
-            raise ValueError("cache capacity must be positive")
+        if not 0 < capacity_mb < math.inf:
+            raise ValueError(f"cache capacity must be positive and finite, got {capacity_mb!r} MB")
         self.machine = machine
         self.compute_device = compute_device
         self.policy_name = policy
@@ -170,7 +205,8 @@ class ModelCache:
         """Admit a batch of (node, query-time) rows against the embedding store.
 
         Returns ``(hit_indices, hit_rows, miss_indices)`` over the query
-        order; ``hit_rows`` is ``None`` when nothing hit.
+        order; ``hit_rows`` is a read-only float32 ``(hits, dim)`` array read
+        from the hit records in one pass, or ``None`` when nothing hit.
         """
         store = self._stores.get("embedding")
         n = len(nodes)
@@ -183,9 +219,11 @@ class ModelCache:
         values = store.probe_many(nodes.tolist(), times.tolist())
         hit_positions = [index for index in range(n) if values[index] is not None]
         miss_positions = [index for index in range(n) if values[index] is None]
-        rows = [values[index] for index in hit_positions]
         store.flush_charges("lookup")
-        hit_rows = np.stack(rows).astype(np.float32, copy=False) if rows else None
+        hit_rows = None
+        if hit_positions:
+            records = b"".join([values[index] for index in hit_positions])
+            hit_rows = np.frombuffer(records, dtype=np.float32).reshape(len(hit_positions), -1)
         return (
             np.asarray(hit_positions, dtype=np.int64),
             hit_rows,
@@ -195,13 +233,14 @@ class ModelCache:
     def store_embeddings(
         self, nodes: np.ndarray, times: np.ndarray, rows: np.ndarray
     ) -> None:
-        """Insert freshly computed embedding rows at their query event times."""
+        """Insert freshly computed embedding rows at their query event times,
+        each as one ``dim * 4``-byte float32 record."""
         store = self._stores.get("embedding")
         if store is None or len(nodes) == 0:
             return
-        store.put_rows(
-            nodes.tolist(), [row.copy() for row in rows], times.tolist(), int(rows.shape[1]) * 4
-        )
+        nbytes = int(rows.shape[1]) * 4
+        records = _split(np.asarray(rows, dtype=np.float32).tobytes(), nbytes)
+        store.put_rows(nodes.tolist(), records, times.tolist(), nbytes)
         store.flush_charges("update")
 
     # -- temporal-neighbourhood samples ------------------------------------
@@ -221,78 +260,45 @@ class ModelCache:
         miss rows only (which charges the sampler's CPU cost for exactly
         those rows).  With zero hits the sampler is invoked on the original
         arrays, so the draw sequence -- and therefore the RNG stream -- is
-        byte-identical to uncached execution.
+        byte-identical to uncached execution.  The hit records are read
+        back in one pass and scattered column by column; the miss rows are
+        packed into records in one pass (:func:`_pack_sample`).
         """
         store = self._stores.get("sample")
         if store is None:
             return sampler.sample(nodes, times, k)
         nodes = np.asarray(nodes, dtype=np.int64)
         times = np.asarray(times, dtype=np.float64)
-        n = len(nodes)
         node_list = nodes.tolist()
         time_list = times.tolist()
-        hits: List[Tuple[int, Tuple[np.ndarray, ...]]] = []
-        miss_positions: List[int] = []
-        probed = store.probe_many(node_list, time_list, nbytes=k * _SAMPLE_BYTES_PER_NEIGHBOR)
-        for index, value in enumerate(probed):
-            if value is None:
-                miss_positions.append(index)
-            else:
-                hits.append((index, value))
-        if not hits:
+        record = _sample_record(k)
+        probed = store.probe_many(node_list, time_list, nbytes=record.itemsize)
+        hit_positions = [index for index, value in enumerate(probed) if value is not None]
+        if not hit_positions:
             sample = sampler.sample(nodes, times, k)
-            self._insert_sample_rows(store, node_list, time_list, range(n), sample, k)
+            store.put_rows(node_list, _pack_sample(sample, record), time_list, record.itemsize)
             store.flush_charges("sample")
             return sample
-        neighbor_ids = np.zeros((n, k), dtype=np.int64)
-        neighbor_times = np.zeros((n, k), dtype=np.float64)
-        event_indices = np.zeros((n, k), dtype=np.int64)
-        mask = np.zeros((n, k), dtype=np.float32)
-        for index, (ids_row, times_row, events_row, mask_row) in hits:
-            neighbor_ids[index] = ids_row
-            neighbor_times[index] = times_row
-            event_indices[index] = events_row
-            mask[index] = mask_row
-        if miss_positions:
+        n = len(nodes)
+        columns = [np.empty((n, k), dtype=dtype) for _, dtype in _SAMPLE_FIELDS]
+        hits = np.frombuffer(b"".join([probed[index] for index in hit_positions]), dtype=record)
+        hit_idx = np.asarray(hit_positions, dtype=np.int64)
+        for column, (name, _) in zip(columns, _SAMPLE_FIELDS):
+            column[hit_idx] = hits[name]
+        if len(hit_positions) < n:
+            miss_positions = [index for index, value in enumerate(probed) if value is None]
             miss_idx = np.asarray(miss_positions, dtype=np.int64)
             sub = sampler.sample(nodes[miss_idx], times[miss_idx], k)
-            neighbor_ids[miss_idx] = sub.neighbor_ids
-            neighbor_times[miss_idx] = sub.neighbor_times
-            event_indices[miss_idx] = sub.event_indices
-            mask[miss_idx] = sub.mask
-            self._insert_sample_rows(
-                store, node_list, time_list, miss_positions, sub, k, remap=True
+            for column, part in zip(columns, _sample_columns(sub)):
+                column[miss_idx] = part
+            store.put_rows(
+                [node_list[index] for index in miss_positions],
+                _pack_sample(sub, record),
+                [time_list[index] for index in miss_positions],
+                record.itemsize,
             )
         store.flush_charges("sample")
-        return NeighborhoodSample(neighbor_ids, neighbor_times, event_indices, mask)
-
-    @staticmethod
-    def _insert_sample_rows(
-        store: DeviceResidentCache,
-        node_list: List[int],
-        time_list: List[float],
-        positions: Iterable[int],
-        sample: NeighborhoodSample,
-        k: int,
-        remap: bool = False,
-    ) -> None:
-        """Insert one sample row per (miss) query position.
-
-        ``remap=True`` means row ``j`` of ``sample`` corresponds to the
-        ``j``-th listed position (a miss-subset sample); otherwise positions
-        index ``sample`` directly.
-        """
-        positions = list(positions)
-        rows = range(len(positions)) if remap else positions
-        ids, times, events, mask = (
-            sample.neighbor_ids, sample.neighbor_times, sample.event_indices, sample.mask
-        )
-        store.put_rows(
-            [node_list[position] for position in positions],
-            [(ids[r].copy(), times[r].copy(), events[r].copy(), mask[r].copy()) for r in rows],
-            [time_list[position] for position in positions],
-            k * _SAMPLE_BYTES_PER_NEIGHBOR,
-        )
+        return NeighborhoodSample(*columns)
 
     # -- recurrent memory rows ---------------------------------------------
 

@@ -19,13 +19,17 @@ time, byte for byte (``tests/test_cache_store.py``, the
 A live entry is the exact tuple ``(value, event_ms, nbytes, alloc_id)``,
 read by position: the value served on a hit, the event time its staleness
 is measured from, its row size in bytes and the id of its simulated pool
-allocation.  An exact tuple of atomics (a row, a presence flag, a tuple of
-row arrays) leaves the cyclic garbage collector's tracking after its first
-collection, so a full store adds nothing for full collections to walk.
+allocation.  The value is an atomic: a sample or embedding row is one
+``bytes`` record whose length is the entry's charged ``nbytes`` (packed
+and read back per batch by :class:`~repro.cache.model_cache.ModelCache`),
+a memory row a presence flag.  The collector never tracks ``bytes``, and
+an exact tuple of atomics leaves its tracking after its first collection,
+so a full store adds nothing for full collections to walk.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -152,10 +156,10 @@ class DeviceResidentCache:
         staleness_ms: float,
         weight_of: Optional[Any] = None,
     ) -> None:
-        if capacity_bytes <= 0:
-            raise ValueError("cache capacity must be positive")
-        if staleness_ms < 0:
-            raise ValueError("staleness bound must be non-negative")
+        if not 0 < capacity_bytes < math.inf:
+            raise ValueError(f"cache capacity must be positive and finite, got {capacity_bytes!r}")
+        if not staleness_ms >= 0:
+            raise ValueError(f"staleness bound must be non-negative, got {staleness_ms!r}")
         self.machine = machine
         self.device = device
         self.kind = kind
@@ -164,7 +168,8 @@ class DeviceResidentCache:
         self.staleness_ms = float(staleness_ms)
         self.weight_of = weight_of
         self.stats = CacheStats()
-        #: key -> (value, event_ms, nbytes, alloc_id); see the module docstring.
+        #: key -> (value, event_ms, nbytes, alloc_id); a row value is a
+        #: ``bytes`` record of length ``nbytes`` (see the module docstring).
         self._entries: Dict[Any, Tuple[Any, float, int, int]] = {}
         self._ledger = _ChargeLedger()
         self.tag = f"cache:{kind}"
@@ -191,8 +196,10 @@ class DeviceResidentCache:
         the base bound, so widening is purely an admission-side degradation
         and never changes what the cache stores.
         """
-        if staleness_ms is not None and staleness_ms < self.staleness_ms:
-            raise ValueError("staleness override must not be tighter than the base bound")
+        if staleness_ms is not None and not staleness_ms >= self.staleness_ms:
+            raise ValueError(
+                f"staleness override must not be tighter than the base bound, got {staleness_ms!r}"
+            )
         self._staleness_override = None if staleness_ms is None else float(staleness_ms)
 
     # -- queries -----------------------------------------------------------

@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -696,29 +697,35 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     return 0
 
 
+_COMMANDS = {
+    "list-models": lambda args: _cmd_list_models(),
+    "list-datasets": lambda args: _cmd_list_datasets(),
+    "list-experiments": lambda args: _cmd_list_experiments(),
+    "experiment": _cmd_experiment,
+    "profile": _cmd_profile,
+    "serve": _cmd_serve,
+    "trace": _cmd_trace,
+    "fuzz": _cmd_fuzz,
+    "docs": _cmd_docs,
+}
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "list-models":
-        return _cmd_list_models()
-    if args.command == "list-datasets":
-        return _cmd_list_datasets()
-    if args.command == "list-experiments":
-        return _cmd_list_experiments()
-    if args.command == "experiment":
-        return _cmd_experiment(args)
-    if args.command == "profile":
-        return _cmd_profile(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    if args.command == "trace":
-        return _cmd_trace(args)
-    if args.command == "fuzz":
-        return _cmd_fuzz(args)
-    if args.command == "docs":
-        return _cmd_docs(args)
-    parser.error(f"unknown command {args.command!r}")
-    return 2
+    command = _COMMANDS.get(args.command)
+    if command is None:
+        parser.error(f"unknown command {args.command!r}")
+        return 2
+    try:
+        status = command(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (``repro-dgnn ... | head``): what is left to
+        # print has nowhere to go, so the exit flush writes to devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
+    return status
 
 
 if __name__ == "__main__":

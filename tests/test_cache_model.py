@@ -7,6 +7,7 @@ staleness TGAT outputs are approximations (that is the point), while TGN
 memory-row hits never change numerics at all (values are exact copies).
 """
 
+import math
 from itertools import islice
 
 import numpy as np
@@ -19,6 +20,7 @@ from repro.hw import Machine
 from repro.models.ldg import LDG
 from repro.models.tgat import TGAT, TGATConfig
 from repro.models.tgn import TGN, TGNConfig
+from repro.serve.fidelity import FANOUT_SCALE
 
 
 @pytest.fixture(scope="module")
@@ -213,6 +215,11 @@ def test_model_cache_rejects_unknown_kinds_and_bad_budgets():
         ModelCache(machine, machine.gpu, kinds=())
     with pytest.raises(ValueError, match="capacity"):
         ModelCache(machine, machine.gpu, kinds=("embedding",), capacity_mb=0.0)
+    for budget in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="positive and finite"):
+            ModelCache(machine, machine.gpu, kinds=("embedding",), capacity_mb=budget)
+    with pytest.raises(ValueError, match="got nan"):
+        ModelCache(machine, machine.gpu, kinds=("sample",), staleness_ms=math.nan)
 
 
 def test_degree_policy_is_wired_to_the_sampler(dataset):
@@ -243,3 +250,90 @@ def test_a_sample_row_of_another_width_is_a_miss(dataset):
     assert stats.hits + stats.misses == stats.lookups == 2 * len(nodes)
     gathered = [e for e in machine.events if e.name.startswith("cache_sample_gather")]
     assert sum(e.bytes for e in gathered) == 0
+
+
+# -- the packed row records ---------------------------------------------------
+
+
+def fidelity_fanout(dataset):
+    """The fan-out a TGAT with 7 neighbours samples at under degraded fidelity."""
+    machine = Machine.cpu_gpu()
+    with machine.activate():
+        model = TGAT(machine, dataset, TGATConfig(num_neighbors=7, batch_size=32, seed=0))
+    model.set_fanout_scale(FANOUT_SCALE)
+    return model.effective_fanout(model.config.num_neighbors)
+
+
+def sample_columns(sample):
+    return (sample.neighbor_ids, sample.neighbor_times, sample.event_indices, sample.mask)
+
+
+@pytest.mark.parametrize("k", [1, 10, "fidelity"])
+def test_a_sample_hit_returns_the_inserted_row_bit_for_bit(dataset, k):
+    """A sample row is stored as one packed record and read back exactly:
+    ids, times, event indices and mask, with their dtypes, scattered to the
+    hit positions of a batch that mixes hits and misses."""
+    if k == "fidelity":
+        k = fidelity_fanout(dataset)
+        assert 1 < k < 7
+    machine = Machine.cpu_gpu()
+    sampler = TemporalNeighborSampler(dataset.stream, seed=0)
+    nodes = np.unique(dataset.stream.src[:40])
+    times = np.full(len(nodes), float(dataset.stream.timestamps[-1]))
+    with machine.activate():
+        cache = ModelCache(
+            machine, machine.gpu, kinds=("sample",), capacity_mb=4.0, staleness_ms=1e12
+        )
+        first = cache.sample(sampler, nodes[::2], times[::2], k)
+        inserted = [column.copy() for column in sample_columns(first)]
+        # The sampler's arrays are not the cached rows: scribbling on them
+        # after the insert changes no later hit.
+        for column in sample_columns(first):
+            column[...] = 7
+        order = np.random.default_rng(0).permutation(len(nodes))
+        second = cache.sample(sampler, nodes[order], times[order], k)
+    store = cache.samples
+    assert store.stats.hits == len(nodes[::2])
+    assert all(len(entry[0]) == entry[2] == k * 28 for entry in store._entries.values())
+    hit_at = {int(node): row for row, node in enumerate(nodes[::2])}
+    served = sample_columns(second)
+    for column, want, dtype in zip(served, inserted, (np.int64, np.float64, np.int64, np.float32)):
+        assert column.dtype == dtype and column.shape == (len(nodes), k)
+        for position, node in enumerate(nodes[order].tolist()):
+            if node in hit_at:
+                assert column[position].tobytes() == want[hit_at[node]].tobytes()
+    with machine.activate():
+        hits = store.stats.hits
+        cache.sample(sampler, nodes, times, k + 1)
+    assert store.stats.hits == hits
+
+
+def test_embedding_hits_are_float32_rows_of_the_stored_width(dataset):
+    machine = Machine.cpu_gpu()
+    nodes = np.arange(12, dtype=np.int64)
+    times = np.full(12, 5.0)
+    rows = np.random.default_rng(1).standard_normal((12, 16))
+    with machine.activate():
+        cache = ModelCache(
+            machine, machine.gpu, kinds=("embedding",), capacity_mb=4.0, staleness_ms=1e12
+        )
+        cache.store_embeddings(nodes[:8], times[:8], rows[:8])
+        rows[:] = 0.0
+        hit_idx, hit_rows, miss_idx = cache.lookup_embeddings(nodes[::-1], times)
+    assert hit_idx.tolist() == list(range(4, 12))
+    assert miss_idx.tolist() == list(range(4))
+    assert hit_rows.dtype == np.float32 and hit_rows.shape == (8, 16)
+    want = np.random.default_rng(1).standard_normal((12, 16))[7::-1].astype(np.float32)
+    assert hit_rows.tobytes() == want.tobytes()
+    assert all(len(entry[0]) == entry[2] == 16 * 4 for entry in cache.embeddings._entries.values())
+
+
+@pytest.mark.parametrize("k", [0, -3])
+def test_a_non_positive_fan_out_is_refused_as_the_sampler_refuses_it(dataset, k):
+    machine = Machine.cpu_gpu()
+    sampler = TemporalNeighborSampler(dataset.stream, seed=0)
+    nodes = np.unique(dataset.stream.src[:8])
+    times = np.full(len(nodes), float(dataset.stream.timestamps[-1]))
+    cache = ModelCache(machine, machine.gpu, kinds=("sample",), staleness_ms=1e12)
+    with machine.activate(), pytest.raises(ValueError, match="k must be positive"):
+        cache.sample(sampler, nodes, times, k)

@@ -217,13 +217,27 @@ def test_cli_serve_cache_rejects_unsupported_models(capsys):
     assert "does not support request caching" in capsys.readouterr().err
 
 
-def test_cli_serve_cache_rejects_bad_budget(capsys):
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--cache-mb", "0", "cache capacity must be positive and finite, got 0.0 MB"),
+        ("--cache-mb", "inf", "cache capacity must be positive and finite, got inf MB"),
+        ("--cache-mb", "nan", "cache capacity must be positive and finite, got nan MB"),
+        ("--staleness-ms", "nan", "staleness bound must be non-negative, got nan"),
+    ],
+)
+def test_cli_serve_cache_rejects_bad_settings(flag, value, message, capsys):
+    """A budget of 0, inf or NaN and a NaN bound are refused with a named
+    error before anything serves (a NaN bound used to reject every probe as
+    stale)."""
     code = main([
         "serve", "tgat", "--scale", "tiny", "--rate", "300", "--duration", "60",
-        "--cache", "--cache-mb", "0",
+        "--cache", flag, value,
     ])
+    captured = capsys.readouterr()
     assert code == 2
-    assert "capacity" in capsys.readouterr().err
+    assert captured.err.strip() == f"error: {message}"
+    assert captured.out == ""
 
 
 def test_cache_ablation_experiment_rows(dataset):

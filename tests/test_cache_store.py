@@ -7,6 +7,7 @@ Includes the seeded property tests the cache subsystem is gated on:
   device pool's per-tag usage) never exceeds the configured capacity.
 """
 
+import math
 import random
 
 import pytest
@@ -38,16 +39,33 @@ def make_store(
     return (machine, store)
 
 
-def test_rejects_bad_configuration():
+@pytest.mark.parametrize(
+    "capacity, staleness, message",
+    [
+        (0, 1.0, "capacity must be positive"),
+        (math.inf, 1.0, "capacity must be positive and finite, got inf"),
+        (math.nan, 1.0, "capacity must be positive and finite, got nan"),
+        (10, -1.0, "staleness bound must be non-negative"),
+        (10, math.nan, "staleness bound must be non-negative, got nan"),
+    ],
+)
+def test_rejects_bad_configuration(capacity, staleness, message):
     machine = Machine.cpu_gpu()
-    with pytest.raises(ValueError, match="capacity"):
+    with pytest.raises(ValueError, match=message):
         DeviceResidentCache(
-            machine, machine.gpu, "embedding", make_eviction_policy("lru"), 0, 1.0
+            machine, machine.gpu, "embedding", make_eviction_policy("lru"), capacity, staleness
         )
-    with pytest.raises(ValueError, match="staleness"):
-        DeviceResidentCache(
-            machine, machine.gpu, "embedding", make_eviction_policy("lru"), 10, -1.0
-        )
+
+
+def test_staleness_override_refuses_nan_and_keeps_inf():
+    """``force_hits`` widens the window to inf; a NaN window would reject
+    every probe, so it is refused and the window stays as it was."""
+    _, store = make_store(staleness=10.0)
+    with pytest.raises(ValueError, match="got nan"):
+        store.set_staleness_override(math.nan)
+    assert store.effective_staleness_ms == 10.0
+    store.set_staleness_override(math.inf)
+    assert store.effective_staleness_ms == math.inf
 
 
 def test_staleness_window_is_strict():

@@ -24,7 +24,7 @@ import pytest
 
 import repro
 from repro._compat import ordered_sum
-from repro.cache import DeviceResidentCache, make_eviction_policy
+from repro.cache import DeviceResidentCache, ModelCache, make_eviction_policy
 from repro.core import (
     WORKLOAD_IMBALANCE,
     DeviceSnapshot,
@@ -458,6 +458,43 @@ def test_cache_churn_adds_no_tracked_objects(policy):
     # As one object per live entry the store kept about 4 000.
     assert tracked_objects_gained(partial(churn, 1), partial(churn, 40)) < 100
     assert len(store) > 3_000
+
+
+def objects_held(value):
+    """``value`` and every object reachable from it through the collector's
+    referents: what one cached row keeps alive besides its entry tuple."""
+    seen = {id(value)}
+    stack = [value]
+    while stack:
+        for referent in gc.get_referents(stack.pop()):
+            if id(referent) not in seen:
+                seen.add(id(referent))
+                stack.append(referent)
+    return len(seen)
+
+
+def test_cached_sample_and_embedding_rows_are_one_untracked_object():
+    """A cached row is one packed record: nothing for the collector to walk,
+    and one object per row (a tuple of four row arrays held five)."""
+    rng = np.random.default_rng(5)
+    machine = Machine.cpu_gpu()
+    sampler = TemporalNeighborSampler(random_stream(rng, num_events=600, num_nodes=200), seed=5)
+    cache = ModelCache(
+        machine, machine.gpu, kinds=("embedding", "sample"), capacity_mb=8.0, staleness_ms=1e12
+    )
+    nodes = np.arange(200, dtype=np.int64)
+    times = np.full(200, 1000.0)
+    with machine.activate():
+        for k in (1, 4, 10):
+            cache.sample(sampler, nodes, times, k)
+        cache.sample(sampler, nodes[::-1], times, 10)
+        cache.store_embeddings(nodes, times, rng.standard_normal((200, 32)).astype(np.float32))
+    gc.collect()
+    for store in (cache.samples, cache.embeddings):
+        assert len(store) == 200
+        values = [entry[0] for entry in store._entries.values()]
+        assert [gc.is_tracked(value) for value in values] == [False] * len(values)
+        assert [objects_held(value) for value in values] == [1] * len(values)
 
 
 def python_calls(action, under="", events=("call",)):

@@ -351,6 +351,29 @@ def test_a_copy_of_the_package_without_docs_finds_its_schema(tmp_path, small_exp
     assert "error" not in run.stderr
 
 
+@pytest.mark.parametrize("lines_read", [0, 1])
+def test_trace_into_a_closed_pipe_exits_quietly(tmp_path, small_export, lines_read):
+    """``repro-dgnn trace ... | head -1``: once the reader is gone the rest
+    of the report is dropped, with exit 0 and no traceback.  Closed before
+    anything is read, the pipe is sure to refuse the command's first write."""
+    trace = tmp_path / "sample-trace.json"
+    trace.write_text(json.dumps(small_export), encoding="utf-8")
+    child = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "trace", str(trace), "--request", "p99"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src")),
+    )
+    for _ in range(lines_read):
+        assert child.stdout.readline().startswith(b"request ")
+    child.stdout.close()
+    stderr = child.stderr.read().decode()
+    child.stderr.close()
+    assert child.wait(timeout=120) == 0, stderr
+    assert "Traceback" not in stderr
+    assert "Broken pipe" not in stderr
+
+
 @pytest.mark.parametrize(
     "path, value, words",
     [
