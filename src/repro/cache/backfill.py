@@ -25,6 +25,8 @@ from typing import Any, Dict, List, Optional
 
 import numpy as np
 
+from ..domain import NON_NEGATIVE_INT
+
 
 @dataclass(frozen=True)
 class BackfillReport:
@@ -61,8 +63,7 @@ def hot_nodes(model: Any, top_k: int) -> List[int]:
     Deterministic: degree ties break toward the smaller node id.  Nodes
     that never interact are excluded regardless of budget.
     """
-    if top_k <= 0:
-        return []
+    NON_NEGATIVE_INT.check("top_k", top_k)
     degrees = model.sampler.total_degrees
     order = np.lexsort((np.arange(len(degrees)), -degrees))
     return order[degrees[order] > 0][:top_k].tolist()

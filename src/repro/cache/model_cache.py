@@ -33,13 +33,13 @@ Consistency contract (who calls what, in request order):
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .._compat import ordered_sum
+from ..domain import POSITIVE, Domain
 from ..graph.events import EventStream
 from ..graph.sampling import NeighborhoodSample, TemporalNeighborSampler
 from ..hw.device import Device
@@ -124,8 +124,7 @@ class ModelCache:
         unknown = [k for k in kinds if k not in ("embedding", "sample", "memory")]
         if unknown:
             raise ValueError(f"unknown cache kind(s) {unknown}")
-        if not 0 < capacity_mb < math.inf:
-            raise ValueError(f"cache capacity must be positive and finite, got {capacity_mb!r} MB")
+        POSITIVE.check("cache capacity (MB)", capacity_mb)
         self.machine = machine
         self.compute_device = compute_device
         self.policy_name = policy
@@ -186,11 +185,10 @@ class ModelCache:
         execution: they never admitted writes, so there is nothing a wider
         window could serve.
         """
-        if staleness_scale < 1.0:
-            raise ValueError("staleness_scale must be >= 1")
+        Domain(1).check("staleness_scale", staleness_scale)
         for kind, store in self._stores.items():
             override: Optional[float] = None
-            if store.staleness_ms > 0.0:
+            if store.admits_writes:
                 if staleness_scale > 1.0:
                     override = store.staleness_ms * staleness_scale
                 if force_hits and kind == "embedding":
@@ -238,9 +236,10 @@ class ModelCache:
         store = self._stores.get("embedding")
         if store is None or len(nodes) == 0:
             return
-        nbytes = int(rows.shape[1]) * 4
-        records = _split(np.asarray(rows, dtype=np.float32).tobytes(), nbytes)
-        store.put_rows(nodes.tolist(), records, times.tolist(), nbytes)
+        if store.admits_writes:
+            nbytes = int(rows.shape[1]) * 4
+            records = _split(np.asarray(rows, dtype=np.float32).tobytes(), nbytes)
+            store.put_rows(nodes.tolist(), records, times.tolist(), nbytes)
         store.flush_charges("update")
 
     # -- temporal-neighbourhood samples ------------------------------------
@@ -276,7 +275,8 @@ class ModelCache:
         hit_positions = [index for index, value in enumerate(probed) if value is not None]
         if not hit_positions:
             sample = sampler.sample(nodes, times, k)
-            store.put_rows(node_list, _pack_sample(sample, record), time_list, record.itemsize)
+            if store.admits_writes:
+                store.put_rows(node_list, _pack_sample(sample, record), time_list, record.itemsize)
             store.flush_charges("sample")
             return sample
         n = len(nodes)
@@ -291,12 +291,13 @@ class ModelCache:
             sub = sampler.sample(nodes[miss_idx], times[miss_idx], k)
             for column, part in zip(columns, _sample_columns(sub)):
                 column[miss_idx] = part
-            store.put_rows(
-                [node_list[index] for index in miss_positions],
-                _pack_sample(sub, record),
-                [time_list[index] for index in miss_positions],
-                record.itemsize,
-            )
+            if store.admits_writes:
+                store.put_rows(
+                    [node_list[index] for index in miss_positions],
+                    _pack_sample(sub, record),
+                    [time_list[index] for index in miss_positions],
+                    record.itemsize,
+                )
         store.flush_charges("sample")
         return NeighborhoodSample(*columns)
 

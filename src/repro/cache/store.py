@@ -29,10 +29,10 @@ so a full store adds nothing for full collections to walk.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from ..domain import NON_NEGATIVE, POSITIVE, Domain
 from ..hw import spec
 from ..hw.device import Device
 from ..hw.machine import Machine
@@ -156,16 +156,12 @@ class DeviceResidentCache:
         staleness_ms: float,
         weight_of: Optional[Any] = None,
     ) -> None:
-        if not 0 < capacity_bytes < math.inf:
-            raise ValueError(f"cache capacity must be positive and finite, got {capacity_bytes!r}")
-        if not staleness_ms >= 0:
-            raise ValueError(f"staleness bound must be non-negative, got {staleness_ms!r}")
         self.machine = machine
         self.device = device
         self.kind = kind
         self.policy = policy
-        self.capacity_bytes = int(capacity_bytes)
-        self.staleness_ms = float(staleness_ms)
+        self.capacity_bytes = int(POSITIVE.check("cache capacity", capacity_bytes))
+        self.staleness_ms = float(NON_NEGATIVE.check("staleness bound", staleness_ms))
         self.weight_of = weight_of
         self.stats = CacheStats()
         #: key -> (value, event_ms, nbytes, alloc_id); a row value is a
@@ -188,6 +184,11 @@ class DeviceResidentCache:
             return self._staleness_override
         return self.staleness_ms
 
+    @property
+    def admits_writes(self) -> bool:
+        """False under a zero staleness bound: no probe could hit what is inserted."""
+        return self.staleness_ms > 0.0
+
     def set_staleness_override(self, staleness_ms: Optional[float]) -> None:
         """Temporarily widen (or restore) the probe hit window.
 
@@ -196,10 +197,8 @@ class DeviceResidentCache:
         the base bound, so widening is purely an admission-side degradation
         and never changes what the cache stores.
         """
-        if staleness_ms is not None and not staleness_ms >= self.staleness_ms:
-            raise ValueError(
-                f"staleness override must not be tighter than the base bound, got {staleness_ms!r}"
-            )
+        if staleness_ms is not None:
+            Domain(self.staleness_ms, infinite=True).check("staleness override", staleness_ms)
         self._staleness_override = None if staleness_ms is None else float(staleness_ms)
 
     # -- queries -----------------------------------------------------------
@@ -314,7 +313,7 @@ class DeviceResidentCache:
             )
         nbytes = int(nbytes)
         capacity = self.capacity_bytes
-        if self.staleness_ms <= 0.0 or nbytes > capacity:
+        if not self.admits_writes or nbytes > capacity:
             return 0
         stats = self.stats
         entries = self._entries

@@ -21,13 +21,14 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import inspect
 import itertools
 import json
 import os
 import sys
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from . import __version__
+from . import __version__, domain
 from .cache import available_eviction_policies
 from .core import Profiler, analyze_profile, compute_breakdown
 from .datasets import TemporalInteractionDataset, available_datasets, load
@@ -109,8 +110,15 @@ def _parse_param(values: Sequence[Union[str, Tuple[str, Any]]]) -> Dict[str, Any
     return overrides
 
 
+class _Parser(argparse.ArgumentParser):
+    """A refused argument prints one ``error:`` line, as a refused run does."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repro-dgnn",
         description="DGNN inference bottleneck analysis (IISWC 2022 reproduction)",
     )
@@ -124,18 +132,19 @@ def build_parser() -> argparse.ArgumentParser:
     exp = sub.add_parser("experiment", help="run one paper experiment")
     exp.add_argument("name", choices=available_experiments())
     exp.add_argument("--scale", default="small", choices=("tiny", "small", "paper"))
-    exp.add_argument("--seed", type=int, default=0,
+    exp.add_argument("--seed", type=domain.INTEGER.arg, default=0,
                      help="random seed for seeded experiments (serving, scaling, "
                           "autoscaling, cache_ablation, adaptive_fidelity, overlap_exec)")
     exp.add_argument("--output", default=None, help="write the rows as JSON to this path")
-    exp.add_argument("--max-rows", type=int, default=None, help="limit printed rows")
+    exp.add_argument("--max-rows", type=domain.NON_NEGATIVE_INT.arg, default=None,
+                     help="limit printed rows")
 
     prof = sub.add_parser("profile", help="profile one model configuration")
     prof.add_argument("model", choices=available_models())
     prof.add_argument("--dataset", default=None, help="dataset name (model default if omitted)")
     prof.add_argument("--scale", default="small", choices=("tiny", "small", "paper"))
     prof.add_argument("--device", default="gpu", choices=("cpu", "gpu"))
-    prof.add_argument("--iterations", type=int, default=1,
+    prof.add_argument("--iterations", type=domain.POSITIVE_INT.arg, default=1,
                       help="number of inference iterations to profile")
     prof.add_argument("--backend", default="numeric", choices=("numeric", "shape"),
                       help="execution backend: 'numeric' computes real values, "
@@ -177,25 +186,25 @@ def build_parser() -> argparse.ArgumentParser:
         help="arrival-process override, e.g. --arrival-param "
              "flash_multiplier=8 for --arrival flash-crowd (repeatable)",
     )
-    srv.add_argument("--rate", type=float, default=200.0,
+    srv.add_argument("--rate", type=domain.POSITIVE.arg, default=200.0,
                      help="mean arrival rate in requests per simulated second")
     srv.add_argument("--policy", default="timeout", choices=available_policies(),
                      help="batch scheduling policy")
-    srv.add_argument("--slo-ms", type=float, default=50.0,
+    srv.add_argument("--slo-ms", type=domain.POSITIVE.arg, default=50.0,
                      help="per-request latency objective in simulated ms "
                           "(stamps every request's deadline; also configures "
                           "the slo policy)")
-    srv.add_argument("--duration", type=float, default=1000.0,
+    srv.add_argument("--duration", type=domain.POSITIVE.arg, default=1000.0,
                      help="arrival window in simulated ms (queued requests drain after)")
-    srv.add_argument("--max-batch-size", type=int, default=8,
+    srv.add_argument("--max-batch-size", type=domain.POSITIVE_INT.arg, default=8,
                      help="dynamic batching cap in requests")
-    srv.add_argument("--batch-timeout-ms", type=float, default=None,
+    srv.add_argument("--batch-timeout-ms", type=domain.NON_NEGATIVE.arg, default=None,
                      help="max wait before a partial batch is dispatched "
                           "(timeout/slo policies only, default 4; an error "
                           "with --policy fifo, which never waits)")
-    srv.add_argument("--events-per-request", type=int, default=1,
+    srv.add_argument("--events-per-request", type=domain.POSITIVE_INT.arg, default=1,
                      help="event-stream slice size each request carries")
-    srv.add_argument("--seed", type=int, default=0,
+    srv.add_argument("--seed", type=domain.INTEGER.arg, default=0,
                      help="seed for the arrival process (runs are reproducible)")
     srv.add_argument("--topology", default="1xA6000",
                      choices=available_machine_specs() + available_cluster_specs(),
@@ -206,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="execution backend: 'numeric' computes real values, "
                           "'shape' propagates only shapes/dtypes while charging "
                           "the identical simulated timeline (much faster)")
-    srv.add_argument("--gpus", type=int, default=None,
+    srv.add_argument("--gpus", type=domain.POSITIVE_INT.arg, default=None,
                      help="number of the topology's GPUs to serve on, one "
                           "replica or shard each (default: all of them); on "
                           "cluster topologies the size of the static fleet; "
@@ -226,9 +235,9 @@ def build_parser() -> argparse.ArgumentParser:
              "--max-replicas, paying modeled cold starts (weight transfer "
              "over the NIC, cold caches)",
     )
-    srv.add_argument("--min-replicas", type=int, default=1,
+    srv.add_argument("--min-replicas", type=domain.POSITIVE_INT.arg, default=1,
                      help="autoscaler floor (with --autoscale)")
-    srv.add_argument("--max-replicas", type=int, default=None,
+    srv.add_argument("--max-replicas", type=domain.POSITIVE_INT.arg, default=None,
                      help="autoscaler ceiling (with --autoscale; default: "
                           "every GPU in the cluster)")
     srv.add_argument("--partitioner", default="degree", choices=available_partitioners(),
@@ -248,10 +257,10 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--cache-policy", default="lru",
                      choices=available_eviction_policies(),
                      help="cache eviction policy")
-    srv.add_argument("--cache-mb", type=float, default=64.0,
+    srv.add_argument("--cache-mb", type=domain.POSITIVE.arg, default=64.0,
                      help="cache byte budget in MB (split across the model's "
                           "entry-kind stores)")
-    srv.add_argument("--staleness-ms", type=float, default=0.0,
+    srv.add_argument("--staleness-ms", type=domain.NON_NEGATIVE.arg, default=0.0,
                      help="event-time staleness bound; 0 admits no hit, so "
                           "cached execution stays byte-identical to uncached")
     srv.add_argument(
@@ -263,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
              "bound, then forced cache hits for already-lost deadlines -- "
              "and account the accumulated fidelity debt in the report",
     )
-    srv.add_argument("--backfill", type=int, default=0, metavar="N",
+    srv.add_argument("--backfill", type=domain.NON_NEGATIVE_INT.arg, default=0, metavar="N",
                      help="precompute the N hottest nodes' embeddings into "
                           "the serving cache before traffic starts (requires "
                           "--cache; on cluster topologies the same charge "
@@ -296,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="which request to attribute: p50/p95/p99 (closest "
                          "to that total-latency percentile), max (slowest), "
                          "or a request id")
-    tr.add_argument("--top", type=int, default=10, metavar="K",
+    tr.add_argument("--top", type=domain.NON_NEGATIVE_INT.arg, default=10, metavar="K",
                     help="also print the K longest spans (0 disables)")
     tr.add_argument("--diff", default=None, metavar="OTHER",
                     help="instead of attribution, diff this trace against "
@@ -315,18 +324,18 @@ def build_parser() -> argparse.ArgumentParser:
                     "greedily shrunk to a minimal seed + JSON reproducer "
                     "and written to --out; exit status 1 flags the finding.",
     )
-    fz.add_argument("--seed", type=int, default=0,
+    fz.add_argument("--seed", type=domain.INTEGER.arg, default=0,
                     help="campaign seed (case i replays as seed '<seed>:<i>')")
-    fz.add_argument("--budget", type=int, default=100,
+    fz.add_argument("--budget", type=domain.POSITIVE_INT.arg, default=100,
                     help="number of independent cases to run")
     fz.add_argument("--check", action="append", default=[], metavar="INVARIANT",
                     choices=sorted(INVARIANTS) + ["all"],
                     help="invariant to enforce (repeatable; default all): "
                          f"{', '.join(sorted(INVARIANTS))}")
-    fz.add_argument("--num-ops", type=int, default=40,
+    fz.add_argument("--num-ops", type=domain.POSITIVE_INT.arg, default=40,
                     help="ops per program (a serving episode rides on top "
                          "when the drawn config has one)")
-    fz.add_argument("--fault-rate", type=float, default=0.0,
+    fz.add_argument("--fault-rate", type=domain.PROBABILITY.arg, default=0.0,
                     help="probability of planting a clock-rewind fault per "
                          "op slot (harness self-test; the monotone-clock "
                          "invariant must catch and shrink it)")
@@ -366,6 +375,8 @@ def _doc_entry(action: argparse.Action) -> Optional[str]:
     else:
         name = f"`{action.metavar or action.dest}`"
     notes = []
+    if inspect.ismethod(action.type) and isinstance(action.type.__self__, domain.Domain):
+        notes.append(str(action.type.__self__))
     if action.choices is not None:
         notes.append("one of: " + ", ".join(f"`{choice}`" for choice in action.choices))
     default = action.default
@@ -463,9 +474,6 @@ def _cmd_list_experiments() -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    if args.max_rows is not None and args.max_rows < 0:
-        print("error: --max-rows must be non-negative", file=sys.stderr)
-        return 2
     result = run_experiment(args.name, scale=args.scale, seed=args.seed)
     print(result.format_table(max_rows=args.max_rows))
     if args.output:
@@ -474,11 +482,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
                        "notes": result.notes}, handle, indent=2)
         print(f"\nwrote {len(result.rows)} rows to {args.output}")
     return 0
-
-
-def _take_batches(model, count: int) -> List[Any]:
-    """The first ``count`` iteration batches of a model."""
-    return list(itertools.islice(model.iteration_batches(), count))
 
 
 def _print_profile_summary(profile, title: str) -> None:
@@ -490,47 +493,33 @@ def _print_profile_summary(profile, title: str) -> None:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    if args.iterations < 1:
-        print("error: --iterations must be positive", file=sys.stderr)
-        return 2
-    try:
-        machine, model = build_on_fresh_machine(
-            args.model, use_gpu=args.device == "gpu", backend=args.backend,
-            dataset_name=args.dataset, scale=args.scale, **_parse_param(args.param),
-        )
-        tracer = Tracer().attach(machine) if args.trace else None
-        if args.overlap:
-            with machine.activate():
-                status = _profile_overlapped(args, model, Profiler(machine))
-            if status != 0:
-                return status
-        else:
-            profiles = profile_iterations(model, machine, args.iterations, label=args.model)
-            for profile in profiles:
-                _print_profile_summary(profile, f"{profile.label} ({args.device})")
-            print(analyze_profile(profiles[-1]).format_table())
-    except (KeyError, TypeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    machine, model = build_on_fresh_machine(
+        args.model, use_gpu=args.device == "gpu", backend=args.backend,
+        dataset_name=args.dataset, scale=args.scale, **_parse_param(args.param),
+    )
+    tracer = Tracer().attach(machine) if args.trace else None
+    if args.overlap:
+        with machine.activate():
+            _profile_overlapped(args, model, Profiler(machine))
+    else:
+        profiles = profile_iterations(model, machine, args.iterations, label=args.model)
+        for profile in profiles:
+            _print_profile_summary(profile, f"{profile.label} ({args.device})")
+        print(analyze_profile(profiles[-1]).format_table())
     if tracer is not None:
         export_trace(args.trace, tracer, label=f"{args.model}-profile")
         print(f"wrote trace to {args.trace}")
     return 0
 
 
-def _profile_overlapped(args, model, profiler) -> int:
+def _profile_overlapped(args, model, profiler) -> None:
     """Profile ``--iterations`` batches through the overlap scheduler."""
     from .optim import OverlappedRunner
 
-    try:
-        runner = OverlappedRunner(model)
-    except TypeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    batches = _take_batches(model, args.iterations)
+    runner = OverlappedRunner(model)
+    batches = list(itertools.islice(model.iteration_batches(), args.iterations))
     if not batches:
-        print("error: the model yielded no batches", file=sys.stderr)
-        return 2
+        raise ValueError("the model yielded no batches")
     model.warm_up(batches[0])
     # Prime the prefetch stream so the capture reflects steady state, then
     # leave the trailing synchronisation to the scheduler's own stream syncs.
@@ -546,73 +535,68 @@ def _profile_overlapped(args, model, profiler) -> int:
     busy = profile.stream_busy_ms("cpu", name)
     occupancy = busy / max(busy, profile.elapsed_ms) if busy > 0 else 0.0
     print(f"prefetch stream '{name}': busy {busy:.3f} ms ({occupancy * 100:.1f}% of window)")
-    return 0
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     tracer = Tracer() if args.trace else None
-    try:
-        if args.batch_timeout_ms is not None:
-            # An explicit flag is checked verbatim, so make_policy rejects a
-            # contradiction (--policy fifo never waits) instead of the
-            # assembly's per-policy filter dropping it silently.
-            make_policy(args.policy, batch_timeout_ms=args.batch_timeout_ms)
-        overrides = _parse_param(args.param)
-        dataset = load(args.dataset or DEFAULT_DATASETS[args.model], scale=args.scale)
-        if not isinstance(dataset, TemporalInteractionDataset):
-            raise TypeError(f"{args.model} exposes no event stream to serve")
-        server = build_server(
-            args.topology,
-            lambda machine: build_model(
-                args.model, machine, dataset=dataset, scale=args.scale, **overrides
-            ),
-            placement=args.placement,
-            num_replicas=args.gpus,
-            backend=args.backend,
-            policy=args.policy,
-            max_batch_size=args.max_batch_size,
-            batch_timeout_ms=4.0 if args.batch_timeout_ms is None else args.batch_timeout_ms,
-            slo_ms=args.slo_ms,
-            router=args.router,
-            partitioner=args.partitioner,
-            seed=args.seed,
-            overlap=args.overlap,
-            fidelity=args.fidelity,
-            cache=(
-                {
-                    "policy": args.cache_policy,
-                    "capacity_mb": args.cache_mb,
-                    "staleness_ms": args.staleness_ms,
-                }
-                if args.cache
-                else None
-            ),
-            backfill=args.backfill,
-            autoscale=(
-                {"min_replicas": args.min_replicas, "max_replicas": args.max_replicas}
-                if args.autoscale
-                else None
-            ),
-            tracer=tracer,
-            metrics=MetricsRegistry() if args.trace else None,
-        )
-        requests = make_requests(
-            dataset.stream,
-            args.arrival,
-            args.rate,
-            args.duration,
-            seed=args.seed,
-            events_per_request=args.events_per_request,
-            slo_ms=args.slo_ms,
-            **_parse_param(args.arrival_param),
-        )
-        tier = "cluster" if server.cluster is not None else args.placement
-        report = server.serve(
-            requests, label=f"{args.model}-serve-{tier}", arrival_name=args.arrival
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.batch_timeout_ms is not None:
+        # An explicit flag is checked verbatim, so make_policy rejects a
+        # contradiction (--policy fifo never waits) instead of the
+        # assembly's per-policy filter dropping it silently.
+        make_policy(args.policy, batch_timeout_ms=args.batch_timeout_ms)
+    overrides = _parse_param(args.param)
+    dataset = load(args.dataset or DEFAULT_DATASETS[args.model], scale=args.scale)
+    if not isinstance(dataset, TemporalInteractionDataset):
+        raise TypeError(f"{args.model} exposes no event stream to serve")
+    server = build_server(
+        args.topology,
+        lambda machine: build_model(
+            args.model, machine, dataset=dataset, scale=args.scale, **overrides
+        ),
+        placement=args.placement,
+        num_replicas=args.gpus,
+        backend=args.backend,
+        policy=args.policy,
+        max_batch_size=args.max_batch_size,
+        batch_timeout_ms=4.0 if args.batch_timeout_ms is None else args.batch_timeout_ms,
+        slo_ms=args.slo_ms,
+        router=args.router,
+        partitioner=args.partitioner,
+        seed=args.seed,
+        overlap=args.overlap,
+        fidelity=args.fidelity,
+        cache=(
+            {
+                "policy": args.cache_policy,
+                "capacity_mb": args.cache_mb,
+                "staleness_ms": args.staleness_ms,
+            }
+            if args.cache
+            else None
+        ),
+        backfill=args.backfill,
+        autoscale=(
+            {"min_replicas": args.min_replicas, "max_replicas": args.max_replicas}
+            if args.autoscale
+            else None
+        ),
+        tracer=tracer,
+        metrics=MetricsRegistry() if args.trace else None,
+    )
+    requests = make_requests(
+        dataset.stream,
+        args.arrival,
+        args.rate,
+        args.duration,
+        seed=args.seed,
+        events_per_request=args.events_per_request,
+        slo_ms=args.slo_ms,
+        **_parse_param(args.arrival_param),
+    )
+    tier = "cluster" if server.cluster is not None else args.placement
+    report = server.serve(
+        requests, label=f"{args.model}-serve-{tier}", arrival_name=args.arrival
+    )
     print(report.format_table())
     if tracer is not None:
         export_trace(args.trace, tracer, report=report)
@@ -635,11 +619,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         print(format_diff(diff_traces(*payloads)))
         return 0
     payload = payloads[0]
-    try:
-        request = pick_request(payload, args.request)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    request = pick_request(payload, args.request)
     print(format_breakdown(request, attribute_request(payload, request)))
     if args.top > 0:
         spans = top_spans(payload, args.top)
@@ -671,12 +651,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         invariant = reproducer.get("invariant", "?")
         print(f"reproducer replays clean ({invariant} holds)")
         return 0
-    if args.budget < 1:
-        print("error: --budget must be positive", file=sys.stderr)
-        return 2
-    if args.num_ops < 1:
-        print("error: --num-ops must be positive", file=sys.stderr)
-        return 2
     on_case = None
     if args.progress:
         def on_case(case: int, config) -> None:
@@ -712,7 +686,10 @@ _COMMANDS = {
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exit_:  # a refused argument, --help or --version
+        return exit_.code
     command = _COMMANDS.get(args.command)
     if command is None:
         parser.error(f"unknown command {args.command!r}")
@@ -725,6 +702,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         # print has nowhere to go, so the exit flush writes to devnull.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
+    except (KeyError, TypeError, ValueError) as exc:  # a refused run
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return status
 
 

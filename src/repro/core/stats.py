@@ -16,6 +16,7 @@ from typing import Dict, Sequence
 import numpy as np
 
 from .._compat import ordered_sum
+from ..domain import Domain
 
 
 def percentile(values: Sequence[float], q: float) -> float:
@@ -25,8 +26,7 @@ def percentile(values: Sequence[float], q: float) -> float:
     with friendlier errors: ``q`` outside ``[0, 100]`` and empty sequences
     raise :class:`ValueError` instead of numpy's assorted exceptions.
     """
-    if not 0.0 <= q <= 100.0:
-        raise ValueError(f"percentile must be in [0, 100], got {q!r}")
+    Domain(0, 100).check("percentile", q)
     if len(values) == 0:
         raise ValueError("percentile of an empty sequence is undefined")
     return float(np.percentile(np.asarray(values, dtype=np.float64), q))

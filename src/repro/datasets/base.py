@@ -16,6 +16,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from ..domain import Domain
 from ..graph.events import EventStream
 from ..graph.snapshots import SnapshotSequence
 
@@ -43,8 +44,7 @@ class TemporalInteractionDataset:
         self.node_features = np.asarray(self.node_features, dtype=np.float32)
         if self.node_features.ndim != 2:
             raise ValueError("node_features must be 2-D")
-        if self.node_features.shape[0] < self.stream.num_nodes:
-            raise ValueError("node_features must cover every node in the stream")
+        Domain(self.stream.num_nodes, integer=True).check("feature rows", len(self.node_features))
 
     @property
     def num_nodes(self) -> int:

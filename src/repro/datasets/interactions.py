@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..domain import POSITIVE_INT, Domain
 from ..graph.events import EventStream
 from .base import TemporalInteractionDataset
 
@@ -39,12 +40,10 @@ class InteractionConfig:
     seed: int = 7
 
     def __post_init__(self) -> None:
-        if self.num_users <= 1 or self.num_events <= 0:
-            raise ValueError("need at least two users and one event")
-        if self.bipartite and self.num_items <= 1:
-            raise ValueError("bipartite streams need at least two items")
-        if not 0.0 <= self.burstiness < 1.0:
-            raise ValueError("burstiness must be in [0, 1)")
+        Domain(2, integer=True).check("num_users", self.num_users)
+        POSITIVE_INT.check("num_events", self.num_events)
+        Domain(2 if self.bipartite else 0, integer=True).check("num_items", self.num_items)
+        Domain(0, 1, hi_open=True).check("burstiness", self.burstiness)
 
 
 def generate_interactions(config: InteractionConfig) -> TemporalInteractionDataset:

@@ -16,6 +16,7 @@ from typing import List
 
 import numpy as np
 
+from ..domain import POSITIVE_INT, Domain
 from ..graph.snapshots import GraphSnapshot, SnapshotSequence
 from .base import MolecularDataset
 
@@ -36,10 +37,9 @@ class MolecularConfig:
     seed: int = 41
 
     def __post_init__(self) -> None:
-        if self.num_trajectories <= 0 or self.num_frames <= 1:
-            raise ValueError("need at least one trajectory of two frames")
-        if self.num_atoms < 2:
-            raise ValueError("a molecule needs at least two atoms")
+        POSITIVE_INT.check("num_trajectories", self.num_trajectories)
+        Domain(2, integer=True).check("num_frames", self.num_frames)
+        Domain(2, integer=True).check("num_atoms", self.num_atoms)
 
 
 def generate_molecules(config: MolecularConfig) -> MolecularDataset:

@@ -14,6 +14,7 @@ from typing import List
 
 import numpy as np
 
+from ..domain import POSITIVE_INT, PROBABILITY, Domain
 from ..graph.snapshots import GraphSnapshot, SnapshotSequence
 from .base import SnapshotDataset
 
@@ -32,12 +33,10 @@ class SnapshotConfig:
     seed: int = 5
 
     def __post_init__(self) -> None:
-        if self.num_nodes <= 1 or self.num_snapshots <= 0:
-            raise ValueError("need at least two nodes and one snapshot")
-        if not 0.0 < self.edge_density <= 1.0:
-            raise ValueError("edge_density must be in (0, 1]")
-        if not 0.0 <= self.churn <= 1.0:
-            raise ValueError("churn must be in [0, 1]")
+        Domain(2, integer=True).check("num_nodes", self.num_nodes)
+        POSITIVE_INT.check("num_snapshots", self.num_snapshots)
+        Domain(0, 1, lo_open=True).check("edge_density", self.edge_density)
+        PROBABILITY.check("churn", self.churn)
 
 
 def generate_snapshot_sequence(config: SnapshotConfig) -> SnapshotDataset:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..domain import POSITIVE_INT, Domain
 from .base import TrafficDataset
 
 
@@ -31,10 +32,9 @@ class TrafficConfig:
     seed: int = 37
 
     def __post_init__(self) -> None:
-        if self.num_sensors <= 1 or self.num_days <= 0:
-            raise ValueError("need at least two sensors and one day of data")
-        if not 0.0 < self.connection_radius < 1.0:
-            raise ValueError("connection_radius must be in (0, 1)")
+        Domain(2, integer=True).check("num_sensors", self.num_sensors)
+        POSITIVE_INT.check("num_days", self.num_days)
+        Domain(0, 1, lo_open=True, hi_open=True).check("connection_radius", self.connection_radius)
 
     @property
     def steps_per_day(self) -> int:

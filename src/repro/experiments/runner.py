@@ -29,6 +29,7 @@ from typing import (
 
 from ..core import Profile, Profiler, compute_breakdown
 from ..datasets import load as load_dataset
+from ..domain import NON_NEGATIVE_INT, POSITIVE_INT
 from ..hw.machine import Machine
 from ..models.base import DGNNModel
 from ..models.registry import build_on_fresh_machine
@@ -56,8 +57,8 @@ class ExperimentResult:
 
     def format_table(self, max_rows: Optional[int] = None) -> str:
         """Render the rows as a plain-text table (the first ``max_rows`` rows)."""
-        if max_rows is not None and max_rows < 0:
-            raise ValueError("max_rows must be non-negative")
+        if max_rows is not None:
+            NON_NEGATIVE_INT.check("max_rows", max_rows)
         if not self.rows:
             return f"{self.experiment}: (no rows)"
         columns = list(self.rows[0].keys())
@@ -91,6 +92,7 @@ def profile_iterations(
 ) -> List[Profile]:
     """Warm up outside the window, then profile consecutive iterations
     (one capture per iteration)."""
+    POSITIVE_INT.check("num_iterations", num_iterations)
     profiles: List[Profile] = []
     with machine.activate():
         profiler = Profiler(machine)

@@ -15,6 +15,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional
 
+from ..domain import POSITIVE_INT, PROBABILITY
 from .config import FuzzConfig, draw_config
 from .invariants import check_case, resolve_checks
 from .program import Op, draw_program
@@ -101,6 +102,9 @@ def fuzz(
             (harness self-tests only; keep 0.0 for real campaigns).
         on_case: Optional ``f(case_index, config)`` progress callback.
     """
+    POSITIVE_INT.check("budget", budget)
+    POSITIVE_INT.check("num_ops", num_ops)
+    PROBABILITY.check("fault_rate", fault_rate)
     selected = sorted(resolve_checks(checks))
     report = FuzzReport(seed=seed, budget=budget, checks=selected)
     for case in range(budget):

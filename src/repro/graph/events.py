@@ -15,6 +15,8 @@ from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..domain import POSITIVE_INT
+
 
 @dataclass(frozen=True)
 class InteractionEvent:
@@ -155,8 +157,7 @@ class EventStream:
 
     def iter_batches(self, batch_size: int) -> Iterator["EventStream"]:
         """Yield consecutive mini-batches of events in temporal order."""
-        if batch_size <= 0:
-            raise ValueError("batch_size must be positive")
+        POSITIVE_INT.check("batch_size", batch_size)
         for start in range(0, self.num_events, batch_size):
             yield self.slice_indices(start, min(start + batch_size, self.num_events))
 

@@ -30,6 +30,7 @@ from typing import Callable, Dict, List
 
 import numpy as np
 
+from ..domain import NON_NEGATIVE_INT, POSITIVE_INT, Domain
 from .events import EventStream
 
 #: Odd 64-bit multiplier (splitmix64 finalizer constant) for the seeded hash.
@@ -53,12 +54,11 @@ class GraphPartition:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.num_shards <= 0:
-            raise ValueError("num_shards must be positive")
-        if self.assignment.size and (
-            self.assignment.min() < 0 or self.assignment.max() >= self.num_shards
-        ):
-            raise ValueError("assignment references shards out of range")
+        POSITIVE_INT.check("num_shards", self.num_shards)
+        if self.assignment.size:
+            shards = Domain(0, self.num_shards, hi_open=True, integer=True)
+            shards.check("lowest assigned shard", self.assignment.min())
+            shards.check("highest assigned shard", self.assignment.max())
 
     @property
     def num_nodes(self) -> int:
@@ -116,10 +116,8 @@ def hash_partition(num_nodes: int, num_shards: int, seed: int = 0) -> GraphParti
     Deterministic for a fixed ``(num_nodes, num_shards, seed)``; different
     seeds permute the assignment.
     """
-    if num_nodes < 0:
-        raise ValueError("num_nodes must be non-negative")
-    if num_shards <= 0:
-        raise ValueError("num_shards must be positive")
+    NON_NEGATIVE_INT.check("num_nodes", num_nodes)
+    POSITIVE_INT.check("num_shards", num_shards)
     ids = np.arange(num_nodes, dtype=np.uint64)
     mixed = (ids + np.uint64(seed & 0xFFFFFFFFFFFFFFFF)) * _HASH_MULTIPLIER
     mixed ^= mixed >> np.uint64(33)
@@ -137,8 +135,7 @@ def degree_balanced_partition(
     the classic LPT bound: no shard exceeds the mean load by more than one
     maximum-degree node.
     """
-    if num_shards <= 0:
-        raise ValueError("num_shards must be positive")
+    POSITIVE_INT.check("num_shards", num_shards)
     total_nodes = int(num_nodes) if num_nodes is not None else stream.num_nodes
     degrees = node_degrees(stream, total_nodes)
     order = list(np.argsort(-degrees, kind="stable"))

@@ -14,6 +14,8 @@ from typing import Iterator, List, Sequence
 
 import numpy as np
 
+from ..domain import POSITIVE_INT
+
 
 @dataclass
 class GraphSnapshot:
@@ -125,8 +127,7 @@ class SnapshotSequence:
 
     def window(self, start: int, length: int) -> "SnapshotSequence":
         """A sliding window of ``length`` snapshots starting at index ``start``."""
-        if length <= 0:
-            raise ValueError("window length must be positive")
+        POSITIVE_INT.check("window length", length)
         if start < 0 or start + length > len(self._snapshots):
             raise IndexError("window out of range")
         return SnapshotSequence(self._snapshots[start : start + length])

@@ -22,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Union
 
+from ..domain import POSITIVE, POSITIVE_INT, Domain
+
 
 @dataclass(frozen=True)
 class DeviceSpec:
@@ -60,10 +62,9 @@ class DeviceSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("cpu", "gpu"):
             raise ValueError(f"unknown device kind: {self.kind!r}")
-        if self.peak_gflops <= 0 or self.mem_bandwidth_gbps <= 0:
-            raise ValueError("peak throughput and bandwidth must be positive")
-        if self.saturation_flops <= 0:
-            raise ValueError("saturation_flops must be positive")
+        POSITIVE.check("peak_gflops", self.peak_gflops)
+        POSITIVE.check("mem_bandwidth_gbps", self.mem_bandwidth_gbps)
+        POSITIVE.check("saturation_flops", self.saturation_flops)
 
     @property
     def is_gpu(self) -> bool:
@@ -300,12 +301,9 @@ class MachineSpec:
     warmup: WarmupSpec = DEFAULT_WARMUP
 
     def __post_init__(self) -> None:
-        if self.gpu is None and self.num_gpus > 0:
-            raise ValueError("num_gpus must be 0 for a machine without a GPU spec")
-        if self.gpu is not None and self.num_gpus < 1:
-            raise ValueError("a GPU machine needs num_gpus >= 1")
-        if self.peer_link is not None and self.num_gpus < 2:
-            raise ValueError("peer links need at least two GPUs")
+        least = 2 if self.peer_link is not None else 0 if self.gpu is None else 1
+        most = 0 if self.gpu is None else float("inf")
+        Domain(least, most, integer=True).check("num_gpus", self.num_gpus)
 
 
 #: The paper's experimental platform: one Xeon 6226R host + one RTX A6000.
@@ -370,8 +368,7 @@ class ClusterSpec:
     nic: LinkSpec = ETHERNET_25G
 
     def __post_init__(self) -> None:
-        if self.num_nodes < 1:
-            raise ValueError("a cluster needs at least one node")
+        POSITIVE_INT.check("num_nodes", self.num_nodes)
 
     @property
     def total_gpus(self) -> int:

@@ -26,6 +26,7 @@ from typing import Iterator
 import numpy as np
 
 from ..datasets.base import TrafficDataset
+from ..domain import Domain
 from ..hw import spec
 from ..hw.machine import Machine
 from ..nn import (
@@ -156,9 +157,8 @@ class ASTGNN(DGNNModel):
         window = self.config.input_window
         horizon = self.config.predict_window
         step = 0
+        Domain(window + horizon + 1, integer=True).check("traffic steps", dataset.num_steps)
         max_start = dataset.num_steps - window - horizon
-        if max_start <= 0:
-            raise ValueError("traffic dataset too short for the configured windows")
         while True:
             windows = []
             for offset in range(batch_size):

@@ -31,6 +31,7 @@ from typing import Any, Callable, Dict, Hashable, Iterator, Optional, Sequence, 
 
 import numpy as np
 
+from ..domain import Domain
 from ..graph.events import EventStream
 from ..graph.sampling import NeighborhoodSample
 from ..hw.device import Device
@@ -406,8 +407,7 @@ class DGNNModel(Module):
         this per dispatched batch, so it must stay cheap and side-effect
         free beyond the stored scale.
         """
-        if not 0.0 < scale <= 1.0:
-            raise ValueError("fan-out scale must be in (0, 1]")
+        Domain(0, 1, lo_open=True).check("fan-out scale", scale)
         self._fanout_scale = scale
 
     def effective_fanout(self, num_neighbors: int) -> int:

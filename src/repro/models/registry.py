@@ -5,6 +5,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Tuple, Type
 
 from ..datasets import load as load_dataset
+from ..domain import FINITE
 from ..hw.machine import Machine
 from .astgnn import ASTGNN, ASTGNNConfig
 from .base import DGNNModel
@@ -78,6 +79,9 @@ def build_model(
     spec = _BY_NAME.get(name.lower())
     if spec is None:
         raise KeyError(f"unknown model {name!r}; available: {', '.join(MODEL_NAMES)}")
+    for key, value in config_overrides.items():
+        if isinstance(value, float):
+            FINITE.check(f"{spec.config_class.__name__}.{key}", value)
     if dataset is None:
         dataset = load_dataset(dataset_name or spec.dataset, scale=scale)
     return spec.model_class(machine, dataset, spec.config_class(**spec.variant, **config_overrides))

@@ -6,6 +6,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ..domain import POSITIVE_INT, Domain
 from ..hw.device import Device
 from ..tensor import ops
 from ..tensor.tensor import Tensor
@@ -31,11 +32,9 @@ class Linear(Module):
         rng: Optional[np.random.Generator] = None,
     ) -> None:
         super().__init__()
-        if in_features <= 0 or out_features <= 0:
-            raise ValueError("feature dimensions must be positive")
+        self.in_features = POSITIVE_INT.check("in_features", in_features)
+        self.out_features = POSITIVE_INT.check("out_features", out_features)
         rng = rng if rng is not None else init.make_rng()
-        self.in_features = in_features
-        self.out_features = out_features
         self.weight = init.xavier_uniform(
             (out_features, in_features), device, rng, name="linear.weight"
         )
@@ -70,8 +69,7 @@ class MLP(Module):
         rng: Optional[np.random.Generator] = None,
     ) -> None:
         super().__init__()
-        if len(dims) < 2:
-            raise ValueError("MLP needs at least an input and an output dimension")
+        Domain(2, integer=True).check("len(dims)", len(dims))
         rng = rng if rng is not None else init.make_rng()
         layers = []
         for d_in, d_out in zip(dims[:-1], dims[1:]):

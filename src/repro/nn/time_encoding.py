@@ -16,6 +16,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..domain import POSITIVE_INT
 from ..hw.device import Device
 from ..tensor import ops
 from ..tensor.tensor import Tensor
@@ -37,9 +38,7 @@ class BochnerTimeEncoder(Module):
         rng: Optional[np.random.Generator] = None,
     ) -> None:
         super().__init__()
-        if time_dim <= 0:
-            raise ValueError("time_dim must be positive")
-        self.time_dim = time_dim
+        self.time_dim = POSITIVE_INT.check("time_dim", time_dim)
         frequencies = 1.0 / (10.0 ** np.linspace(0, 9, time_dim, dtype=np.float32))
         from .module import Parameter
 

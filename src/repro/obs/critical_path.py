@@ -27,6 +27,7 @@ from typing import Any, Dict, List, Sequence, Tuple
 
 from .._compat import ordered_sum
 from ..core.stats import percentile
+from ..domain import NON_NEGATIVE_INT
 
 #: Sweep priority, strongest claim first.
 ATTRIBUTION_PRIORITY = ("kernel", "nic", "copy", "cache", "sample", "sync", "warmup")
@@ -147,6 +148,7 @@ def format_breakdown(request: Dict[str, Any], breakdown: Dict[str, float]) -> st
 
 def top_spans(payload: Dict[str, Any], k: int = 10) -> List[Dict[str, Any]]:
     """The k longest closed spans, with their duration filled in."""
+    NON_NEGATIVE_INT.check("k", k)
     spans = []
     for span in payload["repro"].get("spans", []):
         if span.get("end_ms") is None:

@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Optional
 
 from ..cache import make_model_cache
+from ..domain import Domain
 from ..graph.partition import make_partition
 from ..hw.cluster import Cluster
 from ..hw.machine import Machine
@@ -120,7 +121,6 @@ def build_server(
     # The rule table: (what the core cannot run, the message).  Messages name
     # the ``serve`` flags because the CLI prints them verbatim.
     rules = (
-        (backfill < 0, "--backfill must be non-negative"),
         (backfill and cache is None, "--backfill warms the serving cache; pass --cache"),
         (
             autoscale is not None and not clustered,
@@ -148,14 +148,12 @@ def build_server(
             "--gpus only applies to --placement replicate/shard and to cluster "
             "topologies; single-model serving always runs on GPU 0",
         ),
-        (
-            num_replicas is not None and not 1 <= num_replicas <= num_gpus,
-            f"--gpus must be in [1, {num_gpus}] for topology {topology!r}",
-        ),
     )
     for broken, message in rules:
         if broken:
             raise ValueError(message)
+    if num_replicas is not None:
+        Domain(1, num_gpus, integer=True).check(f"--gpus on {topology!r}", num_replicas)
     if clustered:
         cluster = Cluster(topology, backend=backend)
         replicas, nodes = build_cluster_replicas(cluster, model_factory)

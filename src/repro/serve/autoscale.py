@@ -39,6 +39,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 from .._compat import DATACLASS_SLOTS, ordered_sum
 from ..core.stats import LatencySummary
+from ..domain import POSITIVE_INT, Domain
 
 #: Estimated utilization above which the fleet grows.
 HIGH_WATERMARK = 0.75
@@ -74,10 +75,10 @@ class AutoscaleConfig:
     down_cooldown_ms: float = 200.0
 
     def __post_init__(self) -> None:
-        if self.min_replicas < 1:
-            raise ValueError("min_replicas must be at least 1")
-        if self.max_replicas < self.min_replicas:
-            raise ValueError("max_replicas must be >= min_replicas")
+        POSITIVE_INT.check("min_replicas", self.min_replicas)
+        Domain(self.min_replicas, integer=True).check(
+            "max_replicas (>= min_replicas)", self.max_replicas
+        )
 
 
 @dataclass(**DATACLASS_SLOTS)
@@ -151,11 +152,9 @@ class Autoscaler:
         are assumed warm (the server warm-up covered them) and start
         accruing GPU-time immediately.
         """
-        if num_replicas < self.config.max_replicas:
-            raise ValueError(
-                f"autoscaling to {self.config.max_replicas} replicas needs that "
-                f"many built, got {num_replicas}"
-            )
+        Domain(self.config.max_replicas, integer=True).check(
+            "replicas built (>= max_replicas)", num_replicas
+        )
         self.router = router
         self._num_replicas = num_replicas
         self._spin_up = spin_up

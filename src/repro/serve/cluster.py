@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import Any, List, Optional, Sequence, Tuple
 
+from ..domain import Domain
 from ..hw.cluster import Cluster
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import Tracer
@@ -68,9 +69,9 @@ class ClusterServer(ServingCore):
     ) -> None:
         if len(replica_nodes) != len(replicas):
             raise ValueError("replica_nodes must map every replica to a node")
+        nodes = Domain(0, cluster.num_nodes, hi_open=True, integer=True)
         for replica, node_index in zip(replicas, replica_nodes):
-            if not 0 <= node_index < cluster.num_nodes:
-                raise ValueError(f"replica node {node_index} out of range")
+            nodes.check("replica node", node_index)
             if replica.machine is not cluster.nodes[node_index]:
                 raise ValueError("replica is not placed on its declared node's machine")
         super().__init__(

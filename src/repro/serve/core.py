@@ -95,6 +95,7 @@ from typing import Any, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..cache import backfill_embeddings, merge_cache_stats
 from ..core.profiler import Profiler
+from ..domain import NON_NEGATIVE_INT
 from ..hw.cluster import Cluster
 from ..hw.stream import StreamEvent
 from ..models.base import require_protocol
@@ -172,7 +173,7 @@ class ServingCore:
         self.autoscaler = autoscaler
         self.overlap = overlap
         self.fidelity = fidelity
-        self.backfill_nodes = int(backfill_nodes)
+        self.backfill_nodes = NON_NEGATIVE_INT.check("backfill_nodes", backfill_nodes)
         self.tracer = tracer
         self.metrics = metrics
         self.batcher = DynamicBatcher(policy)

@@ -170,8 +170,6 @@ class FidelityController:
         counts rows whose deadline has already passed at dispatch time --
         the only rows lever 3 force-serves from cache.
         """
-        if batch_size <= 0:
-            raise ValueError("batch_size must be positive")
         self.total_dispatches += 1
         if pressured:
             self.pressured_dispatches += 1

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple, Type
 
+from ..domain import NON_NEGATIVE, POSITIVE, POSITIVE_INT
 from .request import Request
 
 #: EWMA smoothing weight of each new per-request service sample.
@@ -77,9 +78,7 @@ class SchedulerPolicy:
     overrides: Tuple[str, ...] = ()
 
     def __init__(self, max_batch_size: int = 8) -> None:
-        if max_batch_size <= 0:
-            raise ValueError("max_batch_size must be positive")
-        self.max_batch_size = max_batch_size
+        self.max_batch_size = POSITIVE_INT.check("max_batch_size", max_batch_size)
 
     def select_batch_size(self, queue: Sequence[Request], now_ms: float) -> int:
         """Number of requests (from the queue head) to dispatch now; 0 = wait."""
@@ -124,9 +123,7 @@ class TimeoutBatchingPolicy(SchedulerPolicy):
 
     def __init__(self, max_batch_size: int = 8, batch_timeout_ms: float = 5.0) -> None:
         super().__init__(max_batch_size=max_batch_size)
-        if batch_timeout_ms < 0:
-            raise ValueError("batch_timeout_ms must be non-negative")
-        self.batch_timeout_ms = batch_timeout_ms
+        self.batch_timeout_ms = NON_NEGATIVE.check("batch timeout (ms)", batch_timeout_ms)
 
     def select_batch_size(self, queue: Sequence[Request], now_ms: float) -> int:
         if not queue:
@@ -177,9 +174,7 @@ class SLOAwarePolicy(TimeoutBatchingPolicy):
         slo_ms: float = 50.0,
     ) -> None:
         super().__init__(max_batch_size=max_batch_size, batch_timeout_ms=batch_timeout_ms)
-        if slo_ms <= 0:
-            raise ValueError("slo_ms must be positive")
-        self.slo_ms = slo_ms
+        self.slo_ms = POSITIVE.check("SLO (ms)", slo_ms)
         self.estimator = ServiceTimeEstimator()
         #: Optional degradation controller (see :mod:`repro.serve.fidelity`).
         #: The policy only *consults* it -- state advances at server dispatch.

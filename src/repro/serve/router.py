@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Type
 
+from ..domain import POSITIVE_INT, Domain
 from .policy import ServiceTimeEstimator
 
 
@@ -49,8 +50,7 @@ class Router:
     name: str = "router"
 
     def __init__(self, num_replicas: int) -> None:
-        if num_replicas <= 0:
-            raise ValueError("num_replicas must be positive")
+        POSITIVE_INT.check("num_replicas", num_replicas)
         self.replicas = [ReplicaState(index) for index in range(num_replicas)]
         #: Replicas eligible for new dispatches.  All replicas start active;
         #: an autoscaler narrows the set (scale-down drains a replica by
@@ -72,7 +72,8 @@ class Router:
         active = set(int(i) for i in indices)
         if not active:
             raise ValueError("active set must contain at least one replica")
-        invalid = [i for i in active if not 0 <= i < self.num_replicas]
+        replicas = Domain(0, self.num_replicas, hi_open=True, integer=True)
+        invalid = [i for i in active if i not in replicas]
         if invalid:
             raise ValueError(f"replica indices out of range: {sorted(invalid)}")
         self._active = active

@@ -34,7 +34,7 @@ class ScaleOutServer(ServingCore):
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        if len({id(replica.machine) for replica in replicas}) > 1:
+        if any(replica.machine is not replicas[0].machine for replica in replicas):
             raise ValueError("all replicas must live on one machine")
         super().__init__(
             replicas,

@@ -33,19 +33,9 @@ import random
 from typing import Iterator, List, Optional, Sequence
 
 from .._compat import ordered_sum
+from ..domain import NON_NEGATIVE, POSITIVE, POSITIVE_INT, PROBABILITY, Domain
 from ..graph.events import EventStream
 from .request import Request
-
-
-def _require_finite(**params: float) -> None:
-    """Refuse a NaN or infinite parameter, naming it.
-
-    Range checks compare, and every comparison with NaN is false: a NaN
-    would pass them and then stall or silently flatten the process.
-    """
-    for name, value in params.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 class ArrivalProcess:
@@ -55,10 +45,7 @@ class ArrivalProcess:
     name: str = "arrivals"
 
     def __init__(self, rate_per_s: float, seed: int = 0) -> None:
-        _require_finite(rate_per_s=rate_per_s)
-        if rate_per_s <= 0:
-            raise ValueError("arrival rate must be positive")
-        self.rate_per_s = float(rate_per_s)
+        self.rate_per_s = float(POSITIVE.check("rate_per_s", rate_per_s))
         self.seed = int(seed)
         self.rng = random.Random(seed)
 
@@ -70,8 +57,7 @@ class ArrivalProcess:
         self, duration_ms: float, max_requests: Optional[int] = None
     ) -> Iterator[float]:
         """Arrival times in ``[0, duration_ms)``, at most ``max_requests``."""
-        if duration_ms <= 0:
-            raise ValueError("duration must be positive")
+        POSITIVE.check("duration_ms", duration_ms)
         now = 0.0
         count = 0
         while True:
@@ -114,13 +100,9 @@ class BurstyProcess(ArrivalProcess):
         off_rate_fraction: float = 0.2,
     ) -> None:
         super().__init__(rate_per_s, seed=seed)
-        _require_finite(on_ms=on_ms, off_ms=off_ms, off_rate_fraction=off_rate_fraction)
-        if on_ms <= 0 or off_ms <= 0:
-            raise ValueError("phase durations must be positive")
-        if not 0.0 <= off_rate_fraction < 1.0:
-            raise ValueError("off_rate_fraction must be in [0, 1)")
-        self.on_ms = float(on_ms)
-        self.off_ms = float(off_ms)
+        self.on_ms = float(POSITIVE.check("on_ms", on_ms))
+        self.off_ms = float(POSITIVE.check("off_ms", off_ms))
+        Domain(0, 1, hi_open=True).check("off_rate_fraction", off_rate_fraction)
         on_fraction = on_ms / (on_ms + off_ms)
         self.off_rate = rate_per_s * off_rate_fraction
         # Solve on_rate so that on_fraction*on + (1-on_fraction)*off == rate.
@@ -172,13 +154,8 @@ class DiurnalProcess(ArrivalProcess):
         trough_fraction: float = 0.25,
     ) -> None:
         super().__init__(rate_per_s, seed=seed)
-        _require_finite(period_ms=period_ms, trough_fraction=trough_fraction)
-        if period_ms <= 0:
-            raise ValueError("period must be positive")
-        if not 0.0 <= trough_fraction <= 1.0:
-            raise ValueError("trough_fraction must be in [0, 1]")
-        self.period_ms = float(period_ms)
-        self.trough_fraction = float(trough_fraction)
+        self.period_ms = float(POSITIVE.check("period_ms", period_ms))
+        self.trough_fraction = float(PROBABILITY.check("trough_fraction", trough_fraction))
         self.amplitude = 1.0 - self.trough_fraction
         self.peak_rate = rate_per_s * (1.0 + self.amplitude)
         self._now_ms = 0.0
@@ -225,20 +202,9 @@ class FlashCrowdProcess(ArrivalProcess):
         flash_multiplier: float = 8.0,
     ) -> None:
         super().__init__(rate_per_s, seed=seed)
-        _require_finite(
-            flash_at_ms=flash_at_ms,
-            flash_duration_ms=flash_duration_ms,
-            flash_multiplier=flash_multiplier,
-        )
-        if flash_at_ms < 0:
-            raise ValueError("flash_at_ms must be non-negative")
-        if flash_duration_ms <= 0:
-            raise ValueError("flash_duration_ms must be positive")
-        if flash_multiplier < 1.0:
-            raise ValueError("flash_multiplier must be >= 1")
-        self.flash_at_ms = float(flash_at_ms)
-        self.flash_duration_ms = float(flash_duration_ms)
-        self.flash_multiplier = float(flash_multiplier)
+        self.flash_at_ms = float(NON_NEGATIVE.check("flash_at_ms", flash_at_ms))
+        self.flash_duration_ms = float(POSITIVE.check("flash_duration_ms", flash_duration_ms))
+        self.flash_multiplier = float(Domain(1).check("flash_multiplier", flash_multiplier))
         self._now_ms = 0.0
 
     def rate_at(self, t_ms: float) -> float:
@@ -360,10 +326,9 @@ def generate_requests(
     ``slo_ms`` that is neither ``None`` nor a positive finite number would
     make every request late, so it is refused before any arrival is drawn.
     """
-    if events_per_request <= 0:
-        raise ValueError("events_per_request must be positive")
-    if slo_ms is not None and not (math.isfinite(slo_ms) and slo_ms > 0):
-        raise ValueError(f"slo_ms must be a positive finite number, got {slo_ms!r}")
+    POSITIVE_INT.check("events_per_request", events_per_request)
+    if slo_ms is not None:
+        POSITIVE.check("slo_ms", slo_ms)
     max_requests = stream.num_events // events_per_request
     requests: List[Request] = []
     for index, arrival in enumerate(

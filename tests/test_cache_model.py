@@ -216,7 +216,7 @@ def test_model_cache_rejects_unknown_kinds_and_bad_budgets():
     with pytest.raises(ValueError, match="capacity"):
         ModelCache(machine, machine.gpu, kinds=("embedding",), capacity_mb=0.0)
     for budget in (math.inf, math.nan):
-        with pytest.raises(ValueError, match="positive and finite"):
+        with pytest.raises(ValueError, match="must be a finite number > 0"):
             ModelCache(machine, machine.gpu, kinds=("embedding",), capacity_mb=budget)
     with pytest.raises(ValueError, match="got nan"):
         ModelCache(machine, machine.gpu, kinds=("sample",), staleness_ms=math.nan)
@@ -337,3 +337,39 @@ def test_a_non_positive_fan_out_is_refused_as_the_sampler_refuses_it(dataset, k)
     cache = ModelCache(machine, machine.gpu, kinds=("sample",), staleness_ms=1e12)
     with machine.activate(), pytest.raises(ValueError, match="k must be positive"):
         cache.sample(sampler, nodes, times, k)
+
+
+def test_a_zero_staleness_cache_packs_no_row(dataset, monkeypatch):
+    """At staleness 0 no probe can hit, so no insert could ever be served:
+    the stores admit no write, and ``sample``/``store_embeddings`` build no
+    record for one.  What runs is the uncached sampler plus the cache's own
+    probe charges, and the sample is the uncached one."""
+    from repro.cache import model_cache
+
+    def refuse(*args):
+        raise AssertionError("a row was packed for a store that admits no write")
+
+    monkeypatch.setattr(model_cache, "_pack_sample", refuse)
+    monkeypatch.setattr(model_cache, "_split", refuse)
+    nodes = np.unique(dataset.stream.src[:40])
+    times = np.full(len(nodes), float(dataset.stream.timestamps[-1]))
+
+    def run(cached):
+        machine = Machine.cpu_gpu()
+        sampler = TemporalNeighborSampler(dataset.stream, seed=0)
+        with machine.activate():
+            if not cached:
+                return machine, None, sampler.sample(nodes, times, 5)
+            cache = ModelCache(machine, machine.gpu, kinds=("embedding", "sample"))
+            sample = cache.sample(sampler, nodes, times, 5)
+            cache.store_embeddings(nodes, times, np.ones((len(nodes), 4), dtype=np.float32))
+        return machine, cache, sample
+
+    plain_machine, _, plain = run(cached=False)
+    machine, cache, sample = run(cached=True)
+    assert not cache.samples.admits_writes and not cache.embeddings.admits_writes
+    for got, want in zip(sample_columns(sample), sample_columns(plain)):
+        assert np.array_equal(got, want) and got.dtype == want.dtype
+    own = [tuple(e) for e in machine.events if not e.name.startswith("cache_")]
+    assert own == [tuple(e) for e in plain_machine.events]
+    assert len(cache.samples) == len(cache.embeddings) == 0

@@ -6,7 +6,6 @@ latency (measured on the simulated clock, so the comparison is exact and
 deterministic), with hit-rate and occupancy telemetry in the report.
 """
 
-import numpy as np
 import pytest
 
 from repro.cache import make_model_cache, merge_cache_stats
@@ -220,10 +219,14 @@ def test_cli_serve_cache_rejects_unsupported_models(capsys):
 @pytest.mark.parametrize(
     "flag, value, message",
     [
-        ("--cache-mb", "0", "cache capacity must be positive and finite, got 0.0 MB"),
-        ("--cache-mb", "inf", "cache capacity must be positive and finite, got inf MB"),
-        ("--cache-mb", "nan", "cache capacity must be positive and finite, got nan MB"),
-        ("--staleness-ms", "nan", "staleness bound must be non-negative, got nan"),
+        ("--cache-mb", "0", "argument --cache-mb: must be a finite number > 0, got '0'"),
+        ("--cache-mb", "inf", "argument --cache-mb: must be a finite number > 0, got 'inf'"),
+        ("--cache-mb", "nan", "argument --cache-mb: must be a finite number > 0, got 'nan'"),
+        (
+            "--staleness-ms",
+            "nan",
+            "argument --staleness-ms: must be a finite number >= 0, got 'nan'",
+        ),
     ],
 )
 def test_cli_serve_cache_rejects_bad_settings(flag, value, message, capsys):

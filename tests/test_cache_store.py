@@ -42,11 +42,11 @@ def make_store(
 @pytest.mark.parametrize(
     "capacity, staleness, message",
     [
-        (0, 1.0, "capacity must be positive"),
-        (math.inf, 1.0, "capacity must be positive and finite, got inf"),
-        (math.nan, 1.0, "capacity must be positive and finite, got nan"),
-        (10, -1.0, "staleness bound must be non-negative"),
-        (10, math.nan, "staleness bound must be non-negative, got nan"),
+        (0, 1.0, "capacity must be a finite number > 0"),
+        (math.inf, 1.0, "capacity must be a finite number > 0, got inf"),
+        (math.nan, 1.0, "capacity must be a finite number > 0, got nan"),
+        (10, -1.0, "staleness bound must be a finite number >= 0"),
+        (10, math.nan, "staleness bound must be a finite number >= 0, got nan"),
     ],
 )
 def test_rejects_bad_configuration(capacity, staleness, message):

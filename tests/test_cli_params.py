@@ -44,14 +44,13 @@ def test_parse_param_rejects_malformed_overrides():
 # -- argparse integration -----------------------------------------------------------
 
 
-def test_malformed_param_exits_cleanly_with_usage(capsys):
+def test_malformed_param_exits_cleanly_with_one_error_line(capsys):
     parser = build_parser()
     with pytest.raises(SystemExit) as excinfo:
         parser.parse_args(["profile", "tgat", "--param", "oops"])
     assert excinfo.value.code == 2
     stderr = capsys.readouterr().err
-    assert "usage:" in stderr
-    assert "must be key=value" in stderr
+    assert stderr == "error: argument --param: parameter override 'oops' must be key=value\n"
 
 
 def test_malformed_param_on_serve_exits_cleanly(capsys):
@@ -155,7 +154,7 @@ def test_cli_serve_rejects_too_many_gpus(capsys):
          "--gpus", "3", "--placement", "replicate"]
     )
     assert code == 2
-    assert "--gpus must be in [1, 2]" in capsys.readouterr().err
+    assert "--gpus on '2xA100-pcie' must be an integer >= 1 and <= 2" in capsys.readouterr().err
 
 
 def test_cli_serve_rejects_overlap_with_scaleout_placement(capsys):
@@ -189,7 +188,9 @@ def test_cli_profile_rejects_a_non_positive_iteration_count(iterations, capsys):
     )
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert captured.err == "error: --iterations must be positive\n"
+    assert captured.err == (
+        f"error: argument --iterations: must be an integer >= 1, got '{iterations}'\n"
+    )
 
 
 @pytest.mark.parametrize("overlap", [[], ["--overlap"]])
@@ -197,7 +198,7 @@ def test_cli_profile_rejects_a_non_positive_iteration_count(iterations, capsys):
     "param, message",
     [
         ("nosuch=1", "unexpected keyword argument 'nosuch'"),
-        ("batch_size=0", "batch_size must be positive"),
+        ("batch_size=0", "batch_size must be an integer >= 1"),
     ],
 )
 def test_cli_profile_reports_a_bad_param_like_serve(param, message, overlap, capsys):
@@ -218,14 +219,14 @@ def test_cli_serve_refuses_an_slo_every_request_would_miss(slo_ms, capsys):
     )
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert captured.err.startswith("error: slo_ms must be a positive finite number")
+    assert captured.err.startswith("error: argument --slo-ms: must be a finite number > 0")
 
 
 def test_cli_experiment_refuses_a_negative_row_limit(capsys):
     code = main(["experiment", "table1", "--scale", "tiny", "--max-rows", "-1"])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert captured.err == "error: --max-rows must be non-negative\n"
+    assert captured.err == "error: argument --max-rows: must be an integer >= 0, got '-1'\n"
 
 
 def test_cli_profile_overlap_reports_the_prefetch_stream(capsys):

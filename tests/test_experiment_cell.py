@@ -104,5 +104,5 @@ def test_format_table_shows_the_first_max_rows_rows_and_refuses_a_negative_limit
     result = ExperimentResult("demo", rows=[{"model": "a"}, {"model": "b"}, {"model": "c"}])
     assert result.format_table(max_rows=2).splitlines()[-2:] == ["a    ", "b    "]
     assert result.format_table(max_rows=0).splitlines() == ["demo", "model", "-----"]
-    with pytest.raises(ValueError, match="max_rows must be non-negative"):
+    with pytest.raises(ValueError, match="max_rows must be an integer >= 0"):
         result.format_table(max_rows=-1)

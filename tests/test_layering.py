@@ -877,3 +877,78 @@ def test_every_host_work_price_has_a_reader_that_reads_it_from_spec():
                 imported += [f"{relative}: {a.name}" for a in node.names if a.name in prices]
     assert sorted(prices - read) == []
     assert not imported, imported
+
+
+#: The guards that stay inline, ``{"file:function": why}``.  Everything else
+#: checks a number's range through ``repro.domain.Domain`` at its owner's entry.
+INLINE_GUARDS = {
+    **{
+        f"hw/timeline.py:Timeline.{name}": "per reservation or read of a timeline"
+        for name in ("reserve", "reserve_run", "utilization_series", "from_intervals")
+    },
+    "hw/memory.py:MemoryPool.__init__": "per device pool",
+    "hw/memory.py:MemoryPool.alloc": "per alloc",
+    **{
+        f"hw/machine.py:Machine.{name}": "per charge"
+        for name in ("advance_host", "host_work", "transfer", "launch_kernels")
+    },
+    "hw/cluster.py:Cluster.transfer": "per charge",
+    "hw/device.py:Device.kernel_ms": "per kernel cost miss",
+    "hw/events.py:check_event": "per event row",
+    "hw/spec.py:LinkSpec.transfer_ms": "per transfer cost",
+    "hw/spec.py:WarmupSpec.allocation_warmup_ms": "per warm-up charge",
+    "graph/sampling.py:TemporalNeighborSampler.sample": "per sampler call (k)",
+    "graph/sampling.py:TemporalNeighborSampler._query": "per sampler call (node ids)",
+    "graph/sampling.py:TemporalNeighborSampler.total_degree": "per degree query",
+    "cache/model_cache.py:_sample_record": "per cache sample call (k, as the sampler)",
+    "graph/events.py:EventStream.__init__": "per stream slice; order and id range",
+    "graph/snapshots.py:SnapshotSequence.__init__": "per snapshot window; time order",
+    "graph/tbatch.py:validate_tbatches": "an order check across a batch list",
+    "nn/time_encoding.py:PositionalEncoding.forward": "per forward (sequence length)",
+    "tensor/ops.py:_axis": "per operator call",
+}
+
+ORDERING = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+
+
+def _raises_value_error(statements):
+    for node in (n for statement in statements for n in ast.walk(statement)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == "ValueError":
+                return True
+    return False
+
+
+def _range_guards(tree, scope=()):
+    """``(qualified function, line)`` of every ``if`` whose test compares by
+    order and whose body raises ``ValueError``, in the function that owns it."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _range_guards(node, scope + (node.name,))
+            continue
+        if (
+            isinstance(node, ast.If)
+            and any(
+                isinstance(test, ast.Compare) and any(isinstance(op, ORDERING) for op in test.ops)
+                for test in ast.walk(node.test)
+            )
+            and _raises_value_error(node.body)
+        ):
+            yield ".".join(scope), node.lineno
+        yield from _range_guards(node, scope)
+
+
+def test_a_range_check_outside_the_per_call_guards_goes_through_domain():
+    found, inline = [], set()
+    for path in _files(PACKAGE_ROOT, ".py"):
+        relative = os.path.relpath(path, PACKAGE_ROOT).replace(os.sep, "/")
+        for function, line in _range_guards(ast.parse(_read(path))):
+            key = f"{relative}:{function}"
+            if key in INLINE_GUARDS:
+                inline.add(key)
+            else:
+                found.append(f"{relative}:{line} {function}")
+    assert not found, f"range checks beside repro.domain.Domain: {found}"
+    # A guard that moved or went away leaves the list too.
+    assert inline == set(INLINE_GUARDS), sorted(set(INLINE_GUARDS) - inline)

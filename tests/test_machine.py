@@ -325,7 +325,7 @@ class TestConstruction:
         with pytest.raises(KeyError, match="unknown machine spec '3xH100'; available: 1xA100"):
             Machine("3xH100")
         # The spec validates itself; the machine adds no second check.
-        with pytest.raises(ValueError, match="a GPU machine needs num_gpus >= 1"):
+        with pytest.raises(ValueError, match="num_gpus must be an integer >= 1"):
             MachineSpec(name="none", num_gpus=0)
 
 

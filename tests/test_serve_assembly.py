@@ -86,10 +86,6 @@ def test_no_server_is_assembled_outside_the_serve_package():
 
 #: (topology, build_server kwargs, the equivalent serve flags, a phrase of the message)
 RULES = {
-    "negative-backfill": (
-        "1xA100", {"cache": CACHE, "backfill": -1}, CACHE_ARGV + ["--backfill", "-1"],
-        "--backfill must be non-negative",
-    ),
     "backfill-without-cache": (
         "1xA100", {"backfill": 4}, ["--backfill", "4"], "pass --cache",
     ),
@@ -131,14 +127,12 @@ RULES = {
     ),
     "too-many-gpus": (
         "2xA100-pcie", {"placement": "replicate", "num_replicas": 3},
-        ["--placement", "replicate", "--gpus", "3"], "--gpus must be in [1, 2]",
-    ),
-    "zero-gpus": (
-        "2xA100-pcie", {"placement": "shard", "num_replicas": 0},
-        ["--placement", "shard", "--gpus", "0"], "--gpus must be in [1, 2]",
+        ["--placement", "replicate", "--gpus", "3"],
+        "--gpus on '2xA100-pcie' must be an integer >= 1 and <= 2",
     ),
     "too-many-gpus-on-a-cluster": (
-        "2n-2xA100-eth", {"num_replicas": 5}, ["--gpus", "5"], "--gpus must be in [1, 4]",
+        "2n-2xA100-eth", {"num_replicas": 5}, ["--gpus", "5"],
+        "--gpus on '2n-2xA100-eth' must be an integer >= 1 and <= 4",
     ),
     "fidelity-without-slo": (
         "1xA100", {"policy": "fifo", "fidelity": True}, ["--policy", "fifo", "--fidelity"],
@@ -158,6 +152,23 @@ def test_rule_raises_from_build_server_and_exits_2_from_the_cli(rule, dataset, c
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
     assert captured.out == ""
+
+
+def test_values_the_flag_types_refuse_are_refused_by_build_server_too(dataset):
+    """``--gpus 0`` and ``--backfill -1`` never reach ``build_server`` from the
+    CLI (their flag types refuse them); a programmatic caller gets the
+    owner's domain error."""
+    refusal = "--gpus on '2xA100-pcie' must be an integer >= 1 and <= 2, got 0"
+    with pytest.raises(ValueError, match=refusal):
+        build_server(
+            "2xA100-pcie",
+            tgat_factory(dataset),
+            placement="shard",
+            num_replicas=0,
+            backend="shape",
+        )
+    with pytest.raises(ValueError, match="backfill_nodes must be an integer >= 0, got -1"):
+        build_server("1xA100", tgat_factory(dataset), cache=CACHE, backfill=-1, backend="shape")
 
 
 def test_an_explicit_batch_timeout_is_still_an_error_with_fifo(capsys):

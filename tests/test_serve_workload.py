@@ -162,7 +162,7 @@ def test_every_arrival_process_refuses_a_non_finite_parameter(arrival, param, va
     params = {param: value}
     rate = params.pop("rate_per_s", 100.0)
     trace = [0.0, 1.0, 2.0] if arrival == "trace" else None
-    with pytest.raises(ValueError, match=rf"^{param} must be finite, got {value!r}$"):
+    with pytest.raises(ValueError, match=rf"^{param} must be .+, got {value!r}$"):
         make_arrival_process(arrival, rate, trace_timestamps=trace, **params)
 
 
@@ -259,7 +259,7 @@ class _NoDraws:
 @pytest.mark.parametrize("slo_ms", [0.0, -5.0, float("nan"), float("inf")])
 def test_generate_requests_refuses_an_slo_every_request_would_miss(slo_ms):
     stream = load("wikipedia", scale="tiny").stream
-    with pytest.raises(ValueError, match="slo_ms must be a positive finite number"):
+    with pytest.raises(ValueError, match="slo_ms must be a finite number > 0"):
         generate_requests(stream, _NoDraws(), duration_ms=100.0, slo_ms=slo_ms)
-    with pytest.raises(ValueError, match="slo_ms must be a positive finite number"):
+    with pytest.raises(ValueError, match="slo_ms must be a finite number > 0"):
         make_requests(stream, "poisson", 300.0, 100.0, slo_ms=slo_ms)
