@@ -235,13 +235,13 @@ def build_parser() -> argparse.ArgumentParser:
              "--max-replicas, paying modeled cold starts (weight transfer "
              "over the NIC, cold caches)",
     )
-    srv.add_argument("--min-replicas", type=domain.POSITIVE_INT.arg, default=1,
-                     help="autoscaler floor (with --autoscale)")
+    srv.add_argument("--min-replicas", type=domain.POSITIVE_INT.arg, default=None,
+                     help="autoscaler floor (with --autoscale; default: 1)")
     srv.add_argument("--max-replicas", type=domain.POSITIVE_INT.arg, default=None,
                      help="autoscaler ceiling (with --autoscale; default: "
                           "every GPU in the cluster)")
-    srv.add_argument("--partitioner", default="degree", choices=available_partitioners(),
-                     help="node partitioner for --placement shard")
+    srv.add_argument("--partitioner", default=None, choices=available_partitioners(),
+                     help="node partitioner (with --placement shard; default: degree)")
     srv.add_argument(
         "--overlap", action=argparse.BooleanOptionalAction, default=False,
         help="serve with the stream-based sampling/compute overlap scheduler "
@@ -254,15 +254,16 @@ def build_parser() -> argparse.ArgumentParser:
              "memory; per replica under --placement replicate, per shard "
              "under --placement shard)",
     )
-    srv.add_argument("--cache-policy", default="lru",
+    srv.add_argument("--cache-policy", default=None,
                      choices=available_eviction_policies(),
-                     help="cache eviction policy")
-    srv.add_argument("--cache-mb", type=domain.POSITIVE.arg, default=64.0,
-                     help="cache byte budget in MB (split across the model's "
-                          "entry-kind stores)")
-    srv.add_argument("--staleness-ms", type=domain.NON_NEGATIVE.arg, default=0.0,
-                     help="event-time staleness bound; 0 admits no hit, so "
-                          "cached execution stays byte-identical to uncached")
+                     help="cache eviction policy (with --cache; default: lru)")
+    srv.add_argument("--cache-mb", type=domain.POSITIVE.arg, default=None,
+                     help="cache byte budget in MB, split across the model's "
+                          "entry-kind stores (with --cache; default: 64)")
+    srv.add_argument("--staleness-ms", type=domain.NON_NEGATIVE.arg, default=None,
+                     help="event-time staleness bound (with --cache; default: "
+                          "0, which admits no hit, so cached execution stays "
+                          "byte-identical to uncached)")
     srv.add_argument(
         "--fidelity", action=argparse.BooleanOptionalAction, default=False,
         help="adaptive fidelity (requires --policy slo; every placement "
@@ -537,7 +538,28 @@ def _profile_overlapped(args, model, profiler) -> None:
     print(f"prefetch stream '{name}': busy {busy:.3f} ms ({occupancy * 100:.1f}% of window)")
 
 
+#: Serve flags that only one feature reads: ``(flag, the flag that turns it on)``.
+_FEATURE_FLAGS = (
+    ("--cache-policy", "--cache"),
+    ("--cache-mb", "--cache"),
+    ("--staleness-ms", "--cache"),
+    ("--min-replicas", "--autoscale"),
+    ("--max-replicas", "--autoscale"),
+    ("--partitioner", "--placement shard"),
+)
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
+    # An explicit flag whose feature is off would change nothing while
+    # looking accepted, so it is refused like an inapplicable override.
+    enabled = {
+        "--cache": args.cache,
+        "--autoscale": args.autoscale,
+        "--placement shard": args.placement == "shard",
+    }
+    for flag, feature in _FEATURE_FLAGS:
+        if getattr(args, flag[2:].replace("-", "_")) is not None and not enabled[feature]:
+            raise ValueError(f"argument {flag}: only read with {feature}")
     tracer = Tracer() if args.trace else None
     if args.batch_timeout_ms is not None:
         # An explicit flag is checked verbatim, so make_policy rejects a
@@ -561,22 +583,25 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         batch_timeout_ms=4.0 if args.batch_timeout_ms is None else args.batch_timeout_ms,
         slo_ms=args.slo_ms,
         router=args.router,
-        partitioner=args.partitioner,
+        partitioner="degree" if args.partitioner is None else args.partitioner,
         seed=args.seed,
         overlap=args.overlap,
         fidelity=args.fidelity,
         cache=(
             {
-                "policy": args.cache_policy,
-                "capacity_mb": args.cache_mb,
-                "staleness_ms": args.staleness_ms,
+                "policy": "lru" if args.cache_policy is None else args.cache_policy,
+                "capacity_mb": 64.0 if args.cache_mb is None else args.cache_mb,
+                "staleness_ms": 0.0 if args.staleness_ms is None else args.staleness_ms,
             }
             if args.cache
             else None
         ),
         backfill=args.backfill,
         autoscale=(
-            {"min_replicas": args.min_replicas, "max_replicas": args.max_replicas}
+            {
+                "min_replicas": 1 if args.min_replicas is None else args.min_replicas,
+                "max_replicas": args.max_replicas,
+            }
             if args.autoscale
             else None
         ),

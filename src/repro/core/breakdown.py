@@ -63,18 +63,6 @@ class Breakdown:
             raise ValueError("empty breakdown")
         return max(self.entries, key=lambda entry: entry.time_ms)
 
-    def as_rows(self) -> List[Dict[str, object]]:
-        """Rows suitable for CSV/JSON export or tabular printing."""
-        return [
-            {
-                "module": entry.label,
-                "time_ms": round(entry.time_ms, 4),
-                "share": round(entry.fraction, 4),
-                "kernels": entry.kernel_count,
-            }
-            for entry in self.entries
-        ]
-
     def format_table(self, title: Optional[str] = None) -> str:
         """A plain-text table like the annotated bars of the paper's Fig. 7."""
         lines = []

@@ -28,10 +28,10 @@ per-stream view reads 0.
 
 Cost model of reading a :class:`Profile`: everything the analysis computes
 -- the merged busy runs (``busy_timeline``), utilization, the time and byte
-totals, the kernel counts, ``memory_timeline`` and ``regions`` -- reads
-``rows`` through one lazily built index (the first per-kind read partitions
-the window in a single pass, the per-device split is derived from a kind's
-partition on first use) and builds no ``Event``.  The one ``Event`` view is
+totals, the kernel counts and ``memory_timeline`` -- reads ``rows`` through
+one lazily built index (the first per-kind read partitions the window in a
+single pass, the per-device split is derived from a kind's partition on
+first use) and builds no ``Event``.  The one ``Event`` view is
 ``events``, built once on first read; a filtered view is a comprehension
 over it.
 """
@@ -311,18 +311,6 @@ class Profile:
             series.append((start_ms, current))
         series.append((self.end_ms, current))
         return series
-
-    # -- region helpers --------------------------------------------------------------
-
-    def regions(self) -> List[str]:
-        """Distinct innermost region labels, in first-seen order."""
-        seen: List[str] = []
-        for row in self.rows:
-            region = row[7]
-            label = region[-1] if region else ""
-            if label and label not in seen:
-                seen.append(label)
-        return seen
 
 
 class Profiler:

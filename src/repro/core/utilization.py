@@ -9,7 +9,7 @@ host prepares data (the workload-imbalance signature).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from .profiler import Profile
 
@@ -33,12 +33,6 @@ class UtilizationReport:
     busy_ms: float
     idle_ms: float
     longest_idle_gap_ms: float
-
-    def as_rows(self) -> List[dict]:
-        return [
-            {"time_ms": round(p.time_ms, 3), "utilization": round(p.utilization, 4)}
-            for p in self.series
-        ]
 
 
 def utilization_report(

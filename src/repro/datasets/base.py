@@ -1,9 +1,9 @@
 """Dataset containers.
 
-The paper evaluates the eight DGNNs on nine public datasets (Wikipedia,
+The paper evaluates the eight DGNNs on ten public datasets (Wikipedia,
 Reddit, LastFM, Bitcoin-Alpha, the Reddit hyperlink network, a stochastic
 block model, PeMS traffic data, the ISO17 molecular trajectories and the
-Social Evolution / GitHub event logs).  None of those can be downloaded in
+Social Evolution and GitHub event logs).  None of those can be downloaded in
 this offline environment, so :mod:`repro.datasets` generates seeded synthetic
 datasets with the same *structure*: the containers below are what the models
 and experiments consume, regardless of which generator produced them.

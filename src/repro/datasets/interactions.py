@@ -110,96 +110,3 @@ def _bursty_timestamps(
     else:
         times = uniform_times
     return np.sort(times)
-
-
-# -- named dataset presets -----------------------------------------------------
-
-def wikipedia(scale: str = "small", seed: int = 7) -> TemporalInteractionDataset:
-    """Wikipedia edit stream stand-in (bipartite user-page interactions)."""
-    sizes = {
-        "tiny": (120, 60, 800),
-        "small": (1000, 400, 8000),
-        "paper": (8227, 1000, 157474),
-    }
-    users, items, events = sizes[_check_scale(scale, sizes)]
-    return generate_interactions(
-        InteractionConfig(
-            name="wikipedia", num_users=users, num_items=items, num_events=events,
-            edge_dim=172, node_dim=172, seed=seed,
-        )
-    )
-
-
-def reddit(scale: str = "small", seed: int = 11) -> TemporalInteractionDataset:
-    """Reddit post stream stand-in (bipartite user-subreddit interactions).
-
-    Reddit is the larger of the two JODIE/TGAT datasets; its average temporal
-    degree is higher, which is why the paper's Reddit breakdowns show larger
-    sampling and memory-copy times than Wikipedia.
-    """
-    sizes = {
-        "tiny": (160, 40, 1200),
-        "small": (1500, 300, 12000),
-        "paper": (10000, 984, 672447),
-    }
-    users, items, events = sizes[_check_scale(scale, sizes)]
-    return generate_interactions(
-        InteractionConfig(
-            name="reddit", num_users=users, num_items=items, num_events=events,
-            edge_dim=172, node_dim=172, zipf_exponent=1.5, seed=seed,
-        )
-    )
-
-
-def lastfm(scale: str = "small", seed: int = 13) -> TemporalInteractionDataset:
-    """LastFM listening stream stand-in (bipartite user-song interactions)."""
-    sizes = {
-        "tiny": (100, 80, 1000),
-        "small": (800, 600, 10000),
-        "paper": (980, 1000, 1293103),
-    }
-    users, items, events = sizes[_check_scale(scale, sizes)]
-    return generate_interactions(
-        InteractionConfig(
-            name="lastfm", num_users=users, num_items=items, num_events=events,
-            edge_dim=2, node_dim=128, zipf_exponent=1.1, burstiness=0.5, seed=seed,
-        )
-    )
-
-
-def social_evolution(scale: str = "small", seed: int = 17) -> TemporalInteractionDataset:
-    """Social Evolution proximity-event stand-in (non-bipartite person graph)."""
-    sizes = {
-        "tiny": (60, 0, 900),
-        "small": (84, 0, 8000),
-        "paper": (84, 0, 200000),
-    }
-    users, _, events = sizes[_check_scale(scale, sizes)]
-    return generate_interactions(
-        InteractionConfig(
-            name="social-evolution", num_users=users, num_items=0, num_events=events,
-            edge_dim=16, node_dim=32, bipartite=False, burstiness=0.6, seed=seed,
-        )
-    )
-
-
-def github(scale: str = "small", seed: int = 19) -> TemporalInteractionDataset:
-    """GitHub archive event stand-in (non-bipartite developer-interaction graph)."""
-    sizes = {
-        "tiny": (150, 0, 1000),
-        "small": (1200, 0, 9000),
-        "paper": (12328, 0, 500000),
-    }
-    users, _, events = sizes[_check_scale(scale, sizes)]
-    return generate_interactions(
-        InteractionConfig(
-            name="github", num_users=users, num_items=0, num_events=events,
-            edge_dim=8, node_dim=64, bipartite=False, zipf_exponent=1.6, seed=seed,
-        )
-    )
-
-
-def _check_scale(scale: str, sizes: dict) -> str:
-    if scale not in sizes:
-        raise ValueError(f"unknown scale {scale!r}; expected one of {sorted(sizes)}")
-    return scale

@@ -90,18 +90,3 @@ def _atom_type_features(num_atoms: int) -> np.ndarray:
     one_hot = np.zeros((num_atoms, 3), dtype=np.float32)
     one_hot[np.arange(num_atoms), types] = 1.0
     return one_hot
-
-
-def iso17(scale: str = "small", seed: int = 41) -> MolecularDataset:
-    """ISO17 stand-in at a named scale."""
-    sizes = {
-        "tiny": (4, 8),
-        "small": (16, 20),
-        "paper": (64, 50),
-    }
-    if scale not in sizes:
-        raise ValueError(f"unknown scale {scale!r}; expected one of {sorted(sizes)}")
-    trajectories, frames = sizes[scale]
-    return generate_molecules(
-        MolecularConfig(name="iso17", num_trajectories=trajectories, num_frames=frames, seed=seed)
-    )

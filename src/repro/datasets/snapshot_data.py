@@ -1,10 +1,9 @@
 """Synthetic discrete-time (snapshot) datasets.
 
-Stand-ins for the datasets the paper feeds to EvolveGCN: the Bitcoin-Alpha
-trust network (signed, weighted, slowly growing), the Reddit hyperlink
-network (larger, denser snapshots -- the reason EvolveGCN's memory-copy share
-is much higher on Reddit than on Bitcoin in Fig. 7(i)/(j)) and the IBM
-stochastic block model benchmark.
+Generators for the stand-ins of the datasets the paper feeds to EvolveGCN:
+an evolving random graph (the Bitcoin-Alpha trust network and the Reddit
+hyperlink network) and the IBM stochastic block model benchmark.  Each named
+dataset is a row of :data:`repro.datasets.registry.DATASETS`.
 """
 
 from __future__ import annotations
@@ -109,58 +108,10 @@ def _rewire(
     return result
 
 
-# -- named dataset presets ------------------------------------------------------
-
-def bitcoin_alpha(scale: str = "small", seed: int = 23) -> SnapshotDataset:
-    """Bitcoin-Alpha trust network stand-in: small, sparse, signed weights."""
-    sizes = {
-        "tiny": (60, 6),
-        "small": (300, 12),
-        # The real Bitcoin-Alpha graph has 3783 nodes; the "paper" scale is
-        # capped so dense snapshot storage stays laptop-friendly.
-        "paper": (1200, 20),
-    }
-    nodes, steps = _pick(scale, sizes)
-    return generate_snapshot_sequence(
-        SnapshotConfig(
-            name="bitcoin-alpha", num_nodes=nodes, num_snapshots=steps,
-            feature_dim=64, edge_density=0.01, churn=0.08, signed=True, seed=seed,
-        )
-    )
-
-
-def reddit_hyperlinks(scale: str = "small", seed: int = 29) -> SnapshotDataset:
-    """Reddit hyperlink network stand-in: larger, denser snapshots.
-
-    The larger per-snapshot payload is what drives EvolveGCN's higher
-    memory-copy share on Reddit in the paper's Fig. 7(i).
-    """
-    sizes = {
-        "tiny": (120, 6),
-        "small": (600, 12),
-        # The real hyperlink network has ~35k subreddits; capped for dense
-        # snapshot storage, but kept several times larger than Bitcoin-Alpha
-        # so the relative memory-copy behaviour is preserved.
-        "paper": (1500, 16),
-    }
-    nodes, steps = _pick(scale, sizes)
-    return generate_snapshot_sequence(
-        SnapshotConfig(
-            name="reddit-hyperlinks", num_nodes=nodes, num_snapshots=steps,
-            feature_dim=128, edge_density=0.02, churn=0.15, signed=False, seed=seed,
-        )
-    )
-
-
-def stochastic_block_model(scale: str = "small", seed: int = 31) -> SnapshotDataset:
-    """IBM stochastic-block-model benchmark stand-in with drifting communities."""
-    sizes = {
-        "tiny": (80, 6),
-        "small": (400, 10),
-        "paper": (1000, 50),
-    }
-    nodes, steps = _pick(scale, sizes)
-    rng = np.random.default_rng(seed)
+def generate_block_model(config: SnapshotConfig) -> SnapshotDataset:
+    """A stochastic block model whose communities drift (reads only the sizes and seed)."""
+    nodes, steps = config.num_nodes, config.num_snapshots
+    rng = np.random.default_rng(config.seed)
     num_blocks = 4
     assignment = rng.integers(0, num_blocks, size=nodes)
     p_in, p_out = (0.08, 0.005)
@@ -182,10 +133,4 @@ def stochastic_block_model(scale: str = "small", seed: int = 31) -> SnapshotData
         snapshots.append(
             GraphSnapshot(timestamp=float(step), adjacency=adjacency, node_features=features)
         )
-    return SnapshotDataset(name="sbm", snapshots=SnapshotSequence(snapshots))
-
-
-def _pick(scale: str, sizes: dict):
-    if scale not in sizes:
-        raise ValueError(f"unknown scale {scale!r}; expected one of {sorted(sizes)}")
-    return sizes[scale]
+    return SnapshotDataset(name=config.name, snapshots=SnapshotSequence(snapshots))

@@ -90,18 +90,3 @@ def generate_traffic(config: TrafficConfig) -> TrafficDataset:
         signal=signal,
         interval_minutes=config.interval_minutes,
     )
-
-
-def pems(scale: str = "small", seed: int = 37) -> TrafficDataset:
-    """PeMS stand-in at a named scale (PEMS04 has 307 sensors, PEMS08 has 170)."""
-    sizes = {
-        "tiny": (40, 1),
-        "small": (120, 2),
-        "paper": (307, 7),
-    }
-    if scale not in sizes:
-        raise ValueError(f"unknown scale {scale!r}; expected one of {sorted(sizes)}")
-    sensors, days = sizes[scale]
-    return generate_traffic(
-        TrafficConfig(name="pems", num_sensors=sensors, num_days=days, seed=seed)
-    )

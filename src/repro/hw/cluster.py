@@ -56,14 +56,13 @@ class Cluster:
     def __init__(
         self,
         spec: Union[str, ClusterSpec],
-        strict_memory: bool = False,
         backend: str = "numeric",
     ) -> None:
         resolved = cluster_spec(spec)
         self.spec = resolved
         self.backend = backend
         self.nodes: Tuple[Machine, ...] = tuple(
-            Machine.from_spec(resolved.node, strict_memory=strict_memory, backend=backend)
+            Machine.from_spec(resolved.node, backend=backend)
             for _ in range(resolved.num_nodes)
         )
         #: One NIC link per node pair, named ``"<nic>:<i>-<j>"`` (i < j).

@@ -117,15 +117,6 @@ class Event(_EventFields):
     def duration_ms(self) -> float:
         return self.end_ms - self.start_ms
 
-    @property
-    def innermost_region(self) -> str:
-        """The most specific region label, or ``""`` when unannotated."""
-        return self.region[-1] if self.region else ""
-
-    def overlaps(self, start_ms: float, end_ms: float) -> bool:
-        """Whether this event overlaps the half-open window [start, end)."""
-        return self.start_ms < end_ms and self.end_ms > start_ms
-
 
 #: ``event_view(row)``: the :class:`Event` a stored row stands for, built
 #: without re-running the checks the row passed when it was logged.

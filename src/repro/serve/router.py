@@ -82,9 +82,6 @@ class Router:
         """Replicas currently eligible for dispatch, in index order."""
         return sorted(self._active)
 
-    def is_active(self, index: int) -> bool:
-        return index in self._active
-
     # -- decision --------------------------------------------------------
 
     def route(self, batch_size: int, now_ms: float) -> int:

@@ -121,7 +121,7 @@ def test_serve_scaleout_defaults():
     assert args.topology == "1xA6000"
     assert args.placement == "single"
     assert args.router == "round-robin"
-    assert args.partitioner == "degree"
+    assert args.partitioner is None
     assert args.gpus is None
 
 
@@ -170,6 +170,25 @@ def test_cli_serve_rejects_gpus_flag_on_single_placement(capsys):
     code = main(["serve", "tgat", "--scale", "tiny", "--topology", "4xA100-pcie", "--gpus", "4"])
     assert code == 2
     assert "--gpus only applies" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, value, feature",
+    [
+        ("--cache-policy", "lru", "--cache"),
+        ("--cache-mb", "64", "--cache"),
+        ("--staleness-ms", "0", "--cache"),
+        ("--min-replicas", "3", "--autoscale"),
+        ("--max-replicas", "2", "--autoscale"),
+        ("--partitioner", "degree", "--placement shard"),
+    ],
+)
+def test_cli_serve_refuses_a_flag_its_feature_would_not_read(flag, value, feature, capsys):
+    """Even a flag's default value is refused while the feature that reads it is off."""
+    code = main(["serve", "tgat", "--scale", "tiny", "--backend", "shape", flag, value])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: argument {flag}: only read with {feature}\n"
 
 
 def test_cli_serve_rejects_scaleout_on_cpu_only_topology(capsys):

@@ -448,11 +448,6 @@ class TestEventContract:
     def test_derived_views(self):
         event = Event(KERNEL, "gemm", "gpu0", 1.0, 2.5, region=("iteration", "Attention"))
         assert event.duration_ms == 1.5
-        assert event.innermost_region == "Attention"
-        assert Event(KERNEL, "gemm", "gpu0", 1.0, 2.5).innermost_region == ""
-        assert event.overlaps(2.0, 3.0) and event.overlaps(0.0, 1.5) and event.overlaps(1.2, 1.3)
-        # Half-open on both sides: touching windows do not overlap.
-        assert not event.overlaps(2.5, 3.0) and not event.overlaps(0.0, 1.0)
 
     @pytest.mark.parametrize("site", sorted(EMISSION_SITES))
     def test_every_emission_site_runs_the_constructor_checks(self, machine, site, monkeypatch):
@@ -774,7 +769,7 @@ def test_profile_analysis_reads_rows_and_leaves_the_events_view_unbuilt():
     assert profile.kernel_time_ms(gpu) > profile.mean_kernel_ms(gpu) > 0
     assert profile.transfer_time_ms() > 0 and profile.transfer_bytes() > 0
     assert profile.sync_wait_ms() > 0 and profile.warmup_ms() > 0
-    assert len(profile.memory_timeline("gpu")) > 2 and profile.regions()
+    assert len(profile.memory_timeline("gpu")) > 2
     assert compute_breakdown(profile).total_ms > 0
     assert analyze_profile(profile).findings
     assert "events" not in vars(profile)
